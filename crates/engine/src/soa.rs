@@ -256,8 +256,7 @@ impl SoaProgram {
                     slot_of[key] = sel_plan.len() as u32;
                     sel_plan.push((step_of[new] << 4) | quadbits);
                 }
-                in_edges[t as usize]
-                    .push(((slot_of[key] as u64 * row) << 32) | (new as u64 * row));
+                in_edges[t as usize].push(((slot_of[key] as u64 * row) << 32) | (new as u64 * row));
             }
         }
         // Emit the degree-bucketed schedule: per round (one per level,

@@ -27,11 +27,10 @@ use std::time::{Duration, Instant};
 
 use charfree_engine::Kernel;
 use charfree_net::{CloseReason, ConnCtx, Handler, Mailbox, Token};
-use charfree_sim::MarkovSource;
 
 use crate::batch::{BatchHandle, Job, JobError, JobOutput, ReplySink};
 use crate::metrics;
-use crate::proto::{ErrorKind, Request, Response, WireBuildOptions, WireEvalParams};
+use crate::proto::{ErrorKind, Request, Response, WireBuildOptions};
 use crate::server::{self, InflightGuard, Shared, MAX_LINE_BYTES, RETRY_AFTER_MS};
 use crate::wire;
 
@@ -365,12 +364,8 @@ impl Handler<Completion> for Frontend {
             Mode::Binary => Proto::Binary,
             _ => Proto::Json,
         };
-        let resp = Response::Error {
-            kind: ErrorKind::Timeout,
-            message: "idle timeout: no request arrived within the idle window".to_owned(),
-            retry_after_ms: None,
-        };
-        conn.write(&encode_response(proto, &resp));
+        let message = "idle timeout: no request arrived within the idle window".to_owned();
+        self.write_error(conn, proto, ErrorKind::Timeout, message);
         conn.close(CloseReason::Idle);
     }
 }
@@ -437,40 +432,45 @@ fn service_loop(
     }
 }
 
-/// Records the outcome, logs it, and posts the encoded response back to
-/// the connection's shard.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    shared: &Shared,
-    mailbox: &Mailbox<Completion>,
+/// One request's way back to its connection: the protocol to answer in
+/// and the command to log it as. Owned, so it can ride inside an async
+/// reply sink across the dispatcher queue.
+struct Reply {
+    shared: Arc<Shared>,
+    mailbox: Mailbox<Completion>,
     token: Token,
     proto: Proto,
     received: Instant,
-    cmd: &str,
-    response: Response,
-    close: bool,
-) {
-    let latency_us = received.elapsed().as_micros() as u64;
-    let (status, is_error) = match &response {
-        Response::Error { kind, .. } => (kind.name(), true),
-        _ => ("ok", false),
-    };
-    if is_error {
-        shared.stats.record_error();
-    } else {
-        shared.stats.record_completed(latency_us);
+    cmd: &'static str,
+}
+
+impl Reply {
+    /// Records the outcome, logs it, and posts the encoded response back
+    /// to the connection's shard; `close` closes the connection once the
+    /// response is flushed (`shutdown`'s ack).
+    fn finish(self, response: Response, close: bool) {
+        let latency_us = self.received.elapsed().as_micros() as u64;
+        let status = match &response {
+            Response::Error { kind, .. } => {
+                self.shared.stats.record_error();
+                kind.name()
+            }
+            _ => {
+                self.shared.stats.record_completed(latency_us);
+                "ok"
+            }
+        };
+        self.shared.log_line(
+            self.token,
+            &format!("cmd={} status={status} latency_us={latency_us}", self.cmd),
+        );
+        let bytes = encode_response(self.proto, &response);
+        self.mailbox.post(self.token, Completion { bytes, close });
     }
-    shared.log_line(
-        token,
-        &format!("cmd={cmd} status={status} latency_us={latency_us}"),
-    );
-    mailbox.post(
-        token,
-        Completion {
-            bytes: encode_response(proto, &response),
-            close,
-        },
-    );
+
+    fn send(self, response: Response) {
+        self.finish(response, false);
+    }
 }
 
 fn overloaded_response(shared: &Shared) -> Response {
@@ -482,319 +482,178 @@ fn overloaded_response(shared: &Shared) -> Response {
     }
 }
 
+/// Runs `work` inside the request-level admission window; the slot is
+/// released as soon as the response exists.
+fn admitted(shared: &Arc<Shared>, work: impl FnOnce() -> Response) -> Response {
+    match server::try_admit(shared) {
+        Some(_guard) => work(),
+        None => overloaded_response(shared),
+    }
+}
+
 fn handle_request(
     req: SvcRequest,
     shared: &Arc<Shared>,
     batch: &BatchHandle,
     mailbox: &Mailbox<Completion>,
 ) {
-    let SvcRequest {
-        token,
-        proto,
-        received,
-        raw,
-    } = req;
-    let parsed = match raw {
+    let mut reply = Reply {
+        shared: Arc::clone(shared),
+        mailbox: mailbox.clone(),
+        token: req.token,
+        proto: req.proto,
+        received: req.received,
+        cmd: "?",
+    };
+    let parsed = match req.raw {
         Raw::Json(line) => Request::parse_line(&line),
         Raw::Binary { ty, payload } => wire::decode_request(ty, &payload),
     };
     let request = match parsed {
         Ok(request) => request,
-        Err(message) => {
-            let resp = Response::Error {
-                kind: ErrorKind::BadRequest,
-                message,
-                retry_after_ms: None,
-            };
-            finish(shared, mailbox, token, proto, received, "?", resp, false);
-            return;
-        }
+        Err(message) => return reply.send(server::error(ErrorKind::BadRequest, message)),
     };
-    let cmd = request.cmd();
-    shared.stats.record_accepted(cmd);
+    reply.cmd = request.cmd();
+    shared.stats.record_accepted(reply.cmd);
     if shared.draining.load(Ordering::SeqCst) && !matches!(request, Request::Shutdown) {
-        let resp = Response::Error {
-            kind: ErrorKind::Draining,
-            message: "server is draining".to_owned(),
-            retry_after_ms: None,
-        };
-        finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        return;
+        return reply.send(server::error(ErrorKind::Draining, "server is draining"));
     }
     // stats/metrics/shutdown are control-plane: they bypass the
     // admission window so an overloaded server can still be observed
     // and drained.
+    let want_values = matches!(request, Request::Trace { .. });
     match request {
-        Request::Stats => {
-            let resp = Response::Stats(shared.snapshot());
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        }
-        Request::Metrics => {
-            let resp = Response::Metrics(metrics::render(&shared.snapshot()));
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        }
+        Request::Stats => reply.send(Response::Stats(shared.snapshot())),
+        Request::Metrics => reply.send(Response::Metrics(metrics::render(&shared.snapshot()))),
         Request::Shutdown => {
-            finish(
-                shared,
-                mailbox,
-                token,
-                proto,
-                received,
-                cmd,
-                Response::Shutdown,
-                true,
-            );
+            reply.finish(Response::Shutdown, true);
             server::begin_drain(shared);
         }
         Request::Load { source, options } => {
-            let resp = match server::try_admit(shared) {
-                Some(_guard) => server::do_load(shared, &source, &options),
-                None => overloaded_response(shared),
-            };
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
+            reply.send(admitted(shared, || {
+                server::do_load(shared, &source, &options)
+            }));
         }
         Request::Expected { source, sp, st } => {
-            let resp = match server::try_admit(shared) {
-                Some(_guard) => server::do_expected(shared, &source, sp, st),
-                None => overloaded_response(shared),
-            };
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
+            reply.send(admitted(shared, || {
+                server::do_expected(shared, &source, sp, st)
+            }));
         }
-        Request::Eval {
-            source,
-            options,
-            params,
-        } => start_eval(
-            shared, batch, mailbox, token, proto, received, cmd, &source, &options, &params, false,
-        ),
-        Request::Trace {
-            source,
-            options,
-            params,
-        } => start_eval(
-            shared, batch, mailbox, token, proto, received, cmd, &source, &options, &params, true,
-        ),
         Request::SeqLoad { source, options } => {
-            let resp = match server::try_admit(shared) {
-                Some(_guard) => server::do_seq_load(shared, &source, &options),
-                None => overloaded_response(shared),
-            };
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
+            reply.send(admitted(shared, || {
+                server::do_seq_load(shared, &source, &options)
+            }));
         }
         Request::SeqEval {
             source,
             options,
             params,
+        } => reply.send(admitted(shared, || {
+            server::do_seq_eval(shared, &source, &options, &params)
+        })),
+        Request::Eval {
+            source,
+            options,
+            params,
+        }
+        | Request::Trace {
+            source,
+            options,
+            params,
         } => {
-            let resp = match server::try_admit(shared) {
-                Some(_guard) => server::do_seq_eval(shared, &source, &options, &params),
-                None => overloaded_response(shared),
-            };
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
+            let markov = |kernel: &Kernel| server::markov_patterns(kernel.num_inputs(), &params);
+            let (deadline_ms, vectors) = (params.deadline_ms, params.vectors);
+            start_batch(
+                reply,
+                batch,
+                &source,
+                &options,
+                deadline_ms,
+                vectors,
+                want_values,
+                markov,
+            );
         }
         Request::TraceDirect {
             source,
             options,
             patterns,
             deadline_ms,
-        } => start_direct(
-            shared,
-            batch,
-            mailbox,
-            token,
-            proto,
-            received,
-            cmd,
-            &source,
-            &options,
-            patterns,
-            deadline_ms,
-        ),
+        } => {
+            if patterns.len() < 2 {
+                let message = "tracep needs at least two patterns (transitions are pattern pairs)";
+                return reply.send(server::error(ErrorKind::BadRequest, message));
+            }
+            let vectors = patterns.len();
+            let checked = move |kernel: &Kernel| {
+                let width = kernel.num_inputs();
+                match patterns.iter().all(|p| p.len() == width) {
+                    true => Ok(patterns),
+                    false => Err(format!(
+                        "pattern width must match the model's {width} inputs"
+                    )),
+                }
+            };
+            start_batch(
+                reply,
+                batch,
+                &source,
+                &options,
+                deadline_ms,
+                vectors,
+                true,
+                checked,
+            );
+        }
     }
 }
 
-/// `eval`/`trace`: admission, model resolution, Markov pattern
-/// generation, then a dispatcher job completing through the mailbox.
+/// `eval`/`trace`/`tracep`: admission, the per-request work cap, model
+/// resolution (the request deadline also bounds a cold build and, being
+/// timing-dependent, keeps that build out of the registry), the
+/// request's patterns, then a dispatcher job completing through the
+/// mailbox.
 #[allow(clippy::too_many_arguments)]
-fn start_eval(
-    shared: &Arc<Shared>,
+fn start_batch(
+    reply: Reply,
     batch: &BatchHandle,
-    mailbox: &Mailbox<Completion>,
-    token: Token,
-    proto: Proto,
-    received: Instant,
-    cmd: &'static str,
     source: &str,
     options: &WireBuildOptions,
-    params: &WireEvalParams,
-    want_values: bool,
-) {
-    let Some(guard) = server::try_admit(shared) else {
-        let resp = overloaded_response(shared);
-        finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        return;
-    };
-    if params.vectors > shared.max_vectors {
-        let resp = server::error(
-            ErrorKind::BadRequest,
-            format!(
-                "vectors={} exceeds this server's per-request cap ({}); split the request or \
-                 restart with a larger --max-vectors",
-                params.vectors, shared.max_vectors
-            ),
-        );
-        finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        return;
-    }
-    let deadline = params
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    // The request deadline also bounds a cold build (and, being
-    // timing-dependent, keeps that build out of the registry).
-    let build_options = WireBuildOptions {
-        deadline_ms: params.deadline_ms,
-        ..options.clone()
-    };
-    let kernel = match server::resolve(shared, source, &build_options) {
-        Ok((kernel, _, _)) => kernel,
-        Err(resp) => {
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
-            return;
-        }
-    };
-    // Identical pattern generation to the offline CLI: a Markov source
-    // over the kernel's inputs, at least two patterns.
-    let mut markov = match MarkovSource::new(kernel.num_inputs(), params.sp, params.st, params.seed)
-    {
-        Ok(markov) => markov,
-        Err(e) => {
-            let resp = server::error(ErrorKind::BadRequest, e.to_string());
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
-            return;
-        }
-    };
-    let patterns = markov.sequence(params.vectors.max(2));
-    submit(
-        shared,
-        batch,
-        mailbox,
-        token,
-        proto,
-        received,
-        cmd,
-        kernel,
-        patterns,
-        want_values,
-        deadline,
-        guard,
-    );
-}
-
-/// `tracep`: explicit patterns straight into the dispatcher.
-#[allow(clippy::too_many_arguments)]
-fn start_direct(
-    shared: &Arc<Shared>,
-    batch: &BatchHandle,
-    mailbox: &Mailbox<Completion>,
-    token: Token,
-    proto: Proto,
-    received: Instant,
-    cmd: &'static str,
-    source: &str,
-    options: &WireBuildOptions,
-    patterns: Vec<Vec<bool>>,
     deadline_ms: Option<u64>,
+    vectors: usize,
+    want_values: bool,
+    patterns: impl FnOnce(&Kernel) -> Result<Vec<Vec<bool>>, String>,
 ) {
-    let Some(guard) = server::try_admit(shared) else {
-        let resp = overloaded_response(shared);
-        finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        return;
+    let shared = Arc::clone(&reply.shared);
+    let Some(guard) = server::try_admit(&shared) else {
+        return reply.send(overloaded_response(&shared));
     };
-    if patterns.len() > shared.max_vectors {
-        let resp = server::error(
-            ErrorKind::BadRequest,
-            format!(
-                "{} patterns exceeds this server's per-request cap ({})",
-                patterns.len(),
-                shared.max_vectors
-            ),
-        );
-        finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        return;
-    }
-    if patterns.len() < 2 {
-        let resp = server::error(
-            ErrorKind::BadRequest,
-            "tracep needs at least two patterns (transitions are pattern pairs)",
-        );
-        finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        return;
+    if let Err(resp) = server::check_vectors(&shared, vectors) {
+        return reply.send(resp);
     }
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     let build_options = WireBuildOptions {
         deadline_ms,
         ..options.clone()
     };
-    let kernel = match server::resolve(shared, source, &build_options) {
+    let kernel = match server::resolve_kernel(&shared, source, &build_options) {
         Ok((kernel, _, _)) => kernel,
-        Err(resp) => {
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
-            return;
-        }
+        Err(resp) => return reply.send(resp),
     };
-    let width = kernel.num_inputs();
-    if patterns.iter().any(|p| p.len() != width) {
-        let resp = server::error(
-            ErrorKind::BadRequest,
-            format!("pattern width must match the model's {width} inputs"),
-        );
-        finish(shared, mailbox, token, proto, received, cmd, resp, false);
-        return;
-    }
-    submit(
-        shared, batch, mailbox, token, proto, received, cmd, kernel, patterns, true, deadline,
-        guard,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn submit(
-    shared: &Arc<Shared>,
-    batch: &BatchHandle,
-    mailbox: &Mailbox<Completion>,
-    token: Token,
-    proto: Proto,
-    received: Instant,
-    cmd: &'static str,
-    kernel: Arc<Kernel>,
-    patterns: Vec<Vec<bool>>,
-    want_values: bool,
-    deadline: Option<Instant>,
-    guard: InflightGuard,
-) {
-    if let Some(deadline) = deadline {
-        if deadline <= Instant::now() {
-            let resp = server::error(
-                ErrorKind::DeadlineExceeded,
-                "deadline expired before dispatch",
-            );
-            finish(shared, mailbox, token, proto, received, cmd, resp, false);
-            return;
-        }
-    }
-    let sink = ReactorReply {
-        inner: Some(ReplyInner {
-            shared: Arc::clone(shared),
-            mailbox: mailbox.clone(),
-            token,
-            proto,
-            received,
-            cmd,
-            name: kernel.name().to_owned(),
-            want_values,
-            _guard: guard,
-        }),
+    let patterns = match patterns(&kernel) {
+        Ok(patterns) => patterns,
+        Err(message) => return reply.send(server::error(ErrorKind::BadRequest, message)),
     };
+    if deadline.is_some_and(|deadline| deadline <= Instant::now()) {
+        let message = "deadline expired before dispatch";
+        return reply.send(server::error(ErrorKind::DeadlineExceeded, message));
+    }
+    let sink = ReactorReply(Some(ReplyInner {
+        reply,
+        name: kernel.name().to_owned(),
+        want_values,
+        _guard: guard,
+    }));
     let job = Job {
         kernel,
         patterns,
@@ -815,17 +674,10 @@ fn submit(
 /// residency. Dropping the sink without completion (a worker panicked
 /// past the job) produces the typed retriable error the drop contract
 /// requires.
-struct ReactorReply {
-    inner: Option<ReplyInner>,
-}
+struct ReactorReply(Option<ReplyInner>);
 
 struct ReplyInner {
-    shared: Arc<Shared>,
-    mailbox: Mailbox<Completion>,
-    token: Token,
-    proto: Proto,
-    received: Instant,
-    cmd: &'static str,
+    reply: Reply,
     name: String,
     want_values: bool,
     _guard: InflightGuard,
@@ -833,53 +685,34 @@ struct ReplyInner {
 
 impl ReplyInner {
     fn finish(self, response: Response) {
-        let ReplyInner {
-            shared,
-            mailbox,
-            token,
-            proto,
-            received,
-            cmd,
-            _guard: guard,
-            ..
-        } = self;
         // Release the admission slot *before* the completion is posted:
         // the instant the post lands, the client can see the response
         // and fire its next request, which must find the slot free
         // (exactly the ordering the thread-per-connection server had).
-        drop(guard);
-        finish(
-            &shared, &mailbox, token, proto, received, cmd, response, false,
-        );
+        drop(self._guard);
+        self.reply.send(response);
     }
 }
 
 impl ReplySink for ReactorReply {
     fn complete(mut self: Box<Self>, result: Result<JobOutput, JobError>) {
-        let Some(inner) = self.inner.take() else {
+        let Some(inner) = self.0.take() else {
             return;
         };
         let response = match result {
-            Ok(output) => {
-                if inner.want_values {
-                    Response::Trace {
-                        name: inner.name.clone(),
-                        values: output.values.unwrap_or_default(),
-                    }
-                } else {
-                    Response::Eval {
-                        name: inner.name.clone(),
-                        transitions: output.summary.transitions,
-                        sum_ff: output.summary.sum_ff,
-                        max_ff: output.summary.max_ff,
-                    }
-                }
-            }
-            Err(JobError::DeadlineExceeded) => Response::Error {
-                kind: ErrorKind::DeadlineExceeded,
-                message: "deadline expired in queue".to_owned(),
-                retry_after_ms: None,
+            Ok(output) if inner.want_values => Response::Trace {
+                name: inner.name.clone(),
+                values: output.values.unwrap_or_default(),
             },
+            Ok(output) => Response::Eval {
+                name: inner.name.clone(),
+                transitions: output.summary.transitions,
+                sum_ff: output.summary.sum_ff,
+                max_ff: output.summary.max_ff,
+            },
+            Err(JobError::DeadlineExceeded) => {
+                server::error(ErrorKind::DeadlineExceeded, "deadline expired in queue")
+            }
             Err(JobError::Shed) => Response::Error {
                 kind: ErrorKind::Overloaded,
                 message: "dispatch queue full".to_owned(),
@@ -892,7 +725,7 @@ impl ReplySink for ReactorReply {
 
 impl Drop for ReactorReply {
     fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
+        if let Some(inner) = self.0.take() {
             // The executing worker panicked mid-batch and the supervisor
             // is restarting it; the request itself was fine.
             inner.finish(Response::Error {

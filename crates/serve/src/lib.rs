@@ -13,12 +13,12 @@
 //!   per connection, so thousands of idle connections cost nothing.
 //! * **Dual wire protocols** ([`proto`], [`wire`]): newline-delimited
 //!   JSON and a length-prefixed binary protocol (magic `CFB1`, version
-//!   negotiation) share one port — the first byte decides. Results are
-//!   bit-identical across both (f64s travel as IEEE-754 bits in either
-//!   encoding).
+//!   negotiation) share one port — the first byte decides. Each command
+//!   is declared once for both; results are bit-identical across both
+//!   (f64s travel as IEEE-754 bits in either encoding).
 //! * **Warm sharded model registry** ([`ShardedRegistry`]): compiled
-//!   kernels are shared across connections under a global byte-budget
-//!   split over hash shards (per-shard LRU + per-shard build locks), and
+//!   kernels and sequential designs are shared across connections under
+//!   one byte budget split over hash shards (per-shard LRU + build locks), and
 //!   cold loads go through the content-addressed artifact store, so a
 //!   warm `load` performs zero ADD apply steps.
 //! * **Cross-connection micro-batching** ([`batch`]): concurrent eval
@@ -63,7 +63,7 @@ pub use batch::{
 };
 pub use client::{Client, Proto, RetryPolicy};
 pub use proto::{ErrorKind, Request, Response, WireBuildOptions, WireEvalParams};
-pub use registry::{ModelRegistry, ShardedRegistry};
+pub use registry::{ModelRegistry, Resident, ShardedRegistry};
 pub use server::{DrainHandle, ServeConfig, Server};
 pub use stats::ServerStats;
 pub use supervisor::{BreakerConfig, BreakerDecision, CircuitBreaker};

@@ -1,13 +1,24 @@
-//! The newline-delimited JSON wire protocol.
+//! The wire messages, each body declared once for both codecs, and the
+//! newline-delimited JSON codec.
 //!
-//! One request per line, one response per line, in order. Floating-point
-//! payloads that must survive the wire *bit-exactly* — capacitance sums,
-//! maxima, per-transition trace values — travel as 16-hex-digit IEEE-754
-//! bit patterns, never as decimal JSON numbers: the parity guarantee
-//! (`charfree client eval` output is byte-identical to offline
-//! `charfree eval`) rules out any decimal round trip. Request statistics
-//! (`sp`, `st`) travel as ordinary JSON numbers because Rust's shortest
-//! `f64` display is itself round-trip-exact.
+//! Every [`Request`] and [`Response`] body is declared exactly once, in
+//! the two `wire_bodies!` tables below: its JSON name, its binary frame
+//! type and its ordered list of typed fields. Each codec implements the
+//! [`Sink`]/[`Source`] pair over those field kinds (JSON here, binary in
+//! [`crate::wire`]) and adds only its envelope: `cmd` (requests) or
+//! `ok` + `kind` (responses) in JSON, the frame type byte in binary. The
+//! typed error response is the one body each codec writes itself,
+//! because its JSON and binary field orders differ.
+//!
+//! JSON carries one request per line and one response per line, in
+//! order. Floating-point payloads that must survive the wire
+//! *bit-exactly* — capacitance sums, maxima, per-transition trace
+//! values — travel as 16-hex-digit IEEE-754 bit patterns, never as
+//! decimal JSON numbers: the parity guarantee (`charfree client eval`
+//! output is byte-identical to offline `charfree eval`) rules out any
+//! decimal round trip. Request statistics (`sp`, `st`) travel as
+//! ordinary JSON numbers because Rust's shortest `f64` display is itself
+//! round-trip-exact.
 //!
 //! ```text
 //! -> {"cmd":"eval","source":"decod","vectors":500,"sp":0.5,"st":0.3,"seed":1}
@@ -20,6 +31,7 @@
 //! message text.
 
 use crate::json::{parse, Json};
+use crate::wire::{req_type, resp_type};
 
 /// Build knobs a `load`/`build` request may carry (a wire-safe subset of
 /// the pipeline's `BuildOptions`; timing-dependent knobs are expressed as
@@ -39,55 +51,6 @@ pub struct WireBuildOptions {
     pub deadline_ms: Option<u64>,
 }
 
-impl WireBuildOptions {
-    /// Writes the model-shaping fields (everything but `deadline_ms`).
-    /// Shared by `load` serialization and by `eval`/`trace`, where the
-    /// request-level `deadline_ms` belongs to the eval params instead.
-    fn to_model_json_fields(&self, fields: &mut Vec<(String, Json)>) {
-        if let Some(max) = self.max_nodes {
-            fields.push(("max_nodes".to_owned(), Json::num(max)));
-        }
-        if self.upper_bound {
-            fields.push(("upper_bound".to_owned(), Json::Bool(true)));
-        }
-        if let Some(nodes) = self.node_budget {
-            fields.push(("node_budget".to_owned(), Json::num(nodes)));
-        }
-        if self.strict {
-            fields.push(("strict".to_owned(), Json::Bool(true)));
-        }
-    }
-
-    fn to_json_fields(&self, fields: &mut Vec<(String, Json)>) {
-        self.to_model_json_fields(fields);
-        if let Some(ms) = self.deadline_ms {
-            fields.push(("deadline_ms".to_owned(), Json::num(ms)));
-        }
-    }
-
-    /// Parses the model-shaping fields, leaving `deadline_ms` unset (for
-    /// `eval`/`trace`, which carry the deadline in their eval params).
-    fn from_model_json(obj: &Json) -> Result<WireBuildOptions, String> {
-        Ok(WireBuildOptions {
-            max_nodes: opt_u64(obj, "max_nodes")?.map(|n| n as usize),
-            upper_bound: obj
-                .get("upper_bound")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            node_budget: opt_u64(obj, "node_budget")?,
-            strict: obj.get("strict").and_then(Json::as_bool).unwrap_or(false),
-            deadline_ms: None,
-        })
-    }
-
-    fn from_json(obj: &Json) -> Result<WireBuildOptions, String> {
-        Ok(WireBuildOptions {
-            deadline_ms: opt_u64(obj, "deadline_ms")?,
-            ..WireBuildOptions::from_model_json(obj)?
-        })
-    }
-}
-
 /// The evaluation parameters shared by `eval` and `trace` requests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireEvalParams {
@@ -102,28 +65,6 @@ pub struct WireEvalParams {
     /// Per-request deadline in milliseconds (checked at dispatch; an
     /// expired request is shed with a typed `deadline` error).
     pub deadline_ms: Option<u64>,
-}
-
-impl WireEvalParams {
-    fn to_json_fields(&self, fields: &mut Vec<(String, Json)>) {
-        fields.push(("vectors".to_owned(), Json::num(self.vectors)));
-        fields.push(("sp".to_owned(), Json::num(self.sp)));
-        fields.push(("st".to_owned(), Json::num(self.st)));
-        fields.push(("seed".to_owned(), Json::num(self.seed)));
-        if let Some(ms) = self.deadline_ms {
-            fields.push(("deadline_ms".to_owned(), Json::num(ms)));
-        }
-    }
-
-    fn from_json(obj: &Json) -> Result<WireEvalParams, String> {
-        Ok(WireEvalParams {
-            vectors: req_u64(obj, "vectors")? as usize,
-            sp: req_f64(obj, "sp")?,
-            st: req_f64(obj, "st")?,
-            seed: req_u64(obj, "seed")?,
-            deadline_ms: opt_u64(obj, "deadline_ms")?,
-        })
-    }
 }
 
 /// One request line.
@@ -209,139 +150,6 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// The wire command name.
-    pub fn cmd(&self) -> &'static str {
-        match self {
-            Request::Load { .. } => "load",
-            Request::Eval { .. } => "eval",
-            Request::Trace { .. } => "trace",
-            Request::TraceDirect { .. } => "tracep",
-            Request::Expected { .. } => "expected",
-            Request::SeqLoad { .. } => "seqload",
-            Request::SeqEval { .. } => "seqeval",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Shutdown => "shutdown",
-        }
-    }
-
-    /// Serializes the request as one JSON line (no trailing newline).
-    pub fn to_line(&self) -> String {
-        let mut fields = vec![("cmd".to_owned(), Json::Str(self.cmd().to_owned()))];
-        match self {
-            Request::Load { source, options } | Request::SeqLoad { source, options } => {
-                fields.push(("source".to_owned(), Json::Str(source.clone())));
-                options.to_json_fields(&mut fields);
-            }
-            Request::Eval {
-                source,
-                options,
-                params,
-            }
-            | Request::Trace {
-                source,
-                options,
-                params,
-            }
-            | Request::SeqEval {
-                source,
-                options,
-                params,
-            } => {
-                fields.push(("source".to_owned(), Json::Str(source.clone())));
-                options.to_model_json_fields(&mut fields);
-                params.to_json_fields(&mut fields);
-            }
-            Request::TraceDirect {
-                source,
-                options,
-                patterns,
-                deadline_ms,
-            } => {
-                fields.push(("source".to_owned(), Json::Str(source.clone())));
-                options.to_model_json_fields(&mut fields);
-                fields.push((
-                    "patterns".to_owned(),
-                    Json::Arr(patterns.iter().map(|p| Json::Str(bits_to_str(p))).collect()),
-                ));
-                if let Some(ms) = deadline_ms {
-                    fields.push(("deadline_ms".to_owned(), Json::num(ms)));
-                }
-            }
-            Request::Expected { source, sp, st } => {
-                fields.push(("source".to_owned(), Json::Str(source.clone())));
-                fields.push(("sp".to_owned(), Json::num(sp)));
-                fields.push(("st".to_owned(), Json::num(st)));
-            }
-            Request::Stats | Request::Metrics | Request::Shutdown => {}
-        }
-        Json::Obj(fields).to_line()
-    }
-
-    /// Parses one request line.
-    ///
-    /// # Errors
-    ///
-    /// A diagnostic suitable for a `bad-request` response.
-    pub fn parse_line(line: &str) -> Result<Request, String> {
-        let obj = parse(line)?;
-        let cmd = obj
-            .get("cmd")
-            .and_then(Json::as_str)
-            .ok_or("missing `cmd` field")?;
-        match cmd {
-            "load" | "build" => Ok(Request::Load {
-                source: req_str(&obj, "source")?,
-                options: WireBuildOptions::from_json(&obj)?,
-            }),
-            "eval" => Ok(Request::Eval {
-                source: req_str(&obj, "source")?,
-                options: WireBuildOptions::from_model_json(&obj)?,
-                params: WireEvalParams::from_json(&obj)?,
-            }),
-            "trace" => Ok(Request::Trace {
-                source: req_str(&obj, "source")?,
-                options: WireBuildOptions::from_model_json(&obj)?,
-                params: WireEvalParams::from_json(&obj)?,
-            }),
-            "tracep" => {
-                let patterns = obj
-                    .get("patterns")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing `patterns` array")?
-                    .iter()
-                    .map(|p| bits_from_str(p.as_str().ok_or("non-string pattern")?))
-                    .collect::<Result<Vec<Vec<bool>>, String>>()?;
-                Ok(Request::TraceDirect {
-                    source: req_str(&obj, "source")?,
-                    options: WireBuildOptions::from_model_json(&obj)?,
-                    patterns,
-                    deadline_ms: opt_u64(&obj, "deadline_ms")?,
-                })
-            }
-            "expected" => Ok(Request::Expected {
-                source: req_str(&obj, "source")?,
-                sp: req_f64(&obj, "sp")?,
-                st: req_f64(&obj, "st")?,
-            }),
-            "seqload" => Ok(Request::SeqLoad {
-                source: req_str(&obj, "source")?,
-                options: WireBuildOptions::from_json(&obj)?,
-            }),
-            "seqeval" => Ok(Request::SeqEval {
-                source: req_str(&obj, "source")?,
-                options: WireBuildOptions::from_model_json(&obj)?,
-                params: WireEvalParams::from_json(&obj)?,
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown command `{other}`")),
-        }
-    }
-}
-
 /// Typed failure classes a server can return. Clients branch on these,
 /// not on message text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -370,65 +178,43 @@ pub enum ErrorKind {
     Internal,
 }
 
+/// Every error kind with its JSON name and binary code, declared once for
+/// both codecs. Unknown names and codes collapse to `Internal`.
+const ERROR_KINDS: [(ErrorKind, &str, u8); 9] = [
+    (ErrorKind::Internal, "internal", 0),
+    (ErrorKind::Overloaded, "overloaded", 1),
+    (ErrorKind::BadRequest, "bad-request", 2),
+    (ErrorKind::BuildFailed, "build-failed", 3),
+    (ErrorKind::DeadlineExceeded, "deadline-exceeded", 4),
+    (ErrorKind::Unsupported, "unsupported", 5),
+    (ErrorKind::Draining, "draining", 6),
+    (ErrorKind::ModelUnavailable, "model-unavailable", 7),
+    (ErrorKind::Timeout, "timeout", 8),
+];
+
 impl ErrorKind {
+    fn lookup(hit: impl Fn(&(ErrorKind, &str, u8)) -> bool) -> (ErrorKind, &'static str, u8) {
+        ERROR_KINDS.into_iter().find(hit).unwrap_or(ERROR_KINDS[0])
+    }
+
     /// Stable kebab-case wire name.
     pub fn name(self) -> &'static str {
-        match self {
-            ErrorKind::Overloaded => "overloaded",
-            ErrorKind::BadRequest => "bad-request",
-            ErrorKind::BuildFailed => "build-failed",
-            ErrorKind::DeadlineExceeded => "deadline-exceeded",
-            ErrorKind::Unsupported => "unsupported",
-            ErrorKind::Draining => "draining",
-            ErrorKind::ModelUnavailable => "model-unavailable",
-            ErrorKind::Timeout => "timeout",
-            ErrorKind::Internal => "internal",
-        }
+        ErrorKind::lookup(|k| k.0 == self).1
     }
 
     fn from_name(name: &str) -> ErrorKind {
-        match name {
-            "overloaded" => ErrorKind::Overloaded,
-            "bad-request" => ErrorKind::BadRequest,
-            "build-failed" => ErrorKind::BuildFailed,
-            "deadline-exceeded" => ErrorKind::DeadlineExceeded,
-            "unsupported" => ErrorKind::Unsupported,
-            "draining" => ErrorKind::Draining,
-            "model-unavailable" => ErrorKind::ModelUnavailable,
-            "timeout" => ErrorKind::Timeout,
-            _ => ErrorKind::Internal,
-        }
+        ErrorKind::lookup(|k| k.1 == name).0
     }
 
     /// Stable single-byte code for the binary protocol's error frames.
     pub fn code(self) -> u8 {
-        match self {
-            ErrorKind::Internal => 0,
-            ErrorKind::Overloaded => 1,
-            ErrorKind::BadRequest => 2,
-            ErrorKind::BuildFailed => 3,
-            ErrorKind::DeadlineExceeded => 4,
-            ErrorKind::Unsupported => 5,
-            ErrorKind::Draining => 6,
-            ErrorKind::ModelUnavailable => 7,
-            ErrorKind::Timeout => 8,
-        }
+        ErrorKind::lookup(|k| k.0 == self).2
     }
 
     /// The inverse of [`code`](ErrorKind::code); unknown codes collapse
     /// to `Internal` (same policy as unknown wire names).
     pub fn from_code(code: u8) -> ErrorKind {
-        match code {
-            1 => ErrorKind::Overloaded,
-            2 => ErrorKind::BadRequest,
-            3 => ErrorKind::BuildFailed,
-            4 => ErrorKind::DeadlineExceeded,
-            5 => ErrorKind::Unsupported,
-            6 => ErrorKind::Draining,
-            7 => ErrorKind::ModelUnavailable,
-            8 => ErrorKind::Timeout,
-            _ => ErrorKind::Internal,
-        }
+        ErrorKind::lookup(|k| k.2 == code).0
     }
 
     /// Is this failure transient from the client's point of view —
@@ -547,134 +333,313 @@ pub enum Response {
     },
 }
 
+/// Writes a message body one typed field at a time, in declaration
+/// order. `key` names the field in JSON; the binary codec, which is
+/// positional, ignores it.
+pub(crate) trait Sink {
+    /// A UTF-8 string.
+    fn str(&mut self, key: &'static str, v: &str);
+    /// An unsigned integer.
+    fn u64(&mut self, key: &'static str, v: &u64);
+    /// A request statistic: a JSON number (Rust's shortest round-trip
+    /// display), raw bits in binary.
+    fn num(&mut self, key: &'static str, v: &f64);
+    /// A bit-exact result: 16 hex digits in JSON, raw bits in binary.
+    fn bits(&mut self, key: &'static str, v: &f64);
+    /// An optional unsigned integer.
+    fn opt_u64(&mut self, key: &'static str, v: &Option<u64>);
+    /// A boolean.
+    fn flag(&mut self, key: &'static str, v: &bool);
+    /// An option switch: JSON leaves it out unless it is set.
+    fn opt_flag(&mut self, key: &'static str, v: &bool);
+    /// Explicit input patterns (bit strings in JSON, bit-packed words in
+    /// binary).
+    fn patterns(&mut self, key: &'static str, v: &[Vec<bool>]);
+    /// A list of bit-exact values.
+    fn values(&mut self, key: &'static str, v: &[f64]);
+    /// A list of per-macro summaries.
+    fn macros(&mut self, key: &'static str, v: &[WireMacroSummary]);
+    /// A JSON payload (inline in JSON, its text in binary).
+    fn json(&mut self, key: &'static str, v: &Json);
+
+    /// A count (travels as a `u64`).
+    fn usize(&mut self, key: &'static str, v: &usize) {
+        self.u64(key, &(*v as u64));
+    }
+
+    /// Build options, `deadline_ms` included.
+    fn options(&mut self, _key: &'static str, v: &WireBuildOptions) {
+        self.opt_u64("max_nodes", &v.max_nodes.map(|n| n as u64));
+        self.opt_flag("upper_bound", &v.upper_bound);
+        self.opt_u64("node_budget", &v.node_budget);
+        self.opt_flag("strict", &v.strict);
+        self.opt_u64("deadline_ms", &v.deadline_ms);
+    }
+
+    /// The model-shaping build options of an eval-style request, whose
+    /// deadline travels in its own `deadline_ms` field instead.
+    fn model_options(&mut self, key: &'static str, v: &WireBuildOptions) {
+        self.options(
+            key,
+            &WireBuildOptions {
+                deadline_ms: None,
+                ..*v
+            },
+        );
+    }
+
+    /// Pattern-stream parameters.
+    fn params(&mut self, _key: &'static str, v: &WireEvalParams) {
+        self.usize("vectors", &v.vectors);
+        self.num("sp", &v.sp);
+        self.num("st", &v.st);
+        self.u64("seed", &v.seed);
+        self.opt_u64("deadline_ms", &v.deadline_ms);
+    }
+
+    /// One element of a macro list.
+    fn summary(&mut self, v: &WireMacroSummary) {
+        self.str("name", &v.name);
+        self.bits("sum_ff", &v.sum_ff);
+        self.bits("max_ff", &v.max_ff);
+    }
+}
+
+/// Reads a message body one typed field at a time, in declaration
+/// order: the mirror of [`Sink`], one method per field kind.
+pub(crate) trait Source {
+    /// Whether this source holds the body named `name` in JSON / typed
+    /// `ty` in binary.
+    fn selects(&self, name: &str, ty: u8) -> bool;
+    fn str(&mut self, key: &'static str) -> Result<String, String>;
+    fn u64(&mut self, key: &'static str) -> Result<u64, String>;
+    /// Rejects non-finite values.
+    fn num(&mut self, key: &'static str) -> Result<f64, String>;
+    fn bits(&mut self, key: &'static str) -> Result<f64, String>;
+    fn opt_u64(&mut self, key: &'static str) -> Result<Option<u64>, String>;
+    fn flag(&mut self, key: &'static str) -> Result<bool, String>;
+    /// An option switch; JSON reads an absent one as unset.
+    fn opt_flag(&mut self, key: &'static str) -> Result<bool, String>;
+    fn patterns(&mut self, key: &'static str) -> Result<Vec<Vec<bool>>, String>;
+    fn values(&mut self, key: &'static str) -> Result<Vec<f64>, String>;
+    fn macros(&mut self, key: &'static str) -> Result<Vec<WireMacroSummary>, String>;
+    fn json(&mut self, key: &'static str) -> Result<Json, String>;
+
+    /// A count (travels as a `u64`).
+    fn usize(&mut self, key: &'static str) -> Result<usize, String> {
+        self.u64(key).map(|v| v as usize)
+    }
+
+    /// Build options, `deadline_ms` included.
+    fn options(&mut self, _key: &'static str) -> Result<WireBuildOptions, String> {
+        Ok(WireBuildOptions {
+            max_nodes: self.opt_u64("max_nodes")?.map(|n| n as usize),
+            upper_bound: self.opt_flag("upper_bound")?,
+            node_budget: self.opt_u64("node_budget")?,
+            strict: self.opt_flag("strict")?,
+            deadline_ms: self.opt_u64("deadline_ms")?,
+        })
+    }
+
+    /// The one reader rule keeping a request deadline out of an
+    /// eval-style request's build options, and so out of its registry
+    /// key: JSON shares the `deadline_ms` key with the request's own
+    /// deadline, binary carries an options slot for it.
+    fn model_options(&mut self, key: &'static str) -> Result<WireBuildOptions, String> {
+        Ok(WireBuildOptions {
+            deadline_ms: None,
+            ..self.options(key)?
+        })
+    }
+
+    /// Pattern-stream parameters.
+    fn params(&mut self, _key: &'static str) -> Result<WireEvalParams, String> {
+        Ok(WireEvalParams {
+            vectors: self.usize("vectors")?,
+            sp: self.num("sp")?,
+            st: self.num("st")?,
+            seed: self.u64("seed")?,
+            deadline_ms: self.opt_u64("deadline_ms")?,
+        })
+    }
+
+    /// One element of a macro list.
+    fn summary(&mut self) -> Result<WireMacroSummary, String> {
+        Ok(WireMacroSummary {
+            name: self.str("name")?,
+            sum_ff: self.bits("sum_ff")?,
+            max_ff: self.bits("max_ff")?,
+        })
+    }
+}
+
+/// Declares the wire bodies of a message enum once for both codecs: per
+/// variant `Variant(json_name, frame_type)` and its ordered fields as
+/// `field: kind`, where `kind` is a [`Sink`]/[`Source`] method and
+/// `field` doubles as the JSON key. A tuple variant's one field is
+/// written `(key: kind)`. Variants left out (the error response) have no
+/// shared body.
+macro_rules! wire_bodies {
+    ($Msg:ident { $($Var:ident($name:literal, $ty:expr) $body:tt)* }) => {
+        impl $Msg {
+            /// The JSON name and binary frame type of this body.
+            #[allow(unreachable_patterns)]
+            pub(crate) fn tag(&self) -> Option<(&'static str, u8)> {
+                match self {
+                    $($Msg::$Var { .. } => Some(($name, $ty)),)*
+                    _ => None,
+                }
+            }
+
+            /// Writes the body's fields in declaration order.
+            #[allow(unreachable_patterns)]
+            pub(crate) fn write_body(&self, sink: &mut impl Sink) {
+                match self {
+                    $(wire_bodies!(@bind $Msg $Var $body) => wire_bodies!(@write sink $body),)*
+                    _ => {}
+                }
+            }
+
+            /// Reads the body `source` selects; `None` when none matches.
+            pub(crate) fn read_body(source: &mut impl Source) -> Result<Option<$Msg>, String> {
+                $(if source.selects($name, $ty) {
+                    return Ok(Some(wire_bodies!(@read source $Msg $Var $body)));
+                })*
+                Ok(None)
+            }
+        }
+    };
+    (@bind $Msg:ident $Var:ident { $($f:ident: $kind:ident),* $(,)? }) => {
+        $Msg::$Var { $($f),* }
+    };
+    (@bind $Msg:ident $Var:ident ($f:ident: $kind:ident)) => {
+        $Msg::$Var($f)
+    };
+    (@write $sink:ident { $($f:ident: $kind:ident),* $(,)? }) => {{
+        $($sink.$kind(stringify!($f), $f);)*
+    }};
+    (@write $sink:ident ($f:ident: $kind:ident)) => {
+        $sink.$kind(stringify!($f), $f)
+    };
+    (@read $src:ident $Msg:ident $Var:ident { $($f:ident: $kind:ident),* $(,)? }) => {
+        $Msg::$Var { $($f: $src.$kind(stringify!($f))?),* }
+    };
+    (@read $src:ident $Msg:ident $Var:ident ($f:ident: $kind:ident)) => {
+        $Msg::$Var($src.$kind(stringify!($f))?)
+    };
+}
+
+wire_bodies! {
+    Request {
+        Load("load", req_type::LOAD) { source: str, options: options }
+        Eval("eval", req_type::EVAL) { source: str, options: model_options, params: params }
+        Trace("trace", req_type::TRACE) { source: str, options: model_options, params: params }
+        Expected("expected", req_type::EXPECTED) { source: str, sp: num, st: num }
+        TraceDirect("tracep", req_type::TRACE_DIRECT) {
+            source: str,
+            options: model_options,
+            deadline_ms: opt_u64,
+            patterns: patterns,
+        }
+        SeqLoad("seqload", req_type::SEQ_LOAD) { source: str, options: options }
+        SeqEval("seqeval", req_type::SEQ_EVAL) {
+            source: str,
+            options: model_options,
+            params: params,
+        }
+        Stats("stats", req_type::STATS) {}
+        Metrics("metrics", req_type::METRICS) {}
+        Shutdown("shutdown", req_type::SHUTDOWN) {}
+    }
+}
+
+wire_bodies! {
+    Response {
+        Load("load", resp_type::LOAD) {
+            name: str,
+            instrs: usize,
+            terminals: usize,
+            bytes: usize,
+            apply_steps: u64,
+            resident: flag,
+        }
+        Eval("eval", resp_type::EVAL) { name: str, transitions: usize, sum_ff: bits, max_ff: bits }
+        Trace("trace", resp_type::TRACE) { name: str, values: values }
+        Expected("expected", resp_type::EXPECTED) { name: str, value: bits }
+        SeqLoad("seqload", resp_type::SEQ_LOAD) {
+            name: str,
+            macros: usize,
+            latches: usize,
+            instrs: usize,
+            bytes: usize,
+            apply_steps: u64,
+            cache_hits: u64,
+            resident: flag,
+        }
+        SeqEval("seqeval", resp_type::SEQ_EVAL) {
+            name: str,
+            transitions: usize,
+            sum_ff: bits,
+            max_ff: bits,
+            macros: macros,
+        }
+        Stats("stats", resp_type::STATS) (stats: json)
+        Metrics("metrics", resp_type::METRICS) (text: str)
+        Shutdown("shutdown", resp_type::SHUTDOWN) {}
+    }
+}
+
+impl Request {
+    /// The wire command name.
+    pub fn cmd(&self) -> &'static str {
+        self.tag().map_or("", |(name, _)| name)
+    }
+
+    /// Serializes the request as one JSON line (no trailing newline).
+    pub fn to_line(&self) -> String {
+        let mut sink = JsonSink(Vec::new());
+        sink.str("cmd", self.cmd());
+        self.write_body(&mut sink);
+        Json::Obj(sink.0).to_line()
+    }
+
+    /// Parses one request line (`build` is an alias for `load`).
+    ///
+    /// # Errors
+    ///
+    /// A diagnostic suitable for a `bad-request` response.
+    pub fn parse_line(line: &str) -> Result<Request, String> {
+        let obj = parse(line)?;
+        let cmd = obj
+            .get("cmd")
+            .and_then(Json::as_str)
+            .ok_or("missing `cmd` field")?;
+        let tag = if cmd == "build" { "load" } else { cmd };
+        Request::read_body(&mut JsonSource { obj: &obj, tag })?
+            .ok_or_else(|| format!("unknown command `{cmd}`"))
+    }
+}
+
 impl Response {
     /// Serializes the response as one JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut fields: Vec<(String, Json)> = Vec::new();
-        match self {
-            Response::Error {
-                kind,
-                message,
-                retry_after_ms,
-            } => {
-                fields.push(("ok".to_owned(), Json::Bool(false)));
-                fields.push(("kind".to_owned(), Json::Str(kind.name().to_owned())));
-                fields.push(("error".to_owned(), Json::Str(message.clone())));
-                if let Some(ms) = retry_after_ms {
-                    fields.push(("retry_after_ms".to_owned(), Json::num(ms)));
-                }
-            }
-            Response::Load {
-                name,
-                instrs,
-                terminals,
-                bytes,
-                apply_steps,
-                resident,
-            } => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("load".to_owned())));
-                fields.push(("name".to_owned(), Json::Str(name.clone())));
-                fields.push(("instrs".to_owned(), Json::num(instrs)));
-                fields.push(("terminals".to_owned(), Json::num(terminals)));
-                fields.push(("bytes".to_owned(), Json::num(bytes)));
-                fields.push(("apply_steps".to_owned(), Json::num(apply_steps)));
-                fields.push(("resident".to_owned(), Json::Bool(*resident)));
-            }
-            Response::Eval {
-                name,
-                transitions,
-                sum_ff,
-                max_ff,
-            } => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("eval".to_owned())));
-                fields.push(("name".to_owned(), Json::Str(name.clone())));
-                fields.push(("transitions".to_owned(), Json::num(transitions)));
-                fields.push(("sum_ff".to_owned(), Json::Str(f64_to_hex(*sum_ff))));
-                fields.push(("max_ff".to_owned(), Json::Str(f64_to_hex(*max_ff))));
-            }
-            Response::Trace { name, values } => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("trace".to_owned())));
-                fields.push(("name".to_owned(), Json::Str(name.clone())));
-                fields.push((
-                    "values".to_owned(),
-                    Json::Arr(values.iter().map(|&v| Json::Str(f64_to_hex(v))).collect()),
-                ));
-            }
-            Response::Expected { name, value } => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("expected".to_owned())));
-                fields.push(("name".to_owned(), Json::Str(name.clone())));
-                fields.push(("value".to_owned(), Json::Str(f64_to_hex(*value))));
-            }
-            Response::SeqLoad {
-                name,
-                macros,
-                latches,
-                instrs,
-                bytes,
-                apply_steps,
-                cache_hits,
-                resident,
-            } => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("seqload".to_owned())));
-                fields.push(("name".to_owned(), Json::Str(name.clone())));
-                fields.push(("macros".to_owned(), Json::num(macros)));
-                fields.push(("latches".to_owned(), Json::num(latches)));
-                fields.push(("instrs".to_owned(), Json::num(instrs)));
-                fields.push(("bytes".to_owned(), Json::num(bytes)));
-                fields.push(("apply_steps".to_owned(), Json::num(apply_steps)));
-                fields.push(("cache_hits".to_owned(), Json::num(cache_hits)));
-                fields.push(("resident".to_owned(), Json::Bool(*resident)));
-            }
-            Response::SeqEval {
-                name,
-                transitions,
-                sum_ff,
-                max_ff,
-                macros,
-            } => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("seqeval".to_owned())));
-                fields.push(("name".to_owned(), Json::Str(name.clone())));
-                fields.push(("transitions".to_owned(), Json::num(transitions)));
-                fields.push(("sum_ff".to_owned(), Json::Str(f64_to_hex(*sum_ff))));
-                fields.push(("max_ff".to_owned(), Json::Str(f64_to_hex(*max_ff))));
-                fields.push((
-                    "macros".to_owned(),
-                    Json::Arr(
-                        macros
-                            .iter()
-                            .map(|m| {
-                                Json::Obj(vec![
-                                    ("name".to_owned(), Json::Str(m.name.clone())),
-                                    ("sum_ff".to_owned(), Json::Str(f64_to_hex(m.sum_ff))),
-                                    ("max_ff".to_owned(), Json::Str(f64_to_hex(m.max_ff))),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            Response::Stats(payload) => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("stats".to_owned())));
-                fields.push(("stats".to_owned(), payload.clone()));
-            }
-            Response::Metrics(text) => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("metrics".to_owned())));
-                fields.push(("text".to_owned(), Json::Str(text.clone())));
-            }
-            Response::Shutdown => {
-                fields.push(("ok".to_owned(), Json::Bool(true)));
-                fields.push(("kind".to_owned(), Json::Str("shutdown".to_owned())));
-            }
+        let mut sink = JsonSink(Vec::new());
+        if let Response::Error {
+            kind,
+            message,
+            retry_after_ms,
+        } = self
+        {
+            sink.flag("ok", &false);
+            sink.str("kind", kind.name());
+            sink.str("error", message);
+            sink.opt_u64("retry_after_ms", retry_after_ms);
+        } else {
+            sink.flag("ok", &true);
+            sink.str("kind", self.tag().map_or("", |(name, _)| name));
+            self.write_body(&mut sink);
         }
-        Json::Obj(fields).to_line()
+        Json::Obj(sink.0).to_line()
     }
 
     /// Parses one response line.
@@ -688,102 +653,193 @@ impl Response {
             .get("ok")
             .and_then(Json::as_bool)
             .ok_or("missing `ok` field")?;
+        let kind = obj.get("kind").and_then(Json::as_str);
+        let mut source = JsonSource {
+            obj: &obj,
+            tag: kind.unwrap_or(""),
+        };
         if !ok {
             return Ok(Response::Error {
-                kind: ErrorKind::from_name(
-                    obj.get("kind").and_then(Json::as_str).unwrap_or("internal"),
-                ),
-                message: obj
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown error")
-                    .to_owned(),
-                retry_after_ms: opt_u64(&obj, "retry_after_ms")?,
+                kind: ErrorKind::from_name(kind.unwrap_or("internal")),
+                message: source
+                    .str("error")
+                    .unwrap_or_else(|_| "unknown error".to_owned()),
+                retry_after_ms: source.opt_u64("retry_after_ms")?,
             });
         }
-        match obj.get("kind").and_then(Json::as_str) {
-            Some("load") => Ok(Response::Load {
-                name: req_str(&obj, "name")?,
-                instrs: req_u64(&obj, "instrs")? as usize,
-                terminals: req_u64(&obj, "terminals")? as usize,
-                bytes: req_u64(&obj, "bytes")? as usize,
-                apply_steps: req_u64(&obj, "apply_steps")?,
-                resident: obj
-                    .get("resident")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing `resident`")?,
-            }),
-            Some("eval") => Ok(Response::Eval {
-                name: req_str(&obj, "name")?,
-                transitions: req_u64(&obj, "transitions")? as usize,
-                sum_ff: hex_to_f64(&req_str(&obj, "sum_ff")?)?,
-                max_ff: hex_to_f64(&req_str(&obj, "max_ff")?)?,
-            }),
-            Some("trace") => {
-                let values = obj
-                    .get("values")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing `values`")?
-                    .iter()
-                    .map(|v| hex_to_f64(v.as_str().ok_or("non-string trace value")?))
-                    .collect::<Result<Vec<f64>, String>>()?;
-                Ok(Response::Trace {
-                    name: req_str(&obj, "name")?,
-                    values,
-                })
-            }
-            Some("expected") => Ok(Response::Expected {
-                name: req_str(&obj, "name")?,
-                value: hex_to_f64(&req_str(&obj, "value")?)?,
-            }),
-            Some("seqload") => Ok(Response::SeqLoad {
-                name: req_str(&obj, "name")?,
-                macros: req_u64(&obj, "macros")? as usize,
-                latches: req_u64(&obj, "latches")? as usize,
-                instrs: req_u64(&obj, "instrs")? as usize,
-                bytes: req_u64(&obj, "bytes")? as usize,
-                apply_steps: req_u64(&obj, "apply_steps")?,
-                cache_hits: req_u64(&obj, "cache_hits")?,
-                resident: obj
-                    .get("resident")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing `resident`")?,
-            }),
-            Some("seqeval") => {
-                let macros = obj
-                    .get("macros")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing `macros`")?
-                    .iter()
-                    .map(|m| {
-                        Ok(WireMacroSummary {
-                            name: req_str(m, "name")?,
-                            sum_ff: hex_to_f64(&req_str(m, "sum_ff")?)?,
-                            max_ff: hex_to_f64(&req_str(m, "max_ff")?)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Response::SeqEval {
-                    name: req_str(&obj, "name")?,
-                    transitions: req_u64(&obj, "transitions")? as usize,
-                    sum_ff: hex_to_f64(&req_str(&obj, "sum_ff")?)?,
-                    max_ff: hex_to_f64(&req_str(&obj, "max_ff")?)?,
-                    macros,
-                })
-            }
-            Some("stats") => Ok(Response::Stats(
-                obj.get("stats").cloned().unwrap_or(Json::Null),
-            )),
-            Some("metrics") => Ok(Response::Metrics(req_str(&obj, "text")?)),
-            Some("shutdown") => Ok(Response::Shutdown),
-            Some(other) => Err(format!("unknown response kind `{other}`")),
-            None => Err("missing `kind` field".to_owned()),
+        let kind = kind.ok_or("missing `kind` field")?;
+        Response::read_body(&mut source)?.ok_or_else(|| format!("unknown response kind `{kind}`"))
+    }
+}
+
+/// The JSON [`Sink`]: an object's fields, in order.
+struct JsonSink(Vec<(String, Json)>);
+
+impl JsonSink {
+    fn push(&mut self, key: &str, v: Json) {
+        self.0.push((key.to_owned(), v));
+    }
+}
+
+impl Sink for JsonSink {
+    fn str(&mut self, key: &'static str, v: &str) {
+        self.push(key, Json::Str(v.to_owned()));
+    }
+
+    fn u64(&mut self, key: &'static str, v: &u64) {
+        self.push(key, Json::num(v));
+    }
+
+    fn num(&mut self, key: &'static str, v: &f64) {
+        self.push(key, Json::num(v));
+    }
+
+    fn bits(&mut self, key: &'static str, v: &f64) {
+        self.push(key, Json::Str(f64_to_hex(*v)));
+    }
+
+    fn opt_u64(&mut self, key: &'static str, v: &Option<u64>) {
+        if let Some(v) = v {
+            self.push(key, Json::num(v));
         }
+    }
+
+    fn flag(&mut self, key: &'static str, v: &bool) {
+        self.push(key, Json::Bool(*v));
+    }
+
+    fn opt_flag(&mut self, key: &'static str, v: &bool) {
+        if *v {
+            self.flag(key, v);
+        }
+    }
+
+    fn patterns(&mut self, key: &'static str, v: &[Vec<bool>]) {
+        let strs = v.iter().map(|p| Json::Str(bits_to_str(p))).collect();
+        self.push(key, Json::Arr(strs));
+    }
+
+    fn values(&mut self, key: &'static str, v: &[f64]) {
+        let hexes = v.iter().map(|&v| Json::Str(f64_to_hex(v))).collect();
+        self.push(key, Json::Arr(hexes));
+    }
+
+    fn macros(&mut self, key: &'static str, v: &[WireMacroSummary]) {
+        let objs = v
+            .iter()
+            .map(|m| {
+                let mut obj = JsonSink(Vec::new());
+                obj.summary(m);
+                Json::Obj(obj.0)
+            })
+            .collect();
+        self.push(key, Json::Arr(objs));
+    }
+
+    fn json(&mut self, key: &'static str, v: &Json) {
+        self.push(key, v.clone());
+    }
+}
+
+/// The JSON [`Source`]: a parsed object, read by key.
+struct JsonSource<'a> {
+    obj: &'a Json,
+    /// The `cmd` (request) or `kind` (response) naming the body.
+    tag: &'a str,
+}
+
+impl<'a> JsonSource<'a> {
+    fn field(&self, key: &str) -> Result<&'a Json, String> {
+        self.obj.get(key).ok_or_else(|| format!("missing `{key}`"))
+    }
+
+    fn list(&self, key: &str) -> Result<&'a [Json], String> {
+        self.obj
+            .get(key)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("missing `{key}` array"))
+    }
+}
+
+impl Source for JsonSource<'_> {
+    fn selects(&self, name: &str, _ty: u8) -> bool {
+        self.tag == name
+    }
+
+    fn str(&mut self, key: &'static str) -> Result<String, String> {
+        self.obj
+            .get(key)
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("missing or non-string `{key}`"))
+    }
+
+    fn u64(&mut self, key: &'static str) -> Result<u64, String> {
+        self.field(key)?
+            .as_u64()
+            .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
+    }
+
+    fn num(&mut self, key: &'static str) -> Result<f64, String> {
+        match self.field(key)?.as_f64() {
+            Some(v) if v.is_finite() => Ok(v),
+            Some(_) => Err(format!("`{key}` must be finite")),
+            None => Err(format!("`{key}` must be a number")),
+        }
+    }
+
+    fn bits(&mut self, key: &'static str) -> Result<f64, String> {
+        hex_to_f64(&self.str(key)?)
+    }
+
+    fn opt_u64(&mut self, key: &'static str) -> Result<Option<u64>, String> {
+        match self.obj.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+        }
+    }
+
+    fn flag(&mut self, key: &'static str) -> Result<bool, String> {
+        self.field(key)?
+            .as_bool()
+            .ok_or_else(|| format!("`{key}` must be a boolean"))
+    }
+
+    fn opt_flag(&mut self, key: &'static str) -> Result<bool, String> {
+        Ok(self.obj.get(key).and_then(Json::as_bool).unwrap_or(false))
+    }
+
+    fn patterns(&mut self, key: &'static str) -> Result<Vec<Vec<bool>>, String> {
+        self.list(key)?
+            .iter()
+            .map(|p| bits_from_str(p.as_str().ok_or("non-string pattern")?))
+            .collect()
+    }
+
+    fn values(&mut self, key: &'static str) -> Result<Vec<f64>, String> {
+        self.list(key)?
+            .iter()
+            .map(|v| hex_to_f64(v.as_str().ok_or("non-string value")?))
+            .collect()
+    }
+
+    fn macros(&mut self, key: &'static str) -> Result<Vec<WireMacroSummary>, String> {
+        self.list(key)?
+            .iter()
+            .map(|obj| JsonSource { obj, tag: "" }.summary())
+            .collect()
+    }
+
+    fn json(&mut self, key: &'static str) -> Result<Json, String> {
+        Ok(self.obj.get(key).cloned().unwrap_or(Json::Null))
     }
 }
 
 /// Renders a pattern as a `"0101…"` bit string (index 0 first).
-pub fn bits_to_str(bits: &[bool]) -> String {
+fn bits_to_str(bits: &[bool]) -> String {
     bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
 }
 
@@ -792,7 +848,7 @@ pub fn bits_to_str(bits: &[bool]) -> String {
 /// # Errors
 ///
 /// Rejects empty strings and non-`0`/`1` characters.
-pub fn bits_from_str(s: &str) -> Result<Vec<bool>, String> {
+fn bits_from_str(s: &str) -> Result<Vec<bool>, String> {
     if s.is_empty() {
         return Err("empty pattern".to_owned());
     }
@@ -806,7 +862,7 @@ pub fn bits_from_str(s: &str) -> Result<Vec<bool>, String> {
 }
 
 /// Renders an `f64` as its 16-hex-digit IEEE-754 bit pattern.
-pub fn f64_to_hex(v: f64) -> String {
+fn f64_to_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
@@ -816,136 +872,15 @@ pub fn f64_to_hex(v: f64) -> String {
 /// # Errors
 ///
 /// Rejects non-hex input.
-pub fn hex_to_f64(hex: &str) -> Result<f64, String> {
+fn hex_to_f64(hex: &str) -> Result<f64, String> {
     u64::from_str_radix(hex, 16)
         .map(f64::from_bits)
         .map_err(|_| format!("bad f64 bit pattern `{hex}`"))
 }
 
-fn req_str(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string `{key}`"))
-}
-
-fn req_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .ok_or_else(|| format!("missing `{key}`"))?
-        .as_u64()
-        .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
-}
-
-fn req_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    let v = obj
-        .get(key)
-        .ok_or_else(|| format!("missing `{key}`"))?
-        .as_f64()
-        .ok_or_else(|| format!("`{key}` must be a number"))?;
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(format!("`{key}` must be finite"))
-    }
-}
-
-fn opt_u64(obj: &Json, key: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn requests_round_trip() {
-        let reqs = [
-            Request::Load {
-                source: "decod".to_owned(),
-                options: WireBuildOptions {
-                    max_nodes: Some(300),
-                    upper_bound: true,
-                    node_budget: Some(500),
-                    strict: true,
-                    deadline_ms: Some(750),
-                },
-            },
-            Request::Eval {
-                source: "x.blif".to_owned(),
-                options: WireBuildOptions::default(),
-                params: WireEvalParams {
-                    vectors: 500,
-                    sp: 0.5,
-                    st: 0.3,
-                    seed: u64::MAX,
-                    deadline_ms: None,
-                },
-            },
-            Request::Trace {
-                source: "decod".to_owned(),
-                options: WireBuildOptions {
-                    max_nodes: Some(128),
-                    upper_bound: true,
-                    node_budget: Some(4096),
-                    strict: true,
-                    deadline_ms: None,
-                },
-                params: WireEvalParams {
-                    vectors: 64,
-                    sp: 0.25,
-                    st: 0.75,
-                    seed: 7,
-                    deadline_ms: Some(10),
-                },
-            },
-            Request::TraceDirect {
-                source: "decod".to_owned(),
-                options: WireBuildOptions::default(),
-                patterns: vec![
-                    vec![false, true, false, true, true],
-                    vec![true, true, false, false, false],
-                ],
-                deadline_ms: Some(100),
-            },
-            Request::Expected {
-                source: "decod".to_owned(),
-                sp: 0.1,
-                st: 0.9,
-            },
-            Request::SeqLoad {
-                source: "pipe2.blif".to_owned(),
-                options: WireBuildOptions {
-                    max_nodes: Some(200),
-                    ..WireBuildOptions::default()
-                },
-            },
-            Request::SeqEval {
-                source: "pipe2.blif".to_owned(),
-                options: WireBuildOptions::default(),
-                params: WireEvalParams {
-                    vectors: 256,
-                    sp: 0.5,
-                    st: 0.4,
-                    seed: 11,
-                    deadline_ms: None,
-                },
-            },
-            Request::Stats,
-            Request::Metrics,
-            Request::Shutdown,
-        ];
-        for req in reqs {
-            let line = req.to_line();
-            assert!(!line.contains('\n'), "one line: {line}");
-            assert_eq!(Request::parse_line(&line).expect("parses"), req);
-        }
-    }
 
     #[test]
     fn build_is_an_alias_for_load() {
@@ -955,84 +890,36 @@ mod tests {
     }
 
     #[test]
-    fn responses_round_trip_bit_exactly() {
-        let awkward = [
+    fn f64_hex_round_trips_bit_exactly() {
+        for v in [
             0.1 + 0.2,
             f64::NEG_INFINITY,
             -0.0,
             1.0e-308,
             12345.678901234567,
-        ];
-        for &v in &awkward {
-            assert_eq!(
-                hex_to_f64(&f64_to_hex(v)).expect("round trip").to_bits(),
-                v.to_bits()
-            );
+        ] {
+            let back = hex_to_f64(&f64_to_hex(v)).expect("round trip");
+            assert_eq!(back.to_bits(), v.to_bits());
         }
-        let resps = [
-            Response::Load {
-                name: "decod".to_owned(),
-                instrs: 42,
-                terminals: 7,
-                bytes: 1024,
-                apply_steps: 0,
-                resident: true,
-            },
-            Response::Eval {
-                name: "decod".to_owned(),
-                transitions: 499,
-                sum_ff: 0.1 + 0.2,
-                max_ff: 151.0,
-            },
-            Response::Trace {
-                name: "decod".to_owned(),
-                values: awkward.to_vec(),
-            },
-            Response::Expected {
-                name: "decod".to_owned(),
-                value: -0.0,
-            },
-            Response::SeqLoad {
-                name: "pipe2".to_owned(),
-                macros: 2,
-                latches: 2,
-                instrs: 99,
-                bytes: 4096,
-                apply_steps: 0,
-                cache_hits: 2,
-                resident: false,
-            },
-            Response::SeqEval {
-                name: "pipe2".to_owned(),
-                transitions: 255,
-                sum_ff: 0.1 + 0.2,
-                max_ff: 151.0,
-                macros: vec![
-                    WireMacroSummary {
-                        name: "pipe2__m0".to_owned(),
-                        sum_ff: 1.5,
-                        max_ff: -0.0,
-                    },
-                    WireMacroSummary {
-                        name: "pipe2__m1".to_owned(),
-                        sum_ff: f64::NEG_INFINITY,
-                        max_ff: 1.0e-308,
-                    },
-                ],
-            },
-            Response::Metrics("charfree_requests_total 7\ncharfree_batches_total 3\n".to_owned()),
-            Response::Shutdown,
-            Response::Error {
-                kind: ErrorKind::Overloaded,
-                message: "423 in flight".to_owned(),
-                retry_after_ms: Some(25),
-            },
-        ];
-        for resp in resps {
-            let line = resp.to_line();
-            assert!(!line.contains('\n'), "one line: {line}");
-            assert_eq!(Response::parse_line(&line).expect("parses"), resp);
-        }
+    }
+
+    #[test]
+    fn eval_style_requests_keep_the_deadline_out_of_their_build_options() {
+        let line = r#"{"cmd":"eval","source":"d","max_nodes":9,"vectors":4,"sp":0.5,"st":0.5,"seed":1,"deadline_ms":30}"#;
+        let Request::Eval {
+            options, params, ..
+        } = Request::parse_line(line).expect("parses")
+        else {
+            panic!("not an eval");
+        };
+        assert_eq!(options.max_nodes, Some(9));
+        assert_eq!(options.deadline_ms, None, "deadline is not a model option");
+        assert_eq!(params.deadline_ms, Some(30));
+        // `load` keeps it: there it bounds the build.
+        let load = Request::parse_line(r#"{"cmd":"load","source":"d","deadline_ms":30}"#);
+        assert!(
+            matches!(load, Ok(Request::Load { ref options, .. }) if options.deadline_ms == Some(30))
+        );
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Shared warm-model registry.
 //!
 //! Every connection resolves model operands through one process-wide
-//! registry of compiled kernels. Entries are `Arc<Kernel>` so an eviction
+//! registry of resident models: compiled combinational kernels and
+//! sequential compositions alike. Entries are `Arc`s so an eviction
 //! never invalidates in-flight work: the dispatcher holds its own clone
 //! for as long as a micro-batch references the model.
 //!
 //! The registry is bounded by a *byte* budget (the sum of
-//! `Kernel::bytes()` over resident entries), not an entry count, because
-//! kernel footprints span four orders of magnitude between a 2-input
+//! [`Resident::bytes`] over resident entries), not an entry count,
+//! because footprints span four orders of magnitude between a 2-input
 //! gate and a wide interleaved benchmark. When an insert pushes the
 //! total over budget, least-recently-used entries are evicted until it
 //! fits again — except that the entry being inserted is never evicted,
-//! so a single over-budget kernel still serves (the budget is a target,
+//! so a single over-budget model still serves (the budget is a target,
 //! not a hard cap; refusing the model entirely would turn every request
 //! for it into a rebuild).
 
@@ -20,9 +21,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use charfree_engine::Kernel;
+use charfree_seq::SeqModel;
+
+/// A registry-resident model.
+#[derive(Clone)]
+pub enum Resident {
+    /// A combinational model's compiled kernel.
+    Comb(Arc<Kernel>),
+    /// A sequential design: its macro kernels and register simulation.
+    Seq(Arc<SeqModel>),
+}
+
+impl Resident {
+    /// The footprint charged against the registry budget.
+    pub fn bytes(&self) -> usize {
+        match self {
+            Resident::Comb(kernel) => kernel.bytes(),
+            Resident::Seq(model) => model.bytes(),
+        }
+    }
+}
 
 struct Entry {
-    kernel: Arc<Kernel>,
+    model: Resident,
     bytes: usize,
     last_used: u64,
 }
@@ -33,7 +54,7 @@ struct Inner {
     clock: u64,
 }
 
-/// A byte-budgeted LRU cache of compiled kernels, shared by every
+/// A byte-budgeted LRU cache of resident models, shared by every
 /// connection and the micro-batch dispatcher.
 pub struct ModelRegistry {
     inner: Mutex<Inner>,
@@ -45,7 +66,7 @@ pub struct ModelRegistry {
 
 impl ModelRegistry {
     /// Creates a registry that aims to keep at most `budget_bytes` of
-    /// kernel payload resident.
+    /// model payload resident.
     pub fn new(budget_bytes: usize) -> ModelRegistry {
         ModelRegistry {
             inner: Mutex::new(Inner {
@@ -60,8 +81,8 @@ impl ModelRegistry {
         }
     }
 
-    /// Looks up a kernel by registry key, refreshing its recency.
-    pub fn get(&self, key: &str) -> Option<Arc<Kernel>> {
+    /// Looks up a model by registry key, refreshing its recency.
+    pub fn get(&self, key: &str) -> Option<Resident> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.clock += 1;
         let clock = inner.clock;
@@ -69,7 +90,7 @@ impl ModelRegistry {
             Some(entry) => {
                 entry.last_used = clock;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.kernel))
+                Some(entry.model.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -78,18 +99,18 @@ impl ModelRegistry {
         }
     }
 
-    /// Inserts (or refreshes) a kernel under `key`, then evicts
+    /// Inserts (or refreshes) a model under `key`, then evicts
     /// least-recently-used peers until the byte budget holds. The entry
     /// just inserted is exempt from eviction.
-    pub fn insert(&self, key: &str, kernel: Arc<Kernel>) {
-        let bytes = kernel.bytes();
+    pub fn insert(&self, key: &str, model: Resident) {
+        let bytes = model.bytes();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(old) = inner.entries.insert(
             key.to_owned(),
             Entry {
-                kernel,
+                model,
                 bytes,
                 last_used: clock,
             },
@@ -192,15 +213,15 @@ impl ShardedRegistry {
         (charfree_core::hashing::fnv1a_64(key.as_bytes()) % self.shards.len() as u64) as usize
     }
 
-    /// Looks up a kernel, refreshing recency in its shard.
-    pub fn get(&self, key: &str) -> Option<Arc<Kernel>> {
+    /// Looks up a model, refreshing recency in its shard.
+    pub fn get(&self, key: &str) -> Option<Resident> {
         self.shards[self.shard_index(key)].get(key)
     }
 
-    /// Inserts (or refreshes) a kernel in its shard, evicting that
+    /// Inserts (or refreshes) a model in its shard, evicting that
     /// shard's LRU entries past the per-shard budget.
-    pub fn insert(&self, key: &str, kernel: Arc<Kernel>) {
-        self.shards[self.shard_index(key)].insert(key, kernel);
+    pub fn insert(&self, key: &str, model: Resident) {
+        self.shards[self.shard_index(key)].insert(key, model);
     }
 
     /// The build lock for `key`'s shard: cold builds serialize within a
@@ -223,6 +244,21 @@ impl ShardedRegistry {
             total.4 += evictions;
         }
         total
+    }
+
+    /// Resident sequential designs and the macros they hold, across
+    /// shards.
+    pub fn seq_stats(&self) -> (u64, u64) {
+        let mut totals = (0, 0);
+        for shard in &self.shards {
+            let inner = shard.inner.lock().unwrap_or_else(|e| e.into_inner());
+            for entry in inner.entries.values() {
+                if let Resident::Seq(model) = &entry.model {
+                    totals = (totals.0 + 1, totals.1 + model.num_macros() as u64);
+                }
+            }
+        }
+        totals
     }
 
     /// Per-shard counters, in shard order (for metrics and tests).
@@ -265,10 +301,10 @@ mod tests {
         // Budget fits roughly two of the three kernels.
         let budget = a.bytes() + b.bytes() + c.bytes() / 2;
         let reg = ModelRegistry::new(budget);
-        reg.insert("a", Arc::clone(&a));
-        reg.insert("b", Arc::clone(&b));
+        reg.insert("a", Resident::Comb(Arc::clone(&a)));
+        reg.insert("b", Resident::Comb(Arc::clone(&b)));
         assert!(reg.get("a").is_some(), "refresh `a` so `b` is the LRU");
-        reg.insert("c", Arc::clone(&c));
+        reg.insert("c", Resident::Comb(Arc::clone(&c)));
         assert!(reg.get("b").is_none(), "LRU entry was evicted");
         assert!(reg.get("a").is_some());
         assert!(reg.get("c").is_some());
@@ -282,7 +318,7 @@ mod tests {
     fn oversized_entry_survives_alone() {
         let a = kernel_for(benchmarks::decod);
         let reg = ModelRegistry::new(1); // budget smaller than any kernel
-        reg.insert("a", Arc::clone(&a));
+        reg.insert("a", Resident::Comb(Arc::clone(&a)));
         assert!(
             reg.get("a").is_some(),
             "an over-budget kernel is kept rather than thrashing rebuilds"
@@ -295,8 +331,8 @@ mod tests {
     fn reinsert_under_same_key_replaces_without_leaking_bytes() {
         let a = kernel_for(benchmarks::decod);
         let reg = ModelRegistry::new(usize::MAX);
-        reg.insert("a", Arc::clone(&a));
-        reg.insert("a", Arc::clone(&a));
+        reg.insert("a", Resident::Comb(Arc::clone(&a)));
+        reg.insert("a", Resident::Comb(Arc::clone(&a)));
         let (entries, bytes, _, _, _) = reg.stats();
         assert_eq!(entries, 1);
         assert_eq!(bytes, a.bytes());
@@ -345,10 +381,11 @@ mod tests {
                         // Model resolution under churn: get-or-insert,
                         // exactly like the server's resolve().
                         let kernel = match reg.get(&key) {
-                            Some(kernel) => kernel,
+                            Some(Resident::Comb(kernel)) => kernel,
+                            Some(Resident::Seq(_)) => panic!("only kernels were inserted"),
                             None => {
                                 let kernel = Arc::clone(&kernels[i]);
-                                reg.insert(&key, Arc::clone(&kernel));
+                                reg.insert(&key, Resident::Comb(Arc::clone(&kernel)));
                                 kernel
                             }
                         };
@@ -420,7 +457,7 @@ mod tests {
             // against the held guard; under sharding it must finish.
             assert!(reg2.get(&key_b2).is_none());
             let _guard_b = reg2.build_lock(&key_b2).lock().expect("lock b");
-            reg2.insert(&key_b2, kernel2);
+            reg2.insert(&key_b2, Resident::Comb(kernel2));
             done_tx.send(()).expect("report completion");
         });
         done_rx
@@ -453,7 +490,7 @@ mod tests {
                         let kernel = &kernels[i % kernels.len()];
                         match reg.get(&key) {
                             Some(k) => assert_eq!(k.bytes(), kernel.bytes()),
-                            None => reg.insert(&key, Arc::clone(kernel)),
+                            None => reg.insert(&key, Resident::Comb(Arc::clone(kernel))),
                         }
                     }
                 });

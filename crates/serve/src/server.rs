@@ -24,13 +24,12 @@
 //! dispatcher — every accepted request completes, no new work is
 //! admitted.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -50,7 +49,7 @@ use crate::frontend::{Completion, Frontend, ServicePool, SvcRequest};
 use crate::json::Json;
 use crate::metrics;
 use crate::proto::{ErrorKind, Response, WireBuildOptions, WireEvalParams, WireMacroSummary};
-use crate::registry::ShardedRegistry;
+use crate::registry::{Resident, ShardedRegistry};
 use crate::stats::ServerStats;
 use crate::supervisor::{BreakerConfig, BreakerDecision, CircuitBreaker};
 
@@ -87,8 +86,8 @@ pub struct ServeConfig {
     /// (pattern storage and, for `trace`, response size) one request can
     /// pin, so a single `vectors=10^10` line cannot OOM the server.
     pub max_vectors: usize,
-    /// Registry byte budget for resident kernels (shared across all
-    /// registry shards).
+    /// Registry byte budget for resident models, combinational kernels
+    /// and sequential designs alike (shared across all registry shards).
     pub model_bytes_budget: usize,
     /// Cell library models are built against.
     pub library: Library,
@@ -147,11 +146,6 @@ pub(crate) struct Shared {
     /// construction work (and its counters feed stats/metrics).
     pub(crate) shared_table: Arc<charfree_dd::SharedTable>,
     pub(crate) registry: ShardedRegistry,
-    /// Resident sequential compositions, keyed like the kernel registry
-    /// (`seq` designs are few and small relative to the kernel budget, so
-    /// a flat map suffices; the per-macro kernels inside each model are
-    /// additionally content-addressed in the artifact store).
-    pub(crate) seq_registry: Mutex<HashMap<String, Arc<SeqModel>>>,
     pub(crate) stats: Arc<ServerStats>,
     pub(crate) inflight: AtomicUsize,
     pub(crate) max_inflight: usize,
@@ -179,17 +173,12 @@ impl Shared {
     /// The full stats snapshot (registry, breaker and net sections
     /// included) — the one source for `stats`, `metrics` and HTTP.
     pub(crate) fn snapshot(&self) -> Json {
-        let seq = {
-            let reg = self.seq_registry.lock().unwrap_or_else(|e| e.into_inner());
-            let macros: usize = reg.values().map(|m| m.num_macros()).sum();
-            (reg.len() as u64, macros as u64)
-        };
         self.stats.snapshot(
             &self.registry,
             &self.breaker,
             self.net.get().map(|c| c.as_ref()),
             Some(&self.shared_table),
-            Some(seq),
+            Some(self.registry.seq_stats()),
         )
     }
 
@@ -304,7 +293,6 @@ impl Server {
                 ShardedRegistry::DEFAULT_SHARDS,
                 config.model_bytes_budget.max(1),
             ),
-            seq_registry: Mutex::new(HashMap::new()),
             stats: Arc::clone(&stats),
             inflight: AtomicUsize::new(0),
             max_inflight: config.max_inflight.max(1),
@@ -621,6 +609,34 @@ pub(crate) fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
     }
 }
 
+/// The per-request work cap (`--max-vectors`): admission control counts
+/// requests, not work, so this bounds the patterns one request can pin.
+pub(crate) fn check_vectors(shared: &Shared, vectors: usize) -> Result<(), Response> {
+    if vectors <= shared.max_vectors {
+        return Ok(());
+    }
+    Err(error(
+        ErrorKind::BadRequest,
+        format!(
+            "vectors={vectors} exceeds this server's per-request cap ({}); split the request or \
+             restart with a larger --max-vectors",
+            shared.max_vectors
+        ),
+    ))
+}
+
+/// A request's pattern stream, generated exactly as the offline CLI
+/// does: a Markov source over `inputs` primary inputs, at least two
+/// patterns.
+pub(crate) fn markov_patterns(
+    inputs: usize,
+    params: &WireEvalParams,
+) -> Result<Vec<Vec<bool>>, String> {
+    MarkovSource::new(inputs, params.sp, params.st, params.seed)
+        .map(|mut markov| markov.sequence(params.vectors.max(2)))
+        .map_err(|e| e.to_string())
+}
+
 fn map_pipeline_error(err: &PipelineError) -> ErrorKind {
     match err {
         PipelineError::Build(_) => ErrorKind::BuildFailed,
@@ -635,12 +651,25 @@ fn map_pipeline_error(err: &PipelineError) -> ErrorKind {
 /// `deadline_ms` is deliberately excluded — it is a per-request wall
 /// clock, not a model parameter, and keying on it would fragment
 /// residency across otherwise-identical builds. (Deadline-bounded builds
-/// are also never *inserted*; see [`resolve`].)
+/// are also never *inserted*; see [`resolve`].) A sequential design's
+/// key adds a `\0seq` suffix; every combinational key ends in its
+/// `strict=` option, so no source operand makes the two kinds collide.
 fn registry_key(source: &str, options: &WireBuildOptions) -> String {
     format!(
         "{source}\0max_nodes={:?}\0upper_bound={}\0node_budget={:?}\0strict={}",
         options.max_nodes, options.upper_bound, options.node_budget, options.strict,
     )
+}
+
+/// A build context over the server's library, cross-build structural
+/// table and (when attached) artifact store.
+fn pipeline_ctx(shared: &Shared) -> PipelineCtx {
+    let ctx = PipelineCtx::new(shared.library.clone())
+        .with_shared_table(Arc::clone(&shared.shared_table));
+    match &shared.store {
+        Some(store) => ctx.with_store(store.clone()),
+        None => ctx,
+    }
 }
 
 fn build_options(options: &WireBuildOptions) -> BuildOptions {
@@ -654,22 +683,22 @@ fn build_options(options: &WireBuildOptions) -> BuildOptions {
     }
 }
 
-/// Resolves a model operand to a registry-resident kernel. Returns the
-/// kernel, the ADD apply steps this call performed (0 for warm paths)
-/// and whether it was already resident.
-pub(crate) fn resolve(
+/// Resolves a registry key to its resident model, building it with
+/// `build` on a miss. Returns the model, the ADD apply steps this call
+/// performed (0 for warm paths) and whether it was already resident.
+fn resolve(
     shared: &Shared,
-    source: &str,
+    key: &str,
     options: &WireBuildOptions,
-) -> Result<(Arc<Kernel>, u64, bool), Response> {
-    let key = registry_key(source, options);
-    if let Some(kernel) = shared.registry.get(&key) {
-        return Ok((kernel, 0, true));
+    build: impl FnOnce(&mut PipelineCtx) -> Result<Resident, Response>,
+) -> Result<(Resident, u64, bool), Response> {
+    if let Some(model) = shared.registry.get(key) {
+        return Ok((model, 0, true));
     }
     // Circuit breaker: a model whose builds keep failing is refused
     // *before* the build lock, so doomed work cannot queue behind it.
     // An expired open window lets exactly one probe through.
-    match shared.breaker.admit(&key) {
+    match shared.breaker.admit(key) {
         BreakerDecision::Allow => {}
         BreakerDecision::Deny { retry_after_ms } => {
             shared.stats.record_breaker_denial();
@@ -686,47 +715,52 @@ pub(crate) fn resolve(
     // parallel.
     let _build = shared
         .registry
-        .build_lock(&key)
+        .build_lock(key)
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    if let Some(kernel) = shared.registry.get(&key) {
-        return Ok((kernel, 0, true));
+    if let Some(model) = shared.registry.get(key) {
+        return Ok((model, 0, true));
     }
-    let mut ctx = PipelineCtx::new(shared.library.clone())
-        .with_options(build_options(options))
-        .with_shared_table(Arc::clone(&shared.shared_table));
-    if let Some(store) = &shared.store {
-        ctx = ctx.with_store(store.clone());
-    }
-    let kernel = match ctx.kernel_for(&Source::infer(source)) {
-        Ok(kernel) => kernel,
-        Err(e) => {
-            // Deadline-bounded failures are timing-dependent (a doomed
-            // build under one deadline may succeed under none); only
-            // deterministic failures feed the breaker.
-            if options.deadline_ms.is_none() {
-                shared.breaker.record_failure(&key);
-            }
-            return Err(error(map_pipeline_error(&e), e.to_string()));
-        }
-    };
-    if options.deadline_ms.is_none() {
-        shared.breaker.record_success(&key);
-    }
-    let applied = ctx.apply_steps();
-    let kernel = Arc::new(kernel);
-    // A deadline-bounded build is timing-dependent (the degradation
+    let mut ctx = pipeline_ctx(shared).with_options(build_options(options));
+    // Deadline-bounded builds are timing-dependent (the degradation
     // point depends on wall clock — same reason `BuildOptions::cacheable`
-    // bypasses the artifact store), so its result serves this request
-    // only and never becomes the registry-resident model for the key.
-    if options.deadline_ms.is_none() {
-        shared.registry.insert(&key, Arc::clone(&kernel));
+    // bypasses the artifact store): their failures never feed the
+    // breaker, and their results serve this request only, never becoming
+    // the registry-resident model for the key.
+    let deterministic = options.deadline_ms.is_none();
+    let model = build(&mut ctx).inspect_err(|_| {
+        if deterministic {
+            shared.breaker.record_failure(key);
+        }
+    })?;
+    if deterministic {
+        shared.breaker.record_success(key);
+        shared.registry.insert(key, model.clone());
     }
-    Ok((kernel, applied, false))
+    Ok((model, ctx.apply_steps(), false))
+}
+
+/// Resolves a combinational model operand to its registry-resident
+/// kernel (see [`resolve`]).
+pub(crate) fn resolve_kernel(
+    shared: &Shared,
+    source: &str,
+    options: &WireBuildOptions,
+) -> Result<(Arc<Kernel>, u64, bool), Response> {
+    let key = registry_key(source, options);
+    let (model, applied, resident) = resolve(shared, &key, options, |ctx| {
+        ctx.kernel_for(&Source::infer(source))
+            .map(|kernel| Resident::Comb(Arc::new(kernel)))
+            .map_err(|e| error(map_pipeline_error(&e), e.to_string()))
+    })?;
+    let Resident::Comb(kernel) = model else {
+        unreachable!("combinational keys hold kernels only");
+    };
+    Ok((kernel, applied, resident))
 }
 
 pub(crate) fn do_load(shared: &Shared, source: &str, options: &WireBuildOptions) -> Response {
-    match resolve(shared, source, options) {
+    match resolve_kernel(shared, source, options) {
         Ok((kernel, applied, resident)) => Response::Load {
             name: kernel.name().to_owned(),
             instrs: kernel.num_instrs(),
@@ -739,16 +773,15 @@ pub(crate) fn do_load(shared: &Shared, source: &str, options: &WireBuildOptions)
     }
 }
 
-/// Resolves a sequential design to a registry-resident [`SeqModel`].
-/// Returns the model, this call's ADD apply steps and artifact-cache
-/// hits (both 0 for a resident hit), and whether it was already
-/// resident. Sequential sources are BLIF netlist files only: compiled
-/// artifacts and built-in benchmarks are combinational by construction.
-fn resolve_seq(
-    shared: &Arc<Shared>,
+/// Resolves a sequential design to its registry-resident [`SeqModel`]
+/// (see [`resolve`]). Sequential sources are BLIF netlist files only:
+/// compiled artifacts and built-in benchmarks are combinational by
+/// construction.
+fn resolve_seq_model(
+    shared: &Shared,
     source: &str,
     options: &WireBuildOptions,
-) -> Result<(Arc<SeqModel>, u64, u64, bool), Response> {
+) -> Result<(Arc<SeqModel>, u64, bool), Response> {
     match Source::infer(source) {
         Source::NetlistFile(_) if !source.ends_with(".v") && !source.ends_with(".sv") => {}
         _ => {
@@ -759,121 +792,58 @@ fn resolve_seq(
             ));
         }
     }
-    let key = format!("seq\0{}", registry_key(source, options));
-    {
-        let reg = shared
-            .seq_registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(model) = reg.get(&key) {
-            return Ok((Arc::clone(model), 0, 0, true));
-        }
-    }
-    match shared.breaker.admit(&key) {
-        BreakerDecision::Allow => {}
-        BreakerDecision::Deny { retry_after_ms } => {
-            shared.stats.record_breaker_denial();
-            return Err(Response::Error {
-                kind: ErrorKind::ModelUnavailable,
-                message: "model build circuit is open after repeated build failures".to_owned(),
-                retry_after_ms: Some(retry_after_ms),
-            });
-        }
-    }
-    let text = match std::fs::read_to_string(source) {
-        Ok(text) => text,
-        Err(e) => {
-            return Err(error(
+    let key = registry_key(source, options) + "\0seq";
+    let (model, applied, resident) = resolve(shared, &key, options, |ctx| {
+        let text = std::fs::read_to_string(source).map_err(|e| {
+            error(
                 ErrorKind::BadRequest,
                 format!("cannot read `{source}`: {e}"),
-            ));
-        }
+            )
+        })?;
+        let seq = blif::parse_seq(&text)
+            .map_err(|e| error(ErrorKind::BadRequest, format!("{source}: {e}")))?;
+        SeqModel::build(ctx, seq)
+            .map(|model| Resident::Seq(Arc::new(model)))
+            .map_err(|e| error(map_pipeline_error(&e), e.to_string()))
+    })?;
+    let Resident::Seq(model) = model else {
+        unreachable!("`seq`-suffixed keys hold sequential designs only");
     };
-    let seq = match blif::parse_seq(&text) {
-        Ok(seq) => seq,
-        Err(e) => {
-            if options.deadline_ms.is_none() {
-                shared.breaker.record_failure(&key);
-            }
-            return Err(error(ErrorKind::BadRequest, format!("{source}: {e}")));
-        }
-    };
-    let mut ctx = PipelineCtx::new(shared.library.clone())
-        .with_options(build_options(options))
-        .with_shared_table(Arc::clone(&shared.shared_table));
-    if let Some(store) = &shared.store {
-        ctx = ctx.with_store(store.clone());
-    }
-    let model = match SeqModel::build(&mut ctx, seq) {
-        Ok(model) => model,
-        Err(e) => {
-            if options.deadline_ms.is_none() {
-                shared.breaker.record_failure(&key);
-            }
-            return Err(error(map_pipeline_error(&e), e.to_string()));
-        }
-    };
-    if options.deadline_ms.is_none() {
-        shared.breaker.record_success(&key);
-    }
-    let report = model.build_report();
-    let applied = report.apply_steps;
-    let cache_hits = report.cache_hits as u64;
-    let model = Arc::new(model);
-    // Same policy as `resolve`: deadline-bounded builds are
-    // timing-dependent and serve this request only.
-    if options.deadline_ms.is_none() {
-        let mut reg = shared
-            .seq_registry
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        reg.insert(key, Arc::clone(&model));
-    }
-    Ok((model, applied, cache_hits, false))
+    Ok((model, applied, resident))
 }
 
-fn seq_load_response(model: &SeqModel, applied: u64, cache_hits: u64, resident: bool) -> Response {
-    let report = model.build_report();
-    Response::SeqLoad {
-        name: model.name().to_owned(),
-        macros: model.num_macros(),
-        latches: model.seq().latches().len(),
-        instrs: report.macros.iter().map(|m| m.instrs).sum(),
-        bytes: model.bytes(),
-        apply_steps: applied,
-        cache_hits,
-        resident,
-    }
-}
-
-pub(crate) fn do_seq_load(
-    shared: &Arc<Shared>,
-    source: &str,
-    options: &WireBuildOptions,
-) -> Response {
-    match resolve_seq(shared, source, options) {
-        Ok((model, applied, cache_hits, resident)) => {
-            seq_load_response(&model, applied, cache_hits, resident)
+pub(crate) fn do_seq_load(shared: &Shared, source: &str, options: &WireBuildOptions) -> Response {
+    match resolve_seq_model(shared, source, options) {
+        Ok((model, applied, resident)) => {
+            let report = model.build_report();
+            Response::SeqLoad {
+                name: model.name().to_owned(),
+                macros: model.num_macros(),
+                latches: model.seq().latches().len(),
+                instrs: report.macros.iter().map(|m| m.instrs).sum(),
+                bytes: model.bytes(),
+                apply_steps: applied,
+                // A resident hit did no artifact lookups.
+                cache_hits: if resident {
+                    0
+                } else {
+                    report.cache_hits as u64
+                },
+                resident,
+            }
         }
         Err(response) => response,
     }
 }
 
 pub(crate) fn do_seq_eval(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     source: &str,
     options: &WireBuildOptions,
     params: &WireEvalParams,
 ) -> Response {
-    if params.vectors > shared.max_vectors {
-        return error(
-            ErrorKind::BadRequest,
-            format!(
-                "vectors={} exceeds this server's per-request cap ({}); split the request or \
-                 restart with a larger --max-vectors",
-                params.vectors, shared.max_vectors
-            ),
-        );
+    if let Err(response) = check_vectors(shared, params.vectors) {
+        return response;
     }
     // The request deadline bounds a cold build exactly like `eval` (and
     // keeps that build out of the registry).
@@ -881,18 +851,14 @@ pub(crate) fn do_seq_eval(
         deadline_ms: params.deadline_ms,
         ..options.clone()
     };
-    let (model, _, _, _) = match resolve_seq(shared, source, &build_options) {
+    let (model, _, _) = match resolve_seq_model(shared, source, &build_options) {
         Ok(resolved) => resolved,
         Err(response) => return response,
     };
-    // Identical pattern generation to eval/trace and the offline CLI: a
-    // Markov source over the primary inputs, at least two patterns.
-    let mut markov = match MarkovSource::new(model.num_inputs(), params.sp, params.st, params.seed)
-    {
-        Ok(markov) => markov,
-        Err(e) => return error(ErrorKind::BadRequest, e.to_string()),
+    let patterns = match markov_patterns(model.num_inputs(), params) {
+        Ok(patterns) => patterns,
+        Err(message) => return error(ErrorKind::BadRequest, message),
     };
-    let patterns = markov.sequence(params.vectors.max(2));
     let summary = model.eval_fused(&patterns);
     Response::SeqEval {
         name: model.name().to_owned(),
@@ -924,7 +890,7 @@ pub(crate) fn do_expected(shared: &Shared, source: &str, sp: f64, st: f64) -> Re
             format!("infeasible (sp={sp}, st={st}): st must be at most 2*min(sp, 1-sp)"),
         );
     }
-    let (kernel, _, _) = match resolve(shared, source, &WireBuildOptions::default()) {
+    let (kernel, _, _) = match resolve_kernel(shared, source, &WireBuildOptions::default()) {
         Ok(resolved) => resolved,
         Err(response) => return response,
     };
@@ -939,12 +905,7 @@ pub(crate) fn do_expected(shared: &Shared, source: &str, sp: f64, st: f64) -> Re
         // Mirror the CLI fallback: grouped-ordering pair correlation is
         // not chain-expressible on the kernel, so go through the arena
         // model (a warm artifact hit when a store is attached).
-        let mut ctx = PipelineCtx::new(shared.library.clone())
-            .with_shared_table(Arc::clone(&shared.shared_table));
-        if let Some(store) = &shared.store {
-            ctx = ctx.with_store(store.clone());
-        }
-        match ctx.model_for(&Source::infer(source)) {
+        match pipeline_ctx(shared).model_for(&Source::infer(source)) {
             Ok(model) => model.expected_capacitance(sp, st).femtofarads(),
             Err(e) => return error(map_pipeline_error(&e), e.to_string()),
         }
@@ -952,5 +913,102 @@ pub(crate) fn do_expected(shared: &Shared, source: &str, sp: f64, st: f64) -> Re
     Response::Expected {
         name: kernel.name().to_owned(),
         value,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Client, Request};
+    use charfree_netlist::benchmarks::committed::SEQPIPE2;
+
+    /// A second register-bounded design (stage 1 reads stage 2's state).
+    const PIPE2: &str = "\
+.model pipe2
+.inputs a b
+.outputs y
+.gate xor2 a=a b=q2 O=s1
+.gate and2 a=s1 b=b O=d1
+.latch d1 q1 0
+.gate or2 a=q1 b=a O=y
+.gate inv a=y O=d2
+.latch d2 q2 1
+.end
+";
+
+    fn seq_bytes(text: &str) -> usize {
+        let seq = blif::parse_seq(text).expect("parses");
+        let mut ctx = PipelineCtx::new(Library::test_library());
+        SeqModel::build(&mut ctx, seq).expect("builds").bytes()
+    }
+
+    fn seq_key(path: &str) -> String {
+        registry_key(path, &WireBuildOptions::default()) + "\0seq"
+    }
+
+    fn seqload(client: &mut Client, source: &str) -> (bool, u64) {
+        let request = Request::SeqLoad {
+            source: source.to_owned(),
+            options: WireBuildOptions::default(),
+        };
+        match client.request(&request).expect("seqload") {
+            Response::SeqLoad {
+                resident,
+                apply_steps,
+                ..
+            } => (resident, apply_steps),
+            other => panic!("unexpected seqload response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sequential_designs_share_the_byte_budget_and_evict_by_lru() {
+        let dir = std::env::temp_dir().join(format!("charfree-seq-evict-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        // Both designs must route to the same registry shard for one to
+        // displace the other.
+        let shards = ShardedRegistry::new(ShardedRegistry::DEFAULT_SHARDS, 1);
+        let path = |tag: &str, i: usize| dir.join(format!("{tag}{i}.blif")).display().to_string();
+        let first = path("a", 0);
+        let shard = shards.shard_index(&seq_key(&first));
+        let second = (0..10_000)
+            .map(|i| path("b", i))
+            .find(|p| shards.shard_index(&seq_key(p)) == shard)
+            .expect("a same-shard path");
+        std::fs::write(&first, PIPE2).expect("writes");
+        std::fs::write(&second, SEQPIPE2).expect("writes");
+        let (a, b) = (seq_bytes(PIPE2), seq_bytes(SEQPIPE2));
+
+        // Each shard's share of the budget holds either design, not both.
+        let mut config = ServeConfig::new(Library::test_library());
+        config.addr = "127.0.0.1:0".to_owned();
+        config.log = false;
+        config.cache_dir = Some(dir.join("cache"));
+        config.model_bytes_budget = ShardedRegistry::DEFAULT_SHARDS * a.max(b);
+        let server = Server::start(config).expect("binds");
+        let mut client = Client::connect(&server.addr().to_string()).expect("connects");
+
+        assert!(!seqload(&mut client, &first).0, "cold");
+        assert!(!seqload(&mut client, &second).0, "cold");
+        let registry = &server.shared.registry;
+        let (entries, bytes, _, _, evictions) = registry.stats();
+        assert_eq!(
+            (entries, bytes, evictions),
+            (1, b, 1),
+            "the first design was evicted"
+        );
+        assert_eq!(registry.seq_stats(), (1, 2));
+        registry.verify_ledger().expect("ledger sums exactly");
+
+        // Reloading the evicted design is a registry miss served warm
+        // from the artifact store.
+        assert_eq!(seqload(&mut client, &first), (false, 0));
+        let (entries, bytes, _, _, evictions) = registry.stats();
+        assert_eq!((entries, bytes, evictions), (1, a, 2));
+        registry.verify_ledger().expect("ledger sums exactly");
+
+        client.request(&Request::Shutdown).expect("shutdown");
+        server.wait();
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -36,8 +36,8 @@
 //! 5       n     payload
 //! ```
 //!
-//! Request frame types are `0x01..=0x08`; response types echo them with
-//! the high bit set (`0x81..=0x87`), and `0xFF` is the typed error
+//! Request frame types are `0x01..=0x0A` and response types
+//! `0x81..=0x89` (see [`req_type`] and [`resp_type`]); `0xFF` is the typed error
 //! frame. A request frame longer than [`MAX_FRAME_BYTES`] is rejected
 //! *from the length prefix alone* — the server never buffers an
 //! oversized frame — with a typed `bad-request`, then the connection
@@ -46,12 +46,11 @@
 //! Within payloads: integers are little-endian; strings are
 //! `u32 LE length + UTF-8 bytes`; optional integers are a presence byte
 //! followed by the value; `f64`s are their `u64` bit patterns; pattern
-//! blocks are bit-packed `u64` words (see [`encode_request`]).
+//! blocks are bit-packed `u64` words. Field order is each body's
+//! declaration order in [`crate::proto`].
 
 use crate::json::Json;
-use crate::proto::{
-    ErrorKind, Request, Response, WireBuildOptions, WireEvalParams, WireMacroSummary,
-};
+use crate::proto::{ErrorKind, Request, Response, Sink, Source, WireMacroSummary};
 
 /// The 4-byte protocol magic (`C` doubles as the first-byte protocol
 /// sniff).
@@ -209,7 +208,7 @@ pub fn try_frame(buf: &[u8]) -> Result<Option<FrameRef>, String> {
     }))
 }
 
-// ---- payload writer -------------------------------------------------
+// ---- the binary codec -----------------------------------------------
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -219,81 +218,90 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64_bits(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
+/// The binary [`Sink`]: fields appended positionally to a frame.
+struct BinSink<'a>(&'a mut Vec<u8>);
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            buf.push(1);
-            put_u64(buf, v);
-        }
-        None => buf.push(0),
+impl Sink for BinSink<'_> {
+    fn str(&mut self, _key: &'static str, v: &str) {
+        put_u32(self.0, v.len() as u32);
+        self.0.extend_from_slice(v.as_bytes());
     }
-}
 
-fn put_build_options(buf: &mut Vec<u8>, options: &WireBuildOptions) {
-    put_opt_u64(buf, options.max_nodes.map(|n| n as u64));
-    buf.push(u8::from(options.upper_bound));
-    put_opt_u64(buf, options.node_budget);
-    buf.push(u8::from(options.strict));
-    put_opt_u64(buf, options.deadline_ms);
-}
+    fn u64(&mut self, _key: &'static str, v: &u64) {
+        put_u64(self.0, *v);
+    }
 
-fn put_eval_params(buf: &mut Vec<u8>, params: &WireEvalParams) {
-    put_u64(buf, params.vectors as u64);
-    put_f64_bits(buf, params.sp);
-    put_f64_bits(buf, params.st);
-    put_u64(buf, params.seed);
-    put_opt_u64(buf, params.deadline_ms);
-}
+    fn num(&mut self, key: &'static str, v: &f64) {
+        self.bits(key, v);
+    }
 
-/// Bit-packs patterns as `words_per_pattern = ceil(num_inputs / 64)`
-/// little-endian `u64` words per pattern; input `i` is bit `i % 64` of
-/// word `i / 64`.
-fn put_patterns(buf: &mut Vec<u8>, patterns: &[Vec<bool>]) {
-    let num_inputs = patterns.first().map_or(0, Vec::len);
-    put_u32(buf, num_inputs as u32);
-    put_u32(buf, patterns.len() as u32);
-    let words = num_inputs.div_ceil(64);
-    for pattern in patterns {
-        let mut packed = vec![0u64; words];
-        for (i, &bit) in pattern.iter().enumerate() {
-            if bit {
-                packed[i / 64] |= 1u64 << (i % 64);
+    fn bits(&mut self, _key: &'static str, v: &f64) {
+        put_u64(self.0, v.to_bits());
+    }
+
+    fn opt_u64(&mut self, _key: &'static str, v: &Option<u64>) {
+        match v {
+            Some(v) => {
+                self.0.push(1);
+                put_u64(self.0, *v);
+            }
+            None => self.0.push(0),
+        }
+    }
+
+    fn flag(&mut self, _key: &'static str, v: &bool) {
+        self.0.push(u8::from(*v));
+    }
+
+    fn opt_flag(&mut self, key: &'static str, v: &bool) {
+        self.flag(key, v);
+    }
+
+    /// `num_inputs` and `num_patterns` (u32 each), then
+    /// `ceil(num_inputs / 64)` little-endian `u64` words per pattern;
+    /// input `i` is bit `i % 64` of word `i / 64`, so bit `i % 8` of
+    /// byte `i / 8`.
+    fn patterns(&mut self, _key: &'static str, v: &[Vec<bool>]) {
+        let num_inputs = v.first().map_or(0, Vec::len);
+        put_u32(self.0, num_inputs as u32);
+        put_u32(self.0, v.len() as u32);
+        let width = num_inputs.div_ceil(64) * 8;
+        for pattern in v {
+            let start = self.0.len();
+            self.0.resize(start + width, 0);
+            for (i, &bit) in pattern.iter().enumerate() {
+                self.0[start + i / 8] |= u8::from(bit) << (i % 8);
             }
         }
-        for word in packed {
-            put_u64(buf, word);
+    }
+
+    fn values(&mut self, key: &'static str, v: &[f64]) {
+        put_u32(self.0, v.len() as u32);
+        for value in v {
+            self.bits(key, value);
         }
     }
-}
 
-fn put_values(buf: &mut Vec<u8>, values: &[f64]) {
-    put_u32(buf, values.len() as u32);
-    for &v in values {
-        put_f64_bits(buf, v);
+    fn macros(&mut self, _key: &'static str, v: &[WireMacroSummary]) {
+        put_u32(self.0, v.len() as u32);
+        for summary in v {
+            self.summary(summary);
+        }
+    }
+
+    fn json(&mut self, key: &'static str, v: &Json) {
+        self.str(key, &v.to_line());
     }
 }
 
-// ---- payload reader -------------------------------------------------
-
-struct Reader<'a> {
+/// The binary [`Source`]: one frame's payload, read positionally.
+struct BinSource<'a> {
+    ty: u8,
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
+impl<'a> BinSource<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self
             .pos
@@ -305,7 +313,7 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    fn byte(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
@@ -314,177 +322,148 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
+    fn word(&mut self) -> Result<u64, String> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
     }
 
-    fn f64_bits(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
+    /// A declared element count, refused unless the rest of the payload
+    /// can hold that many elements of at least `min_bytes` each — so a
+    /// lying count never drives an allocation.
+    fn count(&mut self, min_bytes: usize, what: &str) -> Result<usize, String> {
+        let count = self.u32()? as usize;
+        match count.checked_mul(min_bytes) {
+            Some(need) if need <= self.buf.len() - self.pos => Ok(count),
+            _ => Err(format!("{what} count {count} exceeds the payload")),
+        }
+    }
+}
+
+impl Source for BinSource<'_> {
+    fn selects(&self, _name: &str, ty: u8) -> bool {
+        self.ty == ty
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn str(&mut self, _key: &'static str) -> Result<String, String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| "non-UTF-8 string".to_owned())
     }
 
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        match self.u8()? {
+    fn u64(&mut self, _key: &'static str) -> Result<u64, String> {
+        self.word()
+    }
+
+    fn num(&mut self, key: &'static str) -> Result<f64, String> {
+        let v = self.bits(key)?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(format!("`{key}` must be finite"))
+        }
+    }
+
+    fn bits(&mut self, _key: &'static str) -> Result<f64, String> {
+        self.word().map(f64::from_bits)
+    }
+
+    fn opt_u64(&mut self, _key: &'static str) -> Result<Option<u64>, String> {
+        match self.byte()? {
             0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
+            1 => Ok(Some(self.word()?)),
             other => Err(format!("bad presence byte {other:#04x}")),
         }
     }
 
-    fn build_options(&mut self) -> Result<WireBuildOptions, String> {
-        Ok(WireBuildOptions {
-            max_nodes: self.opt_u64()?.map(|n| n as usize),
-            upper_bound: self.u8()? != 0,
-            node_budget: self.opt_u64()?,
-            strict: self.u8()? != 0,
-            deadline_ms: self.opt_u64()?,
-        })
+    fn flag(&mut self, _key: &'static str) -> Result<bool, String> {
+        Ok(self.byte()? != 0)
     }
 
-    fn eval_params(&mut self) -> Result<WireEvalParams, String> {
-        let vectors = self.u64()? as usize;
-        let sp = self.f64_bits()?;
-        let st = self.f64_bits()?;
-        let seed = self.u64()?;
-        let deadline_ms = self.opt_u64()?;
-        if !sp.is_finite() || !st.is_finite() {
-            return Err("sp/st must be finite".to_owned());
-        }
-        Ok(WireEvalParams {
-            vectors,
-            sp,
-            st,
-            seed,
-            deadline_ms,
-        })
+    fn opt_flag(&mut self, key: &'static str) -> Result<bool, String> {
+        self.flag(key)
     }
 
-    fn patterns(&mut self) -> Result<Vec<Vec<bool>>, String> {
+    fn patterns(&mut self, _key: &'static str) -> Result<Vec<Vec<bool>>, String> {
         let num_inputs = self.u32()? as usize;
-        let num_patterns = self.u32()? as usize;
         if num_inputs == 0 {
             return Err("patterns must have at least one input".to_owned());
         }
-        let words = num_inputs.div_ceil(64);
-        let mut patterns = Vec::with_capacity(num_patterns.min(1 << 16));
-        for _ in 0..num_patterns {
-            let mut pattern = Vec::with_capacity(num_inputs);
-            let mut packed = Vec::with_capacity(words);
-            for _ in 0..words {
-                packed.push(self.u64()?);
-            }
-            for i in 0..num_inputs {
-                pattern.push(packed[i / 64] >> (i % 64) & 1 == 1);
-            }
-            patterns.push(pattern);
+        let width = num_inputs.div_ceil(64) * 8;
+        let count = self.count(width, "pattern")?;
+        if width > self.buf.len() - self.pos {
+            return Err(format!("{num_inputs}-input patterns exceed the payload"));
+        }
+        let mut patterns = Vec::with_capacity(count);
+        for _ in 0..count {
+            let bytes = self.take(width)?;
+            patterns.push(
+                (0..num_inputs)
+                    .map(|i| bytes[i / 8] >> (i % 8) & 1 == 1)
+                    .collect(),
+            );
         }
         Ok(patterns)
     }
 
-    fn values(&mut self) -> Result<Vec<f64>, String> {
-        let count = self.u32()? as usize;
-        // The frame cap already bounds count * 8; this guards a lying
-        // count inside an honest frame.
-        if count * 8 > self.buf.len() {
-            return Err(format!("value count {count} exceeds payload"));
-        }
+    fn values(&mut self, key: &'static str) -> Result<Vec<f64>, String> {
+        let count = self.count(8, "value")?;
         let mut values = Vec::with_capacity(count);
         for _ in 0..count {
-            values.push(self.f64_bits()?);
+            values.push(self.bits(key)?);
         }
         Ok(values)
     }
 
-    fn finish(self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after payload",
-                self.buf.len() - self.pos
-            ))
+    /// A summary is at least 20 bytes: an empty name's length prefix
+    /// and two `f64`s.
+    fn macros(&mut self, _key: &'static str) -> Result<Vec<WireMacroSummary>, String> {
+        let count = self.count(20, "macro")?;
+        let mut macros = Vec::with_capacity(count);
+        for _ in 0..count {
+            macros.push(self.summary()?);
         }
+        Ok(macros)
+    }
+
+    fn json(&mut self, key: &'static str) -> Result<Json, String> {
+        Ok(crate::json::parse(&self.str(key)?).unwrap_or(Json::Null))
     }
 }
 
-// ---- request/response codecs ---------------------------------------
+// ---- envelopes ------------------------------------------------------
+
+/// Appends one frame of type `ty` (length prefix included) to `out`,
+/// its payload written by `body`.
+fn write_frame(out: &mut Vec<u8>, ty: u8, body: impl FnOnce(&mut BinSink)) {
+    let start = out.len();
+    put_u32(out, 0); // patched below
+    out.push(ty);
+    body(&mut BinSink(out));
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Reads one frame's payload with `body`, refusing trailing bytes.
+fn read_frame<T>(
+    ty: u8,
+    buf: &[u8],
+    body: impl FnOnce(&mut BinSource) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut source = BinSource { ty, buf, pos: 0 };
+    let message = body(&mut source)?;
+    match buf.len() - source.pos {
+        0 => Ok(message),
+        n => Err(format!("{n} trailing bytes after payload")),
+    }
+}
 
 /// Appends one request frame (length prefix included) to `out`.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
-    let start = out.len();
-    put_u32(out, 0); // patched below
-    match req {
-        Request::Load { source, options } => {
-            out.push(req_type::LOAD);
-            put_str(out, source);
-            put_build_options(out, options);
-        }
-        Request::Eval {
-            source,
-            options,
-            params,
-        } => {
-            out.push(req_type::EVAL);
-            put_str(out, source);
-            put_build_options(out, options);
-            put_eval_params(out, params);
-        }
-        Request::Trace {
-            source,
-            options,
-            params,
-        } => {
-            out.push(req_type::TRACE);
-            put_str(out, source);
-            put_build_options(out, options);
-            put_eval_params(out, params);
-        }
-        Request::TraceDirect {
-            source,
-            options,
-            patterns,
-            deadline_ms,
-        } => {
-            out.push(req_type::TRACE_DIRECT);
-            put_str(out, source);
-            put_build_options(out, options);
-            put_opt_u64(out, *deadline_ms);
-            put_patterns(out, patterns);
-        }
-        Request::Expected { source, sp, st } => {
-            out.push(req_type::EXPECTED);
-            put_str(out, source);
-            put_f64_bits(out, *sp);
-            put_f64_bits(out, *st);
-        }
-        Request::SeqLoad { source, options } => {
-            out.push(req_type::SEQ_LOAD);
-            put_str(out, source);
-            put_build_options(out, options);
-        }
-        Request::SeqEval {
-            source,
-            options,
-            params,
-        } => {
-            out.push(req_type::SEQ_EVAL);
-            put_str(out, source);
-            put_build_options(out, options);
-            put_eval_params(out, params);
-        }
-        Request::Stats => out.push(req_type::STATS),
-        Request::Metrics => out.push(req_type::METRICS),
-        Request::Shutdown => out.push(req_type::SHUTDOWN),
-    }
-    patch_len(out, start);
+    write_frame(out, req.tag().map_or(0, |(_, ty)| ty), |sink| {
+        req.write_body(sink);
+    });
 }
 
 /// Decodes one request frame body.
@@ -493,175 +472,29 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
 ///
 /// A diagnostic suitable for a typed `bad-request` error frame.
 pub fn decode_request(ty: u8, payload: &[u8]) -> Result<Request, String> {
-    let mut r = Reader::new(payload);
-    let req = match ty {
-        req_type::LOAD => Request::Load {
-            source: r.string()?,
-            options: r.build_options()?,
-        },
-        req_type::EVAL => Request::Eval {
-            source: r.string()?,
-            options: strip_deadline(r.build_options()?),
-            params: r.eval_params()?,
-        },
-        req_type::TRACE => Request::Trace {
-            source: r.string()?,
-            options: strip_deadline(r.build_options()?),
-            params: r.eval_params()?,
-        },
-        req_type::TRACE_DIRECT => {
-            let source = r.string()?;
-            let options = strip_deadline(r.build_options()?);
-            let deadline_ms = r.opt_u64()?;
-            let patterns = r.patterns()?;
-            Request::TraceDirect {
-                source,
-                options,
-                patterns,
-                deadline_ms,
-            }
-        }
-        req_type::EXPECTED => {
-            let source = r.string()?;
-            let sp = r.f64_bits()?;
-            let st = r.f64_bits()?;
-            if !sp.is_finite() || !st.is_finite() {
-                return Err("sp/st must be finite".to_owned());
-            }
-            Request::Expected { source, sp, st }
-        }
-        req_type::SEQ_LOAD => Request::SeqLoad {
-            source: r.string()?,
-            options: r.build_options()?,
-        },
-        req_type::SEQ_EVAL => Request::SeqEval {
-            source: r.string()?,
-            options: strip_deadline(r.build_options()?),
-            params: r.eval_params()?,
-        },
-        req_type::STATS => Request::Stats,
-        req_type::METRICS => Request::Metrics,
-        req_type::SHUTDOWN => Request::Shutdown,
-        other => return Err(format!("unknown request frame type {other:#04x}")),
-    };
-    r.finish()?;
-    Ok(req)
+    read_frame(ty, payload, |source| {
+        Request::read_body(source)?.ok_or_else(|| format!("unknown request frame type {ty:#04x}"))
+    })
 }
 
-/// `eval`/`trace` keep build options' `deadline_ms` out of the registry
-/// key by construction (the wire carries the deadline in the eval
-/// params / request deadline instead). Mirror the JSON parser, which
-/// never populates it for these commands.
-fn strip_deadline(options: WireBuildOptions) -> WireBuildOptions {
-    WireBuildOptions {
-        deadline_ms: None,
-        ..options
-    }
-}
-
-/// Appends one response frame (length prefix included) to `out`.
+/// Appends one response frame (length prefix included) to `out`. The
+/// typed error frame is `0xFF`, the error code, the optional
+/// `retry_after_ms`, then the message.
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
-    let start = out.len();
-    put_u32(out, 0); // patched below
     match resp {
-        Response::Load {
-            name,
-            instrs,
-            terminals,
-            bytes,
-            apply_steps,
-            resident,
-        } => {
-            out.push(resp_type::LOAD);
-            put_str(out, name);
-            put_u64(out, *instrs as u64);
-            put_u64(out, *terminals as u64);
-            put_u64(out, *bytes as u64);
-            put_u64(out, *apply_steps);
-            out.push(u8::from(*resident));
-        }
-        Response::Eval {
-            name,
-            transitions,
-            sum_ff,
-            max_ff,
-        } => {
-            out.push(resp_type::EVAL);
-            put_str(out, name);
-            put_u64(out, *transitions as u64);
-            put_f64_bits(out, *sum_ff);
-            put_f64_bits(out, *max_ff);
-        }
-        Response::Trace { name, values } => {
-            out.push(resp_type::TRACE);
-            put_str(out, name);
-            put_values(out, values);
-        }
-        Response::Expected { name, value } => {
-            out.push(resp_type::EXPECTED);
-            put_str(out, name);
-            put_f64_bits(out, *value);
-        }
-        Response::Stats(payload) => {
-            out.push(resp_type::STATS);
-            put_str(out, &payload.to_line());
-        }
-        Response::Metrics(text) => {
-            out.push(resp_type::METRICS);
-            put_str(out, text);
-        }
-        Response::SeqLoad {
-            name,
-            macros,
-            latches,
-            instrs,
-            bytes,
-            apply_steps,
-            cache_hits,
-            resident,
-        } => {
-            out.push(resp_type::SEQ_LOAD);
-            put_str(out, name);
-            put_u64(out, *macros as u64);
-            put_u64(out, *latches as u64);
-            put_u64(out, *instrs as u64);
-            put_u64(out, *bytes as u64);
-            put_u64(out, *apply_steps);
-            put_u64(out, *cache_hits);
-            out.push(u8::from(*resident));
-        }
-        Response::SeqEval {
-            name,
-            transitions,
-            sum_ff,
-            max_ff,
-            macros,
-        } => {
-            out.push(resp_type::SEQ_EVAL);
-            put_str(out, name);
-            put_u64(out, *transitions as u64);
-            put_f64_bits(out, *sum_ff);
-            put_f64_bits(out, *max_ff);
-            put_u32(out, macros.len() as u32);
-            for m in macros {
-                put_str(out, &m.name);
-                put_f64_bits(out, m.sum_ff);
-                put_f64_bits(out, m.max_ff);
-            }
-        }
-        Response::Shutdown => out.push(resp_type::SHUTDOWN),
         Response::Error {
             kind,
             message,
             retry_after_ms,
-        } => {
-            out.push(resp_type::ERROR);
-            out.push(kind.code());
-            put_opt_u64(out, *retry_after_ms);
-            put_str(out, message);
-        }
+        } => write_frame(out, resp_type::ERROR, |sink| {
+            sink.0.push(kind.code());
+            sink.opt_u64("retry_after_ms", retry_after_ms);
+            sink.str("error", message);
+        }),
+        _ => write_frame(out, resp.tag().map_or(0, |(_, ty)| ty), |sink| {
+            resp.write_body(sink);
+        }),
     }
-    patch_len(out, start);
 }
 
 /// Decodes one response frame body.
@@ -670,111 +503,23 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
 ///
 /// A diagnostic when the frame is not a valid response.
 pub fn decode_response(ty: u8, payload: &[u8]) -> Result<Response, String> {
-    let mut r = Reader::new(payload);
-    let resp = match ty {
-        resp_type::LOAD => Response::Load {
-            name: r.string()?,
-            instrs: r.u64()? as usize,
-            terminals: r.u64()? as usize,
-            bytes: r.u64()? as usize,
-            apply_steps: r.u64()?,
-            resident: r.u8()? != 0,
-        },
-        resp_type::EVAL => Response::Eval {
-            name: r.string()?,
-            transitions: r.u64()? as usize,
-            sum_ff: r.f64_bits()?,
-            max_ff: r.f64_bits()?,
-        },
-        resp_type::TRACE => Response::Trace {
-            name: r.string()?,
-            values: r.values()?,
-        },
-        resp_type::EXPECTED => Response::Expected {
-            name: r.string()?,
-            value: r.f64_bits()?,
-        },
-        resp_type::STATS => {
-            let text = r.string()?;
-            Response::Stats(crate::json::parse(&text).unwrap_or(Json::Null))
+    read_frame(ty, payload, |source| {
+        if ty != resp_type::ERROR {
+            return Response::read_body(source)?
+                .ok_or_else(|| format!("unknown response frame type {ty:#04x}"));
         }
-        resp_type::METRICS => Response::Metrics(r.string()?),
-        resp_type::SEQ_LOAD => Response::SeqLoad {
-            name: r.string()?,
-            macros: r.u64()? as usize,
-            latches: r.u64()? as usize,
-            instrs: r.u64()? as usize,
-            bytes: r.u64()? as usize,
-            apply_steps: r.u64()?,
-            cache_hits: r.u64()?,
-            resident: r.u8()? != 0,
-        },
-        resp_type::SEQ_EVAL => {
-            let name = r.string()?;
-            let transitions = r.u64()? as usize;
-            let sum_ff = r.f64_bits()?;
-            let max_ff = r.f64_bits()?;
-            let count = r.u32()? as usize;
-            // Each summary is at least 20 bytes; guard a lying count.
-            if count * 20 > r.buf.len() {
-                return Err(format!("macro count {count} exceeds payload"));
-            }
-            let mut macros = Vec::with_capacity(count);
-            for _ in 0..count {
-                macros.push(WireMacroSummary {
-                    name: r.string()?,
-                    sum_ff: r.f64_bits()?,
-                    max_ff: r.f64_bits()?,
-                });
-            }
-            Response::SeqEval {
-                name,
-                transitions,
-                sum_ff,
-                max_ff,
-                macros,
-            }
-        }
-        resp_type::SHUTDOWN => Response::Shutdown,
-        resp_type::ERROR => {
-            let kind = ErrorKind::from_code(r.u8()?);
-            let retry_after_ms = r.opt_u64()?;
-            let message = r.string()?;
-            Response::Error {
-                kind,
-                message,
-                retry_after_ms,
-            }
-        }
-        other => return Err(format!("unknown response frame type {other:#04x}")),
-    };
-    r.finish()?;
-    Ok(resp)
-}
-
-fn patch_len(out: &mut [u8], start: usize) {
-    let len = (out.len() - start - 4) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        Ok(Response::Error {
+            kind: ErrorKind::from_code(source.byte()?),
+            retry_after_ms: source.opt_u64("retry_after_ms")?,
+            message: source.str("error")?,
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip_request(req: &Request) -> Request {
-        let mut buf = Vec::new();
-        encode_request(req, &mut buf);
-        let frame = try_frame(&buf).expect("frames").expect("complete frame");
-        assert_eq!(frame.consumed, buf.len());
-        decode_request(frame.ty, &buf[frame.payload_start..frame.payload_end]).expect("decodes")
-    }
-
-    fn roundtrip_response(resp: &Response) -> Response {
-        let mut buf = Vec::new();
-        encode_response(resp, &mut buf);
-        let frame = try_frame(&buf).expect("frames").expect("complete frame");
-        decode_response(frame.ty, &buf[frame.payload_start..frame.payload_end]).expect("decodes")
-    }
+    use crate::proto::WireBuildOptions;
 
     #[test]
     fn hello_negotiation_round_trips() {
@@ -787,160 +532,6 @@ mod tests {
         bad[0] = b'X';
         assert!(parse_hello(&bad).is_err(), "bad magic rejected");
         assert!(parse_hello(&encode_hello(5, 2)).is_err(), "inverted range");
-    }
-
-    #[test]
-    fn requests_round_trip_through_frames() {
-        let reqs = [
-            Request::Load {
-                source: "decod".to_owned(),
-                options: WireBuildOptions {
-                    max_nodes: Some(300),
-                    upper_bound: true,
-                    node_budget: Some(500),
-                    strict: true,
-                    deadline_ms: Some(750),
-                },
-            },
-            Request::Eval {
-                source: "x.blif".to_owned(),
-                options: WireBuildOptions::default(),
-                params: WireEvalParams {
-                    vectors: 500,
-                    sp: 0.5,
-                    st: 0.3,
-                    seed: u64::MAX,
-                    deadline_ms: None,
-                },
-            },
-            Request::Trace {
-                source: "decod".to_owned(),
-                options: WireBuildOptions {
-                    max_nodes: Some(128),
-                    ..WireBuildOptions::default()
-                },
-                params: WireEvalParams {
-                    vectors: 64,
-                    sp: 0.25,
-                    st: 0.75,
-                    seed: 7,
-                    deadline_ms: Some(10),
-                },
-            },
-            Request::TraceDirect {
-                source: "wide".to_owned(),
-                options: WireBuildOptions::default(),
-                // 70 inputs forces two packed words per pattern.
-                patterns: (0..5)
-                    .map(|p| (0..70).map(|i| (i + p) % 3 == 0).collect())
-                    .collect(),
-                deadline_ms: None,
-            },
-            Request::Expected {
-                source: "decod".to_owned(),
-                sp: 0.1,
-                st: 0.9,
-            },
-            Request::SeqLoad {
-                source: "pipe2.blif".to_owned(),
-                options: WireBuildOptions {
-                    max_nodes: Some(4096),
-                    ..WireBuildOptions::default()
-                },
-            },
-            Request::SeqEval {
-                source: "pipe2.blif".to_owned(),
-                options: WireBuildOptions::default(),
-                params: WireEvalParams {
-                    vectors: 256,
-                    sp: 0.5,
-                    st: 0.4,
-                    seed: 11,
-                    deadline_ms: Some(900),
-                },
-            },
-            Request::Stats,
-            Request::Metrics,
-            Request::Shutdown,
-        ];
-        for req in &reqs {
-            assert_eq!(&roundtrip_request(req), req);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip_bit_exactly() {
-        let awkward = [0.1 + 0.2, f64::NEG_INFINITY, -0.0, 1.0e-308];
-        let resps = [
-            Response::Load {
-                name: "decod".to_owned(),
-                instrs: 42,
-                terminals: 7,
-                bytes: 1024,
-                apply_steps: 0,
-                resident: true,
-            },
-            Response::Eval {
-                name: "decod".to_owned(),
-                transitions: 499,
-                sum_ff: 0.1 + 0.2,
-                max_ff: 151.0,
-            },
-            Response::Trace {
-                name: "decod".to_owned(),
-                values: awkward.to_vec(),
-            },
-            Response::Expected {
-                name: "decod".to_owned(),
-                value: -0.0,
-            },
-            Response::Metrics("charfree_requests_total 7\n".to_owned()),
-            Response::SeqLoad {
-                name: "pipe2".to_owned(),
-                macros: 2,
-                latches: 2,
-                instrs: 99,
-                bytes: 4096,
-                apply_steps: 0,
-                cache_hits: 2,
-                resident: false,
-            },
-            Response::SeqEval {
-                name: "pipe2".to_owned(),
-                transitions: 255,
-                sum_ff: 0.1 + 0.2,
-                max_ff: 42.0,
-                macros: vec![
-                    WireMacroSummary {
-                        name: "pipe2__m0".to_owned(),
-                        sum_ff: -0.0,
-                        max_ff: 1.0e-308,
-                    },
-                    WireMacroSummary {
-                        name: "pipe2__m1".to_owned(),
-                        sum_ff: f64::NEG_INFINITY,
-                        max_ff: 7.5,
-                    },
-                ],
-            },
-            Response::Shutdown,
-            Response::Error {
-                kind: ErrorKind::Overloaded,
-                message: "423 in flight".to_owned(),
-                retry_after_ms: Some(25),
-            },
-        ];
-        for resp in &resps {
-            let got = roundtrip_response(resp);
-            if let (Response::Trace { values: a, .. }, Response::Trace { values: b, .. }) =
-                (resp, &got)
-            {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-            assert_eq!(&got, resp);
-        }
     }
 
     #[test]
@@ -991,13 +582,77 @@ mod tests {
     }
 
     #[test]
-    fn lying_value_counts_inside_honest_frames_are_rejected() {
-        let mut buf = Vec::new();
-        buf.push(resp_type::TRACE);
-        // name = ""
-        put_str(&mut buf, "");
-        // claimed 1M values, zero bytes of data
-        put_u32(&mut buf, 1_000_000);
-        assert!(decode_response(buf[0], &buf[1..]).is_err());
+    fn lying_counts_inside_honest_frames_are_rejected_before_allocating() {
+        // A trace response claiming 1M values with zero bytes of data.
+        let mut trace = Vec::new();
+        put_u32(&mut trace, 0); // name = ""
+        put_u32(&mut trace, 1_000_000);
+        assert!(decode_response(resp_type::TRACE, &trace).is_err());
+
+        // A seqeval response claiming 10k macros in a 20-byte tail: the
+        // count is checked against the bytes left, not the whole frame.
+        let mut seqeval = Vec::new();
+        put_u32(&mut seqeval, 0); // name = ""
+        seqeval.extend_from_slice(&[0; 24]); // transitions, sum_ff, max_ff
+        put_u32(&mut seqeval, 10_000);
+        seqeval.extend_from_slice(&[0; 20]);
+        let err = decode_response(resp_type::SEQ_EVAL, &seqeval).expect_err("rejected");
+        assert!(err.contains("macro count"), "{err}");
+
+        // A `tracep` frame declaring u32::MAX inputs for one pattern: a
+        // 26-byte payload that used to request a 4 GiB allocation.
+        let mut tracep = Vec::new();
+        put_u32(&mut tracep, 8);
+        tracep.extend_from_slice(b"overflow"); // source
+        tracep.extend_from_slice(&[0; 5]); // build options: all unset
+        tracep.push(0); // no deadline
+        put_u32(&mut tracep, u32::MAX); // num_inputs
+        put_u32(&mut tracep, 1); // num_patterns
+        assert_eq!(tracep.len(), 26);
+        let err = decode_request(req_type::TRACE_DIRECT, &tracep).expect_err("rejected");
+        assert!(err.contains("pattern count"), "{err}");
+        // The same width with no patterns: still a width no payload holds.
+        tracep.truncate(22);
+        put_u32(&mut tracep, 0); // num_patterns
+        let err = decode_request(req_type::TRACE_DIRECT, &tracep).expect_err("rejected");
+        assert!(err.contains("exceed the payload"), "{err}");
+    }
+
+    #[test]
+    fn binary_eval_style_requests_drop_an_options_deadline() {
+        let options = WireBuildOptions {
+            deadline_ms: Some(5),
+            ..WireBuildOptions::default()
+        };
+        let mut payload = Vec::new();
+        BinSink(&mut payload).str("source", "decod");
+        BinSink(&mut payload).options("options", &options);
+        BinSink(&mut payload).params(
+            "params",
+            &crate::proto::WireEvalParams {
+                vectors: 10,
+                sp: 0.5,
+                st: 0.4,
+                seed: 1,
+                deadline_ms: Some(30),
+            },
+        );
+        match decode_request(req_type::EVAL, &payload).expect("decodes") {
+            Request::Eval {
+                options, params, ..
+            } => {
+                assert_eq!(options.deadline_ms, None, "not a model option");
+                assert_eq!(params.deadline_ms, Some(30));
+            }
+            other => panic!("decoded {other:?}"),
+        }
+        // `load` keeps it: there it bounds the build.
+        let mut payload = Vec::new();
+        BinSink(&mut payload).str("source", "decod");
+        BinSink(&mut payload).options("options", &options);
+        assert!(matches!(
+            decode_request(req_type::LOAD, &payload),
+            Ok(Request::Load { options: got, .. }) if got == options
+        ));
     }
 }

@@ -539,9 +539,15 @@ fn malformed_lines_get_typed_bad_request_responses() {
 /// the in-flight stats request itself), the batch-fill histogram sums
 /// to the batch count, and the registry reports exactly one cold
 /// resolve (two misses: the pre- and post-build-lock probes) plus one
-/// warm hit per follow-up request.
+/// warm hit per follow-up request. A sequential design lives in the
+/// same registry: its cold `seqload` adds one entry and two misses, and
+/// the `seq` gauges and the metrics exposition agree with it.
 #[test]
 fn stats_counters_reconcile_after_scripted_session() {
+    let dir = std::env::temp_dir().join(format!("charfree-serve-recon-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let seq_path = dir.join("pipe2.blif");
+    std::fs::write(&seq_path, SEQ_PIPE2).expect("writes blif");
     let server = Server::start(test_config()).expect("binds");
     let addr = server.addr().to_string();
     let mut client = Client::connect(&addr).expect("connects");
@@ -602,6 +608,16 @@ fn stats_counters_reconcile_after_scripted_session() {
             .expect("responds"),
         Response::Error { .. }
     ));
+    // 6b. A cold seqload: 2 more registry misses, one more entry.
+    assert!(matches!(
+        client
+            .request(&Request::SeqLoad {
+                source: seq_path.to_string_lossy().into_owned(),
+                options: WireBuildOptions::default(),
+            })
+            .expect("seqload"),
+        Response::SeqLoad { .. }
+    ));
     // 7. A malformed line: an error that was never *accepted* (it dies
     // before command dispatch), so it must not disturb per_command.
     {
@@ -639,18 +655,21 @@ fn stats_counters_reconcile_after_scripted_session() {
     assert_eq!(per_cmd("eval"), 2);
     assert_eq!(per_cmd("trace"), 1);
     assert_eq!(per_cmd("expected"), 1);
+    assert_eq!(per_cmd("seqload"), 1);
     assert_eq!(per_cmd("stats"), 1);
     assert_eq!(per_cmd("shutdown"), 0);
-    let per_sum: u64 = ["load", "eval", "trace", "expected", "stats", "shutdown"]
-        .iter()
-        .map(|c| per_cmd(c))
-        .sum();
+    let per_sum: u64 = [
+        "load", "eval", "trace", "expected", "seqload", "stats", "shutdown",
+    ]
+    .iter()
+    .map(|c| per_cmd(c))
+    .sum();
     assert_eq!(get("accepted"), per_sum, "accepted = sum of per-command");
 
-    // 5 ok responses before the snapshot; 2 errors (failed build +
+    // 6 ok responses before the snapshot; 2 errors (failed build +
     // malformed line); the in-flight stats request is accepted but not
     // yet completed; nothing was shed in a calm sequential session.
-    assert_eq!(get("completed"), 5);
+    assert_eq!(get("completed"), 6);
     assert_eq!(get("errors"), 2);
     assert_eq!(get("shed"), 0);
     assert_eq!(
@@ -674,8 +693,8 @@ fn stats_counters_reconcile_after_scripted_session() {
     };
     assert_eq!(fill_sum, batches, "one fill sample per executed batch");
 
-    // Registry: one resident model; 1 cold resolve (2 misses) + 1
-    // failed resolve (2 misses) + 4 warm resolves (1 hit each).
+    // Registry: two resident models; 2 cold resolves (2 misses each) +
+    // 1 failed resolve (2 misses) + 4 warm resolves (1 hit each).
     let registry = stats.get("registry").expect("registry");
     let reg = |key: &str| -> u64 {
         registry
@@ -683,13 +702,39 @@ fn stats_counters_reconcile_after_scripted_session() {
             .and_then(|v| v.as_u64())
             .expect("registry field")
     };
-    assert_eq!(reg("entries"), 1);
+    assert_eq!(reg("entries"), 2);
     assert_eq!(reg("hits"), 4);
-    assert_eq!(reg("misses"), 4);
+    assert_eq!(reg("misses"), 6);
     assert_eq!(reg("evictions"), 0);
+
+    // The `seq` gauges count the design resident in that same registry.
+    let seq = stats.get("seq").expect("seq section");
+    let seq_field = |key: &str| -> u64 { seq.get(key).and_then(|v| v.as_u64()).expect("seq") };
+    assert_eq!(seq_field("designs"), 1);
+    assert_eq!(seq_field("macros_resident"), 2);
+    assert_eq!(seq_field("loads"), 1);
+    assert_eq!(seq_field("evals"), 0);
+
+    // The metrics exposition renders the same registry state.
+    let Response::Metrics(body) = client.request(&Request::Metrics).expect("metrics") else {
+        panic!("metrics request failed");
+    };
+    for needle in [
+        "charfree_registry_entries 2",
+        "charfree_registry_bytes ",
+        "charfree_registry_misses_total 6",
+        "charfree_seq_designs 1",
+        "charfree_seq_macros_resident 2",
+        "charfree_seq_loads_total 1",
+    ] {
+        assert!(body.contains(needle), "missing `{needle}` in:\n{body}");
+    }
+    let resident_bytes = format!("charfree_registry_bytes {}\n", reg("bytes"));
+    assert!(body.contains(&resident_bytes), "{body}");
 
     client.request(&Request::Shutdown).expect("shutdown");
     server.wait();
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Two register-bounded macros with state fed back across the boundary:

@@ -1735,22 +1735,31 @@ mod more_tests {
         parts.iter().map(|p| p.to_string()).collect()
     }
 
+    /// The shared cm85 model, written once per test process: tests run
+    /// in parallel, and rewriting the file for each caller let one test
+    /// read it while another was truncating it.
     fn model_file() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("charfree-cli-test3");
-        fs::create_dir_all(&dir).expect("tmp dir");
-        let netlist_path = dir.join("cm85.blif");
-        let model_path = dir.join("cm85.cfm");
-        fs::write(&netlist_path, run(&s(&["bench", "cm85"])).expect("bench")).expect("write");
-        run(&s(&[
-            "model",
-            netlist_path.to_str().expect("utf8"),
-            "-o",
-            model_path.to_str().expect("utf8"),
-            "--max",
-            "200",
-        ]))
-        .expect("model builds");
-        model_path
+        static MODEL: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+        MODEL
+            .get_or_init(|| {
+                let dir = std::env::temp_dir().join("charfree-cli-test3");
+                fs::create_dir_all(&dir).expect("tmp dir");
+                let netlist_path = dir.join("cm85.blif");
+                let model_path = dir.join("cm85.cfm");
+                let netlist = run(&s(&["bench", "cm85"])).expect("bench");
+                fs::write(&netlist_path, netlist).expect("write");
+                run(&s(&[
+                    "model",
+                    netlist_path.to_str().expect("utf8"),
+                    "-o",
+                    model_path.to_str().expect("utf8"),
+                    "--max",
+                    "200",
+                ]))
+                .expect("model builds");
+                model_path
+            })
+            .clone()
     }
 
     #[test]
