@@ -52,9 +52,26 @@ fn stats_traversals(c: &mut Criterion) {
     group.bench_function("reach_probabilities/weighted_sum_n20", |b| {
         b.iter(|| black_box(m.reach_probabilities(f)))
     });
-    let measure = ChainMeasure::interleaved_transitions(n / 2, 0.5, 0.2);
-    group.bench_function("measured_profile/weighted_sum_n20", |b| {
-        b.iter(|| black_box(m.add_measured_profile(f, &measure)))
+    // The builder's five-measure collapse mixture, profiled in one pass.
+    let mixture: Vec<ChainMeasure> = [0.05, 0.15, 0.3, 0.5, 0.8]
+        .iter()
+        .map(|&t| ChainMeasure::interleaved_transitions(n / 2, 0.5, t))
+        .collect();
+    let measures: Vec<&ChainMeasure> = mixture.iter().collect();
+    let snap = m.snapshot(f);
+    group.bench_function("dense_profile_k5/weighted_sum_n20", |b| {
+        b.iter(|| black_box(snap.profile(&measures)))
+    });
+    // Dry-run size of collapsing the lower half of the nodes (by post-order)
+    // to their averages under the first measure.
+    let profile = snap.profile(&measures);
+    let order: Vec<u32> = (0..snap.len() as u32).collect();
+    let leaves: Vec<f64> = (0..snap.len())
+        .map(|i| profile.node(i, 0).stats.avg)
+        .collect();
+    let mut sizer = snap.collapse_sizer(&order, &leaves);
+    group.bench_function("collapsed_size/weighted_sum_n20", |b| {
+        b.iter(|| black_box(sizer.collapsed_size(order.len() / 2)))
     });
     group.finish();
 }

@@ -16,7 +16,7 @@
 //!   preserved exactly; this is Example 5.
 
 use charfree_dd::hash::FxHashMap;
-use charfree_dd::{Add, ChainMeasure, Manager, MeasuredNode, NodeStats};
+use charfree_dd::{Add, ChainMeasure, Manager, NodeId, NodeStats, Snapshot};
 
 /// Which leaf value replaces a collapsed sub-ADD, and how candidates are
 /// ranked.
@@ -60,7 +60,8 @@ impl ApproxStrategy {
 pub struct ApproxOutcome {
     /// Total nodes collapsed.
     pub nodes_collapsed: usize,
-    /// Number of collapse/rebuild rounds.
+    /// Number of collapse trials: dry-run sizings of the binary search,
+    /// plus one when every candidate had to collapse.
     pub rounds: usize,
 }
 
@@ -73,11 +74,12 @@ pub struct ApproxOutcome {
 /// proceeds (possibly involving nodes with larger variance) until the
 /// global ADD is reduced under a target size". Because the size reached by
 /// collapsing the `k` lowest-scored nodes is unpredictable (shared
-/// sub-diagrams cascade), `k` is found by binary search over trial
-/// rebuilds, which collapses **as few nodes as possible** while meeting the
-/// bound — no overshoot. In the limit (`max_nodes` very small) the root
-/// itself collapses and the model degenerates into the paper's constant
-/// estimator.
+/// sub-diagrams cascade), `k` is found by binary search over dry-run
+/// sizes counted on a dense snapshot of `f` (only the chosen collapse is
+/// rebuilt in the manager), which collapses **as few nodes as possible**
+/// while meeting the bound — no overshoot. In the limit (`max_nodes` very
+/// small) the root itself collapses and the model degenerates into the
+/// paper's constant estimator.
 ///
 /// # Panics
 ///
@@ -152,13 +154,6 @@ pub fn approximate_to_unweighted(
     approximate_impl(m, f, max_nodes, strategy, None)
 }
 
-/// Per-candidate collapse plan: ranking score and replacement leaf value.
-#[derive(Debug, Clone, Copy)]
-struct CollapsePlan {
-    score: f64,
-    leaf: f64,
-}
-
 fn approximate_impl(
     m: &mut Manager,
     f: Add,
@@ -167,144 +162,108 @@ fn approximate_impl(
     mixture: Option<&[(ChainMeasure, f64)]>,
 ) -> (Add, ApproxOutcome) {
     assert!(max_nodes >= 1, "max_nodes must be at least 1");
-    let mut f = f;
     let mut outcome = ApproxOutcome {
         nodes_collapsed: 0,
         rounds: 0,
     };
-    loop {
-        let size = m.size(f.node());
-        if size <= max_nodes || f.node().is_terminal() {
-            return (f, outcome);
-        }
-        let plans = collapse_plans(m, f, strategy, mixture);
-        let mut candidates = m.topological_nodes(f.node());
-        candidates.sort_by(|&a, &b| {
-            plans[&a]
-                .score
-                .partial_cmp(&plans[&b].score)
-                .expect("finite scores")
-        });
-
-        let collapse_lowest = |m: &mut Manager, k: usize| -> (Add, usize) {
-            let mut replacements: FxHashMap<_, f64> = FxHashMap::default();
-            for &id in candidates.iter().take(k) {
-                replacements.insert(id, plans[&id].leaf);
-            }
-            (m.collapse(f, &replacements), replacements.len())
-        };
-
-        // Binary search the smallest k whose collapse meets the bound.
-        // Size is not strictly monotone in k, so verify and fall back to
-        // widening linearly if the found k overshoots the predicate.
-        let mut lo = 1usize;
-        let mut hi = candidates.len();
-        let mut best: Option<(Add, usize)> = None;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let (g, collapsed) = collapse_lowest(m, mid);
-            outcome.rounds += 1;
-            if m.size(g.node()) <= max_nodes {
-                best = Some((g, collapsed));
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let (g, collapsed) = match best {
-            Some((g, c))
-                if {
-                    // `hi` may have drifted below the best verified k due to
-                    // non-monotonicity; re-verify the final candidate.
-                    m.size(g.node()) <= max_nodes
-                } =>
-            {
-                (g, c)
-            }
-            _ => {
-                let (g, c) = collapse_lowest(m, candidates.len());
-                outcome.rounds += 1;
-                (g, c)
-            }
-        };
-        outcome.nodes_collapsed += collapsed;
-        f = g;
-        // The trial rebuilds above leave sizeable garbage in the computed
-        // tables; drop it so long approximation campaigns stay bounded.
-        m.clear_caches();
-        // Collapsing every internal node yields a terminal, so progress is
-        // guaranteed; loop again in the (rare) non-monotone corner where
-        // the chosen k still left the diagram above the bound.
+    let snap = m.snapshot(f);
+    if snap.size() <= max_nodes || snap.is_empty() {
+        return (f, outcome);
     }
+    let (scores, leaves) = collapse_plans(m, f, &snap, strategy, mixture);
+    // Equal scores keep post-order, so the ranking is canonical too.
+    let mut order: Vec<u32> = (0..snap.len() as u32).collect();
+    order.sort_by(|&a, &b| {
+        scores[a as usize]
+            .partial_cmp(&scores[b as usize])
+            .expect("finite scores")
+    });
+
+    // Binary search the smallest k whose collapse meets the bound, on dry
+    // runs. Size is not monotone in k (shared sub-diagrams cascade), so
+    // this finds *a* small feasible k; if no k below "everything" is
+    // feasible, every candidate collapses — the root included, which
+    // leaves the constant estimator.
+    let mut sizer = snap.collapse_sizer(&order, &leaves);
+    let mut lo = 1usize;
+    let mut hi = order.len();
+    let mut best = None;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        outcome.rounds += 1;
+        if sizer.collapsed_size(mid) <= max_nodes {
+            best = Some(mid);
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    let k = best.unwrap_or_else(|| {
+        outcome.rounds += 1;
+        order.len()
+    });
+
+    // Materialize only the chosen collapse.
+    let replacements: FxHashMap<NodeId, f64> = order[..k]
+        .iter()
+        .map(|&i| (snap.node_id(i as usize), leaves[i as usize]))
+        .collect();
+    let g = m.collapse(f, &replacements);
+    debug_assert_eq!(m.size(g.node()), sizer.collapsed_size(k));
+    // Keep the computed tables bounded over long approximation campaigns:
+    // they still hold the apply results that grew `f`.
+    m.clear_caches();
+    outcome.nodes_collapsed = k;
+    (g, outcome)
 }
 
-/// Computes the per-node collapse plan (score + leaf) under the given
-/// measure mixture, or the paper's plain unweighted statistics when
-/// `mixture` is `None`.
+/// Ranking score and replacement leaf of every internal node of `snap`
+/// (the snapshot of `f`, dense order), under the given measure mixture, or from the paper's
+/// plain unweighted statistics when `mixture` is `None`.
 fn collapse_plans(
     m: &Manager,
     f: Add,
+    snap: &Snapshot,
     strategy: ApproxStrategy,
     mixture: Option<&[(ChainMeasure, f64)]>,
-) -> FxHashMap<charfree_dd::NodeId, CollapsePlan> {
-    match mixture {
-        None => {
-            let stats = m.add_stats(f);
-            stats
-                .iter()
-                .map(|(id, s)| {
-                    (
-                        id,
-                        CollapsePlan {
-                            score: strategy.local_score(&s),
-                            leaf: strategy.leaf(&s),
-                        },
-                    )
-                })
-                .collect()
-        }
-        Some(mixture) => {
-            let profiles: Vec<(f64, FxHashMap<charfree_dd::NodeId, MeasuredNode>)> = mixture
-                .iter()
-                .map(|(measure, w)| (*w, m.add_measured_profile(f, measure)))
-                .collect();
-            let mut plans: FxHashMap<charfree_dd::NodeId, CollapsePlan> = FxHashMap::default();
-            // Reference profile for node enumeration and (measure-
-            // independent) max values.
-            let (_, reference) = &profiles[0];
-            for (&id, node0) in reference {
-                // Mixture mass and mean.
-                let mut mass = 0.0f64;
-                let mut mean = 0.0f64;
-                for (w, prof) in &profiles {
-                    if let Some(p) = prof.get(&id) {
-                        mass += w * p.reach;
-                        mean += w * p.reach * p.stats.avg;
-                    }
-                }
-                let leaf = match strategy {
-                    ApproxStrategy::Average => {
-                        if mass > 0.0 {
-                            mean / mass
-                        } else {
-                            node0.stats.avg
-                        }
-                    }
-                    ApproxStrategy::UpperBound => node0.stats.max,
-                };
-                // Mixture-expected replacement MSE for leaf value `leaf`.
-                let mut score = 0.0f64;
-                for (w, prof) in &profiles {
-                    if let Some(p) = prof.get(&id) {
-                        let bias = p.stats.avg - leaf;
-                        score += w * p.reach * (p.stats.var + bias * bias);
-                    }
-                }
-                plans.insert(id, CollapsePlan { score, leaf });
+) -> (Vec<f64>, Vec<f64>) {
+    let n = snap.len();
+    let Some(mixture) = mixture else {
+        let stats = m.add_stats(f);
+        return (0..n)
+            .map(|i| {
+                let s = stats.get(snap.node_id(i)).expect("reachable");
+                (strategy.local_score(&s), strategy.leaf(&s))
+            })
+            .unzip();
+    };
+    let measures: Vec<&ChainMeasure> = mixture.iter().map(|(measure, _)| measure).collect();
+    let profile = snap.profile(&measures);
+    (0..n)
+        .map(|i| {
+            // Mixture mass and mean.
+            let mut mass = 0.0f64;
+            let mut mean = 0.0f64;
+            for (t, &(_, w)) in mixture.iter().enumerate() {
+                let p = profile.node(i, t);
+                mass += w * p.reach;
+                mean += w * p.reach * p.stats.avg;
             }
-            plans
-        }
-    }
+            let leaf = match strategy {
+                ApproxStrategy::Average if mass > 0.0 => mean / mass,
+                ApproxStrategy::Average => profile.node(i, 0).stats.avg,
+                ApproxStrategy::UpperBound => profile.node(i, 0).stats.max,
+            };
+            // Mixture-expected replacement MSE for leaf value `leaf`.
+            let mut score = 0.0f64;
+            for (t, &(_, w)) in mixture.iter().enumerate() {
+                let p = profile.node(i, t);
+                let bias = p.stats.avg - leaf;
+                score += w * p.reach * (p.stats.var + bias * bias);
+            }
+            (score, leaf)
+        })
+        .unzip()
 }
 
 #[cfg(test)]

@@ -456,6 +456,7 @@ impl<'a> ModelBuilder<'a> {
                 .collect(),
             VariableOrdering::Grouped => vec![(ChainMeasure::uniform(2 * n as u32), 1.0)],
         };
+        let measures: Vec<&ChainMeasure> = mixture.iter().map(|(measure, _)| measure).collect();
         let mut rounds = 0usize;
         let mut collapsed = 0usize;
         // Analytic per-measure means of the exact switching capacitance,
@@ -504,9 +505,9 @@ impl<'a> ModelBuilder<'a> {
                 let rise = m.try_bdd_and(not_gi, gf, &budget)?;
                 let mut means = vec![0.0f64; mixture.len()];
                 if self.recalibrate {
-                    for ((measure, _), mean) in mixture.iter().zip(&mut means) {
-                        let profile = m.add_measured_profile(rise.as_add(), measure);
-                        *mean += gate.load().femtofarads() * profile[&rise.node()].stats.avg;
+                    let rise_means = m.snapshot(rise.as_add()).means(&measures);
+                    for (mean, p) in means.iter_mut().zip(rise_means) {
+                        *mean += gate.load().femtofarads() * p;
                     }
                 }
                 let mut delta =
@@ -1452,6 +1453,36 @@ mod tests {
                 every_gate.capacitance(&xi, &xf),
                 never.capacitance(&xi, &xf)
             );
+        }
+
+        // Approximated models too: compacting after every gate and never
+        // compacting give the same operands different arena indices, and
+        // every approximation decision must depend on the functions alone.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for (name, max) in [("cm85", 100), ("decod", 20), ("x2", 100)] {
+            let netlist = charfree_netlist::benchmarks::by_name(name, &lib).expect("benchmark");
+            for strategy in [ApproxStrategy::Average, ApproxStrategy::UpperBound] {
+                let build = |every: usize| {
+                    ModelBuilder::new(&netlist)
+                        .max_nodes(max)
+                        .strategy(strategy)
+                        .compact_every(every)
+                        .build()
+                };
+                let (every_gate, never) = (build(1), build(usize::MAX));
+                assert_eq!(every_gate.size(), never.size(), "{name}@{max} {strategy:?}");
+                let mut rng = StdRng::seed_from_u64(1998);
+                let n = netlist.num_inputs();
+                for _ in 0..512 {
+                    let xi: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+                    let xf: Vec<bool> = (0..n).map(|_| rng.gen()).collect();
+                    assert_eq!(
+                        every_gate.capacitance(&xi, &xf).femtofarads().to_bits(),
+                        never.capacitance(&xi, &xf).femtofarads().to_bits(),
+                        "{name}@{max} {strategy:?} xi={xi:?} xf={xf:?}"
+                    );
+                }
+            }
         }
     }
 

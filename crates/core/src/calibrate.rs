@@ -25,7 +25,7 @@
 //! an upper bound must never be lowered.
 
 use charfree_dd::hash::FxHashMap;
-use charfree_dd::{Add, ChainMeasure, Manager, NodeId};
+use charfree_dd::{Add, ChainMeasure, Manager};
 
 /// Per-measure analytic means of the golden model, accumulated during
 /// construction: `exact_means[t] = Σⱼ Cⱼ·P_t(riseⱼ)`.
@@ -50,46 +50,47 @@ pub(crate) fn recalibrate_leaves(
         return model;
     }
 
-    // Reach of every terminal under every measure, and the model means.
-    let mut q: Vec<FxHashMap<NodeId, f64>> = Vec::with_capacity(t_count);
-    let mut bias = vec![0.0f64; t_count];
-    for (t, (measure, _)) in mixture.iter().enumerate() {
-        let profile = m.add_measured_profile(model, measure);
-        let mut model_mean = 0.0f64;
-        let mut terms: FxHashMap<NodeId, f64> = FxHashMap::default();
-        for (&id, node) in &profile {
-            if id.is_terminal() {
-                let v = m.terminal_value(id);
-                model_mean += node.reach * v;
-                if v != 0.0 {
-                    terms.insert(id, node.reach);
-                }
+    // Reach of every terminal under every measure, and the model means,
+    // summed over terminals in ascending value order.
+    let snap = m.snapshot(model);
+    let measures: Vec<&ChainMeasure> = mixture.iter().map(|(measure, _)| measure).collect();
+    let profile = snap.profile(&measures);
+    let values = snap.terminal_values();
+    let bias: Vec<f64> = (0..t_count)
+        .map(|t| {
+            let mut model_mean = 0.0f64;
+            for (j, &v) in values.iter().enumerate() {
+                model_mean += profile.terminal_reach(j, t) * v;
             }
-        }
-        bias[t] = model_mean - exact_means.0[t];
-        q.push(terms);
-    }
+            model_mean - exact_means.0[t]
+        })
+        .collect();
 
-    // All adjustable terminals (non-zero values).
-    let terminals: Vec<NodeId> = {
-        let mut set: Vec<NodeId> = q.iter().flat_map(|map| map.keys().copied()).collect();
-        set.sort();
-        set.dedup();
-        set
-    };
+    // All adjustable terminals: non-zero values reached under some measure.
+    let terminals: Vec<usize> = (0..values.len())
+        .filter(|&j| values[j] != 0.0 && (0..t_count).any(|t| profile.terminal_reach(j, t) > 0.0))
+        .collect();
     if terminals.is_empty() {
         return model;
     }
+    // q[t][l]: reach of adjustable terminal l under measure t.
+    let q: Vec<Vec<f64>> = (0..t_count)
+        .map(|t| {
+            terminals
+                .iter()
+                .map(|&j| profile.terminal_reach(j, t))
+                .collect()
+        })
+        .collect();
 
     // Mixture reach r_ℓ.
     let weights: Vec<f64> = mixture.iter().map(|&(_, w)| w).collect();
-    let r: Vec<f64> = terminals
-        .iter()
-        .map(|id| {
+    let r: Vec<f64> = (0..terminals.len())
+        .map(|l| {
             weights
                 .iter()
                 .zip(&q)
-                .map(|(w, map)| w * map.get(id).copied().unwrap_or(0.0))
+                .map(|(w, qt)| w * qt[l])
                 .sum::<f64>()
                 .max(1e-12)
         })
@@ -100,10 +101,8 @@ pub(crate) fn recalibrate_leaves(
     for s in 0..t_count {
         for t in 0..t_count {
             let mut acc = 0.0;
-            for (l, id) in terminals.iter().enumerate() {
-                let qs = q[s].get(id).copied().unwrap_or(0.0);
-                let qt = q[t].get(id).copied().unwrap_or(0.0);
-                acc += qs * qt / r[l];
+            for l in 0..terminals.len() {
+                acc += q[s][l] * q[t][l] / r[l];
             }
             system[s][t] = weights[t] * acc / ridge + if s == t { 1.0 } else { 0.0 };
         }
@@ -112,13 +111,13 @@ pub(crate) fn recalibrate_leaves(
 
     // δ_ℓ = −(1/λ r_ℓ)·Σ_t w_t q_t(ℓ) u_t, then clamp values at zero.
     let mut new_value: FxHashMap<u64, f64> = FxHashMap::default();
-    for (l, id) in terminals.iter().enumerate() {
+    for (l, &j) in terminals.iter().enumerate() {
         let mut shift = 0.0;
         for t in 0..t_count {
-            shift += weights[t] * q[t].get(id).copied().unwrap_or(0.0) * u[t];
+            shift += weights[t] * q[t][l] * u[t];
         }
         let delta = -shift / (ridge * r[l]);
-        let old = m.terminal_value(*id);
+        let old = values[j];
         new_value.insert(old.to_bits(), (old + delta).max(0.0));
     }
     m.add_map_terminals(model, |v| new_value.get(&v.to_bits()).copied().unwrap_or(v))
@@ -165,10 +164,7 @@ mod tests {
         let exact_means = ExactMeans(
             mixture
                 .iter()
-                .map(|(measure, _)| {
-                    let p = m.add_measured_profile(exact, measure);
-                    p[&exact.node()].stats.avg
-                })
+                .map(|(measure, _)| m.snapshot(exact).means(&[measure])[0])
                 .collect(),
         );
 
@@ -176,9 +172,7 @@ mod tests {
             mixture
                 .iter()
                 .zip(&exact_means.0)
-                .map(|((measure, _), &em)| {
-                    m.add_measured_profile(f, measure)[&f.node()].stats.avg - em
-                })
+                .map(|((measure, _), &em)| m.snapshot(f).means(&[measure])[0] - em)
                 .collect()
         };
         let before = bias_of(&m, model);

@@ -252,8 +252,7 @@ impl AddPowerModel {
         );
         let measure =
             charfree_dd::ChainMeasure::interleaved_transitions(self.num_inputs as u32, sp, st);
-        let profile = self.manager.add_measured_profile(self.root, &measure);
-        Capacitance(profile[&self.root.node()].stats.avg)
+        Capacitance(self.manager.snapshot(self.root).means(&[&measure])[0])
     }
 
     /// One transition achieving the model's maximum, as `(xi, xf)`.
@@ -442,6 +441,40 @@ mod tests {
         for i in 0..3 {
             assert_eq!(buf[ordering.xi_var(i, 3).index() as usize], xi[i]);
             assert_eq!(buf[ordering.xf_var(i, 3).index() as usize], xf[i]);
+        }
+    }
+
+    #[test]
+    fn expected_capacitance_is_pinned_for_exact_models() {
+        // Bit patterns of the root average of the full measured profile;
+        // the bottom-up mean must reproduce them to the last bit.
+        let library = charfree_netlist::Library::test_library();
+        type Pin = ((f64, f64), u64);
+        let pins: [(&str, [Pin; 3]); 2] = [
+            (
+                "decod",
+                [
+                    ((0.5, 0.5), 0x4048_e400_0000_0000),
+                    ((0.3, 0.2), 0x4035_b3a6_8b19_a414),
+                    ((0.8, 0.3), 0x4045_e3c8_f323_78ab),
+                ],
+            ),
+            (
+                "x2",
+                [
+                    ((0.5, 0.5), 0x4061_c926_6000_0000),
+                    ((0.3, 0.2), 0x4050_a5e8_9a28_09de),
+                    ((0.8, 0.3), 0x4061_44a8_0481_7f1b),
+                ],
+            ),
+        ];
+        for (name, points) in pins {
+            let netlist = charfree_netlist::benchmarks::by_name(name, &library).expect("benchmark");
+            let model = crate::builder::ModelBuilder::new(&netlist).build();
+            for ((sp, st), bits) in points {
+                let got = model.expected_capacitance(sp, st).femtofarads();
+                assert_eq!(got.to_bits(), bits, "{name} (sp={sp}, st={st}): {got}");
+            }
         }
     }
 }

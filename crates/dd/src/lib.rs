@@ -15,7 +15,8 @@
 //!   `add_sum` vocabulary of the paper's Fig. 6 pseudo-code;
 //! * per-node statistics (average, variance, min, max and the
 //!   max-replacement MSE of Eqs. 5–8) in one linear traversal
-//!   ([`Manager::add_stats`]);
+//!   ([`Manager::add_stats`]), and the same under input measures on a
+//!   dense, canonically ordered [`Snapshot`] of the diagram;
 //! * linear-time node collapsing ([`Manager::collapse`]) — the mechanism
 //!   behind the paper's accuracy/complexity trade-off;
 //! * variable permutation, garbage collection ([`Manager::compact`]) and
@@ -66,6 +67,7 @@ mod collapse;
 mod manager;
 mod node;
 pub mod reorder;
+mod snapshot;
 mod stats;
 
 pub use abstraction::Cubes;
@@ -73,4 +75,5 @@ pub use budget::{ApplyStats, Budget, CancelToken, DdError, Resource};
 pub use manager::{Add, Bdd, BinOp, Manager};
 pub use node::{NodeId, Var};
 pub use shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable, TableCounters, UniqueTable};
+pub use snapshot::{CollapseSizer, DenseProfile, Snapshot};
 pub use stats::{AddStats, ChainMeasure, MeasuredNode, NodeStats, VarMeasure};

@@ -200,7 +200,7 @@ impl ChainMeasure {
 }
 
 /// Measure-weighted per-node profile: mixture statistics and reach
-/// probability (see [`Manager::add_measured_profile`]).
+/// probability (see [`Snapshot::profile`](crate::Snapshot::profile)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredNode {
     /// Mixture statistics of the node's sub-function over the contexts in
@@ -370,160 +370,6 @@ impl Manager {
             *p.entry(hi).or_insert(0.0) += 0.5 * mass;
         }
         p
-    }
-
-    /// Per-node statistics and reach probabilities under a (chain-)
-    /// weighted input measure — see [`ChainMeasure`].
-    ///
-    /// Returns, for every node reachable from `f`, the measure-weighted
-    /// average/variance of its sub-function (mixed over the contexts in
-    /// which the node is reached), its min/max (measure-independent), and
-    /// the probability that a random path under the measure passes through
-    /// it. With [`ChainMeasure::uniform`] this coincides with
-    /// [`Manager::add_stats`] + [`Manager::reach_probabilities`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the measure does not cover [`Manager::num_vars`]
-    /// variables.
-    pub fn add_measured_profile(
-        &self,
-        f: Add,
-        measure: &ChainMeasure,
-    ) -> FxHashMap<NodeId, MeasuredNode> {
-        assert_eq!(
-            measure.len(),
-            self.num_vars() as usize,
-            "measure must cover every variable"
-        );
-        let root = f.node();
-
-        // ---- bottom-up: (avg, var) per (node, context); min/max per node.
-        // Context: the branch value taken at the *immediately preceding*
-        // variable, relevant only when this node tests a correlated
-        // variable. 0 = unconditioned, 1 = prev false, 2 = prev true.
-        let mut avg_var: FxHashMap<(NodeId, u8), (f64, f64)> = FxHashMap::default();
-        let mut min_max: FxHashMap<NodeId, (f64, f64)> = FxHashMap::default();
-        self.profile_down(root, 0, measure, &mut avg_var, &mut min_max);
-
-        // ---- top-down: reach mass per (node, context).
-        let order = self.topological_nodes(root);
-        let mut mass: FxHashMap<(NodeId, u8), f64> = FxHashMap::default();
-        mass.insert((root, 0), 1.0);
-        for &id in order.iter().rev() {
-            let v = self.node_var(id).index();
-            let (lo, hi) = self.children(id);
-            for ctx in 0u8..3 {
-                let w = match mass.get(&(id, ctx)) {
-                    Some(&w) if w > 0.0 => w,
-                    _ => continue,
-                };
-                let p1 = measure.prob_one(v as usize, ctx);
-                for (child, branch, share) in [(lo, 0u8, 1.0 - p1), (hi, 1u8, p1)] {
-                    if share == 0.0 {
-                        continue;
-                    }
-                    let cctx = self.child_context(child, v, branch, measure);
-                    *mass.entry((child, cctx)).or_insert(0.0) += w * share;
-                }
-            }
-        }
-
-        // ---- aggregate per node: mixture over contexts.
-        let mut out: FxHashMap<NodeId, MeasuredNode> = FxHashMap::default();
-        for (&(id, ctx), &w) in &mass {
-            if w <= 0.0 {
-                continue;
-            }
-            let (avg, var) = if id.is_terminal() {
-                (self.terminal_value(id), 0.0)
-            } else {
-                avg_var[&(id, ctx)]
-            };
-            let entry = out.entry(id).or_insert(MeasuredNode {
-                stats: NodeStats {
-                    avg: 0.0,
-                    var: 0.0,
-                    min: 0.0,
-                    max: 0.0,
-                },
-                reach: 0.0,
-            });
-            // Accumulate raw moments; normalized below.
-            entry.reach += w;
-            entry.stats.avg += w * avg;
-            entry.stats.var += w * (var + avg * avg);
-        }
-        for (&id, node) in &mut out {
-            let w = node.reach;
-            node.stats.avg /= w;
-            node.stats.var = (node.stats.var / w - node.stats.avg * node.stats.avg).max(0.0);
-            let (min, max) = if id.is_terminal() {
-                let v = self.terminal_value(id);
-                (v, v)
-            } else {
-                min_max[&id]
-            };
-            node.stats.min = min;
-            node.stats.max = max;
-        }
-        out
-    }
-
-    /// The context a child node sees after branching `branch` at variable
-    /// `v`: meaningful only if the child tests `v + 1` and that variable is
-    /// correlated with its predecessor.
-    #[inline]
-    fn child_context(&self, child: NodeId, v: u32, branch: u8, measure: &ChainMeasure) -> u8 {
-        if !child.is_terminal()
-            && self.node_var(child).index() == v + 1
-            && measure.is_correlated(v + 1)
-        {
-            branch + 1
-        } else {
-            0
-        }
-    }
-
-    fn profile_down(
-        &self,
-        id: NodeId,
-        ctx: u8,
-        measure: &ChainMeasure,
-        avg_var: &mut FxHashMap<(NodeId, u8), (f64, f64)>,
-        min_max: &mut FxHashMap<NodeId, (f64, f64)>,
-    ) -> (f64, f64) {
-        if id.is_terminal() {
-            let v = self.terminal_value(id);
-            return (v, 0.0);
-        }
-        if let Some(&r) = avg_var.get(&(id, ctx)) {
-            return r;
-        }
-        let v = self.node_var(id).index();
-        let (lo, hi) = self.children(id);
-        let p1 = measure.prob_one(v as usize, ctx);
-        let lo_ctx = self.child_context(lo, v, 0, measure);
-        let hi_ctx = self.child_context(hi, v, 1, measure);
-        let (al, vl) = self.profile_down(lo, lo_ctx, measure, avg_var, min_max);
-        let (ah, vh) = self.profile_down(hi, hi_ctx, measure, avg_var, min_max);
-        let avg = (1.0 - p1) * al + p1 * ah;
-        let var = (1.0 - p1) * (vl + (al - avg) * (al - avg)) + p1 * (vh + (ah - avg) * (ah - avg));
-        avg_var.insert((id, ctx), (avg, var));
-        if !min_max.contains_key(&id) {
-            let get_mm = |n: NodeId, mm: &FxHashMap<NodeId, (f64, f64)>| -> (f64, f64) {
-                if n.is_terminal() {
-                    let v = self.terminal_value(n);
-                    (v, v)
-                } else {
-                    mm[&n]
-                }
-            };
-            let (lmin, lmax) = get_mm(lo, min_max);
-            let (hmin, hmax) = get_mm(hi, min_max);
-            min_max.insert(id, (lmin.min(hmin), lmax.max(hmax)));
-        }
-        (avg, var)
     }
 
     /// Average value of the ADD over all assignments (Eq. 6).

@@ -1,7 +1,8 @@
 //! Property-based tests: decision-diagram operations against brute-force
 //! truth-table semantics on small variable counts.
 
-use charfree_dd::{Add, Bdd, BinOp, Manager, Var};
+use charfree_dd::hash::FxHashMap;
+use charfree_dd::{Add, Bdd, BinOp, ChainMeasure, Manager, Var};
 use proptest::prelude::*;
 
 const NVARS: u32 = 5;
@@ -92,6 +93,53 @@ fn build_add(m: &mut Manager, weights: &[f64]) -> Add {
         acc = m.add_plus(acc, delta);
     }
     acc
+}
+
+/// A random ADD with plenty of sharing and repeated values: a weighted sum
+/// plus a plateau on a random Boolean expression.
+fn build_shared_add(m: &mut Manager, weights: &[f64], plateau: &Expr, height: f64) -> Add {
+    let sum = build_add(m, weights);
+    let e = plateau.build(m);
+    let h = m.add_scale(e.as_add(), height);
+    m.add_plus(sum, h)
+}
+
+/// Replacement leaves drawn by the tests: signed zeros, values already on
+/// the diagram's terminals and a fresh one.
+const LEAVES: [f64; 5] = [0.0, -0.0, 1.0, 2.0, 0.5];
+
+/// Asserts that the dry-run size of collapsing `picks` (dense indices,
+/// collapsed in this order) matches the manager's collapse for every
+/// prefix.
+fn check_collapsed_size(
+    m: &mut Manager,
+    f: Add,
+    picks: &[(usize, usize)],
+) -> Result<(), TestCaseError> {
+    let snap = m.snapshot(f);
+    prop_assert_eq!(snap.size(), m.size(f.node()));
+    if snap.is_empty() {
+        return Ok(());
+    }
+    let mut order: Vec<u32> = Vec::new();
+    let mut leaves = vec![0.0; snap.len()];
+    for &(pick, leaf) in picks {
+        let i = pick % snap.len();
+        if !order.contains(&(i as u32)) {
+            order.push(i as u32);
+            leaves[i] = LEAVES[leaf % LEAVES.len()];
+        }
+    }
+    let mut sizer = snap.collapse_sizer(&order, &leaves);
+    for k in 0..=order.len() {
+        let repl: FxHashMap<_, f64> = order[..k]
+            .iter()
+            .map(|&i| (snap.node_id(i as usize), leaves[i as usize]))
+            .collect();
+        let g = m.collapse(f, &repl);
+        prop_assert_eq!(sizer.collapsed_size(k), m.size(g.node()));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -235,5 +283,96 @@ proptest! {
                 (0..NVARS as usize).map(|v| asg[perm[v].index() as usize]).collect();
             prop_assert_eq!(m.bdd_eval(g, &asg), m.bdd_eval(f, &pulled));
         }
+    }
+
+    #[test]
+    fn collapsed_size_matches_materialized_collapse(
+        w in proptest::collection::vec(0u32..3, NVARS as usize),
+        plateau in arb_expr(),
+        height in 0u32..3,
+        picks in proptest::collection::vec((0usize..64, 0usize..5), 0..8),
+    ) {
+        let mut m = Manager::new(NVARS);
+        let weights: Vec<f64> = w.iter().map(|&x| f64::from(x)).collect();
+        let f = build_shared_add(&mut m, &weights, &plateau, f64::from(height));
+        check_collapsed_size(&mut m, f, &picks)?;
+        // The root (last in post-order) replaced after, and before, one of
+        // its descendants.
+        let root = m.snapshot(f).len().saturating_sub(1);
+        let mut with_root = picks.clone();
+        with_root.push((root, 1));
+        check_collapsed_size(&mut m, f, &with_root)?;
+        with_root.rotate_right(1);
+        check_collapsed_size(&mut m, f, &with_root)?;
+    }
+
+    #[test]
+    fn uniform_dense_profile_agrees_with_stats_and_reach(
+        w in proptest::collection::vec(-10.0..10.0f64, NVARS as usize),
+        plateau in arb_expr(),
+    ) {
+        let mut m = Manager::new(NVARS);
+        let f = build_shared_add(&mut m, &w, &plateau, 3.0);
+        let snap = m.snapshot(f);
+        let profile = snap.profile(&[&ChainMeasure::uniform(NVARS)]);
+        let stats = m.add_stats(f);
+        let reach = m.reach_probabilities(f);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
+        for i in 0..snap.len() {
+            let id = snap.node_id(i);
+            let got = profile.node(i, 0);
+            let want = stats.get(id).expect("reachable");
+            prop_assert!(close(got.stats.avg, want.avg), "avg {} vs {}", got.stats.avg, want.avg);
+            prop_assert!(close(got.stats.var, want.var), "var {} vs {}", got.stats.var, want.var);
+            prop_assert_eq!(got.stats.min, want.min);
+            prop_assert_eq!(got.stats.max, want.max);
+            prop_assert!(close(got.reach, reach[&id]));
+        }
+        let values = snap.terminal_values().to_vec();
+        for (j, value) in values.into_iter().enumerate() {
+            let id = m.terminal(value);
+            prop_assert!(close(profile.terminal_reach(j, 0), reach[&id]));
+        }
+        if !snap.is_empty() {
+            let root = profile.node(snap.len() - 1, 0).stats.avg;
+            prop_assert_eq!(snap.means(&[&ChainMeasure::uniform(NVARS)])[0], root);
+        }
+    }
+
+    #[test]
+    fn chain_measure_means_match_enumeration(
+        w in proptest::collection::vec(0.0..10.0f64, 6),
+        sp in 0.2..0.8f64,
+        toggle in 0.05..0.4f64,
+    ) {
+        // Three interleaved pairs: the correlated contexts are exercised.
+        let mut m = Manager::new(6);
+        let f = build_add(&mut m, &w);
+        let both = {
+            let a = m.bdd_var(Var(2));
+            let b = m.bdd_var(Var(3));
+            let x = m.bdd_xor(a, b);
+            m.add_scale(x.as_add(), 7.0)
+        };
+        let f = m.add_plus(f, both);
+        let measure = ChainMeasure::interleaved_transitions(3, sp, toggle);
+        let mut want = 0.0;
+        for bits in 0..64u32 {
+            let asg: Vec<bool> = (0..6).map(|v| bits >> v & 1 == 1).collect();
+            let mut p = 1.0;
+            for v in 0..6usize {
+                let ctx = if measure.is_correlated(v as u32) { 1 + u8::from(asg[v - 1]) } else { 0 };
+                let p1 = measure.prob_one(v, ctx);
+                p *= if asg[v] { p1 } else { 1.0 - p1 };
+            }
+            want += p * m.add_eval(f, &asg);
+        }
+        let snap = m.snapshot(f);
+        let got = snap.means(&[&measure])[0];
+        prop_assert!((got - want).abs() < 1e-9, "{} vs {}", got, want);
+        // Terminal reach sums to one.
+        let profile = snap.profile(&[&measure]);
+        let total: f64 = (0..snap.terminal_values().len()).map(|j| profile.terminal_reach(j, 0)).sum();
+        prop_assert!((total - 1.0).abs() < 1e-9);
     }
 }
