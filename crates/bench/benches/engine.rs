@@ -1,5 +1,6 @@
 //! Compiled-kernel engine benchmarks: per-pattern arena traversal versus
-//! packed-batch kernel evaluation (one thread and four), plus kernel
+//! packed-batch kernel evaluation (one thread and four), the two batch
+//! evaluators (gather and walk) on prepacked blocks, plus kernel
 //! compilation cost. The `engine_throughput` binary reports the same
 //! comparison as `BENCH_engine.json`; this harness gives it a Criterion
 //! home next to the construction/evaluation suites.
@@ -43,14 +44,35 @@ fn trace_throughput(c: &mut Criterion) {
         let engine = TraceEngine::new(&kernel).jobs(4);
         b.iter(|| black_box(engine.evaluate(&patterns).sum_ff))
     });
-    group.bench_function("kernel_batch_prepacked", |b| {
-        let block = PatternBlock::from_patterns(&kernel, &patterns);
+    group.finish();
+}
+
+/// Prepacked batch evaluation on both sides of the kernel's evaluator
+/// choice: cm85 at `MAX` 500 gathers, exact cmb walks its instructions.
+fn batch_evaluators(c: &mut Criterion) {
+    let library = Library::test_library();
+    let mut group = c.benchmark_group("engine_batch");
+    for (netlist, max) in [
+        (benchmarks::cm85(&library), 500usize),
+        (benchmarks::cmb(&library), 0),
+    ] {
+        let mut builder = ModelBuilder::new(&netlist);
+        if max > 0 {
+            builder = builder.max_nodes(max);
+        }
+        let kernel = Kernel::compile(&builder.build());
+        let mut source = MarkovSource::new(netlist.num_inputs(), 0.5, 0.4, 9).expect("feasible");
+        let block = PatternBlock::from_patterns(&kernel, &source.sequence(4097));
         let mut out = vec![0.0; block.len()];
-        b.iter(|| {
-            kernel.eval_batch_into(&block, &mut out);
-            black_box(out[0])
-        })
-    });
+        group.throughput(Throughput::Elements(block.len() as u64));
+        let evaluator = if kernel.walks() { "walk" } else { "gather" };
+        group.bench_function(format!("{}/{evaluator}", netlist.name()), |b| {
+            b.iter(|| {
+                kernel.eval_batch_into(&block, &mut out);
+                black_box(out[0])
+            })
+        });
+    }
     group.finish();
 }
 
@@ -73,5 +95,5 @@ fn compile_cost(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, trace_throughput, compile_cost);
+criterion_group!(benches, trace_throughput, batch_evaluators, compile_cost);
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p charfree-bench --bin engine_throughput
-//!     [-- circuit ...]  subset of {decod, cm85, cm150, mux, seqpipe2}
+//!     [-- circuit ...]  subset of {decod, cm85, cm150, mux, cmb, seqpipe2}
 //!     [--vectors N]     transitions per circuit (default 20000)
 //!     [--jobs N]        parallel worker count (default 4)
 //!     [--quick]         500 vectors (CI smoke run)
@@ -25,13 +25,15 @@ use charfree_sim::MarkovSource;
 
 /// `(netlist, max_nodes)` per measured circuit; budgets follow the
 /// Table 1 configurations so the kernels are the models the accuracy
-/// experiments actually use.
+/// experiments actually use. Exact cmb (0.5 MB) is the one kernel large
+/// enough that its batches walk the instructions instead of gathering.
 fn circuits(library: &Library, filter: &[String]) -> Vec<(Netlist, usize)> {
     let all = [
         (benchmarks::decod(library), 0),
         (benchmarks::cm85(library), 500),
         (benchmarks::cm150(library), 1000),
         (benchmarks::mux(library), 1000),
+        (benchmarks::cmb(library), 0),
     ];
     all.into_iter()
         .filter(|(n, _)| filter.is_empty() || filter.iter().any(|f| f == n.name()))

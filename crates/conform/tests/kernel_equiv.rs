@@ -1,13 +1,17 @@
-//! Differential kernel-equivalence battery (PR 10's lockdown suite).
+//! Differential kernel-equivalence battery.
 //!
-//! The SoA gather engine and the fused multi-kernel evaluator replace
-//! the per-lane reference walk on every hot path — these tests are the
-//! contract that the replacement computes the *same function, bit for
-//! bit*. For seeded random circuits from the conform generator (plus
-//! the committed corpus), every case asserts via `f64::to_bits`:
+//! Batch evaluation runs one of two evaluators, chosen per kernel from
+//! its shape: the SoA gather (small kernels) or a lane-interleaved walk
+//! over the instructions (large ones); the fused multi-kernel evaluator
+//! runs the same choice. These tests are the contract that every batch
+//! path computes the *same function, bit for bit*, as the scalar
+//! [`Kernel::eval_transition`] walk, which shares no layout with
+//! either. For seeded random circuits from the conform generator, the
+//! committed corpus and the large built-in kernels, every case asserts
+//! via `f64::to_bits`:
 //!
-//! * reference interpreter ≡ SoA batch engine, per transition;
-//! * either engine ≡ fused multi-kernel evaluation, per transition —
+//! * scalar walk ≡ batch evaluation, per transition;
+//! * scalar walk ≡ fused multi-kernel evaluation, per transition —
 //!   including many kernels (exact, degraded, constant) sharing one
 //!   fused call with ragged block lengths;
 //! * 1-job ≡ 4-job [`TraceEngine`] shards (the pinned chunked-sum
@@ -22,7 +26,7 @@ use charfree_conform::case_spec;
 use charfree_conform::corpus::load_corpus;
 use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder};
 use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine};
-use charfree_netlist::{blif, Library};
+use charfree_netlist::{benchmarks, blif, Library};
 use charfree_sim::MarkovSource;
 use std::path::PathBuf;
 
@@ -34,7 +38,7 @@ fn committed_corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus")
 }
 
-/// Asserts reference ≡ SoA ≡ fused(single job) per transition and
+/// Asserts scalar ≡ batch ≡ fused(single job) per transition and
 /// 1-job ≡ 4-job summaries, all via `to_bits`. Returns the kernel so
 /// callers can pool it into a multi-kernel fused call.
 fn check_engines_agree(name: &str, model: &AddPowerModel, patterns: &[Vec<bool>]) -> Kernel {
@@ -42,15 +46,17 @@ fn check_engines_agree(name: &str, model: &AddPowerModel, patterns: &[Vec<bool>]
     let block = PatternBlock::from_patterns(&kernel, patterns);
     let transitions = patterns.len().saturating_sub(1);
 
-    let mut reference = vec![0.0; transitions];
-    kernel.eval_batch_reference_into(&block, &mut reference);
-    let soa = kernel.eval_batch(&block);
-    assert_eq!(soa.len(), reference.len(), "{name}: length");
-    for (t, (r, s)) in reference.iter().zip(&soa).enumerate() {
+    let scalar: Vec<f64> = patterns
+        .windows(2)
+        .map(|w| kernel.eval_transition(&w[0], &w[1]))
+        .collect();
+    let batch = kernel.eval_batch(&block);
+    assert_eq!(batch.len(), scalar.len(), "{name}: length");
+    for (t, (r, b)) in scalar.iter().zip(&batch).enumerate() {
         assert_eq!(
             r.to_bits(),
-            s.to_bits(),
-            "{name}: reference vs SoA diverge at transition {t} ({r} vs {s})"
+            b.to_bits(),
+            "{name}: scalar vs batch diverge at transition {t} ({r} vs {b})"
         );
     }
 
@@ -60,11 +66,11 @@ fn check_engines_agree(name: &str, model: &AddPowerModel, patterns: &[Vec<bool>]
         block: &block,
         out: &mut fused_out,
     }]);
-    for (t, (r, f)) in reference.iter().zip(&fused_out).enumerate() {
+    for (t, (r, f)) in scalar.iter().zip(&fused_out).enumerate() {
         assert_eq!(
             r.to_bits(),
             f.to_bits(),
-            "{name}: reference vs fused diverge at transition {t} ({r} vs {f})"
+            "{name}: scalar vs fused diverge at transition {t} ({r} vs {f})"
         );
     }
 
@@ -117,8 +123,12 @@ fn sweep(cases: usize, seed: u64, vectors: usize) {
         }
     }
 
-    // All pooled kernels in ONE fused call (ragged lengths, mixed
-    // shapes) must match their solo SoA evaluations bit for bit.
+    check_pooled_fused(&pool);
+}
+
+/// All pooled kernels in ONE fused call (ragged lengths, mixed shapes
+/// and evaluators) must match their solo batch evaluations bit for bit.
+fn check_pooled_fused(pool: &[(String, Kernel, Vec<Vec<bool>>)]) {
     let blocks: Vec<PatternBlock> = pool
         .iter()
         .map(|(_, kernel, patterns)| PatternBlock::from_patterns(kernel, patterns))
@@ -162,8 +172,42 @@ fn kernel_equivalence_full_sweep() {
     sweep(128, 0xD15EA5E, 48);
 }
 
+/// The smoke tier's walking side: exact cm85 and cmb are large enough
+/// that their batches walk the instructions, so on every push they run
+/// the battery on their own and pooled into one fused call beside
+/// kernels that gather.
+#[test]
+fn large_builtin_kernels_walk_through_all_engines() {
+    let library = Library::test_library();
+    let mut pool: Vec<(String, Kernel, Vec<Vec<bool>>)> = Vec::new();
+    for (i, (netlist, max_nodes)) in [
+        (benchmarks::cm85(&library), None),
+        (benchmarks::cmb(&library), None),
+        (benchmarks::cm85(&library), Some(500)),
+        (benchmarks::decod(&library), None),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut builder = ModelBuilder::new(&netlist);
+        if let Some(max) = max_nodes {
+            builder = builder.max_nodes(max);
+        }
+        let model = builder.build();
+        let (sp, st) = OPERATING_POINTS[i % OPERATING_POINTS.len()];
+        let mut source = MarkovSource::new(netlist.num_inputs(), sp, st, 0x1A26E + i as u64)
+            .expect("feasible statistics");
+        let patterns = source.sequence(700 + 37 * i);
+        let name = format!("{}@{max_nodes:?}", netlist.name());
+        let kernel = check_engines_agree(&name, &model, &patterns);
+        assert_eq!(kernel.walks(), i < 2, "{name}: evaluator choice");
+        pool.push((name, kernel, patterns));
+    }
+    check_pooled_fused(&pool);
+}
+
 /// Every committed combinational corpus repro replays through the
-/// reference ≡ SoA ≡ fused battery on its recorded trace (sequential
+/// scalar ≡ batch ≡ fused battery on its recorded trace (sequential
 /// repros go through the sequential lattice in the conform sweep
 /// instead — the fused path is exercised there via `trace_fused`).
 #[test]

@@ -15,14 +15,19 @@
 //! macro's packed block for a flush window to one [`eval_fused`] call
 //! instead of looping kernels one at a time.
 //!
+//! Only kernels whose batch evaluator is the gather take part in the
+//! rounds. Kernels that walk (large ones, see
+//! [`Kernel::eval_batch_into`]) and constant kernels are evaluated
+//! before the rounds and hold no mask or selector scratch.
+//!
 //! Fusion changes scheduling only — every lane still flows through its
-//! own kernel's SoA program into the same terminal slot — so results
-//! are f64 bit-identical to per-kernel [`Kernel::eval_batch_into`]
-//! calls (the kernel-equivalence suites enforce it).
+//! own kernel's evaluator into the same terminal slot — so results are
+//! f64 bit-identical to per-kernel [`Kernel::eval_batch_into`] calls
+//! (the kernel-equivalence suites enforce it).
 
 use crate::block::PatternBlock;
-use crate::kernel::{Kernel, TERMINAL_BIT};
-use crate::soa::{MaskRow, CHUNK_GROUPS, GROUP_LANES, ZERO_ROW};
+use crate::kernel::{Batch, Kernel};
+use crate::soa::{MaskRow, SoaProgram, CHUNK_GROUPS, GROUP_LANES, ZERO_ROW};
 
 /// One kernel's share of a fused evaluation: its packed block and the
 /// output slice to fill (`out.len()` must equal `block.len()`).
@@ -36,76 +41,82 @@ pub struct FusedJob<'a> {
     pub out: &'a mut [f64],
 }
 
-/// Per chunk-active job: its index and next gather round. Rounds
+/// A gathering job's program, scratch and next gather round. Rounds
 /// `0 .. num_levels` gather that level's state range; the final round
 /// gathers the terminal rows.
-struct Cursor {
+struct Gather<'k> {
     job: usize,
+    soa: &'k SoaProgram,
+    /// One mask row per state (zeroed once — unwritten rows must stay
+    /// zero) and one per-chunk selector table.
+    masks: Vec<MaskRow>,
+    sels: Vec<MaskRow>,
     round: usize,
 }
 
-/// Evaluates every job's block in one fused pass: per chunk of
-/// [`CHUNK_GROUPS`] 64-lane groups, all jobs with lanes there advance
-/// together, one level-range gather per kernel per round (see module
-/// docs).
+/// Evaluates every job's block in one fused pass: per chunk of four
+/// 64-lane groups, all gathering jobs with lanes there advance together,
+/// one level-range gather per kernel per round (see module docs).
+/// Constant and walking kernels are evaluated up front, outside the
+/// rounds, and get no gather scratch.
 ///
 /// # Panics
 ///
 /// Panics if any job's `out.len() != block.len()` or its block is
 /// narrower than its kernel's variable count.
 pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
+    let mut gathers: Vec<Gather> = Vec::new();
     let mut max_groups = 0usize;
-    for job in jobs.iter() {
+    for (j, job) in jobs.iter_mut().enumerate() {
         assert_eq!(job.out.len(), job.block.len(), "output length mismatch");
         assert!(
             job.block.num_vars() >= job.kernel.num_vars() as usize,
             "pattern block is narrower than the kernel"
         );
-        max_groups = max_groups.max(job.block.len().div_ceil(GROUP_LANES));
-    }
-    // Constant kernels read no input; fill them up front.
-    for job in jobs.iter_mut() {
-        if job.kernel.soa.is_constant() {
-            let value = job.kernel.terminals[(job.kernel.root & !TERMINAL_BIT) as usize];
-            job.out.fill(value);
-        }
-    }
-    // Per-job scratch: one mask row per state (zeroed once — unwritten
-    // rows must stay zero) and one per-chunk selector table.
-    let mut masks: Vec<Vec<MaskRow>> = jobs
-        .iter()
-        .map(|job| vec![ZERO_ROW; job.kernel.soa.num_states()])
-        .collect();
-    let mut sels: Vec<Vec<MaskRow>> = jobs
-        .iter()
-        .map(|job| vec![ZERO_ROW; job.kernel.soa.num_sels()])
-        .collect();
-    let mut active: Vec<Cursor> = Vec::with_capacity(jobs.len());
-    let mut g0 = 0usize;
-    while g0 < max_groups {
-        active.clear();
-        for (j, job) in jobs.iter().enumerate() {
-            if g0 * GROUP_LANES < job.block.len() && !job.kernel.soa.is_constant() {
-                active.push(Cursor { job: j, round: 0 });
+        let kernel: &Kernel = job.kernel;
+        match kernel.batch() {
+            Batch::Constant(value) => job.out.fill(value),
+            Batch::Walk => kernel.walk_block(job.block, job.out),
+            Batch::Gather(soa) => {
+                max_groups = max_groups.max(job.block.len().div_ceil(GROUP_LANES));
+                gathers.push(Gather {
+                    job: j,
+                    soa,
+                    masks: vec![ZERO_ROW; soa.num_states()],
+                    sels: vec![ZERO_ROW; soa.num_sels()],
+                    round: 0,
+                });
             }
         }
-        // Seed each active job's root masks and build its selector
-        // table for this chunk's groups.
-        for cur in active.iter_mut() {
-            let job = &jobs[cur.job];
-            let soa = &job.kernel.soa;
-            let scratch = &mut masks[cur.job];
+    }
+    let mut g0 = 0usize;
+    while g0 < max_groups {
+        let lo = g0 * GROUP_LANES;
+        // Seed each job with lanes in this chunk and build its selector
+        // table for the chunk's groups; jobs without lanes sit it out.
+        for gather in gathers.iter_mut() {
+            let job = &jobs[gather.job];
+            if lo >= job.out.len() {
+                gather.round = gather.soa.num_rounds();
+                continue;
+            }
+            gather.round = 0;
             for g in 0..CHUNK_GROUPS {
-                let lo = (g0 + g) * GROUP_LANES;
-                let n = job.out.len().saturating_sub(lo).min(GROUP_LANES);
+                let n = job
+                    .out
+                    .len()
+                    .saturating_sub(lo + g * GROUP_LANES)
+                    .min(GROUP_LANES);
                 let live = if n == GROUP_LANES {
                     !0u64
                 } else {
                     (1u64 << n) - 1
                 };
-                soa.seed_root(scratch, g, live);
+                gather.soa.seed_root(&mut gather.masks, g, live);
             }
-            soa.build_sels(job.block, g0, job.out.len(), &mut sels[cur.job]);
+            gather
+                .soa
+                .build_sels(job.block, g0, job.out.len(), &mut gather.sels);
         }
         // Lockstep rounds: one level-range gather per kernel per round,
         // so the N kernels' mask streams interleave. Round 0 has no
@@ -113,28 +124,30 @@ pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
         // terminal rows.
         loop {
             let mut running = false;
-            for cur in active.iter_mut() {
-                let job = &jobs[cur.job];
-                let soa = &job.kernel.soa;
-                if cur.round >= soa.num_rounds() {
+            for gather in gathers.iter_mut() {
+                if gather.round >= gather.soa.num_rounds() {
                     continue;
                 }
-                soa.gather_round(&mut masks[cur.job], &sels[cur.job], cur.round);
-                cur.round += 1;
-                running |= cur.round < soa.num_rounds();
+                gather
+                    .soa
+                    .gather_round(&mut gather.masks, &gather.sels, gather.round);
+                gather.round += 1;
+                running |= gather.round < gather.soa.num_rounds();
             }
             if !running {
                 break;
             }
         }
         // Scatter this chunk's terminal masks into each job's output.
-        for cur in &active {
-            let job = &mut jobs[cur.job];
-            let lo = g0 * GROUP_LANES;
+        for gather in &gathers {
+            let job = &mut jobs[gather.job];
+            if lo >= job.out.len() {
+                continue;
+            }
             let hi = (lo + CHUNK_GROUPS * GROUP_LANES).min(job.out.len());
-            job.kernel
+            gather
                 .soa
-                .scatter(&masks[cur.job], &job.kernel.terminals, &mut job.out[lo..hi]);
+                .scatter(&gather.masks, &job.kernel.terminals, &mut job.out[lo..hi]);
         }
         g0 += CHUNK_GROUPS;
     }

@@ -20,6 +20,14 @@
 //! parents, so every internal reference points *backwards* — evaluation
 //! can never loop, and the invariant is re-checked when kernels are
 //! loaded from disk.
+//!
+//! ## Two program forms
+//!
+//! `instrs` is the persisted form: scalar evaluation, expectations and
+//! batches of large kernels walk it. Kernels with at most
+//! [`WALK_RATIO`] instructions per level of depth also carry a derived,
+//! never-persisted SoA gather program ([`crate::soa`]) for their
+//! batches. [`Kernel::bytes`] counts the persisted form only.
 
 use crate::block::PatternBlock;
 use crate::soa::SoaProgram;
@@ -82,33 +90,33 @@ pub struct Kernel {
     /// `true` when the source model used the interleaved ordering (the
     /// only ordering whose transition measure is chain-expressible).
     pub(crate) interleaved: bool,
-    /// Batch-evaluation program derived from `instrs` (never persisted):
-    /// level-fused 4-way dispatch with terminal references remapped to
-    /// self-looping pseudo-instructions appended after the real ones —
-    /// see [`Kernel::rebuild_program`]. Kept as the differential
-    /// *reference interpreter* ([`Kernel::eval_batch_reference_into`]);
-    /// the hot path is the level-packed SoA program below.
-    pub(crate) program: Vec<FusedInstr>,
-    /// Level-packed SoA program (never persisted): the default batch
-    /// engine — see [`crate::soa`].
-    pub(crate) soa: SoaProgram,
+    /// Level-packed SoA gather program (never persisted), built only
+    /// for kernels whose batch evaluator is the gather — see
+    /// [`Kernel::derive_batch`]. `None` means batches walk `instrs`.
+    pub(crate) soa: Option<SoaProgram>,
     /// Longest root-to-terminal path in `instrs` (edges). `0` for
     /// constant kernels.
     pub(crate) depth: u32,
-    /// Upper bound on fused steps from root to terminal — the batched
-    /// walk's iteration bound.
-    pub(crate) fused_depth: u32,
 }
 
-/// One 4-way batch-program step: test diagram variables `v1` and `v2`
-/// and continue at `succ[v1_bit·2 + v2_bit]`. Successors are *program*
-/// indices (no tag bit); indices at or past the terminal base are
-/// self-looping terminal pseudo-instructions.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FusedInstr {
-    pub(crate) v1: u32,
-    pub(crate) v2: u32,
-    pub(crate) succ: [u32; 4],
+/// Instructions per unit of depth above which a kernel's batches walk
+/// `instrs` instead of gathering: the gather costs about `edges / 256`
+/// per lane, the walk about `depth`. Fitted on the built-in kernels
+/// (DESIGN §18); kernels near the line stay on the gather.
+const WALK_RATIO: usize = 192;
+
+/// Lanes one batched walk advances side by side — independent load
+/// chains the core overlaps.
+const WALK_LANES: usize = 8;
+
+/// How a kernel evaluates a packed block (see [`Kernel::batch`]).
+pub(crate) enum Batch<'k> {
+    /// The root is a terminal: every lane gets this value.
+    Constant(f64),
+    /// Level-packed SoA gather sweep ([`crate::soa`]).
+    Gather(&'k SoaProgram),
+    /// Lane-interleaved root-to-terminal walk over `instrs`.
+    Walk,
 }
 
 impl Kernel {
@@ -175,79 +183,21 @@ impl Kernel {
             xi_vars,
             xf_vars,
             interleaved: ordering == charfree_core::VariableOrdering::Interleaved,
-            program: Vec::new(),
-            soa: SoaProgram::default(),
+            soa: None,
             depth: 0,
-            fused_depth: 0,
         };
-        kernel.rebuild_program();
+        kernel.derive_batch();
         kernel
     }
 
-    /// Derives the batch program from `instrs`/`terminals` (called after
-    /// compilation and after loading from disk).
-    ///
-    /// Two transformations make the batched walk branch-free and short:
-    ///
-    /// * **Terminal self-loops** — terminal references `T_k` become index
-    ///   `instrs.len() + k` of a pseudo-instruction that loops on itself,
-    ///   so a walk needs no per-step "is this a terminal?" test; finished
-    ///   lanes idle harmlessly while the others catch up.
-    /// * **Level fusion** — each step tests the node's variable *and* the
-    ///   next one, dispatching 4-way straight to the grandchild (children
-    ///   that skip the second variable just duplicate their entry). This
-    ///   halves the serial dependent-load chain, which is what bounds a
-    ///   decision-diagram walk.
-    pub(crate) fn rebuild_program(&mut self) {
-        let term_base = self.instrs.len() as u32;
-        let remap = |r: u32| -> u32 {
-            if r & TERMINAL_BIT != 0 {
-                term_base + (r & !TERMINAL_BIT)
-            } else {
-                r
-            }
-        };
-        // One fused step from reference `c` under the second tested
-        // variable `v2` and its bit `b2`.
-        let hop = |c: u32, v2: u32, b2: u32| -> u32 {
-            if c & TERMINAL_BIT == 0 {
-                let child = &self.instrs[c as usize];
-                if child.var == v2 {
-                    return remap(if b2 == 1 { child.hi } else { child.lo });
-                }
-            }
-            remap(c)
-        };
-        self.program.clear();
-        self.program
-            .reserve(self.instrs.len() + self.terminals.len());
-        for ins in &self.instrs {
-            // The second tested variable; the last level re-tests itself
-            // (children there are terminals, so the bit is a don't-care)
-            // to keep the word index in range.
-            let v2 = (ins.var + 1).min(self.num_vars - 1);
-            self.program.push(FusedInstr {
-                v1: ins.var,
-                v2,
-                succ: [
-                    hop(ins.lo, v2, 0),
-                    hop(ins.lo, v2, 1),
-                    hop(ins.hi, v2, 0),
-                    hop(ins.hi, v2, 1),
-                ],
-            });
-        }
-        for k in 0..self.terminals.len() as u32 {
-            // Self-loop; variable 0 is read but ignored.
-            self.program.push(FusedInstr {
-                v1: 0,
-                v2: 0,
-                succ: [term_base + k; 4],
-            });
-        }
-        // Longest paths (children precede parents, so one forward pass):
-        // over `instrs` edges for `depth`, over fused steps for the
-        // batched walk's iteration bound.
+    /// Measures `depth` and chooses the batch evaluator (called after
+    /// compilation and after loading from disk): kernels with more than
+    /// [`WALK_RATIO`] instructions per level of depth walk `instrs`,
+    /// the other non-constant ones get a level-packed SoA gather
+    /// program.
+    pub(crate) fn derive_batch(&mut self) {
+        // Longest path per instruction; children precede parents, so
+        // one forward pass suffices.
         let mut longest = vec![0u32; self.instrs.len()];
         let path = |r: u32, longest: &[u32]| -> u32 {
             if r & TERMINAL_BIT != 0 {
@@ -260,29 +210,21 @@ impl Kernel {
             longest[i] = 1 + path(ins.lo, &longest).max(path(ins.hi, &longest));
         }
         self.depth = path(self.root, &longest);
-        let mut fused = vec![0u32; self.instrs.len()];
-        for i in 0..self.instrs.len() {
-            let step = &self.program[i];
-            let flen = |r: u32, fused: &[u32]| -> u32 {
-                if r >= term_base {
-                    0
-                } else {
-                    fused[r as usize]
-                }
-            };
-            fused[i] = 1 + step
-                .succ
-                .iter()
-                .map(|&s| flen(s, &fused))
-                .max()
-                .expect("four successors");
+        let gathers = self.depth > 0 && self.instrs.len() <= WALK_RATIO * self.depth as usize;
+        self.soa = gathers.then(|| {
+            SoaProgram::build(&self.instrs, self.terminals.len(), self.root, self.num_vars)
+        });
+    }
+
+    /// The batch evaluator chosen by [`Kernel::derive_batch`].
+    pub(crate) fn batch(&self) -> Batch<'_> {
+        if self.root & TERMINAL_BIT != 0 {
+            return Batch::Constant(self.terminals[(self.root & !TERMINAL_BIT) as usize]);
         }
-        self.fused_depth = if self.root & TERMINAL_BIT != 0 {
-            0
-        } else {
-            fused[self.root as usize]
-        };
-        self.soa = SoaProgram::build(&self.instrs, self.terminals.len(), self.root, self.num_vars);
+        match &self.soa {
+            Some(soa) => Batch::Gather(soa),
+            None => Batch::Walk,
+        }
     }
 
     /// Display name inherited from the source model.
@@ -311,8 +253,7 @@ impl Kernel {
     }
 
     /// Longest root-to-terminal path in instructions (`0` for constant
-    /// kernels, at most `2n`). The batched walk's level-fused program
-    /// takes at most `⌈depth / 2⌉`-ish steps — see
+    /// kernels, at most `2n`) — the step bound of a walking batch, see
     /// [`Kernel::eval_batch_into`].
     pub fn depth(&self) -> u32 {
         self.depth
@@ -380,38 +321,36 @@ impl Kernel {
         }
     }
 
-    /// Number of populated pair levels in the SoA program — the exact
-    /// step count of a full-depth batched walk.
-    pub fn num_levels(&self) -> usize {
-        self.soa.num_levels()
+    /// `true` when batches walk `instrs` rather than gather (see
+    /// [`Kernel::eval_batch_into`]).
+    pub fn walks(&self) -> bool {
+        matches!(self.batch(), Batch::Walk)
     }
 
     /// Evaluates every transition lane of a packed [`PatternBlock`] into
     /// `out` (which must be exactly `block.len()` long).
     ///
-    /// This is the level-packed SoA engine (see [`crate::soa`]): one
-    /// ascending gather sweep computes every state's 64-bit lane masks
-    /// from its predecessors via per-level selector rows, 256 lanes per
-    /// pass — f64 bit-identical to
-    /// [`Kernel::eval_batch_reference_into`] by construction, and
-    /// enforced by the kernel-equivalence suites.
+    /// The evaluator was chosen once, from the kernel's shape, when it
+    /// was compiled or loaded. Small kernels run the level-packed SoA
+    /// gather: one ascending sweep computes every state's lane masks,
+    /// 256 lanes per pass, at a cost of about `edges / 256` per lane.
+    /// Large kernels (more than 192 instructions per level of depth)
+    /// walk `instrs` root to terminal, eight lanes side by side, at a
+    /// cost of about `depth` per lane; [`Kernel::walks`] tells which.
+    /// Both are f64 bit-identical to [`Kernel::eval_transition`], which
+    /// the kernel-equivalence suites enforce.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != block.len()` or the block is narrower than
     /// the kernel's variable count.
     pub fn eval_batch_into(&self, block: &PatternBlock, out: &mut [f64]) {
-        assert_eq!(out.len(), block.len(), "output length mismatch");
-        assert!(
-            block.num_vars() >= self.num_vars as usize,
-            "pattern block is narrower than the kernel"
-        );
         self.eval_batch_into_with(block, out, &mut crate::soa::EvalScratch::default());
     }
 
-    /// [`Kernel::eval_batch_into`] with caller-held scratch buffers —
-    /// the worker loops evaluate many small blocks per trace and reuse
-    /// one scratch across all of them.
+    /// [`Kernel::eval_batch_into`] with caller-held gather scratch — the
+    /// worker loops evaluate many small blocks per trace and reuse one
+    /// scratch across all of them (walking kernels never touch it).
     pub(crate) fn eval_batch_into_with(
         &self,
         block: &PatternBlock,
@@ -423,79 +362,54 @@ impl Kernel {
             block.num_vars() >= self.num_vars as usize,
             "pattern block is narrower than the kernel"
         );
-        if self.soa.is_constant() {
-            // Constant kernel: the root is a terminal.
-            out.fill(self.terminals[(self.root & !TERMINAL_BIT) as usize]);
-            return;
+        match self.batch() {
+            Batch::Constant(value) => out.fill(value),
+            Batch::Gather(soa) => soa.eval_block(
+                &self.terminals,
+                block,
+                out,
+                &mut scratch.masks,
+                &mut scratch.sels,
+            ),
+            Batch::Walk => self.walk_block(block, out),
         }
-        self.soa.eval_block(
-            &self.terminals,
-            block,
-            out,
-            &mut scratch.masks,
-            &mut scratch.sels,
-        );
     }
 
-    /// Evaluates a packed [`PatternBlock`] through the pre-SoA
-    /// level-fused interpreter (groups of eight lanes over the 4-way
-    /// dispatch program). Kept as the *differential reference* for the
-    /// kernel-equivalence battery: it shares no layout with the SoA
-    /// engine yet must agree with it f64 bit-exactly on every block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != block.len()` or the block is narrower than
-    /// the kernel's variable count.
-    pub fn eval_batch_reference_into(&self, block: &PatternBlock, out: &mut [f64]) {
-        assert_eq!(out.len(), block.len(), "output length mismatch");
-        assert!(
-            block.num_vars() >= self.num_vars as usize,
-            "pattern block is narrower than the kernel"
-        );
-        if self.depth == 0 {
-            // Constant kernel: the root is a terminal.
-            out.fill(self.terminals[(self.root & !TERMINAL_BIT) as usize]);
-            return;
-        }
-        const LANES: usize = 8;
-        let prog = &self.program[..];
-        let term_base = self.instrs.len() as u32;
-        for (b, group) in out.chunks_mut(64).enumerate() {
-            let words = block.block_words(b);
-            let mut lane = 0usize;
-            while lane + LANES <= group.len() {
-                let mut r = [self.root; LANES];
-                for _ in 0..self.fused_depth {
-                    let mut min = u32::MAX;
+    /// Walks every lane of `block` from the root to its terminal,
+    /// [`WALK_LANES`] lanes of one 64-lane group at a time; finished
+    /// lanes hold their terminal reference until the slowest one lands.
+    /// A ragged last batch also walks the lanes past the block's end
+    /// (any bits lead to some terminal) and discards them. The root
+    /// must be internal.
+    pub(crate) fn walk_block(&self, block: &PatternBlock, out: &mut [f64]) {
+        let instrs = &self.instrs[..];
+        // One step of one lane, branch-free: the branch bits are data
+        // and would mispredict half the time. A terminal reference stays
+        // put (it reads instruction 0 and discards the result).
+        let step = |r: u32, words: &[u64], lane: usize| -> u32 {
+            let stay = 0u32.wrapping_sub((r & TERMINAL_BIT != 0) as u32);
+            let ins = instrs[(r & !stay) as usize];
+            let take_hi = 0u32.wrapping_sub((words[ins.var as usize] >> lane) as u32 & 1);
+            let next = ins.lo ^ ((ins.lo ^ ins.hi) & take_hi);
+            next ^ ((next ^ r) & stay)
+        };
+        for (g, group) in out.chunks_mut(64).enumerate() {
+            let words = block.block_words(g);
+            for (c, values) in group.chunks_mut(WALK_LANES).enumerate() {
+                let mut r = [self.root; WALK_LANES];
+                loop {
+                    let mut landed = TERMINAL_BIT;
                     for (k, rk) in r.iter_mut().enumerate() {
-                        let f = prog[*rk as usize];
-                        let b1 = words[f.v1 as usize] >> (lane + k) & 1;
-                        let b2 = words[f.v2 as usize] >> (lane + k) & 1;
-                        *rk = f.succ[((b1 << 1) | b2) as usize];
-                        min = min.min(*rk);
+                        *rk = step(*rk, words, c * WALK_LANES + k);
+                        landed &= *rk;
                     }
-                    // All lanes parked in terminal self-loops: done early
-                    // (paths are often much shorter than the worst case).
-                    if min >= term_base {
+                    if landed != 0 {
                         break;
                     }
                 }
-                for (k, rk) in r.iter().enumerate() {
-                    group[lane + k] = self.terminals[(rk - term_base) as usize];
+                for (value, rk) in values.iter_mut().zip(r) {
+                    *value = self.terminals[(rk & !TERMINAL_BIT) as usize];
                 }
-                lane += LANES;
-            }
-            // Fused early-exit walk for the ragged tail.
-            for (lane, slot) in group.iter_mut().enumerate().skip(lane) {
-                let mut r = self.root;
-                while r < term_base {
-                    let f = prog[r as usize];
-                    let b1 = words[f.v1 as usize] >> lane & 1;
-                    let b2 = words[f.v2 as usize] >> lane & 1;
-                    r = f.succ[((b1 << 1) | b2) as usize];
-                }
-                *slot = self.terminals[(r - term_base) as usize];
             }
         }
     }
@@ -665,7 +579,7 @@ mod tests {
     use super::*;
     use charfree_core::{ModelBuilder, PowerModel};
     use charfree_netlist::{benchmarks, Library};
-    use charfree_sim::ExhaustivePairs;
+    use charfree_sim::{ExhaustivePairs, MarkovSource};
 
     #[test]
     fn compiled_kernel_matches_arena_exhaustively() {
@@ -738,5 +652,156 @@ mod tests {
         Kernel::compile(&model)
             .validate()
             .expect("compiled kernels are valid");
+    }
+
+    /// The built-in kernels the batch rule is fitted and pinned on:
+    /// every exact model that builds in seconds, and every `MAX`
+    /// configuration `perf`'s `serve_mixed` working set serves.
+    fn rule_kernels() -> Vec<(String, Kernel)> {
+        let library = Library::test_library();
+        let exact = [
+            "decod", "cm85", "cm150", "mux", "comp", "x2", "parity", "pcle", "cmb", "alu2",
+        ];
+        let bounded = [
+            ("cm85", 100),
+            ("cm85", 250),
+            ("cm85", 500),
+            ("cm150", 500),
+            ("cm150", 1000),
+            ("mux", 500),
+            ("mux", 1000),
+            ("parity", 500),
+            ("pcle", 1000),
+            ("cmb", 200),
+        ];
+        let configs = exact
+            .iter()
+            .map(|&name| (name, 0))
+            .chain(bounded.iter().copied());
+        configs
+            .map(|(name, max)| {
+                let netlist = benchmarks::by_name(name, &library).expect("built-in benchmark");
+                let mut builder = ModelBuilder::new(&netlist);
+                if max > 0 {
+                    builder = builder.max_nodes(max);
+                }
+                let label = if max > 0 {
+                    format!("{name}@{max}")
+                } else {
+                    format!("{name} exact")
+                };
+                (label, Kernel::compile(&builder.build()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gather_and_walk_agree_with_scalar_eval_on_both_sides_of_the_rule() {
+        let mut sides = [false, false];
+        for (label, kernel) in rule_kernels() {
+            sides[kernel.walks() as usize] = true;
+            let mut source =
+                MarkovSource::new(kernel.num_inputs(), 0.5, 0.4, 0x5EED).expect("feasible");
+            let patterns = source.sequence(300);
+            let block = PatternBlock::from_patterns(&kernel, &patterns);
+            let soa = SoaProgram::build(
+                &kernel.instrs,
+                kernel.terminals.len(),
+                kernel.root,
+                kernel.num_vars,
+            );
+            let mut gathered = vec![0.0; block.len()];
+            let mut scratch = crate::soa::EvalScratch::default();
+            soa.eval_block(
+                &kernel.terminals,
+                &block,
+                &mut gathered,
+                &mut scratch.masks,
+                &mut scratch.sels,
+            );
+            let mut walked = vec![0.0; block.len()];
+            kernel.walk_block(&block, &mut walked);
+            let chosen = kernel.eval_batch(&block);
+            for t in 0..block.len() {
+                let want = kernel
+                    .eval_transition(&patterns[t], &patterns[t + 1])
+                    .to_bits();
+                assert_eq!(gathered[t].to_bits(), want, "{label}: gather at {t}");
+                assert_eq!(walked[t].to_bits(), want, "{label}: walk at {t}");
+                assert_eq!(chosen[t].to_bits(), want, "{label}: batch at {t}");
+            }
+        }
+        assert_eq!(sides, [true, true], "kernels on both sides of the rule");
+    }
+
+    #[test]
+    fn batch_rule_pins_its_choices() {
+        let walking: Vec<String> = rule_kernels()
+            .into_iter()
+            .filter(|(_, kernel)| kernel.walks())
+            .map(|(label, _)| label)
+            .collect();
+        // Everything `serve_mixed` serves, and decod, gathers.
+        assert_eq!(
+            walking,
+            [
+                "cm85 exact",
+                "mux exact",
+                "comp exact",
+                "cmb exact",
+                "alu2 exact"
+            ]
+        );
+    }
+
+    /// The sweep the batch rule's [`WALK_RATIO`] was fitted on: per
+    /// built-in kernel, instructions per level of depth and the best of
+    /// five single-thread rates (M transitions/s over 2^16 Markov
+    /// transitions at sp 0.5, st 0.4) of the gather and the walk.
+    #[test]
+    #[ignore = "timing sweep; run with --release --ignored --nocapture"]
+    fn batch_rule_sweep() {
+        println!("kernel           instrs depth ratio  gather   walk  chosen");
+        for (label, kernel) in rule_kernels() {
+            let mut source =
+                MarkovSource::new(kernel.num_inputs(), 0.5, 0.4, 0x5EED).expect("feasible");
+            let block = PatternBlock::from_patterns(&kernel, &source.sequence((1 << 16) + 1));
+            let soa = SoaProgram::build(
+                &kernel.instrs,
+                kernel.terminals.len(),
+                kernel.root,
+                kernel.num_vars,
+            );
+            let mut out = vec![0.0; block.len()];
+            let mut scratch = crate::soa::EvalScratch::default();
+            // Alternating best-of-nine: both evaluators sample the same
+            // host-load windows.
+            let (mut gather, mut walk) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..9 {
+                let start = std::time::Instant::now();
+                soa.eval_block(
+                    &kernel.terminals,
+                    &block,
+                    &mut out,
+                    &mut scratch.masks,
+                    &mut scratch.sels,
+                );
+                gather = gather.min(start.elapsed().as_secs_f64());
+                let start = std::time::Instant::now();
+                kernel.walk_block(&block, &mut out);
+                walk = walk.min(start.elapsed().as_secs_f64());
+            }
+            let (gather, walk) = (
+                block.len() as f64 / gather / 1e6,
+                block.len() as f64 / walk / 1e6,
+            );
+            println!(
+                "{label:<16} {:>6} {:>5} {:>5.0} {gather:>7.1} {walk:>6.1}  {}",
+                kernel.num_instrs(),
+                kernel.depth(),
+                kernel.num_instrs() as f64 / kernel.depth().max(1) as f64,
+                if kernel.walks() { "walk" } else { "gather" }
+            );
+        }
     }
 }

@@ -13,13 +13,17 @@
 //!   ([`Kernel::save`] / [`Kernel::load`]), and validated on load.
 //! * [`PatternBlock`] — column-packed `u64` bit-matrix staging for
 //!   transition streams, one word per diagram variable per 64
-//!   transitions; [`Kernel::eval_batch`] consumes it allocation-free
-//!   through a level-packed SoA program (see [`soa`](self) internals):
-//!   64-lane branchless pair-level steps, bit-identical to the retained
-//!   reference interpreter ([`Kernel::eval_batch_reference_into`]).
+//!   transitions; [`Kernel::eval_batch`] consumes it allocation-free.
+//!   Each kernel picks its batch evaluator once, from its shape, when
+//!   it is compiled or loaded: small kernels run a level-packed SoA
+//!   gather (see [`soa`](self) internals; about `edges / 256` work per
+//!   lane), large ones walk their instructions root to terminal, eight
+//!   lanes side by side (about `depth` work per lane). Both are
+//!   bit-identical to the scalar [`Kernel::eval_transition`].
 //! * [`eval_fused`] — the fused multi-kernel evaluator: one pass over a
-//!   shared trace window advances N macros' programs together
-//!   (interleaved pair-level rounds for memory-level parallelism);
+//!   shared trace window advances N macros' gather programs together
+//!   (interleaved pair-level rounds for memory-level parallelism;
+//!   walking kernels run beside the rounds);
 //!   feeds `charfree-seq`'s cycle stepper and `charfree-serve`'s batch
 //!   dispatcher.
 //! * [`TraceEngine`] — chunked, deterministic multi-threaded trace

@@ -186,13 +186,11 @@ impl Kernel {
             xi_vars,
             xf_vars,
             interleaved,
-            program: Vec::new(),
-            soa: crate::soa::SoaProgram::default(),
+            soa: None,
             depth: 0,
-            fused_depth: 0,
         };
         kernel.validate().map_err(bad)?;
-        kernel.rebuild_program();
+        kernel.derive_batch();
         Ok(kernel)
     }
 }

@@ -1,11 +1,9 @@
 //! Level-packed structure-of-arrays kernel programs.
 //!
-//! The classic batch interpreter ([`Kernel::eval_batch_reference_into`]
-//! (crate::Kernel::eval_batch_reference_into)) walks the diagram one
-//! lane at a time: every lane loads an instruction, reads two pattern
-//! words *per lane per step*, and dispatches through a 4-way successor
-//! table — a serial dependent-load chain per lane. The [`SoaProgram`]
-//! here restructures the same diagram around the hardware instead:
+//! A per-lane walk loads an instruction and reads a pattern word *per
+//! lane per step* — a serial dependent-load chain per lane. The
+//! [`SoaProgram`] here restructures the diagram around the hardware
+//! instead:
 //!
 //! * **Level packing** — internal nodes are renumbered contiguously by
 //!   *pair level* `p = var / 2` (the interleaved `(xⁱ, xᶠ)` pair of one
@@ -37,10 +35,14 @@
 //!   the AVX2 path) turns into full-width vector ops.
 //!
 //! Total work per 256 lanes is `O(edges)` — independent of path
-//! lengths, which is what lets wide, shallow *and* narrow, deep kernels
-//! beat the per-lane walk. Because every pred's selectors partition its
-//! mask, each lane ends in exactly one terminal row: results are f64
-//! bit-identical to the reference walk by construction, and the
+//! lengths, but proportional to the *whole* diagram. That beats the
+//! per-lane walk (about `depth` steps per lane) only while the kernel
+//! is small next to its depth; large kernels touch every edge for
+//! every 256 lanes and run several times slower than the walk. So a
+//! kernel builds this program only when its batches gather (see
+//! `Kernel::derive_batch`). Because every pred's selectors partition
+//! its mask, each lane ends in exactly one terminal row: results are
+//! f64 bit-identical to the scalar walk by construction, and the
 //! kernel-equivalence suites enforce it.
 
 use crate::block::PatternBlock;
@@ -98,7 +100,7 @@ struct GatherRound {
 /// A level-packed SoA evaluation program (see module docs). Derived
 /// from the portable instruction vec at compile/load time — never
 /// persisted.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct SoaProgram {
     /// First terminal state index (== number of internal nodes).
     pub(crate) term_base: u32,
@@ -334,21 +336,10 @@ impl SoaProgram {
         }
     }
 
-    /// Number of populated pair levels (selector-table rows per chunk).
-    pub(crate) fn num_levels(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Total states (internal nodes + terminal rows) — the mask
     /// scratch holds one [`MaskRow`] per state.
     pub(crate) fn num_states(&self) -> usize {
         self.num_states
-    }
-
-    /// `true` when the program evaluates to a single terminal without
-    /// reading any input (the root *is* a terminal row).
-    pub(crate) fn is_constant(&self) -> bool {
-        self.root >= self.term_base
     }
 
     /// Selector rows needed per chunk (one per referenced
@@ -547,8 +538,8 @@ impl SoaProgram {
     /// [`CHUNK_GROUPS`] groups per pass. `masks`/`sels` are the
     /// reusable scratch buffers (sized and zero-initialised here).
     ///
-    /// Constant programs ([`SoaProgram::is_constant`]) must be handled
-    /// by the caller — the sweep assumes an internal root.
+    /// The sweep assumes an internal root: constant kernels never build
+    /// a program.
     pub(crate) fn eval_block(
         &self,
         terminals: &[f64],
@@ -557,7 +548,6 @@ impl SoaProgram {
         masks: &mut Vec<MaskRow>,
         sels: &mut Vec<MaskRow>,
     ) {
-        debug_assert!(!self.is_constant(), "constant kernels never gather");
         if masks.len() < self.num_states {
             masks.clear();
             masks.resize(self.num_states, ZERO_ROW);

@@ -1,9 +1,9 @@
 //! `.cfk` → SoA load-path hardening (mirrors the pipeline's
 //! artifact-poisoning tests at the kernel-file layer).
 //!
-//! The SoA gather program is compiled from the instruction vec at load
-//! time, and its hot loops index mask/selector rows *unchecked* on the
-//! strength of `Kernel::load`'s validation. These tests feed the
+//! A gathering kernel's SoA program is compiled from the instruction
+//! vec at load time, and its hot loops index mask/selector rows
+//! *unchecked* on the strength of `Kernel::load`'s validation. These tests feed the
 //! loader every truncation and a dense sample of single-bit flips of a
 //! real `.cfk` byte stream and require:
 //!
@@ -11,9 +11,9 @@
 //!   I/O error — never a panic, never UB; or
 //! * the mutated text still happens to be a *valid* kernel (a flipped
 //!   digit in a name or terminal is just a different kernel), in which
-//!   case the loaded kernel must be fully coherent: its SoA engine,
-//!   reference walk, and fused evaluation all agree bit-for-bit on a
-//!   real trace.
+//!   case the loaded kernel must be fully coherent: its batch
+//!   evaluator and fused evaluation both agree bit-for-bit with its
+//!   scalar walk on a real trace.
 
 use charfree_core::ModelBuilder;
 use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine};
@@ -32,7 +32,7 @@ fn saved_kernel_bytes() -> (Kernel, Vec<u8>) {
 }
 
 /// A loaded kernel (however it was obtained) must be internally
-/// coherent: SoA ≡ reference ≡ fused on a real trace, sharded or not.
+/// coherent: scalar ≡ batch ≡ fused on a real trace, sharded or not.
 fn assert_loaded_kernel_coherent(kernel: &Kernel) {
     let n = kernel.num_inputs();
     let mut source = MarkovSource::new(n.max(1), 0.5, 0.4, 23).expect("valid stats");
@@ -40,9 +40,7 @@ fn assert_loaded_kernel_coherent(kernel: &Kernel) {
     let block = PatternBlock::from_patterns(kernel, &patterns);
     let transitions = patterns.len() - 1;
 
-    let soa = kernel.eval_batch(&block);
-    let mut reference = vec![0.0; transitions];
-    kernel.eval_batch_reference_into(&block, &mut reference);
+    let batch = kernel.eval_batch(&block);
     let mut fused = vec![0.0; transitions];
     eval_fused(&mut [FusedJob {
         kernel,
@@ -50,8 +48,9 @@ fn assert_loaded_kernel_coherent(kernel: &Kernel) {
         out: &mut fused,
     }]);
     for t in 0..transitions {
-        assert_eq!(reference[t].to_bits(), soa[t].to_bits(), "transition {t}");
-        assert_eq!(reference[t].to_bits(), fused[t].to_bits(), "transition {t}");
+        let scalar = kernel.eval_transition(&patterns[t], &patterns[t + 1]);
+        assert_eq!(scalar.to_bits(), batch[t].to_bits(), "transition {t}");
+        assert_eq!(scalar.to_bits(), fused[t].to_bits(), "transition {t}");
     }
     let one = TraceEngine::new(kernel).jobs(1).evaluate(&patterns);
     let four = TraceEngine::new(kernel).jobs(4).evaluate(&patterns);

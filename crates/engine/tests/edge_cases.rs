@@ -1,14 +1,17 @@
 //! Edge-case kernel lockdown: the shapes the main suites historically
-//! missed, pinned for *both* engines (the per-lane reference walk and
-//! the SoA gather engine) plus the fused multi-kernel evaluator.
+//! missed, pinned for the batch evaluator each kernel chose (the SoA
+//! gather or the instruction walk) and the fused multi-kernel
+//! evaluator, against the scalar [`Kernel::eval_transition`] walk and
+//! the arena model.
 //!
 //! * constant-function ADDs (single terminal, no variables read);
 //! * single-variable kernels (one input, one pair level);
 //! * kernels whose variable count exceeds one chunk's 64 pattern-word
 //!   pair budget (`n > 32`, so `2n > 64` diagram variables);
+//! * a walking kernel over lengths ragged against its 8-lane batches;
 //! * the empty (0-transition) trace.
 //!
-//! Everything asserts through `f64::to_bits` — the engines are not
+//! Everything asserts through `f64::to_bits` — the evaluators are not
 //! "close", they are the same function.
 
 use charfree_core::{ApproxStrategy, ModelBuilder, PowerModel};
@@ -38,8 +41,8 @@ fn parity_chain_blif(n: usize) -> String {
     text
 }
 
-/// Reference ≡ SoA ≡ fused per transition, bit for bit, and both
-/// engines against the arena oracle.
+/// Scalar ≡ batch ≡ fused per transition, bit for bit, and the scalar
+/// kernel walk against the arena oracle.
 fn assert_all_paths_agree(
     name: &str,
     model: &charfree_core::AddPowerModel,
@@ -49,9 +52,7 @@ fn assert_all_paths_agree(
     let block = PatternBlock::from_patterns(&kernel, patterns);
     let transitions = patterns.len().saturating_sub(1);
 
-    let mut reference = vec![0.0; transitions];
-    kernel.eval_batch_reference_into(&block, &mut reference);
-    let soa = kernel.eval_batch(&block);
+    let batch = kernel.eval_batch(&block);
     let mut fused = vec![0.0; transitions];
     eval_fused(&mut [FusedJob {
         kernel: &kernel,
@@ -63,20 +64,21 @@ fn assert_all_paths_agree(
         let arena = model
             .capacitance(&patterns[t], &patterns[t + 1])
             .femtofarads();
+        let scalar = kernel.eval_transition(&patterns[t], &patterns[t + 1]);
         assert_eq!(
             arena.to_bits(),
-            reference[t].to_bits(),
-            "{name}: arena vs reference at transition {t}"
+            scalar.to_bits(),
+            "{name}: arena vs scalar at transition {t}"
         );
         assert_eq!(
-            reference[t].to_bits(),
-            soa[t].to_bits(),
-            "{name}: reference vs SoA at transition {t}"
+            scalar.to_bits(),
+            batch[t].to_bits(),
+            "{name}: scalar vs batch at transition {t}"
         );
         assert_eq!(
-            reference[t].to_bits(),
+            scalar.to_bits(),
             fused[t].to_bits(),
-            "{name}: reference vs fused at transition {t}"
+            "{name}: scalar vs fused at transition {t}"
         );
     }
 }
@@ -163,6 +165,22 @@ fn kernel_levels_exceed_chunk_word_budget() {
 }
 
 #[test]
+fn walking_kernel_ragged_lengths_all_paths() {
+    let library = Library::test_library();
+    let model = ModelBuilder::new(&benchmarks::cm85(&library)).build();
+    assert!(
+        Kernel::compile(&model).walks(),
+        "exact cm85 is large enough to walk"
+    );
+    let mut source = MarkovSource::new(model.num_inputs(), 0.5, 0.4, 19).expect("valid stats");
+    // Lengths straddling the 8-lane walk batches and 64-lane groups.
+    for len in [1usize, 7, 8, 9, 63, 64, 65, 130] {
+        let patterns = source.sequence(len + 1);
+        assert_all_paths_agree("walking cm85", &model, &patterns);
+    }
+}
+
+#[test]
 fn empty_trace_is_a_no_op_everywhere() {
     let library = Library::test_library();
     let model = ModelBuilder::new(&benchmarks::cm85(&library)).build();
@@ -173,11 +191,7 @@ fn empty_trace_is_a_no_op_everywhere() {
         let block = PatternBlock::from_patterns(&kernel, &patterns);
         assert_eq!(block.len(), 0);
 
-        let soa = kernel.eval_batch(&block);
-        assert!(soa.is_empty());
-        let mut reference: Vec<f64> = Vec::new();
-        kernel.eval_batch_reference_into(&block, &mut reference);
-        assert!(reference.is_empty());
+        assert!(kernel.eval_batch(&block).is_empty());
 
         let mut fused_out: Vec<f64> = Vec::new();
         eval_fused(&mut [FusedJob {

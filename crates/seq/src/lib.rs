@@ -224,21 +224,23 @@ impl SeqModel {
             }
         };
 
-        let mut state = self.sim.initial_state();
-        let mut prev: Option<Vec<Vec<bool>>> = None;
-        for pi in patterns {
-            let cur = self.sim.macro_inputs(pi, &state);
-            if let Some(prev) = &prev {
-                for m in 0..n {
-                    blocks[m].push_transition(&self.kernels[m], &prev[m], &cur[m]);
-                }
-                if blocks.first().is_some_and(|b| b.len() == FUSED_WINDOW) {
-                    flush(&mut blocks, &mut values);
-                }
+        // The state walk and the previous cycle's boundary vectors reuse
+        // their buffers, so a cycle allocates nothing.
+        let mut walk = self.sim.walker();
+        let mut prev: Vec<Vec<bool>> = Vec::new();
+        for (t, pi) in patterns.iter().enumerate() {
+            let cur = walk.cycle(pi);
+            if t == 0 {
+                prev = cur.to_vec();
+                continue;
             }
-            let (next, _) = self.sim.step_with_inputs(pi, &state, &cur);
-            state = next;
-            prev = Some(cur);
+            for m in 0..n {
+                blocks[m].push_transition(&self.kernels[m], &prev[m], &cur[m]);
+            }
+            prev.clone_from_slice(cur);
+            if blocks.first().is_some_and(|b| b.len() == FUSED_WINDOW) {
+                flush(&mut blocks, &mut values);
+            }
         }
         flush(&mut blocks, &mut values);
         values

@@ -49,7 +49,7 @@ pub use burst::BurstSource;
 pub use patterns::{
     measure_statistics, statistics_grid, ExhaustivePairs, InvalidStatisticsError, MarkovSource,
 };
-pub use seq::SeqSim;
+pub use seq::{SeqSim, SeqWalker};
 pub use trace::EnergyTrace;
 pub use unit_delay::{UnitDelayError, UnitDelayReport, UnitDelaySim};
 pub use zero_delay::ZeroDelaySim;

@@ -13,8 +13,8 @@
 //! This is both the conform oracle's sequential ground truth and the
 //! single source of truth for the state evolution itself: the kernel
 //! composition engine gathers macro boundary vectors through the same
-//! [`SeqSim::step`] walk, so "which bits does macro m see at cycle t"
-//! can never diverge between golden and model.
+//! [`SeqWalker`] state walk, so "which bits does macro m see at cycle
+//! t" can never diverge between golden and model.
 
 use crate::zero_delay::ZeroDelaySim;
 use charfree_netlist::units::Capacitance;
@@ -108,70 +108,30 @@ impl SeqSim {
         self.initial_state.clone()
     }
 
-    /// Gathers every macro's boundary input vector for one cycle.
-    pub fn macro_inputs(&self, pi: &[bool], state: &[bool]) -> Vec<Vec<bool>> {
-        self.macros
-            .iter()
-            .map(|m| {
-                m.inputs
-                    .iter()
-                    .map(|&src| source_bit(src, pi, state))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Evaluates one clock cycle: returns `(next_state, primary_outputs)`
-    /// as sampled at the end of the cycle.
-    pub fn step(&self, pi: &[bool], state: &[bool]) -> (Vec<bool>, Vec<bool>) {
-        let inputs = self.macro_inputs(pi, state);
-        self.step_with_inputs(pi, state, &inputs)
-    }
-
-    /// [`step`](Self::step) with the per-macro boundary inputs already
-    /// gathered (exactly [`macro_inputs`](Self::macro_inputs) for the
-    /// same `(pi, state)`). Callers that walk macro inputs anyway — the
-    /// fused trace — avoid re-gathering every cycle.
-    pub fn step_with_inputs(
-        &self,
-        pi: &[bool],
-        state: &[bool],
-        inputs: &[Vec<bool>],
-    ) -> (Vec<bool>, Vec<bool>) {
-        let mut next = state.to_vec();
-        let mut outs = vec![false; self.num_outputs];
-        for (m, v) in self.macros.iter().zip(inputs) {
-            let values = m.sim.eval(v);
-            for (&pos, (latches, primaries)) in m.out_pos.iter().zip(&m.sinks) {
-                let value = values[pos];
-                for &l in latches {
-                    next[l] = value;
-                }
-                for &p in primaries {
-                    outs[p] = value;
-                }
-            }
+    /// A state walk from reset that reuses its buffers cycle to cycle
+    /// (see [`SeqWalker`]).
+    pub fn walker(&self) -> SeqWalker<'_> {
+        SeqWalker {
+            sim: self,
+            state: self.initial_state.clone(),
+            next: Vec::with_capacity(self.initial_state.len()),
+            outs: vec![false; self.num_outputs],
+            values: Vec::new(),
+            inputs: Vec::new(),
         }
-        for &(l, src) in &self.passthroughs {
-            next[l] = source_bit(src, pi, state);
-        }
-        for &(p, src) in &self.po_passthroughs {
-            outs[p] = source_bit(src, pi, state);
-        }
-        (next, outs)
     }
 
     /// Runs the whole pattern sequence from reset, returning the primary
     /// outputs observed at each cycle.
     pub fn run(&self, patterns: &[Vec<bool>]) -> Vec<Vec<bool>> {
-        let mut state = self.initial_state.clone();
-        let mut out = Vec::with_capacity(patterns.len());
-        for pi in patterns {
-            let (next, outs) = self.step(pi, &state);
-            state = next;
-            out.push(outs);
-        }
-        out
+        let mut walk = self.walker();
+        patterns
+            .iter()
+            .map(|pi| {
+                walk.cycle(pi);
+                walk.outs.clone()
+            })
+            .collect()
     }
 
     /// Materializes each macro's boundary input sequence over the whole
@@ -184,13 +144,11 @@ impl SeqSim {
             .iter()
             .map(|_| Vec::with_capacity(patterns.len()))
             .collect();
-        let mut state = self.initial_state.clone();
+        let mut walk = self.walker();
         for pi in patterns {
-            for (seq, v) in seqs.iter_mut().zip(self.macro_inputs(pi, &state)) {
-                seq.push(v);
+            for (seq, v) in seqs.iter_mut().zip(walk.cycle(pi)) {
+                seq.push(v.clone());
             }
-            let (next, _) = self.step(pi, &state);
-            state = next;
         }
         seqs
     }
@@ -224,6 +182,57 @@ impl SeqSim {
                 Capacitance(total)
             })
             .collect()
+    }
+}
+
+/// A cycle-by-cycle walk over a [`SeqSim`]'s register state that
+/// reuses its buffers: after the first cycle, a cycle allocates nothing.
+#[derive(Debug)]
+pub struct SeqWalker<'s> {
+    sim: &'s SeqSim,
+    state: Vec<bool>,
+    next: Vec<bool>,
+    outs: Vec<bool>,
+    /// One macro's dense signal values, reused across macros.
+    values: Vec<bool>,
+    inputs: Vec<Vec<bool>>,
+}
+
+impl SeqWalker<'_> {
+    /// Runs one clock cycle on primary inputs `pi`: gathers every
+    /// macro's boundary input vector from `pi` and the current state,
+    /// clocks the state into the next cycle and returns the gathered
+    /// vectors.
+    pub fn cycle(&mut self, pi: &[bool]) -> &[Vec<bool>] {
+        let sim = self.sim;
+        self.inputs.resize_with(sim.macros.len(), Vec::new);
+        for (m, v) in sim.macros.iter().zip(&mut self.inputs) {
+            v.clear();
+            v.extend(m.inputs.iter().map(|&src| source_bit(src, pi, &self.state)));
+        }
+        // Latches no macro drives keep their value.
+        self.next.clone_from(&self.state);
+        self.outs.fill(false);
+        for (m, v) in sim.macros.iter().zip(&self.inputs) {
+            m.sim.eval_into(v, &mut self.values);
+            for (&pos, (latches, primaries)) in m.out_pos.iter().zip(&m.sinks) {
+                let value = self.values[pos];
+                for &l in latches {
+                    self.next[l] = value;
+                }
+                for &p in primaries {
+                    self.outs[p] = value;
+                }
+            }
+        }
+        for &(l, src) in &sim.passthroughs {
+            self.next[l] = source_bit(src, pi, &self.state);
+        }
+        for &(p, src) in &sim.po_passthroughs {
+            self.outs[p] = source_bit(src, pi, &self.state);
+        }
+        std::mem::swap(&mut self.state, &mut self.next);
+        &self.inputs
     }
 }
 

@@ -97,16 +97,32 @@ impl ZeroDelaySim {
     ///
     /// Panics if `inputs.len() != self.num_inputs()`.
     pub fn eval(&self, inputs: &[bool]) -> Vec<bool> {
-        assert_eq!(inputs.len(), self.num_inputs, "pattern width mismatch");
-        let mut values = vec![false; self.num_signals];
-        values[..inputs.len()].copy_from_slice(inputs);
-        let mut pins = Vec::with_capacity(4);
-        for gate in &self.gates {
-            pins.clear();
-            pins.extend(gate.inputs.iter().map(|&i| values[i as usize]));
-            values[gate.output as usize] = gate.kind.eval(&pins);
-        }
+        let mut values = Vec::new();
+        self.eval_into(inputs, &mut values);
         values
+    }
+
+    /// [`eval`](Self::eval) into a caller-held buffer, which is resized
+    /// to the signal count: once it has that capacity, evaluation
+    /// allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len() != self.num_inputs()`.
+    pub(crate) fn eval_into(&self, inputs: &[bool], values: &mut Vec<bool>) {
+        assert_eq!(inputs.len(), self.num_inputs, "pattern width mismatch");
+        values.clear();
+        values.resize(self.num_signals, false);
+        values[..inputs.len()].copy_from_slice(inputs);
+        // No library cell has more than four pins.
+        let mut pins = [false; 4];
+        for gate in &self.gates {
+            let pins = &mut pins[..gate.inputs.len()];
+            for (pin, &i) in pins.iter_mut().zip(&gate.inputs) {
+                *pin = values[i as usize];
+            }
+            values[gate.output as usize] = gate.kind.eval(pins);
+        }
     }
 
     /// The switched capacitance for the input transition `(xi, xf)`
