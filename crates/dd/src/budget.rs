@@ -3,10 +3,11 @@
 //! ADD construction over `2n` transition variables can blow up
 //! exponentially (the paper's central risk); a [`Budget`] bounds what one
 //! symbolic operation may consume before it is stopped. Budgets are
-//! checked at the apply/ITE recursion checkpoints inside [`Manager`]
-//! — the places where new nodes are created — so a runaway operation
-//! returns a structured [`DdError::BudgetExceeded`] instead of exhausting
-//! memory or wall-clock time.
+//! checked at the apply/ITE recursion checkpoints inside
+//! [`Manager`](crate::Manager) — the places where new nodes are
+//! created — so a runaway operation returns a structured
+//! [`DdError::BudgetExceeded`] instead of exhausting memory or
+//! wall-clock time.
 //!
 //! Five resources are governed:
 //!
@@ -383,7 +384,7 @@ impl Budget {
     ///
     /// Called by [`Manager`](crate::Manager) at apply/ITE recursion
     /// checkpoints with the current arena occupancy. The wall clock is
-    /// sampled every [`CLOCK_STRIDE`] checkpoints to keep the hot path
+    /// sampled every `CLOCK_STRIDE` checkpoints to keep the hot path
     /// cheap.
     ///
     /// # Errors

@@ -1,20 +1,18 @@
 //! Batched, multi-threaded trace evaluation.
 //!
-//! [`TraceEngine`] shards a transition stream into fixed-size chunks,
+//! [`TraceEngine`] shards a transition stream into fixed-size chunks and
 //! fans the chunks out over `std::thread::scope` workers (static
-//! round-robin assignment, no locks in the hot path), and merges the
-//! per-chunk partial sums/maxima **in chunk order**. Chunk boundaries
-//! depend only on the configured chunk size — never on the worker count —
-//! so `--jobs 1` and `--jobs 8` produce bit-identical sums and maxima.
-//!
-//! The streaming mode ([`TraceEngine::evaluate_stream`]) additionally
-//! bounds residency: patterns are drawn from an iterator one fixed-size
-//! window at a time (carrying a one-pattern overlap between windows), so
-//! traces never need to be fully resident.
+//! round-robin assignment, no locks in the hot path). Each worker packs
+//! and evaluates its chunks in 256-lane sub-blocks through the fused
+//! batch loop, holding its gather scratch across them. Summaries reduce
+//! the finished trace in chunk order ([`TraceSummary::from_values`]).
+//! Chunk boundaries depend only on the configured chunk size — never on
+//! the worker count — so `--jobs 1` and `--jobs 8` produce bit-identical
+//! sums and maxima.
 
 use crate::block::PatternBlock;
+use crate::fused::{eval_fused_with, FusedJob};
 use crate::kernel::Kernel;
-use crate::soa::EvalScratch;
 
 /// Transitions per work chunk. Small enough to load-balance, large
 /// enough to amortize per-chunk packing; also the unit of deterministic
@@ -24,37 +22,11 @@ use crate::soa::EvalScratch;
 /// path.
 pub const DEFAULT_CHUNK: usize = 4096;
 
-/// Windows of the streaming mode span this many chunks regardless of the
-/// worker count, keeping stream summaries independent of `jobs` too.
-const STREAM_CHUNKS_PER_WINDOW: usize = 8;
-
-/// Transitions packed and evaluated per fused sub-block of the worker
-/// loops: small enough that the pattern rows being packed, the packed
-/// words, and the kernel's mask/selector scratch all stay cache-resident
+/// Transitions packed and evaluated per sub-block of the worker loops:
+/// small enough that the pattern rows being packed, the packed words,
+/// and the kernel's mask/selector scratch all stay cache-resident
 /// together instead of evicting each other in whole-chunk phases.
 const FUSE_LANES: usize = 256;
-
-/// Packs and evaluates `patterns`' `out.len()` transitions into `out`
-/// in [`FUSE_LANES`]-sized sub-blocks, reusing `block` and `scratch`
-/// across calls. Chunk summaries are unaffected — only the pack/eval
-/// interleave changes, never values or their order.
-fn pack_eval(
-    kernel: &Kernel,
-    patterns: &[Vec<bool>],
-    block: &mut PatternBlock,
-    scratch: &mut EvalScratch,
-    out: &mut [f64],
-) {
-    let total = out.len();
-    let mut done = 0usize;
-    while done < total {
-        let end = (done + FUSE_LANES).min(total);
-        block.clear();
-        block.extend_from_patterns(kernel, &patterns[done..=end]);
-        kernel.eval_batch_into_with(block, &mut out[done..end], scratch);
-        done = end;
-    }
-}
 
 /// Deterministic reduction of one evaluated trace: count, sum and
 /// maximum of the per-transition switched capacitance (fF).
@@ -70,14 +42,6 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    fn empty() -> TraceSummary {
-        TraceSummary {
-            transitions: 0,
-            sum_ff: 0.0,
-            max_ff: f64::NEG_INFINITY,
-        }
-    }
-
     /// Mean switched capacitance (fF) per transition (NaN when empty).
     pub fn mean_ff(&self) -> f64 {
         self.sum_ff / self.transitions as f64
@@ -85,49 +49,35 @@ impl TraceSummary {
 
     /// The canonical deterministic reduction of an already-evaluated
     /// per-transition trace: partial sums are associated in `chunk`-sized
-    /// runs folded in order — the exact association
-    /// [`TraceEngine::evaluate`] uses for any worker count. This is the
-    /// demultiplexing hook for batching layers: evaluate transitions in
-    /// any lane packing (per-lane values are independent), scatter the
-    /// values back into per-request order, then reduce with this function
-    /// to get a summary bit-identical to a dedicated
-    /// [`TraceEngine::evaluate`] run with the same chunk size.
+    /// runs folded in order — the reduction [`TraceEngine::evaluate`]
+    /// applies to its own trace. This is the demultiplexing hook for
+    /// batching layers: evaluate transitions in any lane packing
+    /// (per-lane values are independent), scatter the values back into
+    /// per-request order, then reduce with this function to get a
+    /// summary bit-identical to a dedicated [`TraceEngine::evaluate`] run
+    /// with the same chunk size.
     ///
     /// # Panics
     ///
     /// Panics if `chunk == 0`.
     pub fn from_values(values: &[f64], chunk: usize) -> TraceSummary {
         assert!(chunk > 0, "chunk size must be positive");
-        let mut total = TraceSummary::empty();
+        let mut total = TraceSummary {
+            transitions: values.len(),
+            sum_ff: 0.0,
+            max_ff: f64::NEG_INFINITY,
+        };
         for run in values.chunks(chunk) {
-            total.absorb(summarize_run(run));
+            let mut sum = 0.0f64;
+            let mut max = f64::NEG_INFINITY;
+            for &c in run {
+                sum += c;
+                max = max.max(c);
+            }
+            total.sum_ff += sum;
+            total.max_ff = total.max_ff.max(max);
         }
         total
-    }
-
-    /// Folds `other` into `self` (ordered merge — callers merge in chunk
-    /// order to stay deterministic).
-    fn absorb(&mut self, other: TraceSummary) {
-        self.transitions += other.transitions;
-        self.sum_ff += other.sum_ff;
-        self.max_ff = self.max_ff.max(other.max_ff);
-    }
-}
-
-/// Sequential sum/max reduction of one chunk's values — the single
-/// association unit shared by the worker loops and
-/// [`TraceSummary::from_values`].
-fn summarize_run(values: &[f64]) -> TraceSummary {
-    let mut sum = 0.0f64;
-    let mut max = f64::NEG_INFINITY;
-    for &c in values {
-        sum += c;
-        max = max.max(c);
-    }
-    TraceSummary {
-        transitions: values.len(),
-        sum_ff: sum,
-        max_ff: max,
     }
 }
 
@@ -194,19 +144,11 @@ impl<'k> TraceEngine<'k> {
         self
     }
 
-    /// The configured worker count.
-    pub fn num_jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Evaluates the `patterns.len() − 1` transitions of a resident
-    /// pattern sequence to a deterministic [`TraceSummary`].
+    /// pattern sequence to a deterministic [`TraceSummary`]: the
+    /// [`TraceSummary::from_values`] reduction of [`TraceEngine::trace`].
     pub fn evaluate(&self, patterns: &[Vec<bool>]) -> TraceSummary {
-        let mut total = TraceSummary::empty();
-        for p in self.chunk_partials(patterns) {
-            total.absorb(p);
-        }
-        total
+        TraceSummary::from_values(&self.trace(patterns), self.chunk)
     }
 
     /// Evaluates a resident pattern sequence to the full per-transition
@@ -215,137 +157,44 @@ impl<'k> TraceEngine<'k> {
         if patterns.len() < 2 {
             return Vec::new();
         }
-        let transitions = patterns.len() - 1;
-        let mut out = vec![0.0f64; transitions];
-        {
-            let slices: Vec<(usize, &mut [f64])> = out.chunks_mut(self.chunk).enumerate().collect();
-            let kernel = self.kernel;
-            let chunk = self.chunk;
-            let jobs = self.jobs.min(slices.len()).max(1);
-            let run = move |work: Vec<(usize, &mut [f64])>| {
-                let mut block = PatternBlock::new(kernel.num_vars() as usize);
-                let mut scratch = EvalScratch::default();
-                for (ci, slice) in work {
-                    let start = ci * chunk;
-                    let end = (start + chunk).min(transitions);
-                    pack_eval(
+        let mut out = vec![0.0f64; patterns.len() - 1];
+        let slices: Vec<(usize, &mut [f64])> = out.chunks_mut(self.chunk).enumerate().collect();
+        let kernel = self.kernel;
+        let chunk = self.chunk;
+        let jobs = self.jobs.min(slices.len()).max(1);
+        let run = move |work: Vec<(usize, &mut [f64])>| {
+            let mut block = PatternBlock::new(kernel.num_vars() as usize);
+            let mut gathers = Vec::new();
+            for (ci, slice) in work {
+                for (si, values) in slice.chunks_mut(FUSE_LANES).enumerate() {
+                    let start = ci * chunk + si * FUSE_LANES;
+                    block.clear();
+                    block.extend_from_patterns(kernel, &patterns[start..=start + values.len()]);
+                    let job = FusedJob {
                         kernel,
-                        &patterns[start..=end],
-                        &mut block,
-                        &mut scratch,
-                        slice,
-                    );
+                        block: &block,
+                        out: values,
+                    };
+                    eval_fused_with(&mut [job], &mut gathers);
                 }
-            };
-            if jobs == 1 {
-                // One worker: run inline, no thread spawn.
-                run(slices);
-            } else {
-                let mut per_worker: Vec<Vec<(usize, &mut [f64])>> =
-                    (0..jobs).map(|_| Vec::new()).collect();
-                for (i, s) in slices {
-                    per_worker[i % jobs].push((i, s));
-                }
-                std::thread::scope(|scope| {
-                    for work in per_worker {
-                        scope.spawn(|| run(work));
-                    }
-                });
             }
+        };
+        if jobs == 1 {
+            // One worker: run inline, no thread spawn.
+            run(slices);
+        } else {
+            let mut per_worker: Vec<Vec<(usize, &mut [f64])>> =
+                (0..jobs).map(|_| Vec::new()).collect();
+            for (i, s) in slices {
+                per_worker[i % jobs].push((i, s));
+            }
+            std::thread::scope(|scope| {
+                for work in per_worker {
+                    scope.spawn(|| run(work));
+                }
+            });
         }
         out
-    }
-
-    /// Evaluates a pattern *stream* without keeping it resident: patterns
-    /// are pulled one fixed-size window at a time (a whole number of
-    /// chunks, independent of the worker count), each window is sharded
-    /// like [`TraceEngine::evaluate`], and the last pattern of a window
-    /// seeds the next one so no transition is dropped. Window boundaries
-    /// coincide with chunk boundaries and partials are folded in global
-    /// chunk order, so the summary is bit-identical to the resident path
-    /// for any worker count.
-    pub fn evaluate_stream<I>(&self, patterns: I) -> TraceSummary
-    where
-        I: IntoIterator<Item = Vec<bool>>,
-    {
-        let window_transitions = self.chunk * STREAM_CHUNKS_PER_WINDOW;
-        let mut iter = patterns.into_iter();
-        let mut window: Vec<Vec<bool>> = Vec::with_capacity(window_transitions + 1);
-        let mut total = TraceSummary::empty();
-        loop {
-            while window.len() < window_transitions + 1 {
-                match iter.next() {
-                    Some(p) => window.push(p),
-                    None => break,
-                }
-            }
-            if window.len() < 2 {
-                break;
-            }
-            for p in self.chunk_partials(&window) {
-                total.absorb(p);
-            }
-            let exhausted = window.len() < window_transitions + 1;
-            let carry = window.pop().expect("window is non-empty");
-            window.clear();
-            window.push(carry);
-            if exhausted {
-                break;
-            }
-        }
-        total
-    }
-
-    /// Evaluates every `self.chunk`-sized chunk of the sequence's
-    /// transitions across the configured workers and returns the partial
-    /// summaries in chunk order.
-    fn chunk_partials(&self, patterns: &[Vec<bool>]) -> Vec<TraceSummary> {
-        if patterns.len() < 2 {
-            return Vec::new();
-        }
-        let transitions = patterns.len() - 1;
-        let chunk = self.chunk;
-        let kernel = self.kernel;
-        let num_chunks = transitions.div_ceil(chunk);
-        let mut partials = vec![TraceSummary::empty(); num_chunks];
-        {
-            let jobs = self.jobs.min(num_chunks).max(1);
-            let slots: Vec<(usize, &mut TraceSummary)> = partials.iter_mut().enumerate().collect();
-            let run = move |work: Vec<(usize, &mut TraceSummary)>| {
-                let mut block = PatternBlock::new(kernel.num_vars() as usize);
-                let mut scratch = EvalScratch::default();
-                let mut values = Vec::new();
-                for (ci, slot) in work {
-                    let start = ci * chunk;
-                    let end = (start + chunk).min(transitions);
-                    values.resize(end - start, 0.0);
-                    pack_eval(
-                        kernel,
-                        &patterns[start..=end],
-                        &mut block,
-                        &mut scratch,
-                        &mut values,
-                    );
-                    *slot = summarize_run(&values);
-                }
-            };
-            if jobs == 1 {
-                // One worker: run inline, no thread spawn.
-                run(slots);
-            } else {
-                let mut per_worker: Vec<Vec<(usize, &mut TraceSummary)>> =
-                    (0..jobs).map(|_| Vec::new()).collect();
-                for (i, s) in slots {
-                    per_worker[i % jobs].push((i, s));
-                }
-                std::thread::scope(|scope| {
-                    for work in per_worker {
-                        scope.spawn(|| run(work));
-                    }
-                });
-            }
-        }
-        partials
     }
 }
 
@@ -433,22 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_resident_evaluation() {
-        let (_, kernel) = cm85_kernel();
-        let mut source = MarkovSource::new(11, 0.5, 0.5, 23).expect("feasible");
-        // Deliberately not a multiple of the window size.
-        let patterns = source.sequence(2000);
-        let engine = TraceEngine::new(&kernel).chunk_size(100).jobs(4);
-        let resident = engine.evaluate(&patterns);
-        let streamed = engine.evaluate_stream(patterns.iter().cloned());
-        assert_eq!(resident.transitions, streamed.transitions);
-        assert_eq!(resident.max_ff.to_bits(), streamed.max_ff.to_bits());
-        // Window/chunk boundaries coincide (window = 8 chunks), so even the
-        // sum association is identical.
-        assert_eq!(resident.sum_ff.to_bits(), streamed.sum_ff.to_bits());
-    }
-
-    #[test]
     fn from_values_matches_evaluate_bit_for_bit() {
         let (_, kernel) = cm85_kernel();
         let mut source = MarkovSource::new(11, 0.5, 0.4, 17).expect("feasible");
@@ -471,6 +304,5 @@ mod tests {
         let engine = TraceEngine::new(&kernel);
         assert_eq!(engine.evaluate(&[]).transitions, 0);
         assert_eq!(engine.trace(&[vec![false; 11]]).len(), 0);
-        assert_eq!(engine.evaluate_stream(std::iter::empty()).transitions, 0);
     }
 }

@@ -1,4 +1,4 @@
-//! Fused multi-kernel batch evaluation.
+//! Fused multi-kernel batch evaluation — the one batch loop.
 //!
 //! The SoA engine evaluates a kernel breadth-first: one ascending
 //! gather sweep computes every state's 256-lane mask row from its
@@ -13,7 +13,10 @@
 //! (one trace drives many macros, `charfree-seq`) and the server's
 //! cross-connection micro-batching (`charfree-serve`): both hand every
 //! macro's packed block for a flush window to one [`eval_fused`] call
-//! instead of looping kernels one at a time.
+//! instead of looping kernels one at a time. It is also the only batch
+//! loop: [`Kernel::eval_batch_into`] is a one-job call, and the
+//! [`TraceEngine`](crate::TraceEngine) workers run one-job calls on
+//! 256-lane sub-blocks, holding their gather scratch across them.
 //!
 //! Only kernels whose batch evaluator is the gather take part in the
 //! rounds. Kernels that walk (large ones, see
@@ -41,12 +44,22 @@ pub struct FusedJob<'a> {
     pub out: &'a mut [f64],
 }
 
-/// A gathering job's program, scratch and next gather round. Rounds
+impl<'a> FusedJob<'a> {
+    /// The gather program of a job whose kernel gathers.
+    fn soa(&self) -> &'a SoaProgram {
+        self.kernel
+            .soa
+            .as_ref()
+            .expect("a gathering kernel carries its SoA program")
+    }
+}
+
+/// A gathering job's scratch and next gather round. Rounds
 /// `0 .. num_levels` gather that level's state range; the final round
 /// gathers the terminal rows.
-struct Gather<'k> {
+pub(crate) struct Gather {
+    /// The job's index in the current call's job list.
     job: usize,
-    soa: &'k SoaProgram,
     /// One mask row per state (zeroed once — unwritten rows must stay
     /// zero) and one per-chunk selector table.
     masks: Vec<MaskRow>,
@@ -65,7 +78,17 @@ struct Gather<'k> {
 /// Panics if any job's `out.len() != block.len()` or its block is
 /// narrower than its kernel's variable count.
 pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
-    let mut gathers: Vec<Gather> = Vec::new();
+    eval_fused_with(jobs, &mut Vec::new());
+}
+
+/// [`eval_fused`] with caller-held gather scratch: `gathers` is empty
+/// or was filled by an earlier call whose gathering jobs had the same
+/// kernels in the same order. Each kernel's mask rows are zeroed once,
+/// when its scratch is made, so a worker evaluating one kernel over
+/// many small blocks neither allocates nor re-zeroes per block; rows no
+/// gather round writes stay zero across calls.
+pub(crate) fn eval_fused_with(jobs: &mut [FusedJob<'_>], gathers: &mut Vec<Gather>) {
+    let mut used = 0usize;
     let mut max_groups = 0usize;
     for (j, job) in jobs.iter_mut().enumerate() {
         assert_eq!(job.out.len(), job.block.len(), "output length mismatch");
@@ -79,16 +102,20 @@ pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
             Batch::Walk => kernel.walk_block(job.block, job.out),
             Batch::Gather(soa) => {
                 max_groups = max_groups.max(job.block.len().div_ceil(GROUP_LANES));
-                gathers.push(Gather {
-                    job: j,
-                    soa,
-                    masks: vec![ZERO_ROW; soa.num_states()],
-                    sels: vec![ZERO_ROW; soa.num_sels()],
-                    round: 0,
-                });
+                if used == gathers.len() {
+                    gathers.push(Gather {
+                        job: j,
+                        masks: vec![ZERO_ROW; soa.num_states()],
+                        sels: vec![ZERO_ROW; soa.num_sels()],
+                        round: 0,
+                    });
+                }
+                gathers[used].job = j;
+                used += 1;
             }
         }
     }
+    let gathers = &mut gathers[..used];
     let mut g0 = 0usize;
     while g0 < max_groups {
         let lo = g0 * GROUP_LANES;
@@ -96,8 +123,9 @@ pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
         // table for the chunk's groups; jobs without lanes sit it out.
         for gather in gathers.iter_mut() {
             let job = &jobs[gather.job];
+            let soa = job.soa();
             if lo >= job.out.len() {
-                gather.round = gather.soa.num_rounds();
+                gather.round = soa.num_rounds();
                 continue;
             }
             gather.round = 0;
@@ -112,11 +140,9 @@ pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
                 } else {
                     (1u64 << n) - 1
                 };
-                gather.soa.seed_root(&mut gather.masks, g, live);
+                soa.seed_root(&mut gather.masks, g, live);
             }
-            gather
-                .soa
-                .build_sels(job.block, g0, job.out.len(), &mut gather.sels);
+            soa.build_sels(job.block, g0, job.out.len(), &mut gather.sels);
         }
         // Lockstep rounds: one level-range gather per kernel per round,
         // so the N kernels' mask streams interleave. Round 0 has no
@@ -125,28 +151,26 @@ pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
         loop {
             let mut running = false;
             for gather in gathers.iter_mut() {
-                if gather.round >= gather.soa.num_rounds() {
+                let soa = jobs[gather.job].soa();
+                if gather.round >= soa.num_rounds() {
                     continue;
                 }
-                gather
-                    .soa
-                    .gather_round(&mut gather.masks, &gather.sels, gather.round);
+                soa.gather_round(&mut gather.masks, &gather.sels, gather.round);
                 gather.round += 1;
-                running |= gather.round < gather.soa.num_rounds();
+                running |= gather.round < soa.num_rounds();
             }
             if !running {
                 break;
             }
         }
         // Scatter this chunk's terminal masks into each job's output.
-        for gather in &gathers {
+        for gather in gathers.iter() {
             let job = &mut jobs[gather.job];
             if lo >= job.out.len() {
                 continue;
             }
             let hi = (lo + CHUNK_GROUPS * GROUP_LANES).min(job.out.len());
-            gather
-                .soa
+            job.soa()
                 .scatter(&gather.masks, &job.kernel.terminals, &mut job.out[lo..hi]);
         }
         g0 += CHUNK_GROUPS;

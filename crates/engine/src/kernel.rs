@@ -30,6 +30,7 @@
 //! batches. [`Kernel::bytes`] counts the persisted form only.
 
 use crate::block::PatternBlock;
+use crate::fused::{eval_fused, FusedJob};
 use crate::soa::SoaProgram;
 use charfree_core::{AddPowerModel, PowerModel};
 use charfree_dd::ChainMeasure;
@@ -328,7 +329,8 @@ impl Kernel {
     }
 
     /// Evaluates every transition lane of a packed [`PatternBlock`] into
-    /// `out` (which must be exactly `block.len()` long).
+    /// `out` (which must be exactly `block.len()` long) — a one-job
+    /// [`eval_fused`] call.
     ///
     /// The evaluator was chosen once, from the kernel's shape, when it
     /// was compiled or loaded. Small kernels run the level-packed SoA
@@ -345,34 +347,11 @@ impl Kernel {
     /// Panics if `out.len() != block.len()` or the block is narrower than
     /// the kernel's variable count.
     pub fn eval_batch_into(&self, block: &PatternBlock, out: &mut [f64]) {
-        self.eval_batch_into_with(block, out, &mut crate::soa::EvalScratch::default());
-    }
-
-    /// [`Kernel::eval_batch_into`] with caller-held gather scratch — the
-    /// worker loops evaluate many small blocks per trace and reuse one
-    /// scratch across all of them (walking kernels never touch it).
-    pub(crate) fn eval_batch_into_with(
-        &self,
-        block: &PatternBlock,
-        out: &mut [f64],
-        scratch: &mut crate::soa::EvalScratch,
-    ) {
-        assert_eq!(out.len(), block.len(), "output length mismatch");
-        assert!(
-            block.num_vars() >= self.num_vars as usize,
-            "pattern block is narrower than the kernel"
-        );
-        match self.batch() {
-            Batch::Constant(value) => out.fill(value),
-            Batch::Gather(soa) => soa.eval_block(
-                &self.terminals,
-                block,
-                out,
-                &mut scratch.masks,
-                &mut scratch.sels,
-            ),
-            Batch::Walk => self.walk_block(block, out),
-        }
+        eval_fused(&mut [FusedJob {
+            kernel: self,
+            block,
+            out,
+        }]);
     }
 
     /// Walks every lane of `block` from the root to its terminal,
@@ -695,6 +674,19 @@ mod tests {
             .collect()
     }
 
+    /// `kernel` with its batches forced onto the SoA gather, whichever
+    /// evaluator the rule chose.
+    fn gathering(kernel: &Kernel) -> Kernel {
+        let mut forced = kernel.clone();
+        forced.soa = Some(SoaProgram::build(
+            &kernel.instrs,
+            kernel.terminals.len(),
+            kernel.root,
+            kernel.num_vars,
+        ));
+        forced
+    }
+
     #[test]
     fn gather_and_walk_agree_with_scalar_eval_on_both_sides_of_the_rule() {
         let mut sides = [false, false];
@@ -704,21 +696,7 @@ mod tests {
                 MarkovSource::new(kernel.num_inputs(), 0.5, 0.4, 0x5EED).expect("feasible");
             let patterns = source.sequence(300);
             let block = PatternBlock::from_patterns(&kernel, &patterns);
-            let soa = SoaProgram::build(
-                &kernel.instrs,
-                kernel.terminals.len(),
-                kernel.root,
-                kernel.num_vars,
-            );
-            let mut gathered = vec![0.0; block.len()];
-            let mut scratch = crate::soa::EvalScratch::default();
-            soa.eval_block(
-                &kernel.terminals,
-                &block,
-                &mut gathered,
-                &mut scratch.masks,
-                &mut scratch.sels,
-            );
+            let gathered = gathering(&kernel).eval_batch(&block);
             let mut walked = vec![0.0; block.len()];
             kernel.walk_block(&block, &mut walked);
             let chosen = kernel.eval_batch(&block);
@@ -766,26 +744,14 @@ mod tests {
             let mut source =
                 MarkovSource::new(kernel.num_inputs(), 0.5, 0.4, 0x5EED).expect("feasible");
             let block = PatternBlock::from_patterns(&kernel, &source.sequence((1 << 16) + 1));
-            let soa = SoaProgram::build(
-                &kernel.instrs,
-                kernel.terminals.len(),
-                kernel.root,
-                kernel.num_vars,
-            );
+            let forced = gathering(&kernel);
             let mut out = vec![0.0; block.len()];
-            let mut scratch = crate::soa::EvalScratch::default();
             // Alternating best-of-nine: both evaluators sample the same
             // host-load windows.
             let (mut gather, mut walk) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..9 {
                 let start = std::time::Instant::now();
-                soa.eval_block(
-                    &kernel.terminals,
-                    &block,
-                    &mut out,
-                    &mut scratch.masks,
-                    &mut scratch.sels,
-                );
+                forced.eval_batch_into(&block, &mut out);
                 gather = gather.min(start.elapsed().as_secs_f64());
                 let start = std::time::Instant::now();
                 kernel.walk_block(&block, &mut out);

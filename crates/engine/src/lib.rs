@@ -13,25 +13,22 @@
 //!   ([`Kernel::save`] / [`Kernel::load`]), and validated on load.
 //! * [`PatternBlock`] — column-packed `u64` bit-matrix staging for
 //!   transition streams, one word per diagram variable per 64
-//!   transitions; [`Kernel::eval_batch`] consumes it allocation-free.
+//!   transitions; [`Kernel::eval_batch`] consumes it.
 //!   Each kernel picks its batch evaluator once, from its shape, when
 //!   it is compiled or loaded: small kernels run a level-packed SoA
 //!   gather (see [`soa`](self) internals; about `edges / 256` work per
 //!   lane), large ones walk their instructions root to terminal, eight
 //!   lanes side by side (about `depth` work per lane). Both are
 //!   bit-identical to the scalar [`Kernel::eval_transition`].
-//! * [`eval_fused`] — the fused multi-kernel evaluator: one pass over a
+//! * [`eval_fused`] — the crate's one batch loop: one pass over a
 //!   shared trace window advances N macros' gather programs together
 //!   (interleaved pair-level rounds for memory-level parallelism;
-//!   walking kernels run beside the rounds);
-//!   feeds `charfree-seq`'s cycle stepper and `charfree-serve`'s batch
-//!   dispatcher.
+//!   walking kernels run beside the rounds). It feeds `charfree-seq`'s
+//!   cycle stepper and `charfree-serve`'s batch dispatcher;
+//!   [`Kernel::eval_batch`] and the [`TraceEngine`] workers make
+//!   one-job calls.
 //! * [`TraceEngine`] — chunked, deterministic multi-threaded trace
-//!   evaluation: results are bit-identical for any `--jobs` value, in
-//!   resident and streaming mode alike.
-//! * [`CompiledModel`] — a [`charfree_core::PowerModel`] adapter so the
-//!   accuracy sweeps and CLI paths transparently use the compiled path
-//!   while the arena model remains the reference oracle.
+//!   evaluation: results are bit-identical for any `--jobs` value.
 //! * [`throughput`] — the measurement harness behind
 //!   `charfree throughput` and `BENCH_engine.json`.
 
@@ -42,7 +39,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod block;
-mod compiled;
 mod engine;
 mod fused;
 mod kernel;
@@ -51,7 +47,6 @@ mod soa;
 pub mod throughput;
 
 pub use block::PatternBlock;
-pub use compiled::CompiledModel;
 pub use engine::{TraceEngine, TraceSummary, DEFAULT_CHUNK};
 pub use fused::{eval_fused, FusedJob};
 pub use kernel::{Instr, Kernel};

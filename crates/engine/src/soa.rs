@@ -34,6 +34,13 @@
 //!   row op is a fixed-shape `[u64; 4]` chunk the autovectorizer (or
 //!   the AVX2 path) turns into full-width vector ops.
 //!
+//! This module holds one pass's steps — seed the root
+//! ([`SoaProgram::seed_root`]), build the selector table
+//! ([`SoaProgram::build_sels`]), gather round by round, scatter the
+//! terminal rows ([`SoaProgram::scatter`]). The chunk loop that runs
+//! them, and owns the mask and selector scratch, is
+//! [`eval_fused`](crate::eval_fused), the crate's one batch loop.
+//!
 //! Total work per 256 lanes is `O(edges)` — independent of path
 //! lengths, but proportional to the *whole* diagram. That beats the
 //! per-lane walk (about `depth` steps per lane) only while the kernel
@@ -63,15 +70,6 @@ pub(crate) type MaskRow = [u64; CHUNK_GROUPS];
 
 /// The all-zero row.
 pub(crate) const ZERO_ROW: MaskRow = [0u64; CHUNK_GROUPS];
-
-/// Reusable per-worker evaluation scratch (mask rows + selector
-/// table). Holding one of these across chunk evaluations avoids a
-/// per-call allocation and re-zeroing of the mask buffer.
-#[derive(Debug, Default)]
-pub(crate) struct EvalScratch {
-    pub(crate) masks: Vec<MaskRow>,
-    pub(crate) sels: Vec<MaskRow>,
-}
 
 /// One pair level: its contiguous state range `[start, end)` and the
 /// two diagram variables (pattern words) it tests.
@@ -531,53 +529,6 @@ impl SoaProgram {
                     mask &= mask - 1;
                 }
             }
-        }
-    }
-
-    /// Evaluates a whole packed block into `out` via the gather sweep,
-    /// [`CHUNK_GROUPS`] groups per pass. `masks`/`sels` are the
-    /// reusable scratch buffers (sized and zero-initialised here).
-    ///
-    /// The sweep assumes an internal root: constant kernels never build
-    /// a program.
-    pub(crate) fn eval_block(
-        &self,
-        terminals: &[f64],
-        block: &PatternBlock,
-        out: &mut [f64],
-        masks: &mut Vec<MaskRow>,
-        sels: &mut Vec<MaskRow>,
-    ) {
-        if masks.len() < self.num_states {
-            masks.clear();
-            masks.resize(self.num_states, ZERO_ROW);
-        }
-        if sels.len() != self.num_sels() {
-            sels.clear();
-            sels.resize(self.num_sels(), ZERO_ROW);
-        }
-        let groups = out.len().div_ceil(GROUP_LANES);
-        let mut g0 = 0usize;
-        while g0 < groups {
-            let masks = &mut masks[..self.num_states];
-            for g in 0..CHUNK_GROUPS {
-                let lo = (g0 + g) * GROUP_LANES;
-                let n = out.len().saturating_sub(lo).min(GROUP_LANES);
-                let live = if n == GROUP_LANES {
-                    !0u64
-                } else {
-                    (1u64 << n) - 1
-                };
-                self.seed_root(masks, g, live);
-            }
-            self.build_sels(block, g0, out.len(), sels);
-            for round in 1..self.num_rounds() {
-                self.gather_round(masks, sels, round);
-            }
-            let lo = g0 * GROUP_LANES;
-            let hi = (lo + CHUNK_GROUPS * GROUP_LANES).min(out.len());
-            self.scatter(masks, terminals, &mut out[lo..hi]);
-            g0 += CHUNK_GROUPS;
         }
     }
 }

@@ -4,7 +4,7 @@
 //! Times the same transition stream through three evaluation paths —
 //! per-pattern arena traversal on the [`AddPowerModel`] (the reference
 //! oracle), single-threaded compiled batch evaluation, and the parallel
-//! [`TraceEngine`](crate::TraceEngine) — and reports patterns/second plus
+//! [`TraceEngine`] — and reports patterns/second plus
 //! kernel compile cost and footprint. Every run cross-checks the summed
 //! capacitance of the three paths so a speedup can never silently come
 //! from computing something else.
@@ -151,7 +151,7 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs `body` repeatedly until [`MIN_SECONDS`] of wall-clock have
+/// Runs `body` repeatedly until `MIN_SECONDS` of wall-clock have
 /// elapsed; returns the achieved rate in `units_per_rep / second`.
 pub fn rate(units_per_rep: usize, mut body: impl FnMut()) -> f64 {
     let start = Instant::now();
@@ -184,6 +184,7 @@ pub fn measure(model: &AddPowerModel, patterns: &[Vec<bool>], jobs: usize) -> Th
     let arena_trace = model.capacitance_trace(patterns);
     let arena_sum: f64 = arena_trace.iter().sum();
 
+    let jobs = if jobs == 0 { host_cores() } else { jobs };
     let single = TraceEngine::new(&kernel).jobs(1);
     let many = TraceEngine::new(&kernel).jobs(jobs);
     let compiled_sum = single.evaluate(patterns).sum_ff;
@@ -215,7 +216,7 @@ pub fn measure(model: &AddPowerModel, patterns: &[Vec<bool>], jobs: usize) -> Th
         kernel_bytes: kernel.bytes(),
         compile_seconds,
         transitions,
-        jobs: many.num_jobs(),
+        jobs,
         host_cores: host_cores(),
         arena_pps,
         batch_pps,

@@ -9,13 +9,16 @@
 //! * kernels whose variable count exceeds one chunk's 64 pattern-word
 //!   pair budget (`n > 32`, so `2n > 64` diagram variables);
 //! * a walking kernel over lengths ragged against its 8-lane batches;
+//! * a hand-written `.cfk` holding an unreachable instruction and an
+//!   unreachable terminal, over enough transitions that one worker's
+//!   gather scratch spans several 256-lane sub-blocks;
 //! * the empty (0-transition) trace.
 //!
 //! Everything asserts through `f64::to_bits` — the evaluators are not
 //! "close", they are the same function.
 
 use charfree_core::{ApproxStrategy, ModelBuilder, PowerModel};
-use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine};
+use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine, TraceSummary};
 use charfree_netlist::{benchmarks, blif, Library};
 use charfree_sim::MarkovSource;
 
@@ -204,5 +207,109 @@ fn empty_trace_is_a_no_op_everywhere() {
         assert_eq!(summary.transitions, 0);
         assert_eq!(summary.sum_ff.to_bits(), 0f64.to_bits());
         assert_eq!(summary.max_ff.to_bits(), f64::NEG_INFINITY.to_bits());
+    }
+}
+
+/// A gathering kernel over three inputs whose instruction vec holds
+/// nodes the root never reaches: `I4` (which alone references `T3`)
+/// and `I6` (which references the root). `T4` is referenced by
+/// nothing. `validate` checks references and variable order, not
+/// reachability, so the file loads. If a reused mask row kept lanes
+/// from an earlier sub-block, they would land in `T3`/`T4`, whose
+/// values no reachable path produces.
+fn unreachable_nodes_kernel() -> Kernel {
+    let terminals: Vec<String> = [1.5f64, 2.25, 4.0, 1000.0, 2000.0]
+        .iter()
+        .map(|t| format!("{:016x}", t.to_bits()))
+        .collect();
+    let text = format!(
+        "charfree-kernel v1\n\
+         name unreachable\n\
+         inputs 3\n\
+         vars 6\n\
+         interleaved 1\n\
+         xi 0 2 4\n\
+         xf 1 3 5\n\
+         terminals {}\n\
+         instrs 7\n\
+         4 T0 T1\n\
+         5 T1 T2\n\
+         2 I0 I1\n\
+         3 T2 I0\n\
+         1 I2 T3\n\
+         1 I2 I3\n\
+         0 I5 I4\n\
+         root I5\n",
+        terminals.join(" ")
+    );
+    Kernel::load(text.as_bytes()).expect("the kernel passes validation")
+}
+
+#[test]
+fn unreachable_rows_never_leak_across_reused_scratch() {
+    let kernel = unreachable_nodes_kernel();
+    assert!(!kernel.walks(), "a small kernel gathers");
+    let mut source = MarkovSource::new(3, 0.5, 0.4, 29).expect("valid stats");
+    // 1500 transitions: six 256-lane sub-blocks, the last one ragged.
+    let patterns = source.sequence(1501);
+    let scalar: Vec<f64> = patterns
+        .windows(2)
+        .map(|p| kernel.eval_transition(&p[0], &p[1]))
+        .collect();
+    let assert_matches = |path: &str, values: &[f64]| {
+        assert_eq!(values.len(), scalar.len(), "{path}: length");
+        for (t, (got, want)) in values.iter().zip(&scalar).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "{path}: transition {t}");
+        }
+    };
+
+    // 512-transition chunks: at two jobs, each worker still evaluates
+    // at least two sub-blocks on one scratch.
+    for jobs in [1, 2] {
+        let engine = TraceEngine::new(&kernel).jobs(jobs).chunk_size(512);
+        assert_matches(&format!("trace, {jobs} jobs"), &engine.trace(&patterns));
+        let summary = engine.evaluate(&patterns);
+        let want = TraceSummary::from_values(&scalar, 512);
+        assert_eq!(summary.transitions, want.transitions);
+        assert_eq!(
+            summary.sum_ff.to_bits(),
+            want.sum_ff.to_bits(),
+            "{jobs} jobs"
+        );
+        assert_eq!(
+            summary.max_ff.to_bits(),
+            want.max_ff.to_bits(),
+            "{jobs} jobs"
+        );
+    }
+
+    let block = PatternBlock::from_patterns(&kernel, &patterns);
+    assert_matches("eval_batch", &kernel.eval_batch(&block));
+
+    // Fused beside another gathering kernel, placed second so its
+    // scratch is not the first job's.
+    let library = Library::test_library();
+    let decod = Kernel::compile(&ModelBuilder::new(&benchmarks::decod(&library)).build());
+    let mut decod_source =
+        MarkovSource::new(decod.num_inputs(), 0.5, 0.4, 31).expect("valid stats");
+    let decod_block = PatternBlock::from_patterns(&decod, &decod_source.sequence(901));
+    let mut decod_out = vec![0.0; decod_block.len()];
+    let mut fused = vec![0.0; block.len()];
+    eval_fused(&mut [
+        FusedJob {
+            kernel: &decod,
+            block: &decod_block,
+            out: &mut decod_out,
+        },
+        FusedJob {
+            kernel: &kernel,
+            block: &block,
+            out: &mut fused,
+        },
+    ]);
+    assert_matches("eval_fused", &fused);
+    let decod_solo = decod.eval_batch(&decod_block);
+    for (t, (got, want)) in decod_out.iter().zip(&decod_solo).enumerate() {
+        assert_eq!(got.to_bits(), want.to_bits(), "fused decod: transition {t}");
     }
 }

@@ -1,8 +1,8 @@
 //! Sharded edge-triggered reactor.
 //!
-//! N shard threads each own a [`Poller`](crate::poller::Poller), a slab
-//! of accepted connections and two cross-thread queues (accept handoff
-//! and a message mailbox), both signalled through the shard's eventfd.
+//! N shard threads each own a [`Poller`], a slab of accepted
+//! connections and two cross-thread queues (accept handoff and a
+//! message mailbox), both signalled through the shard's eventfd.
 //! Connections never migrate between shards, so all per-connection state
 //! is plain (non-atomic) data touched by exactly one thread.
 //!

@@ -14,8 +14,9 @@
 //! * **fused** ([`SeqModel::eval_fused`]) — one pass over the shared
 //!   pattern trace; every macro's transitions are packed into its own
 //!   [`PatternBlock`] lane-by-lane and all blocks are evaluated in one
-//!   fused multi-kernel pass ([`eval_fused`]) at each 64-lane flush,
-//!   interleaving the macros' walks for memory-level parallelism;
+//!   fused multi-kernel pass ([`eval_fused`]) at each 4096-lane flush,
+//!   interleaving the gathering macros' level-by-level gather rounds
+//!   for memory-level parallelism;
 //! * **unfused** ([`SeqModel::eval_unfused`]) — each macro's boundary
 //!   sequence is materialized and evaluated independently through
 //!   [`TraceEngine`].
@@ -185,7 +186,7 @@ impl SeqModel {
     /// walk over the pattern trace advances the register state once,
     /// packs every macro's `(xⁱ, xᶠ)` pair for the cycle into that
     /// macro's [`PatternBlock`], and batch-evaluates all blocks at each
-    /// [`FUSED_WINDOW`]-lane flush. Returns one value vector per macro.
+    /// `FUSED_WINDOW`-lane flush. Returns one value vector per macro.
     pub fn trace_fused(&self, patterns: &[Vec<bool>]) -> Vec<Vec<f64>> {
         /// Lanes accumulated per macro before a fused flush. Large
         /// enough to amortize `eval_fused`'s per-call scratch over many

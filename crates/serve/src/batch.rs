@@ -7,8 +7,9 @@
 //! group — to a fixed worker pool as one flush; the worker packs each
 //! group's transitions into its own block, evaluates **all groups in a
 //! single fused multi-kernel pass** ([`eval_fused`], interleaving the
-//! kernels' walks for memory-level parallelism), and scatters the
-//! per-transition values back to each requester.
+//! gathering kernels' level-by-level gather rounds for memory-level
+//! parallelism), and scatters the per-transition values back to each
+//! requester.
 //!
 //! # The bit-identical-batching invariant
 //!
@@ -63,10 +64,11 @@ pub enum JobFault {
 
 /// Where a job's result goes.
 ///
-/// The blocking front end waits on a channel ([`ChannelReply`]); the
-/// reactor front end completes asynchronously (format the response,
+/// The reactor front end completes asynchronously (format the response,
 /// post it to the connection's shard, wake the reactor) without any
-/// thread parked per in-flight request.
+/// thread parked per in-flight request. Synchronous callers — the
+/// conform chaos campaign and this module's tests — wait on a channel
+/// ([`ChannelReply`]).
 ///
 /// **Drop contract:** a sink dropped without [`complete`](ReplySink::complete)
 /// being called means the executing worker panicked and unwound past the
@@ -78,7 +80,7 @@ pub trait ReplySink: Send {
     fn complete(self: Box<Self>, result: Result<JobOutput, JobError>);
 }
 
-/// The channel-backed [`ReplySink`] used by blocking callers: completion
+/// The channel-backed [`ReplySink`] of synchronous callers: completion
 /// sends on the capacity-1 channel; an abandoning drop disconnects it.
 pub struct ChannelReply(pub SyncSender<Result<JobOutput, JobError>>);
 
@@ -499,33 +501,69 @@ mod tests {
         dispatcher.shutdown();
     }
 
+    /// A sink that reports it was entered, then blocks until released
+    /// before passing the outcome on — it parks the worker running it.
+    struct ParkedReply {
+        entered: SyncSender<()>,
+        release: Receiver<()>,
+        reply: ChannelReply,
+    }
+
+    impl ReplySink for ParkedReply {
+        fn complete(self: Box<Self>, result: Result<JobOutput, JobError>) {
+            let _ = self.entered.send(());
+            let _ = self.release.recv();
+            Box::new(self.reply).complete(result);
+        }
+    }
+
     #[test]
     fn full_queue_hands_the_job_back() {
         let decod = kernel_for(benchmarks::decod);
+        let job = |seed: u64, reply: Box<dyn ReplySink>| Job {
+            kernel: Arc::clone(&decod),
+            patterns: patterns_for(&decod, 10, seed),
+            want_values: false,
+            deadline: None,
+            reply,
+            fault: None,
+        };
         let stats = Arc::new(ServerStats::new());
-        // Stall the single worker behind a long window so the queue
-        // backs up deterministically.
-        let dispatcher = Dispatcher::start(1, Duration::from_secs(5), 1, stats);
+        let dispatcher = Dispatcher::start(1, Duration::ZERO, 1, stats);
         let handle = dispatcher.handle();
+        // Park the single worker inside a reply sink.
+        let (entered_tx, entered_rx) = sync_channel(1);
+        let (release_tx, release_rx) = sync_channel(1);
+        let (parked_tx, parked_rx) = sync_channel(1);
+        let parked = ParkedReply {
+            entered: entered_tx,
+            release: release_rx,
+            reply: ChannelReply(parked_tx),
+        };
+        assert!(handle.try_submit(job(100, Box::new(parked))).is_ok());
+        entered_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the worker reaches the parked sink");
+        // With the worker parked, at most four jobs fit: two batches in
+        // the worker channel, one in the coordinator's hand and one in
+        // the 1-deep submit queue.
         let mut shed = 0;
-        let mut kept_replies = Vec::new();
+        let mut kept_replies = vec![parked_rx];
         for seed in 0..8 {
             let (reply_tx, reply_rx) = sync_channel(1);
-            let job = Job {
-                kernel: Arc::clone(&decod),
-                patterns: patterns_for(&decod, 10, seed),
-                want_values: false,
-                deadline: None,
-                reply: Box::new(ChannelReply(reply_tx)),
-                fault: None,
-            };
-            match handle.try_submit(job) {
+            match handle.try_submit(job(seed, Box::new(ChannelReply(reply_tx)))) {
                 Ok(()) => kept_replies.push(reply_rx),
                 Err(_returned_job) => shed += 1,
             }
         }
-        assert!(shed > 0, "a 1-deep queue must shed an 8-burst");
-        // Accepted jobs still complete once the window elapses.
+        assert!(
+            shed >= 4,
+            "an 8-burst behind a parked worker shed only {shed}"
+        );
+        // Every accepted job completes once the worker is released.
+        release_tx
+            .send(())
+            .expect("the parked sink waits for release");
         for reply in kept_replies {
             assert!(reply
                 .recv_timeout(Duration::from_secs(30))

@@ -6,7 +6,7 @@
 //!
 //! What makes it more than a socket wrapper:
 //!
-//! * **Nonblocking reactor front end** ([`frontend`], crate
+//! * **Nonblocking reactor front end** (`frontend`, crate
 //!   `charfree-net`): N epoll shard threads own all connection I/O with
 //!   edge-triggered readiness and write backpressure; a fixed service
 //!   pool does parsing/admission/model resolution. No thread is parked

@@ -4,7 +4,7 @@
 //! Every [`Request`] and [`Response`] body is declared exactly once, in
 //! the two `wire_bodies!` tables below: its JSON name, its binary frame
 //! type and its ordered list of typed fields. Each codec implements the
-//! [`Sink`]/[`Source`] pair over those field kinds (JSON here, binary in
+//! `Sink`/`Source` pair over those field kinds (JSON here, binary in
 //! [`crate::wire`]) and adds only its envelope: `cmd` (requests) or
 //! `ok` + `kind` (responses) in JSON, the frame type byte in binary. The
 //! typed error response is the one body each codec writes itself,

@@ -6,7 +6,7 @@
 //! all connection I/O and framing; a fixed service pool parses requests,
 //! runs admission and model resolution, and submits dispatcher jobs
 //! whose reply sinks post encoded responses back to the owning shard
-//! (see [`crate::frontend`]); the dispatcher coordinator + worker pool
+//! (see `frontend`); the dispatcher coordinator + worker pool
 //! ([`crate::batch`]) evaluates, which is what lets requests from
 //! different sockets share 64-lane pattern blocks. No thread is ever
 //! parked per connection.
