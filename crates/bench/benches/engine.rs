@@ -1,9 +1,10 @@
 //! Compiled-kernel engine benchmarks: per-pattern arena traversal versus
 //! packed-batch kernel evaluation (one thread and four), the two batch
 //! evaluators (gather and walk) on prepacked blocks, plus kernel
-//! compilation cost. The `engine_throughput` binary reports the same
-//! comparison as `BENCH_engine.json`; this harness gives it a Criterion
-//! home next to the construction/evaluation suites.
+//! compilation cost. The benchmark of record is `perf`
+//! (`crates/bench/src/bin/perf`, workload `eval_offline`); this harness
+//! gives the same comparison a Criterion home next to the
+//! construction/evaluation suites.
 
 use charfree_core::{ModelBuilder, PowerModel};
 use charfree_engine::{Kernel, PatternBlock, TraceEngine};

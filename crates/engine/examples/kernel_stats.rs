@@ -1,6 +1,6 @@
 //! Prints compiled-kernel statistics (instruction count, footprint,
-//! fixed walk depth) for the benchmark circuits the throughput harness
-//! measures — handy for sizing expectations before a run.
+//! fixed walk depth) for the benchmark circuits — handy for sizing
+//! expectations before a `perf` run.
 //!
 //! ```text
 //! cargo run --release -p charfree-engine --example kernel_stats

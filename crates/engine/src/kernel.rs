@@ -261,7 +261,7 @@ impl Kernel {
     }
 
     /// Kernel memory footprint in bytes (instructions + terminal table +
-    /// variable maps; the numbers recorded in `BENCH_engine.json`).
+    /// variable maps; `perf` records it as `engine.kernel_kb`).
     pub fn bytes(&self) -> usize {
         self.instrs.len() * std::mem::size_of::<Instr>()
             + self.terminals.len() * std::mem::size_of::<f64>()

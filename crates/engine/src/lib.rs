@@ -29,8 +29,10 @@
 //!   one-job calls.
 //! * [`TraceEngine`] — chunked, deterministic multi-threaded trace
 //!   evaluation: results are bit-identical for any `--jobs` value.
-//! * [`throughput`] — the measurement harness behind
-//!   `charfree throughput` and `BENCH_engine.json`.
+//!
+//! Evaluation speed is measured by the workspace's `perf` benchmark
+//! (`crates/bench/src/bin/perf`, workload `eval_offline`); it checks the
+//! kernels' traces against the arena walk bit for bit.
 
 #![warn(missing_docs)]
 // `.unwrap()` is banned crate-wide; `.expect()` remains available for
@@ -44,7 +46,6 @@ mod fused;
 mod kernel;
 mod persist;
 mod soa;
-pub mod throughput;
 
 pub use block::PatternBlock;
 pub use engine::{TraceEngine, TraceSummary, DEFAULT_CHUNK};

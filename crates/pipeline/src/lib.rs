@@ -174,8 +174,14 @@ impl BuildOptions {
     /// A canonical textual digest of every deterministic knob, mixed
     /// into the artifact cache key. Only meaningful when
     /// [`BuildOptions::cacheable`] holds.
+    ///
+    /// The leading version line stands for the construction algorithm:
+    /// any change that alters a built model's bits (even only the low
+    /// bits of approximated models) must bump it, or a store warmed by
+    /// the old code keeps serving the old bits and warm stops matching
+    /// cold.
     pub fn fingerprint(&self) -> String {
-        let mut out = String::from("options v1\n");
+        let mut out = String::from("options v2\n");
         let _ = writeln!(out, "max_nodes {:?}", self.max_nodes);
         let _ = writeln!(out, "upper_bound {}", self.upper_bound);
         match &self.collapse_toggles {
@@ -416,11 +422,6 @@ impl PipelineCtx {
     /// The build options of this run.
     pub fn options(&self) -> &BuildOptions {
         &self.options
-    }
-
-    /// The attached artifact store, if any.
-    pub fn store(&self) -> Option<&ArtifactStore> {
-        self.store.as_ref()
     }
 
     /// Cache-missing ADD apply/ITE steps performed by builds in this

@@ -151,6 +151,7 @@ fn write_string(s: &str, out: &mut String) {
 /// A human-readable description of the first syntax error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -172,6 +173,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -263,53 +265,45 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            // Surrogate pairs are not needed by this
-                            // protocol; map them to the replacement char
-                            // instead of erroring so foreign clients
-                            // cannot wedge a connection.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences are
-                    // passed through unmodified).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string content".to_owned())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or backslash as one
+            // slice: both are ASCII, so the run ends on a char boundary
+            // and the scan stays linear in the line length.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let hex = std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape")?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape `{hex}`"))?;
+                    // Surrogate pairs are not needed by this protocol;
+                    // map them to the replacement char instead of
+                    // erroring so foreign clients cannot wedge a
+                    // connection.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                other => return Err(format!("bad escape {other:?} at byte {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -419,6 +413,26 @@ mod tests {
         assert_eq!(parse(&line).expect("parses"), v);
         let u = parse(r#""A⚠""#).expect("unicode escapes");
         assert_eq!(u.as_str(), Some("A\u{26A0}"));
+    }
+
+    #[test]
+    fn a_max_length_string_parses_in_linear_time() {
+        // One string filling a whole request line, ASCII and two-byte
+        // UTF-8 mixed. A scan that re-validates the rest of the line per
+        // character needs seconds here; a linear one, milliseconds.
+        let header = r#"{"cmd":"load","name":""#;
+        let name = "aé".repeat((crate::server::MAX_LINE_BYTES - header.len() - 2) / 3);
+        let line = format!("{header}{name}\"}}");
+        assert!(line.len() <= crate::server::MAX_LINE_BYTES);
+        let start = std::time::Instant::now();
+        let v = parse(&line).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(v.get("name").and_then(Json::as_str), Some(name.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{} byte line took {elapsed:?}",
+            line.len()
+        );
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //! charfree sim <netlist.{blif,v}> [--vectors N] [--sp P] [--st P]
 //!                [--library L.lib] [--seed S]
 //! charfree bench <name> [--format blif|verilog]
-//! charfree throughput <bench|netlist|M.cfm> [--vectors N] [--jobs N]
-//!                [--max N] [-o BENCH_engine.json]
 //! ```
 //!
 //! Every subcommand that builds or evaluates also accepts:
@@ -35,7 +33,6 @@
 //! built-in benchmark.
 
 use charfree_core::PowerModel;
-use charfree_engine::throughput;
 use charfree_netlist::units::Voltage;
 use charfree_netlist::{blif, libspec, verilog, Library};
 use charfree_pipeline::{ArtifactStore, BuildOptions, PipelineCtx, Source};
@@ -67,7 +64,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "trace" => cmd_trace(rest),
         "sim" => cmd_sim(rest),
         "bench" => cmd_bench(rest),
-        "throughput" => cmd_throughput(rest),
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
         "conform" => cmd_conform(rest),
@@ -101,9 +97,6 @@ fn usage(prefix: &str) -> String {
          \x20 charfree sim <netlist.{blif,v}> [--vectors N] [--sp P] [--st P]\n\
          \x20                [--library L.lib] [--seed S]\n\
          \x20 charfree bench <name> [--format blif|verilog]\n\
-         \x20 charfree throughput <bench|netlist|M.cfm> [--vectors N] [--jobs N]\n\
-         \x20                [--max N] [--sp P] [--st P] [--seed S]\n\
-         \x20                [--library L.lib] [-o BENCH_engine.json]\n\
          \x20 charfree serve [--addr HOST:PORT] [--jobs N] [--batch-window DUR]\n\
          \x20                [--max-inflight N] [--max-vectors N]\n\
          \x20                [--model-bytes-budget BYTES]\n\
@@ -735,99 +728,6 @@ fn cmd_bench(args: &[String]) -> Result<String, CliError> {
         "verilog" | "v" => Ok(verilog::write(&netlist)),
         other => Err(format!("unknown format `{other}` (blif|verilog)")),
     }
-}
-
-fn cmd_throughput(args: &[String]) -> Result<String, CliError> {
-    let mut flags = Flags::new(args);
-    let mut session = Session::from_flags(&mut flags)?;
-    let target = flags.positional()?;
-    let vectors: usize = flags.parse("--vectors", 20_000)?;
-    let jobs: usize = parse_jobs(&mut flags)?;
-    let max: usize = flags.parse("--max", 0)?;
-    let sp: f64 = flags.parse("--sp", 0.5)?;
-    let st: f64 = flags.parse("--st", 0.5)?;
-    let seed: u64 = flags.parse("--seed", 1)?;
-    let out_path = flags.value("-o")?.map(str::to_owned);
-    flags.finish()?;
-
-    if max > 0 {
-        session = session.with_options(BuildOptions {
-            max_nodes: Some(max),
-            ..BuildOptions::default()
-        });
-    }
-    // The operand is a saved model, a netlist file, or a benchmark name.
-    let model = session
-        .ctx
-        .model_for(&Source::infer(target))
-        .map_err(|e| e.to_string())?;
-
-    let mut source =
-        MarkovSource::new(model.num_inputs(), sp, st, seed).map_err(|e| e.to_string())?;
-    let patterns = source.sequence(vectors.max(2));
-    let record = throughput::measure(&model, &patterns, jobs);
-
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "throughput of `{}` ({} inputs, {} ADD nodes) over {} transitions:",
-        record.circuit, record.inputs, record.add_nodes, record.transitions
-    );
-    let _ = writeln!(
-        report,
-        "  kernel: {} instrs, {} terminals, {} bytes, compiled in {:.3} ms",
-        record.kernel_instrs,
-        record.kernel_terminals,
-        record.kernel_bytes,
-        record.compile_seconds * 1e3
-    );
-    let _ = writeln!(
-        report,
-        "  arena walk (1 thread):     {:>12.0} patterns/s",
-        record.arena_pps
-    );
-    let _ = writeln!(
-        report,
-        "  compiled batch (1 thread): {:>12.0} patterns/s  ({:.1}x arena)",
-        record.batch_pps,
-        record.speedup_batch()
-    );
-    let _ = writeln!(
-        report,
-        "  compiled batch ({} threads): {:>10.0} patterns/s  ({:.1}x arena, {:.2}x batch)",
-        record.jobs,
-        record.parallel_pps,
-        record.speedup_parallel(),
-        record.scaling()
-    );
-    let _ = writeln!(
-        report,
-        "  parity with arena oracle: {}",
-        if record.parity { "ok" } else { "FAILED" }
-    );
-    match session.ctx.store() {
-        Some(store) => {
-            let _ = writeln!(
-                report,
-                "  artifact cache: {} hit(s), {} miss(es) at {}",
-                session.ctx.telemetry.cache_hits(),
-                session.ctx.telemetry.cache_misses(),
-                store.dir().display()
-            );
-        }
-        None => {
-            let _ = writeln!(
-                report,
-                "  artifact cache: off (enable with --cache-dir DIR)"
-            );
-        }
-    }
-    if let Some(path) = out_path {
-        fs::write(&path, throughput::records_to_json(&[record]))
-            .map_err(|e| format!("{path}: {e}"))?;
-        let _ = writeln!(report, "wrote {path}");
-    }
-    session.finish(report)
 }
 
 /// Parses a `--batch-window` duration: `0` (no coalescing delay) or an
@@ -1598,7 +1498,6 @@ mod tests {
         for cmd in [
             &["eval", "decod", "--jobs", "0"][..],
             &["trace", "decod", "--jobs", "0"][..],
-            &["throughput", "decod", "--jobs", "0"][..],
             &["serve", "--jobs", "0"][..],
         ] {
             let err = run(&s(cmd)).expect_err("--jobs 0 must be rejected");
@@ -1793,42 +1692,6 @@ mod more_tests {
     }
 
     #[test]
-    fn throughput_subcommand_reports_and_writes_json() {
-        let dir = std::env::temp_dir().join("charfree-cli-test-throughput");
-        fs::create_dir_all(&dir).expect("tmp dir");
-        let json_path = dir.join("BENCH_engine.json");
-        let report = run(&s(&[
-            "throughput",
-            "decod",
-            "--vectors",
-            "300",
-            "--jobs",
-            "2",
-            "-o",
-            json_path.to_str().expect("utf8"),
-        ]))
-        .expect("throughput runs");
-        assert!(report.contains("compiled batch"), "{report}");
-        assert!(report.contains("parity with arena oracle: ok"), "{report}");
-        let json = fs::read_to_string(&json_path).expect("json written");
-        assert!(json.contains("\"parity\": true"), "{json}");
-        assert!(json.contains("\"batch_patterns_per_sec\""), "{json}");
-
-        // A saved .cfm works as the operand too.
-        let model_path = model_file();
-        let report = run(&s(&[
-            "throughput",
-            model_path.to_str().expect("utf8"),
-            "--vectors",
-            "300",
-        ]))
-        .expect("throughput on .cfm runs");
-        assert!(report.contains("throughput of `cm85`"), "{report}");
-
-        assert!(run(&s(&["throughput", "no-such-bench"])).is_err());
-    }
-
-    #[test]
     fn model_kernel_flag_writes_loadable_kernel() {
         let dir = std::env::temp_dir().join("charfree-cli-test-kernel");
         fs::create_dir_all(&dir).expect("tmp dir");
@@ -1935,22 +1798,6 @@ mod more_tests {
             .any(|p| p.extension().is_some_and(|e| e == "cfk")));
         // ...and a warm run reproduces stdout byte for byte.
         assert_eq!(cold, eval("warm"));
-
-        // The throughput report surfaces the cache counters.
-        let report = run(&s(&[
-            "throughput",
-            "decod",
-            "--vectors",
-            "200",
-            "--cache-dir",
-            cache,
-            "--max",
-            "300",
-        ]))
-        .expect("throughput with cache");
-        assert!(report.contains("artifact cache:"), "{report}");
-        let report = run(&s(&["throughput", "decod", "--vectors", "200"])).expect("throughput");
-        assert!(report.contains("artifact cache: off"), "{report}");
 
         let _ = fs::remove_dir_all(&dir);
     }
