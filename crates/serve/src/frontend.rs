@@ -272,14 +272,8 @@ impl Frontend {
         let line = String::from_utf8_lossy(&data[..nl]).into_owned();
         let buffered = data.len();
         conn.consume(buffered);
-        let mut parts = line.split_whitespace();
-        let body = match (parts.next(), parts.next()) {
-            (Some("GET"), Some("/metrics")) => {
-                metrics::http_response(&metrics::render(&self.shared.snapshot()))
-            }
-            _ => metrics::http_not_found(),
-        };
-        conn.write(body.as_bytes());
+        let answer = metrics::http_answer(&line, || self.shared.snapshot());
+        conn.write(answer.as_bytes());
         conn.close(CloseReason::App);
     }
 
@@ -514,7 +508,7 @@ fn handle_request(
         Err(message) => return reply.send(server::error(ErrorKind::BadRequest, message)),
     };
     reply.cmd = request.cmd();
-    shared.stats.record_accepted(reply.cmd);
+    shared.stats.record_accepted(request.kind());
     if shared.draining.load(Ordering::SeqCst) && !matches!(request, Request::Shutdown) {
         return reply.send(server::error(ErrorKind::Draining, "server is draining"));
     }
@@ -523,7 +517,7 @@ fn handle_request(
     // and drained.
     let want_values = matches!(request, Request::Trace { .. });
     match request {
-        Request::Stats => reply.send(Response::Stats(shared.snapshot())),
+        Request::Stats => reply.send(Response::Stats(shared.snapshot().to_json())),
         Request::Metrics => reply.send(Response::Metrics(metrics::render(&shared.snapshot()))),
         Request::Shutdown => {
             reply.finish(Response::Shutdown, true);

@@ -46,11 +46,10 @@ use charfree_sim::MarkovSource;
 
 use crate::batch::Dispatcher;
 use crate::frontend::{Completion, Frontend, ServicePool, SvcRequest};
-use crate::json::Json;
 use crate::metrics;
 use crate::proto::{ErrorKind, Response, WireBuildOptions, WireEvalParams, WireMacroSummary};
 use crate::registry::{Resident, ShardedRegistry};
-use crate::stats::ServerStats;
+use crate::stats::{Counters, ServerStats};
 use crate::supervisor::{BreakerConfig, BreakerDecision, CircuitBreaker};
 
 /// Longest tolerated request line (a `trace` request is short; this only
@@ -170,15 +169,16 @@ impl Shared {
         }
     }
 
-    /// The full stats snapshot (registry, breaker and net sections
-    /// included) — the one source for `stats`, `metrics` and HTTP.
-    pub(crate) fn snapshot(&self) -> Json {
+    /// The counter table — the one source for `stats`, `metrics` and
+    /// HTTP. The reactor's counters read as zero until it is up.
+    pub(crate) fn snapshot(&self) -> Counters {
+        let idle = NetCounters::default();
         self.stats.snapshot(
             &self.registry,
             &self.breaker,
-            self.net.get().map(|c| c.as_ref()),
-            Some(&self.shared_table),
-            Some(self.registry.seq_stats()),
+            self.net.get().map_or(&idle, |c| c.as_ref()),
+            &self.shared_table,
+            self.registry.seq_stats(),
         )
     }
 
@@ -555,25 +555,15 @@ fn accept_loop(
     }
 }
 
-/// The dedicated metrics listener: accept, answer one `GET /metrics`,
+/// The dedicated metrics listener: accept, answer one request line,
 /// close. Nonblocking accept with a short sleep so the thread notices
 /// drain promptly without a wake channel.
 fn metrics_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => serve_metrics_conn(stream, shared),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                thread::sleep(Duration::from_millis(50));
-            }
+            Err(_) if shared.draining.load(Ordering::SeqCst) => return,
+            Err(_) => thread::sleep(Duration::from_millis(50)),
         }
     }
 }
@@ -585,20 +575,13 @@ fn serve_metrics_conn(mut stream: TcpStream, shared: &Shared) {
     let mut chunk = [0u8; 1024];
     while !buf.contains(&b'\n') && buf.len() <= 8192 {
         match stream.read(&mut chunk) {
-            Ok(0) => break,
+            Ok(0) | Err(_) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
         }
     }
     let text = String::from_utf8_lossy(&buf);
-    let mut parts = text.lines().next().unwrap_or("").split_whitespace();
-    let body = match (parts.next(), parts.next()) {
-        (Some("GET"), Some("/metrics")) => {
-            metrics::http_response(&metrics::render(&shared.snapshot()))
-        }
-        _ => metrics::http_not_found(),
-    };
-    let _ = stream.write_all(body.as_bytes());
+    let answer = metrics::http_answer(text.lines().next().unwrap_or(""), || shared.snapshot());
+    let _ = stream.write_all(answer.as_bytes());
 }
 
 pub(crate) fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
