@@ -36,7 +36,6 @@
 // provably unreachable states and must spell out the invariant.
 #![deny(clippy::unwrap_used)]
 
-pub mod bench_format;
 pub mod benchmarks;
 pub mod blif;
 pub mod libspec;

@@ -1,8 +1,8 @@
-//! Property tests over the three netlist interchange formats: random
-//! mapped circuits must survive BLIF, structural Verilog and ISCAS-85
-//! `.bench` round trips with identical simulated behavior.
+//! Property tests over the netlist interchange formats: random mapped
+//! circuits must survive BLIF and structural Verilog round trips with
+//! identical simulated behavior.
 
-use charfree_netlist::{bench_format, benchmarks, blif, verilog, Library, Netlist};
+use charfree_netlist::{benchmarks, blif, verilog, Library, Netlist};
 use proptest::prelude::*;
 
 fn eval(n: &Netlist, inputs: &[bool]) -> Vec<bool> {
@@ -71,22 +71,11 @@ proptest! {
     }
 
     #[test]
-    fn bench_round_trip(inputs in 3usize..9, gates in 4usize..40, seed in 0u64..10_000) {
-        let original = random_circuit(inputs, gates, seed);
-        let text = bench_format::write(&original);
-        let back = bench_format::parse(original.name(), &text)
-            .expect("bench round-trips");
-        // Gate count may differ (AOI/OAI expand); behavior must not.
-        check_equivalent(&original, &back, inputs)?;
-    }
-
-    #[test]
     fn cross_format_chain(inputs in 3usize..8, gates in 4usize..30, seed in 0u64..10_000) {
-        // blif -> verilog -> bench -> blif, behavior invariant throughout.
+        // blif -> verilog -> blif, behavior invariant throughout.
         let original = random_circuit(inputs, gates, seed);
         let v = verilog::parse(&verilog::write(&original)).expect("verilog");
-        let b = bench_format::parse("chain", &bench_format::write(&v)).expect("bench");
-        let back = blif::parse(&blif::write(&b)).expect("blif");
+        let back = blif::parse(&blif::write(&v)).expect("blif");
         check_equivalent(&original, &back, inputs)?;
     }
 }

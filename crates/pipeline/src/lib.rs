@@ -3,17 +3,17 @@
 //! The paper's flow is inherently staged — netlist → symbolic ADD
 //! construction (Fig. 6) → collapse (Eqs. 5–8) → kernel compile →
 //! evaluation — and every consumer used to re-wire that chain by hand.
-//! This crate makes the chain a first-class value:
+//! This crate gives the chain one home:
 //!
 //! * [`PipelineCtx`] — the shared run context: cell library, build
 //!   options (threading the `charfree-dd` budget/cancellation knobs), an
 //!   optional content-addressed [`ArtifactStore`], a structured
 //!   [`Telemetry`] sink and an [`ApplyStats`] counter proving how much
 //!   symbolic work a run actually performed.
-//! * Stages as composable values — [`ParseNetlist`], [`Annotate`],
-//!   [`BuildModel`], [`CompileKernel`], [`Evaluate`] implement
-//!   [`PipelineStage`] and chain with [`PipelineStage::then`]; every
-//!   stage shares the one `PipelineCtx`.
+//! * Stages as `PipelineCtx` methods — [`PipelineCtx::parse_netlist`],
+//!   [`PipelineCtx::annotate`], [`PipelineCtx::build_model`],
+//!   [`PipelineCtx::compile_kernel`], [`PipelineCtx::evaluate`]; each
+//!   records its [`Stage`] in the context's telemetry.
 //! * Content-addressed caching — models (`.cfm`) and kernels (`.cfk`)
 //!   are keyed by a hash of (canonical netlist bytes, library
 //!   fingerprint, build options); a second run on the same inputs
@@ -23,13 +23,13 @@
 //!
 //! ```
 //! use charfree_netlist::Library;
-//! use charfree_pipeline::{Annotate, ParseNetlist, PipelineCtx, PipelineStage, Source};
+//! use charfree_pipeline::{PipelineCtx, Source};
 //!
 //! let mut ctx = PipelineCtx::new(Library::test_library());
-//! let netlist = ParseNetlist
-//!     .then(Annotate)
-//!     .run(&mut ctx, Source::Bench("decod".to_owned()))
+//! let parsed = ctx
+//!     .parse_netlist(&Source::Bench("decod".to_owned()))
 //!     .expect("built-in benchmark");
+//! let netlist = ctx.annotate(parsed);
 //! assert_eq!(netlist.num_inputs(), 5);
 //! ```
 
@@ -893,147 +893,6 @@ pub fn netlist_delta(old: &Netlist, new: &Netlist) -> NetlistDelta {
     }
 }
 
-/// A typed pipeline stage: a value that consumes an input, may consult
-/// and update the shared [`PipelineCtx`] (telemetry, cache, budget), and
-/// produces the next stage's input. Chain stages with
-/// [`PipelineStage::then`].
-pub trait PipelineStage {
-    /// What the stage consumes.
-    type In;
-    /// What the stage produces.
-    type Out;
-
-    /// Runs the stage.
-    ///
-    /// # Errors
-    ///
-    /// Stage-specific [`PipelineError`]s.
-    fn run(&self, ctx: &mut PipelineCtx, input: Self::In) -> Result<Self::Out, PipelineError>;
-
-    /// Sequential composition: `a.then(b)` feeds `a`'s output to `b`.
-    fn then<B>(self, next: B) -> Then<Self, B>
-    where
-        Self: Sized,
-        B: PipelineStage<In = Self::Out>,
-    {
-        Then { first: self, next }
-    }
-}
-
-/// Sequential composition of two stages (see [`PipelineStage::then`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Then<A, B> {
-    first: A,
-    next: B,
-}
-
-impl<A, B> PipelineStage for Then<A, B>
-where
-    A: PipelineStage,
-    B: PipelineStage<In = A::Out>,
-{
-    type In = A::In;
-    type Out = B::Out;
-
-    fn run(&self, ctx: &mut PipelineCtx, input: Self::In) -> Result<Self::Out, PipelineError> {
-        let mid = self.first.run(ctx, input)?;
-        self.next.run(ctx, mid)
-    }
-}
-
-/// Stage value: [`Source`] → [`Netlist`] (see
-/// [`PipelineCtx::parse_netlist`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ParseNetlist;
-
-impl PipelineStage for ParseNetlist {
-    type In = Source;
-    type Out = Netlist;
-
-    fn run(&self, ctx: &mut PipelineCtx, input: Source) -> Result<Netlist, PipelineError> {
-        ctx.parse_netlist(&input)
-    }
-}
-
-/// Stage value: [`Netlist`] → annotated [`Netlist`] (see
-/// [`PipelineCtx::annotate`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Annotate;
-
-impl PipelineStage for Annotate {
-    type In = Netlist;
-    type Out = Netlist;
-
-    fn run(&self, ctx: &mut PipelineCtx, input: Netlist) -> Result<Netlist, PipelineError> {
-        Ok(ctx.annotate(input))
-    }
-}
-
-/// Stage value: [`Netlist`] → [`AddPowerModel`] (cache-aware `BuildAdd` +
-/// `Collapse`; see [`PipelineCtx::build_model`]).
-#[derive(Debug, Clone, Copy)]
-pub struct BuildModel;
-
-impl PipelineStage for BuildModel {
-    type In = Netlist;
-    type Out = AddPowerModel;
-
-    fn run(&self, ctx: &mut PipelineCtx, input: Netlist) -> Result<AddPowerModel, PipelineError> {
-        ctx.build_model(&input)
-    }
-}
-
-/// Stage value: `(old, new)` netlist pair → [`AddPowerModel`] via the
-/// shared structural table (see [`PipelineCtx::rebuild_delta`]).
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaRebuild;
-
-impl PipelineStage for DeltaRebuild {
-    type In = (Netlist, Netlist);
-    type Out = AddPowerModel;
-
-    fn run(
-        &self,
-        ctx: &mut PipelineCtx,
-        (old, new): (Netlist, Netlist),
-    ) -> Result<AddPowerModel, PipelineError> {
-        ctx.rebuild_delta(&old, &new)
-    }
-}
-
-/// Stage value: [`Netlist`] → [`Kernel`] (kernel-level cache first, then
-/// the model path; see [`PipelineCtx::compile_kernel`]).
-#[derive(Debug, Clone, Copy)]
-pub struct CompileKernel;
-
-impl PipelineStage for CompileKernel {
-    type In = Netlist;
-    type Out = Kernel;
-
-    fn run(&self, ctx: &mut PipelineCtx, input: Netlist) -> Result<Kernel, PipelineError> {
-        ctx.compile_kernel(&input)
-    }
-}
-
-/// Stage value: [`Kernel`] → [`TraceSummary`] over a fixed pattern
-/// sequence (see [`PipelineCtx::evaluate`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Evaluate<'p> {
-    /// The transition sequence to evaluate.
-    pub patterns: &'p [Vec<bool>],
-    /// Worker count (`0` = one per core).
-    pub jobs: usize,
-}
-
-impl PipelineStage for Evaluate<'_> {
-    type In = Kernel;
-    type Out = TraceSummary;
-
-    fn run(&self, ctx: &mut PipelineCtx, input: Kernel) -> Result<TraceSummary, PipelineError> {
-        Ok(ctx.evaluate(&input, self.patterns, self.jobs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1109,11 +968,11 @@ mod tests {
     #[test]
     fn composed_stages_share_the_ctx() {
         let mut ctx = PipelineCtx::new(Library::test_library());
-        let model = ParseNetlist
-            .then(Annotate)
-            .then(BuildModel)
-            .run(&mut ctx, Source::Bench("decod".to_owned()))
-            .expect("decod builds");
+        let netlist = ctx
+            .parse_netlist(&Source::Bench("decod".to_owned()))
+            .expect("decod parses");
+        let netlist = ctx.annotate(netlist);
+        let model = ctx.build_model(&netlist).expect("decod builds");
         assert_eq!(model.num_inputs(), 5);
         assert!(ctx.telemetry.stage_ran(Stage::ParseNetlist));
         assert!(ctx.telemetry.stage_ran(Stage::Annotate));

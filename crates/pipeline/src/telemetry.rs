@@ -261,7 +261,9 @@ fn event_json(event: &Event) -> String {
             delta_rebuilds,
             apply_steps_saved,
         } => format!(
-            "{{\"event\": \"shared-table\", \"table_hits\": {table_hits},              \"table_misses\": {table_misses}, \"delta_rebuilds\": {delta_rebuilds},              \"apply_steps_saved\": {apply_steps_saved}}}"
+            "{{\"event\": \"shared-table\", \"table_hits\": {table_hits}, \
+             \"table_misses\": {table_misses}, \"delta_rebuilds\": {delta_rebuilds}, \
+             \"apply_steps_saved\": {apply_steps_saved}}}"
         ),
     }
 }
@@ -357,11 +359,10 @@ mod tests {
             delta_rebuilds: 1,
             apply_steps_saved: 42,
         });
-        let json = t.to_json();
-        assert!(json.contains("\"event\": \"shared-table\""), "{json}");
-        assert!(json.contains("\"table_hits\": 7"), "{json}");
-        assert!(json.contains("\"table_misses\": 3"), "{json}");
-        assert!(json.contains("\"delta_rebuilds\": 1"), "{json}");
-        assert!(json.contains("\"apply_steps_saved\": 42"), "{json}");
+        assert_eq!(
+            t.to_json(),
+            "[\n  {\"event\": \"shared-table\", \"table_hits\": 7, \"table_misses\": 3, \
+             \"delta_rebuilds\": 1, \"apply_steps_saved\": 42}\n]"
+        );
     }
 }

@@ -862,6 +862,35 @@ fn expect_ok(response: charfree_serve::Response) -> Result<charfree_serve::Respo
     }
 }
 
+/// The build flags every model-addressing `client` subcommand takes
+/// (`--max`, `--node-budget`, `--strict`, `--upper-bound`), so a request
+/// targets exactly the model a prior load pinned. The deadline is left
+/// to the caller.
+fn client_build_options(
+    flags: &mut Flags<'_>,
+) -> Result<charfree_serve::WireBuildOptions, CliError> {
+    let max: usize = flags.parse("--max", 0)?;
+    let node_budget: u64 = flags.parse("--node-budget", 0)?;
+    Ok(charfree_serve::WireBuildOptions {
+        max_nodes: (max > 0).then_some(max),
+        node_budget: (node_budget > 0).then_some(node_budget),
+        strict: flags.flag("--strict"),
+        upper_bound: flags.flag("--upper-bound"),
+        deadline_ms: None,
+    })
+}
+
+/// The wire form of a client's pattern-stream flags.
+fn wire_params(params: &EvalParams, deadline_ms: Option<u64>) -> charfree_serve::WireEvalParams {
+    charfree_serve::WireEvalParams {
+        vectors: params.vectors,
+        sp: params.sp,
+        st: params.st,
+        seed: params.seed,
+        deadline_ms,
+    }
+}
+
 fn parse_deadline_ms(flags: &mut Flags<'_>) -> Result<Option<u64>, CliError> {
     match flags.value("--deadline-ms")? {
         None => Ok(None),
@@ -873,7 +902,7 @@ fn parse_deadline_ms(flags: &mut Flags<'_>) -> Result<Option<u64>, CliError> {
 }
 
 fn cmd_client(args: &[String]) -> Result<String, CliError> {
-    use charfree_serve::{Request, Response, WireBuildOptions, WireEvalParams};
+    use charfree_serve::{Request, Response};
     let (sub, rest) = args.split_first().ok_or_else(|| {
         "client: missing subcommand (load|eval|trace|expected|seqload|seqeval|stats|shutdown)"
             .to_owned()
@@ -897,31 +926,24 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
         charfree_serve::Client::connect_with(addr, proto)
             .map_err(|e| format!("connect {addr}: {e}"))
     };
+    // One request on a fresh connection, retried under `policy`; a typed
+    // server error becomes the CLI failure.
+    let send = |request: &Request| {
+        let response = connect(&addr)?
+            .request_with_retries(request, &policy)
+            .map_err(|e| e.to_string())?;
+        expect_ok(response)
+    };
     match sub.as_str() {
         "load" | "build" => {
             let operand = flags.positional()?.to_owned();
-            let max: usize = flags.parse("--max", 0)?;
-            let node_budget: u64 = flags.parse("--node-budget", 0)?;
-            let strict = flags.flag("--strict");
-            let upper_bound = flags.flag("--upper-bound");
-            let deadline_ms = parse_deadline_ms(&mut flags)?;
+            let mut options = client_build_options(&mut flags)?;
+            options.deadline_ms = parse_deadline_ms(&mut flags)?;
             flags.finish()?;
-            let request = Request::Load {
+            match send(&Request::Load {
                 source: operand,
-                options: WireBuildOptions {
-                    max_nodes: (max > 0).then_some(max),
-                    upper_bound,
-                    node_budget: (node_budget > 0).then_some(node_budget),
-                    strict,
-                    deadline_ms,
-                },
-            };
-            let mut client = connect(&addr)?;
-            match expect_ok(
-                client
-                    .request_with_retries(&request, &policy)
-                    .map_err(|e| e.to_string())?,
-            )? {
+                options,
+            })? {
                 Response::Load {
                     name,
                     instrs,
@@ -952,32 +974,14 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
             let operand = flags.positional()?.to_owned();
             let params = EvalParams::parse(&mut flags, if want_trace { 1000 } else { 10_000 })?;
             let deadline_ms = parse_deadline_ms(&mut flags)?;
-            // The same build flags `client load` takes, so an eval can
-            // target exactly the model a prior load pinned.
-            let max: usize = flags.parse("--max", 0)?;
-            let node_budget: u64 = flags.parse("--node-budget", 0)?;
-            let strict = flags.flag("--strict");
-            let upper_bound = flags.flag("--upper-bound");
+            let options = client_build_options(&mut flags)?;
             let out_path = if want_trace {
                 flags.value("-o")?.map(str::to_owned)
             } else {
                 None
             };
             flags.finish()?;
-            let options = WireBuildOptions {
-                max_nodes: (max > 0).then_some(max),
-                upper_bound,
-                node_budget: (node_budget > 0).then_some(node_budget),
-                strict,
-                deadline_ms: None,
-            };
-            let wire = WireEvalParams {
-                vectors: params.vectors,
-                sp: params.sp,
-                st: params.st,
-                seed: params.seed,
-                deadline_ms,
-            };
+            let wire = wire_params(&params, deadline_ms);
             let request = if want_trace {
                 Request::Trace {
                     source: operand,
@@ -991,12 +995,7 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
                     params: wire,
                 }
             };
-            let mut client = connect(&addr)?;
-            match expect_ok(
-                client
-                    .request_with_retries(&request, &policy)
-                    .map_err(|e| e.to_string())?,
-            )? {
+            match send(&request)? {
                 Response::Eval {
                     name,
                     transitions,
@@ -1022,28 +1021,13 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
         }
         "seqload" => {
             let operand = flags.positional()?.to_owned();
-            let max: usize = flags.parse("--max", 0)?;
-            let node_budget: u64 = flags.parse("--node-budget", 0)?;
-            let strict = flags.flag("--strict");
-            let upper_bound = flags.flag("--upper-bound");
-            let deadline_ms = parse_deadline_ms(&mut flags)?;
+            let mut options = client_build_options(&mut flags)?;
+            options.deadline_ms = parse_deadline_ms(&mut flags)?;
             flags.finish()?;
-            let request = Request::SeqLoad {
+            match send(&Request::SeqLoad {
                 source: operand,
-                options: WireBuildOptions {
-                    max_nodes: (max > 0).then_some(max),
-                    upper_bound,
-                    node_budget: (node_budget > 0).then_some(node_budget),
-                    strict,
-                    deadline_ms,
-                },
-            };
-            let mut client = connect(&addr)?;
-            match expect_ok(
-                client
-                    .request_with_retries(&request, &policy)
-                    .map_err(|e| e.to_string())?,
-            )? {
+                options,
+            })? {
                 Response::SeqLoad {
                     name,
                     macros,
@@ -1073,34 +1057,13 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
             let operand = flags.positional()?.to_owned();
             let params = EvalParams::parse(&mut flags, 10_000)?;
             let deadline_ms = parse_deadline_ms(&mut flags)?;
-            let max: usize = flags.parse("--max", 0)?;
-            let node_budget: u64 = flags.parse("--node-budget", 0)?;
-            let strict = flags.flag("--strict");
-            let upper_bound = flags.flag("--upper-bound");
+            let options = client_build_options(&mut flags)?;
             flags.finish()?;
-            let request = Request::SeqEval {
+            match send(&Request::SeqEval {
                 source: operand,
-                options: WireBuildOptions {
-                    max_nodes: (max > 0).then_some(max),
-                    upper_bound,
-                    node_budget: (node_budget > 0).then_some(node_budget),
-                    strict,
-                    deadline_ms: None,
-                },
-                params: WireEvalParams {
-                    vectors: params.vectors,
-                    sp: params.sp,
-                    st: params.st,
-                    seed: params.seed,
-                    deadline_ms,
-                },
-            };
-            let mut client = connect(&addr)?;
-            match expect_ok(
-                client
-                    .request_with_retries(&request, &policy)
-                    .map_err(|e| e.to_string())?,
-            )? {
+                options,
+                params: wire_params(&params, deadline_ms),
+            })? {
                 Response::SeqEval {
                     name,
                     transitions,
@@ -1140,41 +1103,25 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
             let sp: f64 = flags.parse("--sp", 0.5)?;
             let st: f64 = flags.parse("--st", 0.5)?;
             flags.finish()?;
-            let mut client = connect(&addr)?;
-            let request = Request::Expected {
+            match send(&Request::Expected {
                 source: operand,
                 sp,
                 st,
-            };
-            match expect_ok(
-                client
-                    .request_with_retries(&request, &policy)
-                    .map_err(|e| e.to_string())?,
-            )? {
+            })? {
                 Response::Expected { name, value } => Ok(expected_report(&name, sp, st, value)),
                 other => Err(format!("unexpected response {other:?}")),
             }
         }
         "stats" => {
             flags.finish()?;
-            let mut client = connect(&addr)?;
-            match expect_ok(
-                client
-                    .request_with_retries(&Request::Stats, &policy)
-                    .map_err(|e| e.to_string())?,
-            )? {
+            match send(&Request::Stats)? {
                 Response::Stats(payload) => Ok(format!("{}\n", payload.to_line())),
                 other => Err(format!("unexpected response {other:?}")),
             }
         }
         "metrics" => {
             flags.finish()?;
-            let mut client = connect(&addr)?;
-            match expect_ok(
-                client
-                    .request_with_retries(&Request::Metrics, &policy)
-                    .map_err(|e| e.to_string())?,
-            )? {
+            match send(&Request::Metrics)? {
                 Response::Metrics(text) => Ok(text),
                 other => Err(format!("unexpected response {other:?}")),
             }
