@@ -7,10 +7,9 @@
 //!    arbitrary apply step must still produce a model the kernel
 //!    reproduces bit for bit, and a degraded *upper-bound* model must
 //!    stay pointwise conservative against the golden simulation.
-//! 2. **Deadlines / non-determinism**: wall-clock-bounded and
-//!    cancellable builds are not pure functions of their inputs, so
-//!    they must never enter the artifact cache; degraded builds must
-//!    not either.
+//! 2. **Deadlines / non-determinism**: wall-clock-bounded builds are
+//!    not pure functions of their inputs, so they must never enter the
+//!    artifact cache; degraded builds must not either.
 //! 3. **Poisoned cache entries**: corrupted artifact files must be
 //!    detected (typed [`Event::CachePoisoned`]), transparently rebuilt,
 //!    and the healed answers must remain bit-identical to a storeless

@@ -94,25 +94,6 @@ pub fn approximate_to(
     approximate_impl(m, f, max_nodes, strategy, Some(&mixture))
 }
 
-/// [`approximate_to`] under an explicit input [`ChainMeasure`].
-///
-/// Node statistics, reach probabilities and replacement leaf values are all
-/// computed under `measure`, so the collapse minimizes the *measure-
-/// weighted* root error. For transition-space ADDs a toggle-biased measure
-/// ([`ChainMeasure::interleaved_transitions`] with a flip probability
-/// < 0.5) keeps the near-diagonal (few-toggle) region — where real
-/// workloads live — accurate, instead of sacrificing it as the uniform
-/// measure does.
-pub fn approximate_to_measured(
-    m: &mut Manager,
-    f: Add,
-    max_nodes: usize,
-    strategy: ApproxStrategy,
-    measure: &ChainMeasure,
-) -> (Add, ApproxOutcome) {
-    approximate_impl(m, f, max_nodes, strategy, Some(&[(measure.clone(), 1.0)]))
-}
-
 /// [`approximate_to`] under a *mixture* of input measures.
 ///
 /// A model collapsed under one fixed measure is anchored to it: its

@@ -25,8 +25,8 @@ use crate::degrade::{BuildError, DegradationReport, DegradationRung};
 use crate::model::{AddPowerModel, BuildReport, VariableOrdering};
 use charfree_dd::reorder::reorder_paired_windows;
 use charfree_dd::{
-    Add, ApplyStats, Bdd, Budget, CancelToken, ChainMeasure, DdError, Manager, NodeId, Resource,
-    UniqueTable, Var,
+    Add, ApplyStats, Bdd, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, UniqueTable,
+    Var,
 };
 use charfree_netlist::{CellKind, Netlist};
 use std::sync::Arc;
@@ -84,7 +84,6 @@ pub struct ModelBuilder<'a> {
     node_budget: Option<u64>,
     time_budget: Option<Duration>,
     step_budget: Option<u64>,
-    cancel: Option<CancelToken>,
     trips: Vec<u64>,
     strict: bool,
     stats: Option<Arc<ApplyStats>>,
@@ -113,7 +112,6 @@ impl<'a> ModelBuilder<'a> {
             node_budget: None,
             time_budget: None,
             step_budget: None,
-            cancel: None,
             trips: Vec::new(),
             strict: false,
             stats: None,
@@ -242,15 +240,6 @@ impl<'a> ModelBuilder<'a> {
         self
     }
 
-    /// Attaches a cooperative cancellation token. Cancelling degrades
-    /// the build to the constant fallback at the next checkpoint (or
-    /// fails it in strict mode) — either way the call returns promptly
-    /// with a well-formed result.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Strict mode: the first budget trip aborts the build with
     /// [`BuildError::BudgetExceeded`] instead of degrading the model.
     pub fn strict(mut self, strict: bool) -> Self {
@@ -301,10 +290,6 @@ impl<'a> ModelBuilder<'a> {
     /// Without a resource budget configured the construction cannot fail,
     /// so this stays the convenient entry point for unbudgeted builds;
     /// budgeted callers use [`ModelBuilder::try_build`].
-    ///
-    /// Setting the `CHARFREE_BUILD_TRACE` environment variable makes the
-    /// build print per-25-gate progress (arena size, pending partial-sum
-    /// sizes, elapsed time) to stderr — useful when modeling large units.
     ///
     /// # Panics
     ///
@@ -372,7 +357,6 @@ impl<'a> ModelBuilder<'a> {
         self.netlist
             .validate()
             .map_err(BuildError::InvalidNetlist)?;
-        let trace = std::env::var_os("CHARFREE_BUILD_TRACE").is_some();
         let start = Instant::now();
 
         let mut budget = Budget::unlimited();
@@ -384,9 +368,6 @@ impl<'a> ModelBuilder<'a> {
         }
         if let Some(steps) = self.step_budget {
             budget = budget.with_max_apply_steps(steps);
-        }
-        if let Some(token) = &self.cancel {
-            budget = budget.with_cancel_token(token.clone());
         }
         if let Some(sink) = &self.stats {
             budget = budget.with_stats(sink.clone());
@@ -406,7 +387,6 @@ impl<'a> ModelBuilder<'a> {
         if let Some(table) = &self.shared {
             m.attach_shared(table.clone());
         }
-        name_transition_vars(self.netlist, self.ordering, &input_slots, &mut m);
 
         // Node-function BDDs per signal, over the xi and xf variable blocks.
         let mut sig_i: Vec<Option<Bdd>> = vec![None; self.netlist.num_signals()];
@@ -597,19 +577,6 @@ impl<'a> ModelBuilder<'a> {
                             if (gate_no + 1).is_multiple_of(self.compact_every) {
                                 compact_live(&mut m, &mut sig_i, &mut sig_f, &mut pending);
                             }
-                            if trace && gate_no % 25 == 24 {
-                                eprintln!(
-                                    "[build] gate {}/{} arena={} pending={:?} elapsed={:.1}s",
-                                    gate_no + 1,
-                                    self.netlist.num_gates(),
-                                    m.arena_len(),
-                                    pending
-                                        .iter()
-                                        .map(|p| p.map(|a| m.size(a.node())).unwrap_or(0))
-                                        .collect::<Vec<_>>(),
-                                    start.elapsed().as_secs_f64()
-                                );
-                            }
                             gate_no += 1;
                             continue;
                         }
@@ -629,12 +596,9 @@ impl<'a> ModelBuilder<'a> {
             };
             deg.first_trip.get_or_insert(resource);
             retries[gate_no] += 1;
-            // Time, step and cancellation exhaustion are terminal: a retry
-            // would trip again immediately, so jump to the last rung.
-            let terminal = matches!(
-                resource,
-                Resource::WallClock | Resource::Cancelled | Resource::ApplySteps
-            );
+            // Time and step exhaustion are terminal: a retry would trip
+            // again immediately, so jump to the last rung.
+            let terminal = matches!(resource, Resource::WallClock | Resource::ApplySteps);
             let reorder_possible =
                 self.ordering == VariableOrdering::Interleaved && reorderings < 2;
             let rung = DegradationRung::select(terminal, retries[gate_no], reorder_possible);
@@ -664,7 +628,6 @@ impl<'a> ModelBuilder<'a> {
                     );
                     compact_live(&mut m, &mut sig_i, &mut sig_f, &mut pending);
                     m.clear_caches();
-                    name_transition_vars(self.netlist, self.ordering, &input_slots, &mut m);
                 }
                 DegradationRung::ConstantFallback => {
                     // Every remaining gate switches at most its own load per
@@ -1011,23 +974,6 @@ fn compact_live(
             1 => sig_f[idx] = Some(Bdd::from_node(id)),
             _ => pending[idx] = Some(Add::from_node(id)),
         }
-    }
-}
-
-/// (Re)labels the diagram variables with the input signal names —
-/// idempotent, so the degradation ladder can re-run it after a reorder
-/// moves inputs to new slots.
-fn name_transition_vars(
-    netlist: &Netlist,
-    ordering: VariableOrdering,
-    input_slots: &[usize],
-    m: &mut Manager,
-) {
-    let n = netlist.num_inputs();
-    for (i, &slot) in input_slots.iter().enumerate() {
-        let name = netlist.signal_name(netlist.inputs()[i]);
-        m.set_var_name(ordering.xi_var(slot, n), format!("{name}^i"));
-        m.set_var_name(ordering.xf_var(slot, n), format!("{name}^f"));
     }
 }
 

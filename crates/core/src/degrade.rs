@@ -112,8 +112,8 @@ impl DegradationRung {
     /// budget trip. Extracted from the builder's gate loop so the
     /// escalation policy is unit-testable on its own:
     ///
-    /// * a *terminal* trip (wall clock, apply steps, cancellation — a
-    ///   retry would trip again immediately) jumps straight to
+    /// * a *terminal* trip (wall clock or apply steps — a retry would
+    ///   trip again immediately) jumps straight to
     ///   [`DegradationRung::ConstantFallback`];
     /// * the first trip on a gate sheds partial sums;
     /// * the second trip escalates to a variable reorder when one is
@@ -329,8 +329,8 @@ mod tests {
 
     #[test]
     fn terminal_trips_jump_straight_to_constant_fallback() {
-        // Wall-clock/step/cancellation exhaustion is terminal even on a
-        // gate's very first trip.
+        // Wall-clock/step exhaustion is terminal even on a gate's very
+        // first trip.
         for retries in 1..=4 {
             assert_eq!(
                 DegradationRung::select(true, retries, true),

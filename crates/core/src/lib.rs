@@ -83,12 +83,12 @@ mod persist;
 mod rtl;
 
 pub use approx::{
-    approximate_to, approximate_to_measured, approximate_to_mixture, approximate_to_unweighted,
-    ApproxOutcome, ApproxStrategy,
+    approximate_to, approximate_to_mixture, approximate_to_unweighted, ApproxOutcome,
+    ApproxStrategy,
 };
 pub use baselines::{ConstantModel, LinearModel, TrainingSet};
 pub use builder::{InputOrder, ModelBuilder, PartialBuild};
-pub use charfree_dd::{CancelToken, Resource};
+pub use charfree_dd::Resource;
 pub use degrade::{BuildError, DegradationReport, DegradationRung};
 pub use eval::{evaluate, fig7a_grid, Evaluation, Protocol, RunPoint};
 pub use linalg::least_squares;

@@ -275,8 +275,7 @@ impl AddPowerModel {
         (xi, xf)
     }
 
-    /// Access to the underlying manager and root for analysis (e.g. DOT
-    /// export via [`Manager::to_dot`]).
+    /// Access to the underlying manager and root for analysis.
     pub fn diagram(&self) -> (&Manager, NodeId) {
         (&self.manager, self.root.node())
     }

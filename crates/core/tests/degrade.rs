@@ -7,7 +7,7 @@
 //! constants for the remaining gates.
 
 use charfree_core::{
-    ApproxStrategy, BuildError, CancelToken, DegradationRung, ModelBuilder, PowerModel, Resource,
+    ApproxStrategy, BuildError, DegradationRung, ModelBuilder, PowerModel, Resource,
 };
 use charfree_netlist::{benchmarks, Library};
 use charfree_sim::{ExhaustivePairs, MarkovSource, ZeroDelaySim};
@@ -102,17 +102,17 @@ fn terminal_resources_skip_straight_to_constant_fallback() {
 }
 
 #[test]
-fn cancelled_build_returns_promptly_with_total_load_model() {
+fn expired_deadline_folds_every_gate_into_the_total_load() {
     let lib = Library::test_library();
     let netlist = benchmarks::decod(&lib);
-    let token = CancelToken::new();
-    token.cancel();
+    // The first checkpoint samples the clock, so a zero deadline trips
+    // before any gate commits.
     let model = ModelBuilder::new(&netlist)
-        .cancel_token(token)
+        .time_budget(Duration::ZERO)
         .try_build()
-        .expect("cancellation must degrade, not fail");
+        .expect("deadline exhaustion must degrade, not fail");
     let report = model.degradation().expect("a rung fired");
-    assert_eq!(report.first_trip, Some(Resource::Cancelled));
+    assert_eq!(report.first_trip, Some(Resource::WallClock));
     assert_eq!(report.gates_folded, netlist.num_gates());
     // Every gate folded: the model is the constant total load.
     let total = netlist.total_load().femtofarads();

@@ -9,18 +9,14 @@
 //! [`DdError::BudgetExceeded`] instead of exhausting memory or
 //! wall-clock time.
 //!
-//! Five resources are governed:
+//! Three resources are governed:
 //!
 //! * **live nodes** — total arena population (internal + terminal nodes);
-//! * **arena bytes** — approximate arena memory (node and terminal
-//!   storage; hash-table overhead is not counted);
 //! * **apply steps** — cache-missing recursion steps, a deterministic
 //!   proxy for CPU work;
-//! * **wall clock** — a deadline measured from [`Budget::with_deadline`];
-//! * **cancellation** — a cooperative [`CancelToken`] flippable from
-//!   another thread.
+//! * **wall clock** — a deadline measured from [`Budget::with_deadline`].
 //!
-//! A sixth pseudo-resource, [`Resource::FaultInjection`], backs
+//! A fourth pseudo-resource, [`Resource::FaultInjection`], backs
 //! [`Budget::trip_after`]: tests can schedule deterministic budget trips
 //! to exercise every degradation path without constructing genuinely huge
 //! diagrams.
@@ -61,7 +57,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -74,14 +70,10 @@ const CLOCK_STRIDE: u64 = 256;
 pub enum Resource {
     /// Total arena population (internal + terminal nodes).
     LiveNodes,
-    /// Approximate arena memory in bytes.
-    ArenaBytes,
     /// Cache-missing apply/ITE recursion steps.
     ApplySteps,
     /// The wall-clock deadline passed.
     WallClock,
-    /// The cooperative [`CancelToken`] was triggered.
-    Cancelled,
     /// A deterministic test trip scheduled by [`Budget::trip_after`].
     FaultInjection,
 }
@@ -90,10 +82,8 @@ impl fmt::Display for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Resource::LiveNodes => "live nodes",
-            Resource::ArenaBytes => "arena bytes",
             Resource::ApplySteps => "apply steps",
             Resource::WallClock => "wall clock (ms)",
-            Resource::Cancelled => "cancellation",
             Resource::FaultInjection => "fault injection",
         };
         f.write_str(name)
@@ -135,43 +125,6 @@ impl fmt::Display for DdError {
 }
 
 impl Error for DdError {}
-
-/// Cooperative cancellation flag, cheaply clonable and thread-safe.
-///
-/// Flipping the token makes every budgeted operation holding a budget
-/// with this token fail at its next checkpoint with
-/// [`Resource::Cancelled`].
-///
-/// # Examples
-///
-/// ```
-/// use charfree_dd::CancelToken;
-///
-/// let token = CancelToken::new();
-/// let watcher = token.clone();
-/// assert!(!watcher.is_cancelled());
-/// token.cancel();
-/// assert!(watcher.is_cancelled());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-triggered token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation; all clones observe it.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Live telemetry counters fed by [`Budget::checkpoint`] — the hook a
 /// pipeline or monitoring layer attaches to observe symbolic work as it
@@ -245,10 +198,8 @@ impl ApplyStats {
 #[derive(Debug, Default)]
 pub struct Budget {
     max_live_nodes: Option<u64>,
-    max_arena_bytes: Option<u64>,
     max_apply_steps: Option<u64>,
     deadline: Option<(Instant, Duration)>,
-    cancel: Option<CancelToken>,
     stats: Option<Arc<ApplyStats>>,
     steps: Cell<u64>,
     /// Relative checkpoint countdowns for scheduled fault-injection
@@ -268,12 +219,6 @@ impl Budget {
         self
     }
 
-    /// Caps the approximate arena memory in bytes.
-    pub fn with_max_arena_bytes(mut self, bytes: u64) -> Self {
-        self.max_arena_bytes = Some(bytes);
-        self
-    }
-
     /// Caps the number of cache-missing apply/ITE recursion steps.
     pub fn with_max_apply_steps(mut self, steps: u64) -> Self {
         self.max_apply_steps = Some(steps);
@@ -283,12 +228,6 @@ impl Budget {
     /// Sets a wall-clock deadline `timeout` from now.
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
         self.deadline = Some((Instant::now() + timeout, timeout));
-        self
-    }
-
-    /// Attaches a cooperative cancellation token.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -323,25 +262,12 @@ impl Budget {
         self.steps.get()
     }
 
-    /// Remaining wall-clock time, if a deadline is set.
-    pub fn time_left(&self) -> Option<Duration> {
-        self.deadline
-            .map(|(at, _)| at.saturating_duration_since(Instant::now()))
-    }
-
-    /// The configured live-node cap, if any.
-    pub fn max_live_nodes(&self) -> Option<u64> {
-        self.max_live_nodes
-    }
-
-    /// Verifies the arena-size and cancellation limits **without**
-    /// consuming an apply step.
+    /// Verifies the live-node limit **without** consuming an apply step.
     ///
     /// Used when materializing shared-table hits
     /// ([`Manager::attach_shared`](crate::Manager::attach_shared)):
-    /// re-interning memoized structure grows the arena — so node, byte
-    /// and cancellation limits still apply — but it is not symbolic
-    /// work, so it must not count against the step budget, feed the
+    /// re-interning memoized structure grows the arena — so the node
+    /// limit still applies — but it is not symbolic work, so it must not count against the step budget, feed the
     /// [`ApplyStats`] sink, or advance scheduled fault-injection trips
     /// (warm runs would otherwise report phantom apply steps).
     ///
@@ -349,43 +275,24 @@ impl Budget {
     ///
     /// Returns [`DdError::BudgetExceeded`] naming the exhausted
     /// resource.
-    pub fn probe(&self, live_nodes: usize, arena_bytes: usize) -> Result<(), DdError> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(DdError::BudgetExceeded {
-                    resource: Resource::Cancelled,
-                    limit: 0,
-                    observed: self.steps.get(),
-                });
-            }
+    pub fn probe(&self, live_nodes: usize) -> Result<(), DdError> {
+        match self.max_live_nodes {
+            Some(limit) if live_nodes as u64 > limit => Err(DdError::BudgetExceeded {
+                resource: Resource::LiveNodes,
+                limit,
+                observed: live_nodes as u64,
+            }),
+            _ => Ok(()),
         }
-        if let Some(limit) = self.max_live_nodes {
-            if live_nodes as u64 > limit {
-                return Err(DdError::BudgetExceeded {
-                    resource: Resource::LiveNodes,
-                    limit,
-                    observed: live_nodes as u64,
-                });
-            }
-        }
-        if let Some(limit) = self.max_arena_bytes {
-            if arena_bytes as u64 > limit {
-                return Err(DdError::BudgetExceeded {
-                    resource: Resource::ArenaBytes,
-                    limit,
-                    observed: arena_bytes as u64,
-                });
-            }
-        }
-        Ok(())
     }
 
     /// Records one unit of symbolic work and verifies every limit.
     ///
     /// Called by [`Manager`](crate::Manager) at apply/ITE recursion
-    /// checkpoints with the current arena occupancy. The wall clock is
-    /// sampled every `CLOCK_STRIDE` checkpoints to keep the hot path
-    /// cheap.
+    /// checkpoints with the current arena occupancy (the byte figure only
+    /// feeds the [`ApplyStats`] peak; no limit applies to it). The wall
+    /// clock is sampled every `CLOCK_STRIDE` checkpoints to keep the hot
+    /// path cheap.
     ///
     /// # Errors
     ///
@@ -413,15 +320,6 @@ impl Budget {
             }
         }
 
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(DdError::BudgetExceeded {
-                    resource: Resource::Cancelled,
-                    limit: 0,
-                    observed: steps,
-                });
-            }
-        }
         if let Some(limit) = self.max_apply_steps {
             if steps > limit {
                 return Err(DdError::BudgetExceeded {
@@ -431,24 +329,7 @@ impl Budget {
                 });
             }
         }
-        if let Some(limit) = self.max_live_nodes {
-            if live_nodes as u64 > limit {
-                return Err(DdError::BudgetExceeded {
-                    resource: Resource::LiveNodes,
-                    limit,
-                    observed: live_nodes as u64,
-                });
-            }
-        }
-        if let Some(limit) = self.max_arena_bytes {
-            if arena_bytes as u64 > limit {
-                return Err(DdError::BudgetExceeded {
-                    resource: Resource::ArenaBytes,
-                    limit,
-                    observed: arena_bytes as u64,
-                });
-            }
-        }
+        self.probe(live_nodes)?;
         if let Some((at, timeout)) = self.deadline {
             if steps % CLOCK_STRIDE == 1 && Instant::now() >= at {
                 return Err(DdError::BudgetExceeded {
@@ -493,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn node_and_byte_limits_report_observed() {
+    fn node_limit_reports_observed() {
         let b = Budget::unlimited().with_max_live_nodes(100);
         assert!(b.checkpoint(100, 0).is_ok());
         match b.checkpoint(101, 0) {
@@ -504,15 +385,6 @@ mod tests {
             }) => {}
             other => panic!("unexpected: {other:?}"),
         }
-        let b = Budget::unlimited().with_max_arena_bytes(64);
-        assert!(b.checkpoint(0, 64).is_ok());
-        assert!(matches!(
-            b.checkpoint(0, 65),
-            Err(DdError::BudgetExceeded {
-                resource: Resource::ArenaBytes,
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -524,21 +396,6 @@ mod tests {
             b.checkpoint(0, 0),
             Err(DdError::BudgetExceeded {
                 resource: Resource::WallClock,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn cancellation_is_observed() {
-        let token = CancelToken::new();
-        let b = Budget::unlimited().with_cancel_token(token.clone());
-        assert!(b.checkpoint(0, 0).is_ok());
-        token.cancel();
-        assert!(matches!(
-            b.checkpoint(0, 0),
-            Err(DdError::BudgetExceeded {
-                resource: Resource::Cancelled,
                 ..
             })
         ));
@@ -560,9 +417,9 @@ mod tests {
     #[test]
     fn probe_checks_limits_without_counting_steps() {
         let b = Budget::unlimited().with_max_live_nodes(10).trip_after(1);
-        assert!(b.probe(10, 0).is_ok());
+        assert!(b.probe(10).is_ok());
         assert!(matches!(
-            b.probe(11, 0),
+            b.probe(11),
             Err(DdError::BudgetExceeded {
                 resource: Resource::LiveNodes,
                 ..
@@ -574,14 +431,8 @@ mod tests {
 
         let stats = ApplyStats::shared();
         let b = Budget::unlimited().with_stats(stats.clone());
-        b.probe(1000, 1000).expect("unlimited");
+        b.probe(1000).expect("unlimited");
         assert_eq!(stats.apply_steps(), 0, "probes do not feed stats");
-
-        let token = CancelToken::new();
-        let b = Budget::unlimited().with_cancel_token(token.clone());
-        assert!(b.probe(0, 0).is_ok());
-        token.cancel();
-        assert!(b.probe(0, 0).is_err());
     }
 
     #[test]

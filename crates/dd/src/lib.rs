@@ -9,18 +9,18 @@
 //! * canonical, maximally shared node store ([`Manager`]) with unique and
 //!   computed tables;
 //! * Boolean operators on [`Bdd`]s (`not`, `and`, `or`, `xor`, `ite`,
-//!   restriction, composition, quantification, SAT counting);
-//! * arithmetic operators on [`Add`]s (`+`, `−`, `×`, `min`, `max`, scaling
-//!   by constants, Boolean selection) — the `bdd_and`/`bdd_not`/`add_times`/
-//!   `add_sum` vocabulary of the paper's Fig. 6 pseudo-code;
+//!   SAT counting);
+//! * arithmetic operators on [`Add`]s (pointwise [`BinOp`]s, `+`, `×`,
+//!   scaling by constants, Boolean selection) — the `bdd_and`/`bdd_not`/
+//!   `add_times`/`add_sum` vocabulary of the paper's Fig. 6 pseudo-code;
 //! * per-node statistics (average, variance, min, max and the
 //!   max-replacement MSE of Eqs. 5–8) in one linear traversal
 //!   ([`Manager::add_stats`]), and the same under input measures on a
 //!   dense, canonically ordered [`Snapshot`] of the diagram;
 //! * linear-time node collapsing ([`Manager::collapse`]) — the mechanism
 //!   behind the paper's accuracy/complexity trade-off;
-//! * variable permutation, garbage collection ([`Manager::compact`]) and
-//!   Graphviz export.
+//! * variable permutation and windowed reordering ([`reorder`]), and
+//!   garbage collection ([`Manager::compact`]).
 //!
 //! ## Example: the switching-capacitance ADD of the paper's Fig. 2
 //!
@@ -61,7 +61,6 @@ pub mod hash;
 pub mod io;
 pub mod shared;
 
-mod abstraction;
 pub mod budget;
 mod collapse;
 mod manager;
@@ -70,8 +69,7 @@ pub mod reorder;
 mod snapshot;
 mod stats;
 
-pub use abstraction::Cubes;
-pub use budget::{ApplyStats, Budget, CancelToken, DdError, Resource};
+pub use budget::{ApplyStats, Budget, DdError, Resource};
 pub use manager::{Add, Bdd, BinOp, Manager};
 pub use node::{NodeId, Var};
 pub use shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable, TableCounters, UniqueTable};

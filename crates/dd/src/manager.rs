@@ -65,8 +65,7 @@ impl Bdd {
     /// Wrap a raw node handle obtained from [`Bdd::node`].
     ///
     /// The handle must originate from the same manager and designate a
-    /// diagram with 0/1 terminals; this is not re-checked (use
-    /// [`Manager::add_to_bdd`] for a checked conversion).
+    /// diagram with 0/1 terminals; this is not re-checked.
     #[inline]
     pub fn from_node(id: NodeId) -> Bdd {
         Bdd(id)
@@ -206,7 +205,6 @@ pub struct Manager {
     cache2: FxHashMap<(u8, NodeId, NodeId), NodeId>,
     cache3: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
     num_vars: u32,
-    var_names: Vec<Option<String>>,
     zero: NodeId,
     one: NodeId,
     /// Cross-build unique table (see [`Manager::attach_shared`]); when
@@ -242,7 +240,6 @@ impl Manager {
             cache2: FxHashMap::default(),
             cache3: FxHashMap::default(),
             num_vars,
-            var_names: vec![None; num_vars as usize],
             zero: NodeId::terminal(0),
             one: NodeId::terminal(0),
             shared: None,
@@ -343,9 +340,9 @@ impl Manager {
     /// structure for `fp` (treated as a memo miss by callers), which
     /// also covers entries referencing variables beyond this manager.
     ///
-    /// Arena growth is governed by `budget` via [`Budget::probe`]:
-    /// node/byte/cancel limits hold, but materialization is *not*
-    /// symbolic work and consumes no apply steps.
+    /// Arena growth is governed by `budget` via [`Budget::probe`]: the
+    /// live-node limit holds, but materialization is *not* symbolic work
+    /// and consumes no apply steps.
     fn materialize(
         &mut self,
         fp: Fingerprint,
@@ -360,7 +357,7 @@ impl Manager {
         };
         match entry {
             SharedEntry::Terminal(bits) => {
-                budget.probe(self.arena_len() + 1, self.arena_bytes())?;
+                budget.probe(self.arena_len() + 1)?;
                 Ok(Some(self.terminal(f64::from_bits(bits))))
             }
             SharedEntry::Node { var, lo, hi } => {
@@ -373,7 +370,7 @@ impl Manager {
                 let Some(hi_id) = self.materialize(hi, table, budget)? else {
                     return Ok(None);
                 };
-                budget.probe(self.arena_len() + 1, self.arena_bytes())?;
+                budget.probe(self.arena_len() + 1)?;
                 Ok(Some(self.mk(var, lo_id, hi_id)))
             }
         }
@@ -385,30 +382,6 @@ impl Manager {
         self.num_vars
     }
 
-    /// Appends a fresh variable at the bottom of the order and returns it.
-    pub fn new_var(&mut self) -> Var {
-        let v = Var(self.num_vars);
-        self.num_vars += 1;
-        self.var_names.push(None);
-        v
-    }
-
-    /// Assigns a display name to `var` (used by [`Manager::to_dot`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is out of range.
-    pub fn set_var_name(&mut self, var: Var, name: impl Into<String>) {
-        self.var_names[var.0 as usize] = Some(name.into());
-    }
-
-    /// The display name of `var`, if one was assigned.
-    pub fn var_name(&self, var: Var) -> Option<&str> {
-        self.var_names
-            .get(var.0 as usize)
-            .and_then(|n| n.as_deref())
-    }
-
     /// Total number of live nodes in the arena (internal + terminal),
     /// across *all* diagrams; see [`Manager::size`] for a single diagram.
     pub fn arena_len(&self) -> usize {
@@ -416,8 +389,9 @@ impl Manager {
     }
 
     /// Approximate arena memory in bytes: node and terminal storage only
-    /// (unique/computed hash tables are not counted). This is the figure
-    /// a [`Budget::with_max_arena_bytes`] limit is checked against.
+    /// (unique/computed hash tables are not counted). Budget checkpoints
+    /// feed it to [`ApplyStats`](crate::ApplyStats) as the peak-arena
+    /// figure.
     pub fn arena_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.terminals.len() * std::mem::size_of::<f64>()
@@ -589,12 +563,6 @@ impl Manager {
         Bdd(self.mk(var.0, zero, one))
     }
 
-    /// The BDD of the negated variable `var`.
-    pub fn bdd_nvar(&mut self, var: Var) -> Bdd {
-        let (zero, one) = (self.zero, self.one);
-        Bdd(self.mk(var.0, one, zero))
-    }
-
     /// Boolean complement.
     pub fn bdd_not(&mut self, f: Bdd) -> Bdd {
         // XOR with true keeps the cache shared with other operations.
@@ -615,18 +583,6 @@ impl Manager {
     /// Boolean exclusive or.
     pub fn bdd_xor(&mut self, f: Bdd, g: Bdd) -> Bdd {
         Bdd(self.apply(BinOp::Xor, f.0, g.0))
-    }
-
-    /// Boolean equivalence (`f ↔ g`).
-    pub fn bdd_xnor(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let x = self.bdd_xor(f, g);
-        self.bdd_not(x)
-    }
-
-    /// Boolean implication (`f → g`).
-    pub fn bdd_implies(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let nf = self.bdd_not(f);
-        self.bdd_or(nf, g)
     }
 
     /// Boolean difference (`f ∧ ¬g`).
@@ -666,24 +622,9 @@ impl Manager {
         self.add_apply(BinOp::Plus, f, g)
     }
 
-    /// Pointwise difference.
-    pub fn add_minus(&mut self, f: Add, g: Add) -> Add {
-        self.add_apply(BinOp::Minus, f, g)
-    }
-
     /// Pointwise product.
     pub fn add_times(&mut self, f: Add, g: Add) -> Add {
         self.add_apply(BinOp::Times, f, g)
-    }
-
-    /// Pointwise minimum.
-    pub fn add_min(&mut self, f: Add, g: Add) -> Add {
-        self.add_apply(BinOp::Min, f, g)
-    }
-
-    /// Pointwise maximum.
-    pub fn add_max(&mut self, f: Add, g: Add) -> Add {
-        self.add_apply(BinOp::Max, f, g)
     }
 
     /// Multiplies every terminal by the constant `c`
@@ -748,30 +689,12 @@ impl Manager {
         Bdd(g.0)
     }
 
-    /// Reinterprets a BDD as a 0/1 ADD (free; the representation is shared).
-    #[inline]
-    pub fn bdd_to_add(&self, f: Bdd) -> Add {
-        f.as_add()
-    }
-
-    /// Converts a 0/1-valued ADD back into a BDD.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ADD has a terminal other than `0.0`/`1.0`.
-    pub fn add_to_bdd(&self, f: Add) -> Bdd {
-        for v in self.terminal_values(f.0) {
-            assert!(is_bool(v), "ADD terminal {v} is not Boolean");
-        }
-        Bdd(f.0)
-    }
-
     // ----- budgeted (fallible) operations -----------------------------------
     //
-    // Every potentially explosive operation has a `try_*` twin taking a
-    // `&Budget`; the infallible API above delegates to these with
-    // `Budget::unlimited()`. On `Err`, partially built nodes stay in the
-    // arena as garbage until the next `compact`.
+    // The operations the model builder runs under a budget have `try_*`
+    // twins taking a `&Budget`; their infallible counterparts above run
+    // the same recursions with `Budget::unlimited()`. On `Err`, partially
+    // built nodes stay in the arena as garbage until the next `compact`.
 
     /// Budgeted [`Manager::bdd_not`].
     ///
@@ -810,7 +733,7 @@ impl Manager {
         Ok(Bdd(self.apply_in(BinOp::Xor, f.0, g.0, budget)?))
     }
 
-    /// Budgeted [`Manager::bdd_xnor`].
+    /// Budgeted Boolean equivalence (`f ↔ g`).
     ///
     /// # Errors
     ///
@@ -818,26 +741,6 @@ impl Manager {
     pub fn try_bdd_xnor(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
         let x = self.try_bdd_xor(f, g, budget)?;
         self.try_bdd_not(x, budget)
-    }
-
-    /// Budgeted [`Manager::bdd_implies`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_bdd_implies(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        let nf = self.try_bdd_not(f, budget)?;
-        self.try_bdd_or(nf, g, budget)
-    }
-
-    /// Budgeted [`Manager::bdd_diff`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_bdd_diff(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        let ng = self.try_bdd_not(g, budget)?;
-        self.try_bdd_and(f, ng, budget)
     }
 
     /// Budgeted [`Manager::bdd_ite`].
@@ -873,15 +776,6 @@ impl Manager {
         self.try_add_apply(BinOp::Plus, f, g, budget)
     }
 
-    /// Budgeted [`Manager::add_minus`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_add_minus(&mut self, f: Add, g: Add, budget: &Budget) -> Result<Add, DdError> {
-        self.try_add_apply(BinOp::Minus, f, g, budget)
-    }
-
     /// Budgeted [`Manager::add_times`].
     ///
     /// # Errors
@@ -889,24 +783,6 @@ impl Manager {
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_add_times(&mut self, f: Add, g: Add, budget: &Budget) -> Result<Add, DdError> {
         self.try_add_apply(BinOp::Times, f, g, budget)
-    }
-
-    /// Budgeted [`Manager::add_min`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_add_min(&mut self, f: Add, g: Add, budget: &Budget) -> Result<Add, DdError> {
-        self.try_add_apply(BinOp::Min, f, g, budget)
-    }
-
-    /// Budgeted [`Manager::add_max`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_add_max(&mut self, f: Add, g: Add, budget: &Budget) -> Result<Add, DdError> {
-        self.try_add_apply(BinOp::Max, f, g, budget)
     }
 
     /// Budgeted [`Manager::add_scale`].
@@ -921,78 +797,6 @@ impl Manager {
     pub fn try_add_scale(&mut self, f: Add, c: f64, budget: &Budget) -> Result<Add, DdError> {
         let k = self.constant(c);
         self.try_add_times(f, k, budget)
-    }
-
-    /// Budgeted [`Manager::add_ite`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_add_ite(&mut self, b: Bdd, g: Add, h: Add, budget: &Budget) -> Result<Add, DdError> {
-        Ok(Add(self.ite_in(b.0, g.0, h.0, budget)?))
-    }
-
-    /// Budgeted [`Manager::bdd_exists`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_bdd_exists(&mut self, f: Bdd, var: Var, budget: &Budget) -> Result<Bdd, DdError> {
-        let lo = self.restrict(f.0, var, false);
-        let hi = self.restrict(f.0, var, true);
-        Ok(Bdd(self.apply_in(BinOp::Or, lo, hi, budget)?))
-    }
-
-    /// Budgeted [`Manager::bdd_forall`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_bdd_forall(&mut self, f: Bdd, var: Var, budget: &Budget) -> Result<Bdd, DdError> {
-        let lo = self.restrict(f.0, var, false);
-        let hi = self.restrict(f.0, var, true);
-        Ok(Bdd(self.apply_in(BinOp::And, lo, hi, budget)?))
-    }
-
-    /// Budgeted [`Manager::bdd_compose`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_bdd_compose(
-        &mut self,
-        f: Bdd,
-        var: Var,
-        g: Bdd,
-        budget: &Budget,
-    ) -> Result<Bdd, DdError> {
-        let lo = self.restrict(f.0, var, false);
-        let hi = self.restrict(f.0, var, true);
-        Ok(Bdd(self.ite_in(g.0, hi, lo, budget)?))
-    }
-
-    /// Budgeted [`Manager::permute`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm.len() != num_vars as usize`.
-    pub fn try_permute(
-        &mut self,
-        f: NodeId,
-        perm: &[Var],
-        budget: &Budget,
-    ) -> Result<NodeId, DdError> {
-        assert_eq!(
-            perm.len(),
-            self.num_vars as usize,
-            "permutation size mismatch"
-        );
-        let mut memo: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        self.permute_rec(f, perm, budget, &mut memo)
     }
 
     // ----- core recursions --------------------------------------------------
@@ -1262,23 +1066,6 @@ impl Manager {
         seen.len()
     }
 
-    /// Number of *internal* (decision) nodes reachable from `root`.
-    pub fn internal_size(&self, root: NodeId) -> usize {
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        let mut stack = vec![root];
-        let mut count = 0usize;
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) || id.is_terminal() {
-                continue;
-            }
-            count += 1;
-            let (lo, hi) = self.children(id);
-            stack.push(lo);
-            stack.push(hi);
-        }
-        count
-    }
-
     /// All internal nodes reachable from `root`, children before parents.
     pub fn topological_nodes(&self, root: NodeId) -> Vec<NodeId> {
         let mut seen: FxHashSet<NodeId> = FxHashSet::default();
@@ -1332,57 +1119,7 @@ impl Manager {
         vars
     }
 
-    // ----- restriction, composition, quantification --------------------------
-
-    /// Restriction (cofactor): `f` with `var` fixed to `value`.
-    pub fn restrict(&mut self, f: NodeId, var: Var, value: bool) -> NodeId {
-        let mut memo: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        self.restrict_rec(f, var.0, value, &mut memo)
-    }
-
-    fn restrict_rec(
-        &mut self,
-        f: NodeId,
-        var: u32,
-        value: bool,
-        memo: &mut FxHashMap<NodeId, NodeId>,
-    ) -> NodeId {
-        if f.is_terminal() || self.level(f) > var {
-            return f;
-        }
-        if let Some(&r) = memo.get(&f) {
-            return r;
-        }
-        let (lo, hi) = self.children(f);
-        let v = self.level(f);
-        let r = if v == var {
-            if value {
-                hi
-            } else {
-                lo
-            }
-        } else {
-            let lo2 = self.restrict_rec(lo, var, value, memo);
-            let hi2 = self.restrict_rec(hi, var, value, memo);
-            self.mk(v, lo2, hi2)
-        };
-        memo.insert(f, r);
-        r
-    }
-
-    /// Existential quantification of a BDD over `var`.
-    pub fn bdd_exists(&mut self, f: Bdd, var: Var) -> Bdd {
-        let lo = self.restrict(f.0, var, false);
-        let hi = self.restrict(f.0, var, true);
-        Bdd(self.apply(BinOp::Or, lo, hi))
-    }
-
-    /// Universal quantification of a BDD over `var`.
-    pub fn bdd_forall(&mut self, f: Bdd, var: Var) -> Bdd {
-        let lo = self.restrict(f.0, var, false);
-        let hi = self.restrict(f.0, var, true);
-        Bdd(self.apply(BinOp::And, lo, hi))
-    }
+    // ----- permutation and counting -----------------------------------------
 
     /// Rewrites `f` replacing every test of variable `v` by a test of
     /// `perm[v]`. `perm` must be a permutation of `0..num_vars`.
@@ -1396,39 +1133,35 @@ impl Manager {
     /// Panics if `perm.len() != num_vars as usize` or `perm` maps a tested
     /// variable out of range.
     pub fn permute(&mut self, f: NodeId, perm: &[Var]) -> NodeId {
-        self.try_permute(f, perm, &Budget::unlimited())
-            .expect("unlimited budget cannot be exceeded")
+        assert_eq!(
+            perm.len(),
+            self.num_vars as usize,
+            "permutation size mismatch"
+        );
+        let mut memo: FxHashMap<NodeId, NodeId> = FxHashMap::default();
+        self.permute_rec(f, perm, &mut memo)
     }
 
     fn permute_rec(
         &mut self,
         f: NodeId,
         perm: &[Var],
-        budget: &Budget,
         memo: &mut FxHashMap<NodeId, NodeId>,
-    ) -> Result<NodeId, DdError> {
+    ) -> NodeId {
         if f.is_terminal() {
-            return Ok(f);
+            return f;
         }
         if let Some(&r) = memo.get(&f) {
-            return Ok(r);
+            return r;
         }
         let (lo, hi) = self.children(f);
         let v = self.level(f);
-        let lo2 = self.permute_rec(lo, perm, budget, memo)?;
-        let hi2 = self.permute_rec(hi, perm, budget, memo)?;
+        let lo2 = self.permute_rec(lo, perm, memo);
+        let hi2 = self.permute_rec(hi, perm, memo);
         let sel = self.bdd_var(perm[v as usize]);
-        let r = self.ite_in(sel.0, hi2, lo2, budget)?;
+        let r = self.ite_rec(sel.0, hi2, lo2);
         memo.insert(f, r);
-        Ok(r)
-    }
-
-    /// Functional composition: `f` with variable `var` replaced by the
-    /// function `g`.
-    pub fn bdd_compose(&mut self, f: Bdd, var: Var, g: Bdd) -> Bdd {
-        let lo = self.restrict(f.0, var, false);
-        let hi = self.restrict(f.0, var, true);
-        Bdd(self.ite_rec(g.0, hi, lo))
+        r
     }
 
     /// Number of satisfying assignments of a BDD over `num_vars` variables.
@@ -1549,41 +1282,6 @@ impl Manager {
         self.refingerprint();
         roots.iter().map(|r| remap[r]).collect()
     }
-
-    /// Renders `root` in Graphviz DOT syntax (solid edge = `1`, dashed =
-    /// `0`).
-    pub fn to_dot(&self, root: NodeId) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph dd {\n  rankdir=TB;\n");
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            if id.is_terminal() {
-                let _ = writeln!(
-                    out,
-                    "  \"{id:?}\" [shape=box,label=\"{}\"];",
-                    self.terminal_value(id)
-                );
-            } else {
-                let var = self.node_var(id);
-                let label = self
-                    .var_name(var)
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| var.to_string());
-                let _ = writeln!(out, "  \"{id:?}\" [shape=circle,label=\"{label}\"];");
-                let (lo, hi) = self.children(id);
-                let _ = writeln!(out, "  \"{id:?}\" -> \"{lo:?}\" [style=dashed];");
-                let _ = writeln!(out, "  \"{id:?}\" -> \"{hi:?}\";");
-                stack.push(lo);
-                stack.push(hi);
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1680,12 +1378,12 @@ mod tests {
         let doubled = m.add_scale(sum, 2.0);
         assert_eq!(m.add_eval(doubled, &[true, true]), 180.0);
 
-        let diff = m.add_minus(sum, fx);
+        let diff = m.add_apply(BinOp::Minus, sum, fx);
         assert_eq!(m.add_eval(diff, &[true, true]), 50.0);
 
-        let mx = m.add_max(fx, fy);
+        let mx = m.add_apply(BinOp::Max, fx, fy);
         assert_eq!(m.add_eval(mx, &[true, true]), 50.0);
-        let mn = m.add_min(fx, fy);
+        let mn = m.add_apply(BinOp::Min, fx, fy);
         assert_eq!(m.add_eval(mn, &[true, true]), 40.0);
     }
 
@@ -1701,30 +1399,6 @@ mod tests {
         let fy = m.add_ite(y, c50, zero);
         let sum = m.add_plus(fx, fy);
         assert_eq!(m.terminal_values(sum.node()), vec![0.0, 40.0, 50.0, 90.0]);
-    }
-
-    #[test]
-    fn restrict_and_compose() {
-        let (mut m, a, b, c) = setup3();
-        let f = m.bdd_ite(a, b, c);
-        let f1 = Bdd(m.restrict(f.0, Var(0), true));
-        assert_eq!(f1, b);
-        let f0 = Bdd(m.restrict(f.0, Var(0), false));
-        assert_eq!(f0, c);
-
-        // Composing a back in via ite on var 0 restores f.
-        let g = m.bdd_compose(f, Var(1), c); // ite(a, c, c) = c
-        assert_eq!(g, c);
-    }
-
-    #[test]
-    fn quantification() {
-        let (mut m, a, b, _) = setup3();
-        let f = m.bdd_and(a, b);
-        let ex = m.bdd_exists(f, Var(0));
-        assert_eq!(ex, b);
-        let fa = m.bdd_forall(f, Var(0));
-        assert_eq!(fa, m.bdd_false());
     }
 
     #[test]
@@ -1768,7 +1442,6 @@ mod tests {
         let f = m.bdd_and(a, b);
         // nodes: a-node, b-node, 0, 1
         assert_eq!(m.size(f.0), 4);
-        assert_eq!(m.internal_size(f.0), 2);
     }
 
     #[test]
@@ -1831,25 +1504,5 @@ mod tests {
         let g = m.add_map_terminals(f, |_| 7.0);
         assert!(g.node().is_terminal());
         assert_eq!(m.terminal_value(g.node()), 7.0);
-    }
-
-    #[test]
-    fn to_dot_mentions_every_node() {
-        let (mut m, a, b, _) = setup3();
-        let f = m.bdd_and(a, b);
-        let dot = m.to_dot(f.node());
-        assert!(dot.contains("digraph"));
-        assert!(dot.matches("shape=circle").count() == 2);
-        assert!(dot.matches("shape=box").count() == 2);
-    }
-
-    #[test]
-    fn new_var_extends_order() {
-        let mut m = Manager::new(1);
-        let v = m.new_var();
-        assert_eq!(v, Var(1));
-        assert_eq!(m.num_vars(), 2);
-        let b = m.bdd_var(v);
-        assert!(m.bdd_eval(b, &[false, true]));
     }
 }

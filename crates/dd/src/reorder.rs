@@ -4,19 +4,14 @@
 //! CUDD's dynamic reordering ("after reduction (and variable reordering)
 //! the only way of further simplifying ADDs is by approximating"). This
 //! module provides the rebuild-based equivalent: a sifting-style local
-//! search that tries all permutations of a sliding window of variables and
-//! keeps whichever ordering shrinks the diagram.
+//! search that tries all permutations of a sliding window and keeps
+//! whichever ordering shrinks the diagram.
 //!
-//! Two entry points:
-//!
-//! * [`reorder_windows`] permutes individual variables — the generic
-//!   facility;
-//! * [`reorder_paired_windows`] permutes *pairs* `(2k, 2k+1)` as units,
-//!   preserving the `xⁱ/xᶠ` interleaving that transition-space power
-//!   models (and their chain measures) rely on.
-//!
-//! Both return the reordered root plus the final placement so callers can
-//! keep evaluating under the original variable names.
+//! [`reorder_paired_windows`] permutes *pairs* `(2k, 2k+1)` as units,
+//! preserving the `xⁱ/xᶠ` interleaving that transition-space power models
+//! (and their chain measures) rely on. It returns the reordered root plus
+//! the final placement so callers can keep evaluating under the original
+//! variable names.
 
 use crate::manager::Manager;
 use crate::node::{NodeId, Var};
@@ -41,79 +36,6 @@ fn permutations(k: usize) -> Vec<Vec<usize>> {
     }
     heap(&mut items, k, &mut out);
     out
-}
-
-/// Local window reordering over individual variables.
-///
-/// Slides a `window`-wide window over the variable positions, trying every
-/// permutation of the variables inside it (rebuilding via
-/// [`Manager::permute`]) and keeping strict improvements, for up to
-/// `passes` sweeps or until a sweep finds nothing.
-///
-/// Returns `(new_root, placement)` where `placement[v]` is the position
-/// variable `v`'s *original content* now occupies: evaluating the new root
-/// under an assignment `a'` with `a'[placement[v]] = a[v]` reproduces the
-/// original function at `a`.
-///
-/// # Panics
-///
-/// Panics if `window < 2` or `window > 4` (cost grows factorially).
-pub fn reorder_windows(
-    m: &mut Manager,
-    root: NodeId,
-    window: usize,
-    passes: usize,
-) -> (NodeId, Vec<usize>) {
-    assert!((2..=4).contains(&window), "window must be 2..=4");
-    let n = m.num_vars() as usize;
-    let mut placement: Vec<usize> = (0..n).collect();
-    let mut root = root;
-    if n < window {
-        return (root, placement);
-    }
-    let perms = permutations(window);
-    for _ in 0..passes.max(1) {
-        let mut improved = false;
-        for start in 0..=n - window {
-            let base_size = m.size(root);
-            let mut best: Option<(NodeId, Vec<usize>, usize)> = None;
-            for perm in &perms {
-                if perm.iter().enumerate().all(|(i, &p)| i == p) {
-                    continue;
-                }
-                // Window permutation at positions start..start+window:
-                // content at position start+i moves to start+perm[i].
-                let mut var_perm: Vec<Var> = (0..n as u32).map(Var).collect();
-                for (i, &p) in perm.iter().enumerate() {
-                    var_perm[start + i] = Var((start + p) as u32);
-                }
-                let candidate = m.permute(root, &var_perm);
-                let size = m.size(candidate);
-                if size < best.as_ref().map_or(base_size, |b| b.2) {
-                    best = Some((candidate, perm.clone(), size));
-                }
-            }
-            if let Some((candidate, perm, _)) = best {
-                root = candidate;
-                // Track where each original variable's content lives now.
-                let snapshot = placement.clone();
-                for v in 0..n {
-                    let pos = snapshot[v];
-                    if (start..start + window).contains(&pos) {
-                        placement[v] = start + perm[pos - start];
-                    }
-                }
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    // Note: trial rebuilds leave garbage nodes behind; callers that care
-    // about memory should `Manager::compact` afterwards (compacting here
-    // would invalidate every other handle the caller holds).
-    (root, placement)
 }
 
 /// Local window reordering over variable *pairs* `(2k, 2k+1)`.
@@ -185,43 +107,22 @@ pub fn reorder_paired_windows(
     (root, placement)
 }
 
-/// Pulls an assignment for the *reordered* diagram back to original
-/// variables: `out[placement[v]] = original[v]`.
-///
-/// Convenience for callers that keep evaluating a reordered diagram under
-/// the original variable naming.
-pub fn pull_assignment(placement: &[usize], original: &[bool]) -> Vec<bool> {
-    let mut out = vec![false; original.len()];
-    for (v, &pos) in placement.iter().enumerate() {
-        out[pos] = original[v];
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manager::Add;
 
-    /// An order-sensitive function: a0·b0 + a1·b1 + … with the `a`s and
-    /// `b`s declared far apart (bad order) — the classic sifting testcase.
-    fn bad_order_function(m: &mut Manager, k: u32) -> Add {
-        // Variables 0..k are the `a`s, k..2k the `b`s.
-        let mut acc = m.add_zero();
-        for i in 0..k {
-            let a = m.bdd_var(Var(i));
-            let b = m.bdd_var(Var(k + i));
-            let ab = m.bdd_and(a, b);
-            let d = m.add_scale(ab.as_add(), 1.0 + i as f64);
-            acc = m.add_plus(acc, d);
-        }
-        acc
-    }
-
-    fn check_semantics(m: &Manager, original: Add, reordered: NodeId, placement: &[usize], n: u32) {
+    /// Evaluates `reordered` under the original variable naming: pair `p`'s
+    /// two variables moved together to `(2·placement[p], 2·placement[p]+1)`.
+    fn check_semantics(m: &Manager, original: Add, reordered: NodeId, placement: &[usize]) {
+        let n = m.num_vars();
         for bits in 0..1u32 << n {
             let asg: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            let pulled = pull_assignment(placement, &asg);
+            let mut pulled = vec![false; n as usize];
+            for (p, &pos) in placement.iter().enumerate() {
+                pulled[2 * pos] = asg[2 * p];
+                pulled[2 * pos + 1] = asg[2 * p + 1];
+            }
             assert_eq!(
                 m.add_eval(original, &asg),
                 m.add_eval(Add::from_node(reordered), &pulled),
@@ -231,35 +132,31 @@ mod tests {
     }
 
     #[test]
-    fn window_reorder_shrinks_bad_orders() {
-        let mut m = Manager::new(12);
-        let f = bad_order_function(&mut m, 6);
+    fn paired_reorder_shrinks_bad_orders() {
+        // a_i lives in pair i, b_i in pair k+i: the coupled pairs are
+        // declared far apart (bad order) — the classic sifting testcase.
+        let k = 4u32;
+        let mut m = Manager::new(4 * k);
+        let mut f = m.add_zero();
+        for i in 0..k {
+            let a = m.bdd_var(Var(2 * i));
+            let b = m.bdd_var(Var(2 * (k + i)));
+            let ab = m.bdd_and(a, b);
+            let d = m.add_scale(ab.as_add(), 1.0 + i as f64);
+            f = m.add_plus(f, d);
+        }
         let before = m.size(f.node());
         // compact drops the construction garbage but keeps f valid.
         let kept = m.compact(&[f.node()]);
         let f = Add::from_node(kept[0]);
 
-        let mut m2 = m.clone();
-        let (g, placement) = reorder_windows(&mut m2, f.node(), 3, 4);
-        let after = m2.size(g);
+        let (g, placement) = reorder_paired_windows(&mut m, f.node(), 3, 4);
+        let after = m.size(g);
         assert!(
-            after < before / 2,
-            "interleaving must shrink a0..a5 b0..b5: {before} -> {after}"
+            after < before,
+            "pair interleaving must shrink: {before} -> {after}"
         );
-        // Semantics preserved (m2 still contains the original f too).
-        check_semantics(&m2, f, g, &placement, 12);
-    }
-
-    #[test]
-    fn window2_also_works() {
-        let mut m = Manager::new(8);
-        let f = bad_order_function(&mut m, 4);
-        let before = m.size(f.node());
-        let kept = m.compact(&[f.node()]);
-        let f = Add::from_node(kept[0]);
-        let (g, placement) = reorder_windows(&mut m, f.node(), 2, 6);
-        assert!(m.size(g) < before);
-        check_semantics(&m, f, g, &placement, 8);
+        check_semantics(&m, f, g, &placement);
     }
 
     #[test]
@@ -282,21 +179,7 @@ mod tests {
         let f = Add::from_node(kept[0]);
 
         let (g, placement) = reorder_paired_windows(&mut m, f.node(), 3, 4);
-        // Semantics: pair p's two variables moved together to
-        // (2·placement[p], 2·placement[p]+1).
-        for bits in 0..256u32 {
-            let asg: Vec<bool> = (0..8).map(|i| bits >> i & 1 == 1).collect();
-            let mut pulled = vec![false; 8];
-            for (p, &pos) in placement.iter().enumerate() {
-                pulled[2 * pos] = asg[2 * p];
-                pulled[2 * pos + 1] = asg[2 * p + 1];
-            }
-            assert_eq!(
-                m.add_eval(f, &asg),
-                m.add_eval(Add::from_node(g), &pulled),
-                "bits={bits:08b}"
-            );
-        }
+        check_semantics(&m, f, g, &placement);
         // The placement is a permutation.
         let mut seen = [false; 4];
         for &p in &placement {
@@ -319,7 +202,7 @@ mod tests {
         let before = m.size(acc.node());
         let kept = m.compact(&[acc.node()]);
         let acc = Add::from_node(kept[0]);
-        let (g, _) = reorder_windows(&mut m, acc.node(), 3, 2);
+        let (g, _) = reorder_paired_windows(&mut m, acc.node(), 3, 2);
         assert!(m.size(g) <= before);
     }
 
@@ -328,6 +211,6 @@ mod tests {
     fn rejects_huge_windows() {
         let mut m = Manager::new(4);
         let f = m.add_zero();
-        let _ = reorder_windows(&mut m, f.node(), 7, 1);
+        let _ = reorder_paired_windows(&mut m, f.node(), 7, 1);
     }
 }

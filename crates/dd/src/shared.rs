@@ -1,5 +1,5 @@
 //! Cross-build structural sharing: canonical sub-DAG fingerprints and a
-//! persistent unique table that survives [`Manager`] instances.
+//! unique table that outlives [`Manager`] instances.
 //!
 //! Every `Manager` arena is private — node identifiers are indices into
 //! one arena and mean nothing to the next build. What *is* portable is
@@ -18,8 +18,10 @@
 //! A `Manager` with a table attached ([`Manager::attach_shared`])
 //! records every interned node and consults the apply memo on each
 //! local computed-table miss: a sub-DAG built for one macro is a cache
-//! hit for the next, even in a different arena, a different thread, or
-//! a different process (the table serializes; see [`SharedTable::save`]).
+//! hit for the next, even in a different arena or a different thread.
+//! Each of the table's two maps holds at most [`MAX_TABLE_ENTRIES`]
+//! entries; past that, recording is a no-op and the table only serves
+//! what it already holds.
 //!
 //! **Bit-exactness invariant:** a shared-table hit is always
 //! bit-identical to a fresh build. Apply results are exact f64
@@ -32,9 +34,8 @@
 //! [`Manager`]: crate::Manager
 //! [`Manager::attach_shared`]: crate::Manager::attach_shared
 
-use crate::hash::{canonical_f64_bits, Fnv128, FxHashMap};
+use crate::hash::{Fnv128, FxHashMap};
 use std::fmt;
-use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -54,8 +55,9 @@ pub struct Fingerprint(u128);
 
 impl Fingerprint {
     /// Fingerprint of a terminal with the given **canonical** f64 bits
-    /// (see [`canonical_f64_bits`]: `-0.0` has already been folded into
-    /// `0.0`, so signed zero cannot split structurally identical DAGs).
+    /// (see [`canonical_f64_bits`](crate::hash::canonical_f64_bits):
+    /// `-0.0` has already been folded into `0.0`, so signed zero cannot
+    /// split structurally identical DAGs).
     #[must_use]
     pub fn terminal(canonical_bits: u64) -> Fingerprint {
         let mut h = Fnv128::new();
@@ -78,15 +80,6 @@ impl Fingerprint {
     #[must_use]
     pub fn hex(&self) -> String {
         format!("{:032x}", self.0)
-    }
-
-    /// Parses a [`Fingerprint::hex`] rendering.
-    #[must_use]
-    pub fn from_hex(s: &str) -> Option<Fingerprint> {
-        if s.len() != 32 {
-            return None;
-        }
-        u128::from_str_radix(s, 16).ok().map(Fingerprint)
     }
 
     fn shard(&self, shards: usize) -> usize {
@@ -204,20 +197,28 @@ pub trait UniqueTable: fmt::Debug + Send + Sync {
 
 const SHARDS: usize = 16;
 
+/// Entry cap of each of a [`SharedTable`]'s two maps (structure and apply
+/// memo), split evenly over its shards. A long-lived table — one server
+/// fed distinct netlists — stops recording at the cap instead of growing
+/// without bound; a missing entry is only a memo miss, so the cap never
+/// changes a built model.
+pub const MAX_TABLE_ENTRIES: usize = 1 << 18;
+
 #[derive(Debug, Default)]
 struct Shard {
     structure: FxHashMap<Fingerprint, SharedEntry>,
     apply: FxHashMap<ApplyKey, (Fingerprint, u64)>,
 }
 
-/// The concrete cross-build unique table: sharded mutex-protected maps
-/// plus relaxed atomic counters. Cheap to share (`Arc<SharedTable>`),
-/// safe to consult from every build thread of a server, and
-/// serializable ([`SharedTable::save`]/[`SharedTable::load`]) so warm
-/// structure survives process restarts via the artifact store.
+/// The concrete cross-build unique table: sharded mutex-protected maps,
+/// each capped at [`MAX_TABLE_ENTRIES`], plus relaxed atomic counters.
+/// Cheap to share (`Arc<SharedTable>`) and safe to consult from every
+/// build thread of a server.
 #[derive(Debug)]
 pub struct SharedTable {
     shards: Vec<Mutex<Shard>>,
+    /// Entries each shard's map may hold (`MAX_TABLE_ENTRIES / SHARDS`).
+    shard_cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     steps_saved: AtomicU64,
@@ -234,8 +235,13 @@ impl SharedTable {
     /// An empty table.
     #[must_use]
     pub fn new() -> SharedTable {
+        SharedTable::with_shard_cap(MAX_TABLE_ENTRIES / SHARDS)
+    }
+
+    fn with_shard_cap(shard_cap: usize) -> SharedTable {
         SharedTable {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+            shard_cap,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             steps_saved: AtomicU64::new(0),
@@ -265,12 +271,6 @@ impl SharedTable {
         self.len() == 0
     }
 
-    /// Apply/ITE memo entries recorded.
-    #[must_use]
-    pub fn apply_len(&self) -> usize {
-        (0..SHARDS).map(|i| self.shard(i).apply.len()).sum()
-    }
-
     /// Current counter values.
     #[must_use]
     pub fn counters(&self) -> TableCounters {
@@ -286,198 +286,6 @@ impl SharedTable {
     pub fn note_delta_rebuild(&self) {
         self.delta_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
-
-    /// Writes the table in the versioned `cftv1` text format (sorted by
-    /// fingerprint, so equal tables serialize byte-identically).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let mut structure: Vec<(Fingerprint, SharedEntry)> = Vec::new();
-        let mut apply: Vec<(ApplyKey, (Fingerprint, u64))> = Vec::new();
-        for i in 0..SHARDS {
-            let shard = self.shard(i);
-            structure.extend(shard.structure.iter().map(|(k, v)| (*k, *v)));
-            apply.extend(shard.apply.iter().map(|(k, v)| (*k, *v)));
-        }
-        // Children must precede parents on disk (the loader verifies
-        // fingerprints bottom-up), so order by DAG depth, then by
-        // fingerprint — deterministic, so equal tables serialize
-        // byte-identically.
-        let by_fp: FxHashMap<Fingerprint, SharedEntry> = structure.iter().copied().collect();
-        let mut depth_memo: FxHashMap<Fingerprint, u64> = FxHashMap::default();
-        fn depth_of(
-            fp: Fingerprint,
-            by_fp: &FxHashMap<Fingerprint, SharedEntry>,
-            memo: &mut FxHashMap<Fingerprint, u64>,
-        ) -> u64 {
-            if let Some(&d) = memo.get(&fp) {
-                return d;
-            }
-            let d = match by_fp.get(&fp) {
-                Some(SharedEntry::Node { lo, hi, .. }) => {
-                    1 + depth_of(*lo, by_fp, memo).max(depth_of(*hi, by_fp, memo))
-                }
-                _ => 0,
-            };
-            memo.insert(fp, d);
-            d
-        }
-        structure.sort_unstable_by_key(|(fp, _)| (depth_of(*fp, &by_fp, &mut depth_memo), *fp));
-        apply.sort_unstable_by_key(|(k, _)| (k.op, k.a, k.b, k.c));
-
-        writeln!(w, "cftv1")?;
-        writeln!(w, "s {}", structure.len())?;
-        for (fp, entry) in &structure {
-            match entry {
-                SharedEntry::Terminal(bits) => {
-                    writeln!(w, "t {} {bits:016x}", fp.hex())?;
-                }
-                SharedEntry::Node { var, lo, hi } => {
-                    writeln!(w, "n {} {var} {} {}", fp.hex(), lo.hex(), hi.hex())?;
-                }
-            }
-        }
-        writeln!(w, "a {}", apply.len())?;
-        for (key, (result, steps)) in &apply {
-            let c = key.c.map_or_else(|| "-".to_owned(), |fp| fp.hex());
-            writeln!(
-                w,
-                "{:02x} {} {} {c} {} {steps}",
-                key.op,
-                key.a.hex(),
-                key.b.hex(),
-                result.hex()
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Reads a table written by [`SharedTable::save`], re-deriving and
-    /// verifying every fingerprint, so a truncated or corrupted file is
-    /// rejected rather than silently poisoning future builds. Counters
-    /// start at zero (they describe a process, not the structure).
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` for format violations, fingerprint
-    /// mismatches, NaN terminals, or apply entries whose result is not
-    /// materializable from the structure section.
-    pub fn load<R: BufRead>(r: R) -> io::Result<SharedTable> {
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-        let mut lines = r.lines();
-        let mut next = || -> io::Result<String> {
-            lines
-                .next()
-                .ok_or_else(|| bad("unexpected end of shared-table dump"))?
-        };
-
-        if next()?.trim_end() != "cftv1" {
-            return Err(bad("missing cftv1 header"));
-        }
-        let table = SharedTable::new();
-
-        let sline = next()?;
-        let scount: usize = sline
-            .strip_prefix("s ")
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| bad("bad structure count"))?;
-        let mut known: FxHashMap<Fingerprint, ()> = FxHashMap::default();
-        for _ in 0..scount {
-            let line = next()?;
-            let mut parts = line.split_whitespace();
-            let tag = parts.next().ok_or_else(|| bad("missing entry tag"))?;
-            let fp = parts
-                .next()
-                .and_then(Fingerprint::from_hex)
-                .ok_or_else(|| bad("bad entry fingerprint"))?;
-            let entry = match tag {
-                "t" => {
-                    let bits = parts
-                        .next()
-                        .and_then(|s| u64::from_str_radix(s, 16).ok())
-                        .ok_or_else(|| bad("bad terminal bits"))?;
-                    if f64::from_bits(bits).is_nan() {
-                        return Err(bad("NaN terminal in shared table"));
-                    }
-                    if bits != canonical_f64_bits(f64::from_bits(bits)) {
-                        return Err(bad("non-canonical signed-zero terminal"));
-                    }
-                    if Fingerprint::terminal(bits) != fp {
-                        return Err(bad("terminal fingerprint mismatch"));
-                    }
-                    SharedEntry::Terminal(bits)
-                }
-                "n" => {
-                    let var: u32 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("bad node variable"))?;
-                    let lo = parts
-                        .next()
-                        .and_then(Fingerprint::from_hex)
-                        .ok_or_else(|| bad("bad lo fingerprint"))?;
-                    let hi = parts
-                        .next()
-                        .and_then(Fingerprint::from_hex)
-                        .ok_or_else(|| bad("bad hi fingerprint"))?;
-                    if !known.contains_key(&lo) || !known.contains_key(&hi) {
-                        return Err(bad("node references unknown child fingerprint"));
-                    }
-                    if Fingerprint::node(var, lo, hi) != fp {
-                        return Err(bad("node fingerprint mismatch"));
-                    }
-                    SharedEntry::Node { var, lo, hi }
-                }
-                _ => return Err(bad("unknown structure entry tag")),
-            };
-            known.insert(fp, ());
-            table.record(fp, entry);
-        }
-
-        let aline = next()?;
-        let acount: usize = aline
-            .strip_prefix("a ")
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or_else(|| bad("bad apply count"))?;
-        for _ in 0..acount {
-            let line = next()?;
-            let mut parts = line.split_whitespace();
-            let op = parts
-                .next()
-                .and_then(|s| u8::from_str_radix(s, 16).ok())
-                .ok_or_else(|| bad("bad apply opcode"))?;
-            let a = parts
-                .next()
-                .and_then(Fingerprint::from_hex)
-                .ok_or_else(|| bad("bad apply operand a"))?;
-            let b = parts
-                .next()
-                .and_then(Fingerprint::from_hex)
-                .ok_or_else(|| bad("bad apply operand b"))?;
-            let c = match parts.next() {
-                Some("-") => None,
-                Some(s) => {
-                    Some(Fingerprint::from_hex(s).ok_or_else(|| bad("bad apply operand c"))?)
-                }
-                None => return Err(bad("missing apply operand c")),
-            };
-            let result = parts
-                .next()
-                .and_then(Fingerprint::from_hex)
-                .ok_or_else(|| bad("bad apply result fingerprint"))?;
-            let steps: u64 = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| bad("bad apply step cost"))?;
-            if !known.contains_key(&result) {
-                return Err(bad("apply result not materializable from structure"));
-            }
-            table.record_apply(ApplyKey { op, a, b, c }, result, steps);
-        }
-        Ok(table)
-    }
 }
 
 impl UniqueTable for SharedTable {
@@ -486,10 +294,10 @@ impl UniqueTable for SharedTable {
     }
 
     fn record(&self, fp: Fingerprint, entry: SharedEntry) {
-        self.shard(fp.shard(SHARDS))
-            .structure
-            .entry(fp)
-            .or_insert(entry);
+        let mut shard = self.shard(fp.shard(SHARDS));
+        if shard.structure.len() < self.shard_cap {
+            shard.structure.entry(fp).or_insert(entry);
+        }
     }
 
     fn lookup_apply(&self, key: &ApplyKey) -> Option<(Fingerprint, u64)> {
@@ -497,10 +305,10 @@ impl UniqueTable for SharedTable {
     }
 
     fn record_apply(&self, key: ApplyKey, result: Fingerprint, steps: u64) {
-        self.shard(key.shard(SHARDS))
-            .apply
-            .entry(key)
-            .or_insert((result, steps));
+        let mut shard = self.shard(key.shard(SHARDS));
+        if shard.apply.len() < self.shard_cap {
+            shard.apply.entry(key).or_insert((result, steps));
+        }
     }
 
     fn note_apply_hit(&self, steps_saved: u64) {
@@ -551,15 +359,14 @@ mod tests {
     }
 
     #[test]
-    fn hex_round_trips() {
+    fn hex_renders_all_128_bits() {
         let fp = Fingerprint::node(
             7,
             Fingerprint::terminal(0),
             Fingerprint::terminal(2.25f64.to_bits()),
         );
-        assert_eq!(Fingerprint::from_hex(&fp.hex()), Some(fp));
-        assert_eq!(Fingerprint::from_hex("xyz"), None);
-        assert_eq!(Fingerprint::from_hex(""), None);
+        assert_eq!(fp.hex().len(), 32);
+        assert_eq!(u128::from_str_radix(&fp.hex(), 16).ok(), Some(fp.0));
     }
 
     #[test]
@@ -589,69 +396,51 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips_and_is_deterministic() {
-        let t = sample_table();
-        let mut buf = Vec::new();
-        t.save(&mut buf).expect("saves");
-        let back = SharedTable::load(buf.as_slice()).expect("loads");
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.apply_len(), t.apply_len());
-        let zero = Fingerprint::terminal(0);
-        let one = Fingerprint::terminal(1.0f64.to_bits());
-        let n = Fingerprint::node(3, zero, one);
-        assert_eq!(
-            back.lookup_apply(&ApplyKey::binary(2, zero, one)),
-            Some((n, 17))
-        );
-        assert_eq!(
-            back.lookup_apply(&ApplyKey::ite(n, zero, one)),
-            Some((one, 4))
-        );
-        // Counters do not persist.
-        assert_eq!(back.counters(), TableCounters::default());
-        // Determinism: a reloaded table saves byte-identically.
-        let mut buf2 = Vec::new();
-        back.save(&mut buf2).expect("saves again");
-        assert_eq!(buf, buf2);
-    }
-
-    #[test]
-    fn load_rejects_corruption() {
-        let t = sample_table();
-        let mut buf = Vec::new();
-        t.save(&mut buf).expect("saves");
-        let text = String::from_utf8(buf).expect("utf8");
-
-        // Truncation.
-        let half = &text[..text.len() / 2];
-        assert!(SharedTable::load(half.as_bytes()).is_err());
-        // Header gone.
-        assert!(SharedTable::load("nonsense".as_bytes()).is_err());
-        // A flipped fingerprint no longer matches its entry.
-        let tampered = text.replacen("t 0", "t 1", 1);
-        if tampered != text {
-            assert!(SharedTable::load(tampered.as_bytes()).is_err());
+    fn recording_stops_at_the_cap_and_earlier_entries_still_hit() {
+        const SHARD_CAP: usize = 4;
+        let cap = SHARD_CAP * SHARDS;
+        let t = SharedTable::with_shard_cap(SHARD_CAP);
+        // Spread the bits over every byte so the entries reach every shard.
+        let terminal = |i: u64| {
+            let bits = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (Fingerprint::terminal(bits), SharedEntry::Terminal(bits))
+        };
+        let key = |i: u64| ApplyKey::binary(2, terminal(i).0, terminal(i + 1).0);
+        let apply_len =
+            |t: &SharedTable| -> usize { (0..SHARDS).map(|i| t.shard(i).apply.len()).sum() };
+        // Record well past the cap: every shard fills, none overflows.
+        let recorded = 16 * cap as u64;
+        for i in 0..recorded {
+            let (fp, entry) = terminal(i);
+            t.record(fp, entry);
+            t.record_apply(key(i), fp, i);
         }
-        // NaN terminal.
-        let nan = format!(
-            "cftv1\ns 1\nt {} 7ff8000000000000\na 0\n",
-            Fingerprint::terminal(0x7ff8_0000_0000_0000).hex()
-        );
-        assert!(SharedTable::load(nan.as_bytes()).is_err());
-        // Negative-zero terminal is non-canonical on disk.
-        let negz = format!(
-            "cftv1\ns 1\nt {} 8000000000000000\na 0\n",
-            Fingerprint::terminal(0x8000_0000_0000_0000).hex()
-        );
-        assert!(SharedTable::load(negz.as_bytes()).is_err());
-        // Apply entry whose result was never defined.
-        let dangling = format!(
-            "cftv1\ns 0\na 1\n02 {} {} - {} 3\n",
-            Fingerprint::terminal(0).hex(),
-            Fingerprint::terminal(1).hex(),
-            Fingerprint::terminal(2).hex()
-        );
-        assert!(SharedTable::load(dangling.as_bytes()).is_err());
+        assert_eq!(t.len(), cap);
+        assert_eq!(apply_len(&t), cap);
+        let mut structure_hits = 0;
+        let mut apply_hits = 0;
+        for i in 0..recorded {
+            let (fp, entry) = terminal(i);
+            if let Some(hit) = t.lookup(fp) {
+                assert_eq!(hit, entry);
+                structure_hits += 1;
+            }
+            if let Some(hit) = t.lookup_apply(&key(i)) {
+                assert_eq!(hit, (fp, i));
+                apply_hits += 1;
+            }
+        }
+        assert_eq!((structure_hits, apply_hits), (cap, cap));
+        // The first entry of every shard landed before that shard filled.
+        let (first, entry) = terminal(0);
+        assert_eq!(t.lookup(first), Some(entry));
+        assert_eq!(t.lookup_apply(&key(0)), Some((first, 0)));
+        // Past the cap, recording is a no-op.
+        let (late, late_entry) = terminal(recorded);
+        t.record(late, late_entry);
+        t.record_apply(key(recorded), late, 1);
+        assert_eq!(t.len(), cap);
+        assert_eq!(apply_len(&t), cap);
     }
 
     #[test]

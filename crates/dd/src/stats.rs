@@ -381,11 +381,6 @@ impl Manager {
     pub fn add_max_value(&self, f: Add) -> f64 {
         self.add_stats(f).root().max
     }
-
-    /// Minimum value of the ADD over all assignments.
-    pub fn add_min_value(&self, f: Add) -> f64 {
-        self.add_stats(f).root().min
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +486,7 @@ mod tests {
         let f = m.add_ite(x, c9, c1);
         assert_eq!(m.add_avg(f), 5.0);
         assert_eq!(m.add_max_value(f), 9.0);
-        assert_eq!(m.add_min_value(f), 1.0);
+        assert_eq!(m.add_stats(f).root().min, 1.0);
     }
 
     #[test]

@@ -189,30 +189,6 @@ fn compact_keeps_fingerprints_and_sharing_consistent() {
 }
 
 #[test]
-fn saved_table_warms_a_fresh_process() {
-    let table = Arc::new(SharedTable::new());
-    let mut m1 = Manager::new(8);
-    m1.attach_shared(table.clone());
-    let f1 = build_workload(&mut m1, 8, &Budget::unlimited());
-
-    // Serialize, reload (as a restarted process would from the artifact
-    // store), and warm-build through the reloaded table.
-    let mut blob = Vec::new();
-    table.save(&mut blob).expect("in-memory save");
-    let reloaded: Arc<SharedTable> =
-        Arc::new(SharedTable::load(blob.as_slice()).expect("round trip"));
-
-    let warm = ApplyStats::shared();
-    let mut m2 = Manager::new(8);
-    m2.attach_shared(reloaded.clone());
-    let budget = Budget::unlimited().with_stats(warm.clone());
-    let f2 = build_workload(&mut m2, 8, &budget);
-    assert_eq!(warm.apply_steps(), 0, "reloaded memo serves every apply");
-    assert!(reloaded.counters().table_hits > 0);
-    assert_eq!(dump(&m1, f1), dump(&m2, f2));
-}
-
-#[test]
 fn record_via_trait_object_matches_concrete_use() {
     // The manager talks to the table through `dyn UniqueTable`; make
     // sure the trait surface alone is enough to drive sharing.

@@ -6,7 +6,7 @@
 //! This crate gives the chain one home:
 //!
 //! * [`PipelineCtx`] — the shared run context: cell library, build
-//!   options (threading the `charfree-dd` budget/cancellation knobs), an
+//!   options (threading the `charfree-dd` budget knobs), an
 //!   optional content-addressed [`ArtifactStore`], a structured
 //!   [`Telemetry`] sink and an [`ApplyStats`] counter proving how much
 //!   symbolic work a run actually performed.
@@ -48,11 +48,12 @@ pub use store::{ArtifactKey, ArtifactStore, CacheLookup, QuarantinedEntry, Recov
 pub use telemetry::{ArtifactKind, Event, Stage, Telemetry};
 
 use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder};
-use charfree_dd::{ApplyStats, CancelToken, SharedTable, UniqueTable};
+use charfree_dd::{ApplyStats, SharedTable, UniqueTable};
 use charfree_engine::{Kernel, TraceEngine, TraceSummary};
 use charfree_netlist::{benchmarks, blif, verilog, Library, Netlist};
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -129,9 +130,6 @@ pub struct BuildOptions {
     pub time_budget: Option<Duration>,
     /// Strict mode: budget trips fail the build instead of degrading it.
     pub strict: bool,
-    /// Cooperative cancellation. Nondeterministic — setting it makes the
-    /// build uncacheable.
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for BuildOptions {
@@ -146,7 +144,6 @@ impl Default for BuildOptions {
             step_budget: None,
             time_budget: None,
             strict: false,
-            cancel: None,
         }
     }
 }
@@ -164,11 +161,11 @@ impl BuildOptions {
     }
 
     /// Whether a build under these options is a pure function of
-    /// (netlist, library, options). Wall-clock deadlines and cancel
-    /// tokens make the degradation point timing-dependent, so such
-    /// builds bypass the artifact cache entirely.
+    /// (netlist, library, options). A wall-clock deadline makes the
+    /// degradation point timing-dependent, so such builds bypass the
+    /// artifact cache entirely.
     pub fn cacheable(&self) -> bool {
-        self.time_budget.is_none() && self.cancel.is_none()
+        self.time_budget.is_none()
     }
 
     /// A canonical textual digest of every deterministic knob, mixed
@@ -228,9 +225,6 @@ impl BuildOptions {
         }
         if let Some(deadline) = self.time_budget {
             builder = builder.time_budget(deadline);
-        }
-        if let Some(token) = &self.cancel {
-            builder = builder.cancel_token(token.clone());
         }
         builder
     }
@@ -320,85 +314,9 @@ impl PipelineCtx {
         self
     }
 
-    /// Attaches a shared structural table warm-loaded from the artifact
-    /// store when a persisted `.cft` exists for this context's library
-    /// (falling back to a fresh table otherwise — including when the
-    /// persisted blob fails its fingerprint self-check, which telemetry
-    /// records as a poisoned cache entry).
-    pub fn with_warm_shared_table(mut self) -> Self {
-        let table = match self.table_key() {
-            Some(key) => {
-                let store = self.store.as_ref().expect("table_key implies a store");
-                match store.load_table(key) {
-                    CacheLookup::Hit(table) => {
-                        self.telemetry.emit(Event::CacheHit {
-                            kind: ArtifactKind::Table,
-                            key: key.hex(),
-                        });
-                        table
-                    }
-                    CacheLookup::Miss => {
-                        self.telemetry.emit(Event::CacheMiss {
-                            kind: ArtifactKind::Table,
-                            key: key.hex(),
-                        });
-                        SharedTable::new()
-                    }
-                    CacheLookup::Poisoned(reason) => {
-                        self.telemetry.emit(Event::CachePoisoned {
-                            kind: ArtifactKind::Table,
-                            key: key.hex(),
-                            reason,
-                        });
-                        SharedTable::new()
-                    }
-                }
-            }
-            None => SharedTable::new(),
-        };
-        self.shared = Some(Arc::new(table));
-        self
-    }
-
     /// The attached shared structural table, if any.
     pub fn shared_table(&self) -> Option<&Arc<SharedTable>> {
         self.shared.as_ref()
-    }
-
-    /// The store key this context's shared table persists under: one
-    /// `.cft` per cell library (models built against different libraries
-    /// scale terminals differently, so their sub-DAGs never coincide).
-    fn table_key(&self) -> Option<ArtifactKey> {
-        self.store.as_ref()?;
-        Some(ArtifactKey::derive(&["table", &self.library.fingerprint()]))
-    }
-
-    /// Persists the attached shared table to the artifact store (same
-    /// journaled, crash-safe path as models and kernels). Returns whether
-    /// a blob was written; a missing table or store is a no-op, and write
-    /// failures are telemetry events, not errors — the table is a cache.
-    pub fn persist_shared_table(&mut self) -> bool {
-        let (Some(table), Some(key)) = (self.shared.clone(), self.table_key()) else {
-            return false;
-        };
-        let store = self.store.as_ref().expect("table_key implies a store");
-        match store.store_table(key, &table) {
-            Ok(()) => {
-                self.telemetry.emit(Event::CacheStored {
-                    kind: ArtifactKind::Table,
-                    key: key.hex(),
-                });
-                true
-            }
-            Err(e) => {
-                self.telemetry.emit(Event::CacheStoreFailed {
-                    kind: ArtifactKind::Table,
-                    key: key.hex(),
-                    reason: e.to_string(),
-                });
-                false
-            }
-        }
     }
 
     /// Emits a cumulative snapshot of the shared table's counters.
@@ -546,26 +464,9 @@ impl PipelineCtx {
     /// strict-mode budget trip.
     pub fn build_model(&mut self, netlist: &Netlist) -> Result<AddPowerModel, PipelineError> {
         let key = self.artifact_key(netlist, ArtifactKind::Model);
-        if let (Some(key), Some(store)) = (key, &self.store) {
-            match store.load_model(key) {
-                CacheLookup::Hit(mut model) => {
-                    model.set_name(netlist.name());
-                    self.telemetry.emit(Event::CacheHit {
-                        kind: ArtifactKind::Model,
-                        key: key.hex(),
-                    });
-                    return Ok(model);
-                }
-                CacheLookup::Miss => self.telemetry.emit(Event::CacheMiss {
-                    kind: ArtifactKind::Model,
-                    key: key.hex(),
-                }),
-                CacheLookup::Poisoned(reason) => self.telemetry.emit(Event::CachePoisoned {
-                    kind: ArtifactKind::Model,
-                    key: key.hex(),
-                    reason,
-                }),
-            }
+        if let Some(mut model) = self.probe(key, ArtifactKind::Model, ArtifactStore::load_model) {
+            model.set_name(netlist.name());
+            return Ok(model);
         }
 
         let steps_before = self.stats.apply_steps();
@@ -603,23 +504,13 @@ impl PipelineCtx {
             ),
         });
 
-        if let (Some(key), Some(store)) = (key, &self.store) {
-            // Degraded models are not persisted: the `.cfm` format drops
-            // the degradation report, so a warm load would silently
-            // launder a degraded build into a clean-looking one.
-            if model.degradation().is_none() {
-                match store.store_model(key, &model) {
-                    Ok(()) => self.telemetry.emit(Event::CacheStored {
-                        kind: ArtifactKind::Model,
-                        key: key.hex(),
-                    }),
-                    Err(e) => self.telemetry.emit(Event::CacheStoreFailed {
-                        kind: ArtifactKind::Model,
-                        key: key.hex(),
-                        reason: e.to_string(),
-                    }),
-                }
-            }
+        // Degraded models are not persisted: the `.cfm` format drops the
+        // degradation report, so a warm load would silently launder a
+        // degraded build into a clean-looking one.
+        if model.degradation().is_none() {
+            self.publish(key, ArtifactKind::Model, |store, key| {
+                store.store_model(key, &model)
+            });
         }
         self.emit_table_counters();
         Ok(model)
@@ -706,45 +597,71 @@ impl PipelineCtx {
     /// See [`PipelineCtx::build_model`].
     pub fn compile_kernel(&mut self, netlist: &Netlist) -> Result<Kernel, PipelineError> {
         let key = self.artifact_key(netlist, ArtifactKind::Kernel);
-        if let (Some(key), Some(store)) = (key, &self.store) {
-            match store.load_kernel(key) {
-                CacheLookup::Hit(kernel) => {
-                    self.telemetry.emit(Event::CacheHit {
-                        kind: ArtifactKind::Kernel,
-                        key: key.hex(),
-                    });
-                    return Ok(kernel);
-                }
-                CacheLookup::Miss => self.telemetry.emit(Event::CacheMiss {
-                    kind: ArtifactKind::Kernel,
-                    key: key.hex(),
-                }),
-                CacheLookup::Poisoned(reason) => self.telemetry.emit(Event::CachePoisoned {
-                    kind: ArtifactKind::Kernel,
-                    key: key.hex(),
-                    reason,
-                }),
-            }
+        if let Some(kernel) = self.probe(key, ArtifactKind::Kernel, ArtifactStore::load_kernel) {
+            return Ok(kernel);
         }
 
         let model = self.build_model(netlist)?;
         let kernel = self.compile_kernel_from(&model);
-        if let (Some(key), Some(store)) = (key, &self.store) {
-            if model.degradation().is_none() {
-                match store.store_kernel(key, &kernel) {
-                    Ok(()) => self.telemetry.emit(Event::CacheStored {
-                        kind: ArtifactKind::Kernel,
-                        key: key.hex(),
-                    }),
-                    Err(e) => self.telemetry.emit(Event::CacheStoreFailed {
-                        kind: ArtifactKind::Kernel,
-                        key: key.hex(),
-                        reason: e.to_string(),
-                    }),
-                }
-            }
+        if model.degradation().is_none() {
+            self.publish(key, ArtifactKind::Kernel, |store, key| {
+                store.store_kernel(key, &kernel)
+            });
         }
         Ok(kernel)
+    }
+
+    /// Looks `key` up in the store (when caching applies), recording the
+    /// hit, miss or poisoned entry in telemetry. Returns the artifact on
+    /// a hit only.
+    fn probe<T>(
+        &mut self,
+        key: Option<ArtifactKey>,
+        kind: ArtifactKind,
+        load: fn(&ArtifactStore, ArtifactKey) -> CacheLookup<T>,
+    ) -> Option<T> {
+        let (Some(key), Some(store)) = (key, &self.store) else {
+            return None;
+        };
+        let key_hex = key.hex();
+        let (event, artifact) = match load(store, key) {
+            CacheLookup::Hit(artifact) => (Event::CacheHit { kind, key: key_hex }, Some(artifact)),
+            CacheLookup::Miss => (Event::CacheMiss { kind, key: key_hex }, None),
+            CacheLookup::Poisoned(reason) => (
+                Event::CachePoisoned {
+                    kind,
+                    key: key_hex,
+                    reason,
+                },
+                None,
+            ),
+        };
+        self.telemetry.emit(event);
+        artifact
+    }
+
+    /// Stores a freshly built artifact back under `key` (when caching
+    /// applies), recording the store-back or its failure in telemetry —
+    /// a failed store leaves the run uncached, it does not fail it.
+    fn publish(
+        &mut self,
+        key: Option<ArtifactKey>,
+        kind: ArtifactKind,
+        store_back: impl FnOnce(&ArtifactStore, ArtifactKey) -> io::Result<()>,
+    ) {
+        let (Some(key), Some(store)) = (key, &self.store) else {
+            return;
+        };
+        let key_hex = key.hex();
+        let event = match store_back(store, key) {
+            Ok(()) => Event::CacheStored { kind, key: key_hex },
+            Err(e) => Event::CacheStoreFailed {
+                kind,
+                key: key_hex,
+                reason: e.to_string(),
+            },
+        };
+        self.telemetry.emit(event);
     }
 
     /// Stage `CompileKernel` on an already-built model (no caching — the
@@ -958,11 +875,6 @@ mod tests {
             ..BuildOptions::default()
         };
         assert!(!timed.cacheable());
-        let cancellable = BuildOptions {
-            cancel: Some(CancelToken::new()),
-            ..BuildOptions::default()
-        };
-        assert!(!cancellable.cacheable());
     }
 
     #[test]

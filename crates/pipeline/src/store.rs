@@ -27,7 +27,6 @@ use crate::faultio::{FaultIo, RealIo};
 use crate::telemetry::ArtifactKind;
 use charfree_core::hashing::Fnv128;
 use charfree_core::AddPowerModel;
-use charfree_dd::SharedTable;
 use charfree_engine::Kernel;
 use std::collections::BTreeMap;
 use std::fs;
@@ -230,17 +229,6 @@ impl ArtifactStore {
         })
     }
 
-    /// Probes for a stored shared structural table. The `.cft` loader
-    /// re-derives and verifies every fingerprint, so a torn or tampered
-    /// blob surfaces as [`CacheLookup::Poisoned`] — a reloaded table can
-    /// never seed a manager with a sub-DAG its fingerprint doesn't
-    /// describe.
-    pub fn load_table(&self, key: ArtifactKey) -> CacheLookup<SharedTable> {
-        self.load(key, ArtifactKind::Table, |bytes| {
-            SharedTable::load(bytes).map_err(|e| e.to_string())
-        })
-    }
-
     fn load<T>(
         &self,
         key: ArtifactKey,
@@ -280,18 +268,6 @@ impl ArtifactStore {
         let mut buf = Vec::new();
         kernel.save(&mut buf)?;
         self.store_bytes(key, ArtifactKind::Kernel, &buf)
-    }
-
-    /// Stores a shared structural table under `key`, atomically and
-    /// durably, with the same journaled write path as models/kernels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn store_table(&self, key: ArtifactKey, table: &SharedTable) -> io::Result<()> {
-        let mut buf = Vec::new();
-        table.save(&mut buf)?;
-        self.store_bytes(key, ArtifactKind::Table, &buf)
     }
 
     /// Appends one journal record and fsyncs the journal so the record
@@ -436,12 +412,6 @@ impl ArtifactStore {
                 Some(ext) if ext == ArtifactKind::Kernel.extension() => {
                     let bytes = retry_transient(|| self.io.read_file(&path))?;
                     Kernel::load(bytes.as_slice())
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
-                }
-                Some(ext) if ext == ArtifactKind::Table.extension() => {
-                    let bytes = retry_transient(|| self.io.read_file(&path))?;
-                    SharedTable::load(bytes.as_slice())
                         .map(|_| ())
                         .map_err(|e| e.to_string())
                 }
@@ -756,6 +726,36 @@ mod tests {
         assert_eq!(report.valid_entries, 1);
         assert!(report.quarantined.is_empty());
         assert!(matches!(store.load_model(key), CacheLookup::Hit(_)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Stores written by older builds may hold a persisted shared table
+    /// (`<hash>.cft`, format `cftv1`) with its journal records. Recovery
+    /// no longer knows the extension: the blob goes to quarantine and
+    /// every model and kernel beside it survives.
+    #[test]
+    fn recovery_quarantines_a_stale_shared_table_blob() {
+        let dir = fresh_dir("stalecft");
+        let store = ArtifactStore::new(&dir);
+        let key = ArtifactKey::derive(&["stalecft"]);
+        store
+            .store_kernel(key, &Kernel::compile(&test_model()))
+            .expect("store kernel");
+        let cft = format!("{}.cft", ArtifactKey::derive(&["table", "libfp"]).hex());
+        fs::write(dir.join(&cft), "cftv1\ns 0\na 0\n").expect("plant blob");
+        let mut journal = fs::read_to_string(store.journal_path()).expect("journal");
+        journal.push_str(&format!("begin {cft}\ncommit {cft}\n"));
+        fs::write(store.journal_path(), journal).expect("append records");
+
+        let report = store.recover().expect("recover");
+        assert_eq!(report.quarantined.len(), 1, "{report:?}");
+        assert_eq!(report.quarantined[0].file, cft);
+        assert_eq!(report.valid_entries, 1, "the kernel survives");
+        assert!(store.quarantine_dir().join(&cft).exists());
+        assert!(!dir.join(&cft).exists());
+        assert!(matches!(store.load_kernel(key), CacheLookup::Hit(_)));
+        let journal = fs::read_to_string(store.journal_path()).expect("journal");
+        assert!(!journal.contains(".cft"), "{journal}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -53,8 +53,6 @@ pub enum ArtifactKind {
     Model,
     /// A compiled `.cfk` evaluation kernel.
     Kernel,
-    /// A saved `.cft` shared structural table (cross-build sub-DAG memo).
-    Table,
 }
 
 impl ArtifactKind {
@@ -63,7 +61,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Model => "model",
             ArtifactKind::Kernel => "kernel",
-            ArtifactKind::Table => "table",
         }
     }
 
@@ -72,7 +69,6 @@ impl ArtifactKind {
         match self {
             ArtifactKind::Model => "cfm",
             ArtifactKind::Kernel => "cfk",
-            ArtifactKind::Table => "cft",
         }
     }
 }
@@ -346,8 +342,6 @@ mod tests {
         assert_eq!(Stage::DeltaRebuild.name(), "delta-rebuild");
         assert_eq!(ArtifactKind::Model.extension(), "cfm");
         assert_eq!(ArtifactKind::Kernel.extension(), "cfk");
-        assert_eq!(ArtifactKind::Table.extension(), "cft");
-        assert_eq!(ArtifactKind::Table.name(), "table");
     }
 
     #[test]

@@ -1,22 +1,13 @@
 //! The fleet-build contract, end to end: builds routed through one
 //! [`SharedTable`] reuse each other's sub-DAGs (warm builds do strictly
-//! less symbolic work), delta rebuilds are **bit-identical** to
-//! from-scratch builds, and the table itself round-trips through the
-//! journaled artifact store as a `.cft` blob.
+//! less symbolic work), and delta rebuilds are **bit-identical** to
+//! from-scratch builds.
 
 use charfree_core::PowerModel;
 use charfree_dd::SharedTable;
 use charfree_netlist::{benchmarks, CellKind, Library, Netlist};
-use charfree_pipeline::{netlist_delta, ArtifactStore, Event, PipelineCtx, Stage};
-use std::fs;
-use std::path::PathBuf;
+use charfree_pipeline::{netlist_delta, PipelineCtx, Stage};
 use std::sync::Arc;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("charfree-shared-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A small two-output unit: `f = (a·b) + (c·d)`, `g = (a·b) ⊕ e`. The
 /// `a·b` cone is shared; the mutant below rewires only `g`.
@@ -125,85 +116,4 @@ fn delta_rebuild_is_bit_identical_to_from_scratch() {
         eval_bits(&scratch_model, 5),
         "delta rebuild is bit-identical to a fresh build"
     );
-}
-
-#[test]
-fn table_round_trips_through_the_artifact_store() {
-    let dir = fresh_dir("store");
-    let library = Library::test_library();
-    let netlist = benchmarks::decod(&library);
-
-    // First process: cold table, build, persist.
-    let mut first = PipelineCtx::new(library.clone())
-        .with_store(ArtifactStore::new(&dir))
-        .with_warm_shared_table();
-    let m1 = first.build_model(&netlist).expect("cold build");
-    let cold_steps = first.apply_steps();
-    assert!(first.persist_shared_table(), "table persisted");
-    assert!(
-        first
-            .telemetry
-            .events()
-            .iter()
-            .any(|e| matches!(e, Event::CacheStored { kind, .. } if kind.extension() == "cft")),
-        "store-back recorded in telemetry"
-    );
-    let cft: Vec<_> = fs::read_dir(&dir)
-        .expect("store dir")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "cft"))
-        .collect();
-    assert_eq!(cft.len(), 1, "exactly one .cft for the library");
-
-    // The recovery pass validates the blob like any other artifact.
-    let report = ArtifactStore::new(&dir).recover().expect("recovery");
-    assert!(report.quarantined.is_empty(), "{report:?}");
-
-    // Second process: warm-loads the table; a build through it does
-    // strictly less work than the cold one. The model artifact cache is
-    // deliberately dodged (fresh dir) so the comparison isolates the
-    // structural memo.
-    let dir2 = fresh_dir("store2");
-    let mut second = PipelineCtx::new(library)
-        .with_store(ArtifactStore::new(&dir2))
-        .with_shared_table(Arc::new(
-            match ArtifactStore::new(&dir).load_table(charfree_pipeline::ArtifactKey::derive(&[
-                "table",
-                &Library::test_library().fingerprint(),
-            ])) {
-                charfree_pipeline::CacheLookup::Hit(t) => t,
-                other => panic!("expected a persisted table, got {other:?}"),
-            },
-        ));
-    let m2 = second.build_model(&netlist).expect("warm build");
-    assert!(
-        second.apply_steps() < cold_steps,
-        "reloaded memo cuts symbolic work: {} vs {cold_steps}",
-        second.apply_steps()
-    );
-    assert_eq!(eval_bits(&m1, 5), eval_bits(&m2, 5));
-
-    // A truncated blob is poisoned, not trusted: the warm path falls
-    // back to a fresh table.
-    let bytes = fs::read(&cft[0]).expect("read blob");
-    fs::write(&cft[0], &bytes[..bytes.len() / 2]).expect("truncate");
-    let poisoned = PipelineCtx::new(Library::test_library())
-        .with_store(ArtifactStore::new(&dir))
-        .with_warm_shared_table();
-    assert!(
-        poisoned
-            .telemetry
-            .events()
-            .iter()
-            .any(|e| matches!(e, Event::CachePoisoned { kind, .. } if kind.extension() == "cft")),
-        "tampered table rejected by the fingerprint self-check"
-    );
-    assert!(
-        poisoned.shared_table().is_some_and(|t| t.is_empty()),
-        "fallback is a fresh, empty table"
-    );
-
-    let _ = fs::remove_dir_all(&dir);
-    let _ = fs::remove_dir_all(&dir2);
 }

@@ -17,7 +17,7 @@
 //!   fused multi-kernel pass ([`eval_fused`]) at each 4096-lane flush,
 //!   interleaving the gathering macros' level-by-level gather rounds
 //!   for memory-level parallelism;
-//! * **unfused** ([`SeqModel::eval_unfused`]) — each macro's boundary
+//! * **unfused** ([`SeqModel::trace_unfused`]) — each macro's boundary
 //!   sequence is materialized and evaluated independently through
 //!   [`TraceEngine`].
 //!
@@ -267,14 +267,6 @@ impl SeqModel {
         )
     }
 
-    /// Unfused evaluation reduced to a [`SeqSummary`].
-    pub fn eval_unfused(&self, patterns: &[Vec<bool>], jobs: usize) -> SeqSummary {
-        self.summarize(
-            patterns.len().saturating_sub(1),
-            &self.trace_unfused(patterns, jobs),
-        )
-    }
-
     /// The design's per-transition totals: per-macro values folded in
     /// macro index order (the golden fold). `per_macro` must hold one
     /// `transitions`-long vector per macro.
@@ -377,7 +369,7 @@ mod tests {
         assert_eq!(model.num_macros(), 2);
         let pats = patterns(200, model.num_inputs(), 7);
         let fused = model.eval_fused(&pats);
-        let unfused = model.eval_unfused(&pats, 4);
+        let unfused = model.summarize(pats.len() - 1, &model.trace_unfused(&pats, 4));
         assert_eq!(fused.total.transitions, 199);
         assert_eq!(fused.total.sum_ff.to_bits(), unfused.total.sum_ff.to_bits());
         assert_eq!(fused.total.max_ff.to_bits(), unfused.total.max_ff.to_bits());

@@ -88,7 +88,7 @@ fn usage(prefix: &str) -> String {
          \x20                [--st P] [--vdd V] [--period NS] [--seed S] [--jobs N]\n\
          \x20 charfree seqeval <netlist.blif> [--vectors N] [--sp P] [--st P]\n\
          \x20                [--vdd V] [--period NS] [--seed S] [--jobs N]\n\
-         \x20                [--unfused] [--library L.lib]\n\
+         \x20                [--library L.lib]\n\
          \x20 charfree datasheet <model|netlist|bench> [--top K]\n\
          \x20 charfree expected <model|kernel|netlist|bench> [--sp P] [--st P]\n\
          \x20 charfree trace <model|kernel|netlist|bench> [--vectors N] [--sp P]\n\
@@ -468,22 +468,13 @@ fn cmd_seqeval(args: &[String]) -> Result<String, CliError> {
     let mut session = Session::from_flags(&mut flags)?;
     let operand = flags.positional()?;
     let params = EvalParams::parse(&mut flags, 10_000)?;
-    // `--unfused` evaluates each macro's kernel through its own
-    // TraceEngine pass instead of the fused single-pass walk; results are
-    // bit-identical either way (the conform oracle holds this), the flag
-    // exists to time the two paths against each other.
-    let unfused = flags.flag("--unfused");
     flags.finish()?;
 
     let text = fs::read_to_string(operand).map_err(|e| format!("{operand}: {e}"))?;
     let seq = blif::parse_seq(&text).map_err(|e| format!("{operand}: {e}"))?;
     let model = charfree_seq::SeqModel::build(&mut session.ctx, seq).map_err(|e| e.to_string())?;
     let patterns = params.patterns(model.num_inputs())?;
-    let summary = if unfused {
-        model.eval_unfused(&patterns, params.jobs)
-    } else {
-        model.eval_fused(&patterns)
-    };
+    let summary = model.eval_fused(&patterns);
     session.finish(seq_eval_report(
         model.name(),
         patterns.len(),
@@ -1356,22 +1347,6 @@ mod tests {
         assert!(fused.contains("per-macro breakdown"), "{fused}");
         assert!(fused.contains("pipe2__m0"), "{fused}");
         assert!(fused.contains("pipe2__m1"), "{fused}");
-
-        // The fused single-pass walk and the per-macro TraceEngine path
-        // render byte-identical reports (f64 bit-exactness upstream).
-        let unfused = run(&s(&[
-            "seqeval",
-            path,
-            "--vectors",
-            "200",
-            "--seed",
-            "7",
-            "--unfused",
-            "--jobs",
-            "2",
-        ]))
-        .expect("unfused seqeval runs");
-        assert_eq!(fused, unfused);
 
         // Combinational entry points name the sequential path instead of
         // silently mis-modeling a `.latch` design.
