@@ -2,8 +2,9 @@
 //! (truncated/oversized prefixes, bad magic, mid-frame disconnects,
 //! version mismatch) must produce typed errors — never a hang or a
 //! panic; JSON and binary answers must be bit-identical; the idle
-//! timeout must cut slow-loris connections with a typed error; and the
-//! metrics endpoints must serve the stable counter names.
+//! timeout must cut slow-loris connections with a typed error; the
+//! metrics endpoints must serve the stable counter names; and a
+//! connection past the cap must get one typed `overloaded` line.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -447,4 +448,69 @@ fn half_closing_one_shot_clients_still_get_their_response() {
         other => panic!("half-close got {other:?}"),
     }
     shutdown(server, &addr);
+}
+
+#[test]
+fn connections_past_the_cap_get_one_overloaded_line_and_scrapes_still_answer() {
+    let mut config = test_config();
+    config.idle_timeout = Duration::from_secs(300);
+    config.metrics_addr = Some("127.0.0.1:0".to_owned());
+    let server = Server::start(config).expect("binds");
+    let addr = server.addr().to_string();
+    let maddr = server.metrics_addr().expect("metrics listener").to_string();
+
+    // Fill the request port to its cap of 64 live connections.
+    let mut clients: Vec<Client> = (0..64)
+        .map(|_| Client::connect(&addr).expect("connects"))
+        .collect();
+
+    // The 65th gets exactly one typed `overloaded` line, then EOF.
+    let mut extra = TcpStream::connect(&addr).expect("connects");
+    extra
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout set");
+    let mut reply = String::new();
+    extra.read_to_string(&mut reply).expect("line then EOF");
+    assert_eq!(reply.matches('\n').count(), 1, "one line: {reply:?}");
+    match Response::parse_line(reply.trim_end()).expect("parses") {
+        Response::Error {
+            kind: ErrorKind::Overloaded,
+            retry_after_ms,
+            ..
+        } => assert!(retry_after_ms.is_some(), "the rejection is retriable"),
+        other => panic!("over-cap connection got {other:?}"),
+    }
+
+    // An earlier connection still gets answers, and the rejection
+    // counts as shed.
+    match clients[0].request(&Request::Stats).expect("stats") {
+        Response::Stats(snapshot) => {
+            let shed = snapshot.get("shed").and_then(|v| v.as_u64());
+            assert_eq!(shed, Some(1), "the rejection counts as shed");
+        }
+        other => panic!("stats got {other:?}"),
+    }
+
+    // The dedicated metrics listener is exempt from the cap.
+    let mut scrape = TcpStream::connect(&maddr).expect("connects");
+    scrape
+        .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
+        .expect("request");
+    scrape
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout set");
+    let mut body = String::new();
+    scrape.read_to_string(&mut body).expect("response");
+    assert!(body.starts_with("HTTP/1.0 200 OK\r\n"), "{body}");
+    assert!(body.contains("charfree_shed_total 1"), "{body}");
+
+    // Drain over a connection that is already open: a fresh one would
+    // meet the cap.
+    let mut last = clients.pop().expect("a client");
+    drop(clients);
+    assert!(matches!(
+        last.request(&Request::Shutdown).expect("shutdown"),
+        Response::Shutdown
+    ));
+    server.wait();
 }
