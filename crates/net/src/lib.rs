@@ -4,7 +4,9 @@
 //! `epoll`/`eventfd` syscalls behind a small [`Poller`] abstraction,
 //! N sharded reactor threads each owning their accepted connections
 //! with edge-triggered readiness, per-connection read/write buffers,
-//! and write backpressure.
+//! and write backpressure. The reactor owns the listening sockets too:
+//! shard 0 accepts on each, with one [`HandlerFactory`] per listener,
+//! and [`ReactorHandle::drain`] closes them.
 //!
 //! Layering (bottom up):
 //!
@@ -13,8 +15,8 @@
 //!   library, plus the ABI-exact `epoll_event` layout;
 //! * [`poller`] — one epoll instance per shard ([`Poller`]) and the
 //!   eventfd wake channel ([`WakeFd`]) other threads use to signal it;
-//! * [`reactor`] — the shard event loop: connection slab with
-//!   generation-checked tokens, accept handoff, a typed completion
+//! * [`reactor`] — the shard event loop: listener accepts, connection
+//!   slab with generation-checked tokens, accept handoff, a typed completion
 //!   [`Mailbox`], idle/write-stall sweeps, buffer caps, orderly drain.
 //!
 //! The crate is deliberately protocol-free: framing, parsing and

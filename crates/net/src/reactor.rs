@@ -6,6 +6,13 @@
 //! Connections never migrate between shards, so all per-connection state
 //! is plain (non-atomic) data touched by exactly one thread.
 //!
+//! The reactor also owns the listening sockets. Shard 0 polls them
+//! (nonblocking, edge-triggered), builds each accepted connection's
+//! handler with its listener's factory, in accept order, and hands the
+//! pair out round robin through the accept queues. [`ReactorHandle::drain`]
+//! closes the listeners, which takes them off the poll set, so nothing
+//! has to be woken out of a blocking `accept`.
+//!
 //! The reactor is protocol-agnostic: a [`Handler`] (one per connection,
 //! built by the factory) consumes the read buffer, queues response
 //! bytes, and decides when to close. Slow work must leave the shard —
@@ -25,10 +32,10 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -40,6 +47,16 @@ use crate::sys;
 /// reusing a slot bumps the generation so late messages for a dead
 /// connection never reach its successor.
 pub type Token = u64;
+
+/// The poll token of every listening socket (all of them sit on shard
+/// 0). No connection token equals it: a connection token's low byte is
+/// its shard index, below 128.
+const LISTEN_TOKEN: Token = WAKE_TOKEN - 1;
+
+/// Locks `m`, recovering the data if a panicking holder poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn token_for(shard: usize, slot: usize, gen: u32) -> Token {
     (shard as u64) | (((slot as u64) & 0x00ff_ffff) << 8) | ((u64::from(gen)) << 32)
@@ -131,17 +148,21 @@ impl NetCounters {
     }
 
     /// Counts a close for `reason` (the reactor does this on every
-    /// finalized connection; public so embedders can account closes
-    /// that happen outside a reactor, e.g. in auxiliary listeners).
+    /// finalized connection).
     pub fn record_close(&self, reason: CloseReason) {
         self.closed[Self::idx(reason)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total closes across every reason. `accepted - closed_total()` is
-    /// the live-connection count (the reactor guarantees every accepted
-    /// registration eventually records exactly one close).
+    /// Total closes across every reason.
     pub fn closed_total(&self) -> u64 {
         self.closed.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Connections accepted and not yet closed (every accepted
+    /// connection records exactly one close).
+    pub fn live(&self) -> u64 {
+        let accepted = self.accepted.load(Ordering::Relaxed);
+        accepted.saturating_sub(self.closed_total())
     }
 }
 
@@ -168,6 +189,10 @@ pub trait StreamTap: Send + Sync {
 /// The per-connection protocol driver. All methods run on the owning
 /// shard thread; `M` is the application's completion-message type.
 pub trait Handler<M>: Send {
+    /// The connection was just admitted, before anything is read.
+    /// Default: nothing. A handler can queue bytes and close here, e.g.
+    /// to reject a connection with one line.
+    fn on_open(&mut self, _conn: &mut ConnCtx<'_>) {}
     /// Inbound bytes were appended to the connection buffer (or EOF is
     /// pending after what is buffered). Consume what you can.
     fn on_data(&mut self, conn: &mut ConnCtx<'_>);
@@ -195,8 +220,10 @@ pub trait Handler<M>: Send {
     }
 }
 
-/// Builds one [`Handler`] per accepted connection.
-pub type HandlerFactory<M> = dyn Fn(Token) -> Box<dyn Handler<M>> + Send + Sync;
+/// Builds one [`Handler`] per accepted connection. It runs on shard 0,
+/// in accept order, before the connection is counted, so
+/// [`NetCounters::live`] read inside it counts the ones already open.
+pub type HandlerFactory<M> = dyn Fn() -> Box<dyn Handler<M>> + Send + Sync;
 
 /// The connection surface a [`Handler`] works against.
 pub struct ConnCtx<'a> {
@@ -286,8 +313,10 @@ impl Default for ReactorConfig {
     }
 }
 
+type Accepted<M> = (TcpStream, Box<dyn Handler<M>>);
+
 struct ShardShared<M> {
-    accept_q: Mutex<VecDeque<TcpStream>>,
+    accept_q: Mutex<VecDeque<Accepted<M>>>,
     mail_q: Mutex<VecDeque<(Token, M)>>,
     wake: WakeFd,
 }
@@ -297,6 +326,38 @@ struct Core<M> {
     draining: AtomicBool,
     counters: Arc<NetCounters>,
     next_shard: AtomicUsize,
+    /// The listening sockets and their factories, polled by shard 0 and
+    /// emptied by drain. Accepting holds the lock, so no stream reaches
+    /// a queue after drain has emptied it.
+    listeners: Mutex<Vec<(TcpListener, Arc<HandlerFactory<M>>)>>,
+}
+
+impl<M> Core<M> {
+    /// Accepts every pending connection, builds its handler and hands
+    /// both to a shard, round robin. Returns `false` when an accept
+    /// failed with something other than `WouldBlock` (out of
+    /// descriptors, say): the caller retries on its next tick, since the
+    /// edge that announced the connection will not fire again.
+    fn accept(&self) -> bool {
+        let listeners = lock(&self.listeners);
+        let mut drained = true;
+        for (listener, factory) in listeners.iter() {
+            let error = loop {
+                let (stream, _) = match listener.accept() {
+                    Ok(accepted) => accepted,
+                    Err(e) => break e,
+                };
+                let handler = factory();
+                self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+                let shard = &self.shards
+                    [self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
+                lock(&shard.accept_q).push_back((stream, handler));
+                shard.wake.wake();
+            };
+            drained &= error.kind() == io::ErrorKind::WouldBlock;
+        }
+        drained
+    }
 }
 
 /// Posts completion messages to connections from any thread.
@@ -320,16 +381,12 @@ impl<M: Send> Mailbox<M> {
         let Some(shard) = self.core.shards.get(shard_of(token)) else {
             return;
         };
-        shard
-            .mail_q
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back((token, msg));
+        lock(&shard.mail_q).push_back((token, msg));
         shard.wake.wake();
     }
 }
 
-/// Registers connections and triggers drain from any thread.
+/// Triggers drain from any thread.
 pub struct ReactorHandle<M> {
     core: Arc<Core<M>>,
 }
@@ -343,30 +400,18 @@ impl<M> Clone for ReactorHandle<M> {
 }
 
 impl<M: Send> ReactorHandle<M> {
-    /// Hands an accepted socket to a shard (round robin).
-    pub fn register(&self, stream: TcpStream) {
-        let i = self.core.next_shard.fetch_add(1, Ordering::Relaxed) % self.core.shards.len();
-        let shard = &self.core.shards[i];
-        shard
-            .accept_q
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(stream);
-        shard.wake.wake();
-    }
-
-    /// Starts the drain: every shard delivers [`Handler::on_drain`] and
-    /// exits once its last connection closes.
+    /// Starts the drain: the listeners close (new connects are refused),
+    /// every shard delivers [`Handler::on_drain`] and exits once its
+    /// last connection closes.
     pub fn drain(&self) {
+        // Closing a listener takes it off shard 0's poll set. Every
+        // handoff happened under this lock, so a shard that sees the flag
+        // also sees every stream already in its queue.
+        lock(&self.core.listeners).clear();
         self.core.draining.store(true, Ordering::SeqCst);
         for shard in &self.core.shards {
             shard.wake.wake();
         }
-    }
-
-    /// Whether drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.core.draining.load(Ordering::SeqCst)
     }
 }
 
@@ -377,18 +422,21 @@ pub struct Reactor<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> Reactor<M> {
-    /// Spawns the shard threads.
+    /// Spawns the shard threads. Shard 0 accepts on every listener,
+    /// building each connection's handler with that listener's factory;
+    /// `counters` receives every connection's accept, bytes and close.
     ///
     /// # Errors
     ///
-    /// Propagates epoll/eventfd/thread-spawn failures.
+    /// Propagates epoll/eventfd/thread-spawn failures and a listener
+    /// that cannot be made nonblocking.
     pub fn start(
         config: ReactorConfig,
-        factory: Arc<HandlerFactory<M>>,
+        listeners: Vec<(TcpListener, Arc<HandlerFactory<M>>)>,
+        counters: Arc<NetCounters>,
         tap: Option<Arc<dyn StreamTap>>,
     ) -> io::Result<Reactor<M>> {
         let shard_count = config.shards.clamp(1, 128);
-        let counters = Arc::new(NetCounters::default());
         let mut shards = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             shards.push(Arc::new(ShardShared {
@@ -400,24 +448,32 @@ impl<M: Send + 'static> Reactor<M> {
         let core = Arc::new(Core {
             shards,
             draining: AtomicBool::new(false),
-            counters: Arc::clone(&counters),
+            counters,
             next_shard: AtomicUsize::new(0),
+            listeners: Mutex::new(listeners),
         });
+        let states = (0..shard_count)
+            .map(|index| ShardState::new(index, &config, Arc::clone(&core)))
+            .collect::<io::Result<Vec<_>>>()?;
+        for (listener, _) in lock(&core.listeners).iter() {
+            listener.set_nonblocking(true)?;
+            states[0]
+                .poller
+                .add(listener.as_raw_fd(), LISTEN_TOKEN, sys::EPOLLIN)?;
+        }
         let mut threads = Vec::with_capacity(shard_count);
-        for index in 0..shard_count {
-            let mut state = ShardState::new(index, &config, Arc::clone(&core))?;
-            let factory = Arc::clone(&factory);
+        for (index, mut state) in states.into_iter().enumerate() {
             let tap = tap.clone();
             threads.push(
                 thread::Builder::new()
                     .name(format!("charfree-net-{index}"))
-                    .spawn(move || state.run(&factory, tap.as_deref()))?,
+                    .spawn(move || state.run(tap.as_deref()))?,
             );
         }
         Ok(Reactor { core, threads })
     }
 
-    /// A handle for registering sockets and draining.
+    /// A handle for draining.
     pub fn handle(&self) -> ReactorHandle<M> {
         ReactorHandle {
             core: Arc::clone(&self.core),
@@ -429,11 +485,6 @@ impl<M: Send + 'static> Reactor<M> {
         Mailbox {
             core: Arc::clone(&self.core),
         }
-    }
-
-    /// The shared counters.
-    pub fn counters(&self) -> Arc<NetCounters> {
-        Arc::clone(&self.core.counters)
     }
 
     /// Joins every shard thread. Call after [`ReactorHandle::drain`];
@@ -477,6 +528,8 @@ struct ShardState<M> {
     slab: Vec<Option<Conn<M>>>,
     free: Vec<usize>,
     gens: Vec<u32>,
+    /// Shard 0 only: the last accept round failed, so retry this tick.
+    accept_retry: bool,
 }
 
 impl<M: Send> ShardState<M> {
@@ -491,10 +544,11 @@ impl<M: Send> ShardState<M> {
             slab: Vec::new(),
             free: Vec::new(),
             gens: Vec::new(),
+            accept_retry: false,
         })
     }
 
-    fn run(&mut self, factory: &Arc<HandlerFactory<M>>, tap: Option<&dyn StreamTap>) {
+    fn run(&mut self, tap: Option<&dyn StreamTap>) {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             events.clear();
@@ -506,30 +560,30 @@ impl<M: Send> ShardState<M> {
                 // shard (dropping its connections) beats spinning.
                 return;
             }
-            if events.iter().any(|ev| ev.token == WAKE_TOKEN) {
-                shared.wake.drain();
+            let mut accept = self.accept_retry;
+            for ev in &events {
+                match ev.token {
+                    WAKE_TOKEN => shared.wake.drain(),
+                    LISTEN_TOKEN => accept = true,
+                    _ => {}
+                }
+            }
+            if accept {
+                self.accept_retry = !self.core.accept();
             }
 
-            // New connections handed over by the acceptor.
+            // New connections, handed over by shard 0.
             loop {
-                let stream = shared
-                    .accept_q
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop_front();
+                let stream = lock(&shared.accept_q).pop_front();
                 match stream {
-                    Some(stream) => self.admit(stream, factory, tap),
+                    Some((stream, handler)) => self.admit(stream, handler, tap),
                     None => break,
                 }
             }
 
             // Completion messages for resident connections.
             loop {
-                let msg = shared
-                    .mail_q
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop_front();
+                let msg = lock(&shared.mail_q).pop_front();
                 match msg {
                     Some((token, msg)) => self.deliver(token, msg, tap),
                     None => break,
@@ -538,10 +592,9 @@ impl<M: Send> ShardState<M> {
 
             // Socket readiness.
             for &ev in &events {
-                if ev.token == WAKE_TOKEN {
-                    continue;
+                if !matches!(ev.token, WAKE_TOKEN | LISTEN_TOKEN) {
+                    self.handle_io(ev, tap);
                 }
-                self.handle_io(ev, tap);
             }
 
             // Drain propagation, timers, and finalization.
@@ -577,16 +630,8 @@ impl<M: Send> ShardState<M> {
             }
 
             if draining && self.slab.iter().all(Option::is_none) {
-                let accept_empty = shared
-                    .accept_q
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_empty();
-                let mail_empty = shared
-                    .mail_q
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_empty();
+                let accept_empty = lock(&shared.accept_q).is_empty();
+                let mail_empty = lock(&shared.mail_q).is_empty();
                 if accept_empty && mail_empty {
                     return;
                 }
@@ -597,13 +642,11 @@ impl<M: Send> ShardState<M> {
     fn admit(
         &mut self,
         stream: TcpStream,
-        factory: &Arc<HandlerFactory<M>>,
+        handler: Box<dyn Handler<M>>,
         tap: Option<&dyn StreamTap>,
     ) {
-        // Count the registration up front and record a close on every
-        // failure path, so `accepted - closed_total` is an exact live
-        // count for the acceptor's connection cap.
-        self.core.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        // The accept was counted on shard 0; record a close on every
+        // failure path, so `NetCounters::live` stays exact.
         if stream.set_nonblocking(true).is_err() {
             self.core.counters.record_close(CloseReason::Eof);
             return;
@@ -628,7 +671,6 @@ impl<M: Send> ShardState<M> {
             self.core.counters.record_close(CloseReason::Eof);
             return;
         }
-        let handler = factory(token);
         self.slab[slot] = Some(Conn {
             stream,
             gen,
@@ -645,6 +687,7 @@ impl<M: Send> ShardState<M> {
             eof_notified: false,
             drain_notified: false,
         });
+        self.with_conn(slot, tap, |handler, ctx| handler.on_open(ctx));
         if self.core.draining.load(Ordering::SeqCst) {
             if let Some(conn) = self.slab[slot].as_mut() {
                 conn.drain_notified = true;
@@ -899,10 +942,11 @@ impl<M: Send> ShardState<M> {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
-    use std::net::TcpListener;
+    use std::net::SocketAddr;
 
-    /// Newline-echo handler: echoes each line back, closes on "quit",
-    /// and echoes posted messages prefixed with "msg:".
+    /// Newline-echo handler: echoes each line back, answers "token" with
+    /// the connection's token, closes on "quit", and echoes posted
+    /// messages prefixed with "msg:".
     struct Echo;
 
     impl Handler<String> for Echo {
@@ -910,12 +954,17 @@ mod tests {
             while let Some(nl) = conn.data().iter().position(|&b| b == b'\n') {
                 let line = conn.data()[..nl].to_vec();
                 conn.consume(nl + 1);
-                if line == b"quit" {
-                    conn.close(CloseReason::App);
-                    return;
+                match &line[..] {
+                    b"quit" => {
+                        conn.close(CloseReason::App);
+                        return;
+                    }
+                    b"token" => conn.write(format!("{}\n", conn.token()).as_bytes()),
+                    _ => {
+                        conn.write(&line);
+                        conn.write(b"\n");
+                    }
                 }
-                conn.write(&line);
-                conn.write(b"\n");
             }
         }
 
@@ -924,76 +973,103 @@ mod tests {
         }
     }
 
-    fn start_echo(config: ReactorConfig) -> (Reactor<String>, TcpListener, std::net::SocketAddr) {
+    /// A reactor that owns one echo listener on a free loopback port.
+    fn start_echo(config: ReactorConfig) -> (Reactor<String>, Arc<NetCounters>, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let counters = Arc::new(NetCounters::default());
+        let factory: Arc<HandlerFactory<String>> = Arc::new(|| Box::new(Echo));
         let reactor = Reactor::start(
             config,
-            Arc::new(|_| Box::new(Echo) as Box<dyn Handler<_>>),
+            vec![(listener, factory)],
+            Arc::clone(&counters),
             None,
         )
         .expect("reactor starts");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        (reactor, listener, addr)
+        (reactor, counters, addr)
+    }
+
+    /// Connects and returns the stream plus a line reader over it.
+    fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    }
+
+    fn ask(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+        writeln!(stream, "{line}").expect("write");
+        let mut answer = String::new();
+        reader.read_line(&mut answer).expect("read");
+        answer.trim().to_owned()
     }
 
     #[test]
     fn echoes_lines_across_shards_and_drains_clean() {
-        let (reactor, listener, addr) = start_echo(ReactorConfig {
+        let (reactor, counters, addr) = start_echo(ReactorConfig {
             shards: 2,
             ..ReactorConfig::default()
         });
         let handle = reactor.handle();
         let mut clients = Vec::new();
         for i in 0..4 {
-            let stream = TcpStream::connect(addr).expect("connect");
-            let (server_side, _) = listener.accept().expect("accept");
-            handle.register(server_side);
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut stream = stream;
-            writeln!(stream, "hello-{i}").expect("write");
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("read");
-            assert_eq!(line.trim(), format!("hello-{i}"));
+            let (mut stream, mut reader) = connect(addr);
+            assert_eq!(
+                ask(&mut stream, &mut reader, &format!("hello-{i}")),
+                format!("hello-{i}")
+            );
             clients.push((stream, reader));
         }
-        assert_eq!(reactor.counters().accepted.load(Ordering::Relaxed), 4);
+        assert_eq!(counters.accepted.load(Ordering::Relaxed), 4);
         drop(clients);
         handle.drain();
         reactor.join();
     }
 
     #[test]
+    fn accepts_alternate_between_shards_and_drain_closes_the_listener() {
+        let (reactor, _, addr) = start_echo(ReactorConfig {
+            shards: 2,
+            ..ReactorConfig::default()
+        });
+        let mut clients = Vec::new();
+        for i in 0..6 {
+            let (mut stream, mut reader) = connect(addr);
+            let token: Token = ask(&mut stream, &mut reader, "token")
+                .parse()
+                .expect("a token");
+            assert_eq!(shard_of(token), i % 2, "connection {i} went round robin");
+            clients.push(stream);
+        }
+        drop(clients);
+        reactor.handle().drain();
+        reactor.join();
+        let refused = TcpStream::connect(addr).expect_err("the listener is closed");
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    #[test]
     fn mailbox_messages_reach_the_right_connection() {
-        let (reactor, listener, addr) = start_echo(ReactorConfig::default());
+        let (reactor, _, addr) = start_echo(ReactorConfig::default());
         let handle = reactor.handle();
         let mailbox = reactor.mailbox();
+        let (mut stream, mut reader) = connect(addr);
 
-        let stream = TcpStream::connect(addr).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        handle.register(server_side);
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut stream = stream;
-
-        // Learn the token by echo first (token is internal, so derive it
-        // the way the serving layer does: the factory hands it to the
-        // handler; here the first registered conn is shard 0, slot 0,
-        // gen 0).
-        writeln!(stream, "sync").expect("write");
+        let token: Token = ask(&mut stream, &mut reader, "token")
+            .parse()
+            .expect("a token");
+        mailbox.post(token, "done".to_owned());
         let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        assert_eq!(line.trim(), "sync");
-
-        mailbox.post(token_for(0, 0, 0), "done".to_owned());
-        line.clear();
         reader.read_line(&mut line).expect("read");
         assert_eq!(line.trim(), "msg:done");
 
         // A message for a stale generation is dropped, not delivered.
-        mailbox.post(token_for(0, 0, 99), "ghost".to_owned());
-        writeln!(stream, "after").expect("write");
-        line.clear();
-        reader.read_line(&mut line).expect("read");
-        assert_eq!(line.trim(), "after", "ghost message must not arrive");
+        let stale = token_for(shard_of(token), slot_of(token), gen_of(token) + 99);
+        mailbox.post(stale, "ghost".to_owned());
+        assert_eq!(
+            ask(&mut stream, &mut reader, "after"),
+            "after",
+            "ghost message must not arrive"
+        );
 
         drop(stream);
         handle.drain();
@@ -1002,21 +1078,18 @@ mod tests {
 
     #[test]
     fn idle_connections_are_closed_and_counted() {
-        let (reactor, listener, addr) = start_echo(ReactorConfig {
+        let (reactor, counters, addr) = start_echo(ReactorConfig {
             idle_timeout: Duration::from_millis(120),
             ..ReactorConfig::default()
         });
         let handle = reactor.handle();
-        let stream = TcpStream::connect(addr).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        handle.register(server_side);
 
         // Never send anything: the reactor must cut the connection.
-        let mut reader = BufReader::new(stream);
+        let (_stream, mut reader) = connect(addr);
         let mut line = String::new();
         let n = reader.read_line(&mut line).expect("read eof");
         assert_eq!(n, 0, "idle connection must be closed by the server");
-        assert_eq!(reactor.counters().closed(CloseReason::Idle), 1);
+        assert_eq!(counters.closed(CloseReason::Idle), 1);
 
         handle.drain();
         reactor.join();
@@ -1029,5 +1102,6 @@ mod tests {
         assert_eq!(slot_of(t), 0x00ab_cdef);
         assert_eq!(gen_of(t), 0xdead_beef);
         assert_ne!(t, WAKE_TOKEN);
+        assert_ne!(token_for(127, 0x00ff_ffff, u32::MAX), LISTEN_TOKEN);
     }
 }

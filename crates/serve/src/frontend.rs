@@ -4,7 +4,8 @@
 //! Threading: the reactor shard threads (crate `charfree-net`) do
 //! nothing but framing — they sniff the protocol from the connection's
 //! first byte (`{` or whitespace → JSON lines, `C` of `CFB1` → binary,
-//! `G` of `GET ` → HTTP metrics), slice complete JSON lines / binary
+//! `G` of `GET ` → HTTP metrics; `--metrics-addr` connections start in
+//! HTTP), slice complete JSON lines / binary
 //! frames out of the read buffer, and hand them to the **service
 //! pool**. Service threads parse, run admission control, resolve models
 //! (cold symbolic builds happen here, never on an I/O thread) and either
@@ -31,7 +32,7 @@ use charfree_net::{CloseReason, ConnCtx, Handler, Mailbox, Token};
 use crate::batch::{BatchHandle, Job, JobError, JobOutput, ReplySink};
 use crate::metrics;
 use crate::proto::{ErrorKind, Request, Response, WireBuildOptions};
-use crate::server::{self, InflightGuard, Shared, MAX_LINE_BYTES, RETRY_AFTER_MS};
+use crate::server::{self, InflightGuard, Shared, MAX_CONNECTIONS, MAX_LINE_BYTES, RETRY_AFTER_MS};
 use crate::wire;
 
 /// Longest tolerated HTTP request head before the connection is cut.
@@ -53,7 +54,8 @@ enum Proto {
 }
 
 /// Per-connection protocol state.
-enum Mode {
+#[derive(Clone, Copy)]
+pub(crate) enum Mode {
     /// Nothing decisive received yet: sniff the first byte.
     Detecting,
     /// First byte was `C`: waiting for the full 8-byte binary hello.
@@ -109,11 +111,11 @@ pub(crate) struct Frontend {
 }
 
 impl Frontend {
-    pub(crate) fn new(shared: Arc<Shared>, svc: SyncSender<SvcRequest>) -> Frontend {
+    pub(crate) fn new(shared: Arc<Shared>, svc: SyncSender<SvcRequest>, mode: Mode) -> Frontend {
         Frontend {
             shared,
             svc,
-            mode: Mode::Detecting,
+            mode,
             busy: false,
             eof_pending: false,
         }
@@ -362,6 +364,27 @@ impl Handler<Completion> for Frontend {
         self.write_error(conn, proto, ErrorKind::Timeout, message);
         conn.close(CloseReason::Idle);
     }
+}
+
+/// A request connection past [`MAX_CONNECTIONS`]: one typed, retriable
+/// `overloaded` line, then close. The shard writes it without blocking;
+/// the write-stall timeout cuts a peer that never reads.
+pub(crate) struct Rejected;
+
+impl Handler<Completion> for Rejected {
+    fn on_open(&mut self, conn: &mut ConnCtx<'_>) {
+        let resp = Response::Error {
+            kind: ErrorKind::Overloaded,
+            message: format!("connection limit ({MAX_CONNECTIONS}) reached"),
+            retry_after_ms: Some(RETRY_AFTER_MS),
+        };
+        conn.write(&encode_response(Proto::Json, &resp));
+        conn.close(CloseReason::App);
+    }
+
+    fn on_data(&mut self, _conn: &mut ConnCtx<'_>) {}
+
+    fn on_message(&mut self, _msg: Completion, _conn: &mut ConnCtx<'_>) {}
 }
 
 // ---- service pool ---------------------------------------------------

@@ -7,8 +7,9 @@
 //! What makes it more than a socket wrapper:
 //!
 //! * **Nonblocking reactor front end** (`frontend`, crate
-//!   `charfree-net`): N epoll shard threads own all connection I/O with
-//!   edge-triggered readiness and write backpressure; a fixed service
+//!   `charfree-net`): N epoll shard threads own the listening sockets
+//!   and all connection I/O, with edge-triggered readiness and write
+//!   backpressure; a fixed service
 //!   pool does parsing/admission/model resolution. No thread is parked
 //!   per connection, so thousands of idle connections cost nothing.
 //! * **Dual wire protocols** ([`proto`], [`wire`]): newline-delimited

@@ -1,41 +1,39 @@
-//! The TCP server: acceptor, reactor front end, service pool, admission
-//! control and graceful drain.
+//! The TCP server: reactor front end, service pool, admission control
+//! and graceful drain.
 //!
-//! Threading model: one acceptor thread hands sockets to N reactor
-//! shard threads (crate `charfree-net`, epoll edge-triggered) that own
-//! all connection I/O and framing; a fixed service pool parses requests,
-//! runs admission and model resolution, and submits dispatcher jobs
-//! whose reply sinks post encoded responses back to the owning shard
-//! (see `frontend`); the dispatcher coordinator + worker pool
-//! ([`crate::batch`]) evaluates, which is what lets requests from
-//! different sockets share 64-lane pattern blocks. No thread is ever
-//! parked per connection.
+//! Threading model: N reactor shard threads (crate `charfree-net`, epoll
+//! edge-triggered) own the listening sockets and all connection I/O and
+//! framing; a fixed service pool parses requests, runs admission and
+//! model resolution, and submits dispatcher jobs whose reply sinks post
+//! encoded responses back to the owning shard (see `frontend`); the
+//! dispatcher coordinator + worker pool ([`crate::batch`]) evaluates,
+//! which is what lets requests from different sockets share 64-lane
+//! pattern blocks. No thread is ever parked per connection.
 //!
 //! Admission control is two-layered: a connection cap at accept time
-//! (live connections = registrations minus closes, both lock-free
-//! counters) and a request-level in-flight cap (`max_inflight`) enforced
-//! with a single atomic. Both shed with typed `overloaded` responses
-//! carrying `retry_after_ms`; nothing blocks behind an unbounded queue.
+//! (64 live connections, read off the reactor's lock-free counters) and
+//! a request-level in-flight cap (`max_inflight`) enforced with a single
+//! atomic. Both shed with typed `overloaded` responses carrying
+//! `retry_after_ms`; nothing blocks behind an unbounded queue.
 //!
-//! Drain (`shutdown` request or SIGTERM): the draining flag flips, a
-//! loopback connect nudges the blocking acceptor awake, the reactor
-//! shards finish in-flight requests and close their connections, and
-//! [`Server::wait`] joins acceptor → reactor → service pool →
+//! Drain (`shutdown` request or SIGTERM): the draining flag flips, the
+//! reactor closes its listeners, finishes in-flight requests and closes
+//! its connections, and [`Server::wait`] joins reactor → service pool →
 //! dispatcher — every accepted request completes, no new work is
 //! admitted.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, OnceLock};
-use std::thread;
 use std::time::Duration;
 
 use charfree_engine::Kernel;
 use charfree_net::{
-    NetCounters, Reactor, ReactorConfig, ReactorHandle, StreamTap, TapFault, Token,
+    Handler, HandlerFactory, NetCounters, Reactor, ReactorConfig, ReactorHandle, StreamTap,
+    TapFault, Token,
 };
 use charfree_netlist::{blif, Library};
 use charfree_pipeline::{
@@ -45,8 +43,7 @@ use charfree_seq::SeqModel;
 use charfree_sim::MarkovSource;
 
 use crate::batch::Dispatcher;
-use crate::frontend::{Completion, Frontend, ServicePool, SvcRequest};
-use crate::metrics;
+use crate::frontend::{Completion, Frontend, Mode, Rejected, ServicePool, SvcRequest};
 use crate::proto::{ErrorKind, Response, WireBuildOptions, WireEvalParams, WireMacroSummary};
 use crate::registry::{Resident, ShardedRegistry};
 use crate::stats::{Counters, ServerStats};
@@ -59,11 +56,10 @@ pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
 /// Suggested client backoff when a request is shed.
 pub(crate) const RETRY_AFTER_MS: u64 = 25;
 
-/// Write timeout for the `overloaded` line sent to a connection rejected
-/// at the cap. The write happens on the acceptor thread; without a
-/// timeout a client that connects but never reads could fill the kernel
-/// send buffer and stall the accept loop for everyone.
-const REJECT_WRITE_TIMEOUT: Duration = Duration::from_millis(100);
+/// Concurrent request-connection cap: a request connection past it gets
+/// one `overloaded` line and is closed. `--metrics-addr` connections are
+/// never refused, but while open they count toward the live total.
+pub(crate) const MAX_CONNECTIONS: usize = 64;
 
 /// Service threads between the reactor and the dispatcher (parse,
 /// admission, model resolution, pattern generation).
@@ -96,9 +92,6 @@ pub struct ServeConfig {
     /// Per-connection inactivity cutoff (slow-loris guard; a connection
     /// with a request in flight is never idle-closed).
     pub idle_timeout: Duration,
-    /// Concurrent-connection cap (excess connections get one
-    /// `overloaded` line and are closed).
-    pub max_connections: usize,
     /// Reactor shard threads owning connection I/O.
     pub reactor_threads: usize,
     /// Optional dedicated `GET /metrics` listener address (the main
@@ -127,7 +120,6 @@ impl ServeConfig {
             library,
             cache_dir: None,
             idle_timeout: Duration::from_secs(30),
-            max_connections: 64,
             reactor_threads: 2,
             metrics_addr: None,
             log: true,
@@ -152,14 +144,10 @@ pub(crate) struct Shared {
     pub(crate) draining: AtomicBool,
     pub(crate) breaker: CircuitBreaker,
     pub(crate) log: bool,
-    addr: SocketAddr,
+    /// The reactor's counters (accepts, bytes, closes).
+    net: Arc<NetCounters>,
     /// Set once the reactor is up; `None` only during startup.
-    net: OnceLock<Arc<NetCounters>>,
     reactor: OnceLock<ReactorHandle<Completion>>,
-    /// Connections handed to the reactor by the acceptor. Live count =
-    /// `registered - net.closed_total()` (registration guarantees
-    /// exactly one close record eventually).
-    registered: AtomicU64,
 }
 
 impl Shared {
@@ -170,22 +158,15 @@ impl Shared {
     }
 
     /// The counter table — the one source for `stats`, `metrics` and
-    /// HTTP. The reactor's counters read as zero until it is up.
+    /// HTTP.
     pub(crate) fn snapshot(&self) -> Counters {
-        let idle = NetCounters::default();
         self.stats.snapshot(
             &self.registry,
             &self.breaker,
-            self.net.get().map_or(&idle, |c| c.as_ref()),
+            &self.net,
             &self.shared_table,
             self.registry.seq_stats(),
         )
-    }
-
-    fn live_connections(&self) -> u64 {
-        let registered = self.registered.load(Ordering::SeqCst);
-        let closed = self.net.get().map_or(0, |c| c.closed_total());
-        registered.saturating_sub(closed)
     }
 }
 
@@ -239,11 +220,9 @@ impl StreamTap for FaultTap {
 pub struct Server {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
-    acceptor: Option<thread::JoinHandle<()>>,
     reactor: Option<Reactor<Completion>>,
     services: Option<ServicePool>,
     dispatcher: Option<Dispatcher>,
-    metrics: Option<thread::JoinHandle<()>>,
     shared: Arc<Shared>,
 }
 
@@ -257,6 +236,15 @@ impl Server {
     pub fn start(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
+        let metrics_listener = config
+            .metrics_addr
+            .as_deref()
+            .map(TcpListener::bind)
+            .transpose()?;
+        let metrics_addr = metrics_listener
+            .as_ref()
+            .map(TcpListener::local_addr)
+            .transpose()?;
         let stats = Arc::new(ServerStats::new());
         let store = config.cache_dir.as_ref().map(|dir| {
             let store = ArtifactStore::new(dir);
@@ -300,10 +288,8 @@ impl Server {
             draining: AtomicBool::new(false),
             breaker: CircuitBreaker::new(config.breaker),
             log: config.log,
-            addr,
-            net: OnceLock::new(),
+            net: Arc::new(NetCounters::default()),
             reactor: OnceLock::new(),
-            registered: AtomicU64::new(0),
         });
         let dispatcher = Dispatcher::start(
             config.jobs.max(1),
@@ -315,14 +301,25 @@ impl Server {
 
         // Service queue: sized so that every connection can have one
         // request queued before the front end sheds.
-        let svc_cap = config.max_connections.max(config.max_inflight).max(64);
+        let svc_cap = MAX_CONNECTIONS.max(config.max_inflight);
         let (svc_tx, svc_rx) = sync_channel::<SvcRequest>(svc_cap);
 
-        let factory_shared = Arc::clone(&shared);
-        let factory = Arc::new(move |_token: Token| {
-            Box::new(Frontend::new(Arc::clone(&factory_shared), svc_tx.clone()))
-                as Box<dyn charfree_net::Handler<Completion>>
-        });
+        // One factory per listener. It runs in accept order, so `live`
+        // counts the connections opened before this one; only request
+        // connections meet the cap, `--metrics-addr` scrapes never do.
+        let factory = |mode: Mode| -> Arc<HandlerFactory<Completion>> {
+            let (shared, svc) = (Arc::clone(&shared), svc_tx.clone());
+            Arc::new(move || {
+                let capped = matches!(mode, Mode::Detecting);
+                if capped && shared.net.live() >= MAX_CONNECTIONS as u64 {
+                    shared.stats.record_shed();
+                    return Box::new(Rejected) as Box<dyn Handler<Completion>>;
+                }
+                Box::new(Frontend::new(Arc::clone(&shared), svc.clone(), mode))
+            })
+        };
+        let mut listeners = vec![(listener, factory(Mode::Detecting))];
+        listeners.extend(metrics_listener.map(|l| (l, factory(Mode::Http))));
         let tap = config
             .fault_io
             .as_ref()
@@ -333,37 +330,14 @@ impl Server {
                 idle_timeout: config.idle_timeout,
                 ..ReactorConfig::default()
             },
-            factory,
+            listeners,
+            Arc::clone(&shared.net),
             tap,
         )?;
-        let _ = shared.net.set(reactor.counters());
         let _ = shared.reactor.set(reactor.handle());
 
         let services =
             ServicePool::start(SERVICE_THREADS, svc_rx, &shared, &batch, &reactor.mailbox())?;
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = reactor.handle();
-        let max_connections = config.max_connections.max(1);
-        let acceptor = thread::Builder::new()
-            .name("charfree-serve-accept".to_owned())
-            .spawn(move || {
-                accept_loop(&listener, &accept_shared, &accept_handle, max_connections);
-            })?;
-
-        let (metrics_addr, metrics) = match &config.metrics_addr {
-            Some(maddr) => {
-                let mlistener = TcpListener::bind(maddr)?;
-                let maddr = mlistener.local_addr()?;
-                mlistener.set_nonblocking(true)?;
-                let mshared = Arc::clone(&shared);
-                let handle = thread::Builder::new()
-                    .name("charfree-serve-metrics".to_owned())
-                    .spawn(move || metrics_loop(&mlistener, &mshared))?;
-                (Some(maddr), Some(handle))
-            }
-            None => (None, None),
-        };
 
         if shared.log {
             eprintln!("charfree-serve: listening on {addr}");
@@ -374,11 +348,9 @@ impl Server {
         Ok(Server {
             addr,
             metrics_addr,
-            acceptor: Some(acceptor),
             reactor: Some(reactor),
             services: Some(services),
             dispatcher: Some(dispatcher),
-            metrics,
             shared,
         })
     }
@@ -394,8 +366,8 @@ impl Server {
         self.metrics_addr
     }
 
-    /// Flips the draining flag and wakes the acceptor and reactor, as if
-    /// a `shutdown` request had arrived.
+    /// Flips the draining flag and drains the reactor, as if a
+    /// `shutdown` request had arrived.
     pub fn request_drain(&self) {
         begin_drain(&self.shared);
     }
@@ -415,7 +387,7 @@ impl Server {
         signal_drain::install(self.drain_handle());
     }
 
-    /// Blocks until the server has fully drained: acceptor joined, every
+    /// Blocks until the server has fully drained: listeners closed, every
     /// connection closed, every accepted job flushed through the
     /// dispatcher.
     ///
@@ -424,12 +396,10 @@ impl Server {
     /// flight stays in the slab until its completion arrives — so
     /// joining the reactor transitively waits for the service pool and
     /// dispatcher to answer everything that was accepted. Joining the
-    /// service pool after the reactor is safe because the reactor
-    /// threads (via the handler factory) hold the only frame senders.
+    /// service pool after the reactor is safe because the handlers and
+    /// the listeners' factories hold the only frame senders, and drain
+    /// drops the factories.
     pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
         if let Some(reactor) = self.reactor.take() {
             reactor.join();
         }
@@ -438,9 +408,6 @@ impl Server {
         }
         if let Some(dispatcher) = self.dispatcher.take() {
             dispatcher.shutdown();
-        }
-        if let Some(metrics) = self.metrics.take() {
-            let _ = metrics.join();
         }
         if self.shared.log {
             eprintln!("charfree-serve: drained, exiting");
@@ -454,7 +421,7 @@ impl Server {
 pub struct DrainHandle(Arc<Shared>);
 
 impl DrainHandle {
-    /// Flips the draining flag and wakes the acceptor.
+    /// Flips the draining flag and drains the reactor.
     pub fn request_drain(&self) {
         begin_drain(&self.0);
     }
@@ -512,76 +479,10 @@ mod signal_drain {
 
 pub(crate) fn begin_drain(shared: &Shared) {
     if !shared.draining.swap(true, Ordering::SeqCst) {
-        // Nudge the blocking accept() awake; the loop re-checks the flag
-        // before handling what it accepted.
-        let _ = TcpStream::connect(shared.addr);
         if let Some(reactor) = shared.reactor.get() {
             reactor.drain();
         }
     }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    reactor: &ReactorHandle<Completion>,
-    max_connections: usize,
-) {
-    for stream in listener.incoming() {
-        if shared.draining.load(Ordering::SeqCst) {
-            break;
-        }
-        let stream = match stream {
-            Ok(stream) => stream,
-            Err(_) => continue,
-        };
-        if shared.live_connections() >= max_connections as u64 {
-            shared.stats.record_shed();
-            let line = Response::Error {
-                kind: ErrorKind::Overloaded,
-                message: format!("connection limit ({max_connections}) reached"),
-                retry_after_ms: Some(RETRY_AFTER_MS),
-            }
-            .to_line();
-            let mut stream = stream;
-            let _ = stream.set_write_timeout(Some(REJECT_WRITE_TIMEOUT));
-            let _ = writeln!(stream, "{line}");
-            continue;
-        }
-        // Count before registering: the reactor guarantees exactly one
-        // close record per registration, so live never underflows.
-        shared.registered.fetch_add(1, Ordering::SeqCst);
-        reactor.register(stream);
-    }
-}
-
-/// The dedicated metrics listener: accept, answer one request line,
-/// close. Nonblocking accept with a short sleep so the thread notices
-/// drain promptly without a wake channel.
-fn metrics_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => serve_metrics_conn(stream, shared),
-            Err(_) if shared.draining.load(Ordering::SeqCst) => return,
-            Err(_) => thread::sleep(Duration::from_millis(50)),
-        }
-    }
-}
-
-fn serve_metrics_conn(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    while !buf.contains(&b'\n') && buf.len() <= 8192 {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
-    }
-    let text = String::from_utf8_lossy(&buf);
-    let answer = metrics::http_answer(text.lines().next().unwrap_or(""), || shared.snapshot());
-    let _ = stream.write_all(answer.as_bytes());
 }
 
 pub(crate) fn error(kind: ErrorKind, message: impl Into<String>) -> Response {

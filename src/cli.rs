@@ -87,8 +87,7 @@ fn usage(prefix: &str) -> String {
          \x20 charfree eval <model|kernel|netlist|bench> [--vectors N] [--sp P]\n\
          \x20                [--st P] [--vdd V] [--period NS] [--seed S] [--jobs N]\n\
          \x20 charfree seqeval <netlist.blif> [--vectors N] [--sp P] [--st P]\n\
-         \x20                [--vdd V] [--period NS] [--seed S] [--jobs N]\n\
-         \x20                [--library L.lib]\n\
+         \x20                [--vdd V] [--period NS] [--seed S] [--library L.lib]\n\
          \x20 charfree datasheet <model|netlist|bench> [--top K]\n\
          \x20 charfree expected <model|kernel|netlist|bench> [--sp P] [--st P]\n\
          \x20 charfree trace <model|kernel|netlist|bench> [--vectors N] [--sp P]\n\
@@ -119,7 +118,7 @@ fn usage(prefix: &str) -> String {
          (`--cache-dir` warm-loads identical builds from a content-addressed\n\
          artifact store; `--telemetry json` streams per-stage events to stderr)\n\
          \n\
-         `--jobs N` needs N >= 1; omit the flag to use one worker per\n\
+         `--jobs N` (eval, trace, serve) needs N >= 1; omit it for one worker per\n\
          available core. results are bit-identical for every worker count.\n\
          `--batch-window` takes `0`, `200us`, `5ms` or `1s`;\n\
          `--model-bytes-budget` takes plain bytes or a K/M/G suffix.\n\
@@ -285,7 +284,6 @@ struct EvalParams {
     vdd: f64,
     period: f64,
     seed: u64,
-    jobs: usize,
 }
 
 impl EvalParams {
@@ -297,7 +295,6 @@ impl EvalParams {
             vdd: flags.parse("--vdd", 3.3)?,
             period: flags.parse("--period", 10.0)?,
             seed: flags.parse("--seed", 1)?,
-            jobs: parse_jobs(flags)?,
         })
     }
 
@@ -412,6 +409,7 @@ fn cmd_eval(args: &[String]) -> Result<String, CliError> {
     let mut session = Session::from_flags(&mut flags)?;
     let operand = flags.positional()?;
     let params = EvalParams::parse(&mut flags, 10_000)?;
+    let jobs = parse_jobs(&mut flags)?;
     flags.finish()?;
 
     let kernel = session
@@ -422,7 +420,7 @@ fn cmd_eval(args: &[String]) -> Result<String, CliError> {
     // Compiled-kernel fast path: batch-evaluate the switched capacitance
     // of the whole stream, then scale by Vdd² (energy is monotone in C,
     // so the summary's max is the energy peak too).
-    let summary = session.ctx.evaluate(&kernel, &patterns, params.jobs);
+    let summary = session.ctx.evaluate(&kernel, &patterns, jobs);
     session.finish(eval_report(
         kernel.name(),
         patterns.len(),
@@ -622,6 +620,7 @@ fn cmd_trace(args: &[String]) -> Result<String, CliError> {
     let mut session = Session::from_flags(&mut flags)?;
     let operand = flags.positional()?;
     let params = EvalParams::parse(&mut flags, 1000)?;
+    let jobs = parse_jobs(&mut flags)?;
     let out_path = flags.value("-o")?.map(str::to_owned);
     flags.finish()?;
 
@@ -630,7 +629,7 @@ fn cmd_trace(args: &[String]) -> Result<String, CliError> {
         .kernel_for(&Source::infer(operand))
         .map_err(|e| e.to_string())?;
     let patterns = params.patterns(kernel.num_inputs())?;
-    let values = session.ctx.trace(&kernel, &patterns, params.jobs);
+    let values = session.ctx.trace(&kernel, &patterns, jobs);
     session.finish(trace_report(&values, &params, out_path.as_deref())?)
 }
 
@@ -812,7 +811,6 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
         library,
         cache_dir,
         idle_timeout: std::time::Duration::from_millis(idle_timeout_ms),
-        max_connections: 64,
         reactor_threads,
         metrics_addr,
         log: !quiet,
@@ -1429,6 +1427,24 @@ mod tests {
         // Omitting the flag (auto) and N >= 1 both still work.
         assert!(run(&s(&["eval", "decod", "--vectors", "50"])).is_ok());
         assert!(run(&s(&["eval", "decod", "--vectors", "50", "--jobs", "2"])).is_ok());
+    }
+
+    #[test]
+    fn jobs_is_an_unexpected_argument_where_nothing_reads_it() {
+        // The fused sequential pass is one thread, and a client's work
+        // runs on the server's `--jobs` workers.
+        for cmd in [
+            &["seqeval", "design.blif", "--jobs", "2"][..],
+            &["client", "eval", "decod", "--jobs", "2"][..],
+            &["client", "trace", "decod", "--jobs", "2"][..],
+            &["client", "seqeval", "design.blif", "--jobs", "2"][..],
+        ] {
+            let err = run(&s(cmd)).expect_err("--jobs must be rejected");
+            assert!(
+                err.contains("unexpected argument `--jobs`"),
+                "{cmd:?}: {err}"
+            );
+        }
     }
 
     #[test]
