@@ -40,7 +40,7 @@ use charfree_pipeline::{
     ArtifactStore, BuildOptions, FaultIo, PipelineCtx, PipelineError, Source, StreamFault, StreamOp,
 };
 use charfree_seq::SeqModel;
-use charfree_sim::MarkovSource;
+use charfree_sim::{check_statistics, MarkovSource};
 
 use crate::batch::Dispatcher;
 use crate::frontend::{Completion, Frontend, Mode, Rejected, ServicePool, SvcRequest};
@@ -764,15 +764,9 @@ pub(crate) fn do_seq_eval(
 pub(crate) fn do_expected(shared: &Shared, source: &str, sp: f64, st: f64) -> Response {
     // The analytic chain measure asserts feasibility; validate here so a
     // bad request gets a typed error instead of panicking a service
-    // thread. (Same stationarity bound as the Markov pattern source.)
-    if !(sp > 0.0 && sp < 1.0) {
-        return error(ErrorKind::BadRequest, format!("sp={sp} must be in (0,1)"));
-    }
-    if !(0.0..=1.0).contains(&st) || st > 2.0 * sp.min(1.0 - sp) {
-        return error(
-            ErrorKind::BadRequest,
-            format!("infeasible (sp={sp}, st={st}): st must be at most 2*min(sp, 1-sp)"),
-        );
+    // thread.
+    if let Err(e) = check_statistics(sp, st) {
+        return error(ErrorKind::BadRequest, e.to_string());
     }
     let (kernel, _, _) = match resolve_kernel(shared, source, &WireBuildOptions::default()) {
         Ok(resolved) => resolved,

@@ -344,6 +344,46 @@ fn expected_matches_the_kernel_analytic_path() {
 }
 
 #[test]
+fn expected_rejects_infeasible_statistics() {
+    let server = Server::start(test_config()).expect("binds");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connects");
+
+    // st above 2·min(sp, 1−sp), sp outside (0, 1), negative st: each a
+    // typed bad request, and the service thread survives to answer the
+    // next one.
+    for (sp, st) in [(0.2, 0.9), (1.5, 0.5), (0.5, -0.1)] {
+        match client
+            .request(&Request::Expected {
+                source: "decod".to_owned(),
+                sp,
+                st,
+            })
+            .expect("responds")
+        {
+            Response::Error {
+                kind: ErrorKind::BadRequest,
+                message,
+                ..
+            } => assert!(message.contains("infeasible"), "{message}"),
+            other => panic!("({sp}, {st}) got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        client
+            .request(&Request::Expected {
+                source: "decod".to_owned(),
+                sp: 0.5,
+                st: 0.4,
+            })
+            .expect("responds"),
+        Response::Expected { .. }
+    ));
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.wait();
+}
+
+#[test]
 fn deeply_nested_request_line_is_rejected_without_crashing() {
     // ~200KB of `[` is well under the 1MB line limit but used to drive
     // the recursive-descent JSON parser ~200k frames deep, overflowing

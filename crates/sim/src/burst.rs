@@ -8,9 +8,9 @@
 //! models are furthest from their training distribution and the paper's
 //! statistics-independent models shine.
 
-use crate::patterns::{InvalidStatisticsError, MarkovSource};
+use crate::patterns::{draw, threshold, InvalidStatisticsError, MarkovSource};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A two-regime bursty pattern source.
 ///
@@ -31,10 +31,9 @@ use rand::{Rng, SeedableRng};
 pub struct BurstSource {
     idle: MarkovSource,
     burst: MarkovSource,
-    /// Probability of leaving the idle regime per cycle.
-    enter_burst: f64,
-    /// Probability of leaving the burst regime per cycle.
-    exit_burst: f64,
+    /// Thresholds of the per-cycle probabilities of leaving the current
+    /// regime, indexed by `in_burst`: `[enter_burst, exit_burst]`.
+    switch: [u64; 2],
     in_burst: bool,
     rng: StdRng,
 }
@@ -67,8 +66,7 @@ impl BurstSource {
         Ok(BurstSource {
             idle: MarkovSource::new(num_bits, idle_stats.0, idle_stats.1, seed ^ 0x1d1e)?,
             burst: MarkovSource::new(num_bits, burst_stats.0, burst_stats.1, seed ^ 0xb4b4)?,
-            enter_burst,
-            exit_burst,
+            switch: [threshold(enter_burst), threshold(exit_burst)],
             in_burst: false,
             rng: StdRng::seed_from_u64(seed),
         })
@@ -81,14 +79,7 @@ impl BurstSource {
 
     /// Advances one cycle and returns the next pattern.
     pub fn next_pattern(&mut self) -> Vec<bool> {
-        let flip = if self.in_burst {
-            self.rng.gen_bool(self.exit_burst)
-        } else {
-            self.rng.gen_bool(self.enter_burst)
-        };
-        if flip {
-            self.in_burst = !self.in_burst;
-        }
+        self.in_burst ^= draw(&mut self.rng, self.switch[usize::from(self.in_burst)]);
         // Both regimes advance so the hand-over keeps per-bit continuity
         // plausible; the active regime's pattern is emitted.
         let idle = self.idle.next_pattern();

@@ -9,8 +9,9 @@
 //! * [`UnitDelaySim`] — a unit-delay simulator quantifying the glitch
 //!   (parasitic) energy the zero-delay model deliberately ignores;
 //! * [`MarkovSource`] — per-bit Markov pattern generators hitting any
-//!   feasible `(sp, st)` signal/transition-probability target, plus the
-//!   experiment grid [`statistics_grid`] and [`ExhaustivePairs`];
+//!   feasible `(sp, st)` signal/transition-probability target
+//!   ([`check_statistics`]), plus the experiment grid [`statistics_grid`]
+//!   and [`ExhaustivePairs`];
 //! * [`EnergyTrace`] — per-cycle energy traces with average/peak power.
 //!
 //! ## Example
@@ -47,7 +48,8 @@ mod zero_delay;
 
 pub use burst::BurstSource;
 pub use patterns::{
-    measure_statistics, statistics_grid, ExhaustivePairs, InvalidStatisticsError, MarkovSource,
+    check_statistics, measure_statistics, statistics_grid, ExhaustivePairs, InvalidStatisticsError,
+    MarkovSource,
 };
 pub use seq::{SeqSim, SeqWalker};
 pub use trace::EnergyTrace;

@@ -9,10 +9,25 @@
 //! * `P(0→1) = st / (2(1−sp))`, `P(1→0) = st / (2·sp)`
 //!
 //! which has stationary probability `sp` and flip probability `st`.
-//! Feasibility requires `st ≤ 2·sp` and `st ≤ 2(1−sp)`.
+//! Feasibility requires `st ≤ 2·sp` and `st ≤ 2(1−sp)`
+//! ([`check_statistics`]).
+//!
+//! ## The threshold rule
+//!
+//! Each bit of each pattern draws one `u64` from the seeded generator and
+//! keeps its top 53 bits, `m = next_u64() >> 11`. The bit flips when
+//! `m · 2⁻⁵³ < p`, with `p` the transition probability out of its current
+//! state; this is `rand`'s `gen_bool(p)`. For an integer `m < 2⁵³` that
+//! float compare equals the integer compare `m < ⌈p · 2⁵³⌉`, and
+//! `p · 2⁵³` is exact in `f64` (a power-of-two scale of `p ∈ [0, 1]`). So
+//! [`MarkovSource::new`] turns `P(0→1)` and `P(1→0)` into two integer
+//! thresholds once, and the advance loop is
+//! `bit ^= m < threshold[bit]`: no float, no re-check of `p`, and no
+//! data-dependent branch. The stream for a seed is the one `gen_bool`
+//! produced, bit for bit; `crates/sim/tests/stream_pin.rs` pins it.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::error::Error;
 use std::fmt;
 
@@ -35,6 +50,44 @@ impl fmt::Display for InvalidStatisticsError {
 
 impl Error for InvalidStatisticsError {}
 
+/// Checks that `(sp, st)` is a feasible Markov operating point:
+/// `0 < sp < 1` and `0 ≤ st ≤ 2·min(sp, 1−sp)`, both finite.
+///
+/// # Errors
+///
+/// Returns [`InvalidStatisticsError`] otherwise, NaN included.
+///
+/// # Examples
+///
+/// ```
+/// use charfree_sim::check_statistics;
+/// assert!(check_statistics(0.5, 0.4).is_ok());
+/// assert!(check_statistics(0.2, 0.9).is_err());
+/// assert!(check_statistics(0.5, f64::NAN).is_err());
+/// ```
+pub fn check_statistics(sp: f64, st: f64) -> Result<(), InvalidStatisticsError> {
+    // Every comparison with NaN is false, so NaN fails the first bound it
+    // meets; the infinities fail the range bounds.
+    if sp > 0.0 && sp < 1.0 && st >= 0.0 && st <= 2.0 * sp.min(1.0 - sp) {
+        Ok(())
+    } else {
+        Err(InvalidStatisticsError { sp, st })
+    }
+}
+
+/// The integer threshold `⌈p · 2⁵³⌉`: for `m < 2⁵³`,
+/// `m < threshold(p)` exactly when `m · 2⁻⁵³ < p` (module docs).
+pub(crate) fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli draw against a [`threshold`]: `rng.gen_bool(p)` without
+/// the float.
+#[inline]
+pub(crate) fn draw(rng: &mut StdRng, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
+
 /// A per-bit Markov pattern source realizing target `(sp, st)` statistics.
 ///
 /// # Examples
@@ -54,8 +107,9 @@ impl Error for InvalidStatisticsError {}
 #[derive(Debug, Clone)]
 pub struct MarkovSource {
     num_bits: usize,
-    p01: f64,
-    p10: f64,
+    /// Flip thresholds indexed by the bit's current state:
+    /// `[threshold(P(0→1)), threshold(P(1→0))]`.
+    flip: [u64; 2],
     sp: f64,
     state: Vec<bool>,
     rng: StdRng,
@@ -68,26 +122,24 @@ impl MarkovSource {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidStatisticsError`] if `sp ∉ (0,1)` or
-    /// `st > 2·min(sp, 1−sp)` or `st < 0`.
+    /// Returns [`InvalidStatisticsError`] if [`check_statistics`] rejects
+    /// `(sp, st)`.
     pub fn new(
         num_bits: usize,
         sp: f64,
         st: f64,
         seed: u64,
     ) -> Result<Self, InvalidStatisticsError> {
-        if !(sp > 0.0 && sp < 1.0) || st < 0.0 || st > 2.0 * sp.min(1.0 - sp) {
-            return Err(InvalidStatisticsError { sp, st });
-        }
+        check_statistics(sp, st)?;
         let p01 = st / (2.0 * (1.0 - sp));
         let p10 = st / (2.0 * sp);
         let mut rng = StdRng::seed_from_u64(seed);
         // Draw the initial state from the stationary distribution.
-        let state = (0..num_bits).map(|_| rng.gen_bool(sp)).collect();
+        let one = threshold(sp);
+        let state = (0..num_bits).map(|_| draw(&mut rng, one)).collect();
         Ok(MarkovSource {
             num_bits,
-            p01,
-            p10,
+            flip: [threshold(p01), threshold(p10)],
             sp,
             state,
             rng,
@@ -107,14 +159,7 @@ impl MarkovSource {
     /// Advances the chain and returns the next pattern.
     pub fn next_pattern(&mut self) -> Vec<bool> {
         for bit in &mut self.state {
-            let flip = if *bit {
-                self.rng.gen_bool(self.p10)
-            } else {
-                self.rng.gen_bool(self.p01)
-            };
-            if flip {
-                *bit = !*bit;
-            }
+            *bit ^= draw(&mut self.rng, self.flip[usize::from(*bit)]);
         }
         self.state.clone()
     }
@@ -253,8 +298,48 @@ mod tests {
         assert!(MarkovSource::new(4, 0.1, 0.5, 0).is_err()); // st > 2*sp
         assert!(MarkovSource::new(4, 0.9, 0.5, 0).is_err()); // st > 2*(1-sp)
         assert!(MarkovSource::new(4, 0.5, -0.1, 0).is_err());
+        for (sp, st) in [
+            (0.5, f64::NAN),
+            (f64::NAN, 0.1),
+            (f64::NAN, f64::NAN),
+            (0.5, f64::INFINITY),
+            (f64::INFINITY, 0.1),
+            (f64::NEG_INFINITY, 0.1),
+        ] {
+            assert!(check_statistics(sp, st).is_err(), "({sp}, {st})");
+            assert!(MarkovSource::new(4, sp, st, 0).is_err(), "({sp}, {st})");
+        }
         let err = MarkovSource::new(4, 0.1, 0.5, 0).expect_err("infeasible");
         assert!(err.to_string().contains("infeasible"));
+    }
+
+    #[test]
+    fn threshold_matches_the_float_compare() {
+        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
+        let mut state = 0x5eed_u64;
+        let mut splitmix = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut ps = vec![0.0, SCALE, 1.0 / 3.0, 0.5, 1.0 - SCALE, 1.0];
+        for _ in 0..100 {
+            // On the 2⁻⁵³ grid, anywhere in [0, 1], and small (off the grid).
+            ps.push((splitmix() >> 11) as f64 * SCALE);
+            ps.push(splitmix() as f64 / 2f64.powi(64));
+            ps.push(((splitmix() >> 11) as f64 * SCALE).powi(5));
+        }
+        for p in ps {
+            let t = threshold(p);
+            for m in t.saturating_sub(2)..=t + 2 {
+                if m >= 1 << 53 {
+                    continue;
+                }
+                assert_eq!(m < t, (m as f64) * SCALE < p, "p={p:e} m={m} t={t}");
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use charfree_core::PowerModel;
 use charfree_netlist::units::Voltage;
 use charfree_netlist::{blif, libspec, verilog, Library};
 use charfree_pipeline::{ArtifactStore, BuildOptions, PipelineCtx, Source};
-use charfree_sim::{MarkovSource, ZeroDelaySim};
+use charfree_sim::{check_statistics, MarkovSource, ZeroDelaySim};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -578,6 +578,9 @@ fn cmd_expected(args: &[String]) -> Result<String, CliError> {
     let sp: f64 = flags.parse("--sp", 0.5)?;
     let st: f64 = flags.parse("--st", 0.5)?;
     flags.finish()?;
+    // The analytic chain measure asserts feasibility; reject bad
+    // statistics before it does.
+    check_statistics(sp, st).map_err(|e| e.to_string())?;
     // The flat kernel evaluates the expectation without touching the
     // manager arena; grouped-ordering models (whose pair correlation is
     // not chain-expressible on the kernel) fall back to the arena path,
@@ -1251,6 +1254,25 @@ mod tests {
         assert!(report.contains("2 sequential cases"), "report: {report}");
         assert!(run(&s(&["conform", "--seed", "0xZZ"])).is_err());
         assert!(run(&s(&["conform", "--frobnicate"])).is_err());
+    }
+
+    /// Bad input statistics, NaN included, are a typed error on every
+    /// command that takes them, never a panic further down.
+    #[test]
+    fn bad_statistics_are_typed_errors() {
+        for args in [
+            &["eval", "decod", "--st", "nan"][..],
+            &["sim", "decod", "--st", "nan"],
+            &["expected", "decod", "--st", "nan"],
+            &["expected", "decod", "--sp", "0.2", "--st", "0.9"],
+            &["expected", "decod", "--sp", "1.5"],
+        ] {
+            let err = run(&s(args)).expect_err("bad statistics rejected");
+            assert!(
+                err.contains("infeasible") && err.contains("sp"),
+                "{args:?}: {err}"
+            );
+        }
     }
 
     #[test]
