@@ -294,8 +294,13 @@ impl PipelineCtx {
 
     /// Replaces the build options.
     pub fn with_options(mut self, options: BuildOptions) -> Self {
-        self.options = options;
+        self.set_options(options);
         self
+    }
+
+    /// Replaces the build options of a context in use.
+    pub fn set_options(&mut self, options: BuildOptions) {
+        self.options = options;
     }
 
     /// Attaches a content-addressed artifact store.

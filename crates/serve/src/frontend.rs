@@ -30,6 +30,7 @@ use charfree_engine::Kernel;
 use charfree_net::{CloseReason, ConnCtx, Handler, Mailbox, Token};
 
 use crate::batch::{BatchHandle, Job, JobError, JobOutput, ReplySink};
+use crate::handler::{self, ModelSource};
 use crate::metrics;
 use crate::proto::{ErrorKind, Request, Response, WireBuildOptions};
 use crate::server::{self, InflightGuard, Shared, MAX_CONNECTIONS, MAX_LINE_BYTES, RETRY_AFTER_MS};
@@ -551,11 +552,9 @@ fn handle_request(
                 server::do_load(shared, &source, &options)
             }));
         }
-        Request::Expected { source, sp, st } => {
-            reply.send(admitted(shared, || {
-                server::do_expected(shared, &source, sp, st)
-            }));
-        }
+        Request::Expected { source, sp, st } => reply.send(admitted(shared, || {
+            handler::expected(&mut &**shared, &source, sp, st).unwrap_or_else(|e| e)
+        })),
         Request::SeqLoad { source, options } => {
             reply.send(admitted(shared, || {
                 server::do_seq_load(shared, &source, &options)
@@ -566,7 +565,9 @@ fn handle_request(
             options,
             params,
         } => reply.send(admitted(shared, || {
-            server::do_seq_eval(shared, &source, &options, &params)
+            server::check_vectors(shared, params.vectors)
+                .and_then(|()| handler::seq_eval(&mut &**shared, &source, &options, &params))
+                .unwrap_or_else(|e| e)
         })),
         Request::Eval {
             source,
@@ -578,7 +579,7 @@ fn handle_request(
             options,
             params,
         } => {
-            let markov = |kernel: &Kernel| server::markov_patterns(kernel.num_inputs(), &params);
+            let markov = |kernel: &Kernel| handler::markov_patterns(kernel.num_inputs(), &params);
             let (deadline_ms, vectors) = (params.deadline_ms, params.vectors);
             start_batch(
                 reply,
@@ -606,8 +607,9 @@ fn handle_request(
                 let width = kernel.num_inputs();
                 match patterns.iter().all(|p| p.len() == width) {
                     true => Ok(patterns),
-                    false => Err(format!(
-                        "pattern width must match the model's {width} inputs"
+                    false => Err(server::error(
+                        ErrorKind::BadRequest,
+                        format!("pattern width must match the model's {width} inputs"),
                     )),
                 }
             };
@@ -639,7 +641,7 @@ fn start_batch(
     deadline_ms: Option<u64>,
     vectors: usize,
     want_values: bool,
-    patterns: impl FnOnce(&Kernel) -> Result<Vec<Vec<bool>>, String>,
+    patterns: impl FnOnce(&Kernel) -> Result<Vec<Vec<bool>>, Response>,
 ) {
     let shared = Arc::clone(&reply.shared);
     let Some(guard) = server::try_admit(&shared) else {
@@ -653,13 +655,13 @@ fn start_batch(
         deadline_ms,
         ..options.clone()
     };
-    let kernel = match server::resolve_kernel(&shared, source, &build_options) {
+    let kernel = match (&*shared).kernel(source, &build_options) {
         Ok((kernel, _, _)) => kernel,
         Err(resp) => return reply.send(resp),
     };
     let patterns = match patterns(&kernel) {
         Ok(patterns) => patterns,
-        Err(message) => return reply.send(server::error(ErrorKind::BadRequest, message)),
+        Err(resp) => return reply.send(resp),
     };
     if deadline.is_some_and(|deadline| deadline <= Instant::now()) {
         let message = "deadline expired before dispatch";
@@ -721,12 +723,7 @@ impl ReplySink for ReactorReply {
                 name: inner.name.clone(),
                 values: output.values.unwrap_or_default(),
             },
-            Ok(output) => Response::Eval {
-                name: inner.name.clone(),
-                transitions: output.summary.transitions,
-                sum_ff: output.summary.sum_ff,
-                max_ff: output.summary.max_ff,
-            },
+            Ok(output) => handler::eval_response(inner.name.clone(), &output.summary),
             Err(JobError::DeadlineExceeded) => {
                 server::error(ErrorKind::DeadlineExceeded, "deadline expired in queue")
             }

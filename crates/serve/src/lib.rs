@@ -54,6 +54,7 @@
 pub mod batch;
 pub mod client;
 mod frontend;
+pub mod handler;
 pub mod json;
 pub mod metrics;
 pub mod proto;

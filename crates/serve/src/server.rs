@@ -30,21 +30,20 @@ use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use charfree_core::AddPowerModel;
 use charfree_engine::Kernel;
 use charfree_net::{
     Handler, HandlerFactory, NetCounters, Reactor, ReactorConfig, ReactorHandle, StreamTap,
     TapFault, Token,
 };
-use charfree_netlist::{blif, Library};
-use charfree_pipeline::{
-    ArtifactStore, BuildOptions, FaultIo, PipelineCtx, PipelineError, Source, StreamFault, StreamOp,
-};
+use charfree_netlist::Library;
+use charfree_pipeline::{ArtifactStore, FaultIo, PipelineCtx, Source, StreamFault, StreamOp};
 use charfree_seq::SeqModel;
-use charfree_sim::{check_statistics, MarkovSource};
 
 use crate::batch::Dispatcher;
 use crate::frontend::{Completion, Frontend, Mode, Rejected, ServicePool, SvcRequest};
-use crate::proto::{ErrorKind, Response, WireBuildOptions, WireEvalParams, WireMacroSummary};
+use crate::handler::{self, build_options, build_seq, pipeline_error, ModelSource, Resolved};
+use crate::proto::{ErrorKind, Response, WireBuildOptions};
 use crate::registry::{Resident, ShardedRegistry};
 use crate::stats::{Counters, ServerStats};
 use crate::supervisor::{BreakerConfig, BreakerDecision, CircuitBreaker};
@@ -509,28 +508,6 @@ pub(crate) fn check_vectors(shared: &Shared, vectors: usize) -> Result<(), Respo
     ))
 }
 
-/// A request's pattern stream, generated exactly as the offline CLI
-/// does: a Markov source over `inputs` primary inputs, at least two
-/// patterns.
-pub(crate) fn markov_patterns(
-    inputs: usize,
-    params: &WireEvalParams,
-) -> Result<Vec<Vec<bool>>, String> {
-    MarkovSource::new(inputs, params.sp, params.st, params.seed)
-        .map(|mut markov| markov.sequence(params.vectors.max(2)))
-        .map_err(|e| e.to_string())
-}
-
-fn map_pipeline_error(err: &PipelineError) -> ErrorKind {
-    match err {
-        PipelineError::Build(_) => ErrorKind::BuildFailed,
-        PipelineError::Unsupported(_) => ErrorKind::Unsupported,
-        PipelineError::Io { .. } | PipelineError::Parse { .. } | PipelineError::UnknownInput(_) => {
-            ErrorKind::BadRequest
-        }
-    }
-}
-
 /// Registry key: the source operand plus every model-*shaping* option.
 /// `deadline_ms` is deliberately excluded — it is a per-request wall
 /// clock, not a model parameter, and keying on it would fragment
@@ -553,17 +530,6 @@ fn pipeline_ctx(shared: &Shared) -> PipelineCtx {
     match &shared.store {
         Some(store) => ctx.with_store(store.clone()),
         None => ctx,
-    }
-}
-
-fn build_options(options: &WireBuildOptions) -> BuildOptions {
-    BuildOptions {
-        max_nodes: options.max_nodes,
-        upper_bound: options.upper_bound,
-        node_budget: options.node_budget,
-        strict: options.strict,
-        time_budget: options.deadline_ms.map(Duration::from_millis),
-        ..BuildOptions::default()
     }
 }
 
@@ -624,27 +590,44 @@ fn resolve(
     Ok((model, ctx.apply_steps(), false))
 }
 
-/// Resolves a combinational model operand to its registry-resident
-/// kernel (see [`resolve`]).
-pub(crate) fn resolve_kernel(
-    shared: &Shared,
-    source: &str,
-    options: &WireBuildOptions,
-) -> Result<(Arc<Kernel>, u64, bool), Response> {
-    let key = registry_key(source, options);
-    let (model, applied, resident) = resolve(shared, &key, options, |ctx| {
-        ctx.kernel_for(&Source::infer(source))
-            .map(|kernel| Resident::Comb(Arc::new(kernel)))
-            .map_err(|e| error(map_pipeline_error(&e), e.to_string()))
-    })?;
-    let Resident::Comb(kernel) = model else {
-        unreachable!("combinational keys hold kernels only");
-    };
-    Ok((kernel, applied, resident))
+/// The served model source: the sharded registry, its circuit breaker
+/// and the server's build context (see [`resolve`]).
+impl ModelSource for &Shared {
+    fn kernel(&mut self, source: &str, options: &WireBuildOptions) -> Resolved<Kernel> {
+        let key = registry_key(source, options);
+        let (model, applied, resident) = resolve(self, &key, options, |ctx| {
+            ctx.kernel_for(&Source::infer(source))
+                .map(|kernel| Resident::Comb(Arc::new(kernel)))
+                .map_err(|e| pipeline_error(&e))
+        })?;
+        let Resident::Comb(kernel) = model else {
+            unreachable!("combinational keys hold kernels only");
+        };
+        Ok((kernel, applied, resident))
+    }
+
+    fn seq_model(&mut self, source: &str, options: &WireBuildOptions) -> Resolved<SeqModel> {
+        let key = registry_key(source, options) + "\0seq";
+        let (model, applied, resident) = resolve(self, &key, options, |ctx| {
+            build_seq(ctx, source)
+                .map(|model| Resident::Seq(Arc::new(model)))
+                .map_err(|e| pipeline_error(&e))
+        })?;
+        let Resident::Seq(model) = model else {
+            unreachable!("`seq`-suffixed keys hold sequential designs only");
+        };
+        Ok((model, applied, resident))
+    }
+
+    fn arena_model(&mut self, source: &str) -> Result<AddPowerModel, Response> {
+        pipeline_ctx(self)
+            .model_for(&Source::infer(source))
+            .map_err(|e| pipeline_error(&e))
+    }
 }
 
-pub(crate) fn do_load(shared: &Shared, source: &str, options: &WireBuildOptions) -> Response {
-    match resolve_kernel(shared, source, options) {
+pub(crate) fn do_load(mut shared: &Shared, source: &str, options: &WireBuildOptions) -> Response {
+    match shared.kernel(source, options) {
         Ok((kernel, applied, resident)) => Response::Load {
             name: kernel.name().to_owned(),
             instrs: kernel.num_instrs(),
@@ -657,47 +640,12 @@ pub(crate) fn do_load(shared: &Shared, source: &str, options: &WireBuildOptions)
     }
 }
 
-/// Resolves a sequential design to its registry-resident [`SeqModel`]
-/// (see [`resolve`]). Sequential sources are BLIF netlist files only:
-/// compiled artifacts and built-in benchmarks are combinational by
-/// construction.
-fn resolve_seq_model(
-    shared: &Shared,
+pub(crate) fn do_seq_load(
+    mut shared: &Shared,
     source: &str,
     options: &WireBuildOptions,
-) -> Result<(Arc<SeqModel>, u64, bool), Response> {
-    match Source::infer(source) {
-        Source::NetlistFile(_) if !source.ends_with(".v") && !source.ends_with(".sv") => {}
-        _ => {
-            return Err(error(
-                ErrorKind::Unsupported,
-                "sequential designs load from BLIF netlist files only (`.latch` lives in BLIF); \
-                 compiled artifacts and built-in benchmarks are combinational",
-            ));
-        }
-    }
-    let key = registry_key(source, options) + "\0seq";
-    let (model, applied, resident) = resolve(shared, &key, options, |ctx| {
-        let text = std::fs::read_to_string(source).map_err(|e| {
-            error(
-                ErrorKind::BadRequest,
-                format!("cannot read `{source}`: {e}"),
-            )
-        })?;
-        let seq = blif::parse_seq(&text)
-            .map_err(|e| error(ErrorKind::BadRequest, format!("{source}: {e}")))?;
-        SeqModel::build(ctx, seq)
-            .map(|model| Resident::Seq(Arc::new(model)))
-            .map_err(|e| error(map_pipeline_error(&e), e.to_string()))
-    })?;
-    let Resident::Seq(model) = model else {
-        unreachable!("`seq`-suffixed keys hold sequential designs only");
-    };
-    Ok((model, applied, resident))
-}
-
-pub(crate) fn do_seq_load(shared: &Shared, source: &str, options: &WireBuildOptions) -> Response {
-    match resolve_seq_model(shared, source, options) {
+) -> Response {
+    match handler::seq_model(&mut shared, source, options) {
         Ok((model, applied, resident)) => {
             let report = model.build_report();
             Response::SeqLoad {
@@ -720,85 +668,12 @@ pub(crate) fn do_seq_load(shared: &Shared, source: &str, options: &WireBuildOpti
     }
 }
 
-pub(crate) fn do_seq_eval(
-    shared: &Shared,
-    source: &str,
-    options: &WireBuildOptions,
-    params: &WireEvalParams,
-) -> Response {
-    if let Err(response) = check_vectors(shared, params.vectors) {
-        return response;
-    }
-    // The request deadline bounds a cold build exactly like `eval` (and
-    // keeps that build out of the registry).
-    let build_options = WireBuildOptions {
-        deadline_ms: params.deadline_ms,
-        ..options.clone()
-    };
-    let (model, _, _) = match resolve_seq_model(shared, source, &build_options) {
-        Ok(resolved) => resolved,
-        Err(response) => return response,
-    };
-    let patterns = match markov_patterns(model.num_inputs(), params) {
-        Ok(patterns) => patterns,
-        Err(message) => return error(ErrorKind::BadRequest, message),
-    };
-    let summary = model.eval_fused(&patterns);
-    Response::SeqEval {
-        name: model.name().to_owned(),
-        transitions: summary.total.transitions,
-        sum_ff: summary.total.sum_ff,
-        max_ff: summary.total.max_ff,
-        macros: summary
-            .per_macro
-            .iter()
-            .map(|m| WireMacroSummary {
-                name: m.name.clone(),
-                sum_ff: m.summary.sum_ff,
-                max_ff: m.summary.max_ff,
-            })
-            .collect(),
-    }
-}
-
-pub(crate) fn do_expected(shared: &Shared, source: &str, sp: f64, st: f64) -> Response {
-    // The analytic chain measure asserts feasibility; validate here so a
-    // bad request gets a typed error instead of panicking a service
-    // thread.
-    if let Err(e) = check_statistics(sp, st) {
-        return error(ErrorKind::BadRequest, e.to_string());
-    }
-    let (kernel, _, _) = match resolve_kernel(shared, source, &WireBuildOptions::default()) {
-        Ok(resolved) => resolved,
-        Err(response) => return response,
-    };
-    let value = if kernel.is_interleaved() {
-        kernel.expected_capacitance(sp, st)
-    } else if matches!(Source::infer(source), Source::KernelFile(_)) {
-        return error(
-            ErrorKind::Unsupported,
-            "grouped-ordering kernels cannot evaluate expectations; pass the `.cfm` model instead",
-        );
-    } else {
-        // Mirror the CLI fallback: grouped-ordering pair correlation is
-        // not chain-expressible on the kernel, so go through the arena
-        // model (a warm artifact hit when a store is attached).
-        match pipeline_ctx(shared).model_for(&Source::infer(source)) {
-            Ok(model) => model.expected_capacitance(sp, st).femtofarads(),
-            Err(e) => return error(map_pipeline_error(&e), e.to_string()),
-        }
-    };
-    Response::Expected {
-        name: kernel.name().to_owned(),
-        value,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Client, Request};
     use charfree_netlist::benchmarks::committed::SEQPIPE2;
+    use charfree_netlist::blif;
 
     /// A second register-bounded design (stage 1 reads stage 2's state).
     const PIPE2: &str = "\

@@ -4,28 +4,30 @@
 //! subcommand routes through the one typed build/eval path in
 //! `charfree-pipeline` and is a pure function from parsed options to a
 //! printable report, so the whole CLI is unit-testable without spawning
-//! processes.
+//! processes. `charfree help` prints the subcommands and their flags
+//! (see `usage`).
 //!
-//! ```text
-//! charfree model <netlist|bench> [-o M.cfm] [--kernel] [--max N]
-//!                [--upper-bound] [--library L.lib] [--paper-plain]
-//!                [--node-budget N] [--time-budget SECS] [--strict]
-//! charfree eval <model|kernel|netlist|bench> [--vectors N] [--sp P]
-//!                [--st P] [--vdd V] [--period NS] [--seed S] [--jobs N]
-//! charfree datasheet <model|netlist|bench> [--top K]
-//! charfree sim <netlist.{blif,v}> [--vectors N] [--sp P] [--st P]
-//!                [--library L.lib] [--seed S]
-//! charfree bench <name> [--format blif|verilog]
-//! ```
+//! `eval`, `trace`, `expected` and `seqeval` run the same way offline
+//! and through `charfree client`, as request → handler → render:
 //!
-//! Every subcommand that builds or evaluates also accepts:
+//! 1. one parser (`parse_request`) turns `<cmd> <operand> [flags]` into
+//!    a [`charfree_serve::Request`] plus the report-only flags (`--vdd`,
+//!    `--period`, `-o`). Each transport adds only its own flags: offline
+//!    `--jobs` (eval and trace), `--library`, `--cache-dir` and
+//!    `--telemetry`; `client` `--addr`, `--proto`, `--retries` and
+//!    `--deadline-ms`;
+//! 2. offline, [`charfree_serve::handler`] answers the request on this
+//!    process's [`PipelineCtx`] (the trace engine evaluates `eval` and
+//!    `trace` on `--jobs` workers); `client` sends it to a server, which
+//!    answers through the same handler over its model registry;
+//! 3. both print the [`charfree_serve::Response`] through one renderer,
+//!    so their stdout is byte-identical.
 //!
-//! * `--cache-dir DIR` — a content-addressed artifact store; identical
-//!   (netlist, library, options) runs warm-load the compiled kernel and
-//!   perform zero ADD apply steps, with byte-identical stdout.
-//! * `--telemetry json` — the pipeline's per-stage event stream (wall
-//!   time, node counts, degradation rungs, cache hits/misses), printed
-//!   to **stderr** so stdout stays stable across cold and warm runs.
+//! `--cache-dir DIR` attaches a content-addressed artifact store:
+//! identical (netlist, library, options) runs warm-load the compiled
+//! kernel and perform zero ADD apply steps, with byte-identical stdout.
+//! `--telemetry json` prints the pipeline's per-stage event stream to
+//! **stderr**, so stdout stays stable across cold and warm runs.
 //!
 //! Operands are classified by [`Source::infer`]: `.cfk` loads a compiled
 //! kernel (no diagram arena is built at all), `.cfm` a saved model,
@@ -36,7 +38,10 @@ use charfree_core::PowerModel;
 use charfree_netlist::units::Voltage;
 use charfree_netlist::{blif, libspec, verilog, Library};
 use charfree_pipeline::{ArtifactStore, BuildOptions, PipelineCtx, Source};
-use charfree_sim::{check_statistics, MarkovSource, ZeroDelaySim};
+use charfree_serve::handler::{self, ModelSource};
+use charfree_serve::proto::WireMacroSummary;
+use charfree_serve::{Request, Response, WireBuildOptions, WireEvalParams};
+use charfree_sim::{check_statistics, ZeroDelaySim};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
@@ -57,11 +62,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         .ok_or_else(|| usage("missing subcommand"))?;
     match command.as_str() {
         "model" => cmd_model(rest),
-        "eval" => cmd_eval(rest),
-        "seqeval" => cmd_seqeval(rest),
+        "eval" | "trace" | "expected" | "seqeval" => cmd_offline(command, rest),
         "datasheet" => cmd_datasheet(rest),
-        "expected" => cmd_expected(rest),
-        "trace" => cmd_trace(rest),
         "sim" => cmd_sim(rest),
         "bench" => cmd_bench(rest),
         "serve" => cmd_serve(rest),
@@ -77,7 +79,8 @@ fn usage(prefix: &str) -> String {
     if !prefix.is_empty() {
         let _ = writeln!(out, "error: {prefix}\n");
     }
-    out.push_str(
+    let _ = write!(
+        out,
         "charfree — characterization-free behavioral power modeling\n\
          \n\
          usage:\n\
@@ -93,7 +96,7 @@ fn usage(prefix: &str) -> String {
          \x20 charfree trace <model|kernel|netlist|bench> [--vectors N] [--sp P]\n\
          \x20                [--st P] [--vdd V] [--period NS] [--seed S] [--jobs N]\n\
          \x20                [-o out.csv]\n\
-         \x20 charfree sim <netlist.{blif,v}> [--vectors N] [--sp P] [--st P]\n\
+         \x20 charfree sim <netlist.{{blif,v}}> [--vectors N] [--sp P] [--st P]\n\
          \x20                [--library L.lib] [--seed S]\n\
          \x20 charfree bench <name> [--format blif|verilog]\n\
          \x20 charfree serve [--addr HOST:PORT] [--jobs N] [--batch-window DUR]\n\
@@ -103,12 +106,10 @@ fn usage(prefix: &str) -> String {
          \x20                [--metrics-addr HOST:PORT]\n\
          \x20                [--library L.lib] [--cache-dir DIR] [--quiet]\n\
          \x20                [--breaker-failures K] [--breaker-open-ms MS]\n\
-         \x20 charfree client <load|eval|trace|expected|seqload|seqeval\n\
-         \x20                |stats|metrics|shutdown>\n\
+         \x20 charfree client <{CLIENT_SUBCOMMANDS}>\n\
          \x20                [operand] [--addr HOST:PORT] [--proto json|binary]\n\
          \x20                [--deadline-ms N] [--retries N]\n\
-         \x20                [eval/trace flags]\n\
-         \x20                [build flags: --max N --node-budget N --strict --upper-bound]\n\
+         \x20                [eval/trace/expected/seqeval flags, without --jobs]\n\
          \x20 charfree conform [--cases N] [--seq-cases N] [--seed S] [--vectors N] [--corpus DIR]\n\
          \x20                [--shrink] [--no-serve] [--no-delta] [--no-campaigns]\n\
          \x20                [--campaign standard|chaos|all] [--chaos-faults N]\n\
@@ -118,6 +119,9 @@ fn usage(prefix: &str) -> String {
          (`--cache-dir` warm-loads identical builds from a content-addressed\n\
          artifact store; `--telemetry json` streams per-stage events to stderr)\n\
          \n\
+         `eval`, `trace` and `seqeval`, offline and through `client`, and\n\
+         `client load|seqload` take the build flags of the model they address:\n\
+         \x20                [--max N] [--node-budget N] [--strict] [--upper-bound]\n\
          `--jobs N` (eval, trace, serve) needs N >= 1; omit it for one worker per\n\
          available core. results are bit-identical for every worker count.\n\
          `--batch-window` takes `0`, `200us`, `5ms` or `1s`;\n\
@@ -180,13 +184,17 @@ impl<'a> Flags<'a> {
         Ok(None)
     }
 
+    fn parse_opt<T: std::str::FromStr>(&mut self, name: &str) -> Result<Option<T>, CliError> {
+        self.value(name)?
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("bad value `{v}` for `{name}`"))
+            })
+            .transpose()
+    }
+
     fn parse<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, CliError> {
-        match self.value(name)? {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad value `{v}` for `{name}`")),
-        }
+        Ok(self.parse_opt(name)?.unwrap_or(default))
     }
 
     fn finish(self) -> Result<(), CliError> {
@@ -204,17 +212,13 @@ impl<'a> Flags<'a> {
 /// the flag still means "one worker per available core" (returned as
 /// `0`, the engine's auto sentinel).
 fn parse_jobs(flags: &mut Flags<'_>) -> Result<usize, CliError> {
-    match flags.value("--jobs")? {
-        None => Ok(0),
-        Some(v) => match v.parse::<usize>() {
-            Ok(0) => Err(
-                "`--jobs 0` is not a valid worker count; pass `--jobs N` with N >= 1, \
-                 or omit the flag to use one worker per available core"
-                    .to_owned(),
-            ),
-            Ok(n) => Ok(n),
-            Err(_) => Err(format!("bad value `{v}` for `--jobs`")),
-        },
+    match flags.parse_opt("--jobs")? {
+        Some(0) => Err(
+            "`--jobs 0` is not a valid worker count; pass `--jobs N` with N >= 1, \
+             or omit the flag to use one worker per available core"
+                .to_owned(),
+        ),
+        jobs => Ok(jobs.unwrap_or(0)),
     }
 }
 
@@ -260,12 +264,6 @@ impl Session {
         })
     }
 
-    /// Applies the run's build options to the context.
-    fn with_options(mut self, options: BuildOptions) -> Self {
-        self.ctx = self.ctx.with_options(options);
-        self
-    }
-
     /// Emits the telemetry stream (stderr, so stdout stays byte-identical
     /// between cold and warm runs) and returns the report unchanged.
     fn finish(&self, report: String) -> Result<String, CliError> {
@@ -276,34 +274,92 @@ impl Session {
     }
 }
 
-/// The evaluation parameters shared by the trace-shaped subcommands.
-struct EvalParams {
-    vectors: usize,
-    sp: f64,
-    st: f64,
+/// The flags that shape a report but never reach the model: `--vdd`,
+/// `--period` and `trace`'s `-o`. Requests that print no energy leave
+/// it at its default, which nothing reads.
+#[derive(Default)]
+struct Render {
     vdd: f64,
     period: f64,
-    seed: u64,
+    out: Option<String>,
 }
 
-impl EvalParams {
-    fn parse(flags: &mut Flags<'_>, default_vectors: usize) -> Result<EvalParams, CliError> {
-        Ok(EvalParams {
-            vectors: flags.parse("--vectors", default_vectors)?,
-            sp: flags.parse("--sp", 0.5)?,
-            st: flags.parse("--st", 0.5)?,
-            vdd: flags.parse("--vdd", 3.3)?,
-            period: flags.parse("--period", 10.0)?,
-            seed: flags.parse("--seed", 1)?,
-        })
-    }
+/// The pattern-stream flags. Statistics are checked here, before any
+/// model is built or any request is sent.
+fn parse_params(flags: &mut Flags<'_>, default_vectors: usize) -> Result<WireEvalParams, CliError> {
+    let params = WireEvalParams {
+        vectors: flags.parse("--vectors", default_vectors)?,
+        sp: flags.parse("--sp", 0.5)?,
+        st: flags.parse("--st", 0.5)?,
+        seed: flags.parse("--seed", 1)?,
+        deadline_ms: None,
+    };
+    check_statistics(params.sp, params.st).map_err(|e| e.to_string())?;
+    Ok(params)
+}
 
-    /// The Markov-source pattern sequence these parameters describe.
-    fn patterns(&self, num_inputs: usize) -> Result<Vec<Vec<bool>>, CliError> {
-        let mut source = MarkovSource::new(num_inputs, self.sp, self.st, self.seed)
-            .map_err(|e| e.to_string())?;
-        Ok(source.sequence(self.vectors.max(2)))
+/// The build flags (`--max`, `--node-budget`, `--strict`,
+/// `--upper-bound`) that pick which model a request addresses.
+fn parse_build_options(flags: &mut Flags<'_>) -> Result<WireBuildOptions, CliError> {
+    let max: usize = flags.parse("--max", 0)?;
+    let node_budget: u64 = flags.parse("--node-budget", 0)?;
+    Ok(WireBuildOptions {
+        max_nodes: (max > 0).then_some(max),
+        node_budget: (node_budget > 0).then_some(node_budget),
+        strict: flags.flag("--strict"),
+        upper_bound: flags.flag("--upper-bound"),
+        deadline_ms: None,
+    })
+}
+
+/// Parses `eval|trace|expected|seqeval <operand> [flags]` into the
+/// request and its render spec. Offline and `client` both parse here,
+/// so each command takes the same flags whichever transport runs it;
+/// each transport then parses only its own extra flags.
+fn parse_request(
+    cmd: &str,
+    flags: &mut Flags<'_>,
+    deadline_ms: Option<u64>,
+) -> Result<(Request, Render), CliError> {
+    let source = flags.positional()?.to_owned();
+    if cmd == "expected" {
+        let (sp, st) = (flags.parse("--sp", 0.5)?, flags.parse("--st", 0.5)?);
+        check_statistics(sp, st).map_err(|e| e.to_string())?;
+        return Ok((Request::Expected { source, sp, st }, Render::default()));
     }
+    let trace = cmd == "trace";
+    let params = WireEvalParams {
+        deadline_ms,
+        ..parse_params(flags, if trace { 1000 } else { 10_000 })?
+    };
+    let render = Render {
+        vdd: flags.parse("--vdd", 3.3)?,
+        period: flags.parse("--period", 10.0)?,
+        out: if trace {
+            flags.value("-o")?.map(str::to_owned)
+        } else {
+            None
+        },
+    };
+    let options = parse_build_options(flags)?;
+    let request = match cmd {
+        "eval" => Request::Eval {
+            source,
+            options,
+            params,
+        },
+        "trace" => Request::Trace {
+            source,
+            options,
+            params,
+        },
+        _ => Request::SeqEval {
+            source,
+            options,
+            params,
+        },
+    };
+    Ok((request, render))
 }
 
 fn cmd_model(args: &[String]) -> Result<String, CliError> {
@@ -311,11 +367,8 @@ fn cmd_model(args: &[String]) -> Result<String, CliError> {
     let mut session = Session::from_flags(&mut flags)?;
     let operand = flags.positional()?;
     let out_path = flags.value("-o")?.map(str::to_owned);
-    let max: usize = flags.parse("--max", 0)?;
-    let node_budget: u64 = flags.parse("--node-budget", 0)?;
+    let build = parse_build_options(&mut flags)?;
     let time_budget: f64 = flags.parse("--time-budget", 0.0)?;
-    let strict = flags.flag("--strict");
-    let upper_bound = flags.flag("--upper-bound");
     let paper_plain = flags.flag("--paper-plain");
     let emit_kernel = flags.flag("--kernel");
     flags.finish()?;
@@ -331,18 +384,14 @@ fn cmd_model(args: &[String]) -> Result<String, CliError> {
     } else {
         BuildOptions::default()
     };
-    if max > 0 {
-        options.max_nodes = Some(max);
-    }
-    if node_budget > 0 {
-        options.node_budget = Some(node_budget);
-    }
+    options.max_nodes = build.max_nodes;
+    options.node_budget = build.node_budget;
+    options.strict = build.strict;
+    options.upper_bound = build.upper_bound;
     if time_budget > 0.0 {
         options.time_budget = Some(std::time::Duration::from_secs_f64(time_budget));
     }
-    options.strict = strict;
-    options.upper_bound = upper_bound;
-    session = session.with_options(options);
+    session.ctx.set_options(options);
 
     let netlist = session
         .ctx
@@ -404,51 +453,184 @@ fn cmd_model(args: &[String]) -> Result<String, CliError> {
     session.finish(report)
 }
 
-fn cmd_eval(args: &[String]) -> Result<String, CliError> {
+/// `eval`, `trace`, `expected` and `seqeval` offline: the shared
+/// request, run on this process's pipeline, rendered as `client` does.
+fn cmd_offline(cmd: &str, args: &[String]) -> Result<String, CliError> {
     let mut flags = Flags::new(args);
     let mut session = Session::from_flags(&mut flags)?;
-    let operand = flags.positional()?;
-    let params = EvalParams::parse(&mut flags, 10_000)?;
-    let jobs = parse_jobs(&mut flags)?;
+    let jobs = match cmd {
+        "eval" | "trace" => parse_jobs(&mut flags)?,
+        _ => 0,
+    };
+    let (request, render) = parse_request(cmd, &mut flags, None)?;
     flags.finish()?;
-
-    let kernel = session
-        .ctx
-        .kernel_for(&Source::infer(operand))
-        .map_err(|e| e.to_string())?;
-    let patterns = params.patterns(kernel.num_inputs())?;
-    // Compiled-kernel fast path: batch-evaluate the switched capacitance
-    // of the whole stream, then scale by Vdd² (energy is monotone in C,
-    // so the summary's max is the energy peak too).
-    let summary = session.ctx.evaluate(&kernel, &patterns, jobs);
-    session.finish(eval_report(
-        kernel.name(),
-        patterns.len(),
-        &params,
-        &summary,
-    ))
+    let response = handle_offline(&mut session.ctx, &request, jobs).map_err(error_message)?;
+    session.finish(render_response(&request, &render, response)?)
 }
 
-/// Renders the `eval` report from a capacitance-domain summary. Shared
-/// by the offline path and `charfree client eval` (the summary crosses
-/// the wire bit-exactly), which is what keeps the two outputs
-/// byte-identical.
+/// An offline failure prints the typed error's message alone.
+fn error_message(response: Response) -> CliError {
+    match response {
+        Response::Error { message, .. } => message,
+        other => format!("unexpected response {other:?}"),
+    }
+}
+
+/// Runs a parsed request offline. `expected` and `seqeval` go through
+/// the shared handlers; `eval` and `trace` run the trace engine on
+/// `jobs` workers and wrap its result as the server does.
+fn handle_offline(
+    ctx: &mut PipelineCtx,
+    request: &Request,
+    jobs: usize,
+) -> Result<Response, Response> {
+    match request {
+        Request::Eval {
+            source,
+            options,
+            params,
+        }
+        | Request::Trace {
+            source,
+            options,
+            params,
+        } => {
+            let (kernel, _, _) = ctx.kernel(source, options)?;
+            let patterns = handler::markov_patterns(kernel.num_inputs(), params)?;
+            let name = kernel.name().to_owned();
+            Ok(match request {
+                Request::Trace { .. } => Response::Trace {
+                    name,
+                    values: ctx.trace(&kernel, &patterns, jobs),
+                },
+                _ => handler::eval_response(name, &ctx.evaluate(&kernel, &patterns, jobs)),
+            })
+        }
+        Request::Expected { source, sp, st } => handler::expected(ctx, source, *sp, *st),
+        Request::SeqEval {
+            source,
+            options,
+            params,
+        } => handler::seq_eval(ctx, source, options, params),
+        other => unreachable!("`{}` is not parsed offline", other.cmd()),
+    }
+}
+
+/// Prints a response. Offline and `client` both render here, from
+/// fields that cross the wire bit-exactly, which is what keeps their
+/// stdout byte-identical.
+fn render_response(
+    request: &Request,
+    render: &Render,
+    response: Response,
+) -> Result<String, CliError> {
+    match (request, response) {
+        (
+            Request::Eval { params, .. },
+            Response::Eval {
+                name,
+                transitions,
+                sum_ff,
+                max_ff,
+            },
+        ) => Ok(eval_report(
+            &format!("model `{name}`"),
+            (transitions, sum_ff, max_ff),
+            params,
+            render,
+        )),
+        (Request::Trace { .. }, Response::Trace { values, .. }) => trace_report(&values, render),
+        (Request::Expected { sp, st, .. }, Response::Expected { name, value }) => {
+            Ok(expected_report(&name, *sp, *st, value))
+        }
+        (
+            Request::SeqEval { params, .. },
+            Response::SeqEval {
+                name,
+                transitions,
+                sum_ff,
+                max_ff,
+                macros,
+            },
+        ) => Ok(seq_eval_report(
+            &name,
+            (transitions, sum_ff, max_ff),
+            &macros,
+            params,
+            render,
+        )),
+        (
+            _,
+            Response::Load {
+                name,
+                instrs,
+                terminals,
+                bytes,
+                apply_steps,
+                resident,
+            },
+        ) => Ok(format!(
+            "loaded `{name}`: {instrs} instrs, {terminals} terminals, {bytes} bytes ({})\n",
+            warmth(resident, apply_steps, "warm, 0 apply steps".to_owned())
+        )),
+        (
+            _,
+            Response::SeqLoad {
+                name,
+                macros,
+                latches,
+                instrs,
+                bytes,
+                apply_steps,
+                cache_hits,
+                resident,
+            },
+        ) => Ok(format!(
+            "loaded sequential `{name}`: {macros} macros, {latches} latches, \
+             {instrs} instrs, {bytes} bytes ({})\n",
+            warmth(
+                resident,
+                apply_steps,
+                format!("warm, 0 apply steps, {cache_hits} artifact hits")
+            )
+        )),
+        (_, Response::Stats(payload)) => Ok(format!("{}\n", payload.to_line())),
+        (_, Response::Metrics(text)) => Ok(text),
+        (_, other) => Err(format!("unexpected response {other:?}")),
+    }
+}
+
+/// How warm a `load`/`seqload` was.
+fn warmth(resident: bool, apply_steps: u64, warm: String) -> String {
+    if resident {
+        "registry-resident".to_owned()
+    } else if apply_steps == 0 {
+        warm
+    } else {
+        format!("cold, {apply_steps} apply steps")
+    }
+}
+
+/// Renders the `eval` report from a capacitance-domain summary
+/// `(transitions, sum_ff, max_ff)`, scaled by Vdd² (energy is monotone
+/// in C, so the summary's max is the energy peak too). `what` names the
+/// model; `seqeval`'s report starts with the same lines.
 fn eval_report(
-    name: &str,
-    vectors: usize,
-    params: &EvalParams,
-    summary: &charfree_engine::TraceSummary,
+    what: &str,
+    (transitions, sum_ff, max_ff): (usize, f64, f64),
+    params: &WireEvalParams,
+    render: &Render,
 ) -> String {
-    let vdd = Voltage(params.vdd);
-    let sum = vdd.volts() * vdd.volts() * summary.sum_ff;
-    let peak = (vdd.volts() * vdd.volts() * summary.max_ff).max(0.0);
-    let cycles = summary.transitions as f64;
-    let (sp, st, period) = (params.sp, params.st, params.period);
+    let v2 = render.vdd * render.vdd;
+    let sum = v2 * sum_ff;
+    let peak = (v2 * max_ff).max(0.0);
+    let cycles = transitions as f64;
+    let (sp, st, vdd, period) = (params.sp, params.st, render.vdd, render.period);
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "model `{name}` on {vectors} vectors (sp={sp}, st={st}, Vdd={} V, T={period} ns):",
-        vdd.volts()
+        "{what} on {} vectors (sp={sp}, st={st}, Vdd={vdd} V, T={period} ns):",
+        transitions + 1
     );
     let _ = writeln!(report, "  average energy/cycle: {:.2} fJ", sum / cycles);
     let _ = writeln!(
@@ -461,68 +643,70 @@ fn eval_report(
     report
 }
 
-fn cmd_seqeval(args: &[String]) -> Result<String, CliError> {
-    let mut flags = Flags::new(args);
-    let mut session = Session::from_flags(&mut flags)?;
-    let operand = flags.positional()?;
-    let params = EvalParams::parse(&mut flags, 10_000)?;
-    flags.finish()?;
-
-    let text = fs::read_to_string(operand).map_err(|e| format!("{operand}: {e}"))?;
-    let seq = blif::parse_seq(&text).map_err(|e| format!("{operand}: {e}"))?;
-    let model = charfree_seq::SeqModel::build(&mut session.ctx, seq).map_err(|e| e.to_string())?;
-    let patterns = params.patterns(model.num_inputs())?;
-    let summary = model.eval_fused(&patterns);
-    session.finish(seq_eval_report(
-        model.name(),
-        patterns.len(),
-        &params,
-        &summary,
-    ))
-}
-
-/// Renders the `seqeval` report. Shared by the offline path and
-/// `charfree client seqeval`: every number below derives from fields
-/// that cross the wire bit-exactly, so the two outputs are
-/// byte-identical.
+/// Renders the `seqeval` report: the `eval` lines for the whole design,
+/// then the per-macro breakdown.
 fn seq_eval_report(
     name: &str,
-    vectors: usize,
-    params: &EvalParams,
-    summary: &charfree_seq::SeqSummary,
+    total: (usize, f64, f64),
+    macros: &[WireMacroSummary],
+    params: &WireEvalParams,
+    render: &Render,
 ) -> String {
-    let vdd = Voltage(params.vdd);
-    let v2 = vdd.volts() * vdd.volts();
-    let sum = v2 * summary.total.sum_ff;
-    let peak = (v2 * summary.total.max_ff).max(0.0);
-    let cycles = summary.total.transitions as f64;
-    let (sp, st, period) = (params.sp, params.st, params.period);
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "sequential model `{name}` ({} macros) on {vectors} vectors (sp={sp}, st={st}, Vdd={} V, T={period} ns):",
-        summary.per_macro.len(),
-        vdd.volts()
-    );
-    let _ = writeln!(report, "  average energy/cycle: {:.2} fJ", sum / cycles);
-    let _ = writeln!(
-        report,
-        "  average power:        {:.3} uW",
-        sum / cycles / period
-    );
-    let _ = writeln!(report, "  peak energy/cycle:    {peak:.2} fJ");
-    let _ = writeln!(report, "  peak power:           {:.3} uW", peak / period);
+    let what = format!("sequential model `{name}` ({} macros)", macros.len());
+    let mut report = eval_report(&what, total, params, render);
+    let v2 = render.vdd * render.vdd;
+    let cycles = total.0 as f64;
     let _ = writeln!(report, "  per-macro breakdown:");
-    for m in &summary.per_macro {
+    for m in macros {
         let _ = writeln!(
             report,
             "    {:<20} avg {:.2} fJ/cycle  peak {:.2} fJ",
             m.name,
-            v2 * m.summary.sum_ff / cycles,
-            (v2 * m.summary.max_ff).max(0.0)
+            v2 * m.sum_ff / cycles,
+            (v2 * m.max_ff).max(0.0)
         );
     }
     report
+}
+
+/// Renders the `expected` report.
+fn expected_report(name: &str, sp: f64, st: f64, c: f64) -> String {
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "analytic expected switched capacitance of `{name}` at (sp={sp}, st={st}): {c:.3} fF/cycle"
+    );
+    let _ = writeln!(report, "(symbolic — no simulation vectors involved)");
+    report
+}
+
+/// Renders the `trace` output (CSV to stdout, or a summary line after
+/// writing `-o`) from per-transition switched capacitance.
+fn trace_report(values_ff: &[f64], render: &Render) -> Result<String, CliError> {
+    let caps: Vec<_> = values_ff
+        .iter()
+        .copied()
+        .map(charfree_netlist::units::Capacitance)
+        .collect();
+    let trace = charfree_sim::EnergyTrace::from_switched(&caps, Voltage(render.vdd), render.period);
+
+    let mut csv = Vec::new();
+    trace.write_csv(&mut csv).map_err(|e| e.to_string())?;
+    match &render.out {
+        Some(path) => {
+            fs::write(path, csv).map_err(|e| format!("{path}: {e}"))?;
+            let mut report = String::new();
+            let _ = writeln!(
+                report,
+                "wrote {} cycles to {path} (avg {:.3} uW, windowed-16 peak {:.2} fJ)",
+                trace.len(),
+                trace.average_power().microwatts(),
+                trace.windowed_peak_energy(16).femtojoules()
+            );
+            Ok(report)
+        }
+        None => String::from_utf8(csv).map_err(|e| e.to_string()),
+    }
 }
 
 fn cmd_datasheet(args: &[String]) -> Result<String, CliError> {
@@ -571,113 +755,11 @@ fn cmd_datasheet(args: &[String]) -> Result<String, CliError> {
     session.finish(report)
 }
 
-fn cmd_expected(args: &[String]) -> Result<String, CliError> {
-    let mut flags = Flags::new(args);
-    let mut session = Session::from_flags(&mut flags)?;
-    let operand = flags.positional()?;
-    let sp: f64 = flags.parse("--sp", 0.5)?;
-    let st: f64 = flags.parse("--st", 0.5)?;
-    flags.finish()?;
-    // The analytic chain measure asserts feasibility; reject bad
-    // statistics before it does.
-    check_statistics(sp, st).map_err(|e| e.to_string())?;
-    // The flat kernel evaluates the expectation without touching the
-    // manager arena; grouped-ordering models (whose pair correlation is
-    // not chain-expressible on the kernel) fall back to the arena path,
-    // which needs a model-carrying source.
-    let source = Source::infer(operand);
-    let kernel = session.ctx.kernel_for(&source).map_err(|e| e.to_string())?;
-    let c = if kernel.is_interleaved() {
-        kernel.expected_capacitance(sp, st)
-    } else if matches!(source, Source::KernelFile(_)) {
-        return Err("grouped-ordering kernels cannot evaluate expectations; \
-             pass the `.cfm` model instead"
-            .to_owned());
-    } else {
-        // Cache-friendly fallback: with a store attached the model this
-        // re-derives is a warm artifact hit, not a second build.
-        session
-            .ctx
-            .model_for(&source)
-            .map_err(|e| e.to_string())?
-            .expected_capacitance(sp, st)
-            .femtofarads()
-    };
-    session.finish(expected_report(kernel.name(), sp, st, c))
-}
-
-/// Renders the `expected` report (shared with `charfree client
-/// expected`; `c` crosses the wire bit-exactly).
-fn expected_report(name: &str, sp: f64, st: f64, c: f64) -> String {
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "analytic expected switched capacitance of `{name}` at (sp={sp}, st={st}): {c:.3} fF/cycle"
-    );
-    let _ = writeln!(report, "(symbolic — no simulation vectors involved)");
-    report
-}
-
-fn cmd_trace(args: &[String]) -> Result<String, CliError> {
-    let mut flags = Flags::new(args);
-    let mut session = Session::from_flags(&mut flags)?;
-    let operand = flags.positional()?;
-    let params = EvalParams::parse(&mut flags, 1000)?;
-    let jobs = parse_jobs(&mut flags)?;
-    let out_path = flags.value("-o")?.map(str::to_owned);
-    flags.finish()?;
-
-    let kernel = session
-        .ctx
-        .kernel_for(&Source::infer(operand))
-        .map_err(|e| e.to_string())?;
-    let patterns = params.patterns(kernel.num_inputs())?;
-    let values = session.ctx.trace(&kernel, &patterns, jobs);
-    session.finish(trace_report(&values, &params, out_path.as_deref())?)
-}
-
-/// Renders the `trace` output (CSV to stdout, or a summary line after
-/// writing `-o`) from per-transition switched capacitance. Shared with
-/// `charfree client trace`, whose values cross the wire bit-exactly.
-fn trace_report(
-    values_ff: &[f64],
-    params: &EvalParams,
-    out_path: Option<&str>,
-) -> Result<String, CliError> {
-    let caps: Vec<_> = values_ff
-        .iter()
-        .copied()
-        .map(charfree_netlist::units::Capacitance)
-        .collect();
-    let trace = charfree_sim::EnergyTrace::from_switched(&caps, Voltage(params.vdd), params.period);
-
-    let mut csv = Vec::new();
-    trace.write_csv(&mut csv).map_err(|e| e.to_string())?;
-    match out_path {
-        Some(path) => {
-            fs::write(path, csv).map_err(|e| format!("{path}: {e}"))?;
-            let mut report = String::new();
-            let _ = writeln!(
-                report,
-                "wrote {} cycles to {path} (avg {:.3} uW, windowed-16 peak {:.2} fJ)",
-                trace.len(),
-                trace.average_power().microwatts(),
-                trace.windowed_peak_energy(16).femtojoules()
-            );
-            Ok(report)
-        }
-        None => String::from_utf8(csv).map_err(|e| e.to_string()),
-    }
-}
-
 fn cmd_sim(args: &[String]) -> Result<String, CliError> {
     let mut flags = Flags::new(args);
     let mut session = Session::from_flags(&mut flags)?;
     let netlist_path = flags.positional()?;
-    let vectors: usize = flags.parse("--vectors", 10_000)?;
-    let sp: f64 = flags.parse("--sp", 0.5)?;
-    let st: f64 = flags.parse("--st", 0.5)?;
-    let seed: u64 = flags.parse("--seed", 1)?;
+    let params = parse_params(&mut flags, 10_000)?;
     flags.finish()?;
 
     let netlist = session
@@ -685,9 +767,8 @@ fn cmd_sim(args: &[String]) -> Result<String, CliError> {
         .load_netlist(&Source::infer(netlist_path))
         .map_err(|e| e.to_string())?;
     let sim = ZeroDelaySim::new(&netlist);
-    let mut source =
-        MarkovSource::new(netlist.num_inputs(), sp, st, seed).map_err(|e| e.to_string())?;
-    let patterns = source.sequence(vectors.max(2));
+    let patterns =
+        handler::markov_patterns(netlist.num_inputs(), &params).map_err(error_message)?;
     let trace = sim.switching_trace(&patterns);
     let avg = trace.iter().map(|c| c.femtofarads()).sum::<f64>() / trace.len() as f64;
     let peak = trace
@@ -697,9 +778,11 @@ fn cmd_sim(args: &[String]) -> Result<String, CliError> {
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "gate-level simulation of `{}`: {} vectors (sp={sp}, st={st})",
+        "gate-level simulation of `{}`: {} vectors (sp={}, st={})",
         netlist.name(),
-        patterns.len()
+        patterns.len(),
+        params.sp,
+        params.st
     );
     let _ = writeln!(report, "  average switched capacitance: {avg:.2} fF/cycle");
     let _ = writeln!(report, "  peak switched capacitance:    {peak:.2} fF");
@@ -836,10 +919,10 @@ fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     Ok(String::new())
 }
 
-/// Turns a typed server error into a CLI failure message.
-fn expect_ok(response: charfree_serve::Response) -> Result<charfree_serve::Response, CliError> {
+/// Turns a typed error response into a CLI failure message.
+fn expect_ok(response: Response) -> Result<Response, CliError> {
     match response {
-        charfree_serve::Response::Error {
+        Response::Error {
             kind,
             message,
             retry_after_ms,
@@ -854,51 +937,17 @@ fn expect_ok(response: charfree_serve::Response) -> Result<charfree_serve::Respo
     }
 }
 
-/// The build flags every model-addressing `client` subcommand takes
-/// (`--max`, `--node-budget`, `--strict`, `--upper-bound`), so a request
-/// targets exactly the model a prior load pinned. The deadline is left
-/// to the caller.
-fn client_build_options(
-    flags: &mut Flags<'_>,
-) -> Result<charfree_serve::WireBuildOptions, CliError> {
-    let max: usize = flags.parse("--max", 0)?;
-    let node_budget: u64 = flags.parse("--node-budget", 0)?;
-    Ok(charfree_serve::WireBuildOptions {
-        max_nodes: (max > 0).then_some(max),
-        node_budget: (node_budget > 0).then_some(node_budget),
-        strict: flags.flag("--strict"),
-        upper_bound: flags.flag("--upper-bound"),
-        deadline_ms: None,
-    })
-}
+/// The subcommands `charfree client` takes.
+const CLIENT_SUBCOMMANDS: &str = "load|eval|trace|expected|seqload|seqeval|stats|metrics|shutdown";
 
-/// The wire form of a client's pattern-stream flags.
-fn wire_params(params: &EvalParams, deadline_ms: Option<u64>) -> charfree_serve::WireEvalParams {
-    charfree_serve::WireEvalParams {
-        vectors: params.vectors,
-        sp: params.sp,
-        st: params.st,
-        seed: params.seed,
-        deadline_ms,
-    }
-}
-
-fn parse_deadline_ms(flags: &mut Flags<'_>) -> Result<Option<u64>, CliError> {
-    match flags.value("--deadline-ms")? {
-        None => Ok(None),
-        Some(v) => v
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("bad value `{v}` for `--deadline-ms`")),
-    }
-}
-
+/// `charfree client`: the offline grammar for `eval`, `trace`,
+/// `expected` and `seqeval` (see [`parse_request`]) plus the transport
+/// flags `--addr`, `--proto`, `--retries` and `--deadline-ms`; the
+/// response renders through the offline formatters.
 fn cmd_client(args: &[String]) -> Result<String, CliError> {
-    use charfree_serve::{Request, Response};
-    let (sub, rest) = args.split_first().ok_or_else(|| {
-        "client: missing subcommand (load|eval|trace|expected|seqload|seqeval|stats|shutdown)"
-            .to_owned()
-    })?;
+    let (sub, rest) = args
+        .split_first()
+        .ok_or_else(|| format!("client: missing subcommand ({CLIENT_SUBCOMMANDS})"))?;
     let mut flags = Flags::new(rest);
     let addr = flags
         .value("--addr")?
@@ -910,230 +959,53 @@ fn cmd_client(args: &[String]) -> Result<String, CliError> {
     // hint. Default 0 keeps the historical single-shot behavior.
     let retries: u32 = flags.parse("--retries", 0)?;
     let proto = charfree_serve::Proto::parse(flags.value("--proto")?.unwrap_or("json"))?;
-    let policy = charfree_serve::RetryPolicy {
-        retries,
-        ..charfree_serve::RetryPolicy::default()
-    };
-    let connect = |addr: &str| {
-        charfree_serve::Client::connect_with(addr, proto)
-            .map_err(|e| format!("connect {addr}: {e}"))
-    };
-    // One request on a fresh connection, retried under `policy`; a typed
-    // server error becomes the CLI failure.
-    let send = |request: &Request| {
-        let response = connect(&addr)?
-            .request_with_retries(request, &policy)
-            .map_err(|e| e.to_string())?;
-        expect_ok(response)
-    };
-    match sub.as_str() {
-        "load" | "build" => {
-            let operand = flags.positional()?.to_owned();
-            let mut options = client_build_options(&mut flags)?;
-            options.deadline_ms = parse_deadline_ms(&mut flags)?;
-            flags.finish()?;
-            match send(&Request::Load {
-                source: operand,
-                options,
-            })? {
-                Response::Load {
-                    name,
-                    instrs,
-                    terminals,
-                    bytes,
-                    apply_steps,
-                    resident,
-                } => {
-                    let mut report = String::new();
-                    let temp = if resident {
-                        "registry-resident".to_owned()
-                    } else if apply_steps == 0 {
-                        "warm, 0 apply steps".to_owned()
-                    } else {
-                        format!("cold, {apply_steps} apply steps")
-                    };
-                    let _ = writeln!(
-                        report,
-                        "loaded `{name}`: {instrs} instrs, {terminals} terminals, {bytes} bytes ({temp})"
-                    );
-                    Ok(report)
-                }
-                other => Err(format!("unexpected response {other:?}")),
-            }
+    let (request, render) = match sub.as_str() {
+        "expected" => parse_request(sub, &mut flags, None)?,
+        "eval" | "trace" | "seqeval" => {
+            let deadline_ms = flags.parse_opt("--deadline-ms")?;
+            parse_request(sub, &mut flags, deadline_ms)?
         }
-        "eval" | "trace" => {
-            let want_trace = sub == "trace";
-            let operand = flags.positional()?.to_owned();
-            let params = EvalParams::parse(&mut flags, if want_trace { 1000 } else { 10_000 })?;
-            let deadline_ms = parse_deadline_ms(&mut flags)?;
-            let options = client_build_options(&mut flags)?;
-            let out_path = if want_trace {
-                flags.value("-o")?.map(str::to_owned)
-            } else {
-                None
+        "load" | "build" | "seqload" => {
+            let deadline_ms = flags.parse_opt("--deadline-ms")?;
+            let source = flags.positional()?.to_owned();
+            let options = WireBuildOptions {
+                deadline_ms,
+                ..parse_build_options(&mut flags)?
             };
-            flags.finish()?;
-            let wire = wire_params(&params, deadline_ms);
-            let request = if want_trace {
-                Request::Trace {
-                    source: operand,
-                    options,
-                    params: wire,
-                }
-            } else {
-                Request::Eval {
-                    source: operand,
-                    options,
-                    params: wire,
-                }
+            let request = match sub.as_str() {
+                "seqload" => Request::SeqLoad { source, options },
+                _ => Request::Load { source, options },
             };
-            match send(&request)? {
-                Response::Eval {
-                    name,
-                    transitions,
-                    sum_ff,
-                    max_ff,
-                } => {
-                    // The summary crossed the wire bit-exactly; the Vdd²/
-                    // period scaling happens here, through the same
-                    // formatter the offline path uses, so stdout is
-                    // byte-identical to `charfree eval`.
-                    let summary = charfree_engine::TraceSummary {
-                        transitions,
-                        sum_ff,
-                        max_ff,
-                    };
-                    Ok(eval_report(&name, transitions + 1, &params, &summary))
-                }
-                Response::Trace { values, .. } => {
-                    trace_report(&values, &params, out_path.as_deref())
-                }
-                other => Err(format!("unexpected response {other:?}")),
-            }
+            (request, Render::default())
         }
-        "seqload" => {
-            let operand = flags.positional()?.to_owned();
-            let mut options = client_build_options(&mut flags)?;
-            options.deadline_ms = parse_deadline_ms(&mut flags)?;
-            flags.finish()?;
-            match send(&Request::SeqLoad {
-                source: operand,
-                options,
-            })? {
-                Response::SeqLoad {
-                    name,
-                    macros,
-                    latches,
-                    instrs,
-                    bytes,
-                    apply_steps,
-                    cache_hits,
-                    resident,
-                } => {
-                    let temp = if resident {
-                        "registry-resident".to_owned()
-                    } else if apply_steps == 0 {
-                        format!("warm, 0 apply steps, {cache_hits} artifact hits")
-                    } else {
-                        format!("cold, {apply_steps} apply steps")
-                    };
-                    Ok(format!(
-                        "loaded sequential `{name}`: {macros} macros, {latches} latches, \
-                         {instrs} instrs, {bytes} bytes ({temp})\n"
-                    ))
-                }
-                other => Err(format!("unexpected response {other:?}")),
-            }
+        "stats" => (Request::Stats, Render::default()),
+        "metrics" => (Request::Metrics, Render::default()),
+        "shutdown" => (Request::Shutdown, Render::default()),
+        other => {
+            return Err(format!(
+                "client: unknown subcommand `{other}` ({CLIENT_SUBCOMMANDS})"
+            ))
         }
-        "seqeval" => {
-            let operand = flags.positional()?.to_owned();
-            let params = EvalParams::parse(&mut flags, 10_000)?;
-            let deadline_ms = parse_deadline_ms(&mut flags)?;
-            let options = client_build_options(&mut flags)?;
-            flags.finish()?;
-            match send(&Request::SeqEval {
-                source: operand,
-                options,
-                params: wire_params(&params, deadline_ms),
-            })? {
-                Response::SeqEval {
-                    name,
-                    transitions,
-                    sum_ff,
-                    max_ff,
-                    macros,
-                } => {
-                    // The summaries crossed the wire bit-exactly;
-                    // reassemble them and render through the same
-                    // formatter the offline path uses, so stdout is
-                    // byte-identical to `charfree seqeval`.
-                    let summary = charfree_seq::SeqSummary {
-                        total: charfree_engine::TraceSummary {
-                            transitions,
-                            sum_ff,
-                            max_ff,
-                        },
-                        per_macro: macros
-                            .into_iter()
-                            .map(|m| charfree_seq::MacroSummary {
-                                name: m.name,
-                                summary: charfree_engine::TraceSummary {
-                                    transitions,
-                                    sum_ff: m.sum_ff,
-                                    max_ff: m.max_ff,
-                                },
-                            })
-                            .collect(),
-                    };
-                    Ok(seq_eval_report(&name, transitions + 1, &params, &summary))
-                }
-                other => Err(format!("unexpected response {other:?}")),
-            }
+    };
+    flags.finish()?;
+    let mut client = charfree_serve::Client::connect_with(&addr, proto)
+        .map_err(|e| format!("connect {addr}: {e}"))?;
+    // A shutdown is sent once; everything else is retried under the
+    // policy, and a typed server error becomes the CLI failure.
+    let response = match request {
+        Request::Shutdown => client.request(&request),
+        _ => {
+            let policy = charfree_serve::RetryPolicy {
+                retries,
+                ..charfree_serve::RetryPolicy::default()
+            };
+            client.request_with_retries(&request, &policy)
         }
-        "expected" => {
-            let operand = flags.positional()?.to_owned();
-            let sp: f64 = flags.parse("--sp", 0.5)?;
-            let st: f64 = flags.parse("--st", 0.5)?;
-            flags.finish()?;
-            match send(&Request::Expected {
-                source: operand,
-                sp,
-                st,
-            })? {
-                Response::Expected { name, value } => Ok(expected_report(&name, sp, st, value)),
-                other => Err(format!("unexpected response {other:?}")),
-            }
-        }
-        "stats" => {
-            flags.finish()?;
-            match send(&Request::Stats)? {
-                Response::Stats(payload) => Ok(format!("{}\n", payload.to_line())),
-                other => Err(format!("unexpected response {other:?}")),
-            }
-        }
-        "metrics" => {
-            flags.finish()?;
-            match send(&Request::Metrics)? {
-                Response::Metrics(text) => Ok(text),
-                other => Err(format!("unexpected response {other:?}")),
-            }
-        }
-        "shutdown" => {
-            flags.finish()?;
-            let mut client = connect(&addr)?;
-            match expect_ok(
-                client
-                    .request(&Request::Shutdown)
-                    .map_err(|e| e.to_string())?,
-            )? {
-                Response::Shutdown => Ok(format!("server at {addr} acknowledged shutdown\n")),
-                other => Err(format!("unexpected response {other:?}")),
-            }
-        }
-        other => Err(format!(
-            "client: unknown subcommand `{other}` \
-             (load|eval|trace|expected|seqload|seqeval|stats|metrics|shutdown)"
-        )),
+    }
+    .map_err(|e| e.to_string())?;
+    match expect_ok(response)? {
+        Response::Shutdown => Ok(format!("server at {addr} acknowledged shutdown\n")),
+        response => render_response(&request, &render, response),
     }
 }
 
@@ -1154,8 +1026,8 @@ fn parse_seed(flags: &mut Flags<'_>, name: &str, default: u64) -> Result<u64, Cl
 
 fn cmd_conform(args: &[String]) -> Result<String, CliError> {
     let mut flags = Flags::new(args);
-    let cases_given = flags.value("--cases")?.map(str::to_owned);
-    let seq_cases_given = flags.value("--seq-cases")?.map(str::to_owned);
+    let cases_given = flags.parse_opt("--cases")?;
+    let seq_cases_given = flags.parse_opt("--seq-cases")?;
     let seed = parse_seed(&mut flags, "--seed", 0xC0FFEE)?;
     let vectors = flags.parse("--vectors", 48usize)?;
     let corpus = flags.value("--corpus")?.map(std::path::PathBuf::from);
@@ -1166,18 +1038,8 @@ fn cmd_conform(args: &[String]) -> Result<String, CliError> {
     let campaign_mode = flags.value("--campaign")?.unwrap_or("standard").to_owned();
     let chaos_faults: u64 = flags.parse("--chaos-faults", 200)?;
     flags.finish()?;
-    let mut cases = match &cases_given {
-        None => 64usize,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad value `{v}` for `--cases`"))?,
-    };
-    let mut seq_cases = match &seq_cases_given {
-        None => 8usize,
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad value `{v}` for `--seq-cases`"))?,
-    };
+    let mut cases = cases_given.unwrap_or(64);
+    let mut seq_cases = seq_cases_given.unwrap_or(8);
     let (campaigns, chaos) = match campaign_mode.as_str() {
         "standard" => (!no_campaigns, false),
         "chaos" => {
@@ -1266,6 +1128,34 @@ mod tests {
             &["expected", "decod", "--st", "nan"],
             &["expected", "decod", "--sp", "0.2", "--st", "0.9"],
             &["expected", "decod", "--sp", "1.5"],
+            // The client forms fail in the shared parser, before any
+            // connection is made, with the offline message.
+            &["client", "eval", "decod", "--st", "nan"],
+            &[
+                "client", "eval", "decod", "--st", "nan", "--proto", "binary",
+            ],
+            &["client", "trace", "decod", "--st", "nan"],
+            &[
+                "client", "trace", "decod", "--st", "nan", "--proto", "binary",
+            ],
+            &["client", "seqeval", "design.blif", "--st", "nan"],
+            &[
+                "client",
+                "seqeval",
+                "design.blif",
+                "--st",
+                "nan",
+                "--proto",
+                "binary",
+            ],
+            &["client", "expected", "decod", "--st", "nan"],
+            &[
+                "client", "expected", "decod", "--st", "nan", "--proto", "binary",
+            ],
+            &["client", "expected", "decod", "--sp", "0.2", "--st", "0.9"],
+            &[
+                "client", "expected", "decod", "--sp", "1.5", "--proto", "binary",
+            ],
         ] {
             let err = run(&s(args)).expect_err("bad statistics rejected");
             assert!(
@@ -1470,6 +1360,16 @@ mod tests {
     }
 
     #[test]
+    fn client_subcommands_are_listed_once() {
+        for args in [&["client"][..], &["client", "frob"]] {
+            let err = run(&s(args)).expect_err("no such client subcommand");
+            assert!(err.contains(CLIENT_SUBCOMMANDS), "{args:?}: {err}");
+        }
+        let help = run(&s(&["help"])).expect("help works");
+        assert!(help.contains(CLIENT_SUBCOMMANDS), "{help}");
+    }
+
+    #[test]
     fn window_and_byte_size_parsers() {
         use std::time::Duration;
         assert_eq!(parse_window("0").expect("zero"), Duration::ZERO);
@@ -1558,6 +1458,28 @@ mod serve_tests {
         ]))
         .expect("served expected");
         assert_eq!(offline, served, "expected outputs diverge");
+
+        // Sequential designs, and the build flags offline `eval` now
+        // takes: an approximated model answers the same both ways.
+        let seq = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/crates/netlist/benchmarks/seqpipe2.blif"
+        );
+        for args in [
+            &["seqeval", seq, "--vectors", "300", "--seed", "7"][..],
+            &["eval", "cm85", "--max", "50", "--vectors", "500"],
+        ] {
+            let offline = run(&s(args)).expect("offline run");
+            for proto in ["json", "binary"] {
+                let served = run(&cat(&[
+                    &["client"],
+                    args,
+                    &["--addr", &addr, "--proto", proto],
+                ]))
+                .expect("served run");
+                assert_eq!(offline, served, "{args:?} over {proto} diverges");
+            }
+        }
 
         let report = run(&s(&["client", "load", "decod", "--addr", &addr])).expect("load");
         assert!(report.contains("loaded `decod`"), "{report}");
