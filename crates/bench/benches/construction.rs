@@ -15,8 +15,8 @@ fn construction(c: &mut Criterion) {
     // Exact builds (unbounded) for the small/fast circuits.
     for netlist in [
         benchmarks::paper_unit(),
-        benchmarks::decod(&library),
-        benchmarks::parity(&library),
+        benchmarks::by_name("decod", &library).expect("Table 1 name"),
+        benchmarks::by_name("parity", &library).expect("Table 1 name"),
     ] {
         group.bench_function(format!("exact/{}", netlist.name()), |b| {
             b.iter(|| black_box(ModelBuilder::new(&netlist).build()))
@@ -24,13 +24,13 @@ fn construction(c: &mut Criterion) {
     }
 
     // Budget-bounded builds (the Table 1 configurations).
-    let cm85 = benchmarks::cm85(&library);
+    let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     for max in [50usize, 500, 2000] {
         group.bench_function(format!("bounded/cm85/max{max}"), |b| {
             b.iter(|| black_box(ModelBuilder::new(&cm85).max_nodes(max).build()))
         });
     }
-    let mux = benchmarks::mux(&library);
+    let mux = benchmarks::by_name("mux", &library).expect("Table 1 name");
     group.bench_function("bounded/mux/max1000", |b| {
         b.iter(|| black_box(ModelBuilder::new(&mux).max_nodes(1000).build()))
     });
@@ -52,7 +52,7 @@ fn construction(c: &mut Criterion) {
 
 fn ablation(c: &mut Criterion) {
     let library = Library::test_library();
-    let cm85 = benchmarks::cm85(&library);
+    let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let mut group = c.benchmark_group("construction_ablation");
     group.sample_size(10);
 

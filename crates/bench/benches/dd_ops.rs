@@ -80,7 +80,7 @@ fn ordering_ablation(c: &mut Criterion) {
     // Interleaved vs grouped transition variables, and fanin-DFS vs natural
     // input order — dominant factors of exact-ADD size.
     let library = Library::test_library();
-    let cm85 = benchmarks::cm85(&library);
+    let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let mut group = c.benchmark_group("ordering");
     group.sample_size(10);
     group.bench_function("interleaved_dfs/cm85_exact", |b| {

@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 fn trace_throughput(c: &mut Criterion) {
     let library = Library::test_library();
-    let netlist = benchmarks::cm85(&library);
+    let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let model = ModelBuilder::new(&netlist).max_nodes(500).build();
     let kernel = Kernel::compile(&model);
 
@@ -54,8 +54,14 @@ fn batch_evaluators(c: &mut Criterion) {
     let library = Library::test_library();
     let mut group = c.benchmark_group("engine_batch");
     for (netlist, max) in [
-        (benchmarks::cm85(&library), 500usize),
-        (benchmarks::cmb(&library), 0),
+        (
+            benchmarks::by_name("cm85", &library).expect("Table 1 name"),
+            500usize,
+        ),
+        (
+            benchmarks::by_name("cmb", &library).expect("Table 1 name"),
+            0,
+        ),
     ] {
         let mut builder = ModelBuilder::new(&netlist);
         if max > 0 {
@@ -81,8 +87,14 @@ fn compile_cost(c: &mut Criterion) {
     let library = Library::test_library();
     let mut group = c.benchmark_group("engine_compile");
     for (netlist, max) in [
-        (benchmarks::decod(&library), 0usize),
-        (benchmarks::cm85(&library), 500),
+        (
+            benchmarks::by_name("decod", &library).expect("Table 1 name"),
+            0usize,
+        ),
+        (
+            benchmarks::by_name("cm85", &library).expect("Table 1 name"),
+            500,
+        ),
     ] {
         let mut builder = ModelBuilder::new(&netlist);
         if max > 0 {

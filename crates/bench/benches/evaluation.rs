@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 fn per_transition(c: &mut Criterion) {
     let library = Library::test_library();
-    let netlist = benchmarks::cm85(&library);
+    let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let sim = ZeroDelaySim::new(&netlist);
     let training = TrainingSet::sample(&sim, 2000, 3);
     let con = ConstantModel::fit(&training);
@@ -64,10 +64,10 @@ fn scaling_with_inputs(c: &mut Criterion) {
     let library = Library::test_library();
     let mut group = c.benchmark_group("add_eval_scaling");
     for netlist in [
-        benchmarks::decod(&library),  // n = 5
-        benchmarks::cm85(&library),   // n = 11
-        benchmarks::parity(&library), // n = 16
-        benchmarks::comp(&library),   // n = 32
+        benchmarks::by_name("decod", &library).expect("Table 1 name"), // n = 5
+        benchmarks::by_name("cm85", &library).expect("Table 1 name"),  // n = 11
+        benchmarks::by_name("parity", &library).expect("Table 1 name"), // n = 16
+        benchmarks::by_name("comp", &library).expect("Table 1 name"),  // n = 32
     ] {
         let model = ModelBuilder::new(&netlist).max_nodes(2000).build();
         let n = netlist.num_inputs();

@@ -26,9 +26,18 @@ fn main() {
 
     let library = Library::test_library();
     for (netlist, max) in [
-        (benchmarks::cm85(&library), 500usize),
-        (benchmarks::decod(&library), 200),
-        (benchmarks::mux(&library), 1000),
+        (
+            benchmarks::by_name("cm85", &library).expect("Table 1 name"),
+            500usize,
+        ),
+        (
+            benchmarks::by_name("decod", &library).expect("Table 1 name"),
+            200,
+        ),
+        (
+            benchmarks::by_name("mux", &library).expect("Table 1 name"),
+            1000,
+        ),
     ] {
         println!(
             "== {} (MAX = {max}, {} vectors/run) ==",

@@ -22,7 +22,7 @@ fn main() {
     }
 
     let library = Library::test_library();
-    let cm85 = benchmarks::cm85(&library);
+    let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let eval = fig7a(&cm85, 500, &config);
 
     println!(

@@ -22,7 +22,7 @@ fn main() {
     }
 
     let library = Library::test_library();
-    let cm85 = benchmarks::cm85(&library);
+    let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let budgets = [5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000];
     let (points, con_are, lin_are) = fig7b(&cm85, &budgets, &config);
 

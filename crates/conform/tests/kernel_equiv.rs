@@ -181,10 +181,22 @@ fn large_builtin_kernels_walk_through_all_engines() {
     let library = Library::test_library();
     let mut pool: Vec<(String, Kernel, Vec<Vec<bool>>)> = Vec::new();
     for (i, (netlist, max_nodes)) in [
-        (benchmarks::cm85(&library), None),
-        (benchmarks::cmb(&library), None),
-        (benchmarks::cm85(&library), Some(500)),
-        (benchmarks::decod(&library), None),
+        (
+            benchmarks::by_name("cm85", &library).expect("Table 1 name"),
+            None,
+        ),
+        (
+            benchmarks::by_name("cmb", &library).expect("Table 1 name"),
+            None,
+        ),
+        (
+            benchmarks::by_name("cm85", &library).expect("Table 1 name"),
+            Some(500),
+        ),
+        (
+            benchmarks::by_name("decod", &library).expect("Table 1 name"),
+            None,
+        ),
     ]
     .into_iter()
     .enumerate()

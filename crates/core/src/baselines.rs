@@ -247,7 +247,7 @@ mod tests {
         // additive-in-toggles (the parity tree, in-sample), Lin should beat
         // Con on its own training data.
         let lib = Library::test_library();
-        let netlist = benchmarks::parity(&lib);
+        let netlist = benchmarks::by_name("parity", &lib).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let t = TrainingSet::sample(&sim, 4000, 3);
         let con = ConstantModel::fit(&t);

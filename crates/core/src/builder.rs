@@ -63,7 +63,7 @@ pub enum InputOrder {
 /// use charfree_netlist::{benchmarks, Library};
 ///
 /// let library = Library::test_library();
-/// let cm85 = benchmarks::cm85(&library);
+/// let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
 /// let bound = ModelBuilder::new(&cm85)
 ///     .max_nodes(50)
 ///     .strategy(ApproxStrategy::UpperBound)
@@ -326,7 +326,7 @@ impl<'a> ModelBuilder<'a> {
     /// use charfree_netlist::{benchmarks, Library};
     ///
     /// let library = Library::test_library();
-    /// let netlist = benchmarks::cm85(&library);
+    /// let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     /// let model = ModelBuilder::new(&netlist)
     ///     .node_budget(400)
     ///     .trip_after(50)
@@ -1284,7 +1284,7 @@ mod tests {
         let lib = Library::test_library();
         for netlist in [
             paper_unit(),
-            charfree_netlist::benchmarks::decod(&lib),
+            charfree_netlist::benchmarks::by_name("decod", &lib).expect("Table 1 name"),
             charfree_netlist::benchmarks::random_logic("t", 6, 25, 3, &lib),
         ] {
             let sim = ZeroDelaySim::new(&netlist);
@@ -1305,7 +1305,7 @@ mod tests {
     #[test]
     fn both_orderings_agree() {
         let lib = Library::test_library();
-        let netlist = charfree_netlist::benchmarks::decod(&lib);
+        let netlist = charfree_netlist::benchmarks::by_name("decod", &lib).expect("Table 1 name");
         let a = ModelBuilder::new(&netlist)
             .ordering(VariableOrdering::Interleaved)
             .build();
@@ -1323,7 +1323,7 @@ mod tests {
     #[test]
     fn bounded_build_respects_max() {
         let lib = Library::test_library();
-        let netlist = charfree_netlist::benchmarks::cm85(&lib);
+        let netlist = charfree_netlist::benchmarks::by_name("cm85", &lib).expect("Table 1 name");
         for max in [200, 50, 10, 5] {
             let model = ModelBuilder::new(&netlist).max_nodes(max).build();
             assert!(model.size() <= max, "MAX={max}, size={}", model.size());
@@ -1337,7 +1337,7 @@ mod tests {
         // so even an aggressively approximated model keeps the exact
         // average switched capacitance.
         let lib = Library::test_library();
-        let netlist = charfree_netlist::benchmarks::decod(&lib);
+        let netlist = charfree_netlist::benchmarks::by_name("decod", &lib).expect("Table 1 name");
         let exact = ModelBuilder::new(&netlist).build();
         let rough = ModelBuilder::new(&netlist)
             .max_nodes(8)
@@ -1357,7 +1357,7 @@ mod tests {
     #[test]
     fn bounded_upper_bound_build_is_conservative() {
         let lib = Library::test_library();
-        let netlist = charfree_netlist::benchmarks::decod(&lib);
+        let netlist = charfree_netlist::benchmarks::by_name("decod", &lib).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let bound = ModelBuilder::new(&netlist)
             .max_nodes(12)
@@ -1373,7 +1373,7 @@ mod tests {
     #[test]
     fn worst_case_transition_achieves_model_max() {
         let lib = Library::test_library();
-        let netlist = charfree_netlist::benchmarks::decod(&lib);
+        let netlist = charfree_netlist::benchmarks::by_name("decod", &lib).expect("Table 1 name");
         let model = ModelBuilder::new(&netlist).build();
         let (xi, xf) = model.worst_case_transition();
         assert_eq!(
@@ -1389,7 +1389,7 @@ mod tests {
     #[test]
     fn compaction_does_not_change_results() {
         let lib = Library::test_library();
-        let netlist = charfree_netlist::benchmarks::cm85(&lib);
+        let netlist = charfree_netlist::benchmarks::by_name("cm85", &lib).expect("Table 1 name");
         let every_gate = ModelBuilder::new(&netlist).compact_every(1).build();
         let never = ModelBuilder::new(&netlist)
             .compact_every(usize::MAX)

@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn exact_add_model_has_zero_are() {
         let lib = Library::test_library();
-        let netlist = benchmarks::decod(&lib);
+        let netlist = benchmarks::by_name("decod", &lib).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let model = ModelBuilder::new(&netlist).build();
         let eval = evaluate(
@@ -186,7 +186,7 @@ mod tests {
     fn out_of_sample_degradation_orders_models() {
         // The paper's headline: ADD << Lin << Con on ARE.
         let lib = Library::test_library();
-        let netlist = benchmarks::cm85(&lib);
+        let netlist = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let training = TrainingSet::sample(&sim, 4000, 11);
         let con = ConstantModel::fit(&training);
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn characterized_models_are_good_in_sample_only() {
         let lib = Library::test_library();
-        let netlist = benchmarks::cm85(&lib);
+        let netlist = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let training = TrainingSet::sample(&sim, 6000, 21);
         let lin = LinearModel::fit(&training);
@@ -243,7 +243,7 @@ mod tests {
     fn maximum_protocol_evaluates_bounds() {
         use crate::approx::ApproxStrategy;
         let lib = Library::test_library();
-        let netlist = benchmarks::decod(&lib);
+        let netlist = benchmarks::by_name("decod", &lib).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let bound = ModelBuilder::new(&netlist)
             .max_nodes(50)
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn are_percent_scales() {
         let lib = Library::test_library();
-        let netlist = benchmarks::decod(&lib);
+        let netlist = benchmarks::by_name("decod", &lib).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let training = TrainingSet::sample(&sim, 1000, 5);
         let con = ConstantModel::fit(&training);

@@ -37,7 +37,7 @@
 //! use charfree_sim::ZeroDelaySim;
 //!
 //! let library = Library::test_library();
-//! let cm85 = benchmarks::cm85(&library);
+//! let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
 //!
 //! // An exact analytical model: matches gate-level simulation everywhere.
 //! let exact = ModelBuilder::new(&cm85).build();

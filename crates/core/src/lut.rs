@@ -147,7 +147,7 @@ mod tests {
         // Transitions with no toggles always switch nothing; the LUT's
         // activity-0 row must learn exactly that.
         let library = Library::test_library();
-        let netlist = benchmarks::decod(&library);
+        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let training = TrainingSet::sample_with_statistics(&sim, 4000, 0.5, 0.2, 3);
         let lut = LutModel::fit(&training, 3);
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn lut_beats_con_in_sample_and_tracks_activity() {
         let library = Library::test_library();
-        let netlist = benchmarks::cm85(&library);
+        let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let training = TrainingSet::sample(&sim, 8000, 4);
         let con = ConstantModel::fit(&training);
@@ -187,7 +187,7 @@ mod tests {
         // better than Con (its activity binning extrapolates), yet the
         // analytical ADD model still dominates.
         let library = Library::test_library();
-        let netlist = benchmarks::cm85(&library);
+        let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         let training = TrainingSet::sample(&sim, 8000, 4);
         let con = ConstantModel::fit(&training);

@@ -488,7 +488,7 @@ mod reorder_tests {
     #[test]
     fn reorder_pairs_preserves_evaluation() {
         let library = Library::test_library();
-        let netlist = benchmarks::decod(&library);
+        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
         let sim = ZeroDelaySim::new(&netlist);
         // Start from the worst input order so there is something to fix.
         let model = ModelBuilder::new(&netlist)
@@ -512,7 +512,7 @@ mod reorder_tests {
         // times larger than with a good order; pair reordering must close
         // a decent part of that gap.
         let library = Library::test_library();
-        let netlist = benchmarks::cm85(&library);
+        let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
         let bad = ModelBuilder::new(&netlist)
             .input_order(InputOrder::Natural)
             .build();

@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn spectrum_matches_exhaustive_enumeration() {
         let library = Library::test_library();
-        let netlist = benchmarks::decod(&library);
+        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
         let model = ModelBuilder::new(&netlist).build();
         let sim = ZeroDelaySim::new(&netlist);
 
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn upper_bound_spectrum_dominates() {
         let library = Library::test_library();
-        let netlist = benchmarks::decod(&library);
+        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
         let bound = ModelBuilder::new(&netlist)
             .max_nodes(60)
             .strategy(ApproxStrategy::UpperBound)

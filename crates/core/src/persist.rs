@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn exact_model_round_trips_bit_exactly() {
         let library = Library::test_library();
-        let netlist = benchmarks::decod(&library);
+        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
         let model = ModelBuilder::new(&netlist).build();
         let back = round_trip(&model);
         assert_eq!(back.num_inputs(), model.num_inputs());
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn approximated_model_round_trips_with_metadata() {
         let library = Library::test_library();
-        let netlist = benchmarks::cm85(&library);
+        let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
         let model = ModelBuilder::new(&netlist).max_nodes(200).build();
         let back = round_trip(&model);
         assert!(!back.report().exact);
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn loaded_model_can_shrink_further_with_recalibration() {
         let library = Library::test_library();
-        let netlist = benchmarks::cm85(&library);
+        let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
         let model = ModelBuilder::new(&netlist).max_nodes(500).build();
         let back = round_trip(&model);
         // The exact means survive, so shrink keeps recalibrating.

@@ -194,7 +194,7 @@ mod tests {
     use super::*;
     use crate::approx::ApproxStrategy;
     use crate::builder::ModelBuilder;
-    use charfree_netlist::benchmarks::{decod, paper_unit};
+    use charfree_netlist::benchmarks::{by_name, paper_unit};
     use charfree_netlist::Library;
 
     fn unit_model() -> AddPowerModel {
@@ -237,7 +237,7 @@ mod tests {
         // bound for a *specific* transition sits well below the summed
         // worst cases, yet stays conservative.
         let lib = Library::test_library();
-        let netlist = decod(&lib);
+        let netlist = by_name("decod", &lib).expect("Table 1 name");
         let mut d = RtlDesign::new(10);
         for (k, base) in [0usize, 5].iter().enumerate() {
             let bound = ModelBuilder::new(&netlist)

@@ -16,7 +16,7 @@ use std::time::Duration;
 #[test]
 fn rung1_single_trip_sheds_partial_sums_and_recovers() {
     let lib = Library::test_library();
-    let netlist = benchmarks::cm85(&lib);
+    let netlist = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
     let model = ModelBuilder::new(&netlist)
         .trip_after(60)
         .try_build()
@@ -36,7 +36,7 @@ fn rung1_single_trip_sheds_partial_sums_and_recovers() {
 #[test]
 fn rung2_second_trip_on_same_gate_reorders_variables() {
     let lib = Library::test_library();
-    let netlist = benchmarks::cm85(&lib);
+    let netlist = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
     // The first trip lands in the very first gate's phase A (nothing
     // committed), so the gate is retried; the second trip fires on the
     // first checkpoint of that retry, and the same gate failing twice
@@ -66,7 +66,7 @@ fn rung2_second_trip_on_same_gate_reorders_variables() {
 #[test]
 fn rung3_third_trip_falls_back_to_constants() {
     let lib = Library::test_library();
-    let netlist = benchmarks::decod(&lib);
+    let netlist = benchmarks::by_name("decod", &lib).expect("Table 1 name");
     let model = ModelBuilder::new(&netlist)
         .strategy(ApproxStrategy::UpperBound)
         .trip_after(20)
@@ -91,7 +91,7 @@ fn rung3_third_trip_falls_back_to_constants() {
 #[test]
 fn terminal_resources_skip_straight_to_constant_fallback() {
     let lib = Library::test_library();
-    let netlist = benchmarks::cm85(&lib);
+    let netlist = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
     let model = ModelBuilder::new(&netlist)
         .step_budget(100)
         .try_build()
@@ -104,7 +104,7 @@ fn terminal_resources_skip_straight_to_constant_fallback() {
 #[test]
 fn expired_deadline_folds_every_gate_into_the_total_load() {
     let lib = Library::test_library();
-    let netlist = benchmarks::decod(&lib);
+    let netlist = benchmarks::by_name("decod", &lib).expect("Table 1 name");
     // The first checkpoint samples the clock, so a zero deadline trips
     // before any gate commits.
     let model = ModelBuilder::new(&netlist)
@@ -124,7 +124,7 @@ fn expired_deadline_folds_every_gate_into_the_total_load() {
 #[test]
 fn strict_mode_fails_instead_of_degrading() {
     let lib = Library::test_library();
-    let netlist = benchmarks::cm85(&lib);
+    let netlist = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
     let err = ModelBuilder::new(&netlist)
         .trip_after(60)
         .strict(true)
@@ -141,7 +141,7 @@ fn strict_mode_fails_instead_of_degrading() {
 #[test]
 fn strict_deadline_fails_fast() {
     let lib = Library::test_library();
-    let netlist = benchmarks::cm150(&lib);
+    let netlist = benchmarks::by_name("cm150", &lib).expect("Table 1 name");
     let started = std::time::Instant::now();
     let err = ModelBuilder::new(&netlist)
         .time_budget(Duration::from_millis(1))
@@ -166,7 +166,7 @@ fn over_budget_build_of_wide_unit_degrades_not_panics() {
     // The acceptance scenario: a >=16-input unit under a node budget far
     // too small for its exact diagram.
     let lib = Library::test_library();
-    let netlist = benchmarks::cm150(&lib); // 21 inputs
+    let netlist = benchmarks::by_name("cm150", &lib).expect("Table 1 name"); // 21 inputs
     assert!(netlist.num_inputs() >= 16);
     let model = ModelBuilder::new(&netlist)
         .node_budget(300)
@@ -212,7 +212,7 @@ fn over_budget_build_of_wide_unit_degrades_not_panics() {
 #[test]
 fn degradation_is_not_persisted() {
     let lib = Library::test_library();
-    let netlist = benchmarks::decod(&lib);
+    let netlist = benchmarks::by_name("decod", &lib).expect("Table 1 name");
     let model = ModelBuilder::new(&netlist)
         .trip_after(20)
         .try_build()

@@ -288,7 +288,9 @@ mod tests {
     #[test]
     fn packing_round_trips_through_batch_eval() {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&benchmarks::cm85(&library)).build();
+        let model =
+            ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
+                .build();
         let kernel = Kernel::compile(&model);
         let mut source = MarkovSource::new(11, 0.5, 0.4, 3).expect("feasible");
         let patterns = source.sequence(130); // crosses two 64-lane groups
@@ -310,7 +312,9 @@ mod tests {
     #[test]
     fn clear_reuses_allocation() {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&benchmarks::decod(&library)).build();
+        let model =
+            ModelBuilder::new(&benchmarks::by_name("decod", &library).expect("Table 1 name"))
+                .build();
         let kernel = Kernel::compile(&model);
         let mut block = PatternBlock::new(kernel.num_vars() as usize);
         let xi = vec![true; 5];

@@ -92,7 +92,7 @@ impl TraceSummary {
 /// use charfree_sim::MarkovSource;
 ///
 /// let library = Library::test_library();
-/// let model = ModelBuilder::new(&benchmarks::cm85(&library)).build();
+/// let model = ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name")).build();
 /// let kernel = Kernel::compile(&model);
 /// let mut source = MarkovSource::new(11, 0.5, 0.5, 1).expect("feasible statistics");
 /// let patterns = source.sequence(1000);
@@ -207,9 +207,10 @@ mod tests {
 
     fn cm85_kernel() -> (charfree_core::AddPowerModel, Kernel) {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&benchmarks::cm85(&library))
-            .max_nodes(400)
-            .build();
+        let model =
+            ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
+                .max_nodes(400)
+                .build();
         let kernel = Kernel::compile(&model);
         (model, kernel)
     }

@@ -193,11 +193,13 @@ mod tests {
     fn fused_matches_per_kernel_eval_bit_exactly() {
         let library = Library::test_library();
         let kernels: Vec<Kernel> = [
-            ModelBuilder::new(&benchmarks::decod(&library)).build(),
-            ModelBuilder::new(&benchmarks::cm85(&library)).build(),
-            ModelBuilder::new(&benchmarks::mux(&library)).build(),
+            ModelBuilder::new(&benchmarks::by_name("decod", &library).expect("Table 1 name"))
+                .build(),
+            ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
+                .build(),
+            ModelBuilder::new(&benchmarks::by_name("mux", &library).expect("Table 1 name")).build(),
             // A constant kernel rides along in the same fused call.
-            ModelBuilder::new(&benchmarks::decod(&library))
+            ModelBuilder::new(&benchmarks::by_name("decod", &library).expect("Table 1 name"))
                 .build()
                 .shrink(1, ApproxStrategy::Average),
         ]

@@ -563,7 +563,7 @@ mod tests {
     #[test]
     fn compiled_kernel_matches_arena_exhaustively() {
         let library = Library::test_library();
-        let netlist = benchmarks::decod(&library);
+        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
         let model = ModelBuilder::new(&netlist).build();
         let kernel = Kernel::compile(&model);
         assert_eq!(kernel.num_inputs(), 5);
@@ -580,7 +580,7 @@ mod tests {
     #[test]
     fn constant_model_compiles_to_terminal_root() {
         let library = Library::test_library();
-        let netlist = benchmarks::decod(&library);
+        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
         // Shrinking to one node forces a constant diagram.
         let model = ModelBuilder::new(&netlist)
             .build()
@@ -605,7 +605,7 @@ mod tests {
     #[test]
     fn expected_value_matches_model() {
         let library = Library::test_library();
-        let netlist = benchmarks::cm85(&library);
+        let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
         for model in [
             ModelBuilder::new(&netlist).build(),
             ModelBuilder::new(&netlist).max_nodes(200).build(),
@@ -625,9 +625,10 @@ mod tests {
     #[test]
     fn validate_accepts_compiled_kernels() {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&benchmarks::cm85(&library))
-            .max_nodes(300)
-            .build();
+        let model =
+            ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
+                .max_nodes(300)
+                .build();
         Kernel::compile(&model)
             .validate()
             .expect("compiled kernels are valid");

@@ -211,7 +211,9 @@ mod tests {
     #[test]
     fn kernel_round_trips_bit_exactly() {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&benchmarks::decod(&library)).build();
+        let model =
+            ModelBuilder::new(&benchmarks::by_name("decod", &library).expect("Table 1 name"))
+                .build();
         let kernel = Kernel::compile(&model);
         let back = round_trip(&kernel);
         assert_eq!(back.name(), kernel.name());
@@ -229,9 +231,10 @@ mod tests {
     #[test]
     fn degraded_kernel_round_trips() {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&benchmarks::cm85(&library))
-            .max_nodes(150)
-            .build();
+        let model =
+            ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
+                .max_nodes(150)
+                .build();
         let kernel = Kernel::compile(&model);
         let back = round_trip(&kernel);
         let xi = vec![true; 11];

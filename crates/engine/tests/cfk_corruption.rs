@@ -22,7 +22,7 @@ use charfree_sim::MarkovSource;
 
 fn saved_kernel_bytes() -> (Kernel, Vec<u8>) {
     let library = Library::test_library();
-    let model = ModelBuilder::new(&benchmarks::cm85(&library))
+    let model = ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
         .max_nodes(200)
         .build();
     let kernel = Kernel::compile(&model);

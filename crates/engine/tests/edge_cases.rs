@@ -89,7 +89,7 @@ fn assert_all_paths_agree(
 #[test]
 fn constant_kernel_single_terminal_all_paths() {
     let library = Library::test_library();
-    let model = ModelBuilder::new(&benchmarks::decod(&library))
+    let model = ModelBuilder::new(&benchmarks::by_name("decod", &library).expect("Table 1 name"))
         .build()
         .shrink(1, ApproxStrategy::Average);
     let kernel = Kernel::compile(&model);
@@ -170,7 +170,8 @@ fn kernel_levels_exceed_chunk_word_budget() {
 #[test]
 fn walking_kernel_ragged_lengths_all_paths() {
     let library = Library::test_library();
-    let model = ModelBuilder::new(&benchmarks::cm85(&library)).build();
+    let model =
+        ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name")).build();
     assert!(
         Kernel::compile(&model).walks(),
         "exact cm85 is large enough to walk"
@@ -186,7 +187,8 @@ fn walking_kernel_ragged_lengths_all_paths() {
 #[test]
 fn empty_trace_is_a_no_op_everywhere() {
     let library = Library::test_library();
-    let model = ModelBuilder::new(&benchmarks::cm85(&library)).build();
+    let model =
+        ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name")).build();
     let kernel = Kernel::compile(&model);
 
     // Zero patterns and one pattern both mean zero transitions.
@@ -289,7 +291,9 @@ fn unreachable_rows_never_leak_across_reused_scratch() {
     // Fused beside another gathering kernel, placed second so its
     // scratch is not the first job's.
     let library = Library::test_library();
-    let decod = Kernel::compile(&ModelBuilder::new(&benchmarks::decod(&library)).build());
+    let decod = Kernel::compile(
+        &ModelBuilder::new(&benchmarks::by_name("decod", &library).expect("Table 1 name")).build(),
+    );
     let mut decod_source =
         MarkovSource::new(decod.num_inputs(), 0.5, 0.4, 31).expect("valid stats");
     let decod_block = PatternBlock::from_patterns(&decod, &decod_source.sequence(901));

@@ -147,7 +147,7 @@ proptest! {
 #[test]
 fn kernel_file_round_trip_preserves_evaluation() {
     let library = Library::test_library();
-    let model = ModelBuilder::new(&benchmarks::cm85(&library))
+    let model = ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
         .max_nodes(400)
         .build();
     let compiled = Kernel::compile(&model);

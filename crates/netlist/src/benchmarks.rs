@@ -1,71 +1,23 @@
-//! MCNC-equivalent benchmark circuits.
+//! Benchmark circuits.
 //!
 //! The paper evaluates on MCNC'91 circuits mapped onto a test gate library.
-//! The MCNC suite itself is not redistributable here, so this module builds
-//! *functional equivalents*: circuits with the published name and
+//! The MCNC suite itself is not redistributable here, so the Table 1 set
+//! is *functional equivalents*: circuits with the published name and
 //! primary-input count and the same kind of logic (see DESIGN.md §4 for the
-//! substitution argument). Real `.blif` files can always be used instead
-//! via [`crate::blif::parse`].
+//! substitution argument), committed as BLIF text under
+//! `crates/netlist/benchmarks/` and read through [`committed`]. Real
+//! `.blif` files can always be used instead via [`crate::blif::parse`].
 //!
-//! Every constructor returns a validated netlist with loads back-annotated
-//! from the given library.
+//! Three netlists are built in code: [`paper_unit`], whose loads
+//! are fixed to Fig. 2a, and the parameterized [`random_logic`] and
+//! [`mult`] families. Every netlist returned here is validated and has
+//! loads back-annotated from the given library.
 
 use crate::library::{CellKind, Library};
 use crate::netlist::{Netlist, SignalId};
 use crate::units::Capacitance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Builds a balanced tree of `two`/`three`-input gates over `signals`.
-fn tree(n: &mut Netlist, mut signals: Vec<SignalId>, two: CellKind, three: CellKind) -> SignalId {
-    assert!(!signals.is_empty());
-    while signals.len() > 1 {
-        let mut next = Vec::with_capacity(signals.len() / 2 + 1);
-        let mut rest = signals.as_slice();
-        while !rest.is_empty() {
-            match rest.len() {
-                1 => {
-                    next.push(rest[0]);
-                    rest = &rest[1..];
-                }
-                2 | 4 => {
-                    next.push(n.add_gate(two, &rest[..2]).expect("valid gate"));
-                    rest = &rest[2..];
-                }
-                _ => {
-                    next.push(n.add_gate(three, &rest[..3]).expect("valid gate"));
-                    rest = &rest[3..];
-                }
-            }
-        }
-        signals = next;
-    }
-    signals[0]
-}
-
-fn and_tree(n: &mut Netlist, signals: Vec<SignalId>) -> SignalId {
-    tree(n, signals, CellKind::And2, CellKind::And3)
-}
-
-fn or_tree(n: &mut Netlist, signals: Vec<SignalId>) -> SignalId {
-    tree(n, signals, CellKind::Or2, CellKind::Or3)
-}
-
-fn xor_tree(n: &mut Netlist, mut signals: Vec<SignalId>) -> SignalId {
-    assert!(!signals.is_empty());
-    while signals.len() > 1 {
-        let mut next = Vec::with_capacity(signals.len() / 2 + 1);
-        for pair in signals.chunks(2) {
-            match pair {
-                [a, b] => next.push(n.add_gate(CellKind::Xor2, &[*a, *b]).expect("valid gate")),
-                [a] => next.push(*a),
-                _ => unreachable!("chunks(2)"),
-            }
-        }
-        signals = next;
-    }
-    signals[0]
-}
 
 fn finish(mut n: Netlist, library: &Library) -> Netlist {
     n.annotate_loads(library);
@@ -108,337 +60,6 @@ pub fn paper_unit() -> Netlist {
     n
 }
 
-/// `parity`: 16-input odd-parity tree (paper: n=16, N=36).
-pub fn parity(library: &Library) -> Netlist {
-    let mut n = Netlist::new("parity");
-    let bits: Vec<SignalId> = (0..16)
-        .map(|i| n.add_input(format!("in{i}")).expect("fresh"))
-        .collect();
-    let p = xor_tree(&mut n, bits);
-    let out = n
-        .add_gate_named(CellKind::Buf, &[p], "parity_out")
-        .expect("ok");
-    n.mark_output(out).expect("ok");
-    finish(n, library)
-}
-
-/// `decod`: 4-to-16 line decoder with enable (paper: n=5, N=23).
-///
-/// Classic two-level predecode structure: address inverters, two 2-bit
-/// predecoders, and a 4×4 AND matrix.
-pub fn decod(library: &Library) -> Netlist {
-    let mut n = Netlist::new("decod");
-    let a: Vec<SignalId> = (0..4)
-        .map(|i| n.add_input(format!("a{i}")).expect("fresh"))
-        .collect();
-    let en = n.add_input("en").expect("fresh");
-    let na: Vec<SignalId> = a
-        .iter()
-        .map(|&s| n.add_gate(CellKind::Inv, &[s]).expect("ok"))
-        .collect();
-    // Low predecode over a0,a1; high predecode (with enable) over a2,a3.
-    let lo = [
-        n.add_gate(CellKind::And2, &[na[0], na[1]]).expect("ok"),
-        n.add_gate(CellKind::And2, &[a[0], na[1]]).expect("ok"),
-        n.add_gate(CellKind::And2, &[na[0], a[1]]).expect("ok"),
-        n.add_gate(CellKind::And2, &[a[0], a[1]]).expect("ok"),
-    ];
-    let hi = [
-        n.add_gate(CellKind::And3, &[na[2], na[3], en]).expect("ok"),
-        n.add_gate(CellKind::And3, &[a[2], na[3], en]).expect("ok"),
-        n.add_gate(CellKind::And3, &[na[2], a[3], en]).expect("ok"),
-        n.add_gate(CellKind::And3, &[a[2], a[3], en]).expect("ok"),
-    ];
-    for (h, &hi_h) in hi.iter().enumerate() {
-        for (l, &lo_l) in lo.iter().enumerate() {
-            let y = n
-                .add_gate_named(CellKind::And2, &[lo_l, hi_h], format!("y{}", h * 4 + l))
-                .expect("ok");
-            n.mark_output(y).expect("ok");
-        }
-    }
-    finish(n, library)
-}
-
-/// `cm85`: dual 4-bit + carry magnitude-comparator slice
-/// (paper: n=11, N=31). Outputs `eq`, `gt`, `lt`.
-pub fn cm85(library: &Library) -> Netlist {
-    let mut n = Netlist::new("cm85");
-    let a: Vec<SignalId> = (0..5)
-        .map(|i| n.add_input(format!("a{i}")).expect("fresh"))
-        .collect();
-    let b: Vec<SignalId> = (0..5)
-        .map(|i| n.add_input(format!("b{i}")).expect("fresh"))
-        .collect();
-    let cin = n.add_input("cin").expect("fresh");
-
-    // Per-bit equality.
-    let eqs: Vec<SignalId> = (0..5)
-        .map(|i| n.add_gate(CellKind::Xnor2, &[a[i], b[i]]).expect("ok"))
-        .collect();
-    // gt ripple from MSB: gt_i = (a_i & !b_i) | (eq_i & gt_{i-1});
-    // seed with cin at the LSB side.
-    let mut gt = cin;
-    for i in 0..5 {
-        let nb = n.add_gate(CellKind::Inv, &[b[i]]).expect("ok");
-        let here = n.add_gate(CellKind::And2, &[a[i], nb]).expect("ok");
-        let carry = n.add_gate(CellKind::And2, &[eqs[i], gt]).expect("ok");
-        gt = n.add_gate(CellKind::Or2, &[here, carry]).expect("ok");
-    }
-    let eq = and_tree(&mut n, eqs);
-    let n_eq = n.add_gate(CellKind::Inv, &[eq]).expect("ok");
-    let lt = n
-        .add_gate_named(CellKind::Nor2, &[gt, eq], "lt")
-        .expect("ok");
-    let eq_out = n.add_gate_named(CellKind::Buf, &[eq], "eq").expect("ok");
-    let gt_out = n
-        .add_gate_named(CellKind::And2, &[gt, n_eq], "gt")
-        .expect("ok");
-    for s in [eq_out, gt_out, lt] {
-        n.mark_output(s).expect("ok");
-    }
-    finish(n, library)
-}
-
-/// `cmb`: 8+8-bit combination-lock comparator (paper: n=16, N=34).
-/// Outputs `match` (a == key), `any` (OR of data bits), and `oddp`.
-pub fn cmb(library: &Library) -> Netlist {
-    let mut n = Netlist::new("cmb");
-    let a: Vec<SignalId> = (0..8)
-        .map(|i| n.add_input(format!("a{i}")).expect("fresh"))
-        .collect();
-    let k: Vec<SignalId> = (0..8)
-        .map(|i| n.add_input(format!("k{i}")).expect("fresh"))
-        .collect();
-    let eqs: Vec<SignalId> = (0..8)
-        .map(|i| n.add_gate(CellKind::Xnor2, &[a[i], k[i]]).expect("ok"))
-        .collect();
-    let m = and_tree(&mut n, eqs);
-    let m_out = n.add_gate_named(CellKind::Buf, &[m], "match").expect("ok");
-    let any = or_tree(&mut n, a.clone());
-    let any_out = n.add_gate_named(CellKind::Buf, &[any], "any").expect("ok");
-    let odd = xor_tree(&mut n, a);
-    let odd_out = n.add_gate_named(CellKind::Buf, &[odd], "oddp").expect("ok");
-    for s in [m_out, any_out, odd_out] {
-        n.mark_output(s).expect("ok");
-    }
-    finish(n, library)
-}
-
-/// `cm150`: 16:1 multiplexer with enable, two-level AND-OR decomposition
-/// (paper: n=21, N=46).
-pub fn cm150(library: &Library) -> Netlist {
-    let mut n = Netlist::new("cm150");
-    let d: Vec<SignalId> = (0..16)
-        .map(|i| n.add_input(format!("d{i}")).expect("fresh"))
-        .collect();
-    let s: Vec<SignalId> = (0..4)
-        .map(|i| n.add_input(format!("s{i}")).expect("fresh"))
-        .collect();
-    let en = n.add_input("en").expect("fresh");
-    let ns: Vec<SignalId> = s
-        .iter()
-        .map(|&x| n.add_gate(CellKind::Inv, &[x]).expect("ok"))
-        .collect();
-    let mut terms = Vec::with_capacity(16);
-    for (i, &di) in d.iter().enumerate() {
-        let lit = |_n: &mut Netlist, bit: usize| -> SignalId {
-            if i >> bit & 1 == 1 {
-                s[bit]
-            } else {
-                ns[bit]
-            }
-        };
-        let l0 = lit(&mut n, 0);
-        let l1 = lit(&mut n, 1);
-        let l2 = lit(&mut n, 2);
-        let l3 = lit(&mut n, 3);
-        let sel_lo = n.add_gate(CellKind::And3, &[l0, l1, di]).expect("ok");
-        let term = n.add_gate(CellKind::And3, &[l2, l3, sel_lo]).expect("ok");
-        terms.push(term);
-    }
-    let y = or_tree(&mut n, terms);
-    let out = n.add_gate_named(CellKind::And2, &[y, en], "y").expect("ok");
-    n.mark_output(out).expect("ok");
-    finish(n, library)
-}
-
-/// `mux`: 16:1 multiplexer with enable, MUX2-tree decomposition
-/// (paper: n=21, N=61). Same function as [`cm150`], different structure —
-/// useful as an implementation-sensitivity study.
-pub fn mux(library: &Library) -> Netlist {
-    let mut n = Netlist::new("mux");
-    let d: Vec<SignalId> = (0..16)
-        .map(|i| n.add_input(format!("d{i}")).expect("fresh"))
-        .collect();
-    let s: Vec<SignalId> = (0..4)
-        .map(|i| n.add_input(format!("s{i}")).expect("fresh"))
-        .collect();
-    let en = n.add_input("en").expect("fresh");
-    let mut layer = d;
-    for sel in &s {
-        let mut next = Vec::with_capacity(layer.len() / 2);
-        for pair in layer.chunks(2) {
-            next.push(
-                n.add_gate(CellKind::Mux2, &[*sel, pair[0], pair[1]])
-                    .expect("ok"),
-            );
-        }
-        layer = next;
-    }
-    let out = n
-        .add_gate_named(CellKind::And2, &[layer[0], en], "y")
-        .expect("ok");
-    n.mark_output(out).expect("ok");
-    finish(n, library)
-}
-
-/// `comp`: 16-bit magnitude comparator, ripple structure
-/// (paper: n=32, N=93). Outputs `gt` and `lt`.
-pub fn comp(library: &Library) -> Netlist {
-    let mut n = Netlist::new("comp");
-    let a: Vec<SignalId> = (0..16)
-        .map(|i| n.add_input(format!("a{i}")).expect("fresh"))
-        .collect();
-    let b: Vec<SignalId> = (0..16)
-        .map(|i| n.add_input(format!("b{i}")).expect("fresh"))
-        .collect();
-    // MSB-first ripple with a running "all higher bits equal" prefix.
-    let mut gt: Option<SignalId> = None;
-    let mut lt: Option<SignalId> = None;
-    let mut eq_prefix: Option<SignalId> = None;
-    for i in (0..16).rev() {
-        let eq = n.add_gate(CellKind::Xnor2, &[a[i], b[i]]).expect("ok");
-        let nb = n.add_gate(CellKind::Inv, &[b[i]]).expect("ok");
-        let na = n.add_gate(CellKind::Inv, &[a[i]]).expect("ok");
-        let a_gt = n.add_gate(CellKind::And2, &[a[i], nb]).expect("ok");
-        let a_lt = n.add_gate(CellKind::And2, &[na, b[i]]).expect("ok");
-        let (contrib_gt, contrib_lt) = match eq_prefix {
-            None => (a_gt, a_lt),
-            Some(pref) => (
-                n.add_gate(CellKind::And2, &[pref, a_gt]).expect("ok"),
-                n.add_gate(CellKind::And2, &[pref, a_lt]).expect("ok"),
-            ),
-        };
-        gt = Some(match gt {
-            None => contrib_gt,
-            Some(prev) => n.add_gate(CellKind::Or2, &[prev, contrib_gt]).expect("ok"),
-        });
-        lt = Some(match lt {
-            None => contrib_lt,
-            Some(prev) => n.add_gate(CellKind::Or2, &[prev, contrib_lt]).expect("ok"),
-        });
-        eq_prefix = Some(match eq_prefix {
-            None => eq,
-            Some(pref) => n.add_gate(CellKind::And2, &[pref, eq]).expect("ok"),
-        });
-    }
-    let gt_out = n
-        .add_gate_named(CellKind::Buf, &[gt.expect("16 bits")], "gt")
-        .expect("ok");
-    let lt_out = n
-        .add_gate_named(CellKind::Buf, &[lt.expect("16 bits")], "lt")
-        .expect("ok");
-    n.mark_output(gt_out).expect("ok");
-    n.mark_output(lt_out).expect("ok");
-    finish(n, library)
-}
-
-/// `pcle`: 9-stage parallel carry chain (propagate/generate expander,
-/// paper: n=19, N=45). Inputs are 9 `(p, g)` pairs plus `cin`; outputs the
-/// nine carries.
-pub fn pcle(library: &Library) -> Netlist {
-    let mut n = Netlist::new("pcle");
-    let p: Vec<SignalId> = (0..9)
-        .map(|i| n.add_input(format!("p{i}")).expect("fresh"))
-        .collect();
-    let g: Vec<SignalId> = (0..9)
-        .map(|i| n.add_input(format!("g{i}")).expect("fresh"))
-        .collect();
-    let cin = n.add_input("cin").expect("fresh");
-    let mut carry = cin;
-    for i in 0..9 {
-        let prop = n.add_gate(CellKind::And2, &[p[i], carry]).expect("ok");
-        carry = n
-            .add_gate_named(CellKind::Or2, &[g[i], prop], format!("c{}", i + 1))
-            .expect("ok");
-        n.mark_output(carry).expect("ok");
-    }
-    finish(n, library)
-}
-
-/// A ripple-carry ALU used for `alu2`/`alu4` (paper: n=10/N=252 and
-/// n=14/N=460). Two mode bits select among ADD, AND, OR, XOR; the
-/// per-bit result is selected by a MUX2 tree. Output includes carry-out.
-fn alu(name: &str, width: usize, library: &Library) -> Netlist {
-    let mut n = Netlist::new(name);
-    let a: Vec<SignalId> = (0..width)
-        .map(|i| n.add_input(format!("a{i}")).expect("fresh"))
-        .collect();
-    let b: Vec<SignalId> = (0..width)
-        .map(|i| n.add_input(format!("b{i}")).expect("fresh"))
-        .collect();
-    let m0 = n.add_input("m0").expect("fresh");
-    let m1 = n.add_input("m1").expect("fresh");
-
-    // Ripple adder.
-    let mut carry: Option<SignalId> = None;
-    let mut sums = Vec::with_capacity(width);
-    for i in 0..width {
-        let axb = n.add_gate(CellKind::Xor2, &[a[i], b[i]]).expect("ok");
-        match carry {
-            None => {
-                sums.push(axb);
-                carry = Some(n.add_gate(CellKind::And2, &[a[i], b[i]]).expect("ok"));
-            }
-            Some(c) => {
-                sums.push(n.add_gate(CellKind::Xor2, &[axb, c]).expect("ok"));
-                let t1 = n.add_gate(CellKind::And2, &[axb, c]).expect("ok");
-                let t2 = n.add_gate(CellKind::And2, &[a[i], b[i]]).expect("ok");
-                carry = Some(n.add_gate(CellKind::Or2, &[t1, t2]).expect("ok"));
-            }
-        }
-    }
-
-    for i in 0..width {
-        let and_i = n.add_gate(CellKind::And2, &[a[i], b[i]]).expect("ok");
-        let or_i = n.add_gate(CellKind::Or2, &[a[i], b[i]]).expect("ok");
-        let xor_i = n.add_gate(CellKind::Xor2, &[a[i], b[i]]).expect("ok");
-        // m1 m0: 00 -> sum, 01 -> and, 10 -> or, 11 -> xor.
-        let lo = n
-            .add_gate(CellKind::Mux2, &[m0, sums[i], and_i])
-            .expect("ok");
-        let hi = n.add_gate(CellKind::Mux2, &[m0, or_i, xor_i]).expect("ok");
-        let y = n
-            .add_gate_named(CellKind::Mux2, &[m1, lo, hi], format!("y{i}"))
-            .expect("ok");
-        n.mark_output(y).expect("ok");
-    }
-    // Carry-out is only meaningful in ADD mode; gate it with !m0 & !m1.
-    let nm0 = n.add_gate(CellKind::Inv, &[m0]).expect("ok");
-    let nm1 = n.add_gate(CellKind::Inv, &[m1]).expect("ok");
-    let add_mode = n.add_gate(CellKind::And2, &[nm0, nm1]).expect("ok");
-    let cout = n
-        .add_gate_named(
-            CellKind::And2,
-            &[carry.expect("width > 0"), add_mode],
-            "cout",
-        )
-        .expect("ok");
-    n.mark_output(cout).expect("ok");
-    finish(n, library)
-}
-
-/// `alu2`: 4-bit ALU (paper: n=10, N=252).
-pub fn alu2(library: &Library) -> Netlist {
-    alu("alu2", 4, library)
-}
-
-/// `alu4`: 6-bit ALU (paper: n=14, N=460).
-pub fn alu4(library: &Library) -> Netlist {
-    alu("alu4", 6, library)
-}
-
 /// Seeded, locality-structured random logic DAG.
 ///
 /// Each gate draws its fan-ins from a sliding window over the most recent
@@ -455,23 +76,10 @@ pub fn random_logic(
     seed: u64,
     library: &Library,
 ) -> Netlist {
-    random_logic_with_window(name, num_inputs, num_gates, seed, 12, library)
-}
-
-/// [`random_logic`] with an explicit locality-window width.
-///
-/// The window is the dominant difficulty knob: a wider window increases
-/// cone overlap and therefore the exact switching-capacitance ADD size
-/// (symbolic difficulty), at the risk of blow-up when it approaches the
-/// input count.
-pub fn random_logic_with_window(
-    name: &str,
-    num_inputs: usize,
-    num_gates: usize,
-    seed: u64,
-    window: usize,
-    library: &Library,
-) -> Netlist {
+    // Fan-in locality window: the dominant difficulty knob. A wider
+    // window increases cone overlap and therefore the exact ADD size, at
+    // the risk of blow-up as it approaches the input count.
+    const WINDOW: usize = 12;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut n = Netlist::new(name);
     // All primary inputs are declared up front, but they enter the
@@ -483,7 +91,7 @@ pub fn random_logic_with_window(
     let inputs: Vec<SignalId> = (0..num_inputs)
         .map(|i| n.add_input(format!("in{i}")).expect("fresh"))
         .collect();
-    let bootstrap = num_inputs.min(window.max(4));
+    let bootstrap = num_inputs.min(WINDOW.max(4));
     let mut pool: Vec<SignalId> = inputs[..bootstrap].to_vec();
     let mut pending = bootstrap;
     let inject_every = if num_inputs > bootstrap {
@@ -519,7 +127,7 @@ pub fn random_logic_with_window(
             signatures.push(rng.gen::<u64>());
             pending += 1;
         }
-        let lo = pool.len().saturating_sub(window);
+        let lo = pool.len().saturating_sub(WINDOW);
         let mut accepted: Option<(CellKind, Vec<usize>, u64)> = None;
         for attempt in 0..24 {
             let kind = CELLS[rng.gen_range(0..CELLS.len())];
@@ -571,139 +179,6 @@ pub fn random_logic_with_window(
         }
     }
     finish(n, library)
-}
-
-/// Block-structured random logic for the larger MCNC stand-ins.
-///
-/// The circuit is a chain of `num_blocks` blocks. Each block draws on its
-/// own random subset of primary inputs (about `num_inputs / num_blocks`
-/// wide, with overlap) plus a single carry signal from the previous block,
-/// and generates `num_gates / num_blocks` gates with the locality-window
-/// process of [`random_logic`]. The carry bottleneck keeps every node
-/// function's BDD small (composition through one bit adds only a factor
-/// of two), while the *switching-capacitance ADD* — a sum over all blocks'
-/// contributions — grows multiplicatively in its value set, giving the
-/// symbolic difficulty the paper reports for circuits like `k2` without
-/// the exponential node-function blow-up of globally random logic.
-pub fn random_logic_blocks(
-    name: &str,
-    num_inputs: usize,
-    num_gates: usize,
-    num_blocks: usize,
-    seed: u64,
-    library: &Library,
-) -> Netlist {
-    assert!(num_blocks >= 1 && num_gates >= num_blocks);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut n = Netlist::new(name);
-    let inputs: Vec<SignalId> = (0..num_inputs)
-        .map(|i| n.add_input(format!("in{i}")).expect("fresh"))
-        .collect();
-
-    const CELLS: [CellKind; 10] = [
-        CellKind::Nand2,
-        CellKind::Nor2,
-        CellKind::And2,
-        CellKind::Or2,
-        CellKind::Xor2,
-        CellKind::Xnor2,
-        CellKind::Inv,
-        CellKind::Aoi21,
-        CellKind::Oai21,
-        CellKind::Mux2,
-    ];
-    let gates_per_block = num_gates / num_blocks;
-    let block_width = (num_inputs / num_blocks).max(3) + 2;
-    let window = 10usize;
-    let mut carry: Option<(SignalId, u64)> = None;
-    let mut made = 0usize;
-
-    for block in 0..num_blocks {
-        // This block's input subset: a contiguous rotation plus strays.
-        let base = block * num_inputs / num_blocks;
-        let mut pool: Vec<SignalId> = (0..block_width)
-            .map(|k| inputs[(base + k) % num_inputs])
-            .collect();
-        let mut signatures: Vec<u64> = (0..pool.len()).map(|_| rng.gen()).collect();
-        if let Some((sig, word)) = carry {
-            pool.push(sig);
-            signatures.push(word);
-        }
-        let mut fanout = vec![0u32; pool.len()];
-
-        let in_this_block = if block == num_blocks - 1 {
-            num_gates - made
-        } else {
-            gates_per_block
-        };
-        for _ in 0..in_this_block {
-            let lo = pool.len().saturating_sub(window);
-            let mut accepted: Option<(CellKind, Vec<usize>, u64)> = None;
-            for attempt in 0..24 {
-                let kind = CELLS[rng.gen_range(0..CELLS.len())];
-                let mut idxs = Vec::with_capacity(kind.arity());
-                let mut guard = 0;
-                while idxs.len() < kind.arity() {
-                    let a = rng.gen_range(lo..pool.len());
-                    let b = rng.gen_range(lo..pool.len());
-                    let idx = if fanout[a] <= fanout[b] { a } else { b };
-                    if !idxs.contains(&idx) || guard > 8 {
-                        idxs.push(idx);
-                    }
-                    guard += 1;
-                }
-                let pins: Vec<u64> = idxs.iter().map(|&i| signatures[i]).collect();
-                let sig = kind.eval_word(&pins);
-                let degenerate =
-                    sig == 0 || sig == u64::MAX || pins.iter().any(|&p| p == sig || p == !sig);
-                if !degenerate || attempt == 23 {
-                    accepted = Some((kind, idxs, sig));
-                    break;
-                }
-            }
-            let (kind, idxs, sig) = accepted.expect("attempt loop always accepts");
-            let ins: Vec<SignalId> = idxs.iter().map(|&i| pool[i]).collect();
-            for &i in &idxs {
-                fanout[i] += 1;
-            }
-            let out = n.add_gate(kind, &ins).expect("ok");
-            pool.push(out);
-            fanout.push(0);
-            signatures.push(sig);
-            made += 1;
-        }
-        carry = Some((
-            *pool.last().expect("nonempty"),
-            *signatures.last().expect("nonempty"),
-        ));
-    }
-
-    // Every gate output without fan-out becomes a primary output.
-    let fo = n.fanouts();
-    let sinks: Vec<SignalId> = n
-        .gates()
-        .map(|(_, g)| g.output())
-        .filter(|s| fo[s.index()].is_empty())
-        .collect();
-    for s in sinks {
-        n.mark_output(s).expect("ok");
-    }
-    finish(n, library)
-}
-
-/// `x2`: small random logic (paper: n=10, N=40).
-pub fn x2(library: &Library) -> Netlist {
-    random_logic("x2", 10, 40, 0x0002, library)
-}
-
-/// `x1`: medium random logic (paper: n=49, N=228), block-structured.
-pub fn x1(library: &Library) -> Netlist {
-    random_logic_blocks("x1", 49, 228, 6, 0x0001, library)
-}
-
-/// `k2`: large random logic (paper: n=45, N=1206), block-structured.
-pub fn k2(library: &Library) -> Netlist {
-    random_logic_blocks("k2", 45, 1206, 10, 0x004b, library)
 }
 
 /// `mult{width}`: array multiplier — the qualitative stand-in for the
@@ -775,79 +250,107 @@ pub fn mult(width: usize, library: &Library) -> Netlist {
 ///
 /// `k2` is by far the largest; callers on a budget can skip it by name.
 pub fn table1_circuits(library: &Library) -> Vec<Netlist> {
-    vec![
-        alu2(library),
-        alu4(library),
-        cmb(library),
-        cm150(library),
-        cm85(library),
-        comp(library),
-        decod(library),
-        k2(library),
-        mux(library),
-        parity(library),
-        pcle(library),
-        x1(library),
-        x2(library),
-    ]
+    (0..committed::TABLE1)
+        .map(|i| committed::netlist(i, library))
+        .collect()
+}
+
+/// Looks a benchmark up by its Table-1 name (or `unit_u`, the
+/// [`paper_unit`]).
+pub fn by_name(name: &str, library: &Library) -> Option<Netlist> {
+    if name == "unit_u" {
+        return Some(paper_unit());
+    }
+    committed::find(0..committed::TABLE1, name).map(|i| committed::netlist(i, library))
 }
 
 /// Committed BLIF benchmarks under `crates/netlist/benchmarks/`.
 ///
-/// These are the conformance generator's structured families (ripple-carry
-/// adder, MUX2 tree, XOR parity tree) promoted to fixed, reviewable `.blif`
-/// text, plus `seqpipe2` — the canonical two-macro sequential feedback
-/// pipeline. Unlike the programmatic constructors above, the committed text
-/// never changes underneath a reader: CI smoke checks, the `seqeval`
-/// byte-parity check, and the statistics-independence sweep in
-/// EXPERIMENTS.md all load these exact bytes. Regenerate (after a
-/// deliberate change) with
-/// `cargo test -p charfree-conform --test conform -- --ignored regenerate_committed_benchmarks`.
+/// One `(name, text)` table holds every named circuit: the 13 Table 1
+/// circuits, the conformance generator's structured families
+/// (ripple-carry adder, MUX2 tree, XOR parity tree) and `seqpipe2`, the
+/// canonical two-macro sequential feedback pipeline. The text never
+/// changes underneath a reader: Table 1, the CI smoke checks, the
+/// `seqeval` byte-parity check and the statistics-independence sweep in
+/// EXPERIMENTS.md all load these exact bytes. The three families are
+/// regenerated (after a deliberate change) with
+/// `cargo test -p charfree-conform --test conform -- --ignored regenerate_committed_benchmarks`;
+/// the Table 1 text is the circuits' only definition.
 pub mod committed {
     use super::{Library, Netlist};
     use crate::blif;
     use crate::seq::SeqNetlist;
+    use std::ops::Range;
+    use std::sync::OnceLock;
 
-    /// 8-bit ripple-carry adder (16 inputs, 37 gates).
-    pub const ADDER8: &str = include_str!("../benchmarks/adder8.blif");
-    /// Depth-4 MUX2 selection tree (20 inputs, 15 gates).
-    pub const MUXTREE4: &str = include_str!("../benchmarks/muxtree4.blif");
-    /// 12-input XOR parity tree (11 gates).
-    pub const PARITY12: &str = include_str!("../benchmarks/parity12.blif");
     /// Two-macro sequential feedback pipeline (2 inputs, 4 gates,
     /// 2 latches; state crosses both register boundaries).
     pub const SEQPIPE2: &str = include_str!("../benchmarks/seqpipe2.blif");
 
-    /// The committed *combinational* benchmarks as `(name, blif)` pairs.
-    pub const COMBINATIONAL: [(&str, &str); 3] = [
-        ("adder8", ADDER8),
-        ("muxtree4", MUXTREE4),
-        ("parity12", PARITY12),
+    /// Every committed benchmark as `(name, blif)`: the Table 1 circuits
+    /// in the paper's order, then the combinational families, then
+    /// `seqpipe2`.
+    const TABLE: [(&str, &str); 17] = [
+        ("alu2", include_str!("../benchmarks/alu2.blif")),
+        ("alu4", include_str!("../benchmarks/alu4.blif")),
+        ("cmb", include_str!("../benchmarks/cmb.blif")),
+        ("cm150", include_str!("../benchmarks/cm150.blif")),
+        ("cm85", include_str!("../benchmarks/cm85.blif")),
+        ("comp", include_str!("../benchmarks/comp.blif")),
+        ("decod", include_str!("../benchmarks/decod.blif")),
+        ("k2", include_str!("../benchmarks/k2.blif")),
+        ("mux", include_str!("../benchmarks/mux.blif")),
+        ("parity", include_str!("../benchmarks/parity.blif")),
+        ("pcle", include_str!("../benchmarks/pcle.blif")),
+        ("x1", include_str!("../benchmarks/x1.blif")),
+        ("x2", include_str!("../benchmarks/x2.blif")),
+        // 8-bit ripple-carry adder (16 inputs, 37 gates).
+        ("adder8", include_str!("../benchmarks/adder8.blif")),
+        // Depth-4 MUX2 selection tree (20 inputs, 15 gates).
+        ("muxtree4", include_str!("../benchmarks/muxtree4.blif")),
+        // 12-input XOR parity tree (11 gates).
+        ("parity12", include_str!("../benchmarks/parity12.blif")),
+        ("seqpipe2", SEQPIPE2),
     ];
+    /// `TABLE[..TABLE1]` is the Table 1 set.
+    pub(super) const TABLE1: usize = 13;
+    /// `TABLE[..SEQUENTIAL]` is combinational.
+    const SEQUENTIAL: usize = 16;
 
-    /// Looks up the committed BLIF text by benchmark name
-    /// (`seqpipe2` included).
-    pub fn source(name: &str) -> Option<&'static str> {
-        match name {
-            "adder8" => Some(ADDER8),
-            "muxtree4" => Some(MUXTREE4),
-            "parity12" => Some(PARITY12),
-            "seqpipe2" => Some(SEQPIPE2),
-            _ => None,
-        }
+    /// The committed *combinational* families as `(name, blif)` pairs.
+    pub const COMBINATIONAL: &[(&str, &str)] = TABLE.split_at(SEQUENTIAL).0.split_at(TABLE1).1;
+
+    /// Each combinational entry, parsed once per process. Loads depend on
+    /// the caller's library, so they are annotated on every copy.
+    static PARSED: [OnceLock<Netlist>; SEQUENTIAL] = [const { OnceLock::new() }; SEQUENTIAL];
+
+    pub(super) fn find(range: Range<usize>, name: &str) -> Option<usize> {
+        range.into_iter().find(|&i| TABLE[i].0 == name)
     }
 
-    /// Parses a committed combinational benchmark and back-annotates
-    /// loads from `library`.
+    /// A copy of combinational entry `i` with loads from `library`.
+    pub(super) fn netlist(i: usize, library: &Library) -> Netlist {
+        let mut netlist = PARSED[i]
+            .get_or_init(|| blif::parse(TABLE[i].1).expect("committed benchmark parses"))
+            .clone();
+        netlist.annotate_loads(library);
+        netlist
+    }
+
+    /// Looks up the committed BLIF text of a family benchmark by name
+    /// (`seqpipe2` included).
+    pub fn source(name: &str) -> Option<&'static str> {
+        find(TABLE1..TABLE.len(), name).map(|i| TABLE[i].1)
+    }
+
+    /// Parses a committed combinational family benchmark and
+    /// back-annotates loads from `library`.
     ///
     /// # Panics
     ///
     /// Never for the committed names — the text is validated in tests.
     pub fn load(name: &str, library: &Library) -> Option<Netlist> {
-        let (_, text) = COMBINATIONAL.iter().find(|(n, _)| *n == name)?;
-        let mut netlist = blif::parse(text).expect("committed benchmark parses");
-        netlist.annotate_loads(library);
-        Some(netlist)
+        find(TABLE1..SEQUENTIAL, name).map(|i| netlist(i, library))
     }
 
     /// Parses the committed sequential benchmark and back-annotates
@@ -856,27 +359,6 @@ pub mod committed {
         let mut seq = blif::parse_seq(SEQPIPE2).expect("committed benchmark parses");
         seq.annotate_loads(library);
         seq
-    }
-}
-
-/// Looks a benchmark up by its Table-1 name.
-pub fn by_name(name: &str, library: &Library) -> Option<Netlist> {
-    match name {
-        "alu2" => Some(alu2(library)),
-        "alu4" => Some(alu4(library)),
-        "cmb" => Some(cmb(library)),
-        "cm150" => Some(cm150(library)),
-        "cm85" => Some(cm85(library)),
-        "comp" => Some(comp(library)),
-        "decod" => Some(decod(library)),
-        "k2" => Some(k2(library)),
-        "mux" => Some(mux(library)),
-        "parity" => Some(parity(library)),
-        "pcle" => Some(pcle(library)),
-        "x1" => Some(x1(library)),
-        "x2" => Some(x2(library)),
-        "unit_u" => Some(paper_unit()),
-        _ => None,
     }
 }
 
@@ -900,6 +382,10 @@ mod tests {
         Library::test_library()
     }
 
+    fn bench(name: &str) -> Netlist {
+        by_name(name, &lib()).expect("Table 1 name")
+    }
+
     #[test]
     fn paper_unit_matches_figure2() {
         let u = paper_unit();
@@ -915,7 +401,7 @@ mod tests {
 
     #[test]
     fn parity_is_odd_parity() {
-        let p = parity(&lib());
+        let p = bench("parity");
         assert_eq!(p.num_inputs(), 16);
         for trial in [0u32, 1, 0b1010101, 0xffff, 0x8001] {
             let asg: Vec<bool> = (0..16).map(|i| trial >> i & 1 == 1).collect();
@@ -926,7 +412,7 @@ mod tests {
 
     #[test]
     fn decod_is_one_hot_with_enable() {
-        let d = decod(&lib());
+        let d = bench("decod");
         assert_eq!(d.num_inputs(), 5);
         for addr in 0..16usize {
             let mut asg = vec![false; 5];
@@ -947,7 +433,7 @@ mod tests {
 
     #[test]
     fn cm85_compares() {
-        let c = cm85(&lib());
+        let c = bench("cm85");
         assert_eq!(c.num_inputs(), 11);
         // outputs: eq, gt, lt for (a, b, cin).
         let run = |a: u32, b: u32, cin: bool| -> Vec<bool> {
@@ -971,7 +457,7 @@ mod tests {
 
     #[test]
     fn cmb_matches_lock() {
-        let c = cmb(&lib());
+        let c = bench("cmb");
         assert_eq!(c.num_inputs(), 16);
         let run = |a: u32, k: u32| -> Vec<bool> {
             let mut asg = Vec::with_capacity(16);
@@ -996,9 +482,8 @@ mod tests {
 
     #[test]
     fn muxes_select_and_agree() {
-        let l = lib();
-        let m1 = cm150(&l);
-        let m2 = mux(&l);
+        let m1 = bench("cm150");
+        let m2 = bench("mux");
         assert_eq!(m1.num_inputs(), 21);
         assert_eq!(m2.num_inputs(), 21);
         // Inputs: d0..d15, s0..s3, en.
@@ -1034,7 +519,7 @@ mod tests {
 
     #[test]
     fn comp_is_magnitude_comparator() {
-        let c = comp(&lib());
+        let c = bench("comp");
         assert_eq!(c.num_inputs(), 32);
         let run = |a: u32, b: u32| -> Vec<bool> {
             let mut asg = Vec::with_capacity(32);
@@ -1061,7 +546,7 @@ mod tests {
 
     #[test]
     fn pcle_ripples_carries() {
-        let c = pcle(&lib());
+        let c = bench("pcle");
         assert_eq!(c.num_inputs(), 19);
         // p = all ones, g = 0, cin = 1 -> all carries 1.
         let mut asg = vec![true; 9];
@@ -1079,7 +564,7 @@ mod tests {
 
     #[test]
     fn alu_modes() {
-        let a4 = alu2(&lib());
+        let a4 = bench("alu2");
         assert_eq!(a4.num_inputs(), 10);
         let run = |a: u32, b: u32, mode: u32| -> (u32, bool) {
             let mut asg = Vec::with_capacity(10);
@@ -1108,7 +593,7 @@ mod tests {
             assert_eq!(run(a, b, 2).0, a | b);
             assert_eq!(run(a, b, 3).0, a ^ b);
         }
-        let a6 = alu4(&lib());
+        let a6 = bench("alu4");
         assert_eq!(a6.num_inputs(), 14);
         assert!(a6.num_gates() > a4.num_gates());
     }
@@ -1196,6 +681,12 @@ mod tests {
         assert!(by_name("cm85", &l).is_some());
         assert!(by_name("unit_u", &l).is_some());
         assert!(by_name("nope", &l).is_none());
+        // One table behind three lookups; each answers only its own names.
+        assert!(by_name("adder8", &l).is_none());
+        assert!(by_name("seqpipe2", &l).is_none());
+        assert!(committed::source("cm85").is_none());
+        assert!(committed::load("cm85", &l).is_none());
+        assert_eq!(committed::source("seqpipe2"), Some(committed::SEQPIPE2));
     }
 
     #[test]

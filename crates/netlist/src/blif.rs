@@ -474,65 +474,62 @@ fn elaborate_map(raw: RawModel) -> Result<(Netlist, HashMap<String, SignalId>), 
         sig.insert(name.clone(), id);
     }
 
-    // DFS topological elaboration.
+    // Depth-first topological elaboration: every node is emitted after
+    // its fan-in nodes, in post-order from the first definition on (gate
+    // order feeds artifact keys and the order of load accumulation). The
+    // walk keeps an explicit `(node, next_pin)` stack, so a deep chain
+    // costs heap, not call stack.
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
+        Unvisited,
         Visiting,
         Done,
     }
-    let mut marks: HashMap<usize, Mark> = HashMap::new();
-
-    fn visit(
-        node: usize,
-        raw: &RawModel,
-        def_index: &HashMap<&str, usize>,
-        marks: &mut HashMap<usize, Mark>,
-        netlist: &mut Netlist,
-        sig: &mut HashMap<String, SignalId>,
-    ) -> Result<(), BlifError> {
-        match marks.get(&node) {
-            Some(Mark::Done) => return Ok(()),
-            Some(Mark::Visiting) => {
-                return Err(BlifError::Cycle(raw.nodes[node].0.clone()));
-            }
-            None => {}
+    let mut marks = vec![Mark::Unvisited; raw.nodes.len()];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..raw.nodes.len() {
+        if marks[root] != Mark::Unvisited {
+            continue;
         }
-        marks.insert(node, Mark::Visiting);
-        let (out_name, def) = &raw.nodes[node];
-        let input_names: &[String] = match def {
-            NodeDef::Names { inputs, .. } => inputs,
-            NodeDef::Gate { inputs, .. } => inputs,
-        };
-        for name in input_names {
-            if !sig.contains_key(name.as_str()) {
-                match def_index.get(name.as_str()) {
-                    Some(&dep) => {
-                        visit(dep, raw, def_index, marks, netlist, sig)?;
-                    }
-                    None => return Err(BlifError::Undefined(name.clone())),
+        marks[root] = Mark::Visiting;
+        stack.push((root, 0));
+        while let Some((node, next_pin)) = stack.last_mut() {
+            let (out_name, def) = &raw.nodes[*node];
+            let input_names: &[String] = match def {
+                NodeDef::Names { inputs, .. } => inputs,
+                NodeDef::Gate { inputs, .. } => inputs,
+            };
+            if let Some(name) = input_names.get(*next_pin) {
+                *next_pin += 1;
+                if sig.contains_key(name.as_str()) {
+                    continue;
                 }
+                let dep = *def_index
+                    .get(name.as_str())
+                    .ok_or_else(|| BlifError::Undefined(name.clone()))?;
+                // A defined name missing from `sig` is unvisited, or on the
+                // stack, where it closes a cycle.
+                if marks[dep] == Mark::Visiting {
+                    return Err(BlifError::Cycle(raw.nodes[dep].0.clone()));
+                }
+                marks[dep] = Mark::Visiting;
+                stack.push((dep, 0));
+                continue;
             }
+            let input_ids: Vec<SignalId> = input_names.iter().map(|n| sig[n.as_str()]).collect();
+            // A `.names` output keeps the internal name `synthesize_sop`
+            // gave it and is aliased through the signal map (power models
+            // only care about structure).
+            let out_id = match def {
+                NodeDef::Names { sop, .. } => synthesize_sop(&mut netlist, sop, &input_ids)?,
+                NodeDef::Gate { cell, .. } => {
+                    netlist.add_gate_named(*cell, &input_ids, out_name.clone())?
+                }
+            };
+            sig.insert(out_name.clone(), out_id);
+            marks[*node] = Mark::Done;
+            stack.pop();
         }
-        let input_ids: Vec<SignalId> = input_names.iter().map(|n| sig[n.as_str()]).collect();
-        let out_id = match def {
-            NodeDef::Names { sop, .. } => {
-                let inner = synthesize_sop(netlist, sop, &input_ids)?;
-                // Give the node's output signal its BLIF name via a rename:
-                // synthesize_sop produced an internal name, so alias through
-                // the signal map (power models only care about structure).
-                inner
-            }
-            NodeDef::Gate { cell, .. } => {
-                netlist.add_gate_named(*cell, &input_ids, out_name.clone())?
-            }
-        };
-        sig.insert(out_name.clone(), out_id);
-        marks.insert(node, Mark::Done);
-        Ok(())
-    }
-
-    for i in 0..raw.nodes.len() {
-        visit(i, &raw, &def_index, &mut marks, &mut netlist, &mut sig)?;
     }
 
     let mut seen_outputs: HashSet<&str> = HashSet::new();
@@ -718,6 +715,57 @@ mod tests {
             let asg = [bits & 1 != 0, bits & 2 != 0];
             assert_eq!(eval(&n, &asg)[0], asg[0]);
         }
+    }
+
+    #[test]
+    fn out_of_order_multi_input_gates_keep_their_post_order() {
+        let text = "\
+.model ooo_multi
+.inputs a b c d
+.outputs y z u
+.gate aoi21 a=t1 b=t2 c=d O=y
+.names t2 b t1 u
+11- 1
+--0 1
+.gate nand2 a=t3 b=a O=t1
+.gate mux2 a=c b=t3 c=b O=z
+.gate xor2 a=a b=b O=t3
+.gate or3 a=t3 b=c c=d O=t2
+.end
+";
+        let gates = "\
+.gate xor2 a=a b=b O=t3
+.gate nand2 a=t3 b=a O=t1
+.gate or3 a=t3 b=c c=d O=t2
+.gate aoi21 a=t1 b=t2 c=d O=y
+.gate and2 a=t2 b=b O=_n4
+.gate inv a=t1 O=_n5
+.gate or2 a=_n4 b=_n5 O=_n6
+.gate mux2 a=c b=t3 c=b O=z
+.end
+";
+        let header = ".model ooo_multi\n.inputs a b c d\n";
+        let flat = write(&parse(text).expect("parses"));
+        assert_eq!(flat, format!("{header}.outputs y z _n6\n{gates}"));
+        let seq = write_seq(&parse_seq(text).expect("parses"));
+        assert_eq!(seq, format!("{header}.outputs y z u\n{gates}"));
+    }
+
+    #[test]
+    fn deep_reverse_chain_elaborates_without_recursion() {
+        // 100 000 inverters, each defined before the one it reads: the
+        // walk from the first definition is 100 000 nodes deep.
+        const DEPTH: usize = 100_000;
+        let mut text = format!(".model chain\n.inputs n0\n.outputs n{DEPTH}\n");
+        for i in (1..=DEPTH).rev() {
+            text.push_str(&format!(".gate inv a=n{} O=n{i}\n", i - 1));
+        }
+        text.push_str(".end\n");
+        let n = parse(&text).expect("parses");
+        assert_eq!(n.num_gates(), DEPTH);
+        assert_eq!(eval(&n, &[true]), [true], "an even number of inverters");
+        let seq = parse_seq(&text).expect("parses");
+        assert_eq!(seq.macros().len(), 1);
     }
 
     #[test]

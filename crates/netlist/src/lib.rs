@@ -23,7 +23,7 @@
 //! use charfree_netlist::{benchmarks, Library};
 //!
 //! let library = Library::test_library();
-//! let cm85 = benchmarks::cm85(&library);
+//! let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
 //! assert_eq!(cm85.num_inputs(), 11);      // `n` column of Table 1
 //! assert!(cm85.num_gates() > 20);          // `N` column (same order)
 //! assert!(cm85.total_load().femtofarads() > 0.0);

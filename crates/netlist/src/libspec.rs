@@ -256,8 +256,8 @@ cell nand2 2.5 2.75
         let text = "library fat\nwire 100.0\ncell inv 50.0\n";
         let fat = parse(text).expect("valid");
         let thin = Library::test_library();
-        let netlist_fat = crate::benchmarks::parity(&fat);
-        let netlist_thin = crate::benchmarks::parity(&thin);
+        let netlist_fat = crate::benchmarks::by_name("parity", &fat).expect("Table 1 name");
+        let netlist_thin = crate::benchmarks::by_name("parity", &thin).expect("Table 1 name");
         assert!(netlist_fat.total_load() > netlist_thin.total_load());
     }
 }

@@ -293,14 +293,17 @@ fn elaborate(
         sig.insert(input.clone(), id);
     }
 
-    // DFS topological elaboration (same scheme as the BLIF reader).
+    // Iterative DFS topological elaboration over a stack of instance
+    // indices. An instance's first visit pushes all of its unresolved
+    // drivers at once, so they are emitted last pin first; its second
+    // visit, once they are done, emits the instance itself. (The BLIF
+    // reader instead walks `(node, next_pin)` pairs in pin order.)
     #[derive(Clone, Copy, PartialEq)]
     enum Mark {
         Visiting,
         Done,
     }
     let mut marks: HashMap<usize, Mark> = HashMap::new();
-    // Iterative DFS with an explicit stack of (instance, next_pin).
     for start in 0..instances.len() {
         if marks.get(&start) == Some(&Mark::Done) {
             continue;
@@ -485,8 +488,8 @@ endmodule
         let library = Library::test_library();
         for netlist in [
             benchmarks::paper_unit(),
-            benchmarks::decod(&library),
-            benchmarks::cm85(&library),
+            benchmarks::by_name("decod", &library).expect("Table 1 name"),
+            benchmarks::by_name("cm85", &library).expect("Table 1 name"),
         ] {
             let text = write(&netlist);
             let back = parse(&text).expect("round-trips");

@@ -494,7 +494,7 @@ mod tests {
 
     fn test_model() -> AddPowerModel {
         let lib = Library::test_library();
-        let netlist = benchmarks::decod(&lib);
+        let netlist = benchmarks::by_name("decod", &lib).expect("Table 1 name");
         ModelBuilder::new(&netlist).max_nodes(100).build()
     }
 

@@ -50,7 +50,7 @@ fn eval_bits(model: &impl PowerModel, n: usize) -> Vec<u64> {
 #[test]
 fn builds_through_one_table_share_work_bit_identically() {
     let library = Library::test_library();
-    let netlist = benchmarks::decod(&library);
+    let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
     let table = Arc::new(SharedTable::new());
 
     let mut cold = PipelineCtx::new(library.clone()).with_shared_table(table.clone());

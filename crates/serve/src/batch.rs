@@ -405,12 +405,13 @@ mod tests {
     use super::*;
     use charfree_core::ModelBuilder;
     use charfree_engine::TraceEngine;
-    use charfree_netlist::{benchmarks, Library, Netlist};
+    use charfree_netlist::{benchmarks, Library};
     use charfree_sim::MarkovSource;
 
-    fn kernel_for(bench: fn(&Library) -> Netlist) -> Arc<Kernel> {
+    fn kernel_for(bench: &str) -> Arc<Kernel> {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&bench(&library)).build();
+        let netlist = benchmarks::by_name(bench, &library).expect("Table 1 name");
+        let model = ModelBuilder::new(&netlist).build();
         Arc::new(Kernel::compile(&model))
     }
 
@@ -422,8 +423,8 @@ mod tests {
 
     #[test]
     fn coalesced_jobs_match_offline_evaluation_bit_for_bit() {
-        let decod = kernel_for(benchmarks::decod);
-        let cm85 = kernel_for(benchmarks::cm85);
+        let decod = kernel_for("decod");
+        let cm85 = kernel_for("cm85");
         let stats = Arc::new(ServerStats::new());
         let dispatcher = Dispatcher::start(2, Duration::from_millis(40), 64, Arc::clone(&stats));
         let handle = dispatcher.handle();
@@ -479,7 +480,7 @@ mod tests {
 
     #[test]
     fn expired_deadlines_are_shed_with_a_typed_error() {
-        let decod = kernel_for(benchmarks::decod);
+        let decod = kernel_for("decod");
         let stats = Arc::new(ServerStats::new());
         let dispatcher = Dispatcher::start(1, Duration::from_millis(5), 8, Arc::clone(&stats));
         let handle = dispatcher.handle();
@@ -519,7 +520,7 @@ mod tests {
 
     #[test]
     fn full_queue_hands_the_job_back() {
-        let decod = kernel_for(benchmarks::decod);
+        let decod = kernel_for("decod");
         let job = |seed: u64, reply: Box<dyn ReplySink>| Job {
             kernel: Arc::clone(&decod),
             patterns: patterns_for(&decod, 10, seed),
@@ -576,7 +577,7 @@ mod tests {
 
     #[test]
     fn worker_panics_are_supervised_and_later_jobs_still_complete() {
-        let decod = kernel_for(benchmarks::decod);
+        let decod = kernel_for("decod");
         let stats = Arc::new(ServerStats::new());
         // A single worker: if the panic killed it for good, the healthy
         // jobs below would hang instead of completing.

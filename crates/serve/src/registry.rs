@@ -285,19 +285,20 @@ impl ShardedRegistry {
 mod tests {
     use super::*;
     use charfree_core::ModelBuilder;
-    use charfree_netlist::{benchmarks, Library, Netlist};
+    use charfree_netlist::{benchmarks, Library};
 
-    fn kernel_for(bench: fn(&Library) -> Netlist) -> Arc<Kernel> {
+    fn kernel_for(bench: &str) -> Arc<Kernel> {
         let library = Library::test_library();
-        let model = ModelBuilder::new(&bench(&library)).build();
+        let netlist = benchmarks::by_name(bench, &library).expect("Table 1 name");
+        let model = ModelBuilder::new(&netlist).build();
         Arc::new(Kernel::compile(&model))
     }
 
     #[test]
     fn lru_evicts_by_recency_within_byte_budget() {
-        let a = kernel_for(benchmarks::decod);
-        let b = kernel_for(benchmarks::cm85);
-        let c = kernel_for(benchmarks::mux);
+        let a = kernel_for("decod");
+        let b = kernel_for("cm85");
+        let c = kernel_for("mux");
         // Budget fits roughly two of the three kernels.
         let budget = a.bytes() + b.bytes() + c.bytes() / 2;
         let reg = ModelRegistry::new(budget);
@@ -316,7 +317,7 @@ mod tests {
 
     #[test]
     fn oversized_entry_survives_alone() {
-        let a = kernel_for(benchmarks::decod);
+        let a = kernel_for("decod");
         let reg = ModelRegistry::new(1); // budget smaller than any kernel
         reg.insert("a", Resident::Comb(Arc::clone(&a)));
         assert!(
@@ -329,7 +330,7 @@ mod tests {
 
     #[test]
     fn reinsert_under_same_key_replaces_without_leaking_bytes() {
-        let a = kernel_for(benchmarks::decod);
+        let a = kernel_for("decod");
         let reg = ModelRegistry::new(usize::MAX);
         reg.insert("a", Resident::Comb(Arc::clone(&a)));
         reg.insert("a", Resident::Comb(Arc::clone(&a)));
@@ -344,11 +345,8 @@ mod tests {
         use charfree_engine::TraceEngine;
         use charfree_sim::MarkovSource;
 
-        let kernels: Vec<Arc<Kernel>> = vec![
-            kernel_for(benchmarks::decod),
-            kernel_for(benchmarks::cm85),
-            kernel_for(benchmarks::mux),
-        ];
+        let kernels: Vec<Arc<Kernel>> =
+            vec![kernel_for("decod"), kernel_for("cm85"), kernel_for("mux")];
         // Budget fits barely one kernel, so every insert storm evicts —
         // the worst case for ledger accounting.
         let budget = kernels.iter().map(|k| k.bytes()).min().unwrap_or(1);
@@ -442,7 +440,7 @@ mod tests {
 
         let reg = std::sync::Arc::new(ShardedRegistry::new(8, usize::MAX));
         let (key_a, key_b) = cross_shard_keys(&reg);
-        let kernel = kernel_for(benchmarks::decod);
+        let kernel = kernel_for("decod");
 
         // Simulate a slow cold build on key_a's shard: hold its build
         // lock for the whole test.
@@ -470,11 +468,8 @@ mod tests {
 
     #[test]
     fn concurrent_cross_shard_churn_sums_eviction_accounting_correctly() {
-        let kernels: Vec<Arc<Kernel>> = vec![
-            kernel_for(benchmarks::decod),
-            kernel_for(benchmarks::cm85),
-            kernel_for(benchmarks::mux),
-        ];
+        let kernels: Vec<Arc<Kernel>> =
+            vec![kernel_for("decod"), kernel_for("cm85"), kernel_for("mux")];
         // Per-shard budget fits barely one kernel so churn evicts in
         // every shard that sees more than one key.
         let min_bytes = kernels.iter().map(|k| k.bytes()).min().unwrap_or(1);

@@ -477,10 +477,16 @@ mod tests {
         // One shard with a one-byte budget: the second insert evicts
         // the first.
         let registry = ShardedRegistry::new(1, 1);
-        registry.insert("parity", kernel(benchmarks::parity(&library)));
+        registry.insert(
+            "parity",
+            kernel(benchmarks::by_name("parity", &library).expect("Table 1 name")),
+        );
         assert!(registry.get("parity").is_some());
         assert!(registry.get("absent").is_none());
-        registry.insert("decod", kernel(benchmarks::decod(&library)));
+        registry.insert(
+            "decod",
+            kernel(benchmarks::by_name("decod", &library).expect("Table 1 name")),
+        );
         assert!(registry.get("decod").is_some());
 
         let breaker = CircuitBreaker::new(BreakerConfig {

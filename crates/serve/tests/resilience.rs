@@ -255,7 +255,8 @@ fn breaker_trips_on_the_wire_and_a_retrying_client_heals_through_it() {
 
     // Fix the cause; `request_with_retries` honors the hint, waits out
     // the open window, and the half-open probe closes the circuit.
-    let netlist = charfree_netlist::benchmarks::cm85(&Library::test_library());
+    let netlist = charfree_netlist::benchmarks::by_name("cm85", &Library::test_library())
+        .expect("Table 1 name");
     fs::write(&late, charfree_netlist::blif::write(&netlist)).expect("write netlist");
     let want = offline_trace(&late.display().to_string(), &eval_params(16, 5));
     let policy = RetryPolicy {

@@ -22,7 +22,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let library = Library::test_library();
-//! let cm85 = benchmarks::cm85(&library);
+//! let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
 //! let sim = ZeroDelaySim::new(&cm85);
 //! let mut source = MarkovSource::new(cm85.num_inputs(), 0.5, 0.5, 1)?;
 //! let patterns = source.sequence(1000);

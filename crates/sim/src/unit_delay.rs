@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn unit_delay_dominates_zero_delay_everywhere() {
         let lib = Library::test_library();
-        let n = benchmarks::cm85(&lib);
+        let n = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
         let ud = UnitDelaySim::new(&n);
         let zd = ZeroDelaySim::new(&n);
         let mut state = 77u64;
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn event_overflow_is_an_error() {
         let lib = Library::test_library();
-        let n = benchmarks::cm85(&lib);
+        let n = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
         let ud = UnitDelaySim::new(&n).with_max_events(1);
         let e = ud
             .try_simulate_transition(&[false; 11], &[true; 11])
@@ -416,7 +416,7 @@ mod tests {
     #[test]
     fn settles_within_depth() {
         let lib = Library::test_library();
-        let n = benchmarks::parity(&lib);
+        let n = benchmarks::by_name("parity", &lib).expect("Table 1 name");
         let ud = UnitDelaySim::new(&n);
         let r = ud.simulate_transition(&[false; 16], &[true; 16]);
         assert!(r.settle_time <= n.depth() + 1);

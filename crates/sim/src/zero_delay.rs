@@ -236,7 +236,7 @@ impl ZeroDelaySim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charfree_netlist::benchmarks::{cm85, paper_unit};
+    use charfree_netlist::benchmarks::{by_name, paper_unit};
     use charfree_netlist::Library;
 
     #[test]
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn word_eval_matches_scalar() {
         let lib = Library::test_library();
-        let sim = ZeroDelaySim::new(&cm85(&lib));
+        let sim = ZeroDelaySim::new(&by_name("cm85", &lib).expect("Table 1 name"));
         let n = sim.num_inputs();
         // 64 random-ish patterns per word.
         let mut words = vec![0u64; n];
@@ -318,7 +318,7 @@ mod tests {
     #[test]
     fn trace_matches_pairwise_evaluation() {
         let lib = Library::test_library();
-        let sim = ZeroDelaySim::new(&cm85(&lib));
+        let sim = ZeroDelaySim::new(&by_name("cm85", &lib).expect("Table 1 name"));
         let n = sim.num_inputs();
         let mut state = 0x1234u64;
         let patterns: Vec<Vec<bool>> = (0..150)

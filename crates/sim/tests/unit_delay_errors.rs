@@ -38,7 +38,7 @@ fn deep_chain_trips_non_settling_at_every_insufficient_bound() {
 #[test]
 fn wide_flip_trips_event_overflow_then_succeeds_unbounded() {
     let library = Library::test_library();
-    let n = benchmarks::cm85(&library);
+    let n = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let all_low = vec![false; n.num_inputs()];
     let all_high = vec![true; n.num_inputs()];
     let sim = UnitDelaySim::new(&n).with_max_events(3);

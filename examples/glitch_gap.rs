@@ -20,13 +20,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "circuit", "n", "depth", "zero-delay fF", "unit-delay fF", "glitch %", "settle"
     );
     for netlist in [
-        benchmarks::parity(&library),
-        benchmarks::decod(&library),
-        benchmarks::cm85(&library),
-        benchmarks::mux(&library),
-        benchmarks::cm150(&library),
-        benchmarks::comp(&library),
-        benchmarks::alu2(&library),
+        benchmarks::by_name("parity", &library).expect("Table 1 name"),
+        benchmarks::by_name("decod", &library).expect("Table 1 name"),
+        benchmarks::by_name("cm85", &library).expect("Table 1 name"),
+        benchmarks::by_name("mux", &library).expect("Table 1 name"),
+        benchmarks::by_name("cm150", &library).expect("Table 1 name"),
+        benchmarks::by_name("comp", &library).expect("Table 1 name"),
+        benchmarks::by_name("alu2", &library).expect("Table 1 name"),
         benchmarks::mult(4, &library),
     ] {
         let zd = ZeroDelaySim::new(&netlist);

@@ -19,7 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- vendor side: the netlist is visible here only -----------------
     let artifact: Vec<u8> = {
         let library = Library::test_library();
-        let macro_netlist = benchmarks::alu2(&library);
+        let macro_netlist = benchmarks::by_name("alu2", &library).expect("Table 1 name");
         let model = ModelBuilder::new(&macro_netlist).max_nodes(3000).build();
         println!(
             "vendor built `{}` power model: {} nodes, {:.2}s, exact: {}",

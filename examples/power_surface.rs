@@ -18,7 +18,7 @@ use charfree::ModelBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = Library::test_library();
-    let netlist = benchmarks::cm85(&library);
+    let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let model = ModelBuilder::new(&netlist).build(); // exact
 
     let sps: [f64; 5] = [0.2, 0.35, 0.5, 0.65, 0.8];

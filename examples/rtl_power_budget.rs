@@ -21,9 +21,9 @@ use charfree::{ApproxStrategy, ModelBuilder, RtlDesign};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let library = Library::test_library();
-    let alu = benchmarks::alu2(&library); // 10 inputs
-    let comp_unit = benchmarks::cm85(&library); // 11 inputs
-    let dec = benchmarks::decod(&library); // 5 inputs
+    let alu = benchmarks::by_name("alu2", &library).expect("Table 1 name"); // 10 inputs
+    let comp_unit = benchmarks::by_name("cm85", &library).expect("Table 1 name"); // 11 inputs
+    let dec = benchmarks::by_name("decod", &library).expect("Table 1 name"); // 5 inputs
 
     // Conservative per-macro models.
     let bound = |netlist: &charfree::netlist::Netlist, max: usize| {

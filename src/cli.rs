@@ -341,6 +341,20 @@ fn parse_request(
             None
         },
     };
+    // Energy is switched charge over the period: a zero, negative or NaN
+    // period has no power to report.
+    if !(render.period.is_finite() && render.period > 0.0) {
+        return Err(format!(
+            "bad `--period` {}: need a finite clock period > 0 (ns)",
+            render.period
+        ));
+    }
+    if !render.vdd.is_finite() {
+        return Err(format!(
+            "bad `--vdd` {}: need a finite supply voltage (V)",
+            render.vdd
+        ));
+    }
     let options = parse_build_options(flags)?;
     let request = match cmd {
         "eval" => Request::Eval {
@@ -1162,6 +1176,31 @@ mod tests {
                 err.contains("infeasible") && err.contains("sp"),
                 "{args:?}: {err}"
             );
+        }
+        // A clock period that is not finite and positive, or a supply
+        // that is not finite, has no power to report; the client forms
+        // fail before they connect (no server listens here).
+        for (args, flag) in [
+            (&["trace", "decod", "--period", "0"][..], "--period"),
+            (&["trace", "decod", "--period", "-1"], "--period"),
+            (&["trace", "decod", "--period", "nan"], "--period"),
+            (&["eval", "decod", "--period", "0"], "--period"),
+            (&["eval", "decod", "--period", "-1"], "--period"),
+            (&["eval", "decod", "--period", "inf"], "--period"),
+            (&["eval", "decod", "--vdd", "nan"], "--vdd"),
+            (&["trace", "decod", "--vdd", "inf"], "--vdd"),
+            (&["seqeval", "design.blif", "--period", "0"], "--period"),
+            (&["client", "trace", "decod", "--period", "0"], "--period"),
+            (
+                &[
+                    "client", "eval", "decod", "--period", "nan", "--proto", "binary",
+                ],
+                "--period",
+            ),
+            (&["client", "eval", "decod", "--vdd", "nan"], "--vdd"),
+        ] {
+            let err = run(&s(args)).expect_err("bad render flag rejected");
+            assert!(err.contains(&format!("bad `{flag}`")), "{args:?}: {err}");
         }
     }
 

@@ -63,7 +63,7 @@ fn blif_to_power_model_pipeline() {
 fn accuracy_ordering_matches_the_paper() {
     // The paper's headline (Table 1): ADD ≪ Lin < Con on out-of-sample ARE.
     let library = Library::test_library();
-    let netlist = benchmarks::cm85(&library);
+    let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let sim = ZeroDelaySim::new(&netlist);
     let training = TrainingSet::sample(&sim, 4000, 3);
     let con = ConstantModel::fit(&training);
@@ -89,7 +89,7 @@ fn accuracy_ordering_matches_the_paper() {
 #[test]
 fn upper_bound_protocol_is_conservative_on_runs() {
     let library = Library::test_library();
-    let netlist = benchmarks::mux(&library);
+    let netlist = benchmarks::by_name("mux", &library).expect("Table 1 name");
     let sim = ZeroDelaySim::new(&netlist);
     let bound = ModelBuilder::new(&netlist)
         .max_nodes(2000)
@@ -115,8 +115,8 @@ fn upper_bound_protocol_is_conservative_on_runs() {
 #[test]
 fn rtl_composition_bounds_a_two_macro_design() {
     let library = Library::test_library();
-    let dec = benchmarks::decod(&library);
-    let par = benchmarks::parity(&library);
+    let dec = benchmarks::by_name("decod", &library).expect("Table 1 name");
+    let par = benchmarks::by_name("parity", &library).expect("Table 1 name");
 
     let mut design = RtlDesign::new(21);
     design

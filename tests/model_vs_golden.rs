@@ -27,15 +27,16 @@ fn exhaustive_equal(netlist: &Netlist) {
 fn exact_models_equal_gate_level_simulation_exhaustively() {
     let library = Library::test_library();
     exhaustive_equal(&benchmarks::paper_unit());
-    exhaustive_equal(&benchmarks::decod(&library)); // 5 inputs, 4^5 pairs
+    exhaustive_equal(&benchmarks::by_name("decod", &library).expect("Table 1 name")); // 5 inputs, 4^5 pairs
     exhaustive_equal(&benchmarks::mult(3, &library)); // 6 inputs
-    exhaustive_equal(&benchmarks::x2(&library)); // 10 inputs, ~1M pairs
+    exhaustive_equal(&benchmarks::by_name("x2", &library).expect("Table 1 name"));
+    // 10 inputs, ~1M pairs
 }
 
 #[test]
 fn exact_model_is_order_invariant() {
     let library = Library::test_library();
-    let netlist = benchmarks::decod(&library);
+    let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
     let sim = ZeroDelaySim::new(&netlist);
     for (ordering, input_order) in [
         (VariableOrdering::Interleaved, InputOrder::FaninDfs),
@@ -60,7 +61,7 @@ fn exact_model_is_order_invariant() {
 #[test]
 fn custom_input_order_round_trips() {
     let library = Library::test_library();
-    let netlist = benchmarks::decod(&library);
+    let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
     let sim = ZeroDelaySim::new(&netlist);
     let model = ModelBuilder::new(&netlist)
         .input_order(InputOrder::Custom(vec![4, 3, 2, 1, 0]))
@@ -76,7 +77,10 @@ fn custom_input_order_round_trips() {
 #[test]
 fn bounded_upper_bounds_are_sound_exhaustively() {
     let library = Library::test_library();
-    for netlist in [benchmarks::decod(&library), benchmarks::mult(3, &library)] {
+    for netlist in [
+        benchmarks::by_name("decod", &library).expect("Table 1 name"),
+        benchmarks::mult(3, &library),
+    ] {
         let sim = ZeroDelaySim::new(&netlist);
         for max in [8usize, 40, 120] {
             let bound = ModelBuilder::new(&netlist)
@@ -101,7 +105,7 @@ fn bounded_upper_bounds_are_sound_exhaustively() {
 fn average_models_never_negative() {
     // Recalibration clamps at zero; check across an exhaustive space.
     let library = Library::test_library();
-    let netlist = benchmarks::decod(&library);
+    let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
     for max in [30usize, 100] {
         let model = ModelBuilder::new(&netlist).max_nodes(max).build();
         for (xi, xf) in ExhaustivePairs::new(5) {
@@ -113,7 +117,7 @@ fn average_models_never_negative() {
 #[test]
 fn diagonal_is_exactly_zero_after_gating() {
     let library = Library::test_library();
-    let netlist = benchmarks::cm85(&library);
+    let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let model = ModelBuilder::new(&netlist).max_nodes(300).build();
     // Any xi = xf transition must read exactly 0.
     for seed in 0..64u32 {
@@ -125,7 +129,7 @@ fn diagonal_is_exactly_zero_after_gating() {
 #[test]
 fn shrink_families_are_monotone_in_size() {
     let library = Library::test_library();
-    let netlist = benchmarks::decod(&library);
+    let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
     let mother = ModelBuilder::new(&netlist).build();
     let mut last = usize::MAX;
     for budget in [200usize, 60, 20, 8] {
@@ -141,7 +145,10 @@ fn shrink_families_are_monotone_in_size() {
 #[test]
 fn worst_case_transition_is_simulatable() {
     let library = Library::test_library();
-    for netlist in [benchmarks::decod(&library), benchmarks::parity(&library)] {
+    for netlist in [
+        benchmarks::by_name("decod", &library).expect("Table 1 name"),
+        benchmarks::by_name("parity", &library).expect("Table 1 name"),
+    ] {
         let model = ModelBuilder::new(&netlist).build();
         let sim = ZeroDelaySim::new(&netlist);
         let (xi, xf) = model.worst_case_transition();

@@ -12,7 +12,7 @@ fn bursty_workload_stresses_out_of_sample_accuracy() {
     // burst/idle source it must track the golden model closely even though
     // no single (sp, st) describes the traffic.
     let library = Library::test_library();
-    let netlist = benchmarks::cm85(&library);
+    let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
     let sim = ZeroDelaySim::new(&netlist);
     let model = ModelBuilder::new(&netlist).max_nodes(500).build();
 
@@ -39,7 +39,7 @@ fn bursty_workload_stresses_out_of_sample_accuracy() {
 #[test]
 fn upper_bound_dominates_on_bursts_too() {
     let library = Library::test_library();
-    let netlist = benchmarks::decod(&library);
+    let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
     let sim = ZeroDelaySim::new(&netlist);
     let bound = ModelBuilder::new(&netlist)
         .max_nodes(300)
@@ -57,7 +57,7 @@ fn upper_bound_dominates_on_bursts_too() {
 #[test]
 fn trace_analytics_agree_between_model_and_golden() {
     let library = Library::test_library();
-    let netlist = benchmarks::parity(&library);
+    let netlist = benchmarks::by_name("parity", &library).expect("Table 1 name");
     let sim = ZeroDelaySim::new(&netlist);
     let model = ModelBuilder::new(&netlist).build(); // exact
     let mut source = MarkovSource::new(16, 0.5, 0.3, 3).expect("feasible");
@@ -92,7 +92,7 @@ fn verilog_and_libspec_flow_end_to_end() {
     // Emit a benchmark as Verilog, re-parse it, annotate with a custom
     // library spec, and verify the model scales with the library.
     let default_library = Library::test_library();
-    let netlist = benchmarks::decod(&default_library);
+    let netlist = benchmarks::by_name("decod", &default_library).expect("Table 1 name");
     let text = verilog::write(&netlist);
     let reparsed = verilog::parse(&text).expect("round-trips");
 
@@ -129,9 +129,9 @@ fn analytic_expectation_matches_monte_carlo_across_circuits() {
     // and any feasible operating point.
     let library = Library::test_library();
     for netlist in [
-        benchmarks::decod(&library),
-        benchmarks::parity(&library),
-        benchmarks::cm150(&library),
+        benchmarks::by_name("decod", &library).expect("Table 1 name"),
+        benchmarks::by_name("parity", &library).expect("Table 1 name"),
+        benchmarks::by_name("cm150", &library).expect("Table 1 name"),
     ] {
         let sim = ZeroDelaySim::new(&netlist);
         let model = ModelBuilder::new(&netlist).build(); // exact
