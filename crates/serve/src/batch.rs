@@ -1,15 +1,20 @@
 //! Cross-connection micro-batching.
 //!
 //! Evaluation requests from *different* connections are coalesced into
-//! shared 64-lane [`PatternBlock`]s before hitting the kernel. A
-//! coordinator thread collects jobs for up to `batch_window`, groups
-//! them by kernel identity, and hands the whole window — every kernel
-//! group — to a fixed worker pool as one flush; the worker packs each
-//! group's transitions into its own block, evaluates **all groups in a
-//! single fused multi-kernel pass** ([`eval_fused`], interleaving the
-//! gathering kernels' level-by-level gather rounds for memory-level
+//! shared 64-lane [`PatternBlock`]s before hitting the kernel. There is
+//! no coordinator thread: an idle worker takes the job-queue lock,
+//! blocks for a first job, gathers more for up to `batch_window`,
+//! groups them by kernel identity and releases the lock. It then packs
+//! each group's transitions into its own block, evaluates **all groups
+//! in a single fused multi-kernel pass** ([`eval_fused`], interleaving
+//! the gathering kernels' level-by-level gather rounds for memory-level
 //! parallelism), and scatters the per-transition values back to each
-//! requester.
+//! requester. The other idle workers wait on the lock, so the next
+//! window is gathered while this one evaluates.
+//!
+//! Workers run each window under `supervise`, the one supervision
+//! loop of the server's pools (`Pool`): a panic is confined to its
+//! window, and the worker restarts after a capped exponential backoff.
 //!
 //! # The bit-identical-batching invariant
 //!
@@ -33,7 +38,7 @@
 //! `sync_channel` and [`BatchHandle::try_submit`] hands the job back on
 //! a full queue instead of blocking the connection thread.
 
-use std::collections::HashMap;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -74,7 +79,8 @@ pub enum JobFault {
 /// being called means the executing worker panicked and unwound past the
 /// job. Implementations must convert that drop into a typed, retriable
 /// error for the waiting client — `ChannelReply` does it by
-/// disconnecting its channel; an async sink must do it in `Drop`.
+/// disconnecting its channel, the server's async reply by posting an
+/// `internal` error from its `Drop`.
 pub trait ReplySink: Send {
     /// Consumes the sink with the job's outcome. Called at most once.
     fn complete(self: Box<Self>, result: Result<JobOutput, JobError>);
@@ -133,12 +139,6 @@ struct KernelGroup {
     jobs: Vec<Job>,
 }
 
-/// One coalescing window's worth of work: every kernel group collected
-/// during the window, evaluated together in one fused pass.
-struct MicroBatch {
-    groups: Vec<KernelGroup>,
-}
-
 /// Cloneable submission side of the dispatcher, held by connection
 /// threads. All handles must drop before
 /// [`Dispatcher::shutdown`] can finish draining.
@@ -158,12 +158,11 @@ impl BatchHandle {
     }
 }
 
-/// The micro-batching dispatcher: one coordinator thread + a fixed
-/// worker pool.
+/// The micro-batching dispatcher: a fixed pool of workers that each
+/// gather their own window.
 pub struct Dispatcher {
-    tx: Option<SyncSender<Job>>,
-    coordinator: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
+    tx: SyncSender<Job>,
+    workers: Pool,
 }
 
 impl Dispatcher {
@@ -178,133 +177,100 @@ impl Dispatcher {
         queue_cap: usize,
         stats: Arc<ServerStats>,
     ) -> Dispatcher {
-        let workers = workers.max(1);
         let (tx, rx) = sync_channel::<Job>(queue_cap.max(1));
-        let (batch_tx, batch_rx) = sync_channel::<MicroBatch>(workers * 2);
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-
-        let coordinator = thread::Builder::new()
-            .name("charfree-batch-coord".to_owned())
-            .spawn(move || coordinate(rx, batch_tx, window))
-            .expect("spawn coordinator thread");
-
-        let pool = (0..workers)
-            .map(|i| {
-                let batch_rx = Arc::clone(&batch_rx);
-                let stats = Arc::clone(&stats);
-                thread::Builder::new()
-                    .name(format!("charfree-batch-worker-{i}"))
-                    .spawn(move || work(&batch_rx, &stats))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-
-        Dispatcher {
-            tx: Some(tx),
-            coordinator: Some(coordinator),
-            workers: pool,
-        }
+        let pool_stats = Arc::clone(&stats);
+        let workers = Pool::spawn(
+            "charfree-batch-worker",
+            workers,
+            rx,
+            &pool_stats,
+            move |rx| gather(rx, window),
+            move |groups| execute(groups, &stats),
+        )
+        .expect("spawn worker thread");
+        Dispatcher { tx, workers }
     }
 
     /// A new submission handle for a connection thread.
     pub fn handle(&self) -> BatchHandle {
         BatchHandle {
-            tx: self
-                .tx
-                .as_ref()
-                .expect("dispatcher already shut down")
-                .clone(),
+            tx: self.tx.clone(),
         }
     }
 
-    /// Graceful drain: closes the submit queue, lets the coordinator
-    /// flush every job already accepted, and joins all threads. Every
+    /// Graceful drain: closes the submit queue, lets the workers flush
+    /// every job already accepted, and joins them. Every
     /// [`BatchHandle`] must already be dropped, otherwise the queue
     /// stays open and this blocks.
-    pub fn shutdown(mut self) {
-        self.tx.take();
-        if let Some(coordinator) = self.coordinator.take() {
-            let _ = coordinator.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    pub fn shutdown(self) {
+        drop(self.tx);
+        self.workers.join();
     }
 }
 
-fn coordinate(rx: Receiver<Job>, batch_tx: SyncSender<MicroBatch>, window: Duration) {
-    loop {
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => return, // every handle dropped and the queue is empty
+/// A fixed pool of threads draining one shared queue, each item under
+/// [`supervise`]: the batch workers, and the service threads behind
+/// the reactor.
+pub(crate) struct Pool(Vec<thread::JoinHandle<()>>);
+
+impl Pool {
+    /// Spawns `threads` (at least one) threads named `{name}-{i}` that
+    /// take items from `queue` with `take` and run `body` on each.
+    pub(crate) fn spawn<T: Send + 'static, U>(
+        name: &str,
+        threads: usize,
+        queue: Receiver<T>,
+        stats: &Arc<ServerStats>,
+        take: impl Fn(&Receiver<T>) -> Option<U> + Clone + Send + 'static,
+        body: impl Fn(U) + Clone + Send + 'static,
+    ) -> io::Result<Pool> {
+        let queue = Arc::new(Mutex::new(queue));
+        let spawn = |i| {
+            let (queue, stats) = (Arc::clone(&queue), Arc::clone(stats));
+            let (take, body) = (take.clone(), body.clone());
+            thread::Builder::new()
+                .name(format!("{name}-{i}"))
+                .spawn(move || supervise(&queue, &stats, take, body))
         };
-        let mut jobs = vec![first];
-        if !window.is_zero() {
-            let wake = Instant::now() + window;
-            // The full window is a *cap*, not a wait: once the submit
-            // queue has stayed empty for a short grace period the window
-            // closes early. Closed-loop clients cannot enqueue more work
-            // until their in-flight job completes, so waiting out the
-            // whole window after the queue runs dry is pure dead time.
-            let grace = (window / 16).max(Duration::from_micros(10));
-            while jobs.len() < MAX_BATCH_JOBS {
-                let now = Instant::now();
-                if now >= wake {
-                    break;
-                }
-                match rx.recv_timeout(grace.min(wake - now)) {
-                    Ok(job) => jobs.push(job),
-                    // On disconnect the flush below still runs; the next
-                    // outer recv() observes the closed queue and returns.
-                    Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-        // Group by kernel identity, preserving first-seen order so the
-        // flush is deterministic, then hand the whole window to one
-        // worker as a single fused multi-kernel flush.
-        let mut order: Vec<*const Kernel> = Vec::new();
-        let mut groups: HashMap<*const Kernel, KernelGroup> = HashMap::new();
-        for job in jobs {
-            let key = Arc::as_ptr(&job.kernel);
-            let entry = groups.entry(key).or_insert_with(|| {
-                order.push(key);
-                KernelGroup {
-                    kernel: Arc::clone(&job.kernel),
-                    jobs: Vec::new(),
-                }
-            });
-            entry.jobs.push(job);
-        }
-        let flush: Vec<KernelGroup> = order
-            .into_iter()
-            .filter_map(|k| groups.remove(&k))
-            .collect();
-        if batch_tx.send(MicroBatch { groups: flush }).is_err() {
-            return; // workers are gone; nothing left to flush to
+        (0..threads.max(1))
+            .map(spawn)
+            .collect::<io::Result<_>>()
+            .map(Pool)
+    }
+
+    /// Joins every thread; the queue's senders must all be gone, or
+    /// this blocks.
+    pub(crate) fn join(self) {
+        for thread in self.0 {
+            let _ = thread.join();
         }
     }
 }
 
-fn work(batch_rx: &Mutex<Receiver<MicroBatch>>, stats: &ServerStats) {
+/// The one supervision loop of the server's pools (batch workers and
+/// service threads): repeatedly takes an item from the shared `queue`
+/// with `take` and runs `body` on it, until `take` finds the queue
+/// closed. The lock is held only while taking, so idle threads queue
+/// up behind it rather than serializing the work.
+///
+/// A panicking `body` must not take the thread down. The panic unwinds
+/// past the item's reply, whose drop answers the waiting client with a
+/// typed, retriable error (the [`ReplySink`] drop contract); the panic
+/// is counted in `worker_panics` and the loop restarts after a capped
+/// exponential backoff.
+fn supervise<T, U>(
+    queue: &Mutex<Receiver<T>>,
+    stats: &ServerStats,
+    take: impl Fn(&Receiver<T>) -> Option<U>,
+    body: impl Fn(U),
+) {
     let mut consecutive_panics: u32 = 0;
     loop {
-        // Hold the lock only for the receive so idle workers queue up
-        // behind it rather than serializing evaluation.
-        let batch = {
-            let rx = batch_rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
+        let item = take(&queue.lock().unwrap_or_else(|e| e.into_inner()));
+        let Some(item) = item else {
+            return; // every sender dropped and the queue is empty
         };
-        let MicroBatch { groups } = match batch {
-            Ok(batch) => batch,
-            Err(_) => return, // coordinator exited
-        };
-        // Supervision: a panicking batch must not take the worker down.
-        // The panic unwinds past the jobs' reply senders, so every
-        // waiting connection observes a disconnected channel and
-        // responds with a typed, retriable error — then the worker
-        // restarts after a capped exponential backoff.
-        match catch_unwind(AssertUnwindSafe(|| execute(groups, stats))) {
+        match catch_unwind(AssertUnwindSafe(|| body(item))) {
             Ok(()) => consecutive_panics = 0,
             Err(_) => {
                 stats.record_worker_panic();
@@ -314,6 +280,50 @@ fn work(batch_rx: &Mutex<Receiver<MicroBatch>>, stats: &ServerStats) {
             }
         }
     }
+}
+
+/// Gathers one window from the job queue (its lock held by the caller):
+/// blocks for a first job, then takes more for up to `window`, and
+/// groups them by kernel identity in first-seen order, so the flush is
+/// deterministic. `None` once every handle is dropped and the queue is
+/// empty.
+fn gather(rx: &Receiver<Job>, window: Duration) -> Option<Vec<KernelGroup>> {
+    let mut jobs = vec![rx.recv().ok()?];
+    if !window.is_zero() {
+        let wake = Instant::now() + window;
+        // The full window is a *cap*, not a wait: once the submit
+        // queue has stayed empty for a short grace period the window
+        // closes early. Closed-loop clients cannot enqueue more work
+        // until their in-flight job completes, so waiting out the
+        // whole window after the queue runs dry is pure dead time.
+        let grace = (window / 16).max(Duration::from_micros(10));
+        while jobs.len() < MAX_BATCH_JOBS {
+            let now = Instant::now();
+            if now >= wake {
+                break;
+            }
+            match rx.recv_timeout(grace.min(wake - now)) {
+                Ok(job) => jobs.push(job),
+                // On disconnect this window still flushes; the next
+                // gather observes the closed queue and returns `None`.
+                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+    }
+    let mut groups: Vec<KernelGroup> = Vec::new();
+    for job in jobs {
+        match groups
+            .iter_mut()
+            .find(|g| Arc::ptr_eq(&g.kernel, &job.kernel))
+        {
+            Some(group) => group.jobs.push(job),
+            None => groups.push(KernelGroup {
+                kernel: Arc::clone(&job.kernel),
+                jobs: vec![job],
+            }),
+        }
+    }
+    Some(groups)
 }
 
 fn execute(groups: Vec<KernelGroup>, stats: &ServerStats) {
@@ -419,6 +429,28 @@ mod tests {
         MarkovSource::new(kernel.num_inputs(), 0.5, 0.4, seed)
             .expect("feasible source")
             .sequence(vectors)
+    }
+
+    #[test]
+    fn the_supervisor_keeps_serving_after_each_panicking_body() {
+        let stats = ServerStats::new();
+        let (tx, rx) = sync_channel::<u32>(8);
+        for item in 0..6 {
+            tx.send(item).expect("queued");
+        }
+        drop(tx);
+        // Items 1 to 3 panic back to back (the backoff grows); the
+        // items around them are still served, in order.
+        let (served_tx, served_rx) = sync_channel::<u32>(8);
+        let body = |item: u32| {
+            if (1..=3).contains(&item) {
+                panic!("injected panic on item {item}");
+            }
+            served_tx.send(item).expect("recorded");
+        };
+        supervise(&Mutex::new(rx), &stats, |rx| rx.recv().ok(), body);
+        assert_eq!(served_rx.try_iter().collect::<Vec<_>>(), [0, 4, 5]);
+        assert_eq!(stats.worker_panics(), 3);
     }
 
     #[test]

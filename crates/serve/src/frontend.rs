@@ -22,14 +22,13 @@
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use charfree_engine::Kernel;
 use charfree_net::{CloseReason, ConnCtx, Handler, Mailbox, Token};
 
-use crate::batch::{BatchHandle, Job, JobError, JobOutput, ReplySink};
+use crate::batch::{BatchHandle, Job, JobError, JobOutput, Pool, ReplySink};
 use crate::handler::{self, ModelSource};
 use crate::metrics;
 use crate::proto::{ErrorKind, Request, Response, WireBuildOptions};
@@ -390,69 +389,37 @@ impl Handler<Completion> for Rejected {
 
 // ---- service pool ---------------------------------------------------
 
-/// The fixed pool of service threads between the reactor and the
-/// dispatcher.
-pub(crate) struct ServicePool {
-    threads: Vec<thread::JoinHandle<()>>,
-}
-
-impl ServicePool {
-    /// Spawns `threads` service workers draining `rx`.
-    pub(crate) fn start(
-        threads: usize,
-        rx: Receiver<SvcRequest>,
-        shared: &Arc<Shared>,
-        batch: &BatchHandle,
-        mailbox: &Mailbox<Completion>,
-    ) -> io::Result<ServicePool> {
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(threads.max(1));
-        for i in 0..threads.max(1) {
-            let rx = Arc::clone(&rx);
-            let shared = Arc::clone(shared);
-            let batch = batch.clone();
-            let mailbox = mailbox.clone();
-            pool.push(
-                thread::Builder::new()
-                    .name(format!("charfree-serve-svc-{i}"))
-                    .spawn(move || service_loop(&rx, &shared, &batch, &mailbox))?,
-            );
-        }
-        Ok(ServicePool { threads: pool })
-    }
-
-    /// Joins the pool; every frame sender (the reactor) must already be
-    /// gone, or this blocks.
-    pub(crate) fn join(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-fn service_loop(
-    rx: &Mutex<Receiver<SvcRequest>>,
+/// Spawns the pool of `threads` service threads between the reactor and
+/// the dispatcher, draining `rx`.
+pub(crate) fn service_pool(
+    threads: usize,
+    rx: Receiver<SvcRequest>,
     shared: &Arc<Shared>,
-    batch: &BatchHandle,
-    mailbox: &Mailbox<Completion>,
-) {
-    loop {
-        // Hold the lock only for the receive, so a slow request does not
-        // serialize the pool.
-        let req = {
-            let rx = rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv()
-        };
-        match req {
-            Ok(req) => handle_request(req, shared, batch, mailbox),
-            Err(_) => return, // reactor gone and the queue drained
-        }
-    }
+    batch: BatchHandle,
+    mailbox: Mailbox<Completion>,
+) -> io::Result<Pool> {
+    let shared = Arc::clone(shared);
+    let stats = Arc::clone(&shared.stats);
+    let handle = move |req| handle_request(req, &shared, &batch, &mailbox);
+    Pool::spawn(
+        "charfree-serve-svc",
+        threads,
+        rx,
+        &stats,
+        |rx| rx.recv().ok(),
+        handle,
+    )
 }
 
-/// One request's way back to its connection: the protocol to answer in
-/// and the command to log it as. Owned, so it can ride inside an async
-/// reply sink across the dispatcher queue.
+/// One request's way back to its connection: the protocol to answer in,
+/// the command to log it as and, once admitted, its admission slot.
+/// Owned, so it can ride across the dispatcher queue as a job's
+/// [`ReplySink`].
+///
+/// **Drop contract:** a `Reply` dropped unanswered (the thread running
+/// its request panicked and unwound past it) frees its admission slot,
+/// then posts a typed, retriable `internal` error, so the client gets
+/// an answer and drain can finish.
 struct Reply {
     shared: Arc<Shared>,
     mailbox: Mailbox<Completion>,
@@ -460,13 +427,24 @@ struct Reply {
     proto: Proto,
     received: Instant,
     cmd: &'static str,
+    /// The evaluated kernel's name, once the request is a dispatcher
+    /// job.
+    model: String,
+    /// The request-level admission slot, held until the response posts.
+    slot: Option<InflightGuard>,
+    answered: bool,
 }
 
 impl Reply {
     /// Records the outcome, logs it, and posts the encoded response back
     /// to the connection's shard; `close` closes the connection once the
     /// response is flushed (`shutdown`'s ack).
-    fn finish(self, response: Response, close: bool) {
+    fn post(&mut self, response: Response, close: bool) {
+        // Release the admission slot *before* the completion is posted:
+        // the instant the post lands, the client can see the response
+        // and fire its next request, which must find the slot free.
+        self.slot = None;
+        self.answered = true;
         let latency_us = self.received.elapsed().as_micros() as u64;
         let status = match &response {
             Response::Error { kind, .. } => {
@@ -486,8 +464,69 @@ impl Reply {
         self.mailbox.post(self.token, Completion { bytes, close });
     }
 
-    fn send(self, response: Response) {
-        self.finish(response, false);
+    fn send(mut self, response: Response) {
+        self.post(response, false);
+    }
+
+    /// Takes a slot in the request-level admission window; `false` when
+    /// the window is full.
+    fn admit(&mut self) -> bool {
+        self.slot = server::try_admit(&self.shared);
+        self.slot.is_some()
+    }
+
+    /// Answers with `work`'s response, run inside the admission window,
+    /// or with `overloaded` when the window is full.
+    fn admitted(mut self, work: impl FnOnce() -> Response) {
+        let response = match self.admit() {
+            true => work(),
+            false => overloaded_response(&self.shared),
+        };
+        self.send(response);
+    }
+}
+
+/// The async [`ReplySink`]: formats the response on the worker thread
+/// and posts it to the connection's shard. The admission slot rides
+/// along, so in-flight accounting covers the whole dispatcher queue
+/// residency.
+impl ReplySink for Reply {
+    fn complete(mut self: Box<Self>, result: Result<JobOutput, JobError>) {
+        let name = std::mem::take(&mut self.model);
+        let response = match result {
+            Ok(JobOutput {
+                values: Some(values),
+                ..
+            }) => Response::Trace { name, values },
+            Ok(output) => handler::eval_response(name, &output.summary),
+            Err(JobError::DeadlineExceeded) => {
+                server::error(ErrorKind::DeadlineExceeded, "deadline expired in queue")
+            }
+            Err(JobError::Shed) => Response::Error {
+                kind: ErrorKind::Overloaded,
+                message: "dispatch queue full".to_owned(),
+                retry_after_ms: Some(RETRY_AFTER_MS),
+            },
+        };
+        self.send(response);
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.answered {
+            // The request itself may have been fine; the thread running
+            // it is restarting.
+            self.post(
+                Response::Error {
+                    kind: ErrorKind::Internal,
+                    message: "the request's worker panicked and restarted; safe to retry"
+                        .to_owned(),
+                    retry_after_ms: Some(RETRY_AFTER_MS),
+                },
+                false,
+            );
+        }
     }
 }
 
@@ -497,15 +536,6 @@ fn overloaded_response(shared: &Shared) -> Response {
         kind: ErrorKind::Overloaded,
         message: format!("{} requests in flight", shared.max_inflight),
         retry_after_ms: Some(RETRY_AFTER_MS),
-    }
-}
-
-/// Runs `work` inside the request-level admission window; the slot is
-/// released as soon as the response exists.
-fn admitted(shared: &Arc<Shared>, work: impl FnOnce() -> Response) -> Response {
-    match server::try_admit(shared) {
-        Some(_guard) => work(),
-        None => overloaded_response(shared),
     }
 }
 
@@ -522,6 +552,9 @@ fn handle_request(
         proto: req.proto,
         received: req.received,
         cmd: "?",
+        model: String::new(),
+        slot: None,
+        answered: false,
     };
     let parsed = match req.raw {
         Raw::Json(line) => Request::parse_line(&line),
@@ -544,31 +577,26 @@ fn handle_request(
         Request::Stats => reply.send(Response::Stats(shared.snapshot().to_json())),
         Request::Metrics => reply.send(Response::Metrics(metrics::render(&shared.snapshot()))),
         Request::Shutdown => {
-            reply.finish(Response::Shutdown, true);
+            reply.post(Response::Shutdown, true);
             server::begin_drain(shared);
         }
         Request::Load { source, options } => {
-            reply.send(admitted(shared, || {
-                server::do_load(shared, &source, &options)
-            }));
+            reply.admitted(|| server::do_load(shared, &source, &options));
         }
-        Request::Expected { source, sp, st } => reply.send(admitted(shared, || {
-            handler::expected(&mut &**shared, &source, sp, st).unwrap_or_else(|e| e)
-        })),
+        Request::Expected { source, sp, st } => reply
+            .admitted(|| handler::expected(&mut &**shared, &source, sp, st).unwrap_or_else(|e| e)),
         Request::SeqLoad { source, options } => {
-            reply.send(admitted(shared, || {
-                server::do_seq_load(shared, &source, &options)
-            }));
+            reply.admitted(|| server::do_seq_load(shared, &source, &options));
         }
         Request::SeqEval {
             source,
             options,
             params,
-        } => reply.send(admitted(shared, || {
+        } => reply.admitted(|| {
             server::check_vectors(shared, params.vectors)
                 .and_then(|()| handler::seq_eval(&mut &**shared, &source, &options, &params))
                 .unwrap_or_else(|e| e)
-        })),
+        }),
         Request::Eval {
             source,
             options,
@@ -630,11 +658,11 @@ fn handle_request(
 /// `eval`/`trace`/`tracep`: admission, the per-request work cap, model
 /// resolution (the request deadline also bounds a cold build and, being
 /// timing-dependent, keeps that build out of the registry), the
-/// request's patterns, then a dispatcher job completing through the
-/// mailbox.
+/// request's patterns, then a dispatcher job whose reply completes
+/// through the mailbox.
 #[allow(clippy::too_many_arguments)]
 fn start_batch(
-    reply: Reply,
+    mut reply: Reply,
     batch: &BatchHandle,
     source: &str,
     options: &WireBuildOptions,
@@ -644,9 +672,9 @@ fn start_batch(
     patterns: impl FnOnce(&Kernel) -> Result<Vec<Vec<bool>>, Response>,
 ) {
     let shared = Arc::clone(&reply.shared);
-    let Some(guard) = server::try_admit(&shared) else {
+    if !reply.admit() {
         return reply.send(overloaded_response(&shared));
-    };
+    }
     if let Err(resp) = server::check_vectors(&shared, vectors) {
         return reply.send(resp);
     }
@@ -667,18 +695,13 @@ fn start_batch(
         let message = "deadline expired before dispatch";
         return reply.send(server::error(ErrorKind::DeadlineExceeded, message));
     }
-    let sink = ReactorReply(Some(ReplyInner {
-        reply,
-        name: kernel.name().to_owned(),
-        want_values,
-        _guard: guard,
-    }));
+    reply.model = kernel.name().to_owned();
     let job = Job {
         kernel,
         patterns,
         want_values,
         deadline,
-        reply: Box::new(sink),
+        reply: Box::new(reply),
         fault: None,
     };
     if let Err(job) = batch.try_submit(job) {
@@ -687,66 +710,117 @@ fn start_batch(
     }
 }
 
-/// The async [`ReplySink`]: formats the response on the worker thread
-/// and posts it to the connection's shard. The admission slot rides
-/// along, so in-flight accounting covers the whole dispatcher queue
-/// residency. Dropping the sink without completion (a worker panicked
-/// past the job) produces the typed retriable error the drop contract
-/// requires.
-struct ReactorReply(Option<ReplyInner>);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::mpsc::{sync_channel, Receiver};
 
-struct ReplyInner {
-    reply: Reply,
-    name: String,
-    want_values: bool,
-    _guard: InflightGuard,
-}
+    use charfree_net::{HandlerFactory, NetCounters, Reactor, ReactorConfig};
+    use charfree_netlist::Library;
 
-impl ReplyInner {
-    fn finish(self, response: Response) {
-        // Release the admission slot *before* the completion is posted:
-        // the instant the post lands, the client can see the response
-        // and fire its next request, which must find the slot free
-        // (exactly the ordering the thread-per-connection server had).
-        drop(self._guard);
-        self.reply.send(response);
+    use crate::server::{ServeConfig, Server};
+
+    /// Reports its connection's token on open, then every completion
+    /// posted to it together with the in-flight count seen on arrival.
+    struct Recorder {
+        opened: SyncSender<Token>,
+        posted: SyncSender<(Vec<u8>, usize)>,
+        shared: Arc<Shared>,
     }
-}
 
-impl ReplySink for ReactorReply {
-    fn complete(mut self: Box<Self>, result: Result<JobOutput, JobError>) {
-        let Some(inner) = self.0.take() else {
-            return;
-        };
-        let response = match result {
-            Ok(output) if inner.want_values => Response::Trace {
-                name: inner.name.clone(),
-                values: output.values.unwrap_or_default(),
-            },
-            Ok(output) => handler::eval_response(inner.name.clone(), &output.summary),
-            Err(JobError::DeadlineExceeded) => {
-                server::error(ErrorKind::DeadlineExceeded, "deadline expired in queue")
-            }
-            Err(JobError::Shed) => Response::Error {
-                kind: ErrorKind::Overloaded,
-                message: "dispatch queue full".to_owned(),
-                retry_after_ms: Some(RETRY_AFTER_MS),
-            },
-        };
-        inner.finish(response);
-    }
-}
-
-impl Drop for ReactorReply {
-    fn drop(&mut self) {
-        if let Some(inner) = self.0.take() {
-            // The executing worker panicked mid-batch and the supervisor
-            // is restarting it; the request itself was fine.
-            inner.finish(Response::Error {
-                kind: ErrorKind::Internal,
-                message: "dispatcher dropped the job (worker restarted); safe to retry".to_owned(),
-                retry_after_ms: Some(RETRY_AFTER_MS),
-            });
+    impl Handler<Completion> for Recorder {
+        fn on_open(&mut self, conn: &mut ConnCtx<'_>) {
+            let _ = self.opened.send(conn.token());
         }
+
+        fn on_data(&mut self, _conn: &mut ConnCtx<'_>) {}
+
+        fn on_message(&mut self, msg: Completion, _conn: &mut ConnCtx<'_>) {
+            let inflight = self.shared.inflight.load(Ordering::SeqCst);
+            let _ = self.posted.send((msg.bytes, inflight));
+        }
+    }
+
+    #[test]
+    fn a_reply_dropped_unanswered_frees_its_slot_then_posts_a_retriable_internal_error() {
+        let mut config = ServeConfig::new(Library::test_library());
+        config.addr = "127.0.0.1:0".to_owned();
+        config.log = false;
+        let server = Server::start(config).expect("binds");
+        let shared = Arc::clone(&server.shared);
+
+        // A one-connection reactor whose mailbox the replies post to.
+        let (opened_tx, opened_rx) = sync_channel(1);
+        let (posted_tx, posted_rx) = sync_channel(2);
+        let recorder_shared = Arc::clone(&shared);
+        let factory: Arc<HandlerFactory<Completion>> = Arc::new(move || {
+            Box::new(Recorder {
+                opened: opened_tx.clone(),
+                posted: posted_tx.clone(),
+                shared: Arc::clone(&recorder_shared),
+            }) as Box<dyn Handler<Completion>>
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("address");
+        let reactor = Reactor::start(
+            ReactorConfig::default(),
+            vec![(listener, factory)],
+            Arc::new(NetCounters::default()),
+            None,
+        )
+        .expect("reactor starts");
+        let stream = TcpStream::connect(addr).expect("connects");
+        let token = opened_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("connection opens");
+
+        let reply = |slot: Option<InflightGuard>| Reply {
+            shared: Arc::clone(&shared),
+            mailbox: reactor.mailbox(),
+            token,
+            proto: Proto::Json,
+            received: Instant::now(),
+            cmd: "load",
+            model: String::new(),
+            slot,
+            answered: false,
+        };
+        let received = |rx: &Receiver<(Vec<u8>, usize)>| {
+            let (bytes, inflight) = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the dropped reply posts");
+            let line = String::from_utf8(bytes).expect("utf-8");
+            (
+                Response::parse_line(line.trim_end()).expect("parses"),
+                inflight,
+            )
+        };
+        for admitted in [true, false] {
+            let slot = admitted.then(|| server::try_admit(&shared).expect("a free slot"));
+            let before = shared.inflight.load(Ordering::SeqCst);
+            assert_eq!(before, usize::from(admitted));
+            drop(reply(slot));
+            let (response, inflight) = received(&posted_rx);
+            assert_eq!(inflight, 0, "the slot is freed before the post lands");
+            match response {
+                Response::Error {
+                    kind: ErrorKind::Internal,
+                    retry_after_ms: Some(RETRY_AFTER_MS),
+                    ..
+                } => {}
+                other => panic!("a dropped reply posted {other:?}"),
+            }
+        }
+        // An answered reply posts once, not again on drop.
+        reply(None).send(Response::Shutdown);
+        assert!(matches!(received(&posted_rx).0, Response::Shutdown));
+        assert!(posted_rx.recv_timeout(Duration::from_millis(200)).is_err());
+
+        drop(stream);
+        reactor.handle().drain();
+        reactor.join();
+        server.request_drain();
+        server.wait();
     }
 }

@@ -41,10 +41,12 @@
 //!   Per-command counters are indexed by the wire declaration
 //!   ([`Command`]).
 //! * **Supervision and self-healing** ([`supervisor`], [`batch`]):
-//!   worker panics are caught and the worker restarts under capped
-//!   exponential backoff; repeated model-build failures trip a
-//!   per-model circuit breaker that sheds doomed builds with a typed
-//!   `model-unavailable` + `retry_after_ms` and half-opens on a timer;
+//!   a panic on a batch worker or service thread answers its own
+//!   request with a typed, retriable `internal` error, and the thread
+//!   restarts under capped exponential backoff; repeated model-build
+//!   failures trip a per-model circuit breaker that sheds doomed
+//!   builds with a typed `model-unavailable` + `retry_after_ms` and
+//!   half-opens on a timer;
 //!   the artifact cache is journaled and recovers (quarantining torn
 //!   entries) at startup.
 

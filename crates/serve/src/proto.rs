@@ -430,15 +430,24 @@ pub(crate) trait Source {
         self.u64(key).map(|v| v as usize)
     }
 
-    /// Build options, `deadline_ms` included.
+    /// Build options, `deadline_ms` included. A zero `max_nodes` or
+    /// `node_budget` is refused here, before any build: an absent one
+    /// already means "no limit", and the model builder has no zero
+    /// ceiling.
     fn options(&mut self, _key: &'static str) -> Result<WireBuildOptions, String> {
-        Ok(WireBuildOptions {
+        let options = WireBuildOptions {
             max_nodes: self.opt_u64("max_nodes")?.map(|n| n as usize),
             upper_bound: self.opt_flag("upper_bound")?,
             node_budget: self.opt_u64("node_budget")?,
             strict: self.opt_flag("strict")?,
             deadline_ms: self.opt_u64("deadline_ms")?,
-        })
+        };
+        if options.max_nodes == Some(0) || options.node_budget == Some(0) {
+            return Err(
+                "`max_nodes` and `node_budget` must be at least 1 (omit for no limit)".into(),
+            );
+        }
+        Ok(options)
     }
 
     /// The one reader rule keeping a request deadline out of an

@@ -4,11 +4,14 @@
 //! Threading model: N reactor shard threads (crate `charfree-net`, epoll
 //! edge-triggered) own the listening sockets and all connection I/O and
 //! framing; a fixed service pool parses requests, runs admission and
-//! model resolution, and submits dispatcher jobs whose reply sinks post
+//! model resolution, and submits dispatcher jobs whose replies post
 //! encoded responses back to the owning shard (see `frontend`); the
-//! dispatcher coordinator + worker pool ([`crate::batch`]) evaluates,
-//! which is what lets requests from different sockets share 64-lane
-//! pattern blocks. No thread is ever parked per connection.
+//! dispatcher's worker pool ([`crate::batch`]) evaluates, each worker
+//! gathering its own batch window, which is what lets requests from
+//! different sockets share 64-lane pattern blocks. Service threads and
+//! batch workers run under one supervision loop, so a panic costs its
+//! own request a typed `internal` error and nothing else. No thread is
+//! ever parked per connection.
 //!
 //! Admission control is two-layered: a connection cap at accept time
 //! (64 live connections, read off the reactor's lock-free counters) and
@@ -40,8 +43,8 @@ use charfree_netlist::Library;
 use charfree_pipeline::{ArtifactStore, FaultIo, PipelineCtx, Source, StreamFault, StreamOp};
 use charfree_seq::SeqModel;
 
-use crate::batch::Dispatcher;
-use crate::frontend::{Completion, Frontend, Mode, Rejected, ServicePool, SvcRequest};
+use crate::batch::{Dispatcher, Pool};
+use crate::frontend::{self, Completion, Frontend, Mode, Rejected, SvcRequest};
 use crate::handler::{self, build_options, build_seq, pipeline_error, ModelSource, Resolved};
 use crate::proto::{ErrorKind, Response, WireBuildOptions};
 use crate::registry::{Resident, ShardedRegistry};
@@ -170,7 +173,7 @@ impl Shared {
 }
 
 /// Owned RAII slot in the request-level admission window. Owned (not
-/// borrowed) so it can ride inside an async reply sink across the
+/// borrowed) so it can ride inside a request's reply across the
 /// dispatcher queue — the slot frees exactly when the response is
 /// produced, so in-flight accounting covers queue residency.
 pub(crate) struct InflightGuard(Arc<Shared>);
@@ -219,10 +222,10 @@ impl StreamTap for FaultTap {
 pub struct Server {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
-    reactor: Option<Reactor<Completion>>,
-    services: Option<ServicePool>,
-    dispatcher: Option<Dispatcher>,
-    shared: Arc<Shared>,
+    reactor: Reactor<Completion>,
+    services: Pool,
+    dispatcher: Dispatcher,
+    pub(crate) shared: Arc<Shared>,
 }
 
 impl Server {
@@ -296,7 +299,6 @@ impl Server {
             shared.max_inflight,
             stats,
         );
-        let batch = dispatcher.handle();
 
         // Service queue: sized so that every connection can have one
         // request queued before the front end sheds.
@@ -335,8 +337,13 @@ impl Server {
         )?;
         let _ = shared.reactor.set(reactor.handle());
 
-        let services =
-            ServicePool::start(SERVICE_THREADS, svc_rx, &shared, &batch, &reactor.mailbox())?;
+        let services = frontend::service_pool(
+            SERVICE_THREADS,
+            svc_rx,
+            &shared,
+            dispatcher.handle(),
+            reactor.mailbox(),
+        )?;
 
         if shared.log {
             eprintln!("charfree-serve: listening on {addr}");
@@ -347,9 +354,9 @@ impl Server {
         Ok(Server {
             addr,
             metrics_addr,
-            reactor: Some(reactor),
-            services: Some(services),
-            dispatcher: Some(dispatcher),
+            reactor,
+            services,
+            dispatcher,
             shared,
         })
     }
@@ -398,16 +405,10 @@ impl Server {
     /// service pool after the reactor is safe because the handlers and
     /// the listeners' factories hold the only frame senders, and drain
     /// drops the factories.
-    pub fn wait(mut self) {
-        if let Some(reactor) = self.reactor.take() {
-            reactor.join();
-        }
-        if let Some(services) = self.services.take() {
-            services.join();
-        }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            dispatcher.shutdown();
-        }
+    pub fn wait(self) {
+        self.reactor.join();
+        self.services.join();
+        self.dispatcher.shutdown();
         if self.shared.log {
             eprintln!("charfree-serve: drained, exiting");
         }

@@ -213,12 +213,13 @@ impl ServerStats {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a batch worker panic (the supervisor restarts the worker).
+    /// Counts a batch worker or service thread panic (the supervisor
+    /// restarts the thread).
     pub fn record_worker_panic(&self) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total batch worker panics so far.
+    /// Total batch worker and service thread panics so far.
     pub fn worker_panics(&self) -> u64 {
         load(&self.worker_panics)
     }

@@ -946,3 +946,131 @@ fn seqload_and_seqeval_match_offline_bit_exactly_on_both_protocols() {
     server.wait();
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// The committed two-stage sequential design.
+const SEQPIPE2_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../netlist/benchmarks/seqpipe2.blif"
+);
+
+/// A zero `max_nodes` or `node_budget` asks for a model that cannot
+/// exist. Both codecs read build options through one reader, which
+/// answers a typed `bad-request` before any build. Then the server
+/// still answers `stats` and evaluates bit-identically to offline: a
+/// zero ceiling that reached the model builder would panic the thread
+/// serving it, and enough of those leave no thread to answer anything.
+#[test]
+fn zero_build_ceilings_are_bad_requests_and_the_server_keeps_serving() {
+    use charfree_serve::Proto;
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = Server::start(test_config()).expect("binds");
+    let addr = server.addr().to_string();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let session_addr = addr.clone();
+    // The session runs on its own thread, so a server that never answers
+    // fails this test at the timeout below instead of hanging it.
+    let session = thread::spawn(move || {
+        let addr = session_addr;
+        let expect_bad_request = |what: &str, response: Response| match response {
+            Response::Error {
+                kind: ErrorKind::BadRequest,
+                ..
+            } => {}
+            other => panic!("{what} got {other:?}"),
+        };
+
+        // Three raw JSON lines.
+        let stream = std::net::TcpStream::connect(&addr).expect("connects");
+        let mut writer = stream.try_clone().expect("clone");
+        let mut reader = BufReader::new(stream);
+        for line in [
+            r#"{"cmd":"load","source":"decod","max_nodes":0}"#,
+            r#"{"cmd":"load","source":"decod","node_budget":0}"#,
+            r#"{"cmd":"load","source":"decod","max_nodes":0,"node_budget":0}"#,
+        ] {
+            writeln!(writer, "{line}").expect("writes");
+            let mut answer = String::new();
+            reader.read_line(&mut answer).expect("reads");
+            let response = Response::parse_line(answer.trim_end()).expect("parses");
+            expect_bad_request(line, response);
+        }
+
+        // Two binary loads and a binary seqload.
+        let mut client = Client::connect_with(&addr, Proto::Binary).expect("connects");
+        let zero_max = WireBuildOptions {
+            max_nodes: Some(0),
+            ..WireBuildOptions::default()
+        };
+        let zero_budget = WireBuildOptions {
+            node_budget: Some(0),
+            ..WireBuildOptions::default()
+        };
+        for (what, request) in [
+            (
+                "binary load max_nodes=0",
+                Request::Load {
+                    source: "decod".to_owned(),
+                    options: zero_max.clone(),
+                },
+            ),
+            (
+                "binary load node_budget=0",
+                Request::Load {
+                    source: "decod".to_owned(),
+                    options: zero_budget,
+                },
+            ),
+            (
+                "binary seqload max_nodes=0",
+                Request::SeqLoad {
+                    source: SEQPIPE2_PATH.to_owned(),
+                    options: zero_max,
+                },
+            ),
+        ] {
+            expect_bad_request(what, client.request(&request).expect("responds"));
+        }
+
+        let mut client = Client::connect(&addr).expect("connects");
+        assert!(matches!(
+            client.request(&Request::Stats).expect("stats"),
+            Response::Stats(_)
+        ));
+        let params = eval_params(500, 0x5EED);
+        let (name, values) = offline("decod", &params);
+        let reference =
+            charfree_engine::TraceSummary::from_values(&values, charfree_engine::DEFAULT_CHUNK);
+        let request = Request::Eval {
+            source: "decod".to_owned(),
+            options: WireBuildOptions::default(),
+            params,
+        };
+        match client.request(&request).expect("eval") {
+            Response::Eval {
+                name: got_name,
+                transitions,
+                sum_ff,
+                max_ff,
+            } => {
+                assert_eq!(got_name, name);
+                assert_eq!(transitions, reference.transitions);
+                assert_eq!(sum_ff.to_bits(), reference.sum_ff.to_bits());
+                assert_eq!(max_ff.to_bits(), reference.max_ff.to_bits());
+            }
+            other => panic!("unexpected eval response {other:?}"),
+        }
+        let _ = done_tx.send(());
+    });
+    let answered = done_rx.recv_timeout(Duration::from_secs(120)).is_ok();
+    if !answered && session.is_finished() {
+        if let Err(panic) = session.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+    assert!(answered, "the server stopped answering within 120 s");
+
+    let mut client = Client::connect(&addr).expect("connects");
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.wait();
+}

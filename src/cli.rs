@@ -341,17 +341,17 @@ fn parse_request(
             None
         },
     };
-    // Energy is switched charge over the period: a zero, negative or NaN
-    // period has no power to report.
+    // Energy is switched charge over the period at Vdd²: a zero,
+    // negative or NaN period or supply has no power to report.
     if !(render.period.is_finite() && render.period > 0.0) {
         return Err(format!(
             "bad `--period` {}: need a finite clock period > 0 (ns)",
             render.period
         ));
     }
-    if !render.vdd.is_finite() {
+    if !(render.vdd.is_finite() && render.vdd > 0.0) {
         return Err(format!(
-            "bad `--vdd` {}: need a finite supply voltage (V)",
+            "bad `--vdd` {}: need a finite supply voltage > 0 (V)",
             render.vdd
         ));
     }
@@ -1198,6 +1198,9 @@ mod tests {
                 "--period",
             ),
             (&["client", "eval", "decod", "--vdd", "nan"], "--vdd"),
+            (&["eval", "decod", "--vdd", "-1"], "--vdd"),
+            (&["trace", "decod", "--vdd", "0"], "--vdd"),
+            (&["client", "eval", "decod", "--vdd", "-3.3"], "--vdd"),
         ] {
             let err = run(&s(args)).expect_err("bad render flag rejected");
             assert!(err.contains(&format!("bad `{flag}`")), "{args:?}: {err}");
