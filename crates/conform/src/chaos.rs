@@ -51,8 +51,9 @@ use charfree_pipeline::{
     ArtifactKey, ArtifactKind, ArtifactStore, CacheLookup, FaultConfig, FaultIo, FaultPlan,
 };
 use charfree_serve::{
-    BreakerConfig, ChannelReply, Client, Dispatcher, ErrorKind, Job, JobFault, Request, Response,
-    RetryPolicy, ServeConfig, Server, ServerStats, WireBuildOptions, WireEvalParams,
+    BreakerConfig, ChannelReply, Client, Dispatcher, ErrorKind, Job, JobFault, Request, Resident,
+    Response, RetryPolicy, ServeConfig, Server, ServerStats, Stimulus, WireBuildOptions,
+    WireEvalParams,
 };
 use charfree_sim::MarkovSource;
 
@@ -458,8 +459,8 @@ fn supervised_worker_panics(
     for round in 0..3 {
         let (reply, rx) = sync_channel(1);
         let poison = Job {
-            kernel: Arc::clone(kernel),
-            patterns: patterns.to_vec(),
+            model: Resident::Comb(Arc::clone(kernel)),
+            stimulus: Stimulus::Patterns(patterns.to_vec()),
             want_values: true,
             deadline: None,
             reply: Box::new(ChannelReply(reply)),
@@ -474,8 +475,8 @@ fn supervised_worker_panics(
         }
         let (reply, rx) = sync_channel(1);
         let healthy = Job {
-            kernel: Arc::clone(kernel),
-            patterns: patterns.to_vec(),
+            model: Resident::Comb(Arc::clone(kernel)),
+            stimulus: Stimulus::Patterns(patterns.to_vec()),
             want_values: true,
             deadline: None,
             reply: Box::new(ChannelReply(reply)),

@@ -1,16 +1,26 @@
-//! Cross-connection micro-batching.
+//! Cross-connection micro-batching: the one place a served request's
+//! patterns are drawn and evaluated.
+//!
+//! A [`Job`] names a registry [`Resident`] (a kernel or a sequential
+//! design) and a [`Stimulus`]: the patterns a `tracep` carried, or the
+//! request's checked Markov source and length. A queued job holds no
+//! drawn patterns; the worker running it draws them and drops them once
+//! packed.
 //!
 //! Evaluation requests from *different* connections are coalesced into
 //! shared 64-lane [`PatternBlock`]s before hitting the kernel. There is
 //! no coordinator thread: an idle worker takes the job-queue lock,
-//! blocks for a first job, gathers more for up to `batch_window`,
-//! groups them by kernel identity and releases the lock. It then packs
-//! each group's transitions into its own block, evaluates **all groups
-//! in a single fused multi-kernel pass** ([`eval_fused`], interleaving
-//! the gathering kernels' level-by-level gather rounds for memory-level
-//! parallelism), and scatters the per-transition values back to each
-//! requester. The other idle workers wait on the lock, so the next
-//! window is gathered while this one evaluates.
+//! blocks for a first job, gathers more for up to `batch_window` and
+//! releases the lock. It then groups the kernel jobs by kernel
+//! identity, packs each group's transitions into its own block,
+//! evaluates **all groups in a single fused multi-kernel pass**
+//! ([`eval_fused`], interleaving the gathering kernels' level-by-level
+//! gather rounds for memory-level parallelism), and scatters the
+//! per-transition values back to each requester. The window's
+//! sequential designs (`seqeval`) then run
+//! [`SeqModel::eval_fused`](charfree_seq::SeqModel::eval_fused) one by
+//! one. The other idle workers wait on the lock, so the next window
+//! is gathered while this one evaluates.
 //!
 //! Workers run each window under `supervise`, the one supervision
 //! loop of the server's pools (`Pool`): a panic is confined to its
@@ -34,6 +44,9 @@
 //!    uses offline — so floating-point summation order matches the
 //!    single-request path bit for bit.
 //!
+//! A sequential job is evaluated alone, by the same `eval_fused` call
+//! offline `seqeval` makes.
+//!
 //! Shedding happens at submit time: the job queue is a bounded
 //! `sync_channel` and [`BatchHandle::try_submit`] hands the job back on
 //! a full queue instead of blocking the connection thread.
@@ -46,7 +59,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceSummary, DEFAULT_CHUNK};
+use charfree_seq::MacroSummary;
+use charfree_sim::MarkovSource;
 
+use crate::registry::Resident;
 use crate::stats::ServerStats;
 
 /// Cap on how many jobs one window may coalesce, bounding the memory a
@@ -96,14 +112,33 @@ impl ReplySink for ChannelReply {
     }
 }
 
+/// The patterns a job evaluates its model on.
+pub enum Stimulus {
+    /// Explicit patterns (a `tracep` request's).
+    Patterns(Vec<Vec<bool>>),
+    /// A checked Markov source and how many patterns to draw from it.
+    Markov(MarkovSource, usize),
+}
+
+impl Stimulus {
+    /// The pattern window, drawn now for a Markov stimulus; `len - 1`
+    /// transitions are evaluated.
+    pub fn patterns(self) -> Vec<Vec<bool>> {
+        match self {
+            Stimulus::Patterns(patterns) => patterns,
+            Stimulus::Markov(mut source, len) => source.sequence(len),
+        }
+    }
+}
+
 /// One evaluation request, ready to batch.
 pub struct Job {
-    /// Kernel to evaluate on (an `Arc` clone pins it across evictions).
-    pub kernel: Arc<Kernel>,
-    /// The pattern window; `len - 1` transitions are evaluated.
-    pub patterns: Vec<Vec<bool>>,
+    /// Model to evaluate (its `Arc` clone pins it across evictions).
+    pub model: Resident,
+    /// The job's patterns, drawn by the worker that runs it.
+    pub stimulus: Stimulus,
     /// `true` for `trace` (per-transition values shipped back), `false`
-    /// for `eval` (summary only).
+    /// for `eval` and `seqeval` (summary only).
     pub want_values: bool,
     /// Absolute deadline; expired jobs are shed at execution time.
     pub deadline: Option<Instant>,
@@ -120,6 +155,8 @@ pub struct JobOutput {
     pub summary: TraceSummary,
     /// Per-transition values when the job asked for them.
     pub values: Option<Vec<f64>>,
+    /// A sequential design's per-macro summaries, in macro index order.
+    pub macros: Option<Vec<MacroSummary>>,
 }
 
 /// Why a job was not evaluated.
@@ -131,12 +168,6 @@ pub enum JobError {
     /// (Produced by callers that get the job handed back from
     /// [`BatchHandle::try_submit`] and complete its sink themselves.)
     Shed,
-}
-
-/// One kernel's jobs within a flush window.
-struct KernelGroup {
-    kernel: Arc<Kernel>,
-    jobs: Vec<Job>,
 }
 
 /// Cloneable submission side of the dispatcher, held by connection
@@ -151,9 +182,9 @@ impl BatchHandle {
     /// Enqueues a job without blocking. On a full (or closed) queue the
     /// job is handed back so the caller can shed it with a typed
     /// `overloaded` response.
-    pub fn try_submit(&self, job: Job) -> Result<(), Job> {
+    pub fn try_submit(&self, job: Job) -> Result<(), Box<Job>> {
         self.tx.try_send(job).map_err(|e| match e {
-            TrySendError::Full(job) | TrySendError::Disconnected(job) => job,
+            TrySendError::Full(job) | TrySendError::Disconnected(job) => Box::new(job),
         })
     }
 }
@@ -168,9 +199,9 @@ pub struct Dispatcher {
 impl Dispatcher {
     /// Starts the dispatcher: jobs submitted through [`BatchHandle`]s
     /// are collected for up to `window` (zero disables coalescing
-    /// delay), grouped by kernel, and executed on `workers` threads.
-    /// The submit queue holds at most `queue_cap` jobs; beyond that,
-    /// [`BatchHandle::try_submit`] sheds.
+    /// delay) and executed on `workers` threads, kernel jobs grouped by
+    /// kernel. The submit queue holds at most `queue_cap` jobs; beyond
+    /// that, [`BatchHandle::try_submit`] sheds.
     pub fn start(
         workers: usize,
         window: Duration,
@@ -185,7 +216,7 @@ impl Dispatcher {
             rx,
             &pool_stats,
             move |rx| gather(rx, window),
-            move |groups| execute(groups, &stats),
+            move |jobs| execute(jobs, &stats),
         )
         .expect("spawn worker thread");
         Dispatcher { tx, workers }
@@ -283,11 +314,9 @@ fn supervise<T, U>(
 }
 
 /// Gathers one window from the job queue (its lock held by the caller):
-/// blocks for a first job, then takes more for up to `window`, and
-/// groups them by kernel identity in first-seen order, so the flush is
-/// deterministic. `None` once every handle is dropped and the queue is
-/// empty.
-fn gather(rx: &Receiver<Job>, window: Duration) -> Option<Vec<KernelGroup>> {
+/// blocks for a first job, then takes more for up to `window`. `None`
+/// once every handle is dropped and the queue is empty.
+fn gather(rx: &Receiver<Job>, window: Duration) -> Option<Vec<Job>> {
     let mut jobs = vec![rx.recv().ok()?];
     if !window.is_zero() {
         let wake = Instant::now() + window;
@@ -310,103 +339,116 @@ fn gather(rx: &Receiver<Job>, window: Duration) -> Option<Vec<KernelGroup>> {
             }
         }
     }
-    let mut groups: Vec<KernelGroup> = Vec::new();
-    for job in jobs {
-        match groups
-            .iter_mut()
-            .find(|g| Arc::ptr_eq(&g.kernel, &job.kernel))
-        {
-            Some(group) => group.jobs.push(job),
-            None => groups.push(KernelGroup {
-                kernel: Arc::clone(&job.kernel),
-                jobs: vec![job],
-            }),
-        }
-    }
-    Some(groups)
+    Some(jobs)
 }
 
-fn execute(groups: Vec<KernelGroup>, stats: &ServerStats) {
+/// The mean lanes filled per 64-lane group over `lanes` transitions.
+fn lane_fill(lanes: usize) -> usize {
+    lanes.checked_div(lanes.div_ceil(64)).unwrap_or(1)
+}
+
+/// Runs one window: sheds expired jobs, packs the kernel jobs into one
+/// block per kernel (first-seen order, so the flush is deterministic)
+/// and evaluates them in one fused pass, then evaluates the
+/// sequential jobs.
+fn execute(jobs: Vec<Job>, stats: &ServerStats) {
     let now = Instant::now();
-    // Per-kernel staging: shed expired jobs, pack the survivors'
-    // transitions into one block per kernel, remember each job's span.
-    struct Prepared {
-        kernel: Arc<Kernel>,
-        jobs: Vec<Job>,
-        spans: Vec<(usize, usize)>,
-        block: PatternBlock,
-        values: Vec<f64>,
-    }
-    let mut prepared: Vec<Prepared> = Vec::with_capacity(groups.len());
-    let mut poisoned = false;
-    for group in groups {
-        let mut live = Vec::with_capacity(group.jobs.len());
-        for job in group.jobs {
-            match job.deadline {
-                Some(deadline) if deadline <= now => {
-                    job.reply.complete(Err(JobError::DeadlineExceeded));
-                }
-                _ => live.push(job),
+    let live: Vec<Job> = jobs
+        .into_iter()
+        .filter_map(|job| match job.deadline {
+            Some(deadline) if deadline <= now => {
+                job.reply.complete(Err(JobError::DeadlineExceeded));
+                None
             }
-        }
-        if live.is_empty() {
-            continue;
-        }
-        poisoned |= live
-            .iter()
-            .any(|job| job.fault == Some(JobFault::PanicInWorker));
-        let mut block = PatternBlock::new(group.kernel.num_vars() as usize);
-        let mut spans = Vec::with_capacity(live.len());
-        for job in &live {
-            let offset = block.len();
-            block.extend_from_patterns(&group.kernel, &job.patterns);
-            spans.push((offset, block.len() - offset));
-        }
-        let values = vec![0.0f64; block.len()];
-        prepared.push(Prepared {
-            kernel: group.kernel,
-            jobs: live,
-            spans,
-            block,
-            values,
-        });
-    }
-    if poisoned {
+            _ => Some(job),
+        })
+        .collect();
+    if live
+        .iter()
+        .any(|job| job.fault == Some(JobFault::PanicInWorker))
+    {
         panic!("injected worker fault (JobFault::PanicInWorker)");
+    }
+
+    // One kernel's jobs: their packed block, each job's reply, whether
+    // it wants values and its span of the block.
+    struct Group {
+        kernel: Arc<Kernel>,
+        block: PatternBlock,
+        replies: Vec<(Box<dyn ReplySink>, bool, usize, usize)>,
+    }
+    let mut groups: Vec<Group> = Vec::new();
+    let mut sequential = Vec::new();
+    for job in live {
+        let kernel = match job.model {
+            Resident::Comb(kernel) => kernel,
+            Resident::Seq(model) => {
+                sequential.push((model, job.stimulus, job.reply));
+                continue;
+            }
+        };
+        let i = match groups.iter().position(|g| Arc::ptr_eq(&g.kernel, &kernel)) {
+            Some(i) => i,
+            None => {
+                groups.push(Group {
+                    block: PatternBlock::new(kernel.num_vars() as usize),
+                    kernel,
+                    replies: Vec::new(),
+                });
+                groups.len() - 1
+            }
+        };
+        let group = &mut groups[i];
+        let offset = group.block.len();
+        // Drawn here and dropped once packed.
+        let patterns = job.stimulus.patterns();
+        group.block.extend_from_patterns(&group.kernel, &patterns);
+        let span = group.block.len() - offset;
+        group
+            .replies
+            .push((job.reply, job.want_values, offset, span));
     }
 
     // One fused multi-kernel pass over the whole flush window: every
     // kernel group's block advances together.
-    let mut fused: Vec<FusedJob> = prepared
-        .iter_mut()
-        .map(|p| FusedJob {
-            kernel: &p.kernel,
-            block: &p.block,
-            out: &mut p.values,
+    let mut values: Vec<Vec<f64>> = groups.iter().map(|g| vec![0.0; g.block.len()]).collect();
+    let mut fused: Vec<FusedJob> = groups
+        .iter()
+        .zip(&mut values)
+        .map(|(g, out)| FusedJob {
+            kernel: &g.kernel,
+            block: &g.block,
+            out,
         })
         .collect();
     eval_fused(&mut fused);
     drop(fused);
 
-    for p in prepared {
-        if p.block.is_empty() {
-            stats.record_batch(p.jobs.len(), 1);
-        } else {
-            let groups64 = p.block.len().div_ceil(64);
-            stats.record_batch(p.jobs.len(), p.block.len() / groups64);
-        }
-        for (job, (offset, len)) in p.jobs.into_iter().zip(p.spans) {
-            let slice = &p.values[offset..offset + len];
+    for (group, values) in groups.into_iter().zip(values) {
+        stats.record_batch(group.replies.len(), lane_fill(group.block.len()));
+        for (reply, want_values, offset, len) in group.replies {
+            let slice = &values[offset..offset + len];
             // DEFAULT_CHUNK association == the offline TraceEngine
             // reduction, which is what keeps batched summaries
             // bit-identical.
             let summary = TraceSummary::from_values(slice, DEFAULT_CHUNK);
-            let output = JobOutput {
+            let values = want_values.then(|| slice.to_vec());
+            reply.complete(Ok(JobOutput {
                 summary,
-                values: job.want_values.then(|| slice.to_vec()),
-            };
-            job.reply.complete(Ok(output));
+                values,
+                macros: None,
+            }));
         }
+    }
+
+    for (model, stimulus, reply) in sequential {
+        let summary = model.eval_fused(&stimulus.patterns());
+        stats.record_batch(1, lane_fill(summary.total.transitions));
+        reply.complete(Ok(JobOutput {
+            summary: summary.total,
+            values: None,
+            macros: Some(summary.per_macro),
+        }));
     }
 }
 
@@ -474,8 +516,8 @@ mod tests {
         for (kernel, vectors, seed, want_values) in &cases {
             let (reply_tx, reply_rx) = sync_channel(1);
             let job = Job {
-                kernel: Arc::clone(kernel),
-                patterns: patterns_for(kernel, *vectors, *seed),
+                model: Resident::Comb(Arc::clone(kernel)),
+                stimulus: Stimulus::Patterns(patterns_for(kernel, *vectors, *seed)),
                 want_values: *want_values,
                 deadline: None,
                 reply: Box::new(ChannelReply(reply_tx)),
@@ -518,8 +560,8 @@ mod tests {
         let handle = dispatcher.handle();
         let (reply_tx, reply_rx) = sync_channel(1);
         let job = Job {
-            kernel: Arc::clone(&decod),
-            patterns: patterns_for(&decod, 100, 9),
+            model: Resident::Comb(Arc::clone(&decod)),
+            stimulus: Stimulus::Patterns(patterns_for(&decod, 100, 9)),
             want_values: false,
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             reply: Box::new(ChannelReply(reply_tx)),
@@ -554,8 +596,8 @@ mod tests {
     fn full_queue_hands_the_job_back() {
         let decod = kernel_for("decod");
         let job = |seed: u64, reply: Box<dyn ReplySink>| Job {
-            kernel: Arc::clone(&decod),
-            patterns: patterns_for(&decod, 10, seed),
+            model: Resident::Comb(Arc::clone(&decod)),
+            stimulus: Stimulus::Patterns(patterns_for(&decod, 10, seed)),
             want_values: false,
             deadline: None,
             reply,
@@ -621,8 +663,8 @@ mod tests {
             // error at the connection layer), not hang.
             let (poison_tx, poison_rx) = sync_channel(1);
             let poison = Job {
-                kernel: Arc::clone(&decod),
-                patterns: patterns_for(&decod, 10, 100 + round),
+                model: Resident::Comb(Arc::clone(&decod)),
+                stimulus: Stimulus::Patterns(patterns_for(&decod, 10, 100 + round)),
                 want_values: false,
                 deadline: None,
                 reply: Box::new(ChannelReply(poison_tx)),
@@ -637,8 +679,8 @@ mod tests {
             // The restarted worker evaluates the next job bit-exactly.
             let (reply_tx, reply_rx) = sync_channel(1);
             let job = Job {
-                kernel: Arc::clone(&decod),
-                patterns: patterns_for(&decod, 50, round),
+                model: Resident::Comb(Arc::clone(&decod)),
+                stimulus: Stimulus::Patterns(patterns_for(&decod, 50, round)),
                 want_values: false,
                 deadline: None,
                 reply: Box::new(ChannelReply(reply_tx)),

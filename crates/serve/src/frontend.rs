@@ -7,11 +7,14 @@
 //! `G` of `GET ` → HTTP metrics; `--metrics-addr` connections start in
 //! HTTP), slice complete JSON lines / binary
 //! frames out of the read buffer, and hand them to the **service
-//! pool**. Service threads parse, run admission control, resolve models
-//! (cold symbolic builds happen here, never on an I/O thread) and either
-//! answer directly or submit a dispatcher job whose [`ReplySink`] posts
-//! the already-encoded response back to the owning shard through the
-//! reactor [`Mailbox`].
+//! pool**. Service threads parse, run admission control and resolve
+//! models (cold symbolic builds happen here, never on an I/O thread).
+//! They answer `load`, `seqload`, `expected` and the control plane
+//! directly, and turn every `eval`, `trace`, `tracep` and `seqeval` into
+//! one dispatcher job (`start_batch`), whose [`ReplySink`] posts the
+//! already-encoded response back to the owning shard through the
+//! reactor [`Mailbox`]. Service threads evaluate nothing: the batch
+//! worker running a job draws its patterns.
 //!
 //! One request is in flight per connection at a time (responses are
 //! answered in order); bytes a pipelining client sends early simply
@@ -25,15 +28,15 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use charfree_engine::Kernel;
 use charfree_net::{CloseReason, ConnCtx, Handler, Mailbox, Token};
 
-use crate::batch::{BatchHandle, Job, JobError, JobOutput, Pool, ReplySink};
+use crate::batch::{BatchHandle, Job, JobError, JobOutput, Pool, ReplySink, Stimulus};
 use crate::handler::{self, ModelSource};
 use crate::metrics;
-use crate::proto::{ErrorKind, Request, Response, WireBuildOptions};
+use crate::proto::{Command, ErrorKind, Request, Response, WireBuildOptions};
+use crate::registry::Resident;
 use crate::server::{self, InflightGuard, Shared, MAX_CONNECTIONS, MAX_LINE_BYTES, RETRY_AFTER_MS};
-use crate::wire;
+use crate::{wire, Proto};
 
 /// Longest tolerated HTTP request head before the connection is cut.
 const MAX_HTTP_HEAD: usize = 8 * 1024;
@@ -44,13 +47,6 @@ const MAX_HTTP_HEAD: usize = 8 * 1024;
 pub(crate) struct Completion {
     bytes: Vec<u8>,
     close: bool,
-}
-
-/// Which wire encoding a connection (or one request on it) speaks.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Proto {
-    Json,
-    Binary,
 }
 
 /// Per-connection protocol state.
@@ -427,7 +423,7 @@ struct Reply {
     proto: Proto,
     received: Instant,
     cmd: &'static str,
-    /// The evaluated kernel's name, once the request is a dispatcher
+    /// The evaluated model's name, once the request is a dispatcher
     /// job.
     model: String,
     /// The request-level admission slot, held until the response posts.
@@ -498,6 +494,11 @@ impl ReplySink for Reply {
                 values: Some(values),
                 ..
             }) => Response::Trace { name, values },
+            Ok(JobOutput {
+                summary,
+                macros: Some(macros),
+                ..
+            }) => handler::seq_eval_response(name, &summary, &macros),
             Ok(output) => handler::eval_response(name, &output.summary),
             Err(JobError::DeadlineExceeded) => {
                 server::error(ErrorKind::DeadlineExceeded, "deadline expired in queue")
@@ -572,7 +573,6 @@ fn handle_request(
     // stats/metrics/shutdown are control-plane: they bypass the
     // admission window so an overloaded server can still be observed
     // and drained.
-    let want_values = matches!(request, Request::Trace { .. });
     match request {
         Request::Stats => reply.send(Response::Stats(shared.snapshot().to_json())),
         Request::Metrics => reply.send(Response::Metrics(metrics::render(&shared.snapshot()))),
@@ -588,15 +588,25 @@ fn handle_request(
         Request::SeqLoad { source, options } => {
             reply.admitted(|| server::do_seq_load(shared, &source, &options));
         }
-        Request::SeqEval {
-            source,
-            options,
-            params,
-        } => reply.admitted(|| {
-            server::check_vectors(shared, params.vectors)
-                .and_then(|()| handler::seq_eval(&mut &**shared, &source, &options, &params))
-                .unwrap_or_else(|e| e)
-        }),
+        Request::TraceDirect { patterns, .. } if patterns.len() < 2 => {
+            let message = "tracep needs at least two patterns (transitions are pattern pairs)";
+            reply.send(server::error(ErrorKind::BadRequest, message));
+        }
+        // eval, trace, tracep and seqeval.
+        request => start_batch(reply, batch, request),
+    }
+}
+
+/// `eval`/`trace`/`tracep`/`seqeval`: admission, the per-request work
+/// cap (`--max-vectors`), model resolution (the request deadline also
+/// bounds a cold build and, being timing-dependent, keeps that build
+/// out of the registry), the request's stimulus for the model's inputs
+/// (a checked Markov source, or the `tracep` patterns), then the one
+/// dispatcher job. Its worker draws the patterns and evaluates; its
+/// reply completes through the mailbox.
+fn start_batch(mut reply: Reply, batch: &BatchHandle, request: Request) {
+    let command = request.kind();
+    let (source, options, deadline_ms, vectors, markov, patterns) = match request {
         Request::Eval {
             source,
             options,
@@ -606,100 +616,81 @@ fn handle_request(
             source,
             options,
             params,
-        } => {
-            let markov = |kernel: &Kernel| handler::markov_patterns(kernel.num_inputs(), &params);
-            let (deadline_ms, vectors) = (params.deadline_ms, params.vectors);
-            start_batch(
-                reply,
-                batch,
-                &source,
-                &options,
-                deadline_ms,
-                vectors,
-                want_values,
-                markov,
-            );
         }
+        | Request::SeqEval {
+            source,
+            options,
+            params,
+        } => (
+            source,
+            options,
+            params.deadline_ms,
+            params.vectors,
+            Some(params),
+            Vec::new(),
+        ),
         Request::TraceDirect {
             source,
             options,
             patterns,
             deadline_ms,
-        } => {
-            if patterns.len() < 2 {
-                let message = "tracep needs at least two patterns (transitions are pattern pairs)";
-                return reply.send(server::error(ErrorKind::BadRequest, message));
-            }
-            let vectors = patterns.len();
-            let checked = move |kernel: &Kernel| {
-                let width = kernel.num_inputs();
-                match patterns.iter().all(|p| p.len() == width) {
-                    true => Ok(patterns),
-                    false => Err(server::error(
-                        ErrorKind::BadRequest,
-                        format!("pattern width must match the model's {width} inputs"),
-                    )),
-                }
-            };
-            start_batch(
-                reply,
-                batch,
-                &source,
-                &options,
-                deadline_ms,
-                vectors,
-                true,
-                checked,
-            );
-        }
-    }
-}
-
-/// `eval`/`trace`/`tracep`: admission, the per-request work cap, model
-/// resolution (the request deadline also bounds a cold build and, being
-/// timing-dependent, keeps that build out of the registry), the
-/// request's patterns, then a dispatcher job whose reply completes
-/// through the mailbox.
-#[allow(clippy::too_many_arguments)]
-fn start_batch(
-    mut reply: Reply,
-    batch: &BatchHandle,
-    source: &str,
-    options: &WireBuildOptions,
-    deadline_ms: Option<u64>,
-    vectors: usize,
-    want_values: bool,
-    patterns: impl FnOnce(&Kernel) -> Result<Vec<Vec<bool>>, Response>,
-) {
+        } => (source, options, deadline_ms, patterns.len(), None, patterns),
+        other => unreachable!("`{}` is answered on the service thread", other.cmd()),
+    };
     let shared = Arc::clone(&reply.shared);
     if !reply.admit() {
         return reply.send(overloaded_response(&shared));
     }
-    if let Err(resp) = server::check_vectors(&shared, vectors) {
-        return reply.send(resp);
+    // Admission counts requests, not work: this caps what one can pin.
+    if vectors > shared.max_vectors {
+        let message = format!(
+            "vectors={vectors} exceeds this server's per-request cap ({}); split the request or \
+             restart with a larger --max-vectors",
+            shared.max_vectors
+        );
+        return reply.send(server::error(ErrorKind::BadRequest, message));
     }
     let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let build_options = WireBuildOptions {
+    let options = WireBuildOptions {
         deadline_ms,
-        ..options.clone()
+        ..options
     };
-    let kernel = match (&*shared).kernel(source, &build_options) {
-        Ok((kernel, _, _)) => kernel,
+    let model = match command {
+        Some(Command::SeqEval) => handler::seq_model(&mut &*shared, &source, &options)
+            .map(|(design, _, _)| Resident::Seq(design)),
+        _ => (&*shared)
+            .kernel(&source, &options)
+            .map(|(kernel, _, _)| Resident::Comb(kernel)),
+    };
+    let model = match model {
+        Ok(model) => model,
         Err(resp) => return reply.send(resp),
     };
-    let patterns = match patterns(&kernel) {
-        Ok(patterns) => patterns,
+    let (name, inputs) = match &model {
+        Resident::Comb(kernel) => (kernel.name(), kernel.num_inputs()),
+        Resident::Seq(design) => (design.name(), design.num_inputs()),
+    };
+    reply.model = name.to_owned();
+    let stimulus = match markov {
+        Some(params) => handler::markov_stimulus(inputs, &params),
+        None if patterns.iter().all(|p| p.len() == inputs) => Ok(Stimulus::Patterns(patterns)),
+        None => Err(server::error(
+            ErrorKind::BadRequest,
+            format!("pattern width must match the model's {inputs} inputs"),
+        )),
+    };
+    let stimulus = match stimulus {
+        Ok(stimulus) => stimulus,
         Err(resp) => return reply.send(resp),
     };
     if deadline.is_some_and(|deadline| deadline <= Instant::now()) {
         let message = "deadline expired before dispatch";
         return reply.send(server::error(ErrorKind::DeadlineExceeded, message));
     }
-    reply.model = kernel.name().to_owned();
     let job = Job {
-        kernel,
-        patterns,
-        want_values,
+        model,
+        stimulus,
+        want_values: matches!(command, Some(Command::Trace | Command::TraceDirect)),
         deadline,
         reply: Box::new(reply),
         fault: None,

@@ -5,28 +5,31 @@
 //! Every decision the two transports would otherwise each make lives
 //! here, once:
 //!
-//! * the one `(sp, st)`-checked Markov pattern stream
-//!   ([`markov_patterns`]);
-//! * `expected`'s kernel-or-`.cfm` fallback ([`expected`]);
+//! * the one `(sp, st)`-checked Markov stimulus ([`markov_stimulus`]);
+//! * `expected` on the flat kernel ([`expected`]);
 //! * "sequential sources are BLIF files only", then read, parse and
-//!   build ([`seq_model`]).
+//!   build ([`seq_model`]);
+//! * the responses evaluation results render to ([`eval_response`],
+//!   [`seq_eval_response`]).
 //!
 //! The handlers run over a [`ModelSource`], which has two impls: a bare
 //! [`PipelineCtx`] (offline) and the server's sharded registry with its
 //! circuit breaker. Evaluation stays with the transport: offline runs
-//! the trace engine with `--jobs`, the server batches `eval`/`trace`
-//! through its dispatcher. Failures are typed [`Response::Error`]s; the
-//! offline CLI prints their message.
+//! the trace engine with `--jobs` and `SeqModel::eval_fused` in
+//! `src/cli.rs`, while the server submits every `eval`, `trace`,
+//! `tracep` and `seqeval` to its batch dispatcher ([`crate::batch`]),
+//! whose workers draw the patterns. Failures are typed
+//! [`Response::Error`]s; the offline CLI prints their message.
 
 use std::sync::Arc;
 
-use charfree_core::AddPowerModel;
 use charfree_engine::{Kernel, TraceSummary};
 use charfree_netlist::blif;
 use charfree_pipeline::{BuildOptions, PipelineCtx, PipelineError, Source};
-use charfree_seq::SeqModel;
+use charfree_seq::{MacroSummary, SeqModel};
 use charfree_sim::{check_statistics, MarkovSource};
 
+use crate::batch::Stimulus;
 use crate::proto::{ErrorKind, Response, WireBuildOptions, WireEvalParams, WireMacroSummary};
 use crate::server::error;
 
@@ -42,9 +45,6 @@ pub trait ModelSource {
     /// The sequential design in the BLIF file `source` under `options`.
     /// Callers go through [`seq_model`], which checks the operand kind.
     fn seq_model(&mut self, source: &str, options: &WireBuildOptions) -> Resolved<SeqModel>;
-
-    /// The arena power model of `source` at default build options.
-    fn arena_model(&mut self, source: &str) -> Result<AddPowerModel, Response>;
 }
 
 /// The offline model source: one pipeline session, no registry.
@@ -63,12 +63,6 @@ impl ModelSource for PipelineCtx {
         let before = self.apply_steps();
         let model = build_seq(self, source).map_err(|e| pipeline_error(&e))?;
         Ok((Arc::new(model), self.apply_steps() - before, false))
-    }
-
-    fn arena_model(&mut self, source: &str) -> Result<AddPowerModel, Response> {
-        self.set_options(BuildOptions::default());
-        self.model_for(&Source::infer(source))
-            .map_err(|e| pipeline_error(&e))
     }
 }
 
@@ -96,15 +90,15 @@ pub(crate) fn pipeline_error(err: &PipelineError) -> Response {
     error(kind, err.to_string())
 }
 
-/// A request's pattern stream: a Markov source over `inputs` primary
-/// inputs at the request's `(sp, st)` and seed, at least two patterns.
+/// A request's stimulus: a Markov source over `inputs` primary inputs
+/// at the request's `(sp, st)` and seed, drawing at least two patterns.
 ///
 /// # Errors
 ///
 /// A `bad-request` when `(sp, st)` is infeasible, NaN included.
-pub fn markov_patterns(inputs: usize, params: &WireEvalParams) -> Result<Vec<Vec<bool>>, Response> {
+pub fn markov_stimulus(inputs: usize, params: &WireEvalParams) -> Result<Stimulus, Response> {
     MarkovSource::new(inputs, params.sp, params.st, params.seed)
-        .map(|mut markov| markov.sequence(params.vectors.max(2)))
+        .map(|markov| Stimulus::Markov(markov, params.vectors.max(2)))
         .map_err(|e| error(ErrorKind::BadRequest, e.to_string()))
 }
 
@@ -118,16 +112,35 @@ pub fn eval_response(name: String, summary: &TraceSummary) -> Response {
     }
 }
 
-/// `expected`: the analytic expected switched capacitance at `(sp, st)`.
-/// The flat kernel evaluates it without touching the manager arena;
-/// grouped-ordering models, whose pair correlation is not
-/// chain-expressible on the kernel, fall back to the arena model (a warm
-/// artifact hit when a store is attached), which a `.cfk` cannot give.
+/// The `seqeval` response for a named design's whole-design summary and
+/// its per-macro summaries.
+pub fn seq_eval_response(name: String, total: &TraceSummary, macros: &[MacroSummary]) -> Response {
+    Response::SeqEval {
+        name,
+        transitions: total.transitions,
+        sum_ff: total.sum_ff,
+        max_ff: total.max_ff,
+        macros: macros
+            .iter()
+            .map(|m| WireMacroSummary {
+                name: m.name.clone(),
+                sum_ff: m.summary.sum_ff,
+                max_ff: m.summary.max_ff,
+            })
+            .collect(),
+    }
+}
+
+/// `expected`: the analytic expected switched capacitance at `(sp, st)`,
+/// evaluated on the flat kernel without touching the manager arena.
+/// Pipeline builds are always interleaved; a grouped-ordering model
+/// (only a hand-built `.cfm` or `.cfk` can be one) has a pair
+/// correlation the kernel's chain cannot express.
 ///
 /// # Errors
 ///
 /// Infeasible statistics, resolution failures and grouped-ordering
-/// kernel files.
+/// models (`unsupported`).
 pub fn expected(
     models: &mut impl ModelSource,
     source: &str,
@@ -138,22 +151,16 @@ pub fn expected(
     // statistics before it does.
     check_statistics(sp, st).map_err(|e| error(ErrorKind::BadRequest, e.to_string()))?;
     let (kernel, _, _) = models.kernel(source, &WireBuildOptions::default())?;
-    let value = if kernel.is_interleaved() {
-        kernel.expected_capacitance(sp, st)
-    } else if matches!(Source::infer(source), Source::KernelFile(_)) {
+    if !kernel.is_interleaved() {
         return Err(error(
             ErrorKind::Unsupported,
-            "grouped-ordering kernels cannot evaluate expectations; pass the `.cfm` model instead",
+            "grouped-ordering models cannot evaluate expectations; rebuild the model from its \
+             netlist",
         ));
-    } else {
-        models
-            .arena_model(source)?
-            .expected_capacitance(sp, st)
-            .femtofarads()
-    };
+    }
     Ok(Response::Expected {
         name: kernel.name().to_owned(),
-        value,
+        value: kernel.expected_capacitance(sp, st),
     })
 }
 
@@ -199,41 +206,4 @@ pub(crate) fn build_seq(ctx: &mut PipelineCtx, source: &str) -> Result<SeqModel,
         message: e.to_string(),
     })?;
     SeqModel::build(ctx, seq)
-}
-
-/// `seqeval`: the fused cycle-stepped evaluation of a sequential design
-/// over the request's pattern stream. The request deadline bounds a cold
-/// build exactly as it does for `eval`.
-///
-/// # Errors
-///
-/// Resolution failures and infeasible statistics.
-pub fn seq_eval(
-    models: &mut impl ModelSource,
-    source: &str,
-    options: &WireBuildOptions,
-    params: &WireEvalParams,
-) -> Result<Response, Response> {
-    let options = WireBuildOptions {
-        deadline_ms: params.deadline_ms,
-        ..options.clone()
-    };
-    let (model, _, _) = seq_model(models, source, &options)?;
-    let patterns = markov_patterns(model.num_inputs(), params)?;
-    let summary = model.eval_fused(&patterns);
-    Ok(Response::SeqEval {
-        name: model.name().to_owned(),
-        transitions: summary.total.transitions,
-        sum_ff: summary.total.sum_ff,
-        max_ff: summary.total.max_ff,
-        macros: summary
-            .per_macro
-            .iter()
-            .map(|m| WireMacroSummary {
-                name: m.name.clone(),
-                sum_ff: m.summary.sum_ff,
-                max_ff: m.summary.max_ff,
-            })
-            .collect(),
-    })
 }

@@ -22,10 +22,12 @@
 //!   one byte budget split over hash shards (per-shard LRU + build locks), and
 //!   cold loads go through the content-addressed artifact store, so a
 //!   warm `load` performs zero ADD apply steps.
-//! * **Cross-connection micro-batching** ([`batch`]): concurrent eval
-//!   requests are coalesced into shared 64-lane pattern blocks under a
-//!   configurable window — with results bit-identical to evaluating
-//!   each request alone (see the module docs for why that holds).
+//! * **Cross-connection micro-batching** ([`batch`]): every `eval`,
+//!   `trace`, `tracep` and `seqeval` is a dispatcher job whose worker
+//!   draws its patterns; concurrent kernel jobs are coalesced into
+//!   shared 64-lane pattern blocks under a configurable window — with
+//!   results bit-identical to evaluating each request alone (see the
+//!   module docs for why that holds).
 //! * **Admission control and graceful drain** ([`server`]): bounded
 //!   queues everywhere, typed `overloaded` shedding with
 //!   `retry_after_ms`, per-connection idle timeouts (slow-loris guard),
@@ -67,7 +69,7 @@ pub mod supervisor;
 pub mod wire;
 
 pub use batch::{
-    BatchHandle, ChannelReply, Dispatcher, Job, JobError, JobFault, JobOutput, ReplySink,
+    BatchHandle, ChannelReply, Dispatcher, Job, JobError, JobFault, JobOutput, ReplySink, Stimulus,
 };
 pub use client::{Client, Proto, RetryPolicy};
 pub use proto::{Command, ErrorKind, Request, Response, WireBuildOptions, WireEvalParams};

@@ -6,12 +6,13 @@
 //! framing; a fixed service pool parses requests, runs admission and
 //! model resolution, and submits dispatcher jobs whose replies post
 //! encoded responses back to the owning shard (see `frontend`); the
-//! dispatcher's worker pool ([`crate::batch`]) evaluates, each worker
-//! gathering its own batch window, which is what lets requests from
-//! different sockets share 64-lane pattern blocks. Service threads and
-//! batch workers run under one supervision loop, so a panic costs its
-//! own request a typed `internal` error and nothing else. No thread is
-//! ever parked per connection.
+//! dispatcher's worker pool ([`crate::batch`]) draws every request's
+//! patterns and evaluates (`eval`, `trace`, `tracep` and `seqeval`
+//! alike), each worker gathering its own batch window, which is what
+//! lets requests from different sockets share 64-lane pattern blocks.
+//! Service threads and batch workers run under one supervision loop, so
+//! a panic costs its own request a typed `internal` error and nothing
+//! else. No thread is ever parked per connection.
 //!
 //! Admission control is two-layered: a connection cap at accept time
 //! (64 live connections, read off the reactor's lock-free counters) and
@@ -33,7 +34,6 @@ use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use charfree_core::AddPowerModel;
 use charfree_engine::Kernel;
 use charfree_net::{
     Handler, HandlerFactory, NetCounters, Reactor, ReactorConfig, ReactorHandle, StreamTap,
@@ -64,7 +64,8 @@ pub(crate) const RETRY_AFTER_MS: u64 = 25;
 pub(crate) const MAX_CONNECTIONS: usize = 64;
 
 /// Service threads between the reactor and the dispatcher (parse,
-/// admission, model resolution, pattern generation).
+/// admission, model resolution, `load`/`seqload`/`expected` and the
+/// control plane).
 const SERVICE_THREADS: usize = 4;
 
 /// Server construction parameters (the `charfree serve` flags).
@@ -78,7 +79,8 @@ pub struct ServeConfig {
     pub batch_window: Duration,
     /// Request-level admission cap.
     pub max_inflight: usize,
-    /// Largest `vectors` a single `eval`/`trace` request may ask for.
+    /// Largest `vectors` a single `eval`/`trace`/`seqeval` request may
+    /// ask for.
     /// Admission control counts requests, not work; this caps the work
     /// (pattern storage and, for `trace`, response size) one request can
     /// pin, so a single `vectors=10^10` line cannot OOM the server.
@@ -493,22 +495,6 @@ pub(crate) fn error(kind: ErrorKind, message: impl Into<String>) -> Response {
     }
 }
 
-/// The per-request work cap (`--max-vectors`): admission control counts
-/// requests, not work, so this bounds the patterns one request can pin.
-pub(crate) fn check_vectors(shared: &Shared, vectors: usize) -> Result<(), Response> {
-    if vectors <= shared.max_vectors {
-        return Ok(());
-    }
-    Err(error(
-        ErrorKind::BadRequest,
-        format!(
-            "vectors={vectors} exceeds this server's per-request cap ({}); split the request or \
-             restart with a larger --max-vectors",
-            shared.max_vectors
-        ),
-    ))
-}
-
 /// Registry key: the source operand plus every model-*shaping* option.
 /// `deadline_ms` is deliberately excluded — it is a per-request wall
 /// clock, not a model parameter, and keying on it would fragment
@@ -618,12 +604,6 @@ impl ModelSource for &Shared {
             unreachable!("`seq`-suffixed keys hold sequential designs only");
         };
         Ok((model, applied, resident))
-    }
-
-    fn arena_model(&mut self, source: &str) -> Result<AddPowerModel, Response> {
-        pipeline_ctx(self)
-            .model_for(&Source::infer(source))
-            .map_err(|e| pipeline_error(&e))
     }
 }
 

@@ -18,16 +18,32 @@
 //!     │ probe succeeds                    ▼
 //!     └───────────────────────────── HalfOpen ──▶ Open (probe fails,
 //!                                     (one probe       window doubles,
-//!                                      admitted)       capped)
+//!                                      leased)         capped)
 //! ```
 //!
 //! The open window grows exponentially per re-trip (base × 2^n, capped)
 //! so a persistently broken model converges to cheap, rare probes.
+//!
+//! The half-open probe is a *lease*: a probe can end without reporting
+//! (a deadline-bounded build never feeds the breaker, and a panicking
+//! build reports nothing), so once a probe has been out longer than the
+//! current open window, the next request becomes the new probe.
+//!
+//! Memory is bounded: entries are keyed by a 128-bit digest of the
+//! registry key (which embeds the client's source string), and the table
+//! holds at most [`MAX_ENTRIES`]. A full table forgets its closed
+//! entries (failures below the threshold) to make room, never an open
+//! or half-open one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use charfree_core::hashing::Fnv128;
+
+/// The most keys the breaker tracks at once.
+pub const MAX_ENTRIES: usize = 4096;
 
 /// Breaker tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -65,8 +81,13 @@ pub enum BreakerDecision {
 #[derive(Debug, Clone, Copy)]
 enum State {
     Closed,
-    Open { until: Instant },
-    HalfOpen,
+    Open {
+        until: Instant,
+    },
+    /// A probe has been admitted since `since`.
+    HalfOpen {
+        since: Instant,
+    },
 }
 
 #[derive(Debug)]
@@ -77,11 +98,11 @@ struct Entry {
     opens: u32,
 }
 
-/// Per-model circuit breaker keyed by registry key.
+/// Per-model circuit breaker keyed by a digest of the registry key.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     config: BreakerConfig,
-    entries: Mutex<HashMap<String, Entry>>,
+    entries: Mutex<HashMap<u128, Entry>>,
     trips: AtomicU64,
 }
 
@@ -102,28 +123,26 @@ impl CircuitBreaker {
 
     /// Should a build for `key` proceed? An expired open window admits
     /// exactly one probe (half-open); concurrent requests during the
-    /// probe are denied so a broken model costs one build at a time.
+    /// probe are denied so a broken model costs one build at a time. A
+    /// probe out longer than the open window has lost its lease: the
+    /// next request becomes the new probe.
     pub fn admit(&self, key: &str) -> BreakerDecision {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(entry) = entries.get_mut(key) else {
+        let Some(entry) = entries.get_mut(&digest(key)) else {
             return BreakerDecision::Allow;
         };
-        match entry.state {
-            State::Closed => BreakerDecision::Allow,
-            State::Open { until } => {
-                let now = Instant::now();
-                if now >= until {
-                    entry.state = State::HalfOpen;
-                    BreakerDecision::Allow
-                } else {
-                    BreakerDecision::Deny {
-                        retry_after_ms: (until - now).as_millis().max(1) as u64,
-                    }
-                }
-            }
-            State::HalfOpen => BreakerDecision::Deny {
-                retry_after_ms: self.open_window(entry.opens).as_millis().max(1) as u64,
-            },
+        let now = Instant::now();
+        let until = match entry.state {
+            State::Closed => return BreakerDecision::Allow,
+            State::Open { until } => until,
+            State::HalfOpen { since } => since + self.open_window(entry.opens),
+        };
+        if now >= until {
+            entry.state = State::HalfOpen { since: now };
+            return BreakerDecision::Allow;
+        }
+        BreakerDecision::Deny {
+            retry_after_ms: (until - now).as_millis().max(1) as u64,
         }
     }
 
@@ -131,7 +150,7 @@ impl CircuitBreaker {
     /// failure history.
     pub fn record_success(&self, key: &str) {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        entries.remove(key);
+        entries.remove(&digest(key));
     }
 
     /// A build for `key` failed. In `Closed`, counts toward the trip
@@ -139,7 +158,14 @@ impl CircuitBreaker {
     /// window.
     pub fn record_failure(&self, key: &str) {
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let entry = entries.entry(key.to_owned()).or_insert(Entry {
+        let key = digest(key);
+        if entries.len() >= MAX_ENTRIES && !entries.contains_key(&key) {
+            entries.retain(|_, e| !matches!(e.state, State::Closed));
+            if entries.len() >= MAX_ENTRIES {
+                return; // every tracked key is open or half-open
+            }
+        }
+        let entry = entries.entry(key).or_insert(Entry {
             state: State::Closed,
             consecutive_failures: 0,
             opens: 0,
@@ -155,7 +181,7 @@ impl CircuitBreaker {
                     self.trips.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            State::HalfOpen | State::Open { .. } => {
+            State::HalfOpen { .. } | State::Open { .. } => {
                 entry.opens = entry.opens.saturating_add(1);
                 entry.state = State::Open {
                     until: Instant::now() + self.open_window(entry.opens),
@@ -178,6 +204,11 @@ impl CircuitBreaker {
             .filter(|e| !matches!(e.state, State::Closed))
             .count()
     }
+}
+
+/// The 128-bit digest entries are keyed by.
+fn digest(key: &str) -> u128 {
+    Fnv128::new().section(key.as_bytes()).finish_u128()
 }
 
 #[cfg(test)]
@@ -270,5 +301,47 @@ mod tests {
         }
         assert!(matches!(breaker.admit("bad"), BreakerDecision::Deny { .. }));
         assert_eq!(breaker.admit("good"), BreakerDecision::Allow);
+    }
+
+    #[test]
+    fn a_probe_that_never_reports_loses_its_lease_after_the_window() {
+        let breaker = CircuitBreaker::new(fast_config());
+        for _ in 0..3 {
+            breaker.record_failure("m");
+        }
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(breaker.admit("m"), BreakerDecision::Allow, "probe");
+        // The probe neither succeeds nor fails (a deadline-bounded or
+        // panicking build). Within its lease the key stays denied ...
+        assert!(matches!(breaker.admit("m"), BreakerDecision::Deny { .. }));
+        // ... and once the open window has passed, the next request is
+        // the new probe, and only it.
+        std::thread::sleep(Duration::from_millis(40));
+        assert_eq!(breaker.admit("m"), BreakerDecision::Allow, "new probe");
+        assert!(matches!(breaker.admit("m"), BreakerDecision::Deny { .. }));
+        breaker.record_success("m");
+        assert_eq!(breaker.admit("m"), BreakerDecision::Allow);
+    }
+
+    #[test]
+    fn the_table_stays_bounded_and_never_forgets_an_open_key() {
+        let breaker = CircuitBreaker::new(BreakerConfig {
+            failure_threshold: 3,
+            open_base: Duration::from_secs(60),
+            open_cap: Duration::from_secs(60),
+        });
+        for _ in 0..3 {
+            breaker.record_failure("open");
+        }
+        for i in 0..4 * MAX_ENTRIES {
+            breaker.record_failure(&format!("missing-{i}"));
+        }
+        let entries = breaker.entries.lock().expect("unpoisoned").len();
+        assert!(entries <= MAX_ENTRIES, "{entries} entries");
+        assert!(matches!(
+            breaker.admit("open"),
+            BreakerDecision::Deny { .. }
+        ));
+        assert_eq!(breaker.open_circuits(), 1);
     }
 }

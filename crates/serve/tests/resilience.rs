@@ -318,3 +318,72 @@ fn draining_responses_are_typed_and_retriable() {
     }
     server.wait();
 }
+
+/// The half-open probe is a lease. A deadline-bounded build never feeds
+/// the breaker, so a probe carrying a deadline ends without reporting;
+/// once it has been out longer than the open window the next request
+/// probes again, and a model whose cause was fixed heals.
+#[test]
+fn a_probe_that_never_reports_does_not_hold_the_breaker_half_open() {
+    let dir = scratch("lease");
+    let late = dir.join("late.blif");
+
+    let mut config = test_config();
+    config.breaker = BreakerConfig {
+        failure_threshold: 1,
+        open_base: Duration::from_millis(200),
+        open_cap: Duration::from_secs(2),
+    };
+    let server = Server::start(config).expect("binds");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connects");
+    let load = |deadline_ms: Option<u64>| Request::Load {
+        source: late.display().to_string(),
+        options: WireBuildOptions {
+            deadline_ms,
+            ..WireBuildOptions::default()
+        },
+    };
+    let kind = |response: Response| match response {
+        Response::Error { kind, .. } => kind,
+        other => panic!("expected a failure, got {other:?}"),
+    };
+
+    // One deterministic failure trips the circuit.
+    assert_ne!(
+        kind(client.request(&load(None)).expect("responds")),
+        ErrorKind::ModelUnavailable
+    );
+    assert_eq!(
+        kind(client.request(&load(None)).expect("responds")),
+        ErrorKind::ModelUnavailable
+    );
+    // The window expires; the probe carries a deadline and fails, which
+    // the breaker never hears about.
+    std::thread::sleep(Duration::from_millis(400));
+    assert_ne!(
+        kind(client.request(&load(Some(5000))).expect("responds")),
+        ErrorKind::ModelUnavailable
+    );
+
+    let netlist = charfree_netlist::benchmarks::by_name("decod", &Library::test_library())
+        .expect("Table 1 name");
+    fs::write(&late, charfree_netlist::blif::write(&netlist)).expect("write netlist");
+    let started = std::time::Instant::now();
+    loop {
+        match client.request(&load(None)).expect("responds") {
+            Response::Load { .. } => break,
+            Response::Error {
+                kind: ErrorKind::ModelUnavailable,
+                ..
+            } => assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "the breaker stayed half-open after its probe went silent"
+            ),
+            other => panic!("unexpected load response {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    shutdown(server, &addr);
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -1074,3 +1074,193 @@ fn zero_build_ceilings_are_bad_requests_and_the_server_keeps_serving() {
     client.request(&Request::Shutdown).expect("shutdown");
     server.wait();
 }
+
+/// A `stats` snapshot's top-level counter and a `per_command` count.
+fn stats_counter(client: &mut Client, key: &str, command: &str) -> (u64, u64) {
+    let Response::Stats(stats) = client.request(&Request::Stats).expect("stats") else {
+        panic!("stats request failed");
+    };
+    let top = stats.get(key).and_then(|v| v.as_u64()).expect("counter");
+    let per = stats
+        .get("per_command")
+        .and_then(|per| per.get(command))
+        .and_then(|v| v.as_u64())
+        .expect("per-command count");
+    (top, per)
+}
+
+/// `seqeval` is a dispatcher job: on one batch worker, four long
+/// `seqeval`s queue behind each other there, while the service threads
+/// stay free to answer `stats` before any of them completes.
+#[test]
+fn seqevals_run_on_the_batch_workers_and_leave_the_service_threads_free() {
+    use charfree_netlist::benchmarks::committed::SEQPIPE2;
+    use std::time::Instant;
+
+    let dir = std::env::temp_dir().join(format!("charfree-serve-seqjob-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("seqpipe2.blif");
+    std::fs::write(&path, SEQPIPE2).expect("writes blif");
+    let source = path.to_string_lossy().into_owned();
+
+    let mut config = test_config();
+    config.jobs = 1;
+    let server = Server::start(config).expect("binds");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connects");
+    let seqeval = |vectors: usize, seed: u64| Request::SeqEval {
+        source: source.clone(),
+        options: WireBuildOptions::default(),
+        params: eval_params(vectors, seed),
+    };
+    let load = Request::SeqLoad {
+        source: source.clone(),
+        options: WireBuildOptions::default(),
+    };
+    assert!(matches!(
+        client.request(&load).expect("seqload"),
+        Response::SeqLoad { .. }
+    ));
+    // Size each seqeval to take about a second on this build.
+    let started = Instant::now();
+    assert!(matches!(
+        client.request(&seqeval(20_000, 0)).expect("seqeval"),
+        Response::SeqEval { .. }
+    ));
+    let per_vector = started.elapsed().as_secs_f64() / 20_000.0;
+    let vectors = ((1.0 / per_vector) as usize).clamp(20_000, 4_000_000);
+
+    let (completed, seqevals) = stats_counter(&mut client, "completed", "seqeval");
+    let (batched, _) = stats_counter(&mut client, "batched_requests", "seqeval");
+    let in_flight: Vec<_> = (0..4)
+        .map(|i| {
+            let (addr, request) = (addr.clone(), seqeval(vectors, 1 + i));
+            thread::spawn(move || {
+                let mut client = Client::connect(&addr).expect("connects");
+                client.request(&request).expect("seqeval")
+            })
+        })
+        .collect();
+    // Once all four are accepted, none may have completed: every
+    // completion so far is one of this connection's own `stats`.
+    for poll in 0u64.. {
+        let (now_completed, now_seqevals) = stats_counter(&mut client, "completed", "seqeval");
+        assert_eq!(
+            now_completed,
+            completed + 2 + poll,
+            "a seqeval completed before `stats` was answered"
+        );
+        if now_seqevals == seqevals + 4 {
+            break;
+        }
+        thread::sleep(Duration::from_millis(2));
+    }
+    for handle in in_flight {
+        match handle.join().expect("client thread") {
+            Response::SeqEval { transitions, .. } => assert_eq!(transitions, vectors - 1),
+            other => panic!("unexpected seqeval response {other:?}"),
+        }
+    }
+    let (now_batched, _) = stats_counter(&mut client, "batched_requests", "seqeval");
+    assert_eq!(now_batched, batched + 4, "each seqeval is one batched job");
+
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.wait();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `seqeval` keeps `eval`'s deadline policy: a deadline that has passed
+/// by dispatch is a typed `deadline-exceeded`, not an evaluation.
+#[test]
+fn seqeval_with_an_expired_deadline_is_shed_like_eval() {
+    use charfree_netlist::benchmarks::committed::SEQPIPE2;
+
+    let dir = std::env::temp_dir().join(format!("charfree-serve-seqdl-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("seqpipe2.blif");
+    std::fs::write(&path, SEQPIPE2).expect("writes blif");
+    let source = path.to_string_lossy().into_owned();
+
+    let server = Server::start(test_config()).expect("binds");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connects");
+    let load = Request::SeqLoad {
+        source: source.clone(),
+        options: WireBuildOptions::default(),
+    };
+    assert!(matches!(
+        client.request(&load).expect("seqload"),
+        Response::SeqLoad { .. }
+    ));
+    let request = Request::SeqEval {
+        source,
+        options: WireBuildOptions::default(),
+        params: WireEvalParams {
+            deadline_ms: Some(0),
+            ..eval_params(500, 3)
+        },
+    };
+    match client.request(&request).expect("responds") {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::DeadlineExceeded),
+        other => panic!("an expired seqeval was evaluated: {other:?}"),
+    }
+
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.wait();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A grouped-ordering model cannot evaluate expectations on its kernel:
+/// `expected` answers a typed `unsupported`, not a worker panic, and the
+/// same `.cfm` still evaluates.
+#[test]
+fn expected_on_a_grouped_ordering_model_is_unsupported() {
+    use charfree_core::{ModelBuilder, VariableOrdering};
+
+    let dir = std::env::temp_dir().join(format!("charfree-serve-grouped-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("decod_grouped.cfm");
+    let netlist = charfree_netlist::benchmarks::by_name("decod", &Library::test_library())
+        .expect("Table 1 name");
+    let model = ModelBuilder::new(&netlist)
+        .ordering(VariableOrdering::Grouped)
+        .build();
+    let mut bytes = Vec::new();
+    model.save(&mut bytes).expect("saves");
+    std::fs::write(&path, bytes).expect("writes model");
+    let source = path.to_string_lossy().into_owned();
+
+    let server = Server::start(test_config()).expect("binds");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connects");
+    let expected = Request::Expected {
+        source: source.clone(),
+        sp: 0.5,
+        st: 0.4,
+    };
+    match client.request(&expected).expect("responds") {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Unsupported),
+        other => panic!("grouped-ordering expected answered {other:?}"),
+    }
+    let eval = Request::Eval {
+        source,
+        options: WireBuildOptions::default(),
+        params: eval_params(100, 1),
+    };
+    assert!(matches!(
+        client.request(&eval).expect("eval"),
+        Response::Eval { .. }
+    ));
+    let Response::Stats(stats) = client.request(&Request::Stats).expect("stats") else {
+        panic!("stats request failed");
+    };
+    let panics = stats
+        .get("resilience")
+        .and_then(|r| r.get("worker_panics"))
+        .and_then(|v| v.as_u64());
+    assert_eq!(panics, Some(0));
+
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.wait();
+    let _ = std::fs::remove_dir_all(dir);
+}

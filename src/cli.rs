@@ -490,9 +490,9 @@ fn error_message(response: Response) -> CliError {
     }
 }
 
-/// Runs a parsed request offline. `expected` and `seqeval` go through
-/// the shared handlers; `eval` and `trace` run the trace engine on
-/// `jobs` workers and wrap its result as the server does.
+/// Runs a parsed request offline through the shared handlers: `eval`
+/// and `trace` run the trace engine on `jobs` workers, `seqeval` the
+/// fused sequential walk, and each wraps its result as the server does.
 fn handle_offline(
     ctx: &mut PipelineCtx,
     request: &Request,
@@ -510,7 +510,7 @@ fn handle_offline(
             params,
         } => {
             let (kernel, _, _) = ctx.kernel(source, options)?;
-            let patterns = handler::markov_patterns(kernel.num_inputs(), params)?;
+            let patterns = handler::markov_stimulus(kernel.num_inputs(), params)?.patterns();
             let name = kernel.name().to_owned();
             Ok(match request {
                 Request::Trace { .. } => Response::Trace {
@@ -525,7 +525,17 @@ fn handle_offline(
             source,
             options,
             params,
-        } => handler::seq_eval(ctx, source, options, params),
+        } => {
+            let (model, _, _) = handler::seq_model(ctx, source, options)?;
+            let patterns = handler::markov_stimulus(model.num_inputs(), params)?.patterns();
+            let summary = model.eval_fused(&patterns);
+            let name = model.name().to_owned();
+            Ok(handler::seq_eval_response(
+                name,
+                &summary.total,
+                &summary.per_macro,
+            ))
+        }
         other => unreachable!("`{}` is not parsed offline", other.cmd()),
     }
 }
@@ -781,8 +791,9 @@ fn cmd_sim(args: &[String]) -> Result<String, CliError> {
         .load_netlist(&Source::infer(netlist_path))
         .map_err(|e| e.to_string())?;
     let sim = ZeroDelaySim::new(&netlist);
-    let patterns =
-        handler::markov_patterns(netlist.num_inputs(), &params).map_err(error_message)?;
+    let patterns = handler::markov_stimulus(netlist.num_inputs(), &params)
+        .map_err(error_message)?
+        .patterns();
     let trace = sim.switching_trace(&patterns);
     let avg = trace.iter().map(|c| c.femtofarads()).sum::<f64>() / trace.len() as f64;
     let peak = trace
@@ -1583,6 +1594,28 @@ mod more_tests {
                 model_path
             })
             .clone()
+    }
+
+    /// `expected` on a grouped-ordering `.cfm` is a typed error (exit 1),
+    /// not a panic: the flat kernel's chain cannot express its pair
+    /// correlation.
+    #[test]
+    fn expected_on_a_grouped_ordering_model_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("charfree-cli-grouped-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join("decod_grouped.cfm");
+        let netlist = charfree_netlist::benchmarks::by_name("decod", &Library::test_library())
+            .expect("Table 1 name");
+        let model = charfree_core::ModelBuilder::new(&netlist)
+            .ordering(charfree_core::VariableOrdering::Grouped)
+            .build();
+        let mut bytes = Vec::new();
+        model.save(&mut bytes).expect("saves");
+        fs::write(&path, bytes).expect("writes model");
+        let err = run(&s(&["expected", path.to_str().expect("utf8")]))
+            .expect_err("grouped ordering is unsupported");
+        assert!(err.contains("grouped-ordering"), "{err}");
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
