@@ -263,6 +263,33 @@ impl PatternBlock {
         }
     }
 
+    /// Appends one full 64-lane group of consecutive transitions from
+    /// its input-major initial-state words: lane `k` of `initial[i]` is
+    /// input `i` in the group's pattern `k`, and `last` is the pattern
+    /// after the group's 64th (it completes the 64th transition). Packed
+    /// exactly as [`extend_from_patterns`](Self::extend_from_patterns)
+    /// packs a whole group.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the block is at a group boundary, is exactly as wide
+    /// as the kernel's variables, and `initial` and `last` are
+    /// `kernel.num_inputs()` long.
+    pub fn push_group(&mut self, kernel: &Kernel, initial: &[u64], last: &[bool]) {
+        assert!(
+            self.len.is_multiple_of(64),
+            "group push off a group boundary"
+        );
+        assert_eq!(
+            self.num_vars,
+            kernel.num_vars() as usize,
+            "block width differs from the kernel"
+        );
+        assert_eq!(initial.len(), kernel.num_inputs(), "pattern width mismatch");
+        assert_eq!(last.len(), kernel.num_inputs(), "pattern width mismatch");
+        self.pack_group(kernel, initial, last);
+    }
+
     /// Appends one full 64-lane group from its accumulated initial-state
     /// words: the final-state word is the initial word shifted down one
     /// lane with `last` (the window's 65th pattern) filling the top bit.
@@ -307,6 +334,41 @@ mod tests {
                 "transition {t}"
             );
         }
+    }
+
+    #[test]
+    fn push_group_packs_as_extend_from_patterns_does() {
+        let library = Library::test_library();
+        let model =
+            ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
+                .build();
+        let kernel = Kernel::compile(&model);
+        let patterns = MarkovSource::new(11, 0.5, 0.4, 5)
+            .expect("feasible")
+            .sequence(129);
+        let mut block = PatternBlock::new(kernel.num_vars() as usize);
+        for group in patterns.windows(65).step_by(64) {
+            let initial: Vec<u64> = (0..11)
+                .map(|i| (0..64).map(|k| u64::from(group[k][i]) << k).sum())
+                .collect();
+            block.push_group(&kernel, &initial, &group[64]);
+        }
+        let want = PatternBlock::from_patterns(&kernel, &patterns);
+        assert_eq!(block.len(), want.len());
+        assert_eq!(block.words, want.words);
+    }
+
+    #[test]
+    #[should_panic(expected = "group push off a group boundary")]
+    fn push_group_off_a_group_boundary_panics() {
+        let library = Library::test_library();
+        let model =
+            ModelBuilder::new(&benchmarks::by_name("decod", &library).expect("Table 1 name"))
+                .build();
+        let kernel = Kernel::compile(&model);
+        let mut block = PatternBlock::new(kernel.num_vars() as usize);
+        block.push_transition(&kernel, &[false; 5], &[true; 5]);
+        block.push_group(&kernel, &[0; 5], &[false; 5]);
     }
 
     #[test]

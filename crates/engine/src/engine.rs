@@ -62,22 +62,36 @@ impl TraceSummary {
     /// Panics if `chunk == 0`.
     pub fn from_values(values: &[f64], chunk: usize) -> TraceSummary {
         assert!(chunk > 0, "chunk size must be positive");
-        let mut total = TraceSummary {
-            transitions: values.len(),
-            sum_ff: 0.0,
-            max_ff: f64::NEG_INFINITY,
-        };
+        let mut total = TraceSummary::EMPTY;
         for run in values.chunks(chunk) {
-            let mut sum = 0.0f64;
-            let mut max = f64::NEG_INFINITY;
-            for &c in run {
-                sum += c;
-                max = max.max(c);
-            }
-            total.sum_ff += sum;
-            total.max_ff = total.max_ff.max(max);
+            total.fold_run(run);
         }
         total
+    }
+
+    /// The summary of no transitions: the start of every fold.
+    pub const EMPTY: TraceSummary = TraceSummary {
+        transitions: 0,
+        sum_ff: 0.0,
+        max_ff: f64::NEG_INFINITY,
+    };
+
+    /// Folds in the next run of a trace: the run is summed on its own,
+    /// then added to the running sum. Folding a trace's `chunk`-sized
+    /// runs in order, from [`EMPTY`](Self::EMPTY), is
+    /// [`from_values`](Self::from_values) bit for bit, so a caller that
+    /// produces a trace one chunk at a time can summarize it without
+    /// keeping it.
+    pub fn fold_run(&mut self, run: &[f64]) {
+        let mut sum = 0.0f64;
+        let mut max = f64::NEG_INFINITY;
+        for &c in run {
+            sum += c;
+            max = max.max(c);
+        }
+        self.transitions += run.len();
+        self.sum_ff += sum;
+        self.max_ff = self.max_ff.max(max);
     }
 }
 

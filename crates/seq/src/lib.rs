@@ -9,23 +9,30 @@
 //! free), and evaluation steps register state cycle by cycle, deriving
 //! each macro's `(xⁱ, xᶠ)` transition pairs from the evolving state.
 //!
-//! Two evaluation paths produce bit-identical results:
+//! Both evaluation paths read the one state walk, [`SeqSim`]'s flat
+//! levelized program over a single value array, and produce
+//! bit-identical results:
 //!
 //! * **fused** ([`SeqModel::eval_fused`]) — one pass over the shared
-//!   pattern trace; every macro's transitions are packed into its own
-//!   [`PatternBlock`] lane-by-lane and all blocks are evaluated in one
-//!   fused multi-kernel pass ([`eval_fused`]) at each 4096-lane flush,
-//!   interleaving the gathering macros' level-by-level gather rounds
-//!   for memory-level parallelism;
+//!   pattern trace. Each cycle ORs the walk's source bits (primary
+//!   inputs, then latch Qs) into per-source 64-lane history words;
+//!   every 64 cycles each macro's input-major words go into its
+//!   [`PatternBlock`] as one packed group ([`PatternBlock::push_group`]),
+//!   and a ragged tail goes in transition by transition. All blocks are
+//!   evaluated in one fused multi-kernel pass ([`eval_fused`]) at each
+//!   4096-lane flush, interleaving the gathering macros'
+//!   level-by-level gather rounds for memory-level parallelism, and
+//!   each flush is folded into the running summaries at once;
 //! * **unfused** ([`SeqModel::trace_unfused`]) — each macro's boundary
 //!   sequence is materialized and evaluated independently through
 //!   [`TraceEngine`].
 //!
 //! Both reduce per-macro values with the canonical
-//! [`TraceSummary::from_values`] association and fold the design total
-//! across macros in macro index order — the same fold the golden
-//! [`SeqSim`] uses — so `golden ≡ unfused ≡ fused` holds f64
-//! bit-exactly (the conform oracle enforces it).
+//! [`TraceSummary::from_values`] association (a 4096-lane flush is one
+//! of its chunks) and fold the design total across macros in macro
+//! index order — the same fold the golden [`SeqSim`] uses — so
+//! `golden ≡ unfused ≡ fused` holds f64 bit-exactly (the conform oracle
+//! enforces it).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -89,6 +96,13 @@ pub struct SeqSummary {
     /// Per-macro reductions, in macro index order.
     pub per_macro: Vec<MacroSummary>,
 }
+
+/// Lanes accumulated per macro before a fused flush. Large enough to
+/// amortize `eval_fused`'s per-call scratch over many 64-lane groups,
+/// and exactly one summary chunk, so [`SeqModel::eval_fused`] folds each
+/// full flush as one [`TraceSummary::from_values`] run.
+const FUSED_WINDOW: usize = 4096;
+const _: () = assert!(FUSED_WINDOW == DEFAULT_CHUNK && FUSED_WINDOW.is_multiple_of(64));
 
 /// A composed sequential power model: one compiled kernel per
 /// register-bounded macro plus the cycle-stepped state walker.
@@ -182,69 +196,119 @@ impl SeqModel {
         self.kernels.iter().map(Kernel::bytes).sum()
     }
 
-    /// Per-macro per-transition values via the **fused** path: a single
-    /// walk over the pattern trace advances the register state once,
-    /// packs every macro's `(xⁱ, xᶠ)` pair for the cycle into that
-    /// macro's [`PatternBlock`], and batch-evaluates all blocks at each
-    /// `FUSED_WINDOW`-lane flush. Returns one value vector per macro.
+    /// Per-macro per-transition values via the **fused** path: one state
+    /// walk packs every macro's transitions straight into its
+    /// [`PatternBlock`], 64 lanes at a time, and all blocks are
+    /// evaluated in one [`eval_fused`] pass per 4096-lane flush. Returns
+    /// one value vector per macro.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern is not [`num_inputs`](Self::num_inputs) wide.
     pub fn trace_fused(&self, patterns: &[Vec<bool>]) -> Vec<Vec<f64>> {
-        /// Lanes accumulated per macro before a fused flush. Large
-        /// enough to amortize `eval_fused`'s per-call scratch over many
-        /// 64-lane groups; per-transition values are independent of the
-        /// window, so this is throughput-only.
-        const FUSED_WINDOW: usize = 4096;
-        let n = self.kernels.len();
         let transitions = patterns.len().saturating_sub(1);
+        let mut values: Vec<Vec<f64>> = self
+            .kernels
+            .iter()
+            .map(|_| Vec::with_capacity(transitions))
+            .collect();
+        self.fused(patterns, |_, window| {
+            for (values, lanes) in values.iter_mut().zip(window) {
+                values.extend_from_slice(lanes);
+            }
+        });
+        values
+    }
+
+    /// The fused path. One [`StateWalk`](charfree_sim::StateWalk)
+    /// advances the register state once per cycle and ORs the cycle's
+    /// source bits (primary inputs, then latch Qs) into one 64-lane
+    /// history word per source. Every 64 cycles, each macro's
+    /// input-major words are gathered from those histories and packed
+    /// into its [`PatternBlock`] as one group ([`PatternBlock::push_group`]);
+    /// a ragged tail of under 64 transitions goes in one
+    /// [`PatternBlock::push_transition`] at a time. At each
+    /// [`FUSED_WINDOW`]-lane flush, and after the tail, all blocks are
+    /// evaluated in one fused multi-kernel pass ([`eval_fused`]) and
+    /// `window` receives the flush's lane count and per-macro values
+    /// (one slice per macro, none for a design without macros).
+    fn fused(&self, patterns: &[Vec<bool>], mut window: impl FnMut(usize, &[Vec<f64>])) {
+        let sim = &self.sim;
         let mut blocks: Vec<PatternBlock> = self
             .kernels
             .iter()
             .map(|k| PatternBlock::new(k.num_vars() as usize))
             .collect();
-        let mut values: Vec<Vec<f64>> = (0..n).map(|_| Vec::with_capacity(transitions)).collect();
-        // One fused multi-kernel pass per flush window: every macro's
-        // packed block advances together (interleaved pair-level
-        // rounds), instead of evaluating macros one at a time.
-        let flush = |blocks: &mut [PatternBlock], values: &mut [Vec<f64>]| {
+        let mut values: Vec<Vec<f64>> = vec![Vec::new(); self.kernels.len()];
+        let mut flush = |blocks: &mut [PatternBlock], lanes: usize| {
+            if lanes == 0 {
+                return;
+            }
             let mut jobs: Vec<FusedJob> = Vec::with_capacity(blocks.len());
-            for ((kernel, block), vals) in self.kernels.iter().zip(blocks.iter()).zip(values) {
-                if block.is_empty() {
-                    continue;
-                }
-                let start = vals.len();
-                vals.resize(start + block.len(), 0.0);
-                jobs.push(FusedJob {
-                    kernel,
-                    block,
-                    out: &mut vals[start..],
-                });
+            for ((kernel, block), out) in self.kernels.iter().zip(blocks.iter()).zip(&mut values) {
+                out.clear();
+                out.resize(lanes, 0.0);
+                jobs.push(FusedJob { kernel, block, out });
             }
             eval_fused(&mut jobs);
             drop(jobs);
             for block in blocks {
                 block.clear();
             }
+            window(lanes, &values);
         };
 
-        // The state walk and the previous cycle's boundary vectors reuse
-        // their buffers, so a cycle allocates nothing.
-        let mut walk = self.sim.walker();
-        let mut prev: Vec<Vec<bool>> = Vec::new();
+        // Lane `k` of `history[s]` is source `s` at cycle `64g + k` of
+        // the group `g` being gathered. Every buffer is reused, so a
+        // cycle allocates nothing.
+        let mut history = vec![0u64; sim.num_sources()];
+        let (mut initial, mut last) = (Vec::new(), Vec::new());
+        let mut lanes = 0usize;
+        let mut walk = sim.walker();
         for (t, pi) in patterns.iter().enumerate() {
-            let cur = walk.cycle(pi);
-            if t == 0 {
-                prev = cur.to_vec();
-                continue;
+            walk.cycle(pi);
+            let sources = walk.sources();
+            let lane = t % 64;
+            if lane == 0 && t > 0 {
+                // Cycle `t` completes the group's 64th transition.
+                for (m, (kernel, block)) in self.kernels.iter().zip(&mut blocks).enumerate() {
+                    let inputs = sim.macro_sources(m);
+                    initial.clear();
+                    initial.extend(inputs.iter().map(|&s| history[s as usize]));
+                    last.clear();
+                    last.extend(inputs.iter().map(|&s| sources[s as usize]));
+                    block.push_group(kernel, &initial, &last);
+                }
+                history.fill(0);
+                lanes += 64;
+                if lanes == FUSED_WINDOW {
+                    flush(&mut blocks, lanes);
+                    lanes = 0;
+                }
             }
-            for m in 0..n {
-                blocks[m].push_transition(&self.kernels[m], &prev[m], &cur[m]);
-            }
-            prev.clone_from_slice(cur);
-            if blocks.first().is_some_and(|b| b.len() == FUSED_WINDOW) {
-                flush(&mut blocks, &mut values);
+            for (h, &bit) in history.iter_mut().zip(sources) {
+                *h |= u64::from(bit) << lane;
             }
         }
-        flush(&mut blocks, &mut values);
-        values
+        // The ragged tail: transitions between the cycles left in the
+        // history words.
+        let tail = patterns.len().saturating_sub(1) % 64;
+        let (mut xi, mut xf) = (Vec::new(), Vec::new());
+        for k in 0..tail {
+            for (m, (kernel, block)) in self.kernels.iter().zip(&mut blocks).enumerate() {
+                let inputs = sim.macro_sources(m);
+                xi.clear();
+                xi.extend(inputs.iter().map(|&s| history[s as usize] >> k & 1 == 1));
+                xf.clear();
+                xf.extend(
+                    inputs
+                        .iter()
+                        .map(|&s| history[s as usize] >> (k + 1) & 1 == 1),
+                );
+                block.push_transition(kernel, &xi, &xf);
+            }
+        }
+        flush(&mut blocks, lanes + tail);
     }
 
     /// Per-macro per-transition values via the **unfused** path: each
@@ -259,12 +323,37 @@ impl SeqModel {
             .collect()
     }
 
-    /// Fused evaluation reduced to a [`SeqSummary`].
+    /// Fused evaluation reduced to a [`SeqSummary`]. Each flush window
+    /// is folded into running per-macro and total summaries as it is
+    /// evaluated, so no per-transition values are kept: a full window is
+    /// exactly one [`DEFAULT_CHUNK`] run of [`TraceSummary::from_values`],
+    /// and each lane's total is the golden macro-order fold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pattern is not [`num_inputs`](Self::num_inputs) wide.
     pub fn eval_fused(&self, patterns: &[Vec<bool>]) -> SeqSummary {
-        self.summarize(
-            patterns.len().saturating_sub(1),
-            &self.trace_fused(patterns),
-        )
+        let mut total = TraceSummary::EMPTY;
+        let mut per_macro = vec![TraceSummary::EMPTY; self.kernels.len()];
+        self.fused(patterns, |lanes, window| {
+            for (summary, values) in per_macro.iter_mut().zip(window) {
+                summary.fold_run(values);
+            }
+            total.fold_run(&Self::fold_total(lanes, window));
+        });
+        SeqSummary {
+            total,
+            per_macro: self
+                .build
+                .macros
+                .iter()
+                .zip(per_macro)
+                .map(|(info, summary)| MacroSummary {
+                    name: info.name.clone(),
+                    summary,
+                })
+                .collect(),
+        }
     }
 
     /// The design's per-transition totals: per-macro values folded in
@@ -280,6 +369,7 @@ impl SeqModel {
         total
     }
 
+    #[cfg(test)]
     fn summarize(&self, transitions: usize, per_macro: &[Vec<f64>]) -> SeqSummary {
         let total = Self::fold_total(transitions, per_macro);
         SeqSummary {

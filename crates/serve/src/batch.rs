@@ -619,9 +619,9 @@ mod tests {
         entered_rx
             .recv_timeout(Duration::from_secs(30))
             .expect("the worker reaches the parked sink");
-        // With the worker parked, at most four jobs fit: two batches in
-        // the worker channel, one in the coordinator's hand and one in
-        // the 1-deep submit queue.
+        // With the only worker parked inside the first job's reply, the
+        // 1-deep submit queue is the one place another job fits, so at
+        // most one of the burst is accepted.
         let mut shed = 0;
         let mut kept_replies = vec![parked_rx];
         for seed in 0..8 {

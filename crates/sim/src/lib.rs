@@ -51,7 +51,7 @@ pub use patterns::{
     check_statistics, measure_statistics, statistics_grid, ExhaustivePairs, InvalidStatisticsError,
     MarkovSource,
 };
-pub use seq::{SeqSim, SeqWalker};
+pub use seq::{SeqSim, StateWalk};
 pub use trace::EnergyTrace;
 pub use unit_delay::{UnitDelayError, UnitDelayReport, UnitDelaySim};
 pub use zero_delay::ZeroDelaySim;
