@@ -1,9 +1,9 @@
 //! Differential kernel-equivalence battery.
 //!
 //! Batch evaluation runs one of two evaluators, chosen per kernel from
-//! its shape: the SoA gather (small kernels) or a lane-interleaved walk
-//! over the instructions (large ones); the fused multi-kernel evaluator
-//! runs the same choice. These tests are the contract that every batch
+//! its shape: the SoA gather (small kernels) or a lane-interleaved
+//! stride walk over per-window tables (large ones); the fused
+//! multi-kernel evaluator runs the same choice. These tests are the contract that every batch
 //! path computes the *same function, bit for bit*, as the scalar
 //! [`Kernel::eval_transition`] walk, which shares no layout with
 //! either. For seeded random circuits from the conform generator, the

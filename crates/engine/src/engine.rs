@@ -4,14 +4,15 @@
 //! fans the chunks out over `std::thread::scope` workers (static
 //! round-robin assignment, no locks in the hot path). Each worker packs
 //! and evaluates its chunks in 256-lane sub-blocks through the fused
-//! batch loop, holding its gather scratch across them. Summaries reduce
-//! the finished trace in chunk order ([`TraceSummary::from_values`]).
-//! Chunk boundaries depend only on the configured chunk size — never on
-//! the worker count — so `--jobs 1` and `--jobs 8` produce bit-identical
-//! sums and maxima.
+//! batch loop, holding its gather scratch across them. A summary never
+//! holds the trace: each worker reduces its chunks to per-chunk
+//! summaries, folded in chunk order with the association of
+//! [`TraceSummary::from_values`]. Chunk boundaries depend only on the
+//! configured chunk size — never on the worker count — so `--jobs 1`
+//! and `--jobs 8` produce bit-identical sums and maxima.
 
 use crate::block::PatternBlock;
-use crate::fused::{eval_fused_with, FusedJob};
+use crate::fused::{eval_fused_with, FusedJob, Scratch};
 use crate::kernel::Kernel;
 
 /// Transitions per work chunk. Small enough to load-balance, large
@@ -83,15 +84,31 @@ impl TraceSummary {
     /// produces a trace one chunk at a time can summarize it without
     /// keeping it.
     pub fn fold_run(&mut self, run: &[f64]) {
+        self.absorb(&TraceSummary::of_run(run));
+    }
+
+    /// One run summed on its own (the first half of
+    /// [`fold_run`](Self::fold_run)).
+    fn of_run(run: &[f64]) -> TraceSummary {
         let mut sum = 0.0f64;
         let mut max = f64::NEG_INFINITY;
         for &c in run {
             sum += c;
             max = max.max(c);
         }
-        self.transitions += run.len();
-        self.sum_ff += sum;
-        self.max_ff = self.max_ff.max(max);
+        TraceSummary {
+            transitions: run.len(),
+            sum_ff: sum,
+            max_ff: max,
+        }
+    }
+
+    /// Adds a run summed by [`of_run`](Self::of_run) to the running
+    /// summary (the second half of [`fold_run`](Self::fold_run)).
+    fn absorb(&mut self, run: &TraceSummary) {
+        self.transitions += run.transitions;
+        self.sum_ff += run.sum_ff;
+        self.max_ff = self.max_ff.max(run.max_ff);
     }
 }
 
@@ -160,55 +177,108 @@ impl<'k> TraceEngine<'k> {
 
     /// Evaluates the `patterns.len() − 1` transitions of a resident
     /// pattern sequence to a deterministic [`TraceSummary`]: the
-    /// [`TraceSummary::from_values`] reduction of [`TraceEngine::trace`].
+    /// [`TraceSummary::from_values`] reduction of [`TraceEngine::trace`],
+    /// bit for bit, without keeping the trace. Each worker sums its
+    /// chunks one at a time in a chunk-long buffer.
     pub fn evaluate(&self, patterns: &[Vec<bool>]) -> TraceSummary {
-        TraceSummary::from_values(&self.trace(patterns), self.chunk)
+        let transitions = patterns.len().saturating_sub(1);
+        let mut runs = vec![TraceSummary::EMPTY; transitions.div_ceil(self.chunk)];
+        self.shard(
+            patterns,
+            runs.iter_mut().enumerate().collect(),
+            |worker, ci, run| {
+                let start = ci * self.chunk;
+                let mut values = std::mem::take(&mut worker.values);
+                values.resize(self.chunk.min(transitions - start), 0.0);
+                worker.eval(start, &mut values);
+                *run = TraceSummary::of_run(&values);
+                worker.values = values;
+            },
+        );
+        let mut total = TraceSummary::EMPTY;
+        for run in &runs {
+            total.absorb(run);
+        }
+        total
     }
 
     /// Evaluates a resident pattern sequence to the full per-transition
     /// capacitance trace (fF), sharded across workers.
     pub fn trace(&self, patterns: &[Vec<bool>]) -> Vec<f64> {
-        if patterns.len() < 2 {
-            return Vec::new();
-        }
-        let mut out = vec![0.0f64; patterns.len() - 1];
-        let slices: Vec<(usize, &mut [f64])> = out.chunks_mut(self.chunk).enumerate().collect();
-        let kernel = self.kernel;
-        let chunk = self.chunk;
-        let jobs = self.jobs.min(slices.len()).max(1);
-        let run = move |work: Vec<(usize, &mut [f64])>| {
-            let mut block = PatternBlock::new(kernel.num_vars() as usize);
-            let mut gathers = Vec::new();
-            for (ci, slice) in work {
-                for (si, values) in slice.chunks_mut(FUSE_LANES).enumerate() {
-                    let start = ci * chunk + si * FUSE_LANES;
-                    block.clear();
-                    block.extend_from_patterns(kernel, &patterns[start..=start + values.len()]);
-                    let job = FusedJob {
-                        kernel,
-                        block: &block,
-                        out: values,
-                    };
-                    eval_fused_with(&mut [job], &mut gathers);
-                }
+        let mut out = vec![0.0f64; patterns.len().saturating_sub(1)];
+        self.shard(
+            patterns,
+            out.chunks_mut(self.chunk).enumerate().collect(),
+            |worker, ci, values| worker.eval(ci * self.chunk, values),
+        );
+        out
+    }
+
+    /// Hands each chunk's work item — `work` holds `(chunk index,
+    /// item)` pairs in chunk order — to worker `index mod jobs`, which
+    /// calls `visit` on its items in order. One worker runs inline, with
+    /// no thread spawn.
+    fn shard<'p, T: Send>(
+        &self,
+        patterns: &'p [Vec<bool>],
+        work: Vec<(usize, T)>,
+        visit: impl Fn(&mut Worker<'k, 'p>, usize, T) + Sync,
+    ) {
+        let jobs = self.jobs.min(work.len()).max(1);
+        let run = |items: Vec<(usize, T)>| {
+            let mut worker = Worker {
+                kernel: self.kernel,
+                patterns,
+                block: PatternBlock::new(self.kernel.num_vars() as usize),
+                scratch: Scratch::default(),
+                values: Vec::new(),
+            };
+            for (ci, item) in items {
+                visit(&mut worker, ci, item);
             }
         };
         if jobs == 1 {
-            // One worker: run inline, no thread spawn.
-            run(slices);
-        } else {
-            let mut per_worker: Vec<Vec<(usize, &mut [f64])>> =
-                (0..jobs).map(|_| Vec::new()).collect();
-            for (i, s) in slices {
-                per_worker[i % jobs].push((i, s));
-            }
-            std::thread::scope(|scope| {
-                for work in per_worker {
-                    scope.spawn(|| run(work));
-                }
-            });
+            run(work);
+            return;
         }
-        out
+        let mut per_worker: Vec<Vec<(usize, T)>> = (0..jobs).map(|_| Vec::new()).collect();
+        for (ci, item) in work {
+            per_worker[ci % jobs].push((ci, item));
+        }
+        std::thread::scope(|scope| {
+            for items in per_worker {
+                scope.spawn(|| run(items));
+            }
+        });
+    }
+}
+
+/// One worker's view of the trace and its reused scratch: the packed
+/// sub-block, the evaluator scratch and (for summaries) a chunk of values.
+struct Worker<'k, 'p> {
+    kernel: &'k Kernel,
+    patterns: &'p [Vec<bool>],
+    block: PatternBlock,
+    scratch: Scratch,
+    values: Vec<f64>,
+}
+
+impl Worker<'_, '_> {
+    /// Evaluates transitions `start .. start + out.len()` into `out`,
+    /// one 256-lane sub-block at a time.
+    fn eval(&mut self, start: usize, out: &mut [f64]) {
+        for (si, values) in out.chunks_mut(FUSE_LANES).enumerate() {
+            let start = start + si * FUSE_LANES;
+            self.block.clear();
+            self.block
+                .extend_from_patterns(self.kernel, &self.patterns[start..=start + values.len()]);
+            let job = FusedJob {
+                kernel: self.kernel,
+                block: &self.block,
+                out: values,
+            };
+            eval_fused_with(&mut [job], &mut self.scratch);
+        }
     }
 }
 

@@ -16,10 +16,11 @@
 //! instead of looping kernels one at a time. It is also the only batch
 //! loop: [`Kernel::eval_batch_into`] is a one-job call, and the
 //! [`TraceEngine`](crate::TraceEngine) workers run one-job calls on
-//! 256-lane sub-blocks, holding their gather scratch across them.
+//! 256-lane sub-blocks, holding their gather and walk scratch across
+//! them.
 //!
 //! Only kernels whose batch evaluator is the gather take part in the
-//! rounds. Kernels that walk (large ones, see
+//! rounds. Kernels that run the stride walk (large ones, see
 //! [`Kernel::eval_batch_into`]) and constant kernels are evaluated
 //! before the rounds and hold no mask or selector scratch.
 //!
@@ -47,17 +48,17 @@ pub struct FusedJob<'a> {
 impl<'a> FusedJob<'a> {
     /// The gather program of a job whose kernel gathers.
     fn soa(&self) -> &'a SoaProgram {
-        self.kernel
-            .soa
-            .as_ref()
-            .expect("a gathering kernel carries its SoA program")
+        match &self.kernel.batch {
+            Batch::Gather(soa) => soa,
+            _ => unreachable!("only gathering kernels take part in the rounds"),
+        }
     }
 }
 
 /// A gathering job's scratch and next gather round. Rounds
 /// `0 .. num_levels` gather that level's state range; the final round
 /// gathers the terminal rows.
-pub(crate) struct Gather {
+struct Gather {
     /// The job's index in the current call's job list.
     job: usize,
     /// One mask row per state (zeroed once — unwritten rows must stay
@@ -70,24 +71,34 @@ pub(crate) struct Gather {
 /// Evaluates every job's block in one fused pass: per chunk of four
 /// 64-lane groups, all gathering jobs with lanes there advance together,
 /// one level-range gather per kernel per round (see module docs).
-/// Constant and walking kernels are evaluated up front, outside the
-/// rounds, and get no gather scratch.
+/// Constant kernels and those that stride-walk are evaluated up front,
+/// outside the rounds, and get no gather scratch.
 ///
 /// # Panics
 ///
 /// Panics if any job's `out.len() != block.len()` or its block is
 /// narrower than its kernel's variable count.
 pub fn eval_fused(jobs: &mut [FusedJob<'_>]) {
-    eval_fused_with(jobs, &mut Vec::new());
+    eval_fused_with(jobs, &mut Scratch::default());
 }
 
-/// [`eval_fused`] with caller-held gather scratch: `gathers` is empty
-/// or was filled by an earlier call whose gathering jobs had the same
-/// kernels in the same order. Each kernel's mask rows are zeroed once,
-/// when its scratch is made, so a worker evaluating one kernel over
-/// many small blocks neither allocates nor re-zeroes per block; rows no
+/// Scratch one [`eval_fused_with`] caller holds across calls.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// One per gathering job.
+    gathers: Vec<Gather>,
+    /// The stride walk's lane words ([`crate::stride::StrideProgram::walk`]).
+    lanes: Vec<u64>,
+}
+
+/// [`eval_fused`] with caller-held scratch: `scratch` is new or was
+/// used by an earlier call whose gathering jobs had the same kernels in
+/// the same order. Each kernel's mask rows are zeroed once, when its
+/// gather scratch is made, so a worker evaluating one kernel over many
+/// small blocks neither allocates nor re-zeroes per block; rows no
 /// gather round writes stay zero across calls.
-pub(crate) fn eval_fused_with(jobs: &mut [FusedJob<'_>], gathers: &mut Vec<Gather>) {
+pub(crate) fn eval_fused_with(jobs: &mut [FusedJob<'_>], scratch: &mut Scratch) {
+    let Scratch { gathers, lanes } = scratch;
     let mut used = 0usize;
     let mut max_groups = 0usize;
     for (j, job) in jobs.iter_mut().enumerate() {
@@ -97,9 +108,9 @@ pub(crate) fn eval_fused_with(jobs: &mut [FusedJob<'_>], gathers: &mut Vec<Gathe
             "pattern block is narrower than the kernel"
         );
         let kernel: &Kernel = job.kernel;
-        match kernel.batch() {
-            Batch::Constant(value) => job.out.fill(value),
-            Batch::Walk => kernel.walk_block(job.block, job.out),
+        match &kernel.batch {
+            Batch::Constant(value) => job.out.fill(*value),
+            Batch::Walk(stride) => stride.walk(job.block, &kernel.terminals, job.out, lanes),
             Batch::Gather(soa) => {
                 max_groups = max_groups.max(job.block.len().div_ceil(GROUP_LANES));
                 if used == gathers.len() {

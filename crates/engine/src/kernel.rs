@@ -23,15 +23,18 @@
 //!
 //! ## Two program forms
 //!
-//! `instrs` is the persisted form: scalar evaluation, expectations and
-//! batches of large kernels walk it. Kernels with at most
-//! [`WALK_RATIO`] instructions per level of depth also carry a derived,
-//! never-persisted SoA gather program ([`crate::soa`]) for their
-//! batches. [`Kernel::bytes`] counts the persisted form only.
+//! `instrs` is the persisted form: scalar evaluation and expectations
+//! walk it. Batches run one derived, never-persisted program, chosen by
+//! [`Kernel::derive_batch`]: kernels with at most [`WALK_RATIO`]
+//! instructions per level of depth carry an SoA gather program
+//! ([`crate::soa`]), larger ones a stride-table program
+//! ([`crate::stride`]), and constant kernels none. [`Kernel::bytes`]
+//! counts the persisted form only.
 
 use crate::block::PatternBlock;
 use crate::fused::{eval_fused, FusedJob};
 use crate::soa::SoaProgram;
+use crate::stride::StrideProgram;
 use charfree_core::{AddPowerModel, PowerModel};
 use charfree_dd::ChainMeasure;
 
@@ -91,33 +94,31 @@ pub struct Kernel {
     /// `true` when the source model used the interleaved ordering (the
     /// only ordering whose transition measure is chain-expressible).
     pub(crate) interleaved: bool,
-    /// Level-packed SoA gather program (never persisted), built only
-    /// for kernels whose batch evaluator is the gather — see
-    /// [`Kernel::derive_batch`]. `None` means batches walk `instrs`.
-    pub(crate) soa: Option<SoaProgram>,
+    /// The derived batch program (never persisted), set by
+    /// [`Kernel::derive_batch`].
+    pub(crate) batch: Batch,
     /// Longest root-to-terminal path in `instrs` (edges). `0` for
     /// constant kernels.
     pub(crate) depth: u32,
 }
 
-/// Instructions per unit of depth above which a kernel's batches walk
-/// `instrs` instead of gathering: the gather costs about `edges / 256`
-/// per lane, the walk about `depth`. Fitted on the built-in kernels
-/// (DESIGN §18); kernels near the line stay on the gather.
-const WALK_RATIO: usize = 192;
+/// Instructions per unit of depth above which a kernel's batches run
+/// the stride walk instead of the gather: the gather costs about
+/// `edges / 256` per lane, the walk about `depth / 4` table loads.
+/// Fitted on the built-in kernels (DESIGN §18): the walk already wins at
+/// 51 (exact x2), but every kernel `perf`'s `serve_mixed` serves (ratio
+/// 51 or less) keeps the gather.
+const WALK_RATIO: usize = 64;
 
-/// Lanes one batched walk advances side by side — independent load
-/// chains the core overlaps.
-const WALK_LANES: usize = 8;
-
-/// How a kernel evaluates a packed block (see [`Kernel::batch`]).
-pub(crate) enum Batch<'k> {
+/// How a kernel evaluates a packed block (see [`Kernel::derive_batch`]).
+#[derive(Debug, Clone)]
+pub(crate) enum Batch {
     /// The root is a terminal: every lane gets this value.
     Constant(f64),
     /// Level-packed SoA gather sweep ([`crate::soa`]).
-    Gather(&'k SoaProgram),
-    /// Lane-interleaved root-to-terminal walk over `instrs`.
-    Walk,
+    Gather(SoaProgram),
+    /// Stride-table walk ([`crate::stride`]).
+    Walk(StrideProgram),
 }
 
 impl Kernel {
@@ -126,6 +127,12 @@ impl Kernel {
     /// Only nodes reachable from the root are emitted (the manager arena
     /// may hold construction garbage); the result is typically smaller and
     /// always contiguous.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a walking kernel has more entry nodes than the stride
+    /// walk can name: `2^31` over its window count rounded up to a power
+    /// of two ([`Kernel::load`] returns a typed error instead).
     pub fn compile(model: &AddPowerModel) -> Kernel {
         let (manager, root) = model.diagram();
         let n = model.num_inputs();
@@ -184,19 +191,26 @@ impl Kernel {
             xi_vars,
             xf_vars,
             interleaved: ordering == charfree_core::VariableOrdering::Interleaved,
-            soa: None,
+            batch: Batch::Constant(0.0),
             depth: 0,
         };
-        kernel.derive_batch();
+        kernel
+            .derive_batch()
+            .expect("a compiled kernel's entry nodes fit the stride walk's entry words");
         kernel
     }
 
-    /// Measures `depth` and chooses the batch evaluator (called after
+    /// Measures `depth` and derives the batch program (called after
     /// compilation and after loading from disk): kernels with more than
-    /// [`WALK_RATIO`] instructions per level of depth walk `instrs`,
-    /// the other non-constant ones get a level-packed SoA gather
+    /// [`WALK_RATIO`] instructions per level of depth get a stride-table
+    /// walk, the other non-constant ones a level-packed SoA gather
     /// program.
-    pub(crate) fn derive_batch(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// Fails when a walking kernel has more entry nodes than the stride
+    /// walk's entry words can name (see [`crate::stride`]).
+    pub(crate) fn derive_batch(&mut self) -> Result<(), String> {
         // Longest path per instruction; children precede parents, so
         // one forward pass suffices.
         let mut longest = vec![0u32; self.instrs.len()];
@@ -211,21 +225,23 @@ impl Kernel {
             longest[i] = 1 + path(ins.lo, &longest).max(path(ins.hi, &longest));
         }
         self.depth = path(self.root, &longest);
-        let gathers = self.depth > 0 && self.instrs.len() <= WALK_RATIO * self.depth as usize;
-        self.soa = gathers.then(|| {
-            SoaProgram::build(&self.instrs, self.terminals.len(), self.root, self.num_vars)
-        });
-    }
-
-    /// The batch evaluator chosen by [`Kernel::derive_batch`].
-    pub(crate) fn batch(&self) -> Batch<'_> {
-        if self.root & TERMINAL_BIT != 0 {
-            return Batch::Constant(self.terminals[(self.root & !TERMINAL_BIT) as usize]);
-        }
-        match &self.soa {
-            Some(soa) => Batch::Gather(soa),
-            None => Batch::Walk,
-        }
+        self.batch = if self.root & TERMINAL_BIT != 0 {
+            Batch::Constant(self.terminals[(self.root & !TERMINAL_BIT) as usize])
+        } else if self.instrs.len() <= WALK_RATIO * self.depth as usize {
+            Batch::Gather(SoaProgram::build(
+                &self.instrs,
+                self.terminals.len(),
+                self.root,
+                self.num_vars,
+            ))
+        } else {
+            Batch::Walk(StrideProgram::build(
+                &self.instrs,
+                self.root,
+                self.num_vars,
+            )?)
+        };
+        Ok(())
     }
 
     /// Display name inherited from the source model.
@@ -254,14 +270,17 @@ impl Kernel {
     }
 
     /// Longest root-to-terminal path in instructions (`0` for constant
-    /// kernels, at most `2n`) — the step bound of a walking batch, see
-    /// [`Kernel::eval_batch_into`].
+    /// kernels, at most `2n`) — it bounds the steps of a walking batch,
+    /// see [`Kernel::eval_batch_into`].
     pub fn depth(&self) -> u32 {
         self.depth
     }
 
-    /// Kernel memory footprint in bytes (instructions + terminal table +
-    /// variable maps; `perf` records it as `engine.kernel_kb`).
+    /// Bytes of the kernel's portable form: instructions, terminal table
+    /// and variable maps (`perf` records it as `engine.kernel_kb`). The
+    /// derived batch program is not counted, neither a gathering
+    /// kernel's SoA program nor a walking kernel's stride tables (64 B
+    /// per entry node, which can outweigh the instructions).
     pub fn bytes(&self) -> usize {
         self.instrs.len() * std::mem::size_of::<Instr>()
             + self.terminals.len() * std::mem::size_of::<f64>()
@@ -322,10 +341,10 @@ impl Kernel {
         }
     }
 
-    /// `true` when batches walk `instrs` rather than gather (see
+    /// `true` when batches run the stride walk rather than gather (see
     /// [`Kernel::eval_batch_into`]).
     pub fn walks(&self) -> bool {
-        matches!(self.batch(), Batch::Walk)
+        matches!(self.batch, Batch::Walk(_))
     }
 
     /// Evaluates every transition lane of a packed [`PatternBlock`] into
@@ -336,9 +355,10 @@ impl Kernel {
     /// was compiled or loaded. Small kernels run the level-packed SoA
     /// gather: one ascending sweep computes every state's lane masks,
     /// 256 lanes per pass, at a cost of about `edges / 256` per lane.
-    /// Large kernels (more than 192 instructions per level of depth)
-    /// walk `instrs` root to terminal, eight lanes side by side, at a
-    /// cost of about `depth` per lane; [`Kernel::walks`] tells which.
+    /// Large kernels (more than 64 instructions per level of depth)
+    /// walk root to terminal through per-window tables, eight lanes
+    /// side by side, at a cost of about `depth / 4` table loads per
+    /// lane; [`Kernel::walks`] tells which.
     /// Both are f64 bit-identical to [`Kernel::eval_transition`], which
     /// the kernel-equivalence suites enforce.
     ///
@@ -352,45 +372,6 @@ impl Kernel {
             block,
             out,
         }]);
-    }
-
-    /// Walks every lane of `block` from the root to its terminal,
-    /// [`WALK_LANES`] lanes of one 64-lane group at a time; finished
-    /// lanes hold their terminal reference until the slowest one lands.
-    /// A ragged last batch also walks the lanes past the block's end
-    /// (any bits lead to some terminal) and discards them. The root
-    /// must be internal.
-    pub(crate) fn walk_block(&self, block: &PatternBlock, out: &mut [f64]) {
-        let instrs = &self.instrs[..];
-        // One step of one lane, branch-free: the branch bits are data
-        // and would mispredict half the time. A terminal reference stays
-        // put (it reads instruction 0 and discards the result).
-        let step = |r: u32, words: &[u64], lane: usize| -> u32 {
-            let stay = 0u32.wrapping_sub((r & TERMINAL_BIT != 0) as u32);
-            let ins = instrs[(r & !stay) as usize];
-            let take_hi = 0u32.wrapping_sub((words[ins.var as usize] >> lane) as u32 & 1);
-            let next = ins.lo ^ ((ins.lo ^ ins.hi) & take_hi);
-            next ^ ((next ^ r) & stay)
-        };
-        for (g, group) in out.chunks_mut(64).enumerate() {
-            let words = block.block_words(g);
-            for (c, values) in group.chunks_mut(WALK_LANES).enumerate() {
-                let mut r = [self.root; WALK_LANES];
-                loop {
-                    let mut landed = TERMINAL_BIT;
-                    for (k, rk) in r.iter_mut().enumerate() {
-                        *rk = step(*rk, words, c * WALK_LANES + k);
-                        landed &= *rk;
-                    }
-                    if landed != 0 {
-                        break;
-                    }
-                }
-                for (value, rk) in values.iter_mut().zip(r) {
-                    *value = self.terminals[(rk & !TERMINAL_BIT) as usize];
-                }
-            }
-        }
     }
 
     /// [`Kernel::eval_batch_into`] with an owned result vector.
@@ -679,13 +660,86 @@ mod tests {
     /// evaluator the rule chose.
     fn gathering(kernel: &Kernel) -> Kernel {
         let mut forced = kernel.clone();
-        forced.soa = Some(SoaProgram::build(
+        forced.batch = Batch::Gather(SoaProgram::build(
             &kernel.instrs,
             kernel.terminals.len(),
             kernel.root,
             kernel.num_vars,
         ));
         forced
+    }
+
+    /// `kernel` with its batches forced onto the stride walk, whichever
+    /// evaluator the rule chose.
+    fn walking(kernel: &Kernel) -> Kernel {
+        let mut forced = kernel.clone();
+        forced.batch = Batch::Walk(
+            StrideProgram::build(&kernel.instrs, kernel.root, kernel.num_vars)
+                .expect("built-in kernels fit the stride walk"),
+        );
+        forced
+    }
+
+    impl Kernel {
+        /// Stride-walks every lane of `block` into `out`, whichever
+        /// evaluator the rule chose. The root must be internal.
+        fn walk_block(&self, block: &PatternBlock, out: &mut [f64]) {
+            walking(self).eval_batch_into(block, out);
+        }
+    }
+
+    /// Every lane of a stride-walked block against scalar
+    /// `eval_transition`, by `to_bits`.
+    fn assert_walk_matches_scalar(label: &str, kernel: &Kernel, patterns: &[Vec<bool>]) {
+        let block = PatternBlock::from_patterns(kernel, patterns);
+        let mut walked = vec![0.0; block.len()];
+        kernel.walk_block(&block, &mut walked);
+        for (t, value) in walked.iter().enumerate() {
+            assert_eq!(
+                value.to_bits(),
+                kernel
+                    .eval_transition(&patterns[t], &patterns[t + 1])
+                    .to_bits(),
+                "{label}: walk at {t}"
+            );
+        }
+    }
+
+    #[test]
+    fn stride_walk_spans_lane_word_slabs() {
+        let library = Library::test_library();
+        for (name, max) in [("x1", 600), ("comp", 0)] {
+            let netlist = benchmarks::by_name(name, &library).expect("Table 1 name");
+            let mut builder = ModelBuilder::new(&netlist);
+            if max > 0 {
+                builder = builder.max_nodes(max);
+            }
+            let kernel = Kernel::compile(&builder.build());
+            // x1: 49 inputs, 98 variables, two slabs with a ragged
+            // second one; comp: exactly one full slab.
+            let want = if max > 0 { 98 } else { 64 };
+            assert_eq!(kernel.num_vars(), want, "{name}");
+            let mut source =
+                MarkovSource::new(kernel.num_inputs(), 0.5, 0.4, 0x51AB).expect("feasible");
+            assert_walk_matches_scalar(name, &kernel, &source.sequence(300));
+        }
+    }
+
+    #[test]
+    fn stride_walk_ragged_lengths() {
+        let library = Library::test_library();
+        let netlist = benchmarks::by_name("pcle", &library).expect("Table 1 name");
+        let kernel = Kernel::compile(&ModelBuilder::new(&netlist).build());
+        assert!(kernel.walks(), "exact pcle walks");
+        let mut source =
+            MarkovSource::new(kernel.num_inputs(), 0.5, 0.4, 0x7A66).expect("feasible");
+        for len in 1..=130 {
+            assert_walk_matches_scalar(
+                &format!("pcle, {len} transitions"),
+                &kernel,
+                &source.sequence(len + 1),
+            );
+        }
     }
 
     #[test]
@@ -725,8 +779,11 @@ mod tests {
             walking,
             [
                 "cm85 exact",
+                "cm150 exact",
                 "mux exact",
                 "comp exact",
+                "parity exact",
+                "pcle exact",
                 "cmb exact",
                 "alu2 exact"
             ]
@@ -734,39 +791,44 @@ mod tests {
     }
 
     /// The sweep the batch rule's [`WALK_RATIO`] was fitted on: per
-    /// built-in kernel, instructions per level of depth and the best of
-    /// five single-thread rates (M transitions/s over 2^16 Markov
-    /// transitions at sp 0.5, st 0.4) of the gather and the walk.
+    /// built-in kernel, instructions per level of depth, the best of
+    /// nine single-thread rates (M transitions/s over 2^16 Markov
+    /// transitions at sp 0.5, st 0.4) of the gather and the stride walk,
+    /// and the walk's table bytes.
     #[test]
     #[ignore = "timing sweep; run with --release --ignored --nocapture"]
     fn batch_rule_sweep() {
-        println!("kernel           instrs depth ratio  gather   walk  chosen");
+        println!("kernel           instrs depth ratio  gather   walk  tables  chosen");
         for (label, kernel) in rule_kernels() {
             let mut source =
                 MarkovSource::new(kernel.num_inputs(), 0.5, 0.4, 0x5EED).expect("feasible");
             let block = PatternBlock::from_patterns(&kernel, &source.sequence((1 << 16) + 1));
-            let forced = gathering(&kernel);
+            let (gathers, walks) = (gathering(&kernel), walking(&kernel));
             let mut out = vec![0.0; block.len()];
             // Alternating best-of-nine: both evaluators sample the same
             // host-load windows.
             let (mut gather, mut walk) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..9 {
                 let start = std::time::Instant::now();
-                forced.eval_batch_into(&block, &mut out);
+                gathers.eval_batch_into(&block, &mut out);
                 gather = gather.min(start.elapsed().as_secs_f64());
                 let start = std::time::Instant::now();
-                kernel.walk_block(&block, &mut out);
+                walks.eval_batch_into(&block, &mut out);
                 walk = walk.min(start.elapsed().as_secs_f64());
             }
             let (gather, walk) = (
                 block.len() as f64 / gather / 1e6,
                 block.len() as f64 / walk / 1e6,
             );
+            let Batch::Walk(stride) = &walks.batch else {
+                unreachable!("forced onto the walk")
+            };
             println!(
-                "{label:<16} {:>6} {:>5} {:>5.0} {gather:>7.1} {walk:>6.1}  {}",
+                "{label:<16} {:>6} {:>5} {:>5.0} {gather:>7.1} {walk:>6.1} {:>7}  {}",
                 kernel.num_instrs(),
                 kernel.depth(),
                 kernel.num_instrs() as f64 / kernel.depth().max(1) as f64,
+                stride.bytes(),
                 if kernel.walks() { "walk" } else { "gather" }
             );
         }

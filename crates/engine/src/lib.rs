@@ -17,9 +17,10 @@
 //!   Each kernel picks its batch evaluator once, from its shape, when
 //!   it is compiled or loaded: small kernels run a level-packed SoA
 //!   gather (see [`soa`](self) internals; about `edges / 256` work per
-//!   lane), large ones walk their instructions root to terminal, eight
-//!   lanes side by side (about `depth` work per lane). Both are
-//!   bit-identical to the scalar [`Kernel::eval_transition`].
+//!   lane), large ones a stride walk through per-window tables, four
+//!   diagram variables per dependent load, eight lanes side by side
+//!   (about `depth / 4` table loads per lane). Both are bit-identical to
+//!   the scalar [`Kernel::eval_transition`].
 //! * [`eval_fused`] — the crate's one batch loop: one pass over a
 //!   shared trace window advances N macros' gather programs together
 //!   (interleaved pair-level rounds for memory-level parallelism;
@@ -46,6 +47,7 @@ mod fused;
 mod kernel;
 mod persist;
 mod soa;
+mod stride;
 
 pub use block::PatternBlock;
 pub use engine::{TraceEngine, TraceSummary, DEFAULT_CHUNK};

@@ -24,7 +24,7 @@
 //!
 //! References are `I<k>` (instruction `k`) or `T<k>` (terminal `k`).
 
-use crate::kernel::{Instr, Kernel, TERMINAL_BIT};
+use crate::kernel::{Batch, Instr, Kernel, TERMINAL_BIT};
 use std::io::{self, BufRead, Write};
 
 const MAGIC: &str = "charfree-kernel v1";
@@ -186,11 +186,11 @@ impl Kernel {
             xi_vars,
             xf_vars,
             interleaved,
-            soa: None,
+            batch: Batch::Constant(0.0),
             depth: 0,
         };
         kernel.validate().map_err(bad)?;
-        kernel.derive_batch();
+        kernel.derive_batch().map_err(bad)?;
         Ok(kernel)
     }
 }

@@ -1,9 +1,9 @@
 //! Level-packed structure-of-arrays kernel programs.
 //!
-//! A per-lane walk loads an instruction and reads a pattern word *per
-//! lane per step* — a serial dependent-load chain per lane. The
-//! [`SoaProgram`] here restructures the diagram around the hardware
-//! instead:
+//! A per-lane walk is a serial dependent-load chain per lane, even when
+//! each load consumes several variables (the stride walk,
+//! [`crate::stride`]). The [`SoaProgram`] here restructures the diagram
+//! around the hardware instead:
 //!
 //! * **Level packing** — internal nodes are renumbered contiguously by
 //!   *pair level* `p = var / 2` (the interleaved `(xⁱ, xᶠ)` pair of one
@@ -43,10 +43,10 @@
 //!
 //! Total work per 256 lanes is `O(edges)` — independent of path
 //! lengths, but proportional to the *whole* diagram. That beats the
-//! per-lane walk (about `depth` steps per lane) only while the kernel
-//! is small next to its depth; large kernels touch every edge for
-//! every 256 lanes and run several times slower than the walk. So a
-//! kernel builds this program only when its batches gather (see
+//! stride walk (about `depth / 4` table loads per lane) only while the
+//! kernel is small next to its depth; large kernels touch every edge
+//! for every 256 lanes and run several times slower than the walk. So
+//! a kernel builds this program only when its batches gather (see
 //! `Kernel::derive_batch`). Because every pred's selectors partition
 //! its mask, each lane ends in exactly one terminal row: results are
 //! f64 bit-identical to the scalar walk by construction, and the

@@ -142,3 +142,61 @@ fn swapped_and_duplicated_lines_are_rejected_or_coherent() {
         }
     }
 }
+
+/// A `.cfk` text over 65 600 variables holding `levels` levels of 128
+/// instructions. Level `j` (0 = deepest) tests variable
+/// `4·(16399 − j)`, so each level sits in its own stride window and the
+/// last window is 16 399 (fifteen window bits); node `i` of a level
+/// branches to nodes `i` and `i + 1` of the level below. Every level
+/// below the 127th is fully reachable from the root.
+fn wide_levels_kernel_text(levels: usize) -> String {
+    const INPUTS: usize = 32_800;
+    const WIDTH: usize = 128;
+    let vars: Vec<String> = (0..2 * INPUTS).map(|v| v.to_string()).collect();
+    let mut text = format!(
+        "charfree-kernel v1\nname wide\ninputs {INPUTS}\nvars {}\ninterleaved 1\n\
+         xi {}\nxf {}\nterminals {:016x} {:016x}\ninstrs {}\n",
+        2 * INPUTS,
+        vars[..INPUTS].join(" "),
+        vars[INPUTS..].join(" "),
+        1.0f64.to_bits(),
+        2.0f64.to_bits(),
+        levels * WIDTH
+    );
+    for j in 0..levels {
+        let var = 4 * (16_399 - j);
+        for i in 0..WIDTH {
+            let (lo, hi) = if j == 0 {
+                ("T0".to_owned(), "T1".to_owned())
+            } else {
+                let below = (j - 1) * WIDTH;
+                (
+                    format!("I{}", below + i),
+                    format!("I{}", below + (i + 1) % WIDTH),
+                )
+            };
+            text.push_str(&format!("{var} {lo} {hi}\n"));
+        }
+    }
+    text.push_str(&format!("root I{}\n", (levels - 1) * WIDTH));
+    text
+}
+
+/// The stride walk names an entry node by one `u32`: its index above
+/// the bits of the last window the kernel tests (at most 2^16 entries
+/// next to fifteen window bits). A valid kernel that walks (128
+/// instructions per level of depth) and has more entry nodes than that
+/// is refused at load with a typed error, never a panic; the same shape
+/// with fewer levels loads, walks and stays coherent.
+#[test]
+fn stride_walk_entry_bound_is_a_typed_error() {
+    // 500 levels: about 56 000 entry nodes.
+    let kernel = Kernel::load(wide_levels_kernel_text(500).as_bytes()).expect("within the bound");
+    assert!(kernel.walks(), "128 instructions per level of depth walk");
+    assert_loaded_kernel_coherent(&kernel);
+    // 600 levels: about 68 800 entry nodes.
+    let err = Kernel::load(wide_levels_kernel_text(600).as_bytes())
+        .expect_err("too many entry nodes for the stride walk");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("stride walk"), "{err}");
+}

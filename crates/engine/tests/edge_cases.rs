@@ -1,6 +1,6 @@
 //! Edge-case kernel lockdown: the shapes the main suites historically
 //! missed, pinned for the batch evaluator each kernel chose (the SoA
-//! gather or the instruction walk) and the fused multi-kernel
+//! gather or the stride walk) and the fused multi-kernel
 //! evaluator, against the scalar [`Kernel::eval_transition`] walk and
 //! the arena model.
 //!
