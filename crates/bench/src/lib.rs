@@ -1,6 +1,7 @@
 //! Shared experiment harness for regenerating the paper's Table 1 and
 //! Figures 7a/7b, used by the `table1`, `fig7a`, `fig7b` and `ablation`
-//! binaries and referenced from the Criterion micro-benchmarks.
+//! binaries. `fig7a` also times model evaluation against gate-level
+//! simulation ([`eval_cost`]), the paper's evaluation-cost claim.
 //!
 //! Absolute numbers differ from the 1998 publication (different gate
 //! library, different MCNC-equivalent netlists, different machine); the
@@ -16,9 +17,11 @@
 use charfree_core::{
     evaluate, AddPowerModel, ConstantModel, Evaluation, LinearModel, Protocol, TrainingSet,
 };
+use charfree_engine::{Kernel, TraceEngine};
 use charfree_netlist::{benchmarks, Library, Netlist};
 use charfree_pipeline::{BuildOptions, PipelineCtx};
-use charfree_sim::{statistics_grid, ZeroDelaySim};
+use charfree_sim::{statistics_grid, MarkovSource, ZeroDelaySim};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Builds one model through the shared pipeline (no artifact store — the
@@ -227,6 +230,67 @@ pub fn fig7a(netlist: &Netlist, max_nodes: usize, config: &Config) -> Evaluation
         Protocol::AveragePower,
         config.seed,
     )
+}
+
+/// Transitions in the sequence [`eval_cost`] times.
+pub const EVAL_COST_TRANSITIONS: usize = 10_000;
+
+/// What one transition costs to evaluate three ways: the paper's claim
+/// that model evaluation is negligible next to gate-level simulation.
+#[derive(Debug, Clone, Copy)]
+pub struct EvalCost {
+    /// ADD nodes of the model.
+    pub model_nodes: usize,
+    /// Longest root-to-terminal path of the compiled kernel, at most
+    /// `2n`: the per-transition work of a walk is linear in the inputs.
+    pub kernel_depth: u32,
+    /// Scalar golden simulation, one `switching_capacitance` call per
+    /// transition (ns per transition).
+    pub scalar_sim_ns: f64,
+    /// Word-parallel golden simulation, `switching_trace` (ns per
+    /// transition).
+    pub word_sim_ns: f64,
+    /// The compiled kernel through a one-job [`TraceEngine`] (ns per
+    /// transition).
+    pub kernel_ns: f64,
+}
+
+/// Times [`EVAL_COST_TRANSITIONS`] Markov transitions (`sp = st = 0.5`)
+/// on `netlist` three ways, best of five runs each: scalar and
+/// word-parallel golden simulation, and the kernel compiled from the
+/// `max_nodes` model.
+pub fn eval_cost(netlist: &Netlist, max_nodes: usize, config: &Config) -> EvalCost {
+    const RUNS: usize = 5;
+    fn best_ns<T>(mut run: impl FnMut() -> T) -> f64 {
+        let best = (0..RUNS)
+            .map(|_| {
+                let start = Instant::now();
+                black_box(run());
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min);
+        best * 1e9 / EVAL_COST_TRANSITIONS as f64
+    }
+
+    let sim = ZeroDelaySim::new(netlist);
+    let model = build_model(netlist, max_nodes_options(max_nodes));
+    let kernel = Kernel::compile(&model);
+    let patterns = MarkovSource::new(netlist.num_inputs(), 0.5, 0.5, config.seed)
+        .expect("sp = st = 0.5 is feasible")
+        .sequence(EVAL_COST_TRANSITIONS + 1);
+    let engine = TraceEngine::new(&kernel).jobs(1);
+    EvalCost {
+        model_nodes: model.size(),
+        kernel_depth: kernel.depth(),
+        scalar_sim_ns: best_ns(|| {
+            patterns
+                .windows(2)
+                .map(|w| sim.switching_capacitance(&w[0], &w[1]).femtofarads())
+                .sum::<f64>()
+        }),
+        word_sim_ns: best_ns(|| sim.switching_trace(&patterns)),
+        kernel_ns: best_ns(|| engine.evaluate(&patterns)),
+    }
 }
 
 /// One point of the Fig. 7b accuracy/size trade-off.

@@ -78,7 +78,7 @@ impl Repro {
     /// # Errors
     ///
     /// A diagnostic naming the offending line.
-    pub fn from_text(text: &str) -> Result<Repro, String> {
+    fn from_text(text: &str) -> Result<Repro, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty repro file")?;
         if header.trim() != HEADER {

@@ -122,7 +122,7 @@ pub fn case_spec(master_seed: u64, i: usize) -> CircuitSpec {
 /// Derives the `i`-th sequential case as `(name, BLIF text)`, cycling
 /// pipeline shapes: two-stage feedback pipelines, deeper three-stage
 /// pipelines, and wider two-stage designs with more registers.
-pub fn seq_case(master_seed: u64, i: usize) -> (String, String) {
+fn seq_case(master_seed: u64, i: usize) -> (String, String) {
     let mut rng = SplitMix64::new(master_seed ^ (i as u64).wrapping_mul(0x5EC5_EC5E));
     let case_seed = rng.next_u64();
     let cfg = match i % 3 {

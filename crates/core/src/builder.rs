@@ -197,12 +197,6 @@ impl<'a> ModelBuilder<'a> {
         self
     }
 
-    /// How many gates to process between manager garbage collections.
-    pub fn compact_every(mut self, gates: usize) -> Self {
-        self.compact_every = gates.max(1);
-        self
-    }
-
     /// Caps the live-node population of the construction arena — the
     /// primary knob of the resource governor. When the cap trips, the
     /// degradation ladder fires (see [`DegradationReport`]); in
@@ -1259,6 +1253,15 @@ mod tests {
     use charfree_netlist::benchmarks::paper_unit;
     use charfree_netlist::Library;
     use charfree_sim::{ExhaustivePairs, ZeroDelaySim};
+
+    impl ModelBuilder<'_> {
+        /// Sets how many gates to process between manager garbage
+        /// collections (production builds keep the default of 16).
+        fn compact_every(mut self, gates: usize) -> Self {
+            self.compact_every = gates.max(1);
+            self
+        }
+    }
 
     #[test]
     fn exact_model_reproduces_fig2_lut() {

@@ -76,7 +76,6 @@ mod degrade;
 mod eval;
 pub mod hashing;
 mod linalg;
-mod lut;
 mod model;
 mod peak;
 mod persist;
@@ -92,7 +91,6 @@ pub use charfree_dd::Resource;
 pub use degrade::{BuildError, DegradationReport, DegradationRung};
 pub use eval::{evaluate, fig7a_grid, Evaluation, Protocol, RunPoint};
 pub use linalg::least_squares;
-pub use lut::LutModel;
 pub use model::{AddPowerModel, BuildReport, PowerModel, VariableOrdering};
 pub use peak::{PeakLevel, Transition};
 pub use rtl::{RtlDesign, RtlError, RtlInstance};

@@ -285,39 +285,6 @@ impl AddPowerModel {
         self.display_name = name.into();
     }
 
-    /// Reorders the model's input pairs with the window search of
-    /// [`charfree_dd::reorder::reorder_paired_windows`], keeping the
-    /// `xⁱ/xᶠ` interleaving intact, and updates the input-to-slot mapping
-    /// so evaluation is unchanged. Often shrinks the diagram (useful
-    /// before [`AddPowerModel::shrink`] to spend the node budget on
-    /// content rather than bad ordering).
-    ///
-    /// Only meaningful for interleaved models; a grouped model is returned
-    /// unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is outside `2..=4`.
-    pub fn reorder_pairs(mut self, window: usize, passes: usize) -> Self {
-        if self.ordering != VariableOrdering::Interleaved {
-            return self;
-        }
-        let (root, placement) = charfree_dd::reorder::reorder_paired_windows(
-            &mut self.manager,
-            self.root.node(),
-            window,
-            passes,
-        );
-        self.root = Add::from_node(root);
-        for slot in &mut self.input_slots {
-            *slot = placement[*slot];
-        }
-        let kept = self.manager.compact(&[self.root.node()]);
-        self.root = Add::from_node(kept[0]);
-        self.report.final_size = self.manager.size(self.root.node());
-        self
-    }
-
     /// Shrinks an already-built model below `max_nodes` with one
     /// approximation pass — useful to derive a family of progressively
     /// smaller models from a single (possibly exact) build, as in the
@@ -474,64 +441,6 @@ mod tests {
                 let got = model.expected_capacitance(sp, st).femtofarads();
                 assert_eq!(got.to_bits(), bits, "{name} (sp={sp}, st={st}): {got}");
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod reorder_tests {
-    use crate::builder::{InputOrder, ModelBuilder};
-    use crate::model::PowerModel;
-    use charfree_netlist::{benchmarks, Library};
-    use charfree_sim::{ExhaustivePairs, ZeroDelaySim};
-
-    #[test]
-    fn reorder_pairs_preserves_evaluation() {
-        let library = Library::test_library();
-        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
-        let sim = ZeroDelaySim::new(&netlist);
-        // Start from the worst input order so there is something to fix.
-        let model = ModelBuilder::new(&netlist)
-            .input_order(InputOrder::Custom(vec![4, 0, 3, 1, 2]))
-            .build();
-        let before = model.size();
-        let reordered = model.reorder_pairs(3, 3);
-        assert!(reordered.size() <= before, "reordering never grows");
-        for (xi, xf) in ExhaustivePairs::new(5) {
-            assert_eq!(
-                reordered.capacitance(&xi, &xf),
-                sim.switching_capacitance(&xi, &xf),
-                "xi={xi:?} xf={xf:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn reorder_fixes_a_bad_order_substantially() {
-        // cm85 with natural input order (operand bits far apart) is several
-        // times larger than with a good order; pair reordering must close
-        // a decent part of that gap.
-        let library = Library::test_library();
-        let netlist = benchmarks::by_name("cm85", &library).expect("Table 1 name");
-        let bad = ModelBuilder::new(&netlist)
-            .input_order(InputOrder::Natural)
-            .build();
-        let before = bad.size();
-        let fixed = bad.reorder_pairs(3, 4);
-        assert!(
-            fixed.size() < before / 2,
-            "pair reordering should at least halve cm85's natural-order ADD: {before} -> {}",
-            fixed.size()
-        );
-        // Spot-check semantics.
-        let sim = ZeroDelaySim::new(&netlist);
-        for trial in 0..64u32 {
-            let xi: Vec<bool> = (0..11).map(|i| trial >> (i % 6) & 1 == 1).collect();
-            let xf: Vec<bool> = (0..11).map(|i| trial >> ((i + 3) % 6) & 1 == 1).collect();
-            assert_eq!(
-                fixed.capacitance(&xi, &xf),
-                sim.switching_capacitance(&xi, &xf)
-            );
         }
     }
 }

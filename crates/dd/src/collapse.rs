@@ -7,7 +7,6 @@
 //! mechanism: a linear-time rebuild of the diagram with a set of nodes
 //! replaced by constants.
 
-use crate::budget::{Budget, DdError};
 use crate::hash::FxHashMap;
 use crate::manager::{Add, Manager};
 use crate::node::NodeId;
@@ -52,37 +51,8 @@ impl Manager {
     /// assert_eq!(m.add_eval(g, &[true, false]), 10.0);
     /// ```
     pub fn collapse(&mut self, f: Add, replacements: &FxHashMap<NodeId, f64>) -> Add {
-        self.try_collapse(f, replacements, &Budget::unlimited())
-            .expect("unlimited budget cannot be exceeded")
-    }
-
-    /// Budgeted variant of [`Manager::collapse`]: checks `budget` once per
-    /// freshly rebuilt node and aborts with [`DdError::BudgetExceeded`] if a
-    /// limit is hit mid-rebuild.
-    ///
-    /// Collapsing is linear in the size of `f`, so in practice only very
-    /// tight step limits, a passed deadline, or cancellation trip here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DdError::BudgetExceeded`] if `budget` is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a replacement value is NaN.
-    pub fn try_collapse(
-        &mut self,
-        f: Add,
-        replacements: &FxHashMap<NodeId, f64>,
-        budget: &Budget,
-    ) -> Result<Add, DdError> {
         let mut memo: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        Ok(Add(self.collapse_rec(
-            f.node(),
-            replacements,
-            &mut memo,
-            budget,
-        )?))
+        Add(self.collapse_rec(f.node(), replacements, &mut memo))
     }
 
     fn collapse_rec(
@@ -90,25 +60,23 @@ impl Manager {
         f: NodeId,
         replacements: &FxHashMap<NodeId, f64>,
         memo: &mut FxHashMap<NodeId, NodeId>,
-        budget: &Budget,
-    ) -> Result<NodeId, DdError> {
+    ) -> NodeId {
         if let Some(&v) = replacements.get(&f) {
-            return Ok(self.terminal(v));
+            return self.terminal(v);
         }
         if f.is_terminal() {
-            return Ok(f);
+            return f;
         }
         if let Some(&r) = memo.get(&f) {
-            return Ok(r);
+            return r;
         }
-        budget.checkpoint(self.arena_len(), self.arena_bytes())?;
         let (lo, hi) = self.children(f);
         let var = self.node_var(f).index();
-        let lo2 = self.collapse_rec(lo, replacements, memo, budget)?;
-        let hi2 = self.collapse_rec(hi, replacements, memo, budget)?;
+        let lo2 = self.collapse_rec(lo, replacements, memo);
+        let hi2 = self.collapse_rec(hi, replacements, memo);
         let r = self.mk(var, lo2, hi2);
         memo.insert(f, r);
-        Ok(r)
+        r
     }
 }
 

@@ -757,7 +757,7 @@ impl Manager {
     /// # Errors
     ///
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
-    pub fn try_add_apply(
+    fn try_add_apply(
         &mut self,
         op: BinOp,
         f: Add,

@@ -66,30 +66,6 @@ impl PatternBlock {
         &self.words[b * self.num_vars..(b + 1) * self.num_vars]
     }
 
-    /// Appends one complete diagram-variable assignment as a transition
-    /// lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` is narrower than `num_vars`.
-    pub fn push_assignment(&mut self, assignment: &[bool]) {
-        assert!(
-            assignment.len() >= self.num_vars,
-            "assignment narrower than the block"
-        );
-        let lane = self.len % 64;
-        if lane == 0 {
-            self.words.resize(self.words.len() + self.num_vars, 0);
-        }
-        let base = self.words.len() - self.num_vars;
-        for (v, &bit) in assignment.iter().take(self.num_vars).enumerate() {
-            if bit {
-                self.words[base + v] |= 1u64 << lane;
-            }
-        }
-        self.len += 1;
-    }
-
     /// Appends the `(xi, xf)` transition using `kernel`'s input-to-
     /// variable maps.
     ///

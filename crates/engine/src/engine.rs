@@ -43,11 +43,6 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
-    /// Mean switched capacitance (fF) per transition (NaN when empty).
-    pub fn mean_ff(&self) -> f64 {
-        self.sum_ff / self.transitions as f64
-    }
-
     /// The canonical deterministic reduction of an already-evaluated
     /// per-transition trace: partial sums are associated in `chunk`-sized
     /// runs folded in order — the reduction [`TraceEngine::evaluate`]
@@ -130,7 +125,7 @@ impl TraceSummary {
 ///
 /// let summary = TraceEngine::new(&kernel).jobs(2).evaluate(&patterns);
 /// assert_eq!(summary.transitions, 999);
-/// assert!(summary.max_ff >= summary.mean_ff());
+/// assert!(summary.max_ff >= summary.sum_ff / 999.0);
 /// ```
 #[derive(Debug)]
 pub struct TraceEngine<'k> {

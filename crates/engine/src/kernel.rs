@@ -29,7 +29,8 @@
 //! instructions per level of depth carry an SoA gather program
 //! ([`crate::soa`]), larger ones a stride-table program
 //! ([`crate::stride`]), and constant kernels none. [`Kernel::bytes`]
-//! counts the persisted form only.
+//! counts the persisted form only, [`Kernel::resident_bytes`] adds the
+//! stride tables.
 
 use crate::block::PatternBlock;
 use crate::fused::{eval_fused, FusedJob};
@@ -280,11 +281,22 @@ impl Kernel {
     /// and variable maps (`perf` records it as `engine.kernel_kb`). The
     /// derived batch program is not counted, neither a gathering
     /// kernel's SoA program nor a walking kernel's stride tables (64 B
-    /// per entry node, which can outweigh the instructions).
+    /// per entry node, which can outweigh the instructions); see
+    /// [`Kernel::resident_bytes`].
     pub fn bytes(&self) -> usize {
         self.instrs.len() * std::mem::size_of::<Instr>()
             + self.terminals.len() * std::mem::size_of::<f64>()
             + (self.xi_vars.len() + self.xf_vars.len()) * std::mem::size_of::<u32>()
+    }
+
+    /// Bytes the kernel keeps resident: [`Kernel::bytes`] plus a walking
+    /// kernel's stride tables. A gathering kernel's SoA program is not
+    /// counted. Model registries charge this against their budget.
+    pub fn resident_bytes(&self) -> usize {
+        match &self.batch {
+            Batch::Walk(stride) => self.bytes() + stride.bytes(),
+            Batch::Constant(_) | Batch::Gather(_) => self.bytes(),
+        }
     }
 
     /// `true` when the source model used the interleaved variable
@@ -390,7 +402,7 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if `measure` does not cover the kernel's `2n` variables.
-    pub fn expected_value(&self, measure: &ChainMeasure) -> f64 {
+    fn expected_value(&self, measure: &ChainMeasure) -> f64 {
         assert_eq!(
             measure.len(),
             self.num_vars as usize,
@@ -788,6 +800,29 @@ mod tests {
                 "alu2 exact"
             ]
         );
+    }
+
+    #[test]
+    fn resident_bytes_add_exactly_the_stride_tables() {
+        let library = Library::test_library();
+        for (name, max) in [("cmb", None), ("cm85", Some(500)), ("decod", None)] {
+            let netlist = benchmarks::by_name(name, &library).expect("Table 1 name");
+            let mut builder = ModelBuilder::new(&netlist);
+            if let Some(max) = max {
+                builder = builder.max_nodes(max);
+            }
+            let kernel = Kernel::compile(&builder.build());
+            match &kernel.batch {
+                Batch::Walk(stride) => {
+                    assert!(stride.bytes() > 0, "{name}");
+                    assert_eq!(kernel.resident_bytes(), kernel.bytes() + stride.bytes());
+                }
+                Batch::Gather(_) | Batch::Constant(_) => {
+                    assert_eq!(kernel.resident_bytes(), kernel.bytes(), "{name}");
+                }
+            }
+            assert_eq!(kernel.walks(), name == "cmb", "{name}");
+        }
     }
 
     /// The sweep the batch rule's [`WALK_RATIO`] was fitted on: per

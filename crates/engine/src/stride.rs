@@ -123,7 +123,6 @@ impl StrideProgram {
     }
 
     /// Bytes of the entry tables.
-    #[cfg(test)]
     pub(crate) fn bytes(&self) -> usize {
         self.tables.len() * std::mem::size_of::<u32>()
     }

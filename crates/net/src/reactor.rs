@@ -154,7 +154,7 @@ impl NetCounters {
     }
 
     /// Total closes across every reason.
-    pub fn closed_total(&self) -> u64 {
+    fn closed_total(&self) -> u64 {
         self.closed.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 

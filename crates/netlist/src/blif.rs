@@ -84,7 +84,7 @@ enum NodeDef {
 struct RawLatch {
     input: String,
     output: String,
-    init_spec: u8,
+    init: bool,
     line: usize,
 }
 
@@ -190,8 +190,7 @@ pub fn parse_seq(text: &str) -> Result<SeqNetlist, BlifError> {
         latches.push(SeqLatch {
             input: latch.input.clone(),
             output: latch.output.clone(),
-            init: latch.init_spec == 1,
-            init_spec: latch.init_spec,
+            init: latch.init,
         });
     }
     // The flat model's outputs are the design POs plus every latch D, so
@@ -369,12 +368,9 @@ fn tokenize(text: &str) -> Result<RawModel, BlifError> {
                             ));
                         }
                     };
-                    let init_spec = match init_tok {
-                        None => 3,
-                        Some("0") => 0,
-                        Some("1") => 1,
-                        Some("2") => 2,
-                        Some("3") => 3,
+                    let init = match init_tok {
+                        None | Some("0" | "2" | "3") => false,
+                        Some("1") => true,
                         Some(other) => {
                             return Err(BlifError::Syntax(
                                 line_no,
@@ -385,7 +381,7 @@ fn tokenize(text: &str) -> Result<RawModel, BlifError> {
                     model.latches.push(RawLatch {
                         input: tokens[0].to_owned(),
                         output: tokens[1].to_owned(),
-                        init_spec,
+                        init,
                         line: line_no,
                     });
                 }
@@ -594,47 +590,6 @@ pub fn write(netlist: &Netlist) -> String {
     out
 }
 
-/// Serializes a sequential design as BLIF with `.latch` lines (3-token
-/// `<input> <output> <init>` form) followed by every macro's `.gate`
-/// lines in partition order.
-///
-/// The output parses back through [`parse_seq`] into a design with the
-/// same latches and byte-identical macro netlists.
-pub fn write_seq(seq: &SeqNetlist) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, ".model {}", seq.name());
-    let _ = write!(out, ".inputs");
-    for name in seq.primary_inputs() {
-        let _ = write!(out, " {name}");
-    }
-    out.push('\n');
-    let _ = write!(out, ".outputs");
-    for name in seq.primary_outputs() {
-        let _ = write!(out, " {name}");
-    }
-    out.push('\n');
-    for latch in seq.latches() {
-        let _ = writeln!(
-            out,
-            ".latch {} {} {}",
-            latch.input, latch.output, latch.init_spec
-        );
-    }
-    let formals = ["a", "b", "c", "d"];
-    for m in seq.macros() {
-        for (_, gate) in m.netlist.gates() {
-            let _ = write!(out, ".gate {}", gate.kind().name());
-            for (pin, &s) in gate.inputs().iter().enumerate() {
-                let _ = write!(out, " {}={}", formals[pin], m.netlist.signal_name(s));
-            }
-            let _ = writeln!(out, " O={}", m.netlist.signal_name(gate.output()));
-        }
-    }
-    out.push_str(".end\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,8 +702,15 @@ mod tests {
         let header = ".model ooo_multi\n.inputs a b c d\n";
         let flat = write(&parse(text).expect("parses"));
         assert_eq!(flat, format!("{header}.outputs y z _n6\n{gates}"));
-        let seq = write_seq(&parse_seq(text).expect("parses"));
-        assert_eq!(seq, format!("{header}.outputs y z u\n{gates}"));
+        let seq = parse_seq(text).expect("parses");
+        assert_eq!(seq.primary_outputs(), ["y", "z", "u"]);
+        assert_eq!(seq.macros().len(), 1);
+        let macro_gates: String = write(&seq.macros()[0].netlist)
+            .lines()
+            .filter(|line| line.starts_with(".gate") || *line == ".end")
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(macro_gates, gates);
     }
 
     #[test]
@@ -890,38 +852,8 @@ mod tests {
 .end
 ";
         let seq = parse_seq(text).expect("all .latch forms parse");
-        let specs: Vec<u8> = seq.latches().iter().map(|l| l.init_spec).collect();
-        assert_eq!(specs, [3, 1, 3, 2]);
         let inits: Vec<bool> = seq.initial_state();
         assert_eq!(inits, [false, true, false, false]);
-    }
-
-    #[test]
-    fn seq_roundtrip_preserves_latches_and_macros() {
-        let text = "\
-.model rt
-.inputs a b
-.outputs y
-.gate xor2 a=a b=q2 O=s1
-.gate and2 a=s1 b=b O=d1
-.latch d1 q1 0
-.gate or2 a=q1 b=a O=y
-.gate inv a=y O=d2
-.latch d2 q2 1
-.end
-";
-        let seq = parse_seq(text).expect("parses");
-        let emitted = write_seq(&seq);
-        let back = parse_seq(&emitted).expect("round-trips");
-        assert_eq!(back.latches(), seq.latches());
-        assert_eq!(back.macros().len(), seq.macros().len());
-        for (a, b) in seq.macros().iter().zip(back.macros()) {
-            assert_eq!(write(&a.netlist), write(&b.netlist));
-            assert_eq!(a.inputs, b.inputs);
-            assert_eq!(a.outputs, b.outputs);
-        }
-        // Emission is a fixed point.
-        assert_eq!(write_seq(&back), emitted);
     }
 
     #[test]

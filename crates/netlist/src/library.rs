@@ -267,11 +267,6 @@ impl Library {
         self.pin_caps[cell_index(kind)][pin]
     }
 
-    /// Total input capacitance across all pins of `kind`.
-    pub fn input_cap(&self, kind: CellKind) -> Capacitance {
-        self.pin_caps[cell_index(kind)].iter().copied().sum()
-    }
-
     /// Wiring capacitance added to every driven net.
     pub fn wire_cap(&self) -> Capacitance {
         self.wire_cap
@@ -408,7 +403,6 @@ mod tests {
             for pin in 0..cell.arity() {
                 assert!(lib.pin_cap(cell, pin).femtofarads() > 0.0);
             }
-            assert!(lib.input_cap(cell).femtofarads() >= lib.pin_cap(cell, 0).femtofarads());
         }
         lib.set_pin_cap(CellKind::Inv, Capacitance(1.0));
         assert_eq!(lib.pin_cap(CellKind::Inv, 0), Capacitance(1.0));

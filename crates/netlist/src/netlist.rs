@@ -327,11 +327,6 @@ impl Netlist {
         &self.signals[signal.index()].name
     }
 
-    /// Looks a signal up by name.
-    pub fn find_signal(&self, name: &str) -> Option<SignalId> {
-        self.by_name.get(name).copied()
-    }
-
     /// Overrides the load capacitance of the gate driving the netlist
     /// (mostly useful for hand-built examples such as the paper's Fig. 2).
     ///
@@ -442,6 +437,10 @@ impl Netlist {
 mod tests {
     use super::*;
 
+    fn find_signal(n: &Netlist, name: &str) -> SignalId {
+        n.by_name[name]
+    }
+
     fn paper_unit() -> Netlist {
         let mut n = Netlist::new("unit_u");
         let x1 = n.add_input("x1").expect("fresh");
@@ -467,10 +466,8 @@ mod tests {
         assert_eq!(n.outputs().len(), 3);
         assert!(n.validate().is_ok());
         assert_eq!(n.depth(), 1);
-        assert_eq!(n.find_signal("g3").map(|s| n.signal_name(s)), Some("g3"));
-        let g3 = n
-            .driver(n.find_signal("g3").expect("exists"))
-            .expect("driven");
+        assert_eq!(n.signal_name(find_signal(&n, "g3")), "g3");
+        let g3 = n.driver(find_signal(&n, "g3")).expect("driven");
         assert_eq!(n.gate(g3).kind(), CellKind::Or2);
         assert_eq!(n.gate(g3).inputs().len(), 2);
     }
@@ -518,7 +515,7 @@ mod tests {
     fn fanout_and_levels() {
         let n = paper_unit();
         let fo = n.fanouts();
-        let x1 = n.find_signal("x1").expect("exists");
+        let x1 = find_signal(&n, "x1");
         // x1 feeds g1 (pin 0) and g3 (pin 0).
         assert_eq!(fo[x1.index()].len(), 2);
         let levels = n.levels();
@@ -556,9 +553,7 @@ mod tests {
     #[test]
     fn manual_load_override() {
         let mut n = paper_unit();
-        let g = n
-            .driver(n.find_signal("g1").expect("exists"))
-            .expect("driven");
+        let g = n.driver(find_signal(&n, "g1")).expect("driven");
         n.set_gate_load(g, Capacitance(40.0));
         assert_eq!(n.gate(g).load(), Capacitance(40.0));
     }

@@ -34,9 +34,6 @@ pub struct SeqLatch {
     /// Effective initial state: `1` is true; `0`, don't-care (`2`) and
     /// unknown (`3`) all start false so replays are deterministic.
     pub init: bool,
-    /// The init digit as written in the BLIF (`0`..`3`), preserved for
-    /// round-tripping.
-    pub init_spec: u8,
 }
 
 /// Where a macro boundary input (or a latch passthrough) is fed from at

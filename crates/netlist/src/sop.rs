@@ -78,7 +78,7 @@ impl Sop {
 
     /// `true` if the cover denotes a constant function (no inputs or no
     /// cubes).
-    pub fn is_constant(&self) -> bool {
+    fn is_constant(&self) -> bool {
         self.num_inputs == 0 || self.cubes.is_empty()
     }
 }

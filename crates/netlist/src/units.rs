@@ -16,16 +16,6 @@ impl Capacitance {
     /// Zero capacitance.
     pub const ZERO: Capacitance = Capacitance(0.0);
 
-    /// Constructs from a femtofarad value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ff` is negative or NaN.
-    pub fn from_femtofarads(ff: f64) -> Self {
-        assert!(ff >= 0.0, "capacitance must be non-negative, got {ff}");
-        Capacitance(ff)
-    }
-
     /// The value in femtofarads.
     #[inline]
     pub fn femtofarads(self) -> f64 {
@@ -193,12 +183,6 @@ mod tests {
         assert_eq!((a * 2.0).femtofarads(), 80.0);
         let total: Capacitance = [a, b].into_iter().sum();
         assert_eq!(total.femtofarads(), 90.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_capacitance_rejected() {
-        let _ = Capacitance::from_femtofarads(-1.0);
     }
 
     #[test]

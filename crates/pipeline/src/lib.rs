@@ -93,7 +93,7 @@ impl Source {
     }
 
     /// One-line description for telemetry and diagnostics.
-    pub fn describe(&self) -> String {
+    fn describe(&self) -> String {
         match self {
             Source::NetlistFile(p) => format!("netlist {}", p.display()),
             Source::Bench(name) => format!("bench {name}"),
@@ -237,7 +237,7 @@ impl BuildOptions {
 ///
 /// [`PipelineError::Io`] if the file cannot be read,
 /// [`PipelineError::Parse`] if it fails validation.
-pub fn load_model_file(path: &Path) -> Result<AddPowerModel, PipelineError> {
+fn load_model_file(path: &Path) -> Result<AddPowerModel, PipelineError> {
     let bytes = fs::read(path).map_err(|e| PipelineError::Io {
         context: path.display().to_string(),
         source: e,
@@ -254,7 +254,7 @@ pub fn load_model_file(path: &Path) -> Result<AddPowerModel, PipelineError> {
 ///
 /// [`PipelineError::Io`] if the file cannot be read,
 /// [`PipelineError::Parse`] if it fails validation.
-pub fn load_kernel_file(path: &Path) -> Result<Kernel, PipelineError> {
+fn load_kernel_file(path: &Path) -> Result<Kernel, PipelineError> {
     let bytes = fs::read(path).map_err(|e| PipelineError::Io {
         context: path.display().to_string(),
         source: e,

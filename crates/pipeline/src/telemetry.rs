@@ -185,17 +185,6 @@ impl Telemetry {
             .count()
     }
 
-    /// Total wall time recorded for `stage` across the run.
-    pub fn stage_wall(&self, stage: Stage) -> Duration {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Stage { stage: s, wall, .. } if *s == stage => Some(*wall),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Whether any completed stage matches `stage`.
     pub fn stage_ran(&self, stage: Stage) -> bool {
         self.events
@@ -325,7 +314,6 @@ mod tests {
         assert_eq!(t.cache_misses(), 2);
         assert!(t.stage_ran(Stage::BuildAdd));
         assert!(!t.stage_ran(Stage::Evaluate));
-        assert_eq!(t.stage_wall(Stage::BuildAdd), Duration::from_millis(12));
         let json = t.to_json();
         assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
         assert!(json.contains("\"stage\": \"build-add\""), "{json}");

@@ -191,9 +191,10 @@ impl SeqModel {
         self.kernels.len()
     }
 
-    /// Total compiled kernel bytes across macros (registry accounting).
+    /// Resident kernel bytes across macros, stride tables included
+    /// (registry accounting, see [`Kernel::resident_bytes`]).
     pub fn bytes(&self) -> usize {
-        self.kernels.iter().map(Kernel::bytes).sum()
+        self.kernels.iter().map(Kernel::resident_bytes).sum()
     }
 
     /// Per-macro per-transition values via the **fused** path: one state

@@ -33,10 +33,12 @@ pub enum Resident {
 }
 
 impl Resident {
-    /// The footprint charged against the registry budget.
+    /// The footprint charged against the registry budget: each kernel's
+    /// [`Kernel::resident_bytes`], so a walking kernel pays for its
+    /// stride tables.
     pub fn bytes(&self) -> usize {
         match self {
-            Resident::Comb(kernel) => kernel.bytes(),
+            Resident::Comb(kernel) => kernel.resident_bytes(),
             Resident::Seq(model) => model.bytes(),
         }
     }
@@ -261,11 +263,6 @@ impl ShardedRegistry {
         totals
     }
 
-    /// Per-shard counters, in shard order (for metrics and tests).
-    pub fn per_shard_stats(&self) -> Vec<(usize, usize, u64, u64, u64)> {
-        self.shards.iter().map(ModelRegistry::stats).collect()
-    }
-
     /// Reconciles every shard's byte ledger.
     ///
     /// # Errors
@@ -300,7 +297,7 @@ mod tests {
         let b = kernel_for("cm85");
         let c = kernel_for("mux");
         // Budget fits roughly two of the three kernels.
-        let budget = a.bytes() + b.bytes() + c.bytes() / 2;
+        let budget = a.resident_bytes() + b.resident_bytes() + c.resident_bytes() / 2;
         let reg = ModelRegistry::new(budget);
         reg.insert("a", Resident::Comb(Arc::clone(&a)));
         reg.insert("b", Resident::Comb(Arc::clone(&b)));
@@ -313,6 +310,35 @@ mod tests {
         assert_eq!(entries, 2);
         assert!(bytes <= budget);
         assert_eq!(evictions, 1);
+    }
+
+    #[test]
+    fn walking_kernels_are_charged_their_stride_tables() {
+        // Exact cmb walks its stride tables; cm85 at MAX 500 gathers.
+        let walking = kernel_for("cmb");
+        let library = Library::test_library();
+        let cm85 = benchmarks::by_name("cm85", &library).expect("Table 1 name");
+        let gathering = Arc::new(Kernel::compile(
+            &ModelBuilder::new(&cm85).max_nodes(500).build(),
+        ));
+        assert!(walking.walks() && !gathering.walks());
+        let walk = Resident::Comb(Arc::clone(&walking));
+        let gather = Resident::Comb(Arc::clone(&gathering));
+        assert_eq!(walk.bytes(), walking.resident_bytes());
+        assert!(walk.bytes() > walking.bytes(), "the tables are charged");
+        assert_eq!(gather.bytes(), gathering.bytes());
+
+        // A budget that holds both portable forms, but not the walk's
+        // tables on top: the walking kernel is evicted.
+        let budget = walking.bytes() + gathering.bytes();
+        let reg = ModelRegistry::new(budget);
+        reg.insert("walk", walk);
+        reg.insert("gather", gather);
+        assert!(reg.get("walk").is_none(), "the walking kernel does not fit");
+        assert!(reg.get("gather").is_some());
+        let (entries, bytes, _, _, evictions) = reg.stats();
+        assert_eq!((entries, bytes, evictions), (1, gathering.bytes(), 1));
+        reg.verify_ledger().expect("ledger reconciles");
     }
 
     #[test]
@@ -336,7 +362,7 @@ mod tests {
         reg.insert("a", Resident::Comb(Arc::clone(&a)));
         let (entries, bytes, _, _, _) = reg.stats();
         assert_eq!(entries, 1);
-        assert_eq!(bytes, a.bytes());
+        assert_eq!(bytes, a.resident_bytes());
         reg.verify_ledger().expect("ledger reconciles");
     }
 
@@ -349,7 +375,11 @@ mod tests {
             vec![kernel_for("decod"), kernel_for("cm85"), kernel_for("mux")];
         // Budget fits barely one kernel, so every insert storm evicts —
         // the worst case for ledger accounting.
-        let budget = kernels.iter().map(|k| k.bytes()).min().unwrap_or(1);
+        let budget = kernels
+            .iter()
+            .map(|k| k.resident_bytes())
+            .min()
+            .unwrap_or(1);
         let reg = ModelRegistry::new(budget);
         // Offline references, computed once.
         let patterns: Vec<Vec<Vec<bool>>> = kernels
@@ -404,7 +434,11 @@ mod tests {
         assert!(hits + misses >= 800, "every round probed the registry");
         // The ledger never exceeds budget by more than the one exempt
         // (just-inserted) entry allows.
-        let max_kernel = kernels.iter().map(|k| k.bytes()).max().unwrap_or(0);
+        let max_kernel = kernels
+            .iter()
+            .map(|k| k.resident_bytes())
+            .max()
+            .unwrap_or(0);
         assert!(bytes <= budget + max_kernel, "bytes={bytes}");
     }
 
@@ -472,7 +506,11 @@ mod tests {
             vec![kernel_for("decod"), kernel_for("cm85"), kernel_for("mux")];
         // Per-shard budget fits barely one kernel so churn evicts in
         // every shard that sees more than one key.
-        let min_bytes = kernels.iter().map(|k| k.bytes()).min().unwrap_or(1);
+        let min_bytes = kernels
+            .iter()
+            .map(|k| k.resident_bytes())
+            .min()
+            .unwrap_or(1);
         let reg = ShardedRegistry::new(4, min_bytes * 4);
         std::thread::scope(|scope| {
             for t in 0..4usize {
@@ -484,7 +522,7 @@ mod tests {
                         let key = format!("k{i}");
                         let kernel = &kernels[i % kernels.len()];
                         match reg.get(&key) {
-                            Some(k) => assert_eq!(k.bytes(), kernel.bytes()),
+                            Some(k) => assert_eq!(k.bytes(), kernel.resident_bytes()),
                             None => reg.insert(&key, Resident::Comb(Arc::clone(kernel))),
                         }
                     }
@@ -493,7 +531,7 @@ mod tests {
         });
         reg.verify_ledger().expect("every shard ledger reconciles");
         let summed = reg.stats();
-        let per_shard = reg.per_shard_stats();
+        let per_shard: Vec<_> = reg.shards.iter().map(ModelRegistry::stats).collect();
         let fold = per_shard.iter().fold((0, 0, 0, 0, 0), |acc, s| {
             (
                 acc.0 + s.0,

@@ -634,7 +634,7 @@ pub(crate) fn do_seq_load(
                 macros: model.num_macros(),
                 latches: model.seq().latches().len(),
                 instrs: report.macros.iter().map(|m| m.instrs).sum(),
-                bytes: model.bytes(),
+                bytes: report.macros.iter().map(|m| m.bytes).sum(),
                 apply_steps: applied,
                 // A resident hit did no artifact lookups.
                 cache_hits: if resident {

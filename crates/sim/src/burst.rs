@@ -72,11 +72,6 @@ impl BurstSource {
         })
     }
 
-    /// `true` while the source is in its burst regime.
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
-    }
-
     /// Advances one cycle and returns the next pattern.
     pub fn next_pattern(&mut self) -> Vec<bool> {
         self.in_burst ^= draw(&mut self.rng, self.switch[usize::from(self.in_burst)]);
@@ -122,13 +117,13 @@ mod tests {
         let mut prev = false;
         for _ in 0..50_000 {
             let _ = src.next_pattern();
-            if src.in_burst() {
+            if src.in_burst {
                 burst_cycles += 1;
                 if !prev {
                     bursts += 1;
                 }
             }
-            prev = src.in_burst();
+            prev = src.in_burst;
         }
         assert!(bursts > 100, "plenty of bursts, got {bursts}");
         let mean_dwell = burst_cycles as f64 / bursts as f64;

@@ -16,7 +16,7 @@ use charfree_netlist::units::{Capacitance, Energy, Power, Voltage};
 /// let caps = vec![Capacitance(90.0), Capacitance(0.0), Capacitance(10.0)];
 /// let trace = EnergyTrace::from_switched(&caps, Voltage(1.0), 10.0);
 /// assert!((trace.average_energy().femtojoules() - 100.0 / 3.0).abs() < 1e-12);
-/// assert_eq!(trace.peak_energy().femtojoules(), 90.0);
+/// assert_eq!(trace.total_energy().femtojoules(), 100.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct EnergyTrace {
@@ -64,7 +64,7 @@ impl EnergyTrace {
     }
 
     /// Largest single-cycle energy (peak).
-    pub fn peak_energy(&self) -> Energy {
+    fn peak_energy(&self) -> Energy {
         Energy(
             self.energies
                 .iter()
@@ -81,11 +81,6 @@ impl EnergyTrace {
     /// Mean power, `avg(e)/T`.
     pub fn average_power(&self) -> Power {
         self.average_energy() / self.period_ns
-    }
-
-    /// Peak power, `max(e)/T`.
-    pub fn peak_power(&self) -> Power {
-        self.peak_energy() / self.period_ns
     }
 
     /// The largest total energy of any `window` consecutive cycles — the
@@ -180,7 +175,6 @@ mod tests {
         assert_eq!(t.total_energy().femtojoules(), 100.0);
         assert_eq!(t.peak_energy().femtojoules(), 90.0);
         assert!((t.average_power().microwatts() - 100.0 / 3.0 / 10.0).abs() < 1e-12);
-        assert_eq!(t.peak_power().microwatts(), 9.0);
         assert_eq!(t.energies().len(), 3);
     }
 

@@ -156,7 +156,7 @@ impl ZeroDelaySim {
     /// # Panics
     ///
     /// Panics if `inputs.len() != self.num_inputs()`.
-    pub fn eval_words(&self, inputs: &[u64]) -> Vec<u64> {
+    fn eval_words(&self, inputs: &[u64]) -> Vec<u64> {
         assert_eq!(inputs.len(), self.num_inputs, "pattern width mismatch");
         let mut values = vec![0u64; self.num_signals];
         values[..inputs.len()].copy_from_slice(inputs);
