@@ -16,7 +16,7 @@
 //!   preserved exactly; this is Example 5.
 
 use charfree_dd::hash::FxHashMap;
-use charfree_dd::{Add, ChainMeasure, Manager, NodeId, NodeStats, Snapshot};
+use charfree_dd::{Add, ChainMeasure, Manager, NodeId, Snapshot};
 
 /// Which leaf value replaces a collapsed sub-ADD, and how candidates are
 /// ranked.
@@ -29,33 +29,7 @@ pub enum ApproxStrategy {
     UpperBound,
 }
 
-impl ApproxStrategy {
-    /// The paper's plain local ranking figure (variance or max-replacement
-    /// MSE, Eqs. 5–8), used by the unweighted ablation path. The default
-    /// path refines this with reach-probability weighting across a measure
-    /// mixture — the root-level mean-square error induced by replacing node
-    /// `n` with a constant is exactly `p(n) · mse_local(n)`, and without
-    /// the `p(n)` factor shallow wide-reach nodes (whose local variance is
-    /// often *smaller* than that of deep high-swing nodes) get collapsed
-    /// first and the model degenerates toward a constant — see DESIGN.md §5.
-    #[inline]
-    fn local_score(self, s: &NodeStats) -> f64 {
-        match self {
-            ApproxStrategy::Average => s.var,
-            ApproxStrategy::UpperBound => s.mse_of_max(),
-        }
-    }
-
-    #[inline]
-    fn leaf(self, s: &NodeStats) -> f64 {
-        match self {
-            ApproxStrategy::Average => s.avg,
-            ApproxStrategy::UpperBound => s.max,
-        }
-    }
-}
-
-/// Outcome of one [`approximate_to`] invocation.
+/// Outcome of one [`approximate_to_mixture`] invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApproxOutcome {
     /// Total nodes collapsed.
@@ -66,35 +40,21 @@ pub struct ApproxOutcome {
 }
 
 /// Shrinks `f` below `max_nodes` (size counts terminals, CUDD-style) by
-/// node collapsing under `strategy`.
+/// node collapsing under `strategy`, ranked under a *mixture* of input
+/// measures.
 ///
 /// Per-node statistics are computed in one traversal (Eqs. 5–8) and
-/// internal nodes are ranked by the strategy's score ascending — "nodes
-/// with minimum variance are chosen for collapsing and node collapsing
-/// proceeds (possibly involving nodes with larger variance) until the
-/// global ADD is reduced under a target size". Because the size reached by
-/// collapsing the `k` lowest-scored nodes is unpredictable (shared
-/// sub-diagrams cascade), `k` is found by binary search over dry-run
-/// sizes counted on a dense snapshot of `f` (only the chosen collapse is
-/// rebuilt in the manager), which collapses **as few nodes as possible**
-/// while meeting the bound — no overshoot. In the limit (`max_nodes` very
-/// small) the root itself collapses and the model degenerates into the
-/// paper's constant estimator.
-///
-/// # Panics
-///
-/// Panics if `max_nodes == 0` (a single terminal already has size 1).
-pub fn approximate_to(
-    m: &mut Manager,
-    f: Add,
-    max_nodes: usize,
-    strategy: ApproxStrategy,
-) -> (Add, ApproxOutcome) {
-    let mixture = [(ChainMeasure::uniform(m.num_vars()), 1.0)];
-    approximate_impl(m, f, max_nodes, strategy, Some(&mixture))
-}
-
-/// [`approximate_to`] under a *mixture* of input measures.
+/// internal nodes are ranked by their score ascending — "nodes with
+/// minimum variance are chosen for collapsing and node collapsing proceeds
+/// (possibly involving nodes with larger variance) until the global ADD is
+/// reduced under a target size". Because the size reached by collapsing
+/// the `k` lowest-scored nodes is unpredictable (shared sub-diagrams
+/// cascade), `k` is found by binary search over dry-run sizes counted on a
+/// dense snapshot of `f` (only the chosen collapse is rebuilt in the
+/// manager), which collapses **as few nodes as possible** while meeting
+/// the bound — no overshoot. In the limit (`max_nodes` very small) the root
+/// itself collapses and the model degenerates into the paper's constant
+/// estimator.
 ///
 /// A model collapsed under one fixed measure is anchored to it: its
 /// run-average tracks the golden model only near that operating point and
@@ -104,10 +64,16 @@ pub fn approximate_to(
 /// mixture-expected replacement MSE — balances accuracy across the whole
 /// family of operating statistics, which is what the paper's
 /// statistics-independence claim requires of an approximated model.
+/// Under the one-measure mixture of [`ChainMeasure::uniform`] this is the
+/// paper's ranking weighted by reach: the root-level mean-square error of
+/// replacing node `n` with a constant is exactly `p(n) · mse_local(n)`,
+/// and without the `p(n)` factor shallow wide-reach nodes get collapsed
+/// first and the model degenerates toward a constant (DESIGN.md §5).
 ///
 /// # Panics
 ///
-/// Panics if `mixture` is empty or its weights are not positive.
+/// Panics if `max_nodes == 0` (a single terminal already has size 1), if
+/// `mixture` is empty or if its weights are not positive.
 pub fn approximate_to_mixture(
     m: &mut Manager,
     f: Add,
@@ -120,28 +86,6 @@ pub fn approximate_to_mixture(
         mixture.iter().all(|&(_, w)| w > 0.0),
         "mixture weights must be positive"
     );
-    approximate_impl(m, f, max_nodes, strategy, Some(mixture))
-}
-
-/// [`approximate_to`] with the paper's original *unweighted* node ranking
-/// (plain variance / MSE, no reach-probability weighting). Kept for the
-/// ablation study of DESIGN.md §5; measurably worse on every benchmark.
-pub fn approximate_to_unweighted(
-    m: &mut Manager,
-    f: Add,
-    max_nodes: usize,
-    strategy: ApproxStrategy,
-) -> (Add, ApproxOutcome) {
-    approximate_impl(m, f, max_nodes, strategy, None)
-}
-
-fn approximate_impl(
-    m: &mut Manager,
-    f: Add,
-    max_nodes: usize,
-    strategy: ApproxStrategy,
-    mixture: Option<&[(ChainMeasure, f64)]>,
-) -> (Add, ApproxOutcome) {
     assert!(max_nodes >= 1, "max_nodes must be at least 1");
     let mut outcome = ApproxOutcome {
         nodes_collapsed: 0,
@@ -151,7 +95,7 @@ fn approximate_impl(
     if snap.size() <= max_nodes || snap.is_empty() {
         return (f, outcome);
     }
-    let (scores, leaves) = collapse_plans(m, f, &snap, strategy, mixture);
+    let (scores, leaves) = collapse_plans(&snap, strategy, mixture);
     // Equal scores keep post-order, so the ranking is canonical too.
     let mut order: Vec<u32> = (0..snap.len() as u32).collect();
     order.sort_by(|&a, &b| {
@@ -199,25 +143,14 @@ fn approximate_impl(
 }
 
 /// Ranking score and replacement leaf of every internal node of `snap`
-/// (the snapshot of `f`, dense order), under the given measure mixture, or from the paper's
-/// plain unweighted statistics when `mixture` is `None`.
+/// (the snapshot being collapsed, dense order) under the given measure
+/// mixture.
 fn collapse_plans(
-    m: &Manager,
-    f: Add,
     snap: &Snapshot,
     strategy: ApproxStrategy,
-    mixture: Option<&[(ChainMeasure, f64)]>,
+    mixture: &[(ChainMeasure, f64)],
 ) -> (Vec<f64>, Vec<f64>) {
     let n = snap.len();
-    let Some(mixture) = mixture else {
-        let stats = m.add_stats(f);
-        return (0..n)
-            .map(|i| {
-                let s = stats.get(snap.node_id(i)).expect("reachable");
-                (strategy.local_score(&s), strategy.leaf(&s))
-            })
-            .unzip();
-    };
     let measures: Vec<&ChainMeasure> = mixture.iter().map(|(measure, _)| measure).collect();
     let profile = snap.profile(&measures);
     (0..n)
@@ -252,6 +185,27 @@ mod tests {
     use super::*;
     use charfree_dd::Var;
 
+    /// [`approximate_to_mixture`] under the uniform measure alone.
+    fn approximate_uniform(
+        m: &mut Manager,
+        f: Add,
+        max_nodes: usize,
+        strategy: ApproxStrategy,
+    ) -> (Add, ApproxOutcome) {
+        let mixture = [(ChainMeasure::uniform(m.num_vars()), 1.0)];
+        approximate_to_mixture(m, f, max_nodes, strategy, &mixture)
+    }
+
+    /// The average of `f` over all assignments.
+    fn avg(m: &Manager, f: Add) -> f64 {
+        m.snapshot(f).means(&[&ChainMeasure::uniform(m.num_vars())])[0]
+    }
+
+    /// The largest value of `f`.
+    fn max(m: &Manager, f: Add) -> f64 {
+        *m.snapshot(f).terminal_values().last().expect("a terminal")
+    }
+
     /// A staircase ADD: value = Σ 2^v over set bits — all 2^n values
     /// distinct, maximally incompressible.
     fn staircase(m: &mut Manager, n: u32) -> Add {
@@ -265,11 +219,33 @@ mod tests {
     }
 
     #[test]
+    fn paper_examples_4_and_5_scores() {
+        // Node n of Fig. 4a: cofactors 10 and (x1 ? 10 : 0). Example 4:
+        // avg 7.5, var 18.75; Example 5: max 10, mse = 18.75 + 2.5² = 25.
+        // At the root (reach 1) under the uniform measure these are the
+        // ranking scores and leaves.
+        let mut m = Manager::new(2);
+        let x0 = m.bdd_var(Var(0));
+        let x1 = m.bdd_var(Var(1));
+        let c0 = m.constant(0.0);
+        let c10 = m.constant(10.0);
+        let lo = m.add_ite(x1, c10, c0);
+        let n = m.add_ite(x0, c10, lo);
+        let snap = m.snapshot(n);
+        let root = snap.len() - 1;
+        let uniform = [(ChainMeasure::uniform(2), 1.0)];
+        let (scores, leaves) = collapse_plans(&snap, ApproxStrategy::Average, &uniform);
+        assert_eq!((scores[root], leaves[root]), (18.75, 7.5));
+        let (scores, leaves) = collapse_plans(&snap, ApproxStrategy::UpperBound, &uniform);
+        assert_eq!((scores[root], leaves[root]), (25.0, 10.0));
+    }
+
+    #[test]
     fn already_small_is_untouched() {
         let mut m = Manager::new(4);
         let f = staircase(&mut m, 2);
         let size = m.size(f.node());
-        let (g, out) = approximate_to(&mut m, f, size, ApproxStrategy::Average);
+        let (g, out) = approximate_uniform(&mut m, f, size, ApproxStrategy::Average);
         assert_eq!(f, g);
         assert_eq!(out.nodes_collapsed, 0);
     }
@@ -280,7 +256,7 @@ mod tests {
         let f = staircase(&mut m, 8);
         assert!(m.size(f.node()) > 20);
         for target in [20, 10, 5, 2] {
-            let (g, _) = approximate_to(&mut m, f, target, ApproxStrategy::Average);
+            let (g, _) = approximate_uniform(&mut m, f, target, ApproxStrategy::Average);
             assert!(
                 m.size(g.node()) <= target,
                 "target {target}, got {}",
@@ -293,31 +269,31 @@ mod tests {
     fn degenerates_to_constant_average() {
         let mut m = Manager::new(6);
         let f = staircase(&mut m, 6);
-        let avg = m.add_avg(f);
-        let (g, _) = approximate_to(&mut m, f, 1, ApproxStrategy::Average);
+        let want = avg(&m, f);
+        let (g, _) = approximate_uniform(&mut m, f, 1, ApproxStrategy::Average);
         assert!(g.node().is_terminal());
-        assert!((m.terminal_value(g.node()) - avg).abs() < 1e-9);
+        assert!((m.terminal_value(g.node()) - want).abs() < 1e-9);
     }
 
     #[test]
     fn degenerates_to_constant_max() {
         let mut m = Manager::new(6);
         let f = staircase(&mut m, 6);
-        let max = m.add_max_value(f);
-        let (g, _) = approximate_to(&mut m, f, 1, ApproxStrategy::UpperBound);
+        let want = max(&m, f);
+        let (g, _) = approximate_uniform(&mut m, f, 1, ApproxStrategy::UpperBound);
         assert!(g.node().is_terminal());
-        assert_eq!(m.terminal_value(g.node()), max);
+        assert_eq!(m.terminal_value(g.node()), want);
     }
 
     #[test]
     fn average_strategy_preserves_global_average() {
         let mut m = Manager::new(8);
         let f = staircase(&mut m, 8);
-        let avg = m.add_avg(f);
+        let want = avg(&m, f);
         for target in [40, 20, 10, 4] {
-            let (g, _) = approximate_to(&mut m, f, target, ApproxStrategy::Average);
+            let (g, _) = approximate_uniform(&mut m, f, target, ApproxStrategy::Average);
             assert!(
-                (m.add_avg(g) - avg).abs() < 1e-9,
+                (avg(&m, g) - want).abs() < 1e-9,
                 "target {target}: avg drifted"
             );
         }
@@ -327,7 +303,7 @@ mod tests {
     fn upper_bound_strategy_is_sound_everywhere() {
         let mut m = Manager::new(6);
         let f = staircase(&mut m, 6);
-        let (g, _) = approximate_to(&mut m, f, 8, ApproxStrategy::UpperBound);
+        let (g, _) = approximate_uniform(&mut m, f, 8, ApproxStrategy::UpperBound);
         for bits in 0..64u32 {
             let asg: Vec<bool> = (0..6).map(|i| bits >> i & 1 == 1).collect();
             assert!(
@@ -336,7 +312,7 @@ mod tests {
             );
         }
         // And the global max is preserved exactly.
-        assert_eq!(m.add_max_value(g), m.add_max_value(f));
+        assert_eq!(max(&m, g), max(&m, f));
     }
 
     #[test]
@@ -346,8 +322,8 @@ mod tests {
         let f = staircase(&mut m, 8);
         let mut last_slack = f64::INFINITY;
         for target in [2, 8, 32, 128, 1024] {
-            let (g, _) = approximate_to(&mut m, f, target, ApproxStrategy::UpperBound);
-            let slack = m.add_avg(g) - m.add_avg(f);
+            let (g, _) = approximate_uniform(&mut m, f, target, ApproxStrategy::UpperBound);
+            let slack = avg(&m, g) - avg(&m, f);
             assert!(
                 slack <= last_slack + 1e-9,
                 "slack must shrink with budget: {slack} vs {last_slack}"
@@ -362,6 +338,6 @@ mod tests {
     fn zero_budget_rejected() {
         let mut m = Manager::new(2);
         let f = staircase(&mut m, 2);
-        let _ = approximate_to(&mut m, f, 0, ApproxStrategy::Average);
+        let _ = approximate_uniform(&mut m, f, 0, ApproxStrategy::Average);
     }
 }

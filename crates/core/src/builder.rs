@@ -22,7 +22,7 @@
 use crate::approx::{approximate_to_mixture, ApproxStrategy};
 use crate::calibrate::{recalibrate_leaves, ExactMeans};
 use crate::degrade::{BuildError, DegradationReport, DegradationRung};
-use crate::model::{AddPowerModel, BuildReport, VariableOrdering};
+use crate::model::{xf_var, xi_var, AddPowerModel, BuildReport};
 use charfree_dd::reorder::reorder_paired_windows;
 use charfree_dd::{
     Add, ApplyStats, Bdd, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, UniqueTable,
@@ -31,26 +31,6 @@ use charfree_dd::{
 use charfree_netlist::{CellKind, Netlist};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How macro inputs are arranged along the diagram's variable order.
-///
-/// Decision-diagram size is exquisitely order-sensitive: a comparator whose
-/// `a` and `b` operand bits sit far apart blows up exponentially, while the
-/// interleaved order stays linear. The default heuristic is the classic
-/// fanin-DFS order (depth-first traversal from the primary outputs through
-/// the gate fanins, recording primary inputs in first-visit order), which
-/// clusters structurally related inputs.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum InputOrder {
-    /// Fanin-DFS heuristic from the outputs (default).
-    #[default]
-    FaninDfs,
-    /// Keep the netlist's declaration order (ablation baseline).
-    Natural,
-    /// Explicit permutation: `custom[slot]` = input index placed at that
-    /// slot.
-    Custom(Vec<usize>),
-}
 
 /// Builder for [`AddPowerModel`]s.
 ///
@@ -75,8 +55,6 @@ pub struct ModelBuilder<'a> {
     netlist: &'a Netlist,
     max_nodes: Option<usize>,
     strategy: ApproxStrategy,
-    ordering: VariableOrdering,
-    input_order: InputOrder,
     collapse_toggles: Vec<f64>,
     recalibrate: bool,
     diagonal_gating: bool,
@@ -96,15 +74,12 @@ const DEFAULT_COLLAPSE_TOGGLES: [f64; 5] = [0.05, 0.15, 0.3, 0.5, 0.8];
 
 impl<'a> ModelBuilder<'a> {
     /// Starts a builder with defaults: no size bound (exact model),
-    /// [`ApproxStrategy::Average`], interleaved variables, fanin-DFS input
-    /// order.
+    /// [`ApproxStrategy::Average`].
     pub fn new(netlist: &'a Netlist) -> Self {
         ModelBuilder {
             netlist,
             max_nodes: None,
             strategy: ApproxStrategy::Average,
-            ordering: VariableOrdering::Interleaved,
-            input_order: InputOrder::FaninDfs,
             collapse_toggles: DEFAULT_COLLAPSE_TOGGLES.to_vec(),
             recalibrate: true,
             diagonal_gating: true,
@@ -119,12 +94,6 @@ impl<'a> ModelBuilder<'a> {
         }
     }
 
-    /// Selects how macro inputs map to diagram order slots.
-    pub fn input_order(mut self, order: InputOrder) -> Self {
-        self.input_order = order;
-        self
-    }
-
     /// Sets the per-input flip probabilities spanned by the *collapse
     /// measure mixture*: approximation is steered to minimize the expected
     /// error averaged over transition distributions with these toggle
@@ -133,9 +102,7 @@ impl<'a> ModelBuilder<'a> {
     ///
     /// Passing `[0.5]` alone recovers the paper's uniform measure (under
     /// which the exact global average is preserved by construction, but
-    /// accuracy away from `st = 0.5` degrades). Only meaningful together
-    /// with [`VariableOrdering::Interleaved`]; the grouped ordering always
-    /// uses the uniform measure.
+    /// accuracy away from `st = 0.5` degrades).
     ///
     /// # Panics
     ///
@@ -188,12 +155,6 @@ impl<'a> ModelBuilder<'a> {
     /// upper bound).
     pub fn strategy(mut self, strategy: ApproxStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Selects the transition-variable ordering.
-    pub fn ordering(mut self, ordering: VariableOrdering) -> Self {
-        self.ordering = ordering;
         self
     }
 
@@ -387,8 +348,8 @@ impl<'a> ModelBuilder<'a> {
         let mut sig_f: Vec<Option<Bdd>> = vec![None; self.netlist.num_signals()];
         for (i, &sig) in self.netlist.inputs().iter().enumerate() {
             let slot = input_slots[i];
-            sig_i[sig.index()] = Some(m.bdd_var(self.ordering.xi_var(slot, n)));
-            sig_f[sig.index()] = Some(m.bdd_var(self.ordering.xf_var(slot, n)));
+            sig_i[sig.index()] = Some(m.bdd_var(xi_var(slot)));
+            sig_f[sig.index()] = Some(m.bdd_var(xf_var(slot)));
         }
 
         // Remaining-use counts so dead node functions can be collected.
@@ -417,19 +378,16 @@ impl<'a> ModelBuilder<'a> {
         // conservativeness.
         let quantum = (self.netlist.total_load().femtofarads() / 16384.0).max(1e-9);
         let weight = 1.0 / self.collapse_toggles.len() as f64;
-        let mixture: Vec<(ChainMeasure, f64)> = match self.ordering {
-            VariableOrdering::Interleaved => self
-                .collapse_toggles
-                .iter()
-                .map(|&t| {
-                    (
-                        ChainMeasure::interleaved_transitions(n as u32, 0.5, t),
-                        weight,
-                    )
-                })
-                .collect(),
-            VariableOrdering::Grouped => vec![(ChainMeasure::uniform(2 * n as u32), 1.0)],
-        };
+        let mixture: Vec<(ChainMeasure, f64)> = self
+            .collapse_toggles
+            .iter()
+            .map(|&t| {
+                (
+                    ChainMeasure::interleaved_transitions(n as u32, 0.5, t),
+                    weight,
+                )
+            })
+            .collect();
         let measures: Vec<&ChainMeasure> = mixture.iter().map(|(measure, _)| measure).collect();
         let mut rounds = 0usize;
         let mut collapsed = 0usize;
@@ -593,9 +551,7 @@ impl<'a> ModelBuilder<'a> {
             // Time and step exhaustion are terminal: a retry would trip
             // again immediately, so jump to the last rung.
             let terminal = matches!(resource, Resource::WallClock | Resource::ApplySteps);
-            let reorder_possible =
-                self.ordering == VariableOrdering::Interleaved && reorderings < 2;
-            let rung = DegradationRung::select(terminal, retries[gate_no], reorder_possible);
+            let rung = DegradationRung::select(terminal, retries[gate_no], reorderings < 2);
             deg.rungs.push(rung);
             match rung {
                 DegradationRung::ShedPartialSums => {
@@ -672,72 +628,57 @@ impl<'a> ModelBuilder<'a> {
         })
     }
 
-    /// Maps every input index to its order slot per the configured
-    /// [`InputOrder`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a custom order is not a permutation of the inputs.
+    /// Maps every input index to its order slot: the classic fanin-DFS
+    /// order (depth-first from the primary outputs through the gate
+    /// fanins, recording primary inputs in first-visit order). Diagram
+    /// size is exquisitely order-sensitive: a comparator whose `a` and `b`
+    /// operand bits sit far apart blows up exponentially, and this order
+    /// clusters structurally related inputs.
     fn resolve_input_slots(&self) -> Vec<usize> {
         let n = self.netlist.num_inputs();
-        match &self.input_order {
-            InputOrder::Natural => (0..n).collect(),
-            InputOrder::Custom(order) => {
-                assert_eq!(order.len(), n, "custom order must cover every input");
-                let mut slots = vec![usize::MAX; n];
-                for (slot, &input) in order.iter().enumerate() {
-                    assert!(input < n, "input index out of range");
-                    assert_eq!(slots[input], usize::MAX, "duplicate input in custom order");
-                    slots[input] = slot;
+        // Input index per signal (primary inputs only).
+        let mut input_of_signal = vec![usize::MAX; self.netlist.num_signals()];
+        for (i, &sig) in self.netlist.inputs().iter().enumerate() {
+            input_of_signal[sig.index()] = i;
+        }
+        let mut slots = vec![usize::MAX; n];
+        let mut next_slot = 0usize;
+        let mut visited = vec![false; self.netlist.num_signals()];
+        // Iterative DFS from each output through gate fanins.
+        let mut stack = Vec::new();
+        for &out in self.netlist.outputs() {
+            stack.push(out);
+            while let Some(sig) = stack.pop() {
+                if visited[sig.index()] {
+                    continue;
                 }
-                slots
-            }
-            InputOrder::FaninDfs => {
-                // Input index per signal (primary inputs only).
-                let mut input_of_signal = vec![usize::MAX; self.netlist.num_signals()];
-                for (i, &sig) in self.netlist.inputs().iter().enumerate() {
-                    input_of_signal[sig.index()] = i;
-                }
-                let mut slots = vec![usize::MAX; n];
-                let mut next_slot = 0usize;
-                let mut visited = vec![false; self.netlist.num_signals()];
-                // Iterative DFS from each output through gate fanins.
-                let mut stack = Vec::new();
-                for &out in self.netlist.outputs() {
-                    stack.push(out);
-                    while let Some(sig) = stack.pop() {
-                        if visited[sig.index()] {
-                            continue;
+                visited[sig.index()] = true;
+                match self.netlist.driver(sig) {
+                    Some(gid) => {
+                        // Push fanins in reverse so pin 0 is visited first
+                        // (deterministic).
+                        for &fanin in self.netlist.gate(gid).inputs().iter().rev() {
+                            stack.push(fanin);
                         }
-                        visited[sig.index()] = true;
-                        match self.netlist.driver(sig) {
-                            Some(gid) => {
-                                // Push fanins in reverse so pin 0 is visited
-                                // first (deterministic).
-                                for &fanin in self.netlist.gate(gid).inputs().iter().rev() {
-                                    stack.push(fanin);
-                                }
-                            }
-                            None => {
-                                let i = input_of_signal[sig.index()];
-                                if i != usize::MAX && slots[i] == usize::MAX {
-                                    slots[i] = next_slot;
-                                    next_slot += 1;
-                                }
-                            }
+                    }
+                    None => {
+                        let i = input_of_signal[sig.index()];
+                        if i != usize::MAX && slots[i] == usize::MAX {
+                            slots[i] = next_slot;
+                            next_slot += 1;
                         }
                     }
                 }
-                // Inputs unreachable from any output still need a slot.
-                for s in &mut slots {
-                    if *s == usize::MAX {
-                        *s = next_slot;
-                        next_slot += 1;
-                    }
-                }
-                slots
             }
         }
+        // Inputs unreachable from any output still need a slot.
+        for s in &mut slots {
+            if *s == usize::MAX {
+                *s = next_slot;
+                next_slot += 1;
+            }
+        }
+        slots
     }
 }
 
@@ -838,16 +779,13 @@ impl<'a> PartialBuild<'a> {
         // chain) zeroes the diagonal exactly; values off the diagonal are
         // untouched, so average- and upper-bound properties are preserved.
         // Gating costs at least a 2n-node chain; below that budget the
-        // model cannot afford it (and degenerates gracefully). Under the
-        // grouped ordering the "any toggle" indicator must remember the
-        // whole xⁱ block (up to 2ⁿ nodes) and its product with the model
-        // explodes, so gating is interleaved-only. Constant-fallback models
-        // skip gating: their constant tail dominates the diagonal anyway
-        // and the product is one more place to blow up.
-        let gate_feasible = builder.ordering == VariableOrdering::Interleaved
-            && cap.is_none_or(|max| max >= 4 * n + 8);
+        // model cannot afford it (and degenerates gracefully).
+        // Constant-fallback models skip gating: their constant tail
+        // dominates the diagonal anyway and the product is one more place
+        // to blow up.
+        let gate_feasible = cap.is_none_or(|max| max >= 4 * n + 8);
         if collapsed > 0 && gate_feasible && builder.diagonal_gating && !fallback_fired {
-            let toggles = any_toggle_bdd(&mut m, n, builder.ordering, &input_slots);
+            let toggles = any_toggle_bdd(&mut m, &input_slots);
             let mut target = cap.unwrap_or(usize::MAX);
             loop {
                 let gated = m.add_times(c, toggles.as_add());
@@ -900,7 +838,6 @@ impl<'a> PartialBuild<'a> {
             manager: m,
             root,
             num_inputs: n,
-            ordering: builder.ordering,
             input_slots,
             collapse_mixture: mixture,
             // A fallback model's means are incomplete; recalibrating a
@@ -1007,9 +944,9 @@ fn shed_pending(
 
 /// Degradation rung 2: search a better variable order on the largest live
 /// diagram and permute every live root (and the input-slot map)
-/// consistently. Interleaved ordering only — the search moves whole
-/// `(xᵢⁱ, xᵢᶠ)` pairs, so the measure mixture (a function of pair
-/// position, not identity) stays valid as-is.
+/// consistently. The search moves whole `(xᵢⁱ, xᵢᶠ)` pairs, so the
+/// measure mixture (a function of pair position, not identity) stays
+/// valid as-is.
 ///
 /// Returns `false` if the search found no improvement (the ladder then
 /// escalates on the next trip).
@@ -1164,16 +1101,11 @@ fn quantize(m: &mut Manager, f: Add, quantum: f64, strategy: ApproxStrategy) -> 
 }
 
 /// The BDD of "at least one input toggles": `OR_k (xₖⁱ ⊕ xₖᶠ)`.
-fn any_toggle_bdd(
-    m: &mut Manager,
-    n: usize,
-    ordering: VariableOrdering,
-    input_slots: &[usize],
-) -> Bdd {
+fn any_toggle_bdd(m: &mut Manager, input_slots: &[usize]) -> Bdd {
     let mut any = m.bdd_false();
-    for &slot in input_slots.iter().take(n) {
-        let a = m.bdd_var(ordering.xi_var(slot, n));
-        let b = m.bdd_var(ordering.xf_var(slot, n));
+    for &slot in input_slots {
+        let a = m.bdd_var(xi_var(slot));
+        let b = m.bdd_var(xf_var(slot));
         let t = m.bdd_xor(a, b);
         any = m.bdd_or(any, t);
     }
@@ -1302,24 +1234,6 @@ mod tests {
                     netlist.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn both_orderings_agree() {
-        let lib = Library::test_library();
-        let netlist = charfree_netlist::benchmarks::by_name("decod", &lib).expect("Table 1 name");
-        let a = ModelBuilder::new(&netlist)
-            .ordering(VariableOrdering::Interleaved)
-            .build();
-        let b = ModelBuilder::new(&netlist)
-            .ordering(VariableOrdering::Grouped)
-            .build();
-        for (xi, xf) in ExhaustivePairs::new(5).take(256) {
-            assert_eq!(
-                a.capacitance(&xi, &xf).femtofarads(),
-                b.capacitance(&xi, &xf).femtofarads()
-            );
         }
     }
 

@@ -298,8 +298,8 @@ mod tests {
 
     #[test]
     fn ladder_skips_reorder_when_none_is_available() {
-        // Grouped orderings (or an exhausted reorder allowance) cannot
-        // reorder, so the second trip on a gate falls back to constants.
+        // An exhausted reorder allowance cannot reorder, so the second
+        // trip on a gate falls back to constants.
         assert_eq!(
             DegradationRung::select(false, 2, false),
             DegradationRung::ConstantFallback

@@ -81,16 +81,13 @@ mod peak;
 mod persist;
 mod rtl;
 
-pub use approx::{
-    approximate_to, approximate_to_mixture, approximate_to_unweighted, ApproxOutcome,
-    ApproxStrategy,
-};
+pub use approx::{approximate_to_mixture, ApproxOutcome, ApproxStrategy};
 pub use baselines::{ConstantModel, LinearModel, TrainingSet};
-pub use builder::{InputOrder, ModelBuilder, PartialBuild};
+pub use builder::{ModelBuilder, PartialBuild};
 pub use charfree_dd::Resource;
 pub use degrade::{BuildError, DegradationReport, DegradationRung};
 pub use eval::{evaluate, fig7a_grid, Evaluation, Protocol, RunPoint};
 pub use linalg::least_squares;
-pub use model::{AddPowerModel, BuildReport, PowerModel, VariableOrdering};
+pub use model::{xf_var, xi_var, AddPowerModel, BuildReport, PowerModel};
 pub use peak::{PeakLevel, Transition};
 pub use rtl::{RtlDesign, RtlError, RtlInstance};

@@ -46,52 +46,21 @@ pub trait PowerModel {
     fn name(&self) -> &str;
 }
 
-/// How the `2n` transition variables are ordered in the decision diagram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VariableOrdering {
-    /// `x₀ⁱ, x₀ᶠ, x₁ⁱ, x₁ᶠ, …` — pairs the two time points of each input;
-    /// usually much smaller diagrams (default).
-    #[default]
-    Interleaved,
-    /// `x₀ⁱ, …, x_{n−1}ⁱ, x₀ᶠ, …, x_{n−1}ᶠ` — the layout of the paper's
-    /// Fig. 3.
-    Grouped,
+/// The diagram variable carrying the input at order slot `slot` at time
+/// `tⁱ`. The `2n` transition variables interleave the two time points of
+/// each input, `x₀ⁱ, x₀ᶠ, x₁ⁱ, x₁ᶠ, …`, which keeps the diagrams small and
+/// makes the pair correlation of a transition measure chain-expressible
+/// (see [`ChainMeasure::interleaved_transitions`](charfree_dd::ChainMeasure::interleaved_transitions)).
+#[inline]
+pub fn xi_var(slot: usize) -> Var {
+    Var((2 * slot) as u32)
 }
 
-impl VariableOrdering {
-    /// The diagram variable carrying input `i` at time `tⁱ`.
-    #[inline]
-    pub fn xi_var(self, i: usize, n: usize) -> Var {
-        match self {
-            VariableOrdering::Interleaved => Var((2 * i) as u32),
-            VariableOrdering::Grouped => {
-                let _ = n;
-                Var(i as u32)
-            }
-        }
-    }
-
-    /// The diagram variable carrying input `i` at time `tᶠ`.
-    #[inline]
-    pub fn xf_var(self, i: usize, n: usize) -> Var {
-        match self {
-            VariableOrdering::Interleaved => Var((2 * i + 1) as u32),
-            VariableOrdering::Grouped => Var((n + i) as u32),
-        }
-    }
-
-    /// Writes the `2n`-variable assignment for `(xi, xf)` into `buf`
-    /// (identity slot mapping).
-    #[cfg(test)]
-    pub(crate) fn fill_assignment(self, xi: &[bool], xf: &[bool], buf: &mut Vec<bool>) {
-        let n = xi.len();
-        buf.clear();
-        buf.resize(2 * n, false);
-        for i in 0..n {
-            buf[self.xi_var(i, n).index() as usize] = xi[i];
-            buf[self.xf_var(i, n).index() as usize] = xf[i];
-        }
-    }
+/// The diagram variable carrying the input at order slot `slot` at time
+/// `tᶠ` (see [`xi_var`]).
+#[inline]
+pub fn xf_var(slot: usize) -> Var {
+    Var((2 * slot + 1) as u32)
 }
 
 /// Diagnostics from one model construction.
@@ -146,10 +115,9 @@ pub struct AddPowerModel {
     pub(crate) manager: Manager,
     pub(crate) root: Add,
     pub(crate) num_inputs: usize,
-    pub(crate) ordering: VariableOrdering,
     /// `input_slots[i]` = the order slot of macro input `i`; slots permute
     /// inputs so that structurally related inputs sit close in the diagram
-    /// order (fanin-DFS heuristic, see `ModelBuilder::input_order`).
+    /// order (the builder's fanin-DFS heuristic).
     pub(crate) input_slots: Vec<usize>,
     /// The measure mixture under which collapses are steered (see
     /// `ModelBuilder::collapse_toggles`).
@@ -172,16 +140,11 @@ impl AddPowerModel {
         self.num_inputs
     }
 
-    /// The variable ordering the model was built with.
-    pub fn ordering(&self) -> VariableOrdering {
-        self.ordering
-    }
-
     /// The input-to-slot permutation: `input_slots()[i]` is the order slot
-    /// of macro input `i` (see `ModelBuilder::input_order`). Together with
-    /// [`AddPowerModel::ordering`] and [`AddPowerModel::diagram`] this is
-    /// everything an external evaluator (e.g. a `charfree-engine` compiled
-    /// kernel) needs to map `(xⁱ, xᶠ)` pairs onto diagram variables.
+    /// of macro input `i`. Together with [`xi_var`], [`xf_var`] and
+    /// [`AddPowerModel::diagram`] this is everything an external evaluator
+    /// (e.g. a `charfree-engine` compiled kernel) needs to map `(xⁱ, xᶠ)`
+    /// pairs onto diagram variables.
     pub fn input_slots(&self) -> &[usize] {
         &self.input_slots
     }
@@ -209,14 +172,25 @@ impl AddPowerModel {
     /// computed symbolically (Eq. 6). For an average-collapsed model this is
     /// exactly the golden model's average (Section 3.1 invariant).
     pub fn average_capacitance(&self) -> Capacitance {
-        Capacitance(self.manager.add_avg(self.root))
+        let uniform = charfree_dd::ChainMeasure::uniform(2 * self.num_inputs as u32);
+        Capacitance(self.manager.snapshot(self.root).means(&[&uniform])[0])
     }
 
     /// The maximum predicted switched capacitance over all transitions,
     /// computed symbolically. For an upper-bound model this equals the
     /// golden model's true worst case (max-collapse preserves the maximum).
     pub fn max_capacitance(&self) -> Capacitance {
-        Capacitance(self.manager.add_max_value(self.root))
+        Capacitance(self.max_value())
+    }
+
+    /// The largest terminal value of the diagram (every terminal is
+    /// reached by some transition).
+    fn max_value(&self) -> f64 {
+        let snap = self.manager.snapshot(self.root);
+        *snap
+            .terminal_values()
+            .last()
+            .expect("a diagram has at least one terminal")
     }
 
     /// The model's expected switched capacitance under input statistics
@@ -227,12 +201,11 @@ impl AddPowerModel {
     /// For an exact model this is the macro's true analytic average power
     /// at that operating point — the quantity a simulation campaign with
     /// 10 000 vectors estimates with sampling noise, obtained here in
-    /// microseconds. Only supported for interleaved models.
+    /// microseconds.
     ///
     /// # Panics
     ///
-    /// Panics if `sp`/`st` are outside `[0, 1]` or the model uses the
-    /// grouped ordering (whose pair correlation is not chain-expressible).
+    /// Panics if `sp`/`st` are outside `[0, 1]`.
     ///
     /// # Examples
     ///
@@ -246,10 +219,6 @@ impl AddPowerModel {
     /// assert!(busy > idle);
     /// ```
     pub fn expected_capacitance(&self, sp: f64, st: f64) -> Capacitance {
-        assert!(
-            self.ordering == VariableOrdering::Interleaved,
-            "analytic expectations need the interleaved ordering"
-        );
         let measure =
             charfree_dd::ChainMeasure::interleaved_transitions(self.num_inputs as u32, sp, st);
         Capacitance(self.manager.snapshot(self.root).means(&[&measure])[0])
@@ -257,7 +226,7 @@ impl AddPowerModel {
 
     /// One transition achieving the model's maximum, as `(xi, xf)`.
     pub fn worst_case_transition(&self) -> (Vec<bool>, Vec<bool>) {
-        let max = self.manager.add_max_value(self.root);
+        let max = self.max_value();
         // Level set of the max value, then one satisfying assignment.
         // `add_threshold` interns new terminals and needs `&mut`; cloning
         // the (plain-arena) manager keeps this query non-mutating.
@@ -269,8 +238,8 @@ impl AddPowerModel {
         let mut xf = vec![false; n];
         for i in 0..n {
             let slot = self.input_slots[i];
-            xi[i] = assignment[self.ordering.xi_var(slot, n).index() as usize];
-            xf[i] = assignment[self.ordering.xf_var(slot, n).index() as usize];
+            xi[i] = assignment[xi_var(slot).index() as usize];
+            xf[i] = assignment[xf_var(slot).index() as usize];
         }
         (xi, xf)
     }
@@ -315,8 +284,8 @@ impl AddPowerModel {
             let mut toggles = self.manager.bdd_false();
             for i in 0..n {
                 let slot = self.input_slots[i];
-                let a = self.manager.bdd_var(self.ordering.xi_var(slot, n));
-                let b = self.manager.bdd_var(self.ordering.xf_var(slot, n));
+                let a = self.manager.bdd_var(xi_var(slot));
+                let b = self.manager.bdd_var(xf_var(slot));
                 let t = self.manager.bdd_xor(a, b);
                 toggles = self.manager.bdd_or(toggles, t);
             }
@@ -368,8 +337,8 @@ impl PowerModel for AddPowerModel {
         let mut buf = vec![false; 2 * n];
         for i in 0..n {
             let slot = self.input_slots[i];
-            buf[self.ordering.xi_var(slot, n).index() as usize] = xi[i];
-            buf[self.ordering.xf_var(slot, n).index() as usize] = xf[i];
+            buf[xi_var(slot).index() as usize] = xi[i];
+            buf[xf_var(slot).index() as usize] = xf[i];
         }
         Capacitance(self.manager.add_eval(self.root, &buf))
     }
@@ -384,30 +353,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ordering_maps_are_disjoint_and_complete() {
-        for ordering in [VariableOrdering::Interleaved, VariableOrdering::Grouped] {
-            let n = 5;
-            let mut seen = std::collections::HashSet::new();
-            for i in 0..n {
-                assert!(seen.insert(ordering.xi_var(i, n)));
-                assert!(seen.insert(ordering.xf_var(i, n)));
-            }
-            assert_eq!(seen.len(), 2 * n);
-            assert!(seen.iter().all(|v| (v.index() as usize) < 2 * n));
+    fn slot_variables_are_disjoint_and_complete() {
+        let n = 5;
+        let mut seen = std::collections::HashSet::new();
+        for slot in 0..n {
+            assert!(seen.insert(xi_var(slot)));
+            assert!(seen.insert(xf_var(slot)));
         }
-    }
-
-    #[test]
-    fn fill_assignment_round_trips() {
-        let ordering = VariableOrdering::Interleaved;
-        let xi = [true, false, true];
-        let xf = [false, false, true];
-        let mut buf = Vec::new();
-        ordering.fill_assignment(&xi, &xf, &mut buf);
-        for i in 0..3 {
-            assert_eq!(buf[ordering.xi_var(i, 3).index() as usize], xi[i]);
-            assert_eq!(buf[ordering.xf_var(i, 3).index() as usize], xf[i]);
-        }
+        assert_eq!(seen.len(), 2 * n);
+        assert!(seen.iter().all(|v| (v.index() as usize) < 2 * n));
     }
 
     #[test]

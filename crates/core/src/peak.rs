@@ -8,7 +8,7 @@
 //! hunted by simulation (which the paper notes is hopeless — the search
 //! space is all `4ⁿ` pattern pairs).
 
-use crate::model::AddPowerModel;
+use crate::model::{xf_var, xi_var, AddPowerModel};
 use charfree_dd::Bdd;
 use charfree_netlist::units::Capacitance;
 
@@ -105,8 +105,8 @@ impl AddPowerModel {
         let mut xf = vec![false; n];
         for i in 0..n {
             let slot = self.input_slots[i];
-            xi[i] = assignment[self.ordering.xi_var(slot, n).index() as usize];
-            xf[i] = assignment[self.ordering.xf_var(slot, n).index() as usize];
+            xi[i] = assignment[xi_var(slot).index() as usize];
+            xf[i] = assignment[xf_var(slot).index() as usize];
         }
         (xi, xf)
     }

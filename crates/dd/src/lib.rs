@@ -13,10 +13,10 @@
 //! * arithmetic operators on [`Add`]s (pointwise [`BinOp`]s, `+`, `×`,
 //!   scaling by constants, Boolean selection) — the `bdd_and`/`bdd_not`/
 //!   `add_times`/`add_sum` vocabulary of the paper's Fig. 6 pseudo-code;
-//! * per-node statistics (average, variance, min, max and the
-//!   max-replacement MSE of Eqs. 5–8) in one linear traversal
-//!   ([`Manager::add_stats`]), and the same under input measures on a
-//!   dense, canonically ordered [`Snapshot`] of the diagram;
+//! * per-node statistics (average, variance, min and max of Eqs. 5–7,
+//!   and reach probability) under input measures, in one bottom-up and
+//!   one top-down pass over a dense, canonically ordered [`Snapshot`] of
+//!   the diagram ([`Snapshot::profile`]);
 //! * linear-time node collapsing ([`Manager::collapse`]) — the mechanism
 //!   behind the paper's accuracy/complexity trade-off;
 //! * variable permutation and windowed reordering ([`reorder`]), and
@@ -74,4 +74,4 @@ pub use manager::{Add, Bdd, BinOp, Manager};
 pub use node::{NodeId, Var};
 pub use shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable, TableCounters, UniqueTable};
 pub use snapshot::{CollapseSizer, DenseProfile, Snapshot};
-pub use stats::{AddStats, ChainMeasure, MeasuredNode, NodeStats, VarMeasure};
+pub use stats::{ChainMeasure, MeasuredNode, NodeStats, VarMeasure};

@@ -325,12 +325,34 @@ impl Snapshot {
     /// under the measure passes through it; min and max are
     /// measure-independent. A node the measure never reaches falls back to
     /// its unconditioned statistics, with reach 0. With
-    /// [`ChainMeasure::uniform`] this agrees with [`Manager::add_stats`] +
-    /// [`Manager::reach_probabilities`].
+    /// [`ChainMeasure::uniform`] these are the paper's plain statistics
+    /// (Eqs. 5–7) and reach probabilities.
     ///
     /// # Panics
     ///
     /// Panics if a measure does not cover the manager's variables.
+    ///
+    /// # Examples
+    ///
+    /// The paper's Example 4: a node whose cofactors have averages 10 and 5
+    /// (variances 0 and 25) gets `avg = 7.5`, `var = 18.75`.
+    ///
+    /// ```
+    /// use charfree_dd::{ChainMeasure, Manager, Var};
+    ///
+    /// let mut m = Manager::new(2);
+    /// let x0 = m.bdd_var(Var(0));
+    /// let x1 = m.bdd_var(Var(1));
+    /// let c0 = m.constant(0.0);
+    /// let c10 = m.constant(10.0);
+    /// let lo = m.add_ite(x1, c10, c0); // avg 5, var 25
+    /// let f = m.add_ite(x0, c10, lo); // avg 7.5, var 18.75
+    /// let snap = m.snapshot(f);
+    /// let profile = snap.profile(&[&ChainMeasure::uniform(2)]);
+    /// let root = profile.node(snap.len() - 1, 0);
+    /// assert_eq!((root.stats.avg, root.stats.var), (7.5, 18.75));
+    /// assert_eq!((root.stats.max, root.reach), (10.0, 1.0));
+    /// ```
     pub fn profile(&self, measures: &[&ChainMeasure]) -> DenseProfile {
         let tables = self.tables(measures);
         let k = tables.len();
@@ -641,6 +663,21 @@ mod tests {
         let profile = snap.profile(&[&ChainMeasure::uniform(2)]);
         assert_eq!(profile.terminal_reach(0, 0), 1.0);
         assert_eq!(snap.collapse_sizer(&[], &[]).collapsed_size(0), 1);
+    }
+
+    #[test]
+    fn uniform_statistics_ignore_skipped_levels() {
+        // f tests only x1; its statistics must not change because x0 and
+        // x2 exist.
+        let mut m = Manager::new(3);
+        let x1 = m.bdd_var(Var(1));
+        let c2 = m.constant(2.0);
+        let c6 = m.constant(6.0);
+        let f = m.add_ite(x1, c6, c2);
+        let snap = m.snapshot(f);
+        let root = snap.profile(&[&ChainMeasure::uniform(3)]).node(0, 0);
+        assert_eq!((root.stats.avg, root.stats.var), (4.0, 4.0));
+        assert_eq!((root.stats.min, root.stats.max), (2.0, 6.0));
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! Per-node statistics of the discrete functions represented by ADD nodes.
+//! Per-node statistics of the discrete functions represented by ADD nodes,
+//! and the input measures they are taken under.
 //!
 //! These are the quantities the paper computes "in linear time during a
 //! traversal of the ADD" (Section 3): for every node `n`, the average,
-//! variance, and maximum of the sub-function rooted at `n`, plus the
-//! mean-square error `mse(n) = var(n) + (max(n) − avg(n))²` (Eq. 8) incurred
-//! by replacing the sub-function with its maximum.
+//! variance, and maximum of the sub-function rooted at `n`. The traversal
+//! itself is [`Snapshot::profile`](crate::Snapshot::profile), which takes
+//! them under any [`ChainMeasure`] (the paper's plain statistics are the
+//! [`ChainMeasure::uniform`] case).
 //!
 //! The recursions of Eq. 7 are stated for complete diagrams, but they hold
 //! unchanged on *reduced* diagrams: a child that skips levels represents the
 //! same sub-function extended with don't-care variables, and average,
 //! variance, minimum and maximum are all invariant under adding don't-care
 //! variables.
-
-use crate::hash::FxHashMap;
-use crate::manager::{Add, Manager};
-use crate::node::NodeId;
 
 /// Statistics of the discrete function rooted at one ADD node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,15 +25,6 @@ pub struct NodeStats {
     pub min: f64,
     /// Maximum value.
     pub max: f64,
-}
-
-impl NodeStats {
-    /// Mean-square error of approximating the sub-function by its maximum
-    /// (Eq. 8): `var + (max − avg)²`.
-    #[inline]
-    pub fn mse_of_max(&self) -> f64 {
-        self.var + (self.max - self.avg) * (self.max - self.avg)
-    }
 }
 
 /// Per-variable distribution for a [`ChainMeasure`].
@@ -209,298 +198,4 @@ pub struct MeasuredNode {
     /// Probability a random path (under the measure) passes through the
     /// node.
     pub reach: f64,
-}
-
-/// Statistics for every node reachable from one ADD root.
-///
-/// Produced by [`Manager::add_stats`]; query per node with
-/// [`AddStats::get`].
-#[derive(Debug, Clone)]
-pub struct AddStats {
-    map: FxHashMap<NodeId, NodeStats>,
-    root: NodeId,
-}
-
-impl AddStats {
-    /// Statistics of the sub-function rooted at `id`.
-    ///
-    /// Returns `None` if `id` is not reachable from the root this was
-    /// computed for.
-    pub fn get(&self, id: NodeId) -> Option<NodeStats> {
-        self.map.get(&id).copied()
-    }
-
-    /// Statistics of the whole function.
-    pub fn root(&self) -> NodeStats {
-        self.map[&self.root]
-    }
-
-    /// Iterates over `(node, stats)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeStats)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Number of nodes covered (internal + terminal).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if no node is covered (never the case for a valid root).
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl Manager {
-    /// Computes [`NodeStats`] for every node reachable from `f` in a single
-    /// bottom-up traversal (linear in the number of nodes).
-    ///
-    /// # Examples
-    ///
-    /// The paper's Example 4: a node whose cofactors have averages 10 and 5
-    /// (variances 25 and 0) gets `avg = 7.5`, `var = 18.75`.
-    ///
-    /// ```
-    /// use charfree_dd::{Manager, Var};
-    ///
-    /// let mut m = Manager::new(2);
-    /// let x0 = m.bdd_var(Var(0));
-    /// let x1 = m.bdd_var(Var(1));
-    /// let c0 = m.constant(0.0);
-    /// let c10 = m.constant(10.0);
-    /// let lo = m.add_ite(x1, c10, c0);   // avg 5, var 25
-    /// let f = m.add_ite(x0, c10, lo);    // avg 7.5, var 18.75
-    /// let stats = m.add_stats(f).root();
-    /// assert_eq!(stats.avg, 7.5);
-    /// assert_eq!(stats.var, 18.75);
-    /// assert_eq!(stats.max, 10.0);
-    /// assert_eq!(stats.mse_of_max(), 25.0);
-    /// ```
-    pub fn add_stats(&self, f: Add) -> AddStats {
-        let root = f.node();
-        let mut map: FxHashMap<NodeId, NodeStats> = FxHashMap::default();
-        // Children precede parents in arena order, so one ordered pass works.
-        for id in self.topological_nodes(root) {
-            let (lo, hi) = self.children(id);
-            let sl = Self::leaf_or(&map, self, lo);
-            let sh = Self::leaf_or(&map, self, hi);
-            let avg = 0.5 * (sl.avg + sh.avg);
-            let var = 0.5
-                * (sl.var
-                    + (sl.avg - avg) * (sl.avg - avg)
-                    + sh.var
-                    + (sh.avg - avg) * (sh.avg - avg));
-            map.insert(
-                id,
-                NodeStats {
-                    avg,
-                    var,
-                    min: sl.min.min(sh.min),
-                    max: sl.max.max(sh.max),
-                },
-            );
-        }
-        // Make sure terminals reachable from the root are present too (the
-        // loop above only inserts internal nodes; leaves are needed when the
-        // root itself is a leaf or when callers query leaf stats).
-        let mut stack = vec![root];
-        let mut seen = crate::hash::FxHashSet::default();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            if id.is_terminal() {
-                let v = self.terminal_value(id);
-                map.insert(
-                    id,
-                    NodeStats {
-                        avg: v,
-                        var: 0.0,
-                        min: v,
-                        max: v,
-                    },
-                );
-            } else {
-                let (lo, hi) = self.children(id);
-                stack.push(lo);
-                stack.push(hi);
-            }
-        }
-        AddStats { map, root }
-    }
-
-    #[inline]
-    fn leaf_or(map: &FxHashMap<NodeId, NodeStats>, m: &Manager, id: NodeId) -> NodeStats {
-        if id.is_terminal() {
-            let v = m.terminal_value(id);
-            NodeStats {
-                avg: v,
-                var: 0.0,
-                min: v,
-                max: v,
-            }
-        } else {
-            map[&id]
-        }
-    }
-
-    /// The probability that a uniformly random input assignment's
-    /// root-to-leaf path passes through each node reachable from `f`.
-    ///
-    /// `p(root) = 1`, and every edge forwards half its parent's mass
-    /// (skipped levels are untested and do not change the probability).
-    /// Computed in one top-down pass. Together with [`NodeStats`] this
-    /// gives the *exact* global cost of a collapse: replacing node `n` by a
-    /// constant `c` changes the root mean-square error by
-    /// `p(n) · E[(f_n − c)²]` and the root average by
-    /// `p(n) · (c − avg(n))`.
-    pub fn reach_probabilities(&self, f: Add) -> FxHashMap<NodeId, f64> {
-        let mut p: FxHashMap<NodeId, f64> = FxHashMap::default();
-        let order = self.topological_nodes(f.node());
-        p.insert(f.node(), 1.0);
-        // `order` lists children before parents; walk it reversed so every
-        // parent's mass is final before it is distributed.
-        for &id in order.iter().rev() {
-            let mass = match p.get(&id) {
-                Some(&m) => m,
-                None => continue, // not reachable from f (cannot happen)
-            };
-            let (lo, hi) = self.children(id);
-            *p.entry(lo).or_insert(0.0) += 0.5 * mass;
-            *p.entry(hi).or_insert(0.0) += 0.5 * mass;
-        }
-        p
-    }
-
-    /// Average value of the ADD over all assignments (Eq. 6).
-    pub fn add_avg(&self, f: Add) -> f64 {
-        self.add_stats(f).root().avg
-    }
-
-    /// Maximum value of the ADD over all assignments.
-    pub fn add_max_value(&self, f: Add) -> f64 {
-        self.add_stats(f).root().max
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::node::Var;
-
-    /// Brute-force reference statistics by enumerating all assignments.
-    fn brute(m: &Manager, f: Add, n: u32) -> NodeStats {
-        let count = 1u64 << n;
-        let mut sum = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut values = Vec::new();
-        for bits in 0..count {
-            let asg: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            let v = m.add_eval(f, &asg);
-            sum += v;
-            min = min.min(v);
-            max = max.max(v);
-            values.push(v);
-        }
-        let avg = sum / count as f64;
-        let var = values.iter().map(|v| (v - avg) * (v - avg)).sum::<f64>() / count as f64;
-        NodeStats { avg, var, min, max }
-    }
-
-    #[test]
-    fn stats_match_brute_force() {
-        let mut m = Manager::new(3);
-        let x0 = m.bdd_var(Var(0));
-        let x1 = m.bdd_var(Var(1));
-        let x2 = m.bdd_var(Var(2));
-        let c3 = m.constant(3.0);
-        let c7 = m.constant(7.0);
-        let c11 = m.constant(11.0);
-        let zero = m.add_zero();
-        let a = m.add_ite(x0, c3, zero);
-        let b = m.add_ite(x1, c7, zero);
-        let c = m.add_ite(x2, c11, zero);
-        let ab = m.add_plus(a, b);
-        let f = m.add_plus(ab, c);
-
-        let got = m.add_stats(f).root();
-        let want = brute(&m, f, 3);
-        assert!((got.avg - want.avg).abs() < 1e-12);
-        assert!((got.var - want.var).abs() < 1e-12);
-        assert_eq!(got.min, want.min);
-        assert_eq!(got.max, want.max);
-    }
-
-    #[test]
-    fn stats_on_terminal_root() {
-        let mut m = Manager::new(2);
-        let f = m.constant(4.25);
-        let s = m.add_stats(f).root();
-        assert_eq!(s.avg, 4.25);
-        assert_eq!(s.var, 0.0);
-        assert_eq!(s.min, 4.25);
-        assert_eq!(s.max, 4.25);
-        assert_eq!(s.mse_of_max(), 0.0);
-    }
-
-    #[test]
-    fn stats_invariant_under_dont_care_vars() {
-        // f tests only x1; stats must not change because x0/x2 exist.
-        let mut m = Manager::new(3);
-        let x1 = m.bdd_var(Var(1));
-        let c2 = m.constant(2.0);
-        let c6 = m.constant(6.0);
-        let f = m.add_ite(x1, c6, c2);
-        let s = m.add_stats(f).root();
-        assert_eq!(s.avg, 4.0);
-        assert_eq!(s.var, 4.0);
-    }
-
-    #[test]
-    fn paper_example4_node_n() {
-        // Sub-ADD rooted in node n of Fig. 4a: xf assignments give value 0
-        // once and 10 three times (avg 7.5 over the single variable split:
-        // left child avg 5 var 25, right child constant 10).
-        let mut m = Manager::new(2);
-        let xf1 = m.bdd_var(Var(0));
-        let xf2 = m.bdd_var(Var(1));
-        let c0 = m.constant(0.0);
-        let c10 = m.constant(10.0);
-        let left = m.add_ite(xf2, c10, c0); // 0 if xf2=0 else 10: avg 5, var 25
-        let n = m.add_ite(xf1, c10, left);
-        let s = m.add_stats(n).root();
-        assert_eq!(s.avg, 7.5);
-        assert_eq!(s.var, 18.75);
-        assert_eq!(s.max, 10.0);
-        // Example 5: mse(n) = 18.75 + (10 - 7.5)^2 = 25.
-        assert_eq!(s.mse_of_max(), 25.0);
-    }
-
-    #[test]
-    fn convenience_accessors() {
-        let mut m = Manager::new(1);
-        let x = m.bdd_var(Var(0));
-        let c1 = m.constant(1.0);
-        let c9 = m.constant(9.0);
-        let f = m.add_ite(x, c9, c1);
-        assert_eq!(m.add_avg(f), 5.0);
-        assert_eq!(m.add_max_value(f), 9.0);
-        assert_eq!(m.add_stats(f).root().min, 1.0);
-    }
-
-    #[test]
-    fn stats_iteration_covers_all_nodes() {
-        let mut m = Manager::new(2);
-        let x0 = m.bdd_var(Var(0));
-        let x1 = m.bdd_var(Var(1));
-        let c5 = m.constant(5.0);
-        let zero = m.add_zero();
-        let inner = m.add_ite(x1, c5, zero);
-        let f = m.add_ite(x0, inner, zero);
-        let stats = m.add_stats(f);
-        assert_eq!(stats.len(), m.size(f.node()));
-        assert!(!stats.is_empty());
-        assert!(stats.get(f.node()).is_some());
-    }
 }

@@ -2,7 +2,7 @@
 //! truth-table semantics on small variable counts.
 
 use charfree_dd::hash::FxHashMap;
-use charfree_dd::{Add, Bdd, BinOp, ChainMeasure, Manager, Var};
+use charfree_dd::{Add, Bdd, BinOp, ChainMeasure, Manager, NodeId, Var};
 use proptest::prelude::*;
 
 const NVARS: u32 = 5;
@@ -82,6 +82,31 @@ impl Expr {
 
 fn assignments() -> impl Iterator<Item = Vec<bool>> {
     (0..1u32 << NVARS).map(|bits| (0..NVARS).map(|i| bits >> i & 1 == 1).collect())
+}
+
+/// The values of `f` over [`assignments`], in that order.
+fn values(m: &Manager, f: Add) -> Vec<f64> {
+    assignments().map(|a| m.add_eval(f, &a)).collect()
+}
+
+fn max_of(values: &[f64]) -> f64 {
+    values.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// The nodes `asg` visits from `root` down to its terminal, both included.
+fn path(m: &Manager, root: NodeId, asg: &[bool]) -> Vec<NodeId> {
+    let mut id = root;
+    let mut visited = vec![id];
+    while !id.is_terminal() {
+        let (lo, hi) = m.children(id);
+        id = if asg[m.node_var(id).index() as usize] {
+            hi
+        } else {
+            lo
+        };
+        visited.push(id);
+    }
+    visited
 }
 
 /// A random ADD built as Σ cᵥ·[xᵥ] plus a Boolean-shaped plateau.
@@ -199,22 +224,22 @@ proptest! {
     }
 
     #[test]
-    fn stats_match_brute_force(
+    fn uniform_root_statistics_match_enumeration(
         w in proptest::collection::vec(-10.0..10.0f64, NVARS as usize),
     ) {
         let mut m = Manager::new(NVARS);
         let f = build_add(&mut m, &w);
-        let s = m.add_stats(f).root();
-        let values: Vec<f64> = assignments().map(|a| m.add_eval(f, &a)).collect();
+        let snap = m.snapshot(f);
+        prop_assume!(!snap.is_empty());
+        let s = snap.profile(&[&ChainMeasure::uniform(NVARS)]).node(snap.len() - 1, 0).stats;
+        let values = values(&m, f);
         let n = values.len() as f64;
         let avg = values.iter().sum::<f64>() / n;
         let var = values.iter().map(|v| (v - avg) * (v - avg)).sum::<f64>() / n;
         prop_assert!((s.avg - avg).abs() < 1e-9);
         prop_assert!((s.var - var).abs() < 1e-9);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        prop_assert_eq!(s.max, max);
-        prop_assert_eq!(s.min, min);
+        prop_assert_eq!(s.max, max_of(&values));
+        prop_assert_eq!(s.min, values.iter().copied().fold(f64::INFINITY, f64::min));
     }
 
     #[test]
@@ -227,15 +252,15 @@ proptest! {
         let nodes = m.topological_nodes(f.node());
         prop_assume!(!nodes.is_empty());
         let target = nodes[node_pick % nodes.len()];
-        let stats = m.add_stats(f);
         let mut repl = charfree_dd::hash::FxHashMap::default();
-        repl.insert(target, stats.get(target).expect("reachable").max);
+        repl.insert(target, max_of(&values(&m, Add::from_node(target))));
         let g = m.collapse(f, &repl);
-        for asg in assignments() {
-            prop_assert!(m.add_eval(g, &asg) >= m.add_eval(f, &asg) - 1e-12);
+        let (before, after) = (values(&m, f), values(&m, g));
+        for (a, b) in after.iter().zip(&before) {
+            prop_assert!(*a >= b - 1e-12);
         }
         // Global max preserved exactly.
-        prop_assert_eq!(m.add_max_value(g), m.add_max_value(f));
+        prop_assert_eq!(max_of(&after), max_of(&before));
     }
 
     #[test]
@@ -248,11 +273,11 @@ proptest! {
         let nodes = m.topological_nodes(f.node());
         prop_assume!(!nodes.is_empty());
         let target = nodes[node_pick % nodes.len()];
-        let stats = m.add_stats(f);
+        let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
         let mut repl = charfree_dd::hash::FxHashMap::default();
-        repl.insert(target, stats.get(target).expect("reachable").avg);
+        repl.insert(target, mean(values(&m, Add::from_node(target))));
         let g = m.collapse(f, &repl);
-        prop_assert!((m.add_avg(g) - m.add_avg(f)).abs() < 1e-9);
+        prop_assert!((mean(values(&m, g)) - mean(values(&m, f))).abs() < 1e-9);
     }
 
     #[test]
@@ -307,7 +332,7 @@ proptest! {
     }
 
     #[test]
-    fn uniform_dense_profile_agrees_with_stats_and_reach(
+    fn uniform_dense_profile_matches_enumeration(
         w in proptest::collection::vec(-10.0..10.0f64, NVARS as usize),
         plateau in arb_expr(),
     ) {
@@ -315,23 +340,28 @@ proptest! {
         let f = build_shared_add(&mut m, &w, &plateau, 3.0);
         let snap = m.snapshot(f);
         let profile = snap.profile(&[&ChainMeasure::uniform(NVARS)]);
-        let stats = m.add_stats(f);
-        let reach = m.reach_probabilities(f);
+        let paths: Vec<Vec<NodeId>> = assignments().map(|a| path(&m, f.node(), &a)).collect();
+        let reach = |id: NodeId| {
+            paths.iter().filter(|p| p.contains(&id)).count() as f64 / paths.len() as f64
+        };
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
         for i in 0..snap.len() {
             let id = snap.node_id(i);
             let got = profile.node(i, 0);
-            let want = stats.get(id).expect("reachable");
-            prop_assert!(close(got.stats.avg, want.avg), "avg {} vs {}", got.stats.avg, want.avg);
-            prop_assert!(close(got.stats.var, want.var), "var {} vs {}", got.stats.var, want.var);
-            prop_assert_eq!(got.stats.min, want.min);
-            prop_assert_eq!(got.stats.max, want.max);
-            prop_assert!(close(got.reach, reach[&id]));
+            let values = values(&m, Add::from_node(id));
+            let n = values.len() as f64;
+            let avg = values.iter().sum::<f64>() / n;
+            let var = values.iter().map(|v| (v - avg) * (v - avg)).sum::<f64>() / n;
+            prop_assert!(close(got.stats.avg, avg), "avg {} vs {}", got.stats.avg, avg);
+            prop_assert!(close(got.stats.var, var), "var {} vs {}", got.stats.var, var);
+            prop_assert_eq!(got.stats.min, values.iter().copied().fold(f64::INFINITY, f64::min));
+            prop_assert_eq!(got.stats.max, max_of(&values));
+            prop_assert!(close(got.reach, reach(id)));
         }
         let values = snap.terminal_values().to_vec();
         for (j, value) in values.into_iter().enumerate() {
             let id = m.terminal(value);
-            prop_assert!(close(profile.terminal_reach(j, 0), reach[&id]));
+            prop_assert!(close(profile.terminal_reach(j, 0), reach(id)));
         }
         if !snap.is_empty() {
             let root = profile.node(snap.len() - 1, 0).stats.avg;

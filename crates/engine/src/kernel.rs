@@ -36,7 +36,7 @@ use crate::block::PatternBlock;
 use crate::fused::{eval_fused, FusedJob};
 use crate::soa::SoaProgram;
 use crate::stride::StrideProgram;
-use charfree_core::{AddPowerModel, PowerModel};
+use charfree_core::{xf_var, xi_var, AddPowerModel, PowerModel};
 use charfree_dd::ChainMeasure;
 
 /// Successor-reference tag: high bit set = terminal-table index.
@@ -88,13 +88,10 @@ pub struct Kernel {
     /// constant models).
     pub(crate) root: u32,
     /// `xi_vars[i]` = diagram variable carrying macro input `i` at `tⁱ`
-    /// (ordering and slot permutation already folded in).
+    /// (slot permutation already folded in).
     pub(crate) xi_vars: Vec<u32>,
     /// `xf_vars[i]` = diagram variable carrying macro input `i` at `tᶠ`.
     pub(crate) xf_vars: Vec<u32>,
-    /// `true` when the source model used the interleaved ordering (the
-    /// only ordering whose transition measure is chain-expressible).
-    pub(crate) interleaved: bool,
     /// The derived batch program (never persisted), set by
     /// [`Kernel::derive_batch`].
     pub(crate) batch: Batch,
@@ -137,7 +134,6 @@ impl Kernel {
     pub fn compile(model: &AddPowerModel) -> Kernel {
         let (manager, root) = model.diagram();
         let n = model.num_inputs();
-        let ordering = model.ordering();
 
         let nodes = manager.topological_nodes(root);
         let mut index_of = std::collections::HashMap::with_capacity(nodes.len());
@@ -175,12 +171,8 @@ impl Kernel {
         let root = encode(root, &mut terminals, &mut term_index);
 
         let slots = model.input_slots();
-        let xi_vars = (0..n)
-            .map(|i| ordering.xi_var(slots[i], n).index())
-            .collect();
-        let xf_vars = (0..n)
-            .map(|i| ordering.xf_var(slots[i], n).index())
-            .collect();
+        let xi_vars = slots.iter().map(|&slot| xi_var(slot).index()).collect();
+        let xf_vars = slots.iter().map(|&slot| xf_var(slot).index()).collect();
 
         let mut kernel = Kernel {
             name: model.name().to_owned(),
@@ -191,7 +183,6 @@ impl Kernel {
             root,
             xi_vars,
             xf_vars,
-            interleaved: ordering == charfree_core::VariableOrdering::Interleaved,
             batch: Batch::Constant(0.0),
             depth: 0,
         };
@@ -299,10 +290,11 @@ impl Kernel {
         }
     }
 
-    /// `true` when the source model used the interleaved variable
-    /// ordering (required by [`Kernel::expected_capacitance`]).
+    /// `true`: every kernel uses the interleaved variable layout (see
+    /// [`charfree_core::xi_var`]), which [`Kernel::expected_capacitance`]
+    /// needs and [`Kernel::load`] enforces.
     pub fn is_interleaved(&self) -> bool {
-        self.interleaved
+        true
     }
 
     /// Evaluates the kernel under a complete `2n`-variable diagram
@@ -467,14 +459,8 @@ impl Kernel {
     ///
     /// # Panics
     ///
-    /// Panics if `sp`/`st` are infeasible or the kernel was compiled from
-    /// a grouped-ordering model (whose pair correlation is not
-    /// chain-expressible).
+    /// Panics if `sp`/`st` are infeasible.
     pub fn expected_capacitance(&self, sp: f64, st: f64) -> f64 {
-        assert!(
-            self.interleaved,
-            "analytic expectations need the interleaved ordering"
-        );
         let measure = ChainMeasure::interleaved_transitions(self.num_inputs as u32, sp, st);
         self.expected_value(&measure)
     }

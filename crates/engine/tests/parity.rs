@@ -133,12 +133,10 @@ proptest! {
         for (t, (a, b)) in from_compiled.iter().zip(&from_loaded).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "transition {} diverged after reload", t);
         }
-        if compiled.is_interleaved() {
-            prop_assert_eq!(
-                loaded.expected_capacitance(0.5, 0.3).to_bits(),
-                compiled.expected_capacitance(0.5, 0.3).to_bits()
-            );
-        }
+        prop_assert_eq!(
+            loaded.expected_capacitance(0.5, 0.3).to_bits(),
+            compiled.expected_capacitance(0.5, 0.3).to_bits()
+        );
     }
 }
 

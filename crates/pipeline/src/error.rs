@@ -28,7 +28,7 @@ pub enum PipelineError {
     /// budget trip).
     Build(BuildError),
     /// The requested operation is not defined for this input kind (e.g.
-    /// expectations on a grouped-ordering kernel).
+    /// a compiled kernel where an arena model is needed).
     Unsupported(String),
 }
 

@@ -369,24 +369,6 @@ impl SeqModel {
         }
         total
     }
-
-    #[cfg(test)]
-    fn summarize(&self, transitions: usize, per_macro: &[Vec<f64>]) -> SeqSummary {
-        let total = Self::fold_total(transitions, per_macro);
-        SeqSummary {
-            total: TraceSummary::from_values(&total, DEFAULT_CHUNK),
-            per_macro: self
-                .build
-                .macros
-                .iter()
-                .zip(per_macro)
-                .map(|(info, values)| MacroSummary {
-                    name: info.name.clone(),
-                    summary: TraceSummary::from_values(values, DEFAULT_CHUNK),
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -394,6 +376,27 @@ mod tests {
     use super::*;
     use charfree_netlist::{blif, Library};
     use charfree_sim::MarkovSource;
+
+    impl SeqModel {
+        /// The summary of an unfused run: per-macro traces folded in macro
+        /// index order, beside each macro's own summary.
+        fn summarize(&self, transitions: usize, per_macro: &[Vec<f64>]) -> SeqSummary {
+            let total = Self::fold_total(transitions, per_macro);
+            SeqSummary {
+                total: TraceSummary::from_values(&total, DEFAULT_CHUNK),
+                per_macro: self
+                    .build
+                    .macros
+                    .iter()
+                    .zip(per_macro)
+                    .map(|(info, values)| MacroSummary {
+                        name: info.name.clone(),
+                        summary: TraceSummary::from_values(values, DEFAULT_CHUNK),
+                    })
+                    .collect(),
+            }
+        }
+    }
 
     const PIPE2: &str = "\
 .model pipe2

@@ -133,14 +133,10 @@ pub fn seq_eval_response(name: String, total: &TraceSummary, macros: &[MacroSumm
 
 /// `expected`: the analytic expected switched capacitance at `(sp, st)`,
 /// evaluated on the flat kernel without touching the manager arena.
-/// Pipeline builds are always interleaved; a grouped-ordering model
-/// (only a hand-built `.cfm` or `.cfk` can be one) has a pair
-/// correlation the kernel's chain cannot express.
 ///
 /// # Errors
 ///
-/// Infeasible statistics, resolution failures and grouped-ordering
-/// models (`unsupported`).
+/// Infeasible statistics and resolution failures.
 pub fn expected(
     models: &mut impl ModelSource,
     source: &str,
@@ -151,13 +147,6 @@ pub fn expected(
     // statistics before it does.
     check_statistics(sp, st).map_err(|e| error(ErrorKind::BadRequest, e.to_string()))?;
     let (kernel, _, _) = models.kernel(source, &WireBuildOptions::default())?;
-    if !kernel.is_interleaved() {
-        return Err(error(
-            ErrorKind::Unsupported,
-            "grouped-ordering models cannot evaluate expectations; rebuild the model from its \
-             netlist",
-        ));
-    }
     Ok(Response::Expected {
         name: kernel.name().to_owned(),
         value: kernel.expected_capacitance(sp, st),

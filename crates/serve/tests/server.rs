@@ -1210,47 +1210,88 @@ fn seqeval_with_an_expired_deadline_is_shed_like_eval() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// A grouped-ordering model cannot evaluate expectations on its kernel:
-/// `expected` answers a typed `unsupported`, not a worker panic, and the
-/// same `.cfm` still evaluates.
+/// A `.cfm` with `ordering grouped` or a `.cfk` with `interleaved 0` (the
+/// variable layout no build produces any more) answers a typed error, not
+/// a worker panic, and the server then still evaluates bit-exactly.
 #[test]
-fn expected_on_a_grouped_ordering_model_is_unsupported() {
-    use charfree_core::{ModelBuilder, VariableOrdering};
-
+fn grouped_layout_files_are_typed_errors() {
     let dir = std::env::temp_dir().join(format!("charfree-serve-grouped-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("decod_grouped.cfm");
     let netlist = charfree_netlist::benchmarks::by_name("decod", &Library::test_library())
         .expect("Table 1 name");
-    let model = ModelBuilder::new(&netlist)
-        .ordering(VariableOrdering::Grouped)
-        .build();
-    let mut bytes = Vec::new();
-    model.save(&mut bytes).expect("saves");
-    std::fs::write(&path, bytes).expect("writes model");
-    let source = path.to_string_lossy().into_owned();
+    let model = charfree_core::ModelBuilder::new(&netlist).build();
+    let mut cfm = Vec::new();
+    model.save(&mut cfm).expect("saves");
+    let mut cfk = Vec::new();
+    charfree_engine::Kernel::compile(&model)
+        .save(&mut cfk)
+        .expect("saves");
+    let mut sources = Vec::new();
+    for (file, bytes, from, to) in [
+        (
+            "decod_grouped.cfm",
+            cfm,
+            "ordering interleaved",
+            "ordering grouped",
+        ),
+        ("decod_grouped.cfk", cfk, "interleaved 1", "interleaved 0"),
+    ] {
+        let text = String::from_utf8(bytes).expect("text formats");
+        let path = dir.join(file);
+        std::fs::write(&path, text.replacen(from, to, 1)).expect("writes model");
+        sources.push(path.to_string_lossy().into_owned());
+    }
 
     let server = Server::start(test_config()).expect("binds");
     let addr = server.addr().to_string();
     let mut client = Client::connect(&addr).expect("connects");
-    let expected = Request::Expected {
-        source: source.clone(),
-        sp: 0.5,
-        st: 0.4,
-    };
-    match client.request(&expected).expect("responds") {
-        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Unsupported),
-        other => panic!("grouped-ordering expected answered {other:?}"),
+    for source in &sources {
+        let requests = [
+            Request::Expected {
+                source: source.clone(),
+                sp: 0.5,
+                st: 0.4,
+            },
+            Request::Eval {
+                source: source.clone(),
+                options: WireBuildOptions::default(),
+                params: eval_params(100, 1),
+            },
+        ];
+        for request in requests {
+            match client.request(&request).expect("responds") {
+                Response::Error { kind, message, .. } => {
+                    assert_eq!(kind, ErrorKind::BadRequest, "{source}: {message}");
+                    assert!(message.contains("interleaved"), "{source}: {message}");
+                }
+                other => panic!("{source} answered {other:?}"),
+            }
+        }
     }
+
+    let params = eval_params(500, 0x5EED);
+    let (name, values) = offline("decod", &params);
+    let reference =
+        charfree_engine::TraceSummary::from_values(&values, charfree_engine::DEFAULT_CHUNK);
     let eval = Request::Eval {
-        source,
+        source: "decod".to_owned(),
         options: WireBuildOptions::default(),
-        params: eval_params(100, 1),
+        params,
     };
-    assert!(matches!(
-        client.request(&eval).expect("eval"),
-        Response::Eval { .. }
-    ));
+    match client.request(&eval).expect("eval") {
+        Response::Eval {
+            name: got_name,
+            transitions,
+            sum_ff,
+            max_ff,
+        } => {
+            assert_eq!(got_name, name);
+            assert_eq!(transitions, reference.transitions);
+            assert_eq!(sum_ff.to_bits(), reference.sum_ff.to_bits());
+            assert_eq!(max_ff.to_bits(), reference.max_ff.to_bits());
+        }
+        other => panic!("eval decod answered {other:?}"),
+    }
     let Response::Stats(stats) = client.request(&Request::Stats).expect("stats") else {
         panic!("stats request failed");
     };

@@ -1596,25 +1596,37 @@ mod more_tests {
             .clone()
     }
 
-    /// `expected` on a grouped-ordering `.cfm` is a typed error (exit 1),
-    /// not a panic: the flat kernel's chain cannot express its pair
-    /// correlation.
+    /// `expected` on a grouped-ordering `.cfm` or a non-interleaved
+    /// `.cfk` is a typed error (exit 1), not a panic: neither layout loads.
     #[test]
     fn expected_on_a_grouped_ordering_model_is_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("charfree-cli-grouped-{}", std::process::id()));
         fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("decod_grouped.cfm");
         let netlist = charfree_netlist::benchmarks::by_name("decod", &Library::test_library())
             .expect("Table 1 name");
-        let model = charfree_core::ModelBuilder::new(&netlist)
-            .ordering(charfree_core::VariableOrdering::Grouped)
-            .build();
-        let mut bytes = Vec::new();
-        model.save(&mut bytes).expect("saves");
-        fs::write(&path, bytes).expect("writes model");
-        let err = run(&s(&["expected", path.to_str().expect("utf8")]))
-            .expect_err("grouped ordering is unsupported");
-        assert!(err.contains("grouped-ordering"), "{err}");
+        let model = charfree_core::ModelBuilder::new(&netlist).build();
+        let mut cfm = Vec::new();
+        model.save(&mut cfm).expect("saves");
+        let mut cfk = Vec::new();
+        charfree_engine::Kernel::compile(&model)
+            .save(&mut cfk)
+            .expect("saves");
+        for (file, bytes, from, to) in [
+            (
+                "decod_grouped.cfm",
+                cfm,
+                "ordering interleaved",
+                "ordering grouped",
+            ),
+            ("decod_grouped.cfk", cfk, "interleaved 1", "interleaved 0"),
+        ] {
+            let text = String::from_utf8(bytes).expect("text formats");
+            let path = dir.join(file);
+            fs::write(&path, text.replacen(from, to, 1)).expect("writes model");
+            let err = run(&s(&["expected", path.to_str().expect("utf8")]))
+                .expect_err("the grouped layout does not load");
+            assert!(err.contains("interleaved"), "{file}: {err}");
+        }
         let _ = fs::remove_dir_all(dir);
     }
 

@@ -3,7 +3,7 @@
 
 use charfree::netlist::{benchmarks, testutil, Library, Netlist};
 use charfree::sim::{ExhaustivePairs, ZeroDelaySim};
-use charfree::{ApproxStrategy, InputOrder, ModelBuilder, PowerModel, VariableOrdering};
+use charfree::{ApproxStrategy, ModelBuilder, PowerModel};
 
 fn exhaustive_equal(netlist: &Netlist) {
     let sim = ZeroDelaySim::new(netlist);
@@ -31,47 +31,6 @@ fn exact_models_equal_gate_level_simulation_exhaustively() {
     exhaustive_equal(&benchmarks::mult(3, &library)); // 6 inputs
     exhaustive_equal(&benchmarks::by_name("x2", &library).expect("Table 1 name"));
     // 10 inputs, ~1M pairs
-}
-
-#[test]
-fn exact_model_is_order_invariant() {
-    let library = Library::test_library();
-    let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
-    let sim = ZeroDelaySim::new(&netlist);
-    for (ordering, input_order) in [
-        (VariableOrdering::Interleaved, InputOrder::FaninDfs),
-        (VariableOrdering::Interleaved, InputOrder::Natural),
-        (VariableOrdering::Grouped, InputOrder::FaninDfs),
-        (VariableOrdering::Grouped, InputOrder::Natural),
-    ] {
-        let model = ModelBuilder::new(&netlist)
-            .ordering(ordering)
-            .input_order(input_order.clone())
-            .build();
-        for (xi, xf) in ExhaustivePairs::new(5) {
-            assert_eq!(
-                model.capacitance(&xi, &xf),
-                sim.switching_capacitance(&xi, &xf),
-                "{ordering:?}/{input_order:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn custom_input_order_round_trips() {
-    let library = Library::test_library();
-    let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
-    let sim = ZeroDelaySim::new(&netlist);
-    let model = ModelBuilder::new(&netlist)
-        .input_order(InputOrder::Custom(vec![4, 3, 2, 1, 0]))
-        .build();
-    for (xi, xf) in ExhaustivePairs::new(5) {
-        assert_eq!(
-            model.capacitance(&xi, &xf),
-            sim.switching_capacitance(&xi, &xf)
-        );
-    }
 }
 
 #[test]
