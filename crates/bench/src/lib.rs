@@ -378,7 +378,7 @@ pub fn ablation(netlist: &Netlist, max_nodes: usize, config: &Config) -> Vec<(St
             },
         ),
         (
-            "paper-plain (uniform, no gating, no recalibration)",
+            "uniform measure, no gating, no recalibration",
             BuildOptions {
                 max_nodes: Some(max_nodes),
                 ..BuildOptions::paper_plain()

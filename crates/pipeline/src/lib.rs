@@ -150,7 +150,8 @@ impl Default for BuildOptions {
 
 impl BuildOptions {
     /// The paper's plain configuration: uniform collapse measure, no
-    /// diagonal gating, no leaf recalibration.
+    /// diagonal gating, no leaf recalibration. Collapses are still ranked
+    /// reach-weighted (DESIGN.md §5, refinement 1).
     pub fn paper_plain() -> Self {
         BuildOptions {
             collapse_toggles: Some(vec![0.5]),

@@ -86,7 +86,9 @@ pub struct ServeConfig {
     /// pin, so a single `vectors=10^10` line cannot OOM the server.
     pub max_vectors: usize,
     /// Registry byte budget for resident models, combinational kernels
-    /// and sequential designs alike (shared across all registry shards).
+    /// and sequential designs alike. It is split evenly over the
+    /// registry's shards, and each shard evicts LRU within its own share
+    /// (see [`ShardedRegistry::new`]).
     pub model_bytes_budget: usize,
     /// Cell library models are built against.
     pub library: Library,
