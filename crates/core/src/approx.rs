@@ -29,14 +29,39 @@ pub enum ApproxStrategy {
     UpperBound,
 }
 
+/// The one collapse driver of a construction or a shrink: every
+/// approximation goes through [`Collapser::shrink`], which keeps the
+/// running counts the [`BuildReport`](crate::BuildReport) reports.
+#[derive(Debug)]
+pub(crate) struct Collapser {
+    pub(crate) strategy: ApproxStrategy,
+    /// The input measures the collapse ranking and leaves are taken under.
+    pub(crate) mixture: Vec<(ChainMeasure, f64)>,
+    /// Collapse trials so far (see [`ApproxOutcome::rounds`]).
+    pub(crate) rounds: usize,
+    /// Nodes collapsed so far.
+    pub(crate) collapsed: usize,
+}
+
+impl Collapser {
+    /// Shrinks `f` below `max` nodes (see [`approximate_to_mixture`]) and
+    /// adds the pass to the counts.
+    pub(crate) fn shrink(&mut self, m: &mut Manager, f: Add, max: usize) -> Add {
+        let (g, outcome) = approximate_to_mixture(m, f, max, self.strategy, &self.mixture);
+        self.rounds += outcome.rounds;
+        self.collapsed += outcome.nodes_collapsed;
+        g
+    }
+}
+
 /// Outcome of one [`approximate_to_mixture`] invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ApproxOutcome {
+struct ApproxOutcome {
     /// Total nodes collapsed.
-    pub nodes_collapsed: usize,
+    nodes_collapsed: usize,
     /// Number of collapse trials: dry-run sizings of the binary search,
     /// plus one when every candidate had to collapse.
-    pub rounds: usize,
+    rounds: usize,
 }
 
 /// Shrinks `f` below `max_nodes` (size counts terminals, CUDD-style) by
@@ -74,7 +99,7 @@ pub struct ApproxOutcome {
 ///
 /// Panics if `max_nodes == 0` (a single terminal already has size 1), if
 /// `mixture` is empty or if its weights are not positive.
-pub fn approximate_to_mixture(
+fn approximate_to_mixture(
     m: &mut Manager,
     f: Add,
     max_nodes: usize,

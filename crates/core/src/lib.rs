@@ -81,7 +81,7 @@ mod peak;
 mod persist;
 mod rtl;
 
-pub use approx::{approximate_to_mixture, ApproxOutcome, ApproxStrategy};
+pub use approx::ApproxStrategy;
 pub use baselines::{ConstantModel, LinearModel, TrainingSet};
 pub use builder::{ModelBuilder, PartialBuild};
 pub use charfree_dd::Resource;

@@ -259,72 +259,42 @@ impl AddPowerModel {
     /// smaller models from a single (possibly exact) build, as in the
     /// paper's Fig. 7b accuracy/size trade-off study.
     ///
+    /// An approximated result then goes through the builder's finishing
+    /// pass: its no-transition diagonal is gated whenever `max_nodes`
+    /// affords the `4n + 8`-node indicator (whatever the build's
+    /// `diagonal_gating` setting was), and an average model built with
+    /// leaf recalibration is recalibrated.
+    ///
     /// # Panics
     ///
     /// Panics if `max_nodes == 0`.
     pub fn shrink(mut self, max_nodes: usize, strategy: crate::ApproxStrategy) -> Self {
-        let mixture = self.collapse_mixture.clone();
-        let (root, outcome) = crate::approx::approximate_to_mixture(
-            &mut self.manager,
-            self.root,
-            max_nodes,
+        let mut collapser = crate::approx::Collapser {
             strategy,
-            &mixture,
+            mixture: std::mem::take(&mut self.collapse_mixture),
+            rounds: self.report.approximation_rounds,
+            collapsed: self.report.nodes_collapsed,
+        };
+        let collapsed_before = collapser.collapsed;
+        let mut root = self.root;
+        if self.size() > max_nodes {
+            root = collapser.shrink(&mut self.manager, root, max_nodes);
+        }
+        self.report.exact = self.report.exact && collapser.collapsed == collapsed_before;
+        let approximated = !self.report.exact;
+        self.root = crate::builder::finish(
+            &mut self.manager,
+            root,
+            Some(max_nodes),
+            approximated,
+            &self.input_slots,
+            &mut collapser,
+            self.exact_means.as_ref().filter(|_| approximated),
         );
-        self.root = root;
-        self.report.approximation_rounds += outcome.rounds;
-        self.report.nodes_collapsed += outcome.nodes_collapsed;
-        self.report.exact = self.report.exact && outcome.nodes_collapsed == 0;
-
-        // Re-zero the no-transition diagonal (see ModelBuilder::build);
-        // shrink to a reduced target first if the gated product would
-        // exceed the budget.
-        let n = self.num_inputs;
-        if !self.report.exact && max_nodes >= 4 * n + 8 {
-            let mut toggles = self.manager.bdd_false();
-            for i in 0..n {
-                let slot = self.input_slots[i];
-                let a = self.manager.bdd_var(xi_var(slot));
-                let b = self.manager.bdd_var(xf_var(slot));
-                let t = self.manager.bdd_xor(a, b);
-                toggles = self.manager.bdd_or(toggles, t);
-            }
-            let mut target = max_nodes;
-            loop {
-                let gated = self.manager.add_times(self.root, toggles.as_add());
-                if self.manager.size(gated.node()) <= max_nodes {
-                    self.root = gated;
-                    break;
-                }
-                target = std::cmp::max(target * 3 / 4, 1);
-                let (r, out) = crate::approx::approximate_to_mixture(
-                    &mut self.manager,
-                    self.root,
-                    target,
-                    strategy,
-                    &mixture,
-                );
-                self.root = r;
-                self.report.approximation_rounds += out.rounds;
-                self.report.nodes_collapsed += out.nodes_collapsed;
-            }
-        }
-
-        if let Some(means) = self.exact_means.clone() {
-            if !self.report.exact && strategy == crate::ApproxStrategy::Average {
-                self.root = crate::calibrate::recalibrate_leaves(
-                    &mut self.manager,
-                    self.root,
-                    &mixture,
-                    &means,
-                    0.05,
-                );
-            }
-        }
-
-        let keep = self.manager.compact(&[self.root.node()]);
-        self.root = charfree_dd::Add::from_node(keep[0]);
-        self.report.final_size = self.manager.size(self.root.node());
+        self.collapse_mixture = collapser.mixture;
+        self.report.approximation_rounds = collapser.rounds;
+        self.report.nodes_collapsed = collapser.collapsed;
+        self.report.final_size = self.size();
         self
     }
 }
