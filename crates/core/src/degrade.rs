@@ -83,13 +83,6 @@ impl From<DdError> for BuildError {
                 limit,
                 observed,
             },
-            // `DdError` is non-exhaustive; future variants map to a
-            // generic budget report rather than a panic.
-            _ => BuildError::BudgetExceeded {
-                resource: Resource::ApplySteps,
-                limit: 0,
-                observed: 0,
-            },
         }
     }
 }
@@ -112,8 +105,8 @@ impl DegradationRung {
     /// budget trip. Extracted from the builder's gate loop so the
     /// escalation policy is unit-testable on its own:
     ///
-    /// * a *terminal* trip (wall clock or apply steps — a retry would
-    ///   trip again immediately) jumps straight to
+    /// * a *terminal* trip (the wall clock — a retry would trip again
+    ///   immediately) jumps straight to
     ///   [`DegradationRung::ConstantFallback`];
     /// * the first trip on a gate sheds partial sums;
     /// * the second trip escalates to a variable reorder when one is

@@ -89,19 +89,6 @@ fn rung3_third_trip_falls_back_to_constants() {
 }
 
 #[test]
-fn terminal_resources_skip_straight_to_constant_fallback() {
-    let lib = Library::test_library();
-    let netlist = benchmarks::by_name("cm85", &lib).expect("Table 1 name");
-    let model = ModelBuilder::new(&netlist)
-        .step_budget(100)
-        .try_build()
-        .expect("step exhaustion must degrade, not fail");
-    let report = model.degradation().expect("a rung fired");
-    assert_eq!(report.rungs[0], DegradationRung::ConstantFallback);
-    assert_eq!(report.first_trip, Some(Resource::ApplySteps));
-}
-
-#[test]
 fn expired_deadline_folds_every_gate_into_the_total_load() {
     let lib = Library::test_library();
     let netlist = benchmarks::by_name("decod", &lib).expect("Table 1 name");

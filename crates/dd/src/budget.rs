@@ -9,14 +9,16 @@
 //! [`DdError::BudgetExceeded`] instead of exhausting memory or
 //! wall-clock time.
 //!
-//! Three resources are governed:
+//! Two resources are governed:
 //!
 //! * **live nodes** — total arena population (internal + terminal nodes);
-//! * **apply steps** — cache-missing recursion steps, a deterministic
-//!   proxy for CPU work;
 //! * **wall clock** — a deadline measured from [`Budget::with_deadline`].
 //!
-//! A fourth pseudo-resource, [`Resource::FaultInjection`], backs
+//! Every checkpoint also counts one cache-missing recursion step
+//! ([`Budget::steps`], fed to [`ApplyStats`]), a deterministic measure of
+//! CPU work that no limit applies to.
+//!
+//! A third pseudo-resource, [`Resource::FaultInjection`], backs
 //! [`Budget::trip_after`]: tests can schedule deterministic budget trips
 //! to exercise every degradation path without constructing genuinely huge
 //! diagrams.
@@ -33,7 +35,7 @@
 //! use charfree_dd::{Budget, DdError, Manager, Resource, Var};
 //!
 //! let mut m = Manager::new(64);
-//! let budget = Budget::unlimited().with_max_apply_steps(10);
+//! let budget = Budget::unlimited().with_max_live_nodes(100);
 //! let mut acc = m.bdd_var(Var(0));
 //! let mut result = Ok(());
 //! for v in 1..64 {
@@ -43,7 +45,7 @@
 //!         Err(e) => {
 //!             assert!(matches!(
 //!                 e,
-//!                 DdError::BudgetExceeded { resource: Resource::ApplySteps, .. }
+//!                 DdError::BudgetExceeded { resource: Resource::LiveNodes, .. }
 //!             ));
 //!             result = Err(e);
 //!             break;
@@ -70,8 +72,6 @@ const CLOCK_STRIDE: u64 = 256;
 pub enum Resource {
     /// Total arena population (internal + terminal nodes).
     LiveNodes,
-    /// Cache-missing apply/ITE recursion steps.
-    ApplySteps,
     /// The wall-clock deadline passed.
     WallClock,
     /// A deterministic test trip scheduled by [`Budget::trip_after`].
@@ -82,7 +82,6 @@ impl fmt::Display for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Resource::LiveNodes => "live nodes",
-            Resource::ApplySteps => "apply steps",
             Resource::WallClock => "wall clock (ms)",
             Resource::FaultInjection => "fault injection",
         };
@@ -94,7 +93,6 @@ impl fmt::Display for Resource {
 ///
 /// [`Manager`]: crate::Manager
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum DdError {
     /// A [`Budget`] limit was hit mid-operation. The partially built
     /// nodes remain in the arena as garbage; run
@@ -198,7 +196,6 @@ impl ApplyStats {
 #[derive(Debug, Default)]
 pub struct Budget {
     max_live_nodes: Option<u64>,
-    max_apply_steps: Option<u64>,
     deadline: Option<(Instant, Duration)>,
     stats: Option<Arc<ApplyStats>>,
     steps: Cell<u64>,
@@ -216,12 +213,6 @@ impl Budget {
     /// Caps the total arena population (internal + terminal nodes).
     pub fn with_max_live_nodes(mut self, nodes: u64) -> Self {
         self.max_live_nodes = Some(nodes);
-        self
-    }
-
-    /// Caps the number of cache-missing apply/ITE recursion steps.
-    pub fn with_max_apply_steps(mut self, steps: u64) -> Self {
-        self.max_apply_steps = Some(steps);
         self
     }
 
@@ -267,9 +258,10 @@ impl Budget {
     /// Used when materializing shared-table hits
     /// ([`Manager::attach_shared`](crate::Manager::attach_shared)):
     /// re-interning memoized structure grows the arena — so the node
-    /// limit still applies — but it is not symbolic work, so it must not count against the step budget, feed the
-    /// [`ApplyStats`] sink, or advance scheduled fault-injection trips
-    /// (warm runs would otherwise report phantom apply steps).
+    /// limit still applies — but it is not symbolic work, so it must not
+    /// count as a step, feed the [`ApplyStats`] sink, or advance scheduled
+    /// fault-injection trips (warm runs would otherwise report phantom
+    /// apply steps).
     ///
     /// # Errors
     ///
@@ -320,15 +312,6 @@ impl Budget {
             }
         }
 
-        if let Some(limit) = self.max_apply_steps {
-            if steps > limit {
-                return Err(DdError::BudgetExceeded {
-                    resource: Resource::ApplySteps,
-                    limit,
-                    observed: steps,
-                });
-            }
-        }
         self.probe(live_nodes)?;
         if let Some((at, timeout)) = self.deadline {
             if steps % CLOCK_STRIDE == 1 && Instant::now() >= at {
@@ -354,23 +337,6 @@ mod tests {
             b.checkpoint(usize::MAX, usize::MAX).expect("unlimited");
         }
         assert_eq!(b.steps(), 10_000);
-    }
-
-    #[test]
-    fn step_limit_trips_at_boundary() {
-        let b = Budget::unlimited().with_max_apply_steps(5);
-        for _ in 0..5 {
-            b.checkpoint(0, 0).expect("within budget");
-        }
-        let err = b.checkpoint(0, 0).expect_err("over budget");
-        assert_eq!(
-            err,
-            DdError::BudgetExceeded {
-                resource: Resource::ApplySteps,
-                limit: 5,
-                observed: 6,
-            }
-        );
     }
 
     #[test]

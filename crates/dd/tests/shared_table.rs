@@ -123,8 +123,8 @@ fn materialization_respects_node_budget_without_phantom_steps() {
     build_workload(&mut m1, 12, &Budget::unlimited());
 
     // Warm build under a node cap too small for the materialized result:
-    // the cap must trip (as LiveNodes, not ApplySteps) even though no
-    // apply steps are consumed.
+    // the cap must trip (as LiveNodes) even though no apply steps are
+    // consumed.
     let mut m2 = Manager::new(12);
     m2.attach_shared(table.clone());
     let tight = Budget::unlimited().with_max_live_nodes(4);
@@ -152,7 +152,6 @@ fn materialization_respects_node_budget_without_phantom_steps() {
             );
         }
         None => panic!("a 4-node cap must trip"),
-        Some(other) => panic!("unexpected error {other:?}"),
     }
 }
 

@@ -123,8 +123,6 @@ pub struct BuildOptions {
     pub diagonal_gating: bool,
     /// Resource-governor live-node ceiling.
     pub node_budget: Option<u64>,
-    /// Resource-governor apply-step ceiling (deterministic CPU proxy).
-    pub step_budget: Option<u64>,
     /// Wall-clock deadline for construction. Nondeterministic — setting
     /// it makes the build uncacheable.
     pub time_budget: Option<Duration>,
@@ -141,7 +139,6 @@ impl Default for BuildOptions {
             leaf_recalibration: true,
             diagonal_gating: true,
             node_budget: None,
-            step_budget: None,
             time_budget: None,
             strict: false,
         }
@@ -197,7 +194,9 @@ impl BuildOptions {
         let _ = writeln!(out, "leaf_recalibration {}", self.leaf_recalibration);
         let _ = writeln!(out, "diagonal_gating {}", self.diagonal_gating);
         let _ = writeln!(out, "node_budget {:?}", self.node_budget);
-        let _ = writeln!(out, "step_budget {:?}", self.step_budget);
+        // The step budget is gone; its line stays so that stores warmed
+        // by earlier builds keep their keys under `options v2`.
+        out.push_str("step_budget None\n");
         let _ = writeln!(out, "strict {}", self.strict);
         out
     }
@@ -220,9 +219,6 @@ impl BuildOptions {
             .strict(self.strict);
         if let Some(nodes) = self.node_budget {
             builder = builder.node_budget(nodes);
-        }
-        if let Some(steps) = self.step_budget {
-            builder = builder.step_budget(steps);
         }
         if let Some(deadline) = self.time_budget {
             builder = builder.time_budget(deadline);
@@ -855,10 +851,6 @@ mod tests {
             },
             BuildOptions {
                 node_budget: Some(500),
-                ..BuildOptions::default()
-            },
-            BuildOptions {
-                step_budget: Some(1000),
                 ..BuildOptions::default()
             },
             BuildOptions {
