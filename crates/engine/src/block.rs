@@ -88,8 +88,9 @@ impl PatternBlock {
         // Branchless: the input bits are data (often random), so an `if`
         // per bit would mispredict half the time.
         for i in 0..kernel.num_inputs() {
-            self.words[base + kernel.xi_vars[i] as usize] |= (xi[i] as u64) << lane;
-            self.words[base + kernel.xf_vars[i] as usize] |= (xf[i] as u64) << lane;
+            let (vi, vf) = kernel.input_vars(i);
+            self.words[base + vi] |= (xi[i] as u64) << lane;
+            self.words[base + vf] |= (xf[i] as u64) << lane;
         }
         self.len += 1;
     }
@@ -274,8 +275,9 @@ impl PatternBlock {
         let base = self.words.len() - self.num_vars;
         for (i, &wi) in acc.iter().enumerate() {
             let wf = (wi >> 1) | ((last[i] as u64) << 63);
-            self.words[base + kernel.xi_vars[i] as usize] = wi;
-            self.words[base + kernel.xf_vars[i] as usize] = wf;
+            let (vi, vf) = kernel.input_vars(i);
+            self.words[base + vi] = wi;
+            self.words[base + vf] = wf;
         }
         self.len += 64;
     }

@@ -87,11 +87,10 @@ pub struct Kernel {
     /// Root reference (may point straight into the terminal table for
     /// constant models).
     pub(crate) root: u32,
-    /// `xi_vars[i]` = diagram variable carrying macro input `i` at `tⁱ`
-    /// (slot permutation already folded in).
-    pub(crate) xi_vars: Vec<u32>,
-    /// `xf_vars[i]` = diagram variable carrying macro input `i` at `tᶠ`.
-    pub(crate) xf_vars: Vec<u32>,
+    /// `slots[i]` = the order slot of macro input `i`, whose diagram
+    /// variables are [`xi_var`]`(slot)` at `tⁱ` and [`xf_var`]`(slot)` at
+    /// `tᶠ` (see [`Kernel::input_vars`]).
+    pub(crate) slots: Vec<u32>,
     /// The derived batch program (never persisted), set by
     /// [`Kernel::derive_batch`].
     pub(crate) batch: Batch,
@@ -170,9 +169,7 @@ impl Kernel {
         }
         let root = encode(root, &mut terminals, &mut term_index);
 
-        let slots = model.input_slots();
-        let xi_vars = slots.iter().map(|&slot| xi_var(slot).index()).collect();
-        let xf_vars = slots.iter().map(|&slot| xf_var(slot).index()).collect();
+        let slots = model.input_slots().iter().map(|&s| s as u32).collect();
 
         let mut kernel = Kernel {
             name: model.name().to_owned(),
@@ -181,8 +178,7 @@ impl Kernel {
             instrs,
             terminals,
             root,
-            xi_vars,
-            xf_vars,
+            slots,
             batch: Batch::Constant(0.0),
             depth: 0,
         };
@@ -277,7 +273,7 @@ impl Kernel {
     pub fn bytes(&self) -> usize {
         self.instrs.len() * std::mem::size_of::<Instr>()
             + self.terminals.len() * std::mem::size_of::<f64>()
-            + (self.xi_vars.len() + self.xf_vars.len()) * std::mem::size_of::<u32>()
+            + 2 * self.slots.len() * std::mem::size_of::<u32>()
     }
 
     /// Bytes the kernel keeps resident: [`Kernel::bytes`] plus a walking
@@ -340,9 +336,17 @@ impl Kernel {
     #[inline]
     pub(crate) fn fill_assignment(&self, xi: &[bool], xf: &[bool], buf: &mut [bool]) {
         for i in 0..self.num_inputs {
-            buf[self.xi_vars[i] as usize] = xi[i];
-            buf[self.xf_vars[i] as usize] = xf[i];
+            let (vi, vf) = self.input_vars(i);
+            buf[vi] = xi[i];
+            buf[vf] = xf[i];
         }
+    }
+
+    /// The diagram variables carrying macro input `i` at `tⁱ` and `tᶠ`.
+    #[inline]
+    pub(crate) fn input_vars(&self, i: usize) -> (usize, usize) {
+        let slot = self.slots[i] as usize;
+        (xi_var(slot).index() as usize, xf_var(slot).index() as usize)
     }
 
     /// `true` when batches run the stride walk rather than gather (see
@@ -467,7 +471,7 @@ impl Kernel {
 
     /// Validates internal invariants (used after [`Kernel::load`]): every
     /// reference in range, every internal reference strictly backwards,
-    /// variables below `num_vars`, input maps within bounds and disjoint.
+    /// variables below `num_vars`, input slots a permutation.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let check_ref = |r: u32, idx: usize| -> Result<(), String> {
             if r & TERMINAL_BIT != 0 {
@@ -514,13 +518,14 @@ impl Kernel {
                 self.num_vars, self.num_inputs
             ));
         }
-        if self.xi_vars.len() != self.num_inputs || self.xf_vars.len() != self.num_inputs {
+        if self.slots.len() != self.num_inputs {
             return Err("input variable maps do not cover every input".to_owned());
         }
-        let mut seen = vec![false; self.num_vars as usize];
-        for &v in self.xi_vars.iter().chain(&self.xf_vars) {
-            if v >= self.num_vars || std::mem::replace(&mut seen[v as usize], true) {
-                return Err("input variable maps are not a permutation".to_owned());
+        let mut seen = vec![false; self.num_inputs];
+        for &slot in &self.slots {
+            let slot = slot as usize;
+            if slot >= self.num_inputs || std::mem::replace(&mut seen[slot], true) {
+                return Err("input slots are not a permutation".to_owned());
             }
         }
         for t in &self.terminals {

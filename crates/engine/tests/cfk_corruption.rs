@@ -152,13 +152,16 @@ fn swapped_and_duplicated_lines_are_rejected_or_coherent() {
 fn wide_levels_kernel_text(levels: usize) -> String {
     const INPUTS: usize = 32_800;
     const WIDTH: usize = 128;
-    let vars: Vec<String> = (0..2 * INPUTS).map(|v| v.to_string()).collect();
+    let vars = |offset: usize| -> String {
+        let vars: Vec<String> = (0..INPUTS).map(|i| (2 * i + offset).to_string()).collect();
+        vars.join(" ")
+    };
     let mut text = format!(
         "charfree-kernel v1\nname wide\ninputs {INPUTS}\nvars {}\ninterleaved 1\n\
          xi {}\nxf {}\nterminals {:016x} {:016x}\ninstrs {}\n",
         2 * INPUTS,
-        vars[..INPUTS].join(" "),
-        vars[INPUTS..].join(" "),
+        vars(0),
+        vars(1),
         1.0f64.to_bits(),
         2.0f64.to_bits(),
         levels * WIDTH
@@ -199,4 +202,55 @@ fn stride_walk_entry_bound_is_a_typed_error() {
         .expect_err("too many entry nodes for the stride walk");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     assert!(err.to_string().contains("stride walk"), "{err}");
+}
+
+/// `expected_capacitance` and every evaluator read input `i` at the
+/// variables `2·slot` and `2·slot + 1`, so a kernel whose `xi`/`xf` maps
+/// name anything else is refused at load. A decod kernel with its maps
+/// rewritten to two blocks (`xi 0 1 2 3 4`, `xf 5 6 7 8 9`) used to load
+/// and report an expected capacitance its own `eval` disagreed with.
+#[test]
+fn input_maps_must_be_interleaved_slot_pairs() {
+    let library = Library::test_library();
+    let model =
+        ModelBuilder::new(&benchmarks::by_name("decod", &library).expect("Table 1 name")).build();
+    let mut bytes = Vec::new();
+    Kernel::compile(&model)
+        .save(&mut bytes)
+        .expect("in-memory save");
+    let text = String::from_utf8(bytes).expect("the .cfk format is text");
+    assert!(
+        Kernel::load(text.as_bytes()).is_ok(),
+        "the compiled maps load"
+    );
+    let with_maps = |xi: &str, xf: &str| -> String {
+        let lines: Vec<String> = text
+            .lines()
+            .map(|line| match line.split_once(' ') {
+                Some(("xi", _)) => format!("xi {xi}"),
+                Some(("xf", _)) => format!("xf {xf}"),
+                _ => line.to_owned(),
+            })
+            .collect();
+        format!("{}\n", lines.join("\n"))
+    };
+    for (xi, xf) in [
+        ("0 1 2 3 4", "5 6 7 8 9"),   // two blocks
+        ("1 3 5 7 9", "0 2 4 6 8"),   // each pair swapped
+        ("0 2 4 6 8", "1 3 5 7 10"),  // one pair split
+        ("0 2 2 6 8", "1 3 3 7 9"),   // a slot twice
+        ("0 2 4 6 10", "1 3 5 7 11"), // a slot out of range
+        ("0 2 4 6", "1 3 5 7"),       // an input without variables
+    ] {
+        let err = Kernel::load(with_maps(xi, xf).as_bytes())
+            .expect_err("maps other than slot pairs are refused");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "xi {xi} / xf {xf}: {err}"
+        );
+    }
+    let slots_permuted = Kernel::load(with_maps("8 6 4 2 0", "9 7 5 3 1").as_bytes())
+        .expect("any slot permutation loads");
+    assert_loaded_kernel_coherent(&slots_permuted);
 }
