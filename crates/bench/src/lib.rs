@@ -304,9 +304,9 @@ pub struct Fig7bPoint {
     pub are: f64,
 }
 
-/// Runs the Fig. 7b sweep: ARE of progressively smaller ADD models,
-/// derived by shrinking a single mother model (plus reference AREs for Con
-/// and Lin). Returns `(points, con_are, lin_are)`.
+/// Runs the Fig. 7b sweep: ARE of progressively smaller ADD models, each
+/// built from scratch at its own `MAX` budget (plus reference AREs for
+/// Con and Lin). Returns `(points, con_are, lin_are)`.
 pub fn fig7b(netlist: &Netlist, budgets: &[usize], config: &Config) -> (Vec<Fig7bPoint>, f64, f64) {
     let sim = ZeroDelaySim::new(netlist);
     let grid = statistics_grid();

@@ -18,7 +18,9 @@
 //! "close", they are the same function.
 
 use charfree_core::{ApproxStrategy, ModelBuilder, PowerModel};
-use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine, TraceSummary};
+use charfree_engine::{
+    eval_fused, FusedJob, Kernel, PatternBlock, TraceEngine, TraceSummary, DEFAULT_CHUNK,
+};
 use charfree_netlist::{benchmarks, blif, Library};
 use charfree_sim::MarkovSource;
 
@@ -252,8 +254,9 @@ fn unreachable_rows_never_leak_across_reused_scratch() {
     let kernel = unreachable_nodes_kernel();
     assert!(!kernel.walks(), "a small kernel gathers");
     let mut source = MarkovSource::new(3, 0.5, 0.4, 29).expect("valid stats");
-    // 1500 transitions: six 256-lane sub-blocks, the last one ragged.
-    let patterns = source.sequence(1501);
+    // Four chunks of sixteen 256-lane sub-blocks, the last chunk and
+    // its last sub-block ragged.
+    let patterns = source.sequence(4 * DEFAULT_CHUNK - 99);
     let scalar: Vec<f64> = patterns
         .windows(2)
         .map(|p| kernel.eval_transition(&p[0], &p[1]))
@@ -265,13 +268,13 @@ fn unreachable_rows_never_leak_across_reused_scratch() {
         }
     };
 
-    // 512-transition chunks: at two jobs, each worker still evaluates
-    // at least two sub-blocks on one scratch.
+    // At two jobs, each worker evaluates two chunks, and every sub-block
+    // after its first on the same scratch.
     for jobs in [1, 2] {
-        let engine = TraceEngine::new(&kernel).jobs(jobs).chunk_size(512);
+        let engine = TraceEngine::new(&kernel).jobs(jobs);
         assert_matches(&format!("trace, {jobs} jobs"), &engine.trace(&patterns));
         let summary = engine.evaluate(&patterns);
-        let want = TraceSummary::from_values(&scalar, 512);
+        let want = TraceSummary::from_values(&scalar);
         assert_eq!(summary.transitions, want.transitions);
         assert_eq!(
             summary.sum_ff.to_bits(),

@@ -7,7 +7,7 @@
 //! regardless of the worker count.
 
 use charfree_core::{AddPowerModel, ModelBuilder, PowerModel};
-use charfree_engine::{Kernel, TraceEngine};
+use charfree_engine::{Kernel, TraceEngine, DEFAULT_CHUNK};
 use charfree_netlist::{benchmarks, Library};
 use charfree_sim::MarkovSource;
 use proptest::prelude::*;
@@ -64,7 +64,7 @@ proptest! {
         let patterns = source.sequence(200);
 
         // Batched trace (covers packing + the fused walk).
-        let trace = TraceEngine::new(&kernel).chunk_size(64).trace(&patterns);
+        let trace = TraceEngine::new(&kernel).trace(&patterns);
         prop_assert_eq!(trace.len(), 199);
         for (t, &got) in trace.iter().enumerate() {
             let want = model
@@ -81,28 +81,28 @@ proptest! {
     }
 
     /// Worker count never changes a summary: chunk boundaries and the
-    /// merge order are fixed by the chunk size alone.
+    /// merge order are fixed by [`DEFAULT_CHUNK`] alone.
     #[test]
     fn jobs_are_bit_for_bit_deterministic(
         seed in 0u64..1_000,
         gates in 6usize..26,
-        chunk in 16usize..200,
     ) {
         let library = Library::test_library();
         let netlist = benchmarks::random_logic("prop", 8, gates, seed, &library);
         let model = ModelBuilder::new(&netlist).build();
         let kernel = Kernel::compile(&model);
         let mut source = MarkovSource::new(8, 0.5, 0.5, seed ^ 0xdead).expect("feasible");
-        let patterns = source.sequence(700);
+        // Three chunks, the last one ragged.
+        let patterns = source.sequence(2 * DEFAULT_CHUNK + 701);
 
-        let one = TraceEngine::new(&kernel).chunk_size(chunk).jobs(1).evaluate(&patterns);
-        let eight = TraceEngine::new(&kernel).chunk_size(chunk).jobs(8).evaluate(&patterns);
+        let one = TraceEngine::new(&kernel).jobs(1).evaluate(&patterns);
+        let eight = TraceEngine::new(&kernel).jobs(8).evaluate(&patterns);
         prop_assert_eq!(one.transitions, eight.transitions);
         prop_assert_eq!(one.sum_ff.to_bits(), eight.sum_ff.to_bits());
         prop_assert_eq!(one.max_ff.to_bits(), eight.max_ff.to_bits());
 
-        let t1 = TraceEngine::new(&kernel).chunk_size(chunk).jobs(1).trace(&patterns);
-        let t8 = TraceEngine::new(&kernel).chunk_size(chunk).jobs(8).trace(&patterns);
+        let t1 = TraceEngine::new(&kernel).jobs(1).trace(&patterns);
+        let t8 = TraceEngine::new(&kernel).jobs(8).trace(&patterns);
         for (a, b) in t1.iter().zip(&t8) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }

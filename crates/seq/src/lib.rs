@@ -383,7 +383,7 @@ mod tests {
         fn summarize(&self, transitions: usize, per_macro: &[Vec<f64>]) -> SeqSummary {
             let total = Self::fold_total(transitions, per_macro);
             SeqSummary {
-                total: TraceSummary::from_values(&total, DEFAULT_CHUNK),
+                total: TraceSummary::from_values(&total),
                 per_macro: self
                     .build
                     .macros
@@ -391,7 +391,7 @@ mod tests {
                     .zip(per_macro)
                     .map(|(info, values)| MacroSummary {
                         name: info.name.clone(),
-                        summary: TraceSummary::from_values(values, DEFAULT_CHUNK),
+                        summary: TraceSummary::from_values(values),
                     })
                     .collect(),
             }

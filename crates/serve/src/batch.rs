@@ -39,7 +39,8 @@
 //!    the same per-transition values as evaluating each request alone
 //!    (f64 bit-exactly; the kernel-equivalence suites enforce it).
 //! 2. The per-request summary is reduced with
-//!    [`TraceSummary::from_values`] over [`DEFAULT_CHUNK`]-sized runs —
+//!    [`TraceSummary::from_values`] over
+//!    [`DEFAULT_CHUNK`](charfree_engine::DEFAULT_CHUNK)-sized runs —
 //!    the exact association [`TraceEngine`](charfree_engine::TraceEngine)
 //!    uses offline — so floating-point summation order matches the
 //!    single-request path bit for bit.
@@ -58,7 +59,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceSummary, DEFAULT_CHUNK};
+use charfree_engine::{eval_fused, FusedJob, Kernel, PatternBlock, TraceSummary};
 use charfree_seq::MacroSummary;
 use charfree_sim::MarkovSource;
 
@@ -428,10 +429,9 @@ fn execute(jobs: Vec<Job>, stats: &ServerStats) {
         stats.record_batch(group.replies.len(), lane_fill(group.block.len()));
         for (reply, want_values, offset, len) in group.replies {
             let slice = &values[offset..offset + len];
-            // DEFAULT_CHUNK association == the offline TraceEngine
-            // reduction, which is what keeps batched summaries
-            // bit-identical.
-            let summary = TraceSummary::from_values(slice, DEFAULT_CHUNK);
+            // The offline TraceEngine reduction, which is what keeps
+            // batched summaries bit-identical.
+            let summary = TraceSummary::from_values(slice);
             let values = want_values.then(|| slice.to_vec());
             reply.complete(Ok(JobOutput {
                 summary,

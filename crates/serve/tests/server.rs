@@ -102,10 +102,7 @@ fn multi_connection_mixed_workload_is_bit_identical_to_offline() {
                 max_ff,
             } => {
                 assert!(!want_trace);
-                let reference = charfree_engine::TraceSummary::from_values(
-                    &values,
-                    charfree_engine::DEFAULT_CHUNK,
-                );
+                let reference = charfree_engine::TraceSummary::from_values(&values);
                 assert_eq!(got_name, name);
                 assert_eq!(transitions, reference.transitions);
                 assert_eq!(sum_ff.to_bits(), reference.sum_ff.to_bits(), "{source}");
@@ -286,8 +283,7 @@ fn graceful_drain_completes_accepted_requests() {
     let response = worker.join().expect("worker thread");
     let params = eval_params(2000, 7);
     let (_, values) = offline("decod", &params);
-    let reference =
-        charfree_engine::TraceSummary::from_values(&values, charfree_engine::DEFAULT_CHUNK);
+    let reference = charfree_engine::TraceSummary::from_values(&values);
     match response {
         Response::Eval {
             sum_ff,
@@ -1039,8 +1035,7 @@ fn zero_build_ceilings_are_bad_requests_and_the_server_keeps_serving() {
         ));
         let params = eval_params(500, 0x5EED);
         let (name, values) = offline("decod", &params);
-        let reference =
-            charfree_engine::TraceSummary::from_values(&values, charfree_engine::DEFAULT_CHUNK);
+        let reference = charfree_engine::TraceSummary::from_values(&values);
         let request = Request::Eval {
             source: "decod".to_owned(),
             options: WireBuildOptions::default(),
@@ -1271,8 +1266,7 @@ fn grouped_layout_files_are_typed_errors() {
 
     let params = eval_params(500, 0x5EED);
     let (name, values) = offline("decod", &params);
-    let reference =
-        charfree_engine::TraceSummary::from_values(&values, charfree_engine::DEFAULT_CHUNK);
+    let reference = charfree_engine::TraceSummary::from_values(&values);
     let eval = Request::Eval {
         source: "decod".to_owned(),
         options: WireBuildOptions::default(),
