@@ -12,9 +12,9 @@
 //!   build;
 //! * **never a hang** — failures surface as typed, retriable responses
 //!   (or bounded transport drops), and injected stalls are capped;
-//! * **always recoverable** — after any fault ladder, one journal
-//!   recovery pass quarantines every torn entry and the next store
-//!   writes bytes identical to a clean cold write.
+//! * **always recoverable** — after any fault ladder, one recovery
+//!   pass over the store directory quarantines every torn entry and
+//!   the next store writes bytes identical to a clean cold write.
 //!
 //! Five phases:
 //!
@@ -22,9 +22,9 @@
 //!    store/load/recover cycles until the configured fault budget is
 //!    spent; hits must be bit-exact, recovery must leave the store
 //!    clean and byte-identical to the reference artifacts.
-//! 2. **Torn store (`kill -9` picture)** — a half-written kernel plus a
-//!    dangling journal `begin`; recovery must quarantine, report, and
-//!    the rebuilt entry must heal byte-identically.
+//! 2. **Torn store (`kill -9` picture)** — a half-written kernel under
+//!    a live key; recovery must quarantine, report, and the rebuilt
+//!    entry must heal byte-identically.
 //! 3. **Live server under stream + store faults** — trace requests
 //!    through [`Client::request_with_retries`]; completed responses are
 //!    bit-compared against a local kernel, failures must be typed
@@ -38,7 +38,6 @@
 //!    the circuit once the cause is fixed.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
@@ -85,7 +84,7 @@ pub struct ChaosReport {
     pub injected_faults: u64,
     /// Bit-exactness comparisons that held (artifact loads + responses).
     pub bit_checks: u64,
-    /// Journal recovery passes executed.
+    /// Recovery passes executed.
     pub recoveries: usize,
     /// Torn entries recovery moved to quarantine.
     pub quarantined: usize,
@@ -180,7 +179,7 @@ pub fn run(config: &ChaosConfig, workdir: &Path) -> Result<ChaosReport, String> 
     Ok(report)
 }
 
-/// Phase 1: seeded fault ladders against the journaled store. Loads that
+/// Phase 1: seeded fault ladders against the artifact store. Loads that
 /// validate must be bit-exact; a real-I/O recovery pass after each rung
 /// must quarantine anything torn and leave artifacts byte-identical to
 /// the clean reference.
@@ -291,9 +290,9 @@ fn store_fault_ladder(
 }
 
 /// Phase 2: the on-disk picture of a `kill -9` mid-publish — a torn
-/// artifact under a live key plus a dangling journal `begin`. Recovery
-/// must quarantine the torn entry (typed, reported), the key must read
-/// as a miss, and a rebuild must write bytes identical to a clean store.
+/// artifact under a live key. Recovery must quarantine the torn entry
+/// (typed, reported), the key must read as a miss, and a rebuild must
+/// write bytes identical to a clean store.
 fn torn_store_heals(
     workdir: &Path,
     kernel: &Kernel,
@@ -309,22 +308,11 @@ fn torn_store_heals(
     let path = store.path(key, ArtifactKind::Kernel);
     let bytes = fs::read(&path).map_err(|e| e.to_string())?;
     fs::write(&path, &bytes[..bytes.len() / 2]).map_err(|e| e.to_string())?;
-    let mut journal = fs::OpenOptions::new()
-        .append(true)
-        .open(store.journal_path())
-        .map_err(|e| e.to_string())?;
-    journal
-        .write_all(b"begin feedfacefeedfacefeedfacefeedface.cfk\n")
-        .map_err(|e| e.to_string())?;
-    drop(journal);
 
     let recovery = store.recover().map_err(|e| format!("recovery: {e}"))?;
     report.recoveries += 1;
     if recovery.quarantined.is_empty() {
         return Err("torn kernel was not quarantined".to_owned());
-    }
-    if recovery.aborted_writes == 0 {
-        return Err("dangling `begin` was not reported as an aborted write".to_owned());
     }
     report.quarantined += recovery.quarantined.len();
     if !matches!(store.load_kernel(key), CacheLookup::Miss) {

@@ -25,7 +25,7 @@ use crate::degrade::{BuildError, DegradationReport, DegradationRung};
 use crate::model::{xf_var, xi_var, AddPowerModel, BuildReport};
 use charfree_dd::reorder::reorder_paired_windows;
 use charfree_dd::{
-    Add, ApplyStats, Bdd, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, UniqueTable,
+    Add, ApplyStats, Bdd, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, SharedTable,
     Var,
 };
 use charfree_netlist::{CellKind, Netlist};
@@ -64,7 +64,7 @@ pub struct ModelBuilder<'a> {
     trips: Vec<u64>,
     strict: bool,
     stats: Option<Arc<ApplyStats>>,
-    shared: Option<Arc<dyn UniqueTable>>,
+    shared: Option<Arc<SharedTable>>,
 }
 
 /// Default toggle-probability family the collapse mixture spans; chosen to
@@ -225,7 +225,7 @@ impl<'a> ModelBuilder<'a> {
     /// same one) is replayed structurally at zero apply steps. A table
     /// hit is bit-identical to a fresh build; attaching a table never
     /// changes results, only the work needed to reach them.
-    pub fn shared_table(mut self, table: Arc<dyn UniqueTable>) -> Self {
+    pub fn shared_table(mut self, table: Arc<SharedTable>) -> Self {
         self.shared = Some(table);
         self
     }

@@ -148,16 +148,17 @@ impl AddPowerModel {
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| bad("bad report"))?;
         let exact = parts.next() == Some("1");
-        let cpu_secs: f64 = parts
+        let cpu = parts
             .next()
             .and_then(|t| t.parse().ok())
+            .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
             .ok_or_else(|| bad("bad report"))?;
 
         let mixture_count: usize = next(&mut r)?
             .strip_prefix("mixture ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad("missing mixture"))?;
-        let mut collapse_mixture = Vec::with_capacity(mixture_count);
+        let mut collapse_mixture = Vec::new();
         for _ in 0..mixture_count {
             let mline = next(&mut r)?;
             let rest = mline
@@ -219,7 +220,7 @@ impl AddPowerModel {
                 nodes_collapsed,
                 final_size,
                 exact,
-                cpu: Duration::from_secs_f64(cpu_secs),
+                cpu,
             },
             // Degradation metadata is build-time diagnostics and is not
             // persisted; a reloaded model reports a clean build.
@@ -307,5 +308,43 @@ mod tests {
         // Bad slot permutation.
         let text = "charfree-model v1\nname x\ninputs 2\nordering interleaved\nslots 0 0\n";
         assert!(AddPowerModel::load(text.as_bytes()).is_err());
+
+        // Declared counts far past the file reserve nothing up front, and
+        // a CPU field no `Duration` can hold is refused: typed errors.
+        let library = Library::test_library();
+        let netlist = benchmarks::by_name("decod", &library).expect("Table 1 name");
+        let mut buf = Vec::new();
+        ModelBuilder::new(&netlist)
+            .build()
+            .save(&mut buf)
+            .expect("saves");
+        let text = String::from_utf8(buf).expect("format is text");
+        let report = text
+            .lines()
+            .find(|line| line.starts_with("report "))
+            .expect("report line");
+        let kept: Vec<&str> = report.split_whitespace().take(4).collect();
+        let negative_cpu = format!("{} -1", kept.join(" "));
+        for (prefix, replacement) in [
+            ("mixture ", "mixture 4000000000000000"),
+            ("t ", "t 4000000000000000"),
+            ("n ", "n 4000000000000000"),
+            ("report ", negative_cpu.as_str()),
+        ] {
+            let hostile: String = text
+                .lines()
+                .map(|line| {
+                    let line = if line.starts_with(prefix) {
+                        replacement
+                    } else {
+                        line
+                    };
+                    format!("{line}\n")
+                })
+                .collect();
+            assert_ne!(hostile, text, "`{prefix}` line present");
+            let err = AddPowerModel::load(hostile.as_bytes()).expect_err(prefix);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{prefix}: {err}");
+        }
     }
 }

@@ -130,7 +130,7 @@ pub fn read_diagram<R: BufRead>(m: &mut Manager, r: R) -> io::Result<NodeId> {
         .strip_prefix("t ")
         .and_then(|s| s.trim().parse().ok())
         .ok_or_else(|| bad("bad terminal count"))?;
-    let mut terminals = Vec::with_capacity(tcount);
+    let mut terminals = Vec::new();
     if tcount > 0 {
         let values = next()?;
         for tok in values.split_whitespace() {
@@ -152,7 +152,7 @@ pub fn read_diagram<R: BufRead>(m: &mut Manager, r: R) -> io::Result<NodeId> {
         .strip_prefix("n ")
         .and_then(|s| s.trim().parse().ok())
         .ok_or_else(|| bad("bad node count"))?;
-    let mut nodes: Vec<NodeId> = Vec::with_capacity(ncount);
+    let mut nodes: Vec<NodeId> = Vec::new();
     let decode = |tok: &str, terminals: &[NodeId], nodes: &[NodeId]| -> io::Result<NodeId> {
         if let Some(i) = tok.strip_prefix('T') {
             let i: usize = i.parse().map_err(|_| bad("bad terminal ref"))?;

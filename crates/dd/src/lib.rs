@@ -72,6 +72,6 @@ mod stats;
 pub use budget::{ApplyStats, Budget, DdError, Resource};
 pub use manager::{Add, Bdd, BinOp, Manager};
 pub use node::{NodeId, Var};
-pub use shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable, TableCounters, UniqueTable};
+pub use shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable, TableCounters};
 pub use snapshot::{CollapseSizer, DenseProfile, Snapshot};
 pub use stats::{ChainMeasure, MeasuredNode, NodeStats, VarMeasure};

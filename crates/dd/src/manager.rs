@@ -4,7 +4,7 @@
 use crate::budget::{Budget, DdError};
 use crate::hash::{canonical_f64_bits, FxHashMap, FxHashSet};
 use crate::node::{Node, NodeId, Var};
-use crate::shared::{ApplyKey, Fingerprint, SharedEntry, UniqueTable};
+use crate::shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable};
 use std::sync::Arc;
 
 /// A reduced ordered *binary* decision diagram rooted in a manager.
@@ -211,7 +211,7 @@ pub struct Manager {
     /// attached, the three fields below mirror the arena with canonical
     /// sub-DAG fingerprints. `None` keeps the default build path free of
     /// fingerprint maintenance.
-    shared: Option<Arc<dyn UniqueTable>>,
+    shared: Option<Arc<SharedTable>>,
     /// Fingerprint of `nodes[i]`, parallel to the arena.
     fps: Vec<Fingerprint>,
     /// Fingerprint of `terminals[i]`, parallel to the terminal arena.
@@ -263,13 +263,13 @@ impl Manager {
     /// re-deriving it (counted by the table, not as apply steps).
     /// Structure already in this arena is fingerprinted and recorded
     /// immediately.
-    pub fn attach_shared(&mut self, table: Arc<dyn UniqueTable>) {
+    pub fn attach_shared(&mut self, table: Arc<SharedTable>) {
         self.shared = Some(table);
         self.refingerprint();
     }
 
     /// The attached cross-build unique table, if any.
-    pub fn shared_table(&self) -> Option<&Arc<dyn UniqueTable>> {
+    pub fn shared_table(&self) -> Option<&Arc<SharedTable>> {
         self.shared.as_ref()
     }
 
@@ -346,7 +346,7 @@ impl Manager {
     fn materialize(
         &mut self,
         fp: Fingerprint,
-        table: &Arc<dyn UniqueTable>,
+        table: &Arc<SharedTable>,
         budget: &Budget,
     ) -> Result<Option<NodeId>, DdError> {
         if let Some(&id) = self.fp_nodes.get(&fp) {

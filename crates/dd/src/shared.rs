@@ -165,36 +165,6 @@ pub struct TableCounters {
     pub delta_rebuilds: u64,
 }
 
-/// The unique-table interface a [`Manager`](crate::Manager) consults for
-/// cross-build structural sharing. The manager's arena-local interning
-/// (canonicity within one arena) stays where it is; this trait is the
-/// boundary through which structure escapes the arena.
-///
-/// All methods take `&self`: one table is shared by many concurrent
-/// builds, so implementations must synchronize internally.
-pub trait UniqueTable: fmt::Debug + Send + Sync {
-    /// Looks up the structure recorded under `fp`.
-    fn lookup(&self, fp: Fingerprint) -> Option<SharedEntry>;
-
-    /// Records the structure of a freshly interned node. Recording the
-    /// same fingerprint twice is a no-op (first write wins).
-    fn record(&self, fp: Fingerprint, entry: SharedEntry);
-
-    /// Probes the cross-build apply/ITE memo. Returns the result
-    /// fingerprint and the apply-step cost recorded when it was first
-    /// computed.
-    fn lookup_apply(&self, key: &ApplyKey) -> Option<(Fingerprint, u64)>;
-
-    /// Records a computed apply/ITE result and its measured step cost.
-    fn record_apply(&self, key: ApplyKey, result: Fingerprint, steps: u64);
-
-    /// Counts one memo hit whose recorded cost was `steps_saved`.
-    fn note_apply_hit(&self, steps_saved: u64);
-
-    /// Counts one memo miss.
-    fn note_apply_miss(&self);
-}
-
 const SHARDS: usize = 16;
 
 /// Entry cap of each of a [`SharedTable`]'s two maps (structure and apply
@@ -210,10 +180,13 @@ struct Shard {
     apply: FxHashMap<ApplyKey, (Fingerprint, u64)>,
 }
 
-/// The concrete cross-build unique table: sharded mutex-protected maps,
-/// each capped at [`MAX_TABLE_ENTRIES`], plus relaxed atomic counters.
-/// Cheap to share (`Arc<SharedTable>`) and safe to consult from every
-/// build thread of a server.
+/// The cross-build unique table a [`Manager`](crate::Manager) consults
+/// for structural sharing: sharded mutex-protected maps, each capped at
+/// [`MAX_TABLE_ENTRIES`], plus relaxed atomic counters. Cheap to share (`Arc<SharedTable>`) and safe to consult from every
+/// build thread of a server: every method takes `&self`. The manager's
+/// arena-local interning (canonicity within one arena) stays where it
+/// is; this table is the boundary through which structure escapes the
+/// arena.
 #[derive(Debug)]
 pub struct SharedTable {
     shards: Vec<Mutex<Shard>>,
@@ -286,37 +259,44 @@ impl SharedTable {
     pub fn note_delta_rebuild(&self) {
         self.delta_rebuilds.fetch_add(1, Ordering::Relaxed);
     }
-}
 
-impl UniqueTable for SharedTable {
-    fn lookup(&self, fp: Fingerprint) -> Option<SharedEntry> {
+    /// Looks up the structure recorded under `fp`.
+    pub fn lookup(&self, fp: Fingerprint) -> Option<SharedEntry> {
         self.shard(fp.shard(SHARDS)).structure.get(&fp).copied()
     }
 
-    fn record(&self, fp: Fingerprint, entry: SharedEntry) {
+    /// Records the structure of a freshly interned node. Recording the
+    /// same fingerprint twice is a no-op (first write wins).
+    pub fn record(&self, fp: Fingerprint, entry: SharedEntry) {
         let mut shard = self.shard(fp.shard(SHARDS));
         if shard.structure.len() < self.shard_cap {
             shard.structure.entry(fp).or_insert(entry);
         }
     }
 
-    fn lookup_apply(&self, key: &ApplyKey) -> Option<(Fingerprint, u64)> {
+    /// Probes the cross-build apply/ITE memo. Returns the result
+    /// fingerprint and the apply-step cost recorded when it was first
+    /// computed.
+    pub fn lookup_apply(&self, key: &ApplyKey) -> Option<(Fingerprint, u64)> {
         self.shard(key.shard(SHARDS)).apply.get(key).copied()
     }
 
-    fn record_apply(&self, key: ApplyKey, result: Fingerprint, steps: u64) {
+    /// Records a computed apply/ITE result and its measured step cost.
+    pub fn record_apply(&self, key: ApplyKey, result: Fingerprint, steps: u64) {
         let mut shard = self.shard(key.shard(SHARDS));
         if shard.apply.len() < self.shard_cap {
             shard.apply.entry(key).or_insert((result, steps));
         }
     }
 
-    fn note_apply_hit(&self, steps_saved: u64) {
+    /// Counts one memo hit whose recorded cost was `steps_saved`.
+    pub fn note_apply_hit(&self, steps_saved: u64) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         self.steps_saved.fetch_add(steps_saved, Ordering::Relaxed);
     }
 
-    fn note_apply_miss(&self) {
+    /// Counts one memo miss.
+    pub fn note_apply_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 }

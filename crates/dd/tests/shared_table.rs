@@ -8,9 +8,7 @@
 
 use std::sync::Arc;
 
-use charfree_dd::{
-    Add, ApplyStats, Budget, DdError, Manager, Resource, SharedTable, UniqueTable, Var,
-};
+use charfree_dd::{Add, ApplyStats, Budget, DdError, Manager, Resource, SharedTable, Var};
 
 /// The switching-capacitance-shaped workload of the crate docs: a sum of
 /// scaled rise indicators over `vars` variables.
@@ -185,18 +183,4 @@ fn compact_keeps_fingerprints_and_sharing_consistent() {
         .expect("unlimited");
     assert_eq!(warm.apply_steps(), 0);
     assert_eq!(m2.fingerprint(g2.node()), Some(fp_g));
-}
-
-#[test]
-fn record_via_trait_object_matches_concrete_use() {
-    // The manager talks to the table through `dyn UniqueTable`; make
-    // sure the trait surface alone is enough to drive sharing.
-    let table: Arc<dyn UniqueTable> = Arc::new(SharedTable::new());
-    let mut m = Manager::new(4);
-    m.attach_shared(table.clone());
-    let a = m.bdd_var(Var(0));
-    let b = m.bdd_var(Var(1));
-    let f = m.bdd_xor(a, b);
-    let fp = m.fingerprint(f.node()).expect("attached");
-    assert!(table.lookup(fp).is_some(), "structure reachable via trait");
 }

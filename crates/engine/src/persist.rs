@@ -170,7 +170,7 @@ impl Kernel {
             .strip_prefix("instrs ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad("missing instrs"))?;
-        let mut instrs = Vec::with_capacity(instr_count);
+        let mut instrs = Vec::new();
         for _ in 0..instr_count {
             let iline = next(&mut r)?;
             let mut toks = iline.split_whitespace();

@@ -117,6 +117,27 @@ fn single_bit_flips_never_panic_and_accepted_kernels_stay_coherent() {
     let _ = original;
 }
 
+/// An instruction count far past the file's length reserves nothing up
+/// front: the loader reads to EOF and answers with a typed error.
+#[test]
+fn a_huge_declared_instruction_count_is_a_typed_error() {
+    let (_, bytes) = saved_kernel_bytes();
+    let text = String::from_utf8(bytes).expect("format is text");
+    let hostile: String = text
+        .lines()
+        .map(|line| {
+            if line.starts_with("instrs ") {
+                "instrs 4000000000000000\n".to_owned()
+            } else {
+                format!("{line}\n")
+            }
+        })
+        .collect();
+    assert_ne!(hostile, text, "an `instrs` line is present");
+    let err = Kernel::load(hostile.as_bytes()).expect_err("count past EOF");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+}
+
 #[test]
 fn swapped_and_duplicated_lines_are_rejected_or_coherent() {
     let (_, bytes) = saved_kernel_bytes();

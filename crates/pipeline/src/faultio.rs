@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -59,15 +59,6 @@ pub trait FaultIo: Send + Sync + fmt::Debug {
     /// `fs::write` (create or truncate, then write all bytes).
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         fs::write(path, bytes)
-    }
-
-    /// Append `bytes` to `path`, creating it if missing.
-    fn append_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(bytes)
     }
 
     /// `File::sync_all` on `path`.
@@ -120,7 +111,7 @@ impl FaultIo for RealIo {}
 pub struct FaultConfig {
     /// Short writes: `write_file` persists a truncated prefix and fails.
     pub short_write_every: u64,
-    /// Transient faults: reads/writes/appends fail with
+    /// Transient faults: reads and writes fail with
     /// [`io::ErrorKind::Interrupted`] without touching the file.
     pub transient_every: u64,
     /// Torn renames: the destination receives a truncated copy of the
@@ -231,23 +222,6 @@ impl FaultIo for FaultPlan {
         fs::write(path, bytes)
     }
 
-    fn append_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let hash = self.draw(0x33);
-        if self.hit(hash, self.config.transient_every) {
-            return Err(injected_err(io::ErrorKind::Interrupted, "transient append"));
-        }
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        if self.hit(hash >> 8, self.config.short_write_every) {
-            // A torn journal tail: half the record lands, then failure.
-            file.write_all(&bytes[..bytes.len() / 2])?;
-            return Err(injected_err(io::ErrorKind::Other, "short append"));
-        }
-        file.write_all(bytes)
-    }
-
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let hash = self.draw(0x44);
         if self.hit(hash, self.config.torn_rename_every) {
@@ -289,10 +263,9 @@ mod tests {
         io.create_dir_all(&dir).expect("mkdir");
         let path = dir.join("a.bin");
         io.write_file(&path, b"hello").expect("write");
-        io.append_file(&path, b" world").expect("append");
         io.sync_file(&path).expect("sync file");
         io.sync_dir(&dir).expect("sync dir");
-        assert_eq!(io.read_file(&path).expect("read"), b"hello world");
+        assert_eq!(io.read_file(&path).expect("read"), b"hello");
         let moved = dir.join("b.bin");
         io.rename(&path, &moved).expect("rename");
         io.remove_file(&moved).expect("remove");

@@ -48,7 +48,7 @@ pub use store::{ArtifactKey, ArtifactStore, CacheLookup, QuarantinedEntry, Recov
 pub use telemetry::{ArtifactKind, Event, Stage, Telemetry};
 
 use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder};
-use charfree_dd::{ApplyStats, SharedTable, UniqueTable};
+use charfree_dd::{ApplyStats, SharedTable};
 use charfree_engine::{Kernel, TraceEngine, TraceSummary};
 use charfree_netlist::{benchmarks, blif, verilog, Library, Netlist};
 use std::fmt::Write as _;
@@ -475,7 +475,7 @@ impl PipelineCtx {
         let t0 = Instant::now();
         let mut builder = self.options.configure(netlist).stats(self.stats.clone());
         if let Some(table) = &self.shared {
-            builder = builder.shared_table(table.clone() as Arc<dyn UniqueTable>);
+            builder = builder.shared_table(table.clone());
         }
         let partial = builder.try_accumulate()?;
         self.telemetry.emit(Event::Stage {
@@ -553,7 +553,7 @@ impl PipelineCtx {
                 .options
                 .configure(old)
                 .stats(self.stats.clone())
-                .shared_table(table.clone() as Arc<dyn UniqueTable>)
+                .shared_table(table.clone())
                 .try_accumulate()?;
             drop(seed);
         }
@@ -564,7 +564,7 @@ impl PipelineCtx {
             .options
             .configure(new)
             .stats(self.stats.clone())
-            .shared_table(table.clone() as Arc<dyn UniqueTable>)
+            .shared_table(table.clone())
             .try_accumulate()?;
         let mut model = partial.collapse();
         model.set_name(new.name());

@@ -49,8 +49,8 @@
 //!   failures trip a per-model circuit breaker that sheds doomed
 //!   builds with a typed `model-unavailable` + `retry_after_ms` and
 //!   half-opens on a timer;
-//!   the artifact cache is journaled and recovers (quarantining torn
-//!   entries) at startup.
+//!   the artifact cache recovers at startup by scanning its directory
+//!   and quarantining torn entries.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]

@@ -74,7 +74,6 @@ mod tests {
 
     #[test]
     fn renders_the_stable_counter_names() {
-        use charfree_dd::UniqueTable as _;
         let stats = ServerStats::new();
         stats.record_accepted(Some(Command::Eval));
         stats.record_accepted(Some(Command::TraceDirect));

@@ -259,9 +259,9 @@ impl Server {
                 None => store,
             }
         });
-        // Startup recovery: replay the cache journal, quarantine torn
-        // entries, heal missing commits — before the first request can
-        // warm-load anything.
+        // Startup recovery: scan the cache directory, remove stray temp
+        // files and quarantine torn entries — before the first request
+        // can warm-load anything.
         if let Some(store) = &store {
             match store.recover() {
                 Ok(report) => {

@@ -436,7 +436,6 @@ mod tests {
         use std::time::Duration;
 
         use charfree_core::ModelBuilder;
-        use charfree_dd::UniqueTable as _;
         use charfree_engine::Kernel;
         use charfree_net::{CloseReason, NetCounters};
         use charfree_netlist::{benchmarks, Library};

@@ -56,8 +56,7 @@ fn shutdown(server: Server, addr: &str) {
 }
 
 /// The `kill -9` acceptance scenario: a cache torn mid-publish (truncated
-/// kernel artifact + a journal whose last record is a dangling `begin`)
-/// must boot, quarantine the torn entry during startup recovery, serve
+/// artifacts under live keys) must boot, quarantine the torn entry during startup recovery, serve
 /// the request via rebuild bit-identically, and heal the cache entry to
 /// bytes identical to a clean cold write.
 #[test]
@@ -79,8 +78,7 @@ fn server_boots_on_a_torn_store_quarantines_and_heals_byte_identically() {
             PipelineCtx::new(Library::test_library()).with_store(ArtifactStore::new(&cache));
         ctx.kernel_for(&Source::infer("decod")).expect("builds");
     }
-    // ...then gets the post-crash treatment: truncate every artifact and
-    // leave a dangling `begin` at the journal tail.
+    // ...then gets the post-crash treatment: truncate every artifact.
     let mut torn = 0usize;
     for entry in fs::read_dir(&cache).expect("read cache") {
         let path = entry.expect("entry").path();
@@ -92,10 +90,6 @@ fn server_boots_on_a_torn_store_quarantines_and_heals_byte_identically() {
         torn += 1;
     }
     assert!(torn >= 1, "the warm build must have stored artifacts");
-    let journal = ArtifactStore::new(&cache).journal_path();
-    let mut log = fs::read(&journal).expect("journal exists");
-    log.extend_from_slice(b"begin feedfacefeedfacefeedfacefeedface.cfk\n");
-    fs::write(&journal, log).expect("append dangling begin");
 
     // Boot on the torn store. Startup recovery must quarantine the torn
     // entries out from under their keys.
@@ -162,6 +156,82 @@ fn server_boots_on_a_torn_store_quarantines_and_heals_byte_identically() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Hostile artifacts under artifact names: a kernel declaring an
+/// instruction count no machine holds, and a model whose CPU field no
+/// `Duration` holds. Startup recovery must quarantine both instead of
+/// aborting or panicking, and the server must keep serving.
+#[test]
+fn server_boots_on_hostile_artifacts_and_quarantines_them() {
+    let dir = scratch("hostile-boot");
+    let cache = dir.join("cache");
+    {
+        let mut ctx =
+            PipelineCtx::new(Library::test_library()).with_store(ArtifactStore::new(&cache));
+        ctx.kernel_for(&Source::infer("decod")).expect("builds");
+    }
+    // Rewrites the one line of the `ext` artifact that starts with
+    // `prefix` and plants the result under a fresh artifact name.
+    let plant = |ext: &str, prefix: &str, replace: &dyn Fn(&str) -> String| -> String {
+        let source = fs::read_dir(&cache)
+            .expect("read cache")
+            .map(|entry| entry.expect("entry").path())
+            .find(|path| path.extension().and_then(|e| e.to_str()) == Some(ext))
+            .expect("the warm build stored the artifact");
+        let text = fs::read_to_string(source).expect("artifact is text");
+        let hostile: String = text
+            .lines()
+            .map(|line| {
+                let line = if line.starts_with(prefix) {
+                    replace(line)
+                } else {
+                    line.to_owned()
+                };
+                line + "\n"
+            })
+            .collect();
+        assert_ne!(hostile, text, "a `{prefix}` line is present");
+        let name = format!("feedfacefeedfacefeedfacefeedface.{ext}");
+        fs::write(cache.join(&name), hostile).expect("plant");
+        name
+    };
+    let kernel = plant("cfk", "instrs ", &|_| "instrs 4000000000000000".to_owned());
+    let model = plant("cfm", "report ", &|line| {
+        let kept: Vec<&str> = line.split_whitespace().take(4).collect();
+        format!("{} -1", kept.join(" "))
+    });
+
+    let mut config = test_config();
+    config.cache_dir = Some(cache.clone());
+    let server = Server::start(config).expect("boots on hostile artifacts");
+    let addr = server.addr().to_string();
+    let quarantine = ArtifactStore::new(&cache).quarantine_dir();
+    for name in [&kernel, &model] {
+        assert!(quarantine.join(name).is_file(), "{name} quarantined");
+        assert!(!cache.join(name).exists(), "{name} out of the live keys");
+    }
+
+    let params = eval_params(40, 78);
+    let want = offline_trace("decod", &params);
+    let mut client = Client::connect(&addr).expect("connects");
+    match client
+        .request(&Request::Trace {
+            source: "decod".to_owned(),
+            options: WireBuildOptions::default(),
+            params,
+        })
+        .expect("responds")
+    {
+        Response::Trace { values, .. } => {
+            let got: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want);
+        }
+        other => panic!("expected a trace, got {other:?}"),
+    }
+    shutdown(server, &addr);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Blanks the one wall-clock-dependent field in the artifact formats:
 /// the model's `report <rounds> <collapsed> <exact> <cpu-seconds>` line.
 fn mask_build_time(bytes: &[u8]) -> Vec<u8> {
@@ -183,7 +253,7 @@ fn mask_build_time(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// A content-addressed artifact file (`.cfm` model / `.cfk` kernel) —
-/// everything else in a cache dir (journal, quarantine) is bookkeeping.
+/// everything else in a cache dir (quarantine) is bookkeeping.
 fn is_artifact(path: &std::path::Path) -> bool {
     path.is_file()
         && matches!(

@@ -389,9 +389,8 @@ fn cmd_model(args: &[String]) -> Result<String, CliError> {
     if emit_kernel && out_path.is_none() {
         return Err("`--kernel` needs `-o` (the kernel is written next to the model)".to_owned());
     }
-    if time_budget < 0.0 || !time_budget.is_finite() {
-        return Err(format!("bad value `{time_budget}` for `--time-budget`"));
-    }
+    let budget = std::time::Duration::try_from_secs_f64(time_budget)
+        .map_err(|_| format!("bad value `{time_budget}` for `--time-budget`"))?;
 
     let mut options = if paper_plain {
         BuildOptions::paper_plain()
@@ -403,7 +402,7 @@ fn cmd_model(args: &[String]) -> Result<String, CliError> {
     options.strict = build.strict;
     options.upper_bound = build.upper_bound;
     if time_budget > 0.0 {
-        options.time_budget = Some(std::time::Duration::from_secs_f64(time_budget));
+        options.time_budget = Some(budget);
     }
     session.ctx.set_options(options);
 
@@ -1359,6 +1358,10 @@ mod tests {
         let path = netlist_path.to_str().expect("utf8");
         assert!(run(&s(&["model", path, "--time-budget", "-1"])).is_err());
         assert!(run(&s(&["model", path, "--time-budget", "abc"])).is_err());
+        for bad in ["1e300", "inf", "NaN"] {
+            let err = run(&s(&["model", path, "--time-budget", bad])).expect_err(bad);
+            assert!(err.contains("bad value"), "{bad}: {err}");
+        }
         // A generous deadline leaves a small build untouched.
         let report = run(&s(&["model", path, "--time-budget", "120"])).expect("builds");
         assert!(report.contains("(exact)"), "{report}");
