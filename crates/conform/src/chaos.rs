@@ -22,8 +22,8 @@
 //!    store/load/recover cycles until the configured fault budget is
 //!    spent; hits must be bit-exact, recovery must leave the store
 //!    clean and byte-identical to the reference artifacts.
-//! 2. **Torn store (`kill -9` picture)** — a half-written kernel under
-//!    a live key; recovery must quarantine, report, and the rebuilt
+//! 2. **Torn store (`kill -9` picture)** — a half-written model file
+//!    under a live key; recovery must quarantine, report, and the rebuilt
 //!    entry must heal byte-identically.
 //! 3. **Live server under stream + store faults** — trace requests
 //!    through [`Client::request_with_retries`]; completed responses are
@@ -46,9 +46,7 @@ use std::time::Duration;
 use charfree_core::ModelBuilder;
 use charfree_engine::{Kernel, TraceEngine};
 use charfree_netlist::{blif, Library, Netlist};
-use charfree_pipeline::{
-    ArtifactKey, ArtifactKind, ArtifactStore, CacheLookup, FaultConfig, FaultIo, FaultPlan,
-};
+use charfree_pipeline::{ArtifactKey, ArtifactStore, CacheLookup, FaultConfig, FaultIo, FaultPlan};
 use charfree_serve::{
     BreakerConfig, ChannelReply, Client, Dispatcher, ErrorKind, Job, JobFault, Request, Resident,
     Response, RetryPolicy, ServeConfig, Server, ServerStats, Stimulus, WireBuildOptions,
@@ -109,8 +107,9 @@ const MAX_LADDER_ROUNDS: u64 = 10_000;
 ///
 /// # Errors
 ///
-/// The first violated invariant, as a diagnostic string (always
-/// reproducible from the seed).
+/// The first violated invariant, as a diagnostic string. A failure in
+/// the store phases reproduces from the seed; one in the live-server
+/// phase need not (see `charfree_pipeline::faultio`).
 pub fn run(config: &ChaosConfig, workdir: &Path) -> Result<ChaosReport, String> {
     fs::create_dir_all(workdir).map_err(|e| format!("creating {}: {e}", workdir.display()))?;
     let library = Library::test_library();
@@ -129,9 +128,9 @@ pub fn run(config: &ChaosConfig, workdir: &Path) -> Result<ChaosReport, String> 
 
     let model = ModelBuilder::new(&netlist).build();
     let kernel = Arc::new(Kernel::compile(&model));
-    let mut clean_kernel_bytes = Vec::new();
-    kernel
-        .save(&mut clean_kernel_bytes)
+    let mut clean_model_bytes = Vec::new();
+    model
+        .save(&mut clean_model_bytes)
         .map_err(|e| e.to_string())?;
 
     let patterns = markov(&netlist, config.seed ^ 0xC0DE, 24)?;
@@ -142,13 +141,12 @@ pub fn run(config: &ChaosConfig, workdir: &Path) -> Result<ChaosReport, String> 
         config,
         workdir,
         &model,
-        &kernel,
-        &clean_kernel_bytes,
+        &clean_model_bytes,
         &reference,
         &patterns,
         &mut report,
     )?;
-    torn_store_heals(workdir, &kernel, &clean_kernel_bytes, &mut report)?;
+    torn_store_heals(workdir, &model, &clean_model_bytes, &mut report)?;
     serve_under_stream_faults(
         config,
         workdir,
@@ -180,23 +178,20 @@ pub fn run(config: &ChaosConfig, workdir: &Path) -> Result<ChaosReport, String> 
 }
 
 /// Phase 1: seeded fault ladders against the artifact store. Loads that
-/// validate must be bit-exact; a real-I/O recovery pass after each rung
-/// must quarantine anything torn and leave artifacts byte-identical to
-/// the clean reference.
-#[allow(clippy::too_many_arguments)]
+/// validate — as a kernel and as a model — must be bit-exact; a real-I/O
+/// recovery pass after each rung must quarantine anything torn and leave
+/// the artifact byte-identical to the clean reference.
 fn store_fault_ladder(
     config: &ChaosConfig,
     workdir: &Path,
     model: &charfree_core::AddPowerModel,
-    kernel: &Kernel,
-    clean_kernel_bytes: &[u8],
+    clean_model_bytes: &[u8],
     reference: &[u64],
     patterns: &[Vec<bool>],
     report: &mut ChaosReport,
 ) -> Result<(), String> {
     let dir = fresh_dir(workdir, "store-ladder")?;
-    let model_key = ArtifactKey::derive(&["chaos-model"]);
-    let kernel_key = ArtifactKey::derive(&["chaos-kernel"]);
+    let key = ArtifactKey::derive(&["chaos-model"]);
     let reference_avg = model.average_capacitance().femtofarads().to_bits();
 
     let mut rung = 0u64;
@@ -215,9 +210,8 @@ fn store_fault_ladder(
         for _ in 0..6 {
             // Stores may fail (that is the point); the invariant is on
             // what a subsequent load is allowed to return.
-            let _ = faulty.store_model(model_key, model);
-            let _ = faulty.store_kernel(kernel_key, kernel);
-            match faulty.load_kernel(kernel_key) {
+            let _ = faulty.store_model(key, model);
+            match faulty.load_kernel(key) {
                 CacheLookup::Hit(loaded) => {
                     if trace_bits(&loaded, patterns) != reference {
                         return Err(format!(
@@ -229,7 +223,7 @@ fn store_fault_ladder(
                 CacheLookup::Miss => {}
                 CacheLookup::Poisoned(_) => report.typed_failures += 1,
             }
-            match faulty.load_model(model_key) {
+            match faulty.load_model(key) {
                 CacheLookup::Hit(loaded) => {
                     if loaded.average_capacitance().femtofarads().to_bits() != reference_avg {
                         return Err(format!(
@@ -253,10 +247,10 @@ fn store_fault_ladder(
             .map_err(|e| format!("rung {rung}: recovery failed: {e}"))?;
         report.recoveries += 1;
         report.quarantined += recovery.quarantined.len();
-        match real.load_kernel(kernel_key) {
+        match real.load_kernel(key) {
             CacheLookup::Hit(_) => {}
             CacheLookup::Miss => real
-                .store_kernel(kernel_key, kernel)
+                .store_model(key, model)
                 .map_err(|e| format!("rung {rung}: clean re-store failed: {e}"))?,
             CacheLookup::Poisoned(reason) => {
                 return Err(format!(
@@ -264,9 +258,9 @@ fn store_fault_ladder(
                 ));
             }
         }
-        let on_disk = fs::read(real.path(kernel_key, ArtifactKind::Kernel))
-            .map_err(|e| format!("rung {rung}: reading healed kernel: {e}"))?;
-        if on_disk != clean_kernel_bytes {
+        let on_disk = fs::read(real.path(key))
+            .map_err(|e| format!("rung {rung}: reading healed artifact: {e}"))?;
+        if on_disk != clean_model_bytes {
             return Err(format!(
                 "rung {rung}: post-recovery artifact differs from a clean cold write"
             ));
@@ -295,34 +289,34 @@ fn store_fault_ladder(
 /// write bytes identical to a clean store.
 fn torn_store_heals(
     workdir: &Path,
-    kernel: &Kernel,
-    clean_kernel_bytes: &[u8],
+    model: &charfree_core::AddPowerModel,
+    clean_model_bytes: &[u8],
     report: &mut ChaosReport,
 ) -> Result<(), String> {
     let dir = fresh_dir(workdir, "torn-store")?;
     let store = ArtifactStore::new(&dir);
     let key = ArtifactKey::derive(&["chaos-torn"]);
     store
-        .store_kernel(key, kernel)
+        .store_model(key, model)
         .map_err(|e| format!("clean store failed: {e}"))?;
-    let path = store.path(key, ArtifactKind::Kernel);
+    let path = store.path(key);
     let bytes = fs::read(&path).map_err(|e| e.to_string())?;
     fs::write(&path, &bytes[..bytes.len() / 2]).map_err(|e| e.to_string())?;
 
     let recovery = store.recover().map_err(|e| format!("recovery: {e}"))?;
     report.recoveries += 1;
     if recovery.quarantined.is_empty() {
-        return Err("torn kernel was not quarantined".to_owned());
+        return Err("torn artifact was not quarantined".to_owned());
     }
     report.quarantined += recovery.quarantined.len();
     if !matches!(store.load_kernel(key), CacheLookup::Miss) {
         return Err("quarantined key still resolves".to_owned());
     }
     store
-        .store_kernel(key, kernel)
+        .store_model(key, model)
         .map_err(|e| format!("rebuild store failed: {e}"))?;
     let healed = fs::read(&path).map_err(|e| e.to_string())?;
-    if healed != clean_kernel_bytes {
+    if healed != clean_model_bytes {
         return Err("healed artifact differs from a clean cold write".to_owned());
     }
     report.bit_checks += 1;

@@ -16,9 +16,8 @@
 //! workspace-facing name here keeps the dependency graph acyclic while
 //! still giving the fleet one set of constants to pin.
 //!
-//! The digests are load-bearing: artifact-store keys (`.cfm`/`.cfk`/
-//! `.cft` filenames) and registry shard assignment are derived from
-//! them, so any change to these functions silently orphans every
+//! The digests are load-bearing: artifact-store keys (`.cfm` filenames)
+//! and registry shard assignment are derived from them, so any change to these functions silently orphans every
 //! on-disk cache. The tests below pin exact digests for that reason.
 
 pub use charfree_dd::hash::{

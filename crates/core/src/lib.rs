@@ -90,4 +90,5 @@ pub use eval::{evaluate, fig7a_grid, Evaluation, Protocol, RunPoint};
 pub use linalg::least_squares;
 pub use model::{xf_var, xi_var, AddPowerModel, BuildReport, PowerModel};
 pub use peak::{PeakLevel, Transition};
+pub use persist::ModelHeader;
 pub use rtl::{RtlDesign, RtlError, RtlInstance};

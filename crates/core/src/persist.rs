@@ -7,10 +7,13 @@
 //! model — diagram, input/slot mapping, collapse mixture and analytic
 //! means — as a versioned text artifact; [`AddPowerModel::load`] restores
 //! a fully functional model (evaluation, symbolic statistics, further
-//! [`AddPowerModel::shrink`] passes).
+//! [`AddPowerModel::shrink`] passes). [`ModelHeader::read`] decodes the
+//! lines before the diagram, for readers that take the diagram without a
+//! manager.
 
 use crate::calibrate::ExactMeans;
 use crate::model::{AddPowerModel, BuildReport};
+use charfree_dd::io::next_line;
 use charfree_dd::{Add, ChainMeasure, Manager, VarMeasure};
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
@@ -82,43 +85,88 @@ impl AddPowerModel {
         charfree_dd::io::write_diagram(&self.manager, self.root.node(), w)
     }
 
-    /// Reads a model written by [`AddPowerModel::save`].
+    /// Reads a model written by [`AddPowerModel::save`]: the
+    /// [`ModelHeader`], then the diagram into a fresh [`Manager`].
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` for malformed or version-mismatched input.
     pub fn load<R: BufRead>(mut r: R) -> io::Result<AddPowerModel> {
-        let mut line = String::new();
-        let mut next = |r: &mut R| -> io::Result<String> {
-            line.clear();
-            if r.read_line(&mut line)? == 0 {
-                return Err(bad("unexpected end of model file"));
-            }
-            Ok(line.trim_end().to_owned())
-        };
+        let header = ModelHeader::read(&mut r)?;
+        let mut manager = Manager::new(2 * header.num_inputs as u32);
+        let root = charfree_dd::io::read_diagram(&mut manager, r)?;
+        let mut report = header.report;
+        report.final_size = manager.size(root);
+        Ok(AddPowerModel {
+            manager,
+            root: Add::from_node(root),
+            num_inputs: header.num_inputs,
+            input_slots: header.input_slots,
+            collapse_mixture: header.collapse_mixture,
+            exact_means: header.exact_means,
+            report,
+            // Degradation metadata is build-time diagnostics and is not
+            // persisted; a reloaded model reports a clean build.
+            degradation: None,
+            display_name: header.name,
+        })
+    }
+}
 
-        if next(&mut r)? != MAGIC {
+/// Everything a `.cfm` file holds before its `ddv1` diagram section, as
+/// [`ModelHeader::read`] decodes and checks it. [`AddPowerModel::load`]
+/// reads the diagram that follows into a manager; flat evaluators read
+/// it with [`charfree_dd::io::parse_diagram`].
+#[derive(Debug, Clone)]
+pub struct ModelHeader {
+    /// Display name.
+    pub name: String,
+    /// Number of macro inputs `n`; the diagram has `2n` variables.
+    pub num_inputs: usize,
+    /// `input_slots[i]` = the order slot of input `i`, whose variables
+    /// are [`xi_var`](crate::xi_var)`(slot)` and
+    /// [`xf_var`](crate::xf_var)`(slot)`; a permutation of `0..n`.
+    pub input_slots: Vec<usize>,
+    /// The build report; `final_size` is 0 until the diagram is read.
+    report: BuildReport,
+    collapse_mixture: Vec<(ChainMeasure, f64)>,
+    exact_means: Option<ExactMeans>,
+}
+
+impl ModelHeader {
+    /// Reads the header lines of a `.cfm` file from `r`, leaving `r` at
+    /// the diagram section.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` for a version mismatch, a layout other than
+    /// `ordering interleaved`, slots that are not a permutation of the
+    /// inputs, or a malformed report, mixture or means line.
+    pub fn read<R: BufRead>(r: &mut R) -> io::Result<ModelHeader> {
+        // One line buffer for the whole header.
+        let mut buf = String::new();
+
+        if next_line(r, &mut buf)? != MAGIC {
             return Err(bad("not a charfree-model v1 file"));
         }
-        let name = next(&mut r)?
+        let name = next_line(r, &mut buf)?
             .strip_prefix("name ")
             .ok_or_else(|| bad("missing name"))?
             .to_owned();
-        let num_inputs: usize = next(&mut r)?
+        let num_inputs: usize = next_line(r, &mut buf)?
             .strip_prefix("inputs ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad("missing inputs"))?;
         // The one variable layout (see `model::xi_var`); the evaluators
         // and the transition measures assume it.
-        if next(&mut r)? != "ordering interleaved" {
+        if next_line(r, &mut buf)? != "ordering interleaved" {
             return Err(bad("only `ordering interleaved` is supported"));
         }
-        let slots_line = next(&mut r)?;
-        let slots_str = slots_line
+        let slots_str = next_line(r, &mut buf)?
             .strip_prefix("slots ")
             .ok_or_else(|| bad("missing slots"))?;
         let input_slots: Vec<usize> = slots_str
-            .split_whitespace()
+            .split_ascii_whitespace()
             .map(|t| t.parse().map_err(|_| bad("bad slot")))
             .collect::<io::Result<_>>()?;
         if input_slots.len() != num_inputs {
@@ -134,11 +182,10 @@ impl AddPowerModel {
             }
         }
 
-        let report_line = next(&mut r)?;
-        let mut parts = report_line
+        let mut parts = next_line(r, &mut buf)?
             .strip_prefix("report ")
             .ok_or_else(|| bad("missing report"))?
-            .split_whitespace();
+            .split_ascii_whitespace();
         let approximation_rounds: usize = parts
             .next()
             .and_then(|t| t.parse().ok())
@@ -154,19 +201,19 @@ impl AddPowerModel {
             .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
             .ok_or_else(|| bad("bad report"))?;
 
-        let mixture_count: usize = next(&mut r)?
+        let mixture_count: usize = next_line(r, &mut buf)?
             .strip_prefix("mixture ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad("missing mixture"))?;
         let mut collapse_mixture = Vec::new();
         for _ in 0..mixture_count {
-            let mline = next(&mut r)?;
-            let rest = mline
+            let rest = next_line(r, &mut buf)?
                 .strip_prefix("measure ")
                 .ok_or_else(|| bad("missing measure"))?;
-            let mut toks = rest.split_whitespace();
+            let mut toks = rest.split_ascii_whitespace();
             let weight = unhex(toks.next().ok_or_else(|| bad("missing weight"))?)?;
-            let mut items = Vec::new();
+            // At most `2n` items fit; `n` is bounded by the slots line.
+            let mut items = Vec::with_capacity(2 * num_inputs);
             for tok in toks {
                 if let Some(p) = tok.strip_prefix("i:") {
                     items.push(VarMeasure::Independent(unhex(p)?));
@@ -185,18 +232,17 @@ impl AddPowerModel {
             if items.len() != 2 * num_inputs {
                 return Err(bad("measure variable count mismatch"));
             }
-            collapse_mixture.push((ChainMeasure::new(items), weight));
+            collapse_mixture.push((ChainMeasure::try_new(items).map_err(bad)?, weight));
         }
 
-        let means_line = next(&mut r)?;
-        let means_str = means_line
+        let means_str = next_line(r, &mut buf)?
             .strip_prefix("means ")
             .ok_or_else(|| bad("missing means"))?;
         let exact_means = if means_str == "-" {
             None
         } else {
             let vals: Vec<f64> = means_str
-                .split_whitespace()
+                .split_ascii_whitespace()
                 .map(unhex)
                 .collect::<io::Result<_>>()?;
             if vals.len() != mixture_count {
@@ -205,27 +251,20 @@ impl AddPowerModel {
             Some(ExactMeans(vals))
         };
 
-        let mut manager = Manager::new(2 * num_inputs as u32);
-        let root = charfree_dd::io::read_diagram(&mut manager, r)?;
-        let final_size = manager.size(root);
-        Ok(AddPowerModel {
-            manager,
-            root: Add::from_node(root),
+        let report = BuildReport {
+            approximation_rounds,
+            nodes_collapsed,
+            final_size: 0,
+            exact,
+            cpu,
+        };
+        Ok(ModelHeader {
+            name,
             num_inputs,
             input_slots,
+            report,
             collapse_mixture,
             exact_means,
-            report: BuildReport {
-                approximation_rounds,
-                nodes_collapsed,
-                final_size,
-                exact,
-                cpu,
-            },
-            // Degradation metadata is build-time diagnostics and is not
-            // persisted; a reloaded model reports a clean build.
-            degradation: None,
-            display_name: name,
         })
     }
 }
@@ -323,7 +362,7 @@ mod tests {
             .lines()
             .find(|line| line.starts_with("report "))
             .expect("report line");
-        let kept: Vec<&str> = report.split_whitespace().take(4).collect();
+        let kept: Vec<&str> = report.split_ascii_whitespace().take(4).collect();
         let negative_cpu = format!("{} -1", kept.join(" "));
         for (prefix, replacement) in [
             ("mixture ", "mixture 4000000000000000"),
@@ -346,5 +385,11 @@ mod tests {
             let err = AddPowerModel::load(hostile.as_bytes()).expect_err(prefix);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{prefix}: {err}");
         }
+        // A measure probability outside [0, 1] is a typed error, not the
+        // measure constructor's panic.
+        let hostile = text.replacen("i:3fe0000000000000", "i:4000000000000000", 1);
+        assert_ne!(hostile, text, "a measure item of 0.5 is present");
+        let err = AddPowerModel::load(hostile.as_bytes()).expect_err("probability 2");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

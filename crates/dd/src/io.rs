@@ -18,7 +18,9 @@
 //!
 //! References are `T<i>` (terminal `i`) or `N<i>` (node `i`), local to the
 //! file. Terminal values are written as hexadecimal IEEE-754 bit patterns,
-//! so round-trips are bit-exact.
+//! so round-trips are bit-exact. [`parse_diagram`] decodes a dump without
+//! a manager (flat evaluators take its nodes as they are);
+//! [`read_diagram`] imports one into a [`Manager`].
 
 use crate::manager::Manager;
 use crate::node::NodeId;
@@ -96,83 +98,103 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Reads a diagram written by [`write_diagram`] into `m` and returns its
-/// root. `r` can be a `&mut` reference (`BufRead` is implemented for
-/// `&mut R`).
+/// Reads the next line of a text artifact into `buf` (reused across
+/// lines) and returns it without trailing whitespace.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` if the stream is not a valid `ddv1` dump or
-/// references variables beyond [`Manager::num_vars`].
-pub fn read_diagram<R: BufRead>(m: &mut Manager, r: R) -> io::Result<NodeId> {
-    let mut lines = r.lines();
-    let mut next = || -> io::Result<String> {
-        lines
-            .next()
-            .ok_or_else(|| bad("unexpected end of dd dump"))?
+/// `InvalidData` at end of input or for a line that is not UTF-8;
+/// otherwise the reader's error.
+pub fn next_line<'a, R: BufRead>(r: &mut R, buf: &'a mut String) -> io::Result<&'a str> {
+    buf.clear();
+    if r.read_line(buf)? == 0 {
+        return Err(bad("unexpected end of file"));
+    }
+    Ok(buf.trim_end())
+}
+
+/// Tag bit of a [`Dump`] reference: set for terminal `k`
+/// (`TERMINAL_REF | k`), clear for node `k`.
+pub const TERMINAL_REF: u32 = 1 << 31;
+
+/// A `ddv1` dump decoded without a [`Manager`]: what [`read_diagram`]
+/// imports, and what a flat evaluator can take as it is.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Dump {
+    /// The variable count of the header; every node tests a variable
+    /// below it.
+    pub num_vars: u32,
+    /// Terminal values: never NaN, and `-0.0` folded to `+0.0` as
+    /// [`Manager::terminal`] interns it.
+    pub terminals: Vec<f64>,
+    /// `[var, lo, hi]` per node, children first: a node reference is
+    /// below the referring node's own index, and the node it names
+    /// tests a later variable.
+    pub nodes: Vec<[u32; 3]>,
+    /// The root reference.
+    pub root: u32,
+}
+
+/// Decodes a diagram written by [`write_diagram`] without building it
+/// in a [`Manager`]. Reads up to and including the root line.
+///
+/// # Errors
+///
+/// Returns `InvalidData` if the stream is not a valid `ddv1` dump: a
+/// malformed line, a count that disagrees with the lines that follow, a
+/// NaN terminal, a node variable at or above the header's count, or a
+/// reference that is out of range, points forward or breaks the
+/// variable order.
+pub fn parse_diagram<R: BufRead>(mut r: R) -> io::Result<Dump> {
+    // One line buffer for the whole dump.
+    let mut buf = String::new();
+    let count = |line: &str, tag: &str, what: &str| -> io::Result<usize> {
+        line.strip_prefix(tag)
+            .and_then(|s| s.trim().parse().ok())
+            .ok_or_else(|| bad(format!("bad {what} count")))
     };
 
-    let header = next()?;
-    let num_vars: u32 = match header.strip_prefix("ddv1 ") {
+    let num_vars: u32 = match next_line(&mut r, &mut buf)?.strip_prefix("ddv1 ") {
         Some(rest) => rest.trim().parse().map_err(|_| bad("bad ddv1 header"))?,
         None => return Err(bad("missing ddv1 header")),
     };
-    if num_vars > m.num_vars() {
-        return Err(bad(format!(
-            "dump needs {num_vars} variables, manager has {}",
-            m.num_vars()
-        )));
-    }
 
-    // Terminals.
-    let tline = next()?;
-    let tcount: usize = tline
-        .strip_prefix("t ")
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| bad("bad terminal count"))?;
+    let tcount = count(next_line(&mut r, &mut buf)?, "t ", "terminal")?;
     let mut terminals = Vec::new();
     if tcount > 0 {
-        let values = next()?;
-        for tok in values.split_whitespace() {
+        for tok in next_line(&mut r, &mut buf)?.split_ascii_whitespace() {
             let bits = u64::from_str_radix(tok, 16).map_err(|_| bad("bad terminal bits"))?;
             let v = f64::from_bits(bits);
             if v.is_nan() {
                 return Err(bad("NaN terminal in dump"));
             }
-            terminals.push(m.terminal(v));
+            terminals.push(if v == 0.0 { 0.0 } else { v });
         }
         if terminals.len() != tcount {
             return Err(bad("terminal count mismatch"));
         }
     }
 
-    // Nodes.
-    let nline = next()?;
-    let ncount: usize = nline
-        .strip_prefix("n ")
-        .and_then(|s| s.trim().parse().ok())
-        .ok_or_else(|| bad("bad node count"))?;
-    let mut nodes: Vec<NodeId> = Vec::new();
-    let decode = |tok: &str, terminals: &[NodeId], nodes: &[NodeId]| -> io::Result<NodeId> {
-        if let Some(i) = tok.strip_prefix('T') {
-            let i: usize = i.parse().map_err(|_| bad("bad terminal ref"))?;
-            terminals
-                .get(i)
-                .copied()
-                .ok_or_else(|| bad("terminal ref out of range"))
+    let ncount = count(next_line(&mut r, &mut buf)?, "n ", "node")?;
+    let mut nodes: Vec<[u32; 3]> = Vec::new();
+    // A reference as written (`T<i>` or `N<i>`), checked against what
+    // has been read so far.
+    let decode = |tok: &str, nodes: &[[u32; 3]]| -> io::Result<u32> {
+        let (index, limit, tag) = if let Some(i) = tok.strip_prefix('T') {
+            (i, terminals.len(), TERMINAL_REF)
         } else if let Some(i) = tok.strip_prefix('N') {
-            let i: usize = i.parse().map_err(|_| bad("bad node ref"))?;
-            nodes
-                .get(i)
-                .copied()
-                .ok_or_else(|| bad("forward node reference"))
+            (i, nodes.len(), 0)
         } else {
-            Err(bad(format!("bad reference `{tok}`")))
+            return Err(bad(format!("bad reference `{tok}`")));
+        };
+        match index.parse::<u32>() {
+            Ok(i) if (i as usize) < limit && i & TERMINAL_REF == 0 => Ok(i | tag),
+            Ok(_) => Err(bad(format!("reference `{tok}` out of range or forward"))),
+            Err(_) => Err(bad(format!("bad reference `{tok}`"))),
         }
     };
     for _ in 0..ncount {
-        let line = next()?;
-        let mut parts = line.split_whitespace();
+        let mut parts = next_line(&mut r, &mut buf)?.split_ascii_whitespace();
         let var: u32 = parts
             .next()
             .and_then(|s| s.parse().ok())
@@ -180,25 +202,67 @@ pub fn read_diagram<R: BufRead>(m: &mut Manager, r: R) -> io::Result<NodeId> {
         if var >= num_vars {
             return Err(bad("node variable out of range"));
         }
-        let lo = decode(
-            parts.next().ok_or_else(|| bad("missing lo ref"))?,
-            &terminals,
-            &nodes,
-        )?;
-        let hi = decode(
-            parts.next().ok_or_else(|| bad("missing hi ref"))?,
-            &terminals,
-            &nodes,
-        )?;
-        nodes.push(m.mk(var, lo, hi));
+        let mut child = || -> io::Result<u32> {
+            let r = decode(
+                parts.next().ok_or_else(|| bad("missing child ref"))?,
+                &nodes,
+            )?;
+            if r & TERMINAL_REF == 0 && nodes[r as usize][0] <= var {
+                return Err(bad("child does not test a later variable"));
+            }
+            Ok(r)
+        };
+        let (lo, hi) = (child()?, child()?);
+        if parts.next().is_some() {
+            return Err(bad("trailing tokens on node line"));
+        }
+        nodes.push([var, lo, hi]);
     }
 
-    // Root.
-    let rline = next()?;
-    let root_tok = rline
-        .strip_prefix("r ")
-        .ok_or_else(|| bad("missing root line"))?;
-    decode(root_tok.trim(), &terminals, &nodes)
+    let root = match next_line(&mut r, &mut buf)?.strip_prefix("r ") {
+        Some(tok) => decode(tok.trim(), &nodes)?,
+        None => return Err(bad("missing root line")),
+    };
+    Ok(Dump {
+        num_vars,
+        terminals,
+        nodes,
+        root,
+    })
+}
+
+/// Reads a diagram written by [`write_diagram`] into `m` and returns its
+/// root: [`parse_diagram`], then one [`Manager`] node per dump node
+/// (hash-consed, so the import is canonical). `r` can be a `&mut`
+/// reference (`BufRead` is implemented for `&mut R`).
+///
+/// # Errors
+///
+/// Returns `InvalidData` if the stream is not a valid `ddv1` dump or
+/// references variables beyond [`Manager::num_vars`].
+pub fn read_diagram<R: BufRead>(m: &mut Manager, r: R) -> io::Result<NodeId> {
+    let dump = parse_diagram(r)?;
+    if dump.num_vars > m.num_vars() {
+        return Err(bad(format!(
+            "dump needs {} variables, manager has {}",
+            dump.num_vars,
+            m.num_vars()
+        )));
+    }
+    let terminals: Vec<NodeId> = dump.terminals.iter().map(|&v| m.terminal(v)).collect();
+    let mut nodes: Vec<NodeId> = Vec::with_capacity(dump.nodes.len());
+    let resolve = |r: u32, nodes: &[NodeId]| {
+        if r & TERMINAL_REF != 0 {
+            terminals[(r & !TERMINAL_REF) as usize]
+        } else {
+            nodes[r as usize]
+        }
+    };
+    for &[var, lo, hi] in &dump.nodes {
+        let id = m.mk(var, resolve(lo, &nodes), resolve(hi, &nodes));
+        nodes.push(id);
+    }
+    Ok(resolve(dump.root, &nodes))
 }
 
 #[cfg(test)]
@@ -271,6 +335,31 @@ mod tests {
             "ddv1 2\nt 1\n0000000000000000\nn 1\n0 N5 T0\nr N0".as_bytes()
         )
         .is_err());
+        // A child testing the same variable breaks the order, and a node
+        // line takes exactly two references.
+        let terms = format!("t 2\n{:016x} {:016x}\n", 1.0f64.to_bits(), 2.0f64.to_bits());
+        for nodes in ["n 2\n1 T0 T1\n1 N0 T0\nr N1", "n 1\n0 T0 T1 T0\nr N0"] {
+            let text = format!("ddv1 2\n{terms}{nodes}");
+            assert!(parse_diagram(text.as_bytes()).is_err(), "{nodes}");
+            assert!(read_diagram(&mut m, text.as_bytes()).is_err(), "{nodes}");
+        }
+    }
+
+    #[test]
+    fn parse_needs_no_manager_and_folds_negative_zero() {
+        let mut m = Manager::new(4);
+        let f = sample_add(&mut m);
+        let mut buf = Vec::new();
+        write_diagram(&m, f.node(), &mut buf).expect("writes");
+        let dump = parse_diagram(buf.as_slice()).expect("parses");
+        assert_eq!(dump.num_vars, 4);
+        assert_eq!(dump.nodes.len(), m.size(f.node()) - dump.terminals.len());
+        assert_eq!(dump.root & TERMINAL_REF, 0, "an internal root");
+
+        let text = format!("ddv1 1\nt 1\n{:016x}\nn 0\nr T0\n", (-0.0f64).to_bits());
+        let dump = parse_diagram(text.as_bytes()).expect("parses");
+        assert_eq!(dump.terminals[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(dump.root, TERMINAL_REF);
     }
 
     #[test]

@@ -71,34 +71,46 @@ impl ChainMeasure {
     ///
     /// # Panics
     ///
-    /// Panics if any probability is outside `[0, 1]`, if variable 0 is
+    /// Panics where [`ChainMeasure::try_new`] fails.
+    pub fn new(items: Vec<VarMeasure>) -> Self {
+        match Self::try_new(items) {
+            Ok(measure) => measure,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Builds a measure from per-variable distributions read from
+    /// untrusted input.
+    ///
+    /// # Errors
+    ///
+    /// Fails if any probability is outside `[0, 1]`, if variable 0 is
     /// correlated, or if two consecutive variables are both correlated
     /// (contexts would need to propagate through skipped levels, which the
     /// traversal does not support).
-    pub fn new(items: Vec<VarMeasure>) -> Self {
+    pub fn try_new(items: Vec<VarMeasure>) -> Result<Self, String> {
+        let unit = |p: f64| (0.0..=1.0).contains(&p);
         for (v, item) in items.iter().enumerate() {
-            match *item {
-                VarMeasure::Independent(p) => {
-                    assert!((0.0..=1.0).contains(&p), "bad probability for var {v}");
-                }
+            let ok = match *item {
+                VarMeasure::Independent(p) => unit(p),
                 VarMeasure::Correlated {
                     when_prev_false,
                     when_prev_true,
                 } => {
-                    assert!(v > 0, "variable 0 cannot be correlated");
-                    assert!(
-                        matches!(items[v - 1], VarMeasure::Independent(_)),
-                        "consecutive correlated variables are not supported"
-                    );
-                    assert!(
-                        (0.0..=1.0).contains(&when_prev_false)
-                            && (0.0..=1.0).contains(&when_prev_true),
-                        "bad probability for var {v}"
-                    );
+                    if v == 0 {
+                        return Err("variable 0 cannot be correlated".to_owned());
+                    }
+                    if !matches!(items[v - 1], VarMeasure::Independent(_)) {
+                        return Err("consecutive correlated variables are not supported".to_owned());
+                    }
+                    unit(when_prev_false) && unit(when_prev_true)
                 }
+            };
+            if !ok {
+                return Err(format!("bad probability for var {v}"));
             }
         }
-        ChainMeasure { items }
+        Ok(ChainMeasure { items })
     }
 
     /// The uniform measure over `n` variables (every variable fair and

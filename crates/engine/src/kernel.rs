@@ -4,9 +4,9 @@
 //! into a self-contained evaluation program: a topologically ordered
 //! `Vec` of fixed-width branch instructions plus a dense terminal table.
 //! The kernel owns no arena, no unique tables and no caches — it is plain
-//! `Send + Sync` data, independently persistable (see
-//! [`Kernel::save`](crate::Kernel::save)) and cheap to hand to worker
-//! threads.
+//! `Send + Sync` data, read straight from a `.cfm` model file by
+//! [`Kernel::from_cfm`](crate::Kernel::from_cfm) and cheap to hand to
+//! worker threads.
 //!
 //! ## Instruction layout
 //!
@@ -39,8 +39,10 @@ use crate::stride::StrideProgram;
 use charfree_core::{xf_var, xi_var, AddPowerModel, PowerModel};
 use charfree_dd::ChainMeasure;
 
-/// Successor-reference tag: high bit set = terminal-table index.
-pub(crate) const TERMINAL_BIT: u32 = 1 << 31;
+/// Successor-reference tag: high bit set = terminal-table index. The
+/// `ddv1` dump's tag, so a parsed `.cfm` diagram's references are
+/// instruction references as they are.
+pub(crate) const TERMINAL_BIT: u32 = charfree_dd::io::TERMINAL_REF;
 
 /// One flat branch instruction: test `var`, continue at `lo` on 0 and at
 /// `hi` on 1.
@@ -58,7 +60,7 @@ pub struct Instr {
 ///
 /// Fully decoupled from the [`charfree_dd::Manager`] arena it was compiled
 /// from: the kernel can outlive the model, cross threads (`Send + Sync`),
-/// and round-trip through [`Kernel::save`]/[`Kernel::load`].
+/// and is read straight from a `.cfm` file by [`Kernel::from_cfm`].
 ///
 /// # Examples
 ///
@@ -129,7 +131,7 @@ impl Kernel {
     ///
     /// Panics if a walking kernel has more entry nodes than the stride
     /// walk can name: `2^31` over its window count rounded up to a power
-    /// of two ([`Kernel::load`] returns a typed error instead).
+    /// of two ([`Kernel::from_cfm`] returns a typed error instead).
     pub fn compile(model: &AddPowerModel) -> Kernel {
         let (manager, root) = model.diagram();
         let n = model.num_inputs();
@@ -189,7 +191,7 @@ impl Kernel {
     }
 
     /// Measures `depth` and derives the batch program (called after
-    /// compilation and after loading from disk): kernels with more than
+    /// compilation and after reading a `.cfm`): kernels with more than
     /// [`WALK_RATIO`] instructions per level of depth get a stride-table
     /// walk, the other non-constant ones a level-packed SoA gather
     /// program.
@@ -235,6 +237,11 @@ impl Kernel {
     /// Display name inherited from the source model.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Renames the kernel (affects [`Kernel::name`]).
+    pub fn set_name(&mut self, name: impl Into<String>) {
+        self.name = name.into();
     }
 
     /// Number of macro inputs `n`.
@@ -288,7 +295,7 @@ impl Kernel {
 
     /// `true`: every kernel uses the interleaved variable layout (see
     /// [`charfree_core::xi_var`]), which [`Kernel::expected_capacitance`]
-    /// needs and [`Kernel::load`] enforces.
+    /// needs and [`Kernel::from_cfm`] enforces.
     pub fn is_interleaved(&self) -> bool {
         true
     }
@@ -469,7 +476,7 @@ impl Kernel {
         self.expected_value(&measure)
     }
 
-    /// Validates internal invariants (used after [`Kernel::load`]): every
+    /// Validates internal invariants (used by [`Kernel::from_cfm`]): every
     /// reference in range, every internal reference strictly backwards,
     /// variables below `num_vars`, input slots a permutation.
     pub(crate) fn validate(&self) -> Result<(), String> {

@@ -9,8 +9,9 @@
 //!
 //! * [`Kernel`] — a topologically ordered vector of 12-byte branch
 //!   instructions plus a dense terminal table, fully decoupled from the
-//!   manager arena. `Send + Sync`, independently persistable
-//!   ([`Kernel::save`] / [`Kernel::load`]), and validated on load.
+//!   manager arena. `Send + Sync`, read straight from a `.cfm` model
+//!   file by [`Kernel::from_cfm`] (no manager is built) and validated on
+//!   the way; [`Kernel::save`] writes its canonical text.
 //! * [`PatternBlock`] — column-packed `u64` bit-matrix staging for
 //!   transition streams, one word per diagram variable per 64
 //!   transitions; [`Kernel::eval_batch`] consumes it.

@@ -9,7 +9,7 @@
 //! * kernels whose variable count exceeds one chunk's 64 pattern-word
 //!   pair budget (`n > 32`, so `2n > 64` diagram variables);
 //! * a walking kernel over lengths ragged against its 8-lane batches;
-//! * a hand-written `.cfk` holding an unreachable instruction and an
+//! * a hand-written `.cfm` holding an unreachable instruction and an
 //!   unreachable terminal, over enough transitions that one worker's
 //!   gather scratch spans several 256-lane sub-blocks;
 //! * the empty (0-transition) trace.
@@ -217,36 +217,47 @@ fn empty_trace_is_a_no_op_everywhere() {
 /// A gathering kernel over three inputs whose instruction vec holds
 /// nodes the root never reaches: `I4` (which alone references `T3`)
 /// and `I6` (which references the root). `T4` is referenced by
-/// nothing. `validate` checks references and variable order, not
-/// reachability, so the file loads. If a reused mask row kept lanes
-/// from an earlier sub-block, they would land in `T3`/`T4`, whose
-/// values no reachable path produces.
+/// nothing. The `.cfm` reader checks references and variable order, not
+/// reachability, so the hand-written file loads with every node as an
+/// instruction. If a reused mask row kept lanes from an earlier
+/// sub-block, they would land in `T3`/`T4`, whose values no reachable
+/// path produces.
 fn unreachable_nodes_kernel() -> Kernel {
     let terminals: Vec<String> = [1.5f64, 2.25, 4.0, 1000.0, 2000.0]
         .iter()
         .map(|t| format!("{:016x}", t.to_bits()))
         .collect();
     let text = format!(
-        "charfree-kernel v1\n\
+        "charfree-model v1\n\
          name unreachable\n\
          inputs 3\n\
-         vars 6\n\
-         interleaved 1\n\
-         xi 0 2 4\n\
-         xf 1 3 5\n\
-         terminals {}\n\
-         instrs 7\n\
+         ordering interleaved\n\
+         slots 0 1 2\n\
+         report 0 0 1 0\n\
+         mixture 0\n\
+         means -\n\
+         ddv1 6\n\
+         t 5\n\
+         {}\n\
+         n 7\n\
          4 T0 T1\n\
          5 T1 T2\n\
-         2 I0 I1\n\
-         3 T2 I0\n\
-         1 I2 T3\n\
-         1 I2 I3\n\
-         0 I5 I4\n\
-         root I5\n",
+         2 N0 N1\n\
+         3 T2 N0\n\
+         1 N2 T3\n\
+         1 N2 N3\n\
+         0 N5 N4\n\
+         r N5\n",
         terminals.join(" ")
     );
-    Kernel::load(text.as_bytes()).expect("the kernel passes validation")
+    let kernel = Kernel::from_cfm(text.as_bytes()).expect("the model passes validation");
+    assert_eq!(kernel.num_instrs(), 7, "unreachable nodes are kept");
+    assert_eq!(
+        kernel.num_terminals(),
+        5,
+        "the unreferenced terminal is kept"
+    );
+    kernel
 }
 
 #[test]

@@ -108,9 +108,8 @@ proptest! {
         }
     }
 
-    /// A kernel that round-trips through the on-disk format evaluates
-    /// bit-for-bit like the freshly compiled one (and therefore like the
-    /// arena).
+    /// A kernel read from the model's on-disk form evaluates bit-for-bit
+    /// like the freshly compiled one (and therefore like the arena).
     #[test]
     fn persisted_kernel_matches_compiled(
         seed in 0u64..1_000,
@@ -123,8 +122,8 @@ proptest! {
         let compiled = Kernel::compile(&model);
 
         let mut buf = Vec::new();
-        compiled.save(&mut buf).expect("saves");
-        let loaded = Kernel::load(buf.as_slice()).expect("round-trips");
+        model.save(&mut buf).expect("saves");
+        let loaded = Kernel::from_cfm(buf.as_slice()).expect("round-trips");
 
         let mut source = MarkovSource::new(8, 0.5, 0.6, seed).expect("feasible");
         let patterns = source.sequence(150);
@@ -140,21 +139,21 @@ proptest! {
     }
 }
 
-/// Load-then-eval through an actual `.cfk` file on disk equals
+/// Load-then-eval through an actual `.cfm` file on disk equals
 /// compile-then-eval — the full persistence path the CLI uses.
 #[test]
-fn kernel_file_round_trip_preserves_evaluation() {
+fn model_file_round_trip_preserves_evaluation() {
     let library = Library::test_library();
     let model = ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
         .max_nodes(400)
         .build();
     let compiled = Kernel::compile(&model);
 
-    let path = std::env::temp_dir().join(format!("charfree-parity-{}.cfk", std::process::id()));
-    compiled
+    let path = std::env::temp_dir().join(format!("charfree-parity-{}.cfm", std::process::id()));
+    model
         .save(std::fs::File::create(&path).expect("create"))
         .expect("save");
-    let loaded = Kernel::load(std::io::BufReader::new(
+    let loaded = Kernel::from_cfm(std::io::BufReader::new(
         std::fs::File::open(&path).expect("open"),
     ))
     .expect("load");

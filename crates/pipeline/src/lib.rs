@@ -14,12 +14,11 @@
 //!   [`PipelineCtx::annotate`], [`PipelineCtx::build_model`],
 //!   [`PipelineCtx::compile_kernel`], [`PipelineCtx::evaluate`]; each
 //!   records its [`Stage`] in the context's telemetry.
-//! * Content-addressed caching — models (`.cfm`) and kernels (`.cfk`)
-//!   are keyed by a hash of (canonical netlist bytes, library
-//!   fingerprint, build options); a second run on the same inputs
-//!   warm-loads the kernel and performs **zero** ADD apply steps.
-//!   Artifacts are re-validated on load; any mismatch falls back to a
-//!   rebuild.
+//! * Content-addressed caching — one `.cfm` model file per key, a hash
+//!   of (canonical netlist bytes, library fingerprint, build options); a
+//!   second run on the same inputs warm-loads it (as a model, or straight
+//!   into a kernel) and performs **zero** ADD apply steps. Artifacts are
+//!   re-validated on load; any mismatch falls back to a rebuild.
 //!
 //! ```
 //! use charfree_netlist::Library;
@@ -45,7 +44,7 @@ pub mod telemetry;
 pub use error::PipelineError;
 pub use faultio::{FaultConfig, FaultIo, FaultPlan, RealIo, StreamFault, StreamOp};
 pub use store::{ArtifactKey, ArtifactStore, CacheLookup, QuarantinedEntry, RecoveryReport};
-pub use telemetry::{ArtifactKind, Event, Stage, Telemetry};
+pub use telemetry::{Event, Stage, Telemetry};
 
 use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder};
 use charfree_dd::{ApplyStats, SharedTable};
@@ -67,19 +66,15 @@ pub enum Source {
     Bench(String),
     /// A saved `.cfm` power-model artifact.
     ModelFile(PathBuf),
-    /// A compiled `.cfk` kernel artifact.
-    KernelFile(PathBuf),
 }
 
 impl Source {
-    /// Classifies a CLI operand: `.cfk`/`.cfm` by extension, an existing
-    /// file (or netlist extension) as a netlist, anything else as a
-    /// benchmark name.
+    /// Classifies a CLI operand: `.cfm` by extension, an existing file
+    /// (or netlist extension) as a netlist, anything else as a benchmark
+    /// name.
     pub fn infer(operand: &str) -> Source {
         let path = Path::new(operand);
-        if operand.ends_with(".cfk") {
-            Source::KernelFile(path.to_path_buf())
-        } else if operand.ends_with(".cfm") {
+        if operand.ends_with(".cfm") {
             Source::ModelFile(path.to_path_buf())
         } else if operand.ends_with(".blif")
             || operand.ends_with(".v")
@@ -98,7 +93,6 @@ impl Source {
             Source::NetlistFile(p) => format!("netlist {}", p.display()),
             Source::Bench(name) => format!("bench {name}"),
             Source::ModelFile(p) => format!("model {}", p.display()),
-            Source::KernelFile(p) => format!("kernel {}", p.display()),
         }
     }
 }
@@ -227,36 +221,20 @@ impl BuildOptions {
     }
 }
 
-/// Loads a saved `.cfm` model from disk (outside the cache — an explicit
-/// user artifact).
+/// Reads a saved `.cfm` model file from disk (outside the cache — an
+/// explicit user artifact) with `parse`: into a model, or straight into a
+/// kernel.
 ///
 /// # Errors
 ///
 /// [`PipelineError::Io`] if the file cannot be read,
 /// [`PipelineError::Parse`] if it fails validation.
-fn load_model_file(path: &Path) -> Result<AddPowerModel, PipelineError> {
+fn read_model_file<T>(path: &Path, parse: fn(&[u8]) -> io::Result<T>) -> Result<T, PipelineError> {
     let bytes = fs::read(path).map_err(|e| PipelineError::Io {
         context: path.display().to_string(),
         source: e,
     })?;
-    AddPowerModel::load(bytes.as_slice()).map_err(|e| PipelineError::Parse {
-        context: path.display().to_string(),
-        message: e.to_string(),
-    })
-}
-
-/// Loads a compiled `.cfk` kernel from disk (re-validated on load).
-///
-/// # Errors
-///
-/// [`PipelineError::Io`] if the file cannot be read,
-/// [`PipelineError::Parse`] if it fails validation.
-fn load_kernel_file(path: &Path) -> Result<Kernel, PipelineError> {
-    let bytes = fs::read(path).map_err(|e| PipelineError::Io {
-        context: path.display().to_string(),
-        source: e,
-    })?;
-    Kernel::load(bytes.as_slice()).map_err(|e| PipelineError::Parse {
+    parse(&bytes).map_err(|e| PipelineError::Parse {
         context: path.display().to_string(),
         message: e.to_string(),
     })
@@ -362,8 +340,8 @@ impl PipelineCtx {
     ///
     /// # Errors
     ///
-    /// I/O and parse failures; [`PipelineError::Unsupported`] for
-    /// model/kernel sources, which carry no netlist.
+    /// I/O and parse failures; [`PipelineError::Unsupported`] for model
+    /// sources, which carry no netlist.
     pub fn parse_netlist(&mut self, source: &Source) -> Result<Netlist, PipelineError> {
         let t0 = Instant::now();
         let netlist = match source {
@@ -387,7 +365,7 @@ impl PipelineCtx {
             }
             Source::Bench(name) => benchmarks::by_name(name, &self.library)
                 .ok_or_else(|| PipelineError::UnknownInput(name.clone()))?,
-            Source::ModelFile(_) | Source::KernelFile(_) => {
+            Source::ModelFile(_) => {
                 return Err(PipelineError::Unsupported(format!(
                     "{} is a compiled artifact, not a netlist source",
                     source.describe()
@@ -442,13 +420,15 @@ impl PipelineCtx {
     /// The content key the given netlist's model artifact lives under,
     /// when caching applies (a store is attached and the options are
     /// deterministic).
-    fn artifact_key(&self, netlist: &Netlist, kind: ArtifactKind) -> Option<ArtifactKey> {
+    fn artifact_key(&self, netlist: &Netlist) -> Option<ArtifactKey> {
         if self.store.is_none() || !self.options.cacheable() {
             return None;
         }
         let canonical = blif::write(netlist);
+        // The `"model"` section keeps the keys of stores written while a
+        // second artifact kind lived beside the model.
         Some(ArtifactKey::derive(&[
-            kind.name(),
+            "model",
             &canonical,
             &self.library.fingerprint(),
             &self.options.fingerprint(),
@@ -465,12 +445,21 @@ impl PipelineCtx {
     /// [`PipelineError::Build`] on netlist validation failure or a
     /// strict-mode budget trip.
     pub fn build_model(&mut self, netlist: &Netlist) -> Result<AddPowerModel, PipelineError> {
-        let key = self.artifact_key(netlist, ArtifactKind::Model);
-        if let Some(mut model) = self.probe(key, ArtifactKind::Model, ArtifactStore::load_model) {
+        let key = self.artifact_key(netlist);
+        if let Some(mut model) = self.probe(key, ArtifactStore::load_model) {
             model.set_name(netlist.name());
             return Ok(model);
         }
+        self.build_fresh(netlist, key)
+    }
 
+    /// Stages `BuildAdd` + `Collapse` without a cache probe; a clean
+    /// (non-degraded) model is stored back under `key`.
+    fn build_fresh(
+        &mut self,
+        netlist: &Netlist,
+        key: Option<ArtifactKey>,
+    ) -> Result<AddPowerModel, PipelineError> {
         let steps_before = self.stats.apply_steps();
         let t0 = Instant::now();
         let mut builder = self.options.configure(netlist).stats(self.stats.clone());
@@ -510,9 +499,7 @@ impl PipelineCtx {
         // degradation report, so a warm load would silently launder a
         // degraded build into a clean-looking one.
         if model.degradation().is_none() {
-            self.publish(key, ArtifactKind::Model, |store, key| {
-                store.store_model(key, &model)
-            });
+            self.publish(key, |store, key| store.store_model(key, &model));
         }
         self.emit_table_counters();
         Ok(model)
@@ -588,29 +575,23 @@ impl PipelineCtx {
         Ok(model)
     }
 
-    /// Stage `CompileKernel`, cache-aware at the kernel level: a cached
-    /// `.cfk` short-circuits the *entire* build (no model is loaded or
-    /// constructed); otherwise the model is obtained via
-    /// [`PipelineCtx::build_model`] (which may itself warm-load) and
+    /// Stage `CompileKernel`, cache-aware: the cached `.cfm` that
+    /// [`PipelineCtx::build_model`] would load is read straight into a
+    /// kernel ([`Kernel::from_cfm`]: no manager is built, no model
+    /// constructed); otherwise the model is built (and stored back) and
     /// compiled.
     ///
     /// # Errors
     ///
     /// See [`PipelineCtx::build_model`].
     pub fn compile_kernel(&mut self, netlist: &Netlist) -> Result<Kernel, PipelineError> {
-        let key = self.artifact_key(netlist, ArtifactKind::Kernel);
-        if let Some(kernel) = self.probe(key, ArtifactKind::Kernel, ArtifactStore::load_kernel) {
+        let key = self.artifact_key(netlist);
+        if let Some(mut kernel) = self.probe(key, ArtifactStore::load_kernel) {
+            kernel.set_name(netlist.name());
             return Ok(kernel);
         }
-
-        let model = self.build_model(netlist)?;
-        let kernel = self.compile_kernel_from(&model);
-        if model.degradation().is_none() {
-            self.publish(key, ArtifactKind::Kernel, |store, key| {
-                store.store_kernel(key, &kernel)
-            });
-        }
-        Ok(kernel)
+        let model = self.build_fresh(netlist, key)?;
+        Ok(self.compile_kernel_from(&model))
     }
 
     /// Looks `key` up in the store (when caching applies), recording the
@@ -619,7 +600,6 @@ impl PipelineCtx {
     fn probe<T>(
         &mut self,
         key: Option<ArtifactKey>,
-        kind: ArtifactKind,
         load: fn(&ArtifactStore, ArtifactKey) -> CacheLookup<T>,
     ) -> Option<T> {
         let (Some(key), Some(store)) = (key, &self.store) else {
@@ -627,11 +607,10 @@ impl PipelineCtx {
         };
         let key_hex = key.hex();
         let (event, artifact) = match load(store, key) {
-            CacheLookup::Hit(artifact) => (Event::CacheHit { kind, key: key_hex }, Some(artifact)),
-            CacheLookup::Miss => (Event::CacheMiss { kind, key: key_hex }, None),
+            CacheLookup::Hit(artifact) => (Event::CacheHit { key: key_hex }, Some(artifact)),
+            CacheLookup::Miss => (Event::CacheMiss { key: key_hex }, None),
             CacheLookup::Poisoned(reason) => (
                 Event::CachePoisoned {
-                    kind,
                     key: key_hex,
                     reason,
                 },
@@ -648,7 +627,6 @@ impl PipelineCtx {
     fn publish(
         &mut self,
         key: Option<ArtifactKey>,
-        kind: ArtifactKind,
         store_back: impl FnOnce(&ArtifactStore, ArtifactKey) -> io::Result<()>,
     ) {
         let (Some(key), Some(store)) = (key, &self.store) else {
@@ -656,9 +634,8 @@ impl PipelineCtx {
         };
         let key_hex = key.hex();
         let event = match store_back(store, key) {
-            Ok(()) => Event::CacheStored { kind, key: key_hex },
+            Ok(()) => Event::CacheStored { key: key_hex },
             Err(e) => Event::CacheStoreFailed {
-                kind,
                 key: key_hex,
                 reason: e.to_string(),
             },
@@ -686,20 +663,16 @@ impl PipelineCtx {
         kernel
     }
 
-    /// An evaluation kernel from any source kind: `.cfk` loads directly
-    /// (zero symbolic work), `.cfm` loads the model and compiles it, and
-    /// netlist/bench sources run the full (cache-aware) pipeline.
+    /// An evaluation kernel from any source kind: a `.cfm` is read
+    /// straight into a kernel ([`Kernel::from_cfm`], zero symbolic work),
+    /// and netlist/bench sources run the full (cache-aware) pipeline.
     ///
     /// # Errors
     ///
     /// I/O, parse and build failures from the underlying stages.
     pub fn kernel_for(&mut self, source: &Source) -> Result<Kernel, PipelineError> {
         match source {
-            Source::KernelFile(path) => load_kernel_file(path),
-            Source::ModelFile(path) => {
-                let model = load_model_file(path)?;
-                Ok(self.compile_kernel_from(&model))
-            }
+            Source::ModelFile(path) => read_model_file(path, |bytes| Kernel::from_cfm(bytes)),
             Source::NetlistFile(_) | Source::Bench(_) => {
                 let netlist = self.load_netlist(source)?;
                 self.compile_kernel(&netlist)
@@ -707,21 +680,14 @@ impl PipelineCtx {
         }
     }
 
-    /// An arena power model from any source kind that carries one.
+    /// An arena power model from any source kind.
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Unsupported`] for kernel sources (a `.cfk` cannot
-    /// be turned back into an arena model); otherwise the underlying
-    /// stage failures.
+    /// I/O, parse and build failures from the underlying stages.
     pub fn model_for(&mut self, source: &Source) -> Result<AddPowerModel, PipelineError> {
         match source {
-            Source::ModelFile(path) => load_model_file(path),
-            Source::KernelFile(path) => Err(PipelineError::Unsupported(format!(
-                "{}: compiled kernels cannot be lifted back into an arena model; \
-                 pass the `.cfm` (or the netlist) instead",
-                path.display()
-            ))),
+            Source::ModelFile(path) => read_model_file(path, |bytes| AddPowerModel::load(bytes)),
             Source::NetlistFile(_) | Source::Bench(_) => {
                 let netlist = self.load_netlist(source)?;
                 self.build_model(&netlist)
@@ -818,10 +784,8 @@ mod tests {
 
     #[test]
     fn source_inference() {
-        assert_eq!(
-            Source::infer("m.cfk"),
-            Source::KernelFile(PathBuf::from("m.cfk"))
-        );
+        // A `.cfk` has no artifact kind of its own any more.
+        assert_eq!(Source::infer("m.cfk"), Source::Bench("m.cfk".to_owned()));
         assert_eq!(
             Source::infer("m.cfm"),
             Source::ModelFile(PathBuf::from("m.cfm"))

@@ -1,12 +1,13 @@
 //! Content-addressed on-disk artifact store.
 //!
-//! Artifacts (`.cfm` models, `.cfk` kernels) are keyed by a 128-bit
-//! content hash of everything that determines them: the canonical netlist
+//! One artifact per model: a `.cfm` model file, keyed by a 128-bit
+//! content hash of everything that determines it: the canonical netlist
 //! text, the library fingerprint and the build-option fingerprint. A
-//! second run on identical inputs warm-loads the artifact instead of
-//! rebuilding; every load re-validates the file (the persistence formats
-//! are self-checking), and any mismatch — truncation, corruption, a
-//! format-version bump — degrades to a rebuild, never a panic.
+//! second run on identical inputs warm-loads the file instead of
+//! rebuilding, as a model or straight into an evaluation kernel; every
+//! load re-validates the file (the format is self-checking), and any
+//! mismatch — truncation, corruption, a format-version bump — degrades to
+//! a rebuild, never a panic.
 //!
 //! Writes are atomic and durable: the artifact is staged to a temp file,
 //! fsync'd, renamed into place, and the directory is fsync'd so the
@@ -23,7 +24,6 @@
 //! short writes, transient errors, and torn renames deterministically.
 
 use crate::faultio::{FaultIo, RealIo};
-use crate::telemetry::ArtifactKind;
 use charfree_core::hashing::Fnv128;
 use charfree_core::AddPowerModel;
 use charfree_engine::Kernel;
@@ -34,6 +34,9 @@ use std::sync::Arc;
 
 /// Name of the quarantine subdirectory torn entries are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
+
+/// The extension of the store's one artifact kind, the `.cfm` model file.
+const EXTENSION: &str = "cfm";
 
 /// How many times a transient ([`io::ErrorKind::Interrupted`] /
 /// [`io::ErrorKind::WouldBlock`]) failure is retried before giving up.
@@ -104,7 +107,7 @@ pub enum CacheLookup<T> {
 /// One entry moved aside by [`ArtifactStore::recover`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedEntry {
-    /// The artifact file name (`<hex>.<cfm|cfk>`).
+    /// The file name (`<hex>.cfm` for an artifact).
     pub file: String,
     /// Why validation rejected it.
     pub reason: String,
@@ -139,8 +142,8 @@ impl RecoveryReport {
     }
 }
 
-/// The on-disk store: one flat directory of `<hash>.cfm` / `<hash>.cfk`
-/// files, plus `quarantine/` once recovery has moved anything aside.
+/// The on-disk store: one flat directory of `<hash>.cfm` files, plus
+/// `quarantine/` once recovery has moved anything aside.
 #[derive(Debug, Clone)]
 pub struct ArtifactStore {
     dir: PathBuf,
@@ -170,9 +173,9 @@ impl ArtifactStore {
         &self.dir
     }
 
-    /// The on-disk path an artifact lives at.
-    pub fn path(&self, key: ArtifactKey, kind: ArtifactKind) -> PathBuf {
-        self.dir.join(format!("{}.{}", key.hex(), kind.extension()))
+    /// The on-disk path the artifact under `key` lives at.
+    pub fn path(&self, key: ArtifactKey) -> PathBuf {
+        self.dir.join(format!("{}.{EXTENSION}", key.hex()))
     }
 
     /// The quarantine directory's path.
@@ -183,26 +186,18 @@ impl ArtifactStore {
     /// Probes for a stored model; validation failures surface as
     /// [`CacheLookup::Poisoned`], never an error.
     pub fn load_model(&self, key: ArtifactKey) -> CacheLookup<AddPowerModel> {
-        self.load(key, ArtifactKind::Model, |bytes| {
-            AddPowerModel::load(bytes).map_err(|e| e.to_string())
-        })
+        self.load(key, |bytes| AddPowerModel::load(bytes))
     }
 
-    /// Probes for a stored kernel (re-validated on load by the `.cfk`
-    /// format itself).
+    /// Probes for a stored model and reads it straight into an evaluation
+    /// kernel ([`Kernel::from_cfm`]: no manager is built); validation
+    /// failures surface as [`CacheLookup::Poisoned`].
     pub fn load_kernel(&self, key: ArtifactKey) -> CacheLookup<Kernel> {
-        self.load(key, ArtifactKind::Kernel, |bytes| {
-            Kernel::load(bytes).map_err(|e| e.to_string())
-        })
+        self.load(key, |bytes| Kernel::from_cfm(bytes))
     }
 
-    fn load<T>(
-        &self,
-        key: ArtifactKey,
-        kind: ArtifactKind,
-        parse: impl FnOnce(&[u8]) -> Result<T, String>,
-    ) -> CacheLookup<T> {
-        let path = self.path(key, kind);
+    fn load<T>(&self, key: ArtifactKey, parse: fn(&[u8]) -> io::Result<T>) -> CacheLookup<T> {
+        let path = self.path(key);
         let bytes = match retry_transient(|| self.io.read_file(&path)) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return CacheLookup::Miss,
@@ -221,25 +216,10 @@ impl ArtifactStore {
     /// Propagates filesystem failures (callers treat a failed store as
     /// "run stays uncached", not as a run failure).
     pub fn store_model(&self, key: ArtifactKey, model: &AddPowerModel) -> io::Result<()> {
-        let mut buf = Vec::new();
-        model.save(&mut buf)?;
-        self.store_bytes(key, ArtifactKind::Model, &buf)
-    }
-
-    /// Stores a kernel under `key`, atomically and durably.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn store_kernel(&self, key: ArtifactKey, kernel: &Kernel) -> io::Result<()> {
-        let mut buf = Vec::new();
-        kernel.save(&mut buf)?;
-        self.store_bytes(key, ArtifactKind::Kernel, &buf)
-    }
-
-    fn store_bytes(&self, key: ArtifactKey, kind: ArtifactKind, bytes: &[u8]) -> io::Result<()> {
+        let mut bytes = Vec::new();
+        model.save(&mut bytes)?;
         retry_transient(|| self.io.create_dir_all(&self.dir))?;
-        let path = self.path(key, kind);
+        let path = self.path(key);
         // Concurrent writers under the same key are expected (two
         // processes — or two threads of one server — building the same
         // netlist). Each writer stages to a name unique per process AND
@@ -248,16 +228,14 @@ impl ArtifactStore {
         static STORE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let seq = STORE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = self.dir.join(format!(
-            "{}.{}.tmp{}-{}",
+            "{}.{EXTENSION}.tmp{}-{seq}",
             key.hex(),
-            kind.extension(),
             std::process::id(),
-            seq
         ));
         // Stage, then fsync the staged bytes BEFORE the rename publishes
         // them: otherwise a power cut can leave a live key pointing at a
         // file whose data never reached the platter.
-        if let Err(e) = retry_transient(|| self.io.write_file(&tmp, bytes)) {
+        if let Err(e) = retry_transient(|| self.io.write_file(&tmp, &bytes)) {
             let _ = self.io.remove_file(&tmp);
             return Err(e);
         }
@@ -320,20 +298,13 @@ impl ArtifactStore {
                 report.tmp_files_removed += 1;
                 continue;
             }
-            let verdict = match path.extension().and_then(|e| e.to_str()) {
-                Some(ext) if ext == ArtifactKind::Model.extension() => {
-                    let bytes = retry_transient(|| self.io.read_file(&path))?;
-                    AddPowerModel::load(bytes.as_slice())
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
-                }
-                Some(ext) if ext == ArtifactKind::Kernel.extension() => {
-                    let bytes = retry_transient(|| self.io.read_file(&path))?;
-                    Kernel::load(bytes.as_slice())
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
-                }
-                _ => Err("unknown artifact extension".to_owned()),
+            let verdict = if path.extension().is_some_and(|e| e == EXTENSION) {
+                let bytes = retry_transient(|| self.io.read_file(&path))?;
+                AddPowerModel::load(bytes.as_slice())
+                    .map(|_| ())
+                    .map_err(|e| e.to_string())
+            } else {
+                Err("unknown artifact extension".to_owned())
             };
             match verdict {
                 Ok(()) => report.valid_entries += 1,
@@ -396,8 +367,8 @@ mod tests {
 
     /// Key derivation now flows through the workspace-shared `Fnv128`;
     /// these hex digests are what the pre-unification implementation
-    /// produced. If they move, every `.cfm`/`.cfk`/`.cft` already on
-    /// disk is orphaned — never update these values, fix the hash.
+    /// produced. If they move, every `.cfm` already on disk is
+    /// orphaned — never update these values, fix the hash.
     #[test]
     fn key_digests_survive_the_hashing_unification() {
         assert_eq!(
@@ -414,12 +385,20 @@ mod tests {
         );
     }
 
+    /// Kernel save bytes, for bit-identity checks.
+    fn kernel_bytes(kernel: &Kernel) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        kernel.save(&mut bytes).expect("saves");
+        bytes
+    }
+
     #[test]
     fn model_and_kernel_round_trip_through_the_store() {
         let dir = fresh_dir("roundtrip");
         let store = ArtifactStore::new(&dir);
         let key = ArtifactKey::derive(&["roundtrip"]);
         assert!(matches!(store.load_model(key), CacheLookup::Miss));
+        assert!(matches!(store.load_kernel(key), CacheLookup::Miss));
 
         let model = test_model();
         store.store_model(key, &model).expect("store model");
@@ -427,13 +406,14 @@ mod tests {
             panic!("stored model must load");
         };
         assert_eq!(back.size(), model.size());
-
-        let kernel = Kernel::compile(&model);
-        store.store_kernel(key, &kernel).expect("store kernel");
-        let CacheLookup::Hit(kback) = store.load_kernel(key) else {
-            panic!("stored kernel must load");
+        let CacheLookup::Hit(kernel) = store.load_kernel(key) else {
+            panic!("stored model must load as a kernel");
         };
-        assert_eq!(kback.num_instrs(), kernel.num_instrs());
+        assert_eq!(
+            kernel_bytes(&kernel),
+            kernel_bytes(&Kernel::compile(&model))
+        );
+        assert_eq!(fs::read_dir(&dir).expect("store dir").count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -443,23 +423,22 @@ mod tests {
         let store = ArtifactStore::new(&dir);
         let key = ArtifactKey::derive(&["race"]);
         let model = test_model();
-        let kernel = Kernel::compile(&model);
+        let want = kernel_bytes(&Kernel::compile(&model));
 
         // Two builders finish "at the same time" and publish the same
         // content under the same key, repeatedly. Both must succeed, both
         // must then read back a valid kernel, and the store must end up
-        // with exactly one artifact file per kind and nothing else.
+        // with exactly one artifact file and nothing else.
         const ROUNDS: usize = 50;
         std::thread::scope(|scope| {
             for _ in 0..2 {
                 scope.spawn(|| {
                     for _ in 0..ROUNDS {
-                        store.store_kernel(key, &kernel).expect("store kernel");
                         store.store_model(key, &model).expect("store model");
                         let CacheLookup::Hit(k) = store.load_kernel(key) else {
-                            panic!("concurrently stored kernel must load");
+                            panic!("concurrently stored model must load");
                         };
-                        assert_eq!(k.num_instrs(), kernel.num_instrs());
+                        assert_eq!(kernel_bytes(&k), want);
                     }
                 });
             }
@@ -474,10 +453,10 @@ mod tests {
             .filter_map(Result::ok)
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(files.len(), 2, "one .cfm + one .cfk, got {files:?}");
+        assert_eq!(files, [format!("{}.cfm", key.hex())]);
         let report = store.recover().expect("recover");
         assert!(report.is_clean(), "{report:?}");
-        assert_eq!(report.valid_entries, 2);
+        assert_eq!(report.valid_entries, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -486,27 +465,26 @@ mod tests {
         let dir = fresh_dir("poison");
         let store = ArtifactStore::new(&dir);
         let key = ArtifactKey::derive(&["poison"]);
-        let model = test_model();
-        store.store_model(key, &model).expect("store model");
-        store
-            .store_kernel(key, &Kernel::compile(&model))
-            .expect("store kernel");
+        store.store_model(key, &test_model()).expect("store model");
+        let path = store.path(key);
+        let full = fs::read(&path).expect("read model artifact");
+        let text = String::from_utf8(full.clone()).expect("the .cfm format is text");
 
-        // Truncation.
-        let mpath = store.path(key, ArtifactKind::Model);
-        let full = fs::read(&mpath).expect("read model artifact");
-        fs::write(&mpath, &full[..full.len() / 2]).expect("truncate");
-        assert!(matches!(store.load_model(key), CacheLookup::Poisoned(_)));
-
-        // Version bump in the header.
-        let kpath = store.path(key, ArtifactKind::Kernel);
-        let text = fs::read_to_string(&kpath).expect("read kernel artifact");
-        fs::write(&kpath, text.replacen("v1", "v9", 1)).expect("rewrite");
-        assert!(matches!(store.load_kernel(key), CacheLookup::Poisoned(_)));
-
-        // Garbage bytes.
-        fs::write(&mpath, b"not an artifact at all").expect("corrupt");
-        assert!(matches!(store.load_model(key), CacheLookup::Poisoned(_)));
+        for (what, bytes) in [
+            ("truncation", full[..full.len() / 2].to_vec()),
+            ("version bump", text.replacen("v1", "v9", 1).into_bytes()),
+            ("garbage", b"not an artifact at all".to_vec()),
+        ] {
+            fs::write(&path, bytes).expect("corrupt");
+            assert!(
+                matches!(store.load_model(key), CacheLookup::Poisoned(_)),
+                "{what}"
+            );
+            assert!(
+                matches!(store.load_kernel(key), CacheLookup::Poisoned(_)),
+                "{what}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -529,18 +507,14 @@ mod tests {
         let dir = fresh_dir("cleanrec");
         let store = ArtifactStore::new(&dir);
         let key = ArtifactKey::derive(&["cleanrec"]);
-        let model = test_model();
-        store.store_model(key, &model).expect("store model");
-        store
-            .store_kernel(key, &Kernel::compile(&model))
-            .expect("store kernel");
+        store.store_model(key, &test_model()).expect("store model");
 
         let before = snapshot(&dir);
-        assert_eq!(before.len(), 2, "{:?}", before.keys());
+        assert_eq!(before.len(), 1, "{:?}", before.keys());
         for _ in 0..2 {
             let report = store.recover().expect("recover");
             assert!(report.is_clean(), "{report:?}");
-            assert_eq!(report.valid_entries, 2);
+            assert_eq!(report.valid_entries, 1);
         }
         assert_eq!(snapshot(&dir), before);
         let _ = fs::remove_dir_all(&dir);
@@ -552,32 +526,34 @@ mod tests {
         let clean_dir = fresh_dir("tornrec-clean");
         let store = ArtifactStore::new(&dir);
         let clean = ArtifactStore::new(&clean_dir);
-        let key = ArtifactKey::derive(&["tornrec"]);
+        let (torn, kept) = (
+            ArtifactKey::derive(&["tornrec"]),
+            ArtifactKey::derive(&["tornrec-kept"]),
+        );
         let model = test_model();
-        let kernel = Kernel::compile(&model);
         for s in [&store, &clean] {
-            s.store_model(key, &model).expect("store model");
-            s.store_kernel(key, &kernel).expect("store kernel");
+            s.store_model(torn, &model).expect("store model");
         }
+        store.store_model(kept, &model).expect("store model");
 
-        // Simulate kill -9 mid-write: torn kernel bytes under the live
-        // key.
-        let kpath = store.path(key, ArtifactKind::Kernel);
-        let kname = format!("{}.{}", key.hex(), ArtifactKind::Kernel.extension());
-        let full = fs::read(&kpath).expect("read kernel artifact");
-        fs::write(&kpath, &full[..full.len() / 2]).expect("tear");
+        // Simulate kill -9 mid-write: torn bytes under a live key.
+        let path = store.path(torn);
+        let name = format!("{}.cfm", torn.hex());
+        let full = fs::read(&path).expect("read model artifact");
+        fs::write(&path, &full[..full.len() / 2]).expect("tear");
 
         let report = store.recover().expect("recover");
         assert_eq!(report.quarantined.len(), 1, "{report:?}");
-        assert_eq!(report.quarantined[0].file, kname);
-        assert_eq!(report.valid_entries, 1); // the model survived
-        assert!(store.quarantine_dir().join(&kname).exists());
+        assert_eq!(report.quarantined[0].file, name);
+        assert_eq!(report.valid_entries, 1); // the other key survived
+        assert!(store.quarantine_dir().join(&name).exists());
         // The torn entry is out from under the live key...
-        assert!(matches!(store.load_kernel(key), CacheLookup::Miss));
+        assert!(matches!(store.load_kernel(torn), CacheLookup::Miss));
+        assert!(matches!(store.load_kernel(kept), CacheLookup::Hit(_)));
         // ...and a rebuild heals it byte-identically to a clean write.
-        store.store_kernel(key, &kernel).expect("re-store kernel");
-        let healed = fs::read(&kpath).expect("healed bytes");
-        let reference = fs::read(clean.path(key, ArtifactKind::Kernel)).expect("clean bytes");
+        store.store_model(torn, &model).expect("re-store model");
+        let healed = fs::read(&path).expect("healed bytes");
+        let reference = fs::read(clean.path(torn)).expect("clean bytes");
         assert_eq!(healed, reference, "healed entry must be byte-identical");
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&clean_dir);
@@ -592,7 +568,7 @@ mod tests {
         store.store_model(key, &model).expect("store model");
 
         // A crash mid-stage leaves a tmp file.
-        fs::write(dir.join("deadbeef.cfk.tmp42-7"), b"partial").expect("tmp");
+        fs::write(dir.join("deadbeef.cfm.tmp42-7"), b"partial").expect("tmp");
 
         let report = store.recover().expect("recover");
         assert_eq!(report.tmp_files_removed, 1);
@@ -603,33 +579,36 @@ mod tests {
     }
 
     /// Stores written by older builds may hold a persisted shared table
-    /// (`<hash>.cft`, format `cftv1`) and a write-ahead journal
-    /// (`store.journal`). Recovery knows neither extension: both go to
-    /// quarantine and every model and kernel beside them survives.
+    /// (`<hash>.cft`, format `cftv1`), a write-ahead journal
+    /// (`store.journal`) and compiled kernels (`<hash>.cfk`). Recovery
+    /// knows none of these: they go to quarantine and every model beside
+    /// them survives.
     #[test]
     fn recovery_quarantines_a_stale_shared_table_blob() {
         let dir = fresh_dir("stalecft");
         let store = ArtifactStore::new(&dir);
         let key = ArtifactKey::derive(&["stalecft"]);
-        store
-            .store_kernel(key, &Kernel::compile(&test_model()))
-            .expect("store kernel");
+        let model = test_model();
+        store.store_model(key, &model).expect("store model");
         let cft = format!("{}.cft", ArtifactKey::derive(&["table", "libfp"]).hex());
         fs::write(dir.join(&cft), "cftv1\ns 0\na 0\n").expect("plant blob");
         let journal = "store.journal";
         fs::write(dir.join(journal), format!("begin {cft}\ncommit {cft}\n"))
             .expect("plant journal");
+        let cfk = format!("{}.cfk", key.hex());
+        fs::write(dir.join(&cfk), kernel_bytes(&Kernel::compile(&model))).expect("plant kernel");
 
         let report = store.recover().expect("recover");
         let mut files: Vec<&str> = report.quarantined.iter().map(|q| q.file.as_str()).collect();
         files.sort_unstable();
-        assert_eq!(files, [cft.as_str(), journal], "{report:?}");
-        assert_eq!(report.valid_entries, 1, "the kernel survives");
-        for name in [cft.as_str(), journal] {
+        assert_eq!(files, [cfk.as_str(), cft.as_str(), journal], "{report:?}");
+        assert_eq!(report.valid_entries, 1, "the model survives");
+        for name in [cfk.as_str(), cft.as_str(), journal] {
             assert!(store.quarantine_dir().join(name).exists());
             assert!(!dir.join(name).exists());
         }
         assert!(matches!(store.load_kernel(key), CacheLookup::Hit(_)));
+        assert!(store.recover().expect("recover").is_clean());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -637,7 +616,7 @@ mod tests {
     fn store_under_fault_ladder_never_serves_wrong_bytes() {
         let dir = fresh_dir("chaos");
         let model = test_model();
-        let kernel = Kernel::compile(&model);
+        let want = kernel_bytes(&Kernel::compile(&model));
         let key = ArtifactKey::derive(&["chaos"]);
 
         for seed in 0..20u64 {
@@ -655,9 +634,9 @@ mod tests {
             // Stores may fail (typed io errors); loads must only ever
             // produce the true kernel, a miss, or a poisoned verdict —
             // never a silently wrong artifact.
-            let _ = store.store_kernel(key, &kernel);
+            let _ = store.store_model(key, &model);
             match store.load_kernel(key) {
-                CacheLookup::Hit(k) => assert_eq!(k.num_instrs(), kernel.num_instrs()),
+                CacheLookup::Hit(k) => assert_eq!(kernel_bytes(&k), want),
                 CacheLookup::Miss | CacheLookup::Poisoned(_) => {}
             }
         }
@@ -666,11 +645,11 @@ mod tests {
         // fully healthy cache.
         let store = ArtifactStore::new(&dir);
         store.recover().expect("recover");
-        store.store_kernel(key, &kernel).expect("store kernel");
+        store.store_model(key, &model).expect("store model");
         let CacheLookup::Hit(k) = store.load_kernel(key) else {
             panic!("healed store must hit");
         };
-        assert_eq!(k.num_instrs(), kernel.num_instrs());
+        assert_eq!(kernel_bytes(&k), want);
         let report = store.recover().expect("recover");
         assert!(report.is_clean(), "{report:?}");
         let _ = fs::remove_dir_all(&dir);

@@ -46,33 +46,6 @@ impl Stage {
     }
 }
 
-/// Which artifact kind a cache event refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// A saved `.cfm` power model.
-    Model,
-    /// A compiled `.cfk` evaluation kernel.
-    Kernel,
-}
-
-impl ArtifactKind {
-    /// Stable name (used in JSON and log lines).
-    pub fn name(self) -> &'static str {
-        match self {
-            ArtifactKind::Model => "model",
-            ArtifactKind::Kernel => "kernel",
-        }
-    }
-
-    /// The on-disk file extension of the artifact.
-    pub fn extension(self) -> &'static str {
-        match self {
-            ArtifactKind::Model => "cfm",
-            ArtifactKind::Kernel => "cfk",
-        }
-    }
-}
-
 /// One telemetry event.
 #[derive(Debug, Clone)]
 pub enum Event {
@@ -93,30 +66,22 @@ pub enum Event {
     },
     /// An artifact was served from the content-addressed store.
     CacheHit {
-        /// Artifact kind.
-        kind: ArtifactKind,
         /// Content hash (hex).
         key: String,
     },
     /// No artifact was stored under the key; the stage ran cold.
     CacheMiss {
-        /// Artifact kind.
-        kind: ArtifactKind,
         /// Content hash (hex).
         key: String,
     },
     /// A freshly built artifact was written to the store.
     CacheStored {
-        /// Artifact kind.
-        kind: ArtifactKind,
         /// Content hash (hex).
         key: String,
     },
     /// An artifact file existed under the key but failed validation; the
     /// pipeline rebuilt instead of serving it.
     CachePoisoned {
-        /// Artifact kind.
-        kind: ArtifactKind,
         /// Content hash (hex).
         key: String,
         /// Why the entry was rejected.
@@ -125,8 +90,6 @@ pub enum Event {
     /// Writing a freshly built artifact to the store failed; the run
     /// continued uncached.
     CacheStoreFailed {
-        /// Artifact kind.
-        kind: ArtifactKind,
         /// Content hash (hex).
         key: String,
         /// The write failure.
@@ -168,7 +131,7 @@ impl Telemetry {
         &self.events
     }
 
-    /// Number of cache hits recorded (across artifact kinds).
+    /// Number of cache hits recorded.
     pub fn cache_hits(&self) -> usize {
         self.events
             .iter()
@@ -176,7 +139,7 @@ impl Telemetry {
             .count()
     }
 
-    /// Number of cache misses recorded (across artifact kinds; poisoned
+    /// Number of cache misses recorded (poisoned
     /// entries count as misses — the artifact was rebuilt).
     pub fn cache_misses(&self) -> usize {
         self.events
@@ -231,14 +194,12 @@ fn event_json(event: &Event) -> String {
             obj.push_str(&format!(", \"detail\": \"{}\"}}", json_escape(detail)));
             obj
         }
-        Event::CacheHit { kind, key } => cache_json("cache-hit", *kind, key, None),
-        Event::CacheMiss { kind, key } => cache_json("cache-miss", *kind, key, None),
-        Event::CacheStored { kind, key } => cache_json("cache-stored", *kind, key, None),
-        Event::CachePoisoned { kind, key, reason } => {
-            cache_json("cache-poisoned", *kind, key, Some(reason))
-        }
-        Event::CacheStoreFailed { kind, key, reason } => {
-            cache_json("cache-store-failed", *kind, key, Some(reason))
+        Event::CacheHit { key } => cache_json("cache-hit", key, None),
+        Event::CacheMiss { key } => cache_json("cache-miss", key, None),
+        Event::CacheStored { key } => cache_json("cache-stored", key, None),
+        Event::CachePoisoned { key, reason } => cache_json("cache-poisoned", key, Some(reason)),
+        Event::CacheStoreFailed { key, reason } => {
+            cache_json("cache-store-failed", key, Some(reason))
         }
         Event::SharedTable {
             table_hits,
@@ -253,10 +214,9 @@ fn event_json(event: &Event) -> String {
     }
 }
 
-fn cache_json(event: &str, kind: ArtifactKind, key: &str, reason: Option<&str>) -> String {
+fn cache_json(event: &str, key: &str, reason: Option<&str>) -> String {
     let mut obj = format!(
-        "{{\"event\": \"{event}\", \"artifact\": \"{}\", \"key\": \"{}\"",
-        kind.name(),
+        "{{\"event\": \"{event}\", \"key\": \"{}\"",
         json_escape(key)
     );
     if let Some(reason) = reason {
@@ -298,15 +258,12 @@ mod tests {
             detail: "8 gates".to_owned(),
         });
         t.emit(Event::CacheMiss {
-            kind: ArtifactKind::Kernel,
             key: "abc123".to_owned(),
         });
         t.emit(Event::CacheHit {
-            kind: ArtifactKind::Model,
             key: "abc123".to_owned(),
         });
         t.emit(Event::CachePoisoned {
-            kind: ArtifactKind::Model,
             key: "abc123".to_owned(),
             reason: "bad \"header\"".to_owned(),
         });
@@ -328,8 +285,6 @@ mod tests {
         assert_eq!(Stage::ParseNetlist.name(), "parse-netlist");
         assert_eq!(Stage::CompileKernel.name(), "compile-kernel");
         assert_eq!(Stage::DeltaRebuild.name(), "delta-rebuild");
-        assert_eq!(ArtifactKind::Model.extension(), "cfm");
-        assert_eq!(ArtifactKind::Kernel.extension(), "cfk");
     }
 
     #[test]

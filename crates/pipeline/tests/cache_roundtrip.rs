@@ -64,12 +64,12 @@ fn warm_run_does_zero_symbolic_work_and_is_bit_identical() {
         .iter()
         .filter(|e| matches!(e, Event::CacheStored { .. }))
         .count();
-    assert_eq!(stored, 2, "model and kernel artifacts both stored");
+    assert_eq!(stored, 1, "one artifact stored");
     assert_eq!(artifact_paths(&dir, "cfm").len(), 1);
-    assert_eq!(artifact_paths(&dir, "cfk").len(), 1);
+    assert_eq!(fs::read_dir(&dir).expect("store dir").count(), 1);
 
-    // Warm run in a fresh context: the kernel artifact short-circuits
-    // the entire symbolic path.
+    // Warm run in a fresh context: the `.cfm`, read straight into a
+    // kernel, short-circuits the entire symbolic path.
     let mut warm = ctx_with_store(&dir);
     let warm_kernel = warm.kernel_for(&source).expect("warm load");
     let warm_trace = warm.trace(&warm_kernel, &pats, 2);
@@ -91,38 +91,33 @@ fn warm_run_does_zero_symbolic_work_and_is_bit_identical() {
 }
 
 #[test]
-fn poisoned_kernel_falls_back_to_the_model_artifact() {
+fn poisoned_model_is_rebuilt_and_stored_back() {
     let dir = fresh_dir("fallback");
     let source = Source::Bench("decod".to_owned());
 
     let mut cold = ctx_with_store(&dir);
     let _ = cold.kernel_for(&source).expect("cold build");
 
-    // Corrupt the kernel artifact only; the model artifact stays valid.
-    let kfiles = artifact_paths(&dir, "cfk");
-    assert_eq!(kfiles.len(), 1);
-    fs::write(&kfiles[0], b"charfree-kernel v1\ngarbage\n").expect("poison kernel");
+    let files = artifact_paths(&dir, "cfm");
+    assert_eq!(files.len(), 1);
+    fs::write(&files[0], b"charfree-model v1\ngarbage\n").expect("poison model");
 
     let mut warm = ctx_with_store(&dir);
-    let _ = warm.kernel_for(&source).expect("fallback succeeds");
-    assert_eq!(
-        warm.apply_steps(),
-        0,
-        "the valid model artifact still avoids all symbolic work"
-    );
+    let _ = warm.kernel_for(&source).expect("rebuild succeeds");
     assert!(
         warm.telemetry
             .events()
             .iter()
             .any(|e| matches!(e, Event::CachePoisoned { .. })),
-        "the bad kernel entry is reported, not fatal"
+        "the bad entry is reported, not fatal"
     );
+    assert!(warm.telemetry.stage_ran(Stage::BuildAdd));
     assert!(warm.telemetry.stage_ran(Stage::CompileKernel));
-    assert!(!warm.telemetry.stage_ran(Stage::BuildAdd));
-    // The recompiled kernel was stored back over the poisoned entry.
+    // The rebuilt model was stored back over the poisoned entry.
     let mut again = ctx_with_store(&dir);
     let _ = again.kernel_for(&source).expect("healed");
     assert_eq!(again.telemetry.cache_hits(), 1);
+    assert_eq!(again.apply_steps(), 0);
 
     let _ = fs::remove_dir_all(&dir);
 }
@@ -143,10 +138,7 @@ fn fully_poisoned_store_rebuilds_identically() {
     let kernel = cold.kernel_for(&source).expect("cold build");
     let cold_trace = cold.trace(&kernel, &pats, 1);
 
-    for path in artifact_paths(&dir, "cfm")
-        .into_iter()
-        .chain(artifact_paths(&dir, "cfk"))
-    {
+    for path in artifact_paths(&dir, "cfm") {
         fs::write(&path, b"\x00\xff half-written junk").expect("poison");
     }
 
@@ -162,8 +154,8 @@ fn fully_poisoned_store_rebuilds_identically() {
             .iter()
             .filter(|e| matches!(e, Event::CachePoisoned { .. }))
             .count(),
-        2,
-        "both bad entries reported"
+        1,
+        "the bad entry reported"
     );
     for (c, r) in cold_trace.iter().zip(&rb_trace) {
         assert_eq!(c.to_bits(), r.to_bits(), "rebuild is bit-identical");
@@ -184,10 +176,7 @@ fn uncacheable_options_bypass_the_store_entirely() {
         ..BuildOptions::default()
     });
     let _ = ctx.kernel_for(&source).expect("build succeeds");
-    assert!(
-        artifact_paths(&dir, "cfm").is_empty() && artifact_paths(&dir, "cfk").is_empty(),
-        "nondeterministic builds are never cached"
-    );
+    assert!(!dir.exists(), "nondeterministic builds are never cached");
     assert_eq!(ctx.telemetry.cache_hits() + ctx.telemetry.cache_misses(), 0);
 
     let _ = fs::remove_dir_all(&dir);

@@ -2,8 +2,8 @@
 //!
 //! `model_bits_pin.rs` digests approximated `.cfm` files; nothing there
 //! reads the symbolic queries a built model answers. This test pins, for
-//! an exact and an approximated model of each kind, the `.cfk` bytes the
-//! model compiles to together with `average_capacitance`,
+//! an exact and an approximated model of each kind, the `Kernel::save`
+//! bytes the model compiles to together with `average_capacitance`,
 //! `max_capacitance`, `expected_capacitance(0.3, 0.2)` (all by
 //! `to_bits`) and the `worst_case_transition` the model reports. A
 //! change to how those statistics are computed must keep every bit.
@@ -27,7 +27,7 @@ fn build(bench: &str, max_nodes: Option<usize>, upper_bound: bool) -> (PipelineC
     (ctx, model)
 }
 
-/// One line per model: the `.cfk` digest, the four statistics' bits and
+/// One line per model: the kernel digest, the four statistics' bits and
 /// the worst-case transition as `xi/xf` bit strings.
 fn stats_line(bench: &str, max_nodes: Option<usize>, upper_bound: bool) -> String {
     let (mut ctx, model) = build(bench, max_nodes, upper_bound);

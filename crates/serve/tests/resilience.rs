@@ -156,10 +156,10 @@ fn server_boots_on_a_torn_store_quarantines_and_heals_byte_identically() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Hostile artifacts under artifact names: a kernel declaring an
-/// instruction count no machine holds, and a model whose CPU field no
-/// `Duration` holds. Startup recovery must quarantine both instead of
-/// aborting or panicking, and the server must keep serving.
+/// Hostile artifacts under artifact names: a model declaring a node
+/// count no machine holds, and a model whose CPU field no `Duration`
+/// holds. Startup recovery must quarantine both instead of aborting or
+/// panicking, and the server must keep serving.
 #[test]
 fn server_boots_on_hostile_artifacts_and_quarantines_them() {
     let dir = scratch("hostile-boot");
@@ -169,15 +169,15 @@ fn server_boots_on_hostile_artifacts_and_quarantines_them() {
             PipelineCtx::new(Library::test_library()).with_store(ArtifactStore::new(&cache));
         ctx.kernel_for(&Source::infer("decod")).expect("builds");
     }
-    // Rewrites the one line of the `ext` artifact that starts with
-    // `prefix` and plants the result under a fresh artifact name.
-    let plant = |ext: &str, prefix: &str, replace: &dyn Fn(&str) -> String| -> String {
-        let source = fs::read_dir(&cache)
-            .expect("read cache")
-            .map(|entry| entry.expect("entry").path())
-            .find(|path| path.extension().and_then(|e| e.to_str()) == Some(ext))
-            .expect("the warm build stored the artifact");
-        let text = fs::read_to_string(source).expect("artifact is text");
+    // Rewrites the one line of the stored model that starts with
+    // `prefix` and plants the result under the artifact name `stem.cfm`.
+    let source = fs::read_dir(&cache)
+        .expect("read cache")
+        .map(|entry| entry.expect("entry").path())
+        .find(|path| path.extension().and_then(|e| e.to_str()) == Some("cfm"))
+        .expect("the warm build stored the artifact");
+    let plant = |stem: &str, prefix: &str, replace: &dyn Fn(&str) -> String| -> String {
+        let text = fs::read_to_string(&source).expect("artifact is text");
         let hostile: String = text
             .lines()
             .map(|line| {
@@ -190,12 +190,14 @@ fn server_boots_on_hostile_artifacts_and_quarantines_them() {
             })
             .collect();
         assert_ne!(hostile, text, "a `{prefix}` line is present");
-        let name = format!("feedfacefeedfacefeedfacefeedface.{ext}");
+        let name = format!("{stem}.cfm");
         fs::write(cache.join(&name), hostile).expect("plant");
         name
     };
-    let kernel = plant("cfk", "instrs ", &|_| "instrs 4000000000000000".to_owned());
-    let model = plant("cfm", "report ", &|line| {
+    let nodes = plant("feedfacefeedfacefeedfacefeedface", "n ", &|_| {
+        "n 4000000000000000".to_owned()
+    });
+    let model = plant("facefeedfacefeedfacefeedfacefeed", "report ", &|line| {
         let kept: Vec<&str> = line.split_whitespace().take(4).collect();
         format!("{} -1", kept.join(" "))
     });
@@ -205,7 +207,7 @@ fn server_boots_on_hostile_artifacts_and_quarantines_them() {
     let server = Server::start(config).expect("boots on hostile artifacts");
     let addr = server.addr().to_string();
     let quarantine = ArtifactStore::new(&cache).quarantine_dir();
-    for name in [&kernel, &model] {
+    for name in [&nodes, &model] {
         assert!(quarantine.join(name).is_file(), "{name} quarantined");
         assert!(!cache.join(name).exists(), "{name} out of the live keys");
     }
@@ -252,14 +254,10 @@ fn mask_build_time(bytes: &[u8]) -> Vec<u8> {
         .into_bytes()
 }
 
-/// A content-addressed artifact file (`.cfm` model / `.cfk` kernel) —
-/// everything else in a cache dir (quarantine) is bookkeeping.
+/// A content-addressed artifact file (a `.cfm` model) — everything else
+/// in a cache dir (quarantine) is bookkeeping.
 fn is_artifact(path: &std::path::Path) -> bool {
-    path.is_file()
-        && matches!(
-            path.extension().and_then(|e| e.to_str()),
-            Some("cfm") | Some("cfk")
-        )
+    path.is_file() && path.extension().is_some_and(|e| e == "cfm")
 }
 
 /// The breaker on the wire: K deterministic build failures trip a typed

@@ -1205,9 +1205,9 @@ fn seqeval_with_an_expired_deadline_is_shed_like_eval() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// A `.cfm` with `ordering grouped` or a `.cfk` with `interleaved 0` (the
-/// variable layout no build produces any more) answers a typed error, not
-/// a worker panic, and the server then still evaluates bit-exactly.
+/// A `.cfm` with `ordering grouped` (the variable layout no build
+/// produces any more) answers a typed error, not a worker panic, and the
+/// server then still evaluates bit-exactly.
 #[test]
 fn grouped_layout_files_are_typed_errors() {
     let dir = std::env::temp_dir().join(format!("charfree-serve-grouped-{}", std::process::id()));
@@ -1217,25 +1217,14 @@ fn grouped_layout_files_are_typed_errors() {
     let model = charfree_core::ModelBuilder::new(&netlist).build();
     let mut cfm = Vec::new();
     model.save(&mut cfm).expect("saves");
-    let mut cfk = Vec::new();
-    charfree_engine::Kernel::compile(&model)
-        .save(&mut cfk)
-        .expect("saves");
-    let mut sources = Vec::new();
-    for (file, bytes, from, to) in [
-        (
-            "decod_grouped.cfm",
-            cfm,
-            "ordering interleaved",
-            "ordering grouped",
-        ),
-        ("decod_grouped.cfk", cfk, "interleaved 1", "interleaved 0"),
-    ] {
-        let text = String::from_utf8(bytes).expect("text formats");
-        let path = dir.join(file);
-        std::fs::write(&path, text.replacen(from, to, 1)).expect("writes model");
-        sources.push(path.to_string_lossy().into_owned());
-    }
+    let text = String::from_utf8(cfm).expect("text format");
+    let path = dir.join("decod_grouped.cfm");
+    std::fs::write(
+        &path,
+        text.replacen("ordering interleaved", "ordering grouped", 1),
+    )
+    .expect("writes model");
+    let sources = [path.to_string_lossy().into_owned()];
 
     let server = Server::start(test_config()).expect("binds");
     let addr = server.addr().to_string();

@@ -29,10 +29,10 @@
 //! `--telemetry json` prints the pipeline's per-stage event stream to
 //! **stderr**, so stdout stays stable across cold and warm runs.
 //!
-//! Operands are classified by [`Source::infer`]: `.cfk` loads a compiled
-//! kernel (no diagram arena is built at all), `.cfm` a saved model,
-//! netlist files parse as BLIF/Verilog, and anything else names a
-//! built-in benchmark.
+//! Operands are classified by [`Source::infer`]: `.cfm` is a saved model
+//! (read straight into a kernel for `eval`, `trace` and `expected`, with
+//! no diagram arena built), netlist files parse as BLIF/Verilog, and
+//! anything else names a built-in benchmark.
 
 use charfree_core::PowerModel;
 use charfree_netlist::units::Voltage;
@@ -44,7 +44,6 @@ use charfree_serve::{Request, Response, WireBuildOptions, WireEvalParams};
 use charfree_sim::{check_statistics, ZeroDelaySim};
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
 
 /// A CLI failure, printed to stderr with exit code 1.
 pub type CliError = String;
@@ -84,16 +83,16 @@ fn usage(prefix: &str) -> String {
         "charfree — characterization-free behavioral power modeling\n\
          \n\
          usage:\n\
-         \x20 charfree model <netlist|bench> [-o M.cfm] [--kernel] [--max N]\n\
+         \x20 charfree model <netlist|bench> [-o M.cfm] [--max N]\n\
          \x20                [--upper-bound] [--library L.lib] [--paper-plain]\n\
          \x20                [--node-budget N] [--time-budget SECS] [--strict]\n\
-         \x20 charfree eval <model|kernel|netlist|bench> [--vectors N] [--sp P]\n\
+         \x20 charfree eval <model|netlist|bench> [--vectors N] [--sp P]\n\
          \x20                [--st P] [--vdd V] [--period NS] [--seed S] [--jobs N]\n\
          \x20 charfree seqeval <netlist.blif> [--vectors N] [--sp P] [--st P]\n\
          \x20                [--vdd V] [--period NS] [--seed S] [--library L.lib]\n\
          \x20 charfree datasheet <model|netlist|bench> [--top K]\n\
-         \x20 charfree expected <model|kernel|netlist|bench> [--sp P] [--st P]\n\
-         \x20 charfree trace <model|kernel|netlist|bench> [--vectors N] [--sp P]\n\
+         \x20 charfree expected <model|netlist|bench> [--sp P] [--st P]\n\
+         \x20 charfree trace <model|netlist|bench> [--vectors N] [--sp P]\n\
          \x20                [--st P] [--vdd V] [--period NS] [--seed S] [--jobs N]\n\
          \x20                [-o out.csv]\n\
          \x20 charfree sim <netlist.{{blif,v}}> [--vectors N] [--sp P] [--st P]\n\
@@ -382,15 +381,22 @@ fn cmd_model(args: &[String]) -> Result<String, CliError> {
     let operand = flags.positional()?;
     let out_path = flags.value("-o")?.map(str::to_owned);
     let build = parse_build_options(&mut flags)?;
-    let time_budget: f64 = flags.parse("--time-budget", 0.0)?;
+    let time_budget = flags.value("--time-budget")?;
     let paper_plain = flags.flag("--paper-plain");
-    let emit_kernel = flags.flag("--kernel");
     flags.finish()?;
-    if emit_kernel && out_path.is_none() {
-        return Err("`--kernel` needs `-o` (the kernel is written next to the model)".to_owned());
-    }
-    let budget = std::time::Duration::try_from_secs_f64(time_budget)
-        .map_err(|_| format!("bad value `{time_budget}` for `--time-budget`"))?;
+    // Echo the flag's text: a huge value formatted back from the f64
+    // would print hundreds of digits.
+    let time_budget = match time_budget {
+        None => None,
+        Some(text) => {
+            let secs = text.parse::<f64>().ok();
+            let budget = secs.and_then(|secs| std::time::Duration::try_from_secs_f64(secs).ok());
+            match (secs, budget) {
+                (Some(secs), Some(budget)) => (secs > 0.0).then_some(budget),
+                _ => return Err(format!("bad value `{text}` for `--time-budget`")),
+            }
+        }
+    };
 
     let mut options = if paper_plain {
         BuildOptions::paper_plain()
@@ -401,9 +407,7 @@ fn cmd_model(args: &[String]) -> Result<String, CliError> {
     options.node_budget = build.node_budget;
     options.strict = build.strict;
     options.upper_bound = build.upper_bound;
-    if time_budget > 0.0 {
-        options.time_budget = Some(budget);
-    }
+    options.time_budget = time_budget;
     session.ctx.set_options(options);
 
     let netlist = session
@@ -441,23 +445,6 @@ fn cmd_model(args: &[String]) -> Result<String, CliError> {
             model.save(&mut buf).map_err(|e| e.to_string())?;
             fs::write(&path, buf).map_err(|e| format!("{path}: {e}"))?;
             let _ = writeln!(report, "wrote {path}");
-            if emit_kernel {
-                let kpath = Path::new(&path)
-                    .with_extension("cfk")
-                    .to_string_lossy()
-                    .into_owned();
-                let kernel = session.ctx.compile_kernel_from(&model);
-                let mut buf = Vec::new();
-                kernel.save(&mut buf).map_err(|e| e.to_string())?;
-                fs::write(&kpath, buf).map_err(|e| format!("{kpath}: {e}"))?;
-                let _ = writeln!(
-                    report,
-                    "wrote kernel {kpath} ({} instrs, {} terminals, {} bytes)",
-                    kernel.num_instrs(),
-                    kernel.num_terminals(),
-                    kernel.bytes()
-                );
-            }
         }
         None => {
             let _ = writeln!(report, "(no -o given; model not persisted)");
@@ -1361,6 +1348,10 @@ mod tests {
         for bad in ["1e300", "inf", "NaN"] {
             let err = run(&s(&["model", path, "--time-budget", bad])).expect_err(bad);
             assert!(err.contains("bad value"), "{bad}: {err}");
+            // The message echoes the flag's text, not the f64's
+            // 301-digit expansion.
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
+            assert!(err.len() < 100, "{bad}: {} bytes: {err}", err.len());
         }
         // A generous deadline leaves a small build untouched.
         let report = run(&s(&["model", path, "--time-budget", "120"])).expect("builds");
@@ -1599,8 +1590,8 @@ mod more_tests {
             .clone()
     }
 
-    /// `expected` on a grouped-ordering `.cfm` or a non-interleaved
-    /// `.cfk` is a typed error (exit 1), not a panic: neither layout loads.
+    /// `expected` on a grouped-ordering `.cfm` is a typed error (exit 1),
+    /// not a panic: the layout does not load.
     #[test]
     fn expected_on_a_grouped_ordering_model_is_a_typed_error() {
         let dir = std::env::temp_dir().join(format!("charfree-cli-grouped-{}", std::process::id()));
@@ -1610,26 +1601,16 @@ mod more_tests {
         let model = charfree_core::ModelBuilder::new(&netlist).build();
         let mut cfm = Vec::new();
         model.save(&mut cfm).expect("saves");
-        let mut cfk = Vec::new();
-        charfree_engine::Kernel::compile(&model)
-            .save(&mut cfk)
-            .expect("saves");
-        for (file, bytes, from, to) in [
-            (
-                "decod_grouped.cfm",
-                cfm,
-                "ordering interleaved",
-                "ordering grouped",
-            ),
-            ("decod_grouped.cfk", cfk, "interleaved 1", "interleaved 0"),
-        ] {
-            let text = String::from_utf8(bytes).expect("text formats");
-            let path = dir.join(file);
-            fs::write(&path, text.replacen(from, to, 1)).expect("writes model");
-            let err = run(&s(&["expected", path.to_str().expect("utf8")]))
-                .expect_err("the grouped layout does not load");
-            assert!(err.contains("interleaved"), "{file}: {err}");
-        }
+        let text = String::from_utf8(cfm).expect("text format");
+        let path = dir.join("decod_grouped.cfm");
+        fs::write(
+            &path,
+            text.replacen("ordering interleaved", "ordering grouped", 1),
+        )
+        .expect("writes model");
+        let err = run(&s(&["expected", path.to_str().expect("utf8")]))
+            .expect_err("the grouped layout does not load");
+        assert!(err.contains("interleaved"), "{err}");
         let _ = fs::remove_dir_all(dir);
     }
 
@@ -1663,55 +1644,55 @@ mod more_tests {
         assert!(grab(&high) > grab(&low), "more activity, more power");
     }
 
+    /// A model is one `.cfm` file: `eval`, `trace` and `expected` read it
+    /// straight into a kernel and report exactly what they report from
+    /// the netlist. `--kernel` is gone, and a `.cfk` operand is parsed
+    /// as a netlist, which it is not: a typed error.
     #[test]
-    fn model_kernel_flag_writes_loadable_kernel() {
-        let dir = std::env::temp_dir().join("charfree-cli-test-kernel");
+    fn model_file_is_the_one_evaluation_artifact() {
+        let dir = std::env::temp_dir().join("charfree-cli-test-one-artifact");
         fs::create_dir_all(&dir).expect("tmp dir");
         let netlist_path = dir.join("decod.blif");
         let model_path = dir.join("decod.cfm");
         fs::write(&netlist_path, run(&s(&["bench", "decod"])).expect("bench")).expect("write");
-        let report = run(&s(&[
-            "model",
-            netlist_path.to_str().expect("utf8"),
-            "-o",
-            model_path.to_str().expect("utf8"),
-            "--kernel",
-        ]))
-        .expect("model --kernel runs");
-        assert!(report.contains("wrote kernel"), "{report}");
-        let kernel_path = dir.join("decod.cfk");
-        let text = fs::read(&kernel_path).expect("kernel written");
-        let kernel = charfree_engine::Kernel::load(text.as_slice()).expect("kernel loads");
-        assert_eq!(kernel.num_inputs(), 5);
-
-        // The `.cfk` is a first-class evaluation input: eval/trace/expected
-        // produce the same reports from the kernel as from the model.
-        let kpath = kernel_path.to_str().expect("utf8");
+        let npath = netlist_path.to_str().expect("utf8");
         let mpath = model_path.to_str().expect("utf8");
+        run(&s(&["model", npath, "-o", mpath])).expect("model runs");
         for cmd in [
             &["eval", "--vectors", "400"][..],
             &["trace", "--vectors", "200"][..],
             &["expected", "--st", "0.3"][..],
         ] {
             let (name, flags) = cmd.split_first().expect("non-empty");
-            let mut from_kernel = vec![name.to_string(), kpath.to_owned()];
             let mut from_model = vec![name.to_string(), mpath.to_owned()];
-            from_kernel.extend(flags.iter().map(|f| f.to_string()));
+            let mut from_netlist = vec![name.to_string(), npath.to_owned()];
             from_model.extend(flags.iter().map(|f| f.to_string()));
+            from_netlist.extend(flags.iter().map(|f| f.to_string()));
             assert_eq!(
-                run(&from_kernel).expect("kernel input runs"),
                 run(&from_model).expect("model input runs"),
-                "`{name}` diverged between .cfk and .cfm inputs"
+                run(&from_netlist).expect("netlist input runs"),
+                "`{name}` diverged between .cfm and netlist inputs"
             );
         }
 
-        // --kernel without -o is rejected.
-        assert!(run(&s(&[
-            "model",
-            netlist_path.to_str().expect("utf8"),
-            "--kernel",
-        ]))
-        .is_err());
+        let err = run(&s(&["model", npath, "-o", mpath, "--kernel"])).expect_err("no --kernel");
+        assert!(err.contains("unexpected argument `--kernel`"), "{err}");
+        let kernel_path = dir.join("decod.cfk");
+        let mut kernel = Vec::new();
+        let model = charfree_core::AddPowerModel::load(
+            fs::read(&model_path).expect("model written").as_slice(),
+        )
+        .expect("model loads");
+        charfree_engine::Kernel::compile(&model)
+            .save(&mut kernel)
+            .expect("saves");
+        fs::write(&kernel_path, kernel).expect("write");
+        let kpath = kernel_path.to_str().expect("utf8");
+        for cmd in ["eval", "trace", "expected"] {
+            let err = run(&s(&[cmd, kpath])).expect_err("a .cfk is not a netlist");
+            assert!(err.contains(kpath), "{cmd}: {err}");
+        }
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
@@ -1756,18 +1737,14 @@ mod more_tests {
             .unwrap_or_else(|e| panic!("{tag} eval: {e}"))
         };
         let cold = eval("cold");
-        // The store now holds both artifacts...
+        // The store now holds the one artifact, the model file...
         let entries: Vec<_> = fs::read_dir(cache)
             .expect("store created")
             .filter_map(Result::ok)
             .map(|e| e.path())
             .collect();
-        assert!(entries
-            .iter()
-            .any(|p| p.extension().is_some_and(|e| e == "cfm")));
-        assert!(entries
-            .iter()
-            .any(|p| p.extension().is_some_and(|e| e == "cfk")));
+        assert_eq!(entries.len(), 1, "{entries:?}");
+        assert!(entries[0].extension().is_some_and(|e| e == "cfm"));
         // ...and a warm run reproduces stdout byte for byte.
         assert_eq!(cold, eval("warm"));
 
