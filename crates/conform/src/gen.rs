@@ -7,10 +7,12 @@
 //! parser is always in the loop and the shrinker can edit the spec
 //! without touching netlist internals.
 
+use charfree_netlist::rng::{splitmix64, GOLDEN_GAMMA};
 use charfree_netlist::{CellKind, Library, Netlist};
 
-/// Deterministic splitmix64 stream — the harness must not depend on any
-/// external RNG so that a corpus seed reproduces forever.
+/// Deterministic SplitMix64 stream over the shared mix
+/// ([`charfree_netlist::rng::splitmix64`]), so a corpus seed reproduces
+/// forever.
 #[derive(Debug, Clone)]
 pub struct SplitMix64(u64);
 
@@ -22,11 +24,9 @@ impl SplitMix64 {
 
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let z = splitmix64(self.0);
+        self.0 = self.0.wrapping_add(GOLDEN_GAMMA);
+        z
     }
 
     /// Uniform draw in `0..n` (`n > 0`).

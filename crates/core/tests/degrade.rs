@@ -9,6 +9,7 @@
 use charfree_core::{
     ApproxStrategy, BuildError, DegradationRung, ModelBuilder, PowerModel, Resource,
 };
+use charfree_netlist::testutil::{check, Gen};
 use charfree_netlist::{benchmarks, Library};
 use charfree_sim::{ExhaustivePairs, MarkovSource, ZeroDelaySim};
 use std::time::Duration;
@@ -211,20 +212,17 @@ fn degradation_is_not_persisted() {
     assert!(reloaded.degradation().is_none());
 }
 
-mod conservative_property {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
-        /// On random 8-input netlists, an upper-bound model degraded all
-        /// the way to the constant-fallback rung stays a conservative
-        /// upper bound of the exact gate-level capacitance.
-        #[test]
-        fn degraded_upper_bound_stays_conservative(
-            seed in 0u32..1000,
-            gates in 12usize..40,
-        ) {
+/// On random 8-input netlists, an upper-bound model degraded all the way
+/// to the constant-fallback rung stays a conservative upper bound of the
+/// exact gate-level capacitance.
+#[test]
+fn degraded_upper_bound_stays_conservative() {
+    let generate = |g: &mut Gen| (g.range(0u32..1000), g.range(12usize..40));
+    check(
+        "degraded_upper_bound_stays_conservative",
+        12,
+        generate,
+        |&(seed, gates)| {
             let lib = Library::test_library();
             let name = format!("prop{seed}");
             let netlist = benchmarks::random_logic(&name, 8, gates, 3, &lib);
@@ -239,11 +237,8 @@ mod conservative_property {
             for (xi, xf) in ExhaustivePairs::new(8).step_by(23) {
                 let exact = sim.switching_capacitance(&xi, &xf).femtofarads();
                 let ub = model.capacitance(&xi, &xf).femtofarads();
-                prop_assert!(
-                    ub >= exact - 1e-9,
-                    "xi={:?} xf={:?}: {} < {}", xi, xf, ub, exact
-                );
+                assert!(ub >= exact - 1e-9, "xi={xi:?} xf={xf:?}: {ub} < {exact}");
             }
-        }
-    }
+        },
+    );
 }

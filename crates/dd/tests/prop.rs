@@ -3,7 +3,8 @@
 
 use charfree_dd::hash::FxHashMap;
 use charfree_dd::{Add, Bdd, BinOp, ChainMeasure, Manager, NodeId, Var};
-use proptest::prelude::*;
+use charfree_netlist::testutil::{assume, check, Gen};
+use std::ops::Range;
 
 const NVARS: u32 = 5;
 
@@ -18,21 +19,34 @@ enum Expr {
     Ite(Box<Expr>, Box<Expr>, Box<Expr>),
 }
 
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = (0..NVARS).prop_map(Expr::Var);
-    leaf.prop_recursive(4, 48, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| Expr::Not(Box::new(e))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::And(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Or(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::Xor(Box::new(a), Box::new(b))),
-            (inner.clone(), inner.clone(), inner).prop_map(|(a, b, c)| Expr::Ite(
-                Box::new(a),
-                Box::new(b),
-                Box::new(c)
-            )),
-        ]
-    })
+/// A random expression at most four operators deep, rooted at an
+/// operator.
+fn arb_expr(g: &mut Gen) -> Expr {
+    expr_of_depth(g, 4)
+}
+
+/// An operator drawn uniformly, whose operands are each (one `below(2)`
+/// draw) a variable or, while `depth > 1`, an operator one level shallower.
+fn expr_of_depth(g: &mut Gen, depth: u32) -> Expr {
+    let operand = |g: &mut Gen| {
+        Box::new(if g.below(2) == 1 && depth > 1 {
+            expr_of_depth(g, depth - 1)
+        } else {
+            Expr::Var(g.range(0..NVARS))
+        })
+    };
+    match g.below(5) {
+        0 => Expr::Not(operand(g)),
+        1 => Expr::And(operand(g), operand(g)),
+        2 => Expr::Or(operand(g), operand(g)),
+        3 => Expr::Xor(operand(g), operand(g)),
+        _ => Expr::Ite(operand(g), operand(g), operand(g)),
+    }
+}
+
+/// `len` weights drawn from `range` (a fixed length, drawn as `len..len + 1`).
+fn weights(g: &mut Gen, len: usize, range: Range<f64>) -> Vec<f64> {
+    g.vec(len..len + 1, |g| g.float(range.clone()))
 }
 
 impl Expr {
@@ -136,15 +150,11 @@ const LEAVES: [f64; 5] = [0.0, -0.0, 1.0, 2.0, 0.5];
 /// Asserts that the dry-run size of collapsing `picks` (dense indices,
 /// collapsed in this order) matches the manager's collapse for every
 /// prefix.
-fn check_collapsed_size(
-    m: &mut Manager,
-    f: Add,
-    picks: &[(usize, usize)],
-) -> Result<(), TestCaseError> {
+fn check_collapsed_size(m: &mut Manager, f: Add, picks: &[(usize, usize)]) {
     let snap = m.snapshot(f);
-    prop_assert_eq!(snap.size(), m.size(f.node()));
+    assert_eq!(snap.size(), m.size(f.node()));
     if snap.is_empty() {
-        return Ok(());
+        return;
     }
     let mut order: Vec<u32> = Vec::new();
     let mut leaves = vec![0.0; snap.len()];
@@ -162,52 +172,58 @@ fn check_collapsed_size(
             .map(|&i| (snap.node_id(i as usize), leaves[i as usize]))
             .collect();
         let g = m.collapse(f, &repl);
-        prop_assert_eq!(sizer.collapsed_size(k), m.size(g.node()));
+        assert_eq!(sizer.collapsed_size(k), m.size(g.node()));
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bdd_matches_truth_table(expr in arb_expr()) {
+#[test]
+fn bdd_matches_truth_table() {
+    check("bdd_matches_truth_table", 64, arb_expr, |expr| {
         let mut m = Manager::new(NVARS);
         let f = expr.build(&mut m);
         for asg in assignments() {
-            prop_assert_eq!(m.bdd_eval(f, &asg), expr.eval(&asg));
+            assert_eq!(m.bdd_eval(f, &asg), expr.eval(&asg));
         }
-    }
+    });
+}
 
-    #[test]
-    fn bdd_canonicity(expr in arb_expr()) {
+#[test]
+fn bdd_canonicity() {
+    check("bdd_canonicity", 64, arb_expr, |expr| {
         // Building twice yields the same handle; building the double
         // negation also yields the same handle.
         let mut m = Manager::new(NVARS);
         let f = expr.build(&mut m);
         let g = expr.build(&mut m);
-        prop_assert_eq!(f, g);
+        assert_eq!(f, g);
         let nf = m.bdd_not(f);
         let nnf = m.bdd_not(nf);
-        prop_assert_eq!(f, nnf);
-    }
+        assert_eq!(f, nnf);
+    });
+}
 
-    #[test]
-    fn sat_count_matches_enumeration(expr in arb_expr()) {
+#[test]
+fn sat_count_matches_enumeration() {
+    check("sat_count_matches_enumeration", 64, arb_expr, |expr| {
         let mut m = Manager::new(NVARS);
         let f = expr.build(&mut m);
         let expected = assignments().filter(|a| expr.eval(a)).count() as f64;
-        prop_assert_eq!(m.sat_count(f), expected);
-    }
+        assert_eq!(m.sat_count(f), expected);
+    });
+}
 
-    #[test]
-    fn add_apply_is_pointwise(
-        w1 in proptest::collection::vec(-10.0..10.0f64, NVARS as usize),
-        w2 in proptest::collection::vec(-10.0..10.0f64, NVARS as usize),
-    ) {
+#[test]
+fn add_apply_is_pointwise() {
+    let generate = |g: &mut Gen| {
+        (
+            weights(g, NVARS as usize, -10.0..10.0),
+            weights(g, NVARS as usize, -10.0..10.0),
+        )
+    };
+    check("add_apply_is_pointwise", 64, generate, |(w1, w2)| {
         let mut m = Manager::new(NVARS);
-        let f = build_add(&mut m, &w1);
-        let g = build_add(&mut m, &w2);
+        let f = build_add(&mut m, w1);
+        let g = build_add(&mut m, w2);
         for (op, reference) in [
             (BinOp::Plus, (|a, b| a + b) as fn(f64, f64) -> f64),
             (BinOp::Minus, |a, b| a - b),
@@ -218,191 +234,273 @@ proptest! {
             let h = m.add_apply(op, f, g);
             for asg in assignments() {
                 let want = reference(m.add_eval(f, &asg), m.add_eval(g, &asg));
-                prop_assert!((m.add_eval(h, &asg) - want).abs() < 1e-9);
+                assert!((m.add_eval(h, &asg) - want).abs() < 1e-9);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn uniform_root_statistics_match_enumeration(
-        w in proptest::collection::vec(-10.0..10.0f64, NVARS as usize),
-    ) {
-        let mut m = Manager::new(NVARS);
-        let f = build_add(&mut m, &w);
-        let snap = m.snapshot(f);
-        prop_assume!(!snap.is_empty());
-        let s = snap.profile(&[&ChainMeasure::uniform(NVARS)]).node(snap.len() - 1, 0).stats;
-        let values = values(&m, f);
-        let n = values.len() as f64;
-        let avg = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - avg) * (v - avg)).sum::<f64>() / n;
-        prop_assert!((s.avg - avg).abs() < 1e-9);
-        prop_assert!((s.var - var).abs() < 1e-9);
-        prop_assert_eq!(s.max, max_of(&values));
-        prop_assert_eq!(s.min, values.iter().copied().fold(f64::INFINITY, f64::min));
-    }
+#[test]
+fn uniform_root_statistics_match_enumeration() {
+    let generate = |g: &mut Gen| weights(g, NVARS as usize, -10.0..10.0);
+    check(
+        "uniform_root_statistics_match_enumeration",
+        64,
+        generate,
+        |w| {
+            let mut m = Manager::new(NVARS);
+            let f = build_add(&mut m, w);
+            let snap = m.snapshot(f);
+            assume(!snap.is_empty())?;
+            let s = snap
+                .profile(&[&ChainMeasure::uniform(NVARS)])
+                .node(snap.len() - 1, 0)
+                .stats;
+            let values = values(&m, f);
+            let n = values.len() as f64;
+            let avg = values.iter().sum::<f64>() / n;
+            let var = values.iter().map(|v| (v - avg) * (v - avg)).sum::<f64>() / n;
+            assert!((s.avg - avg).abs() < 1e-9);
+            assert!((s.var - var).abs() < 1e-9);
+            assert_eq!(s.max, max_of(&values));
+            assert_eq!(s.min, values.iter().copied().fold(f64::INFINITY, f64::min));
+            Ok(())
+        },
+    );
+}
 
-    #[test]
-    fn max_collapse_upper_bounds_everywhere(
-        w in proptest::collection::vec(0.0..10.0f64, NVARS as usize),
-        node_pick in 0usize..64,
-    ) {
-        let mut m = Manager::new(NVARS);
-        let f = build_add(&mut m, &w);
-        let nodes = m.topological_nodes(f.node());
-        prop_assume!(!nodes.is_empty());
-        let target = nodes[node_pick % nodes.len()];
-        let mut repl = charfree_dd::hash::FxHashMap::default();
-        repl.insert(target, max_of(&values(&m, Add::from_node(target))));
-        let g = m.collapse(f, &repl);
-        let (before, after) = (values(&m, f), values(&m, g));
-        for (a, b) in after.iter().zip(&before) {
-            prop_assert!(*a >= b - 1e-12);
-        }
-        // Global max preserved exactly.
-        prop_assert_eq!(max_of(&after), max_of(&before));
-    }
+/// Non-negative weights and a node index to collapse.
+fn weights_and_pick(g: &mut Gen) -> (Vec<f64>, usize) {
+    (weights(g, NVARS as usize, 0.0..10.0), g.range(0..64))
+}
 
-    #[test]
-    fn avg_collapse_preserves_global_average(
-        w in proptest::collection::vec(0.0..10.0f64, NVARS as usize),
-        node_pick in 0usize..64,
-    ) {
-        let mut m = Manager::new(NVARS);
-        let f = build_add(&mut m, &w);
-        let nodes = m.topological_nodes(f.node());
-        prop_assume!(!nodes.is_empty());
-        let target = nodes[node_pick % nodes.len()];
-        let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-        let mut repl = charfree_dd::hash::FxHashMap::default();
-        repl.insert(target, mean(values(&m, Add::from_node(target))));
-        let g = m.collapse(f, &repl);
-        prop_assert!((mean(values(&m, g)) - mean(values(&m, f))).abs() < 1e-9);
-    }
+#[test]
+fn max_collapse_upper_bounds_everywhere() {
+    check(
+        "max_collapse_upper_bounds_everywhere",
+        64,
+        weights_and_pick,
+        |(w, node_pick)| {
+            let mut m = Manager::new(NVARS);
+            let f = build_add(&mut m, w);
+            let nodes = m.topological_nodes(f.node());
+            assume(!nodes.is_empty())?;
+            let target = nodes[node_pick % nodes.len()];
+            let mut repl = charfree_dd::hash::FxHashMap::default();
+            repl.insert(target, max_of(&values(&m, Add::from_node(target))));
+            let g = m.collapse(f, &repl);
+            let (before, after) = (values(&m, f), values(&m, g));
+            for (a, b) in after.iter().zip(&before) {
+                assert!(*a >= b - 1e-12);
+            }
+            // Global max preserved exactly.
+            assert_eq!(max_of(&after), max_of(&before));
+            Ok(())
+        },
+    );
+}
 
-    #[test]
-    fn compact_preserves_functions(expr in arb_expr()) {
+#[test]
+fn avg_collapse_preserves_global_average() {
+    check(
+        "avg_collapse_preserves_global_average",
+        64,
+        weights_and_pick,
+        |(w, node_pick)| {
+            let mut m = Manager::new(NVARS);
+            let f = build_add(&mut m, w);
+            let nodes = m.topological_nodes(f.node());
+            assume(!nodes.is_empty())?;
+            let target = nodes[node_pick % nodes.len()];
+            let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
+            let mut repl = charfree_dd::hash::FxHashMap::default();
+            repl.insert(target, mean(values(&m, Add::from_node(target))));
+            let g = m.collapse(f, &repl);
+            assert!((mean(values(&m, g)) - mean(values(&m, f))).abs() < 1e-9);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn compact_preserves_functions() {
+    check("compact_preserves_functions", 64, arb_expr, |expr| {
         let mut m = Manager::new(NVARS);
         let f = expr.build(&mut m);
         let roots = m.compact(&[f.node()]);
         let g = Bdd::from_node(roots[0]);
         for asg in assignments() {
-            prop_assert_eq!(m.bdd_eval(g, &asg), expr.eval(&asg));
+            assert_eq!(m.bdd_eval(g, &asg), expr.eval(&asg));
         }
-    }
+    });
+}
 
-    #[test]
-    fn permute_pullback_semantics(expr in arb_expr(), seed in 0u64..1000) {
-        // Random permutation of the variables.
-        let mut perm: Vec<Var> = (0..NVARS).map(Var).collect();
-        let mut s = seed;
-        for i in (1..perm.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            perm.swap(i, (s >> 33) as usize % (i + 1));
-        }
-        let mut m = Manager::new(NVARS);
-        let f = expr.build(&mut m);
-        let g = Bdd::from_node(m.permute(f.node(), &perm));
-        for asg in assignments() {
-            let pulled: Vec<bool> =
-                (0..NVARS as usize).map(|v| asg[perm[v].index() as usize]).collect();
-            prop_assert_eq!(m.bdd_eval(g, &asg), m.bdd_eval(f, &pulled));
-        }
-    }
-
-    #[test]
-    fn collapsed_size_matches_materialized_collapse(
-        w in proptest::collection::vec(0u32..3, NVARS as usize),
-        plateau in arb_expr(),
-        height in 0u32..3,
-        picks in proptest::collection::vec((0usize..64, 0usize..5), 0..8),
-    ) {
-        let mut m = Manager::new(NVARS);
-        let weights: Vec<f64> = w.iter().map(|&x| f64::from(x)).collect();
-        let f = build_shared_add(&mut m, &weights, &plateau, f64::from(height));
-        check_collapsed_size(&mut m, f, &picks)?;
-        // The root (last in post-order) replaced after, and before, one of
-        // its descendants.
-        let root = m.snapshot(f).len().saturating_sub(1);
-        let mut with_root = picks.clone();
-        with_root.push((root, 1));
-        check_collapsed_size(&mut m, f, &with_root)?;
-        with_root.rotate_right(1);
-        check_collapsed_size(&mut m, f, &with_root)?;
-    }
-
-    #[test]
-    fn uniform_dense_profile_matches_enumeration(
-        w in proptest::collection::vec(-10.0..10.0f64, NVARS as usize),
-        plateau in arb_expr(),
-    ) {
-        let mut m = Manager::new(NVARS);
-        let f = build_shared_add(&mut m, &w, &plateau, 3.0);
-        let snap = m.snapshot(f);
-        let profile = snap.profile(&[&ChainMeasure::uniform(NVARS)]);
-        let paths: Vec<Vec<NodeId>> = assignments().map(|a| path(&m, f.node(), &a)).collect();
-        let reach = |id: NodeId| {
-            paths.iter().filter(|p| p.contains(&id)).count() as f64 / paths.len() as f64
-        };
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
-        for i in 0..snap.len() {
-            let id = snap.node_id(i);
-            let got = profile.node(i, 0);
-            let values = values(&m, Add::from_node(id));
-            let n = values.len() as f64;
-            let avg = values.iter().sum::<f64>() / n;
-            let var = values.iter().map(|v| (v - avg) * (v - avg)).sum::<f64>() / n;
-            prop_assert!(close(got.stats.avg, avg), "avg {} vs {}", got.stats.avg, avg);
-            prop_assert!(close(got.stats.var, var), "var {} vs {}", got.stats.var, var);
-            prop_assert_eq!(got.stats.min, values.iter().copied().fold(f64::INFINITY, f64::min));
-            prop_assert_eq!(got.stats.max, max_of(&values));
-            prop_assert!(close(got.reach, reach(id)));
-        }
-        let values = snap.terminal_values().to_vec();
-        for (j, value) in values.into_iter().enumerate() {
-            let id = m.terminal(value);
-            prop_assert!(close(profile.terminal_reach(j, 0), reach(id)));
-        }
-        if !snap.is_empty() {
-            let root = profile.node(snap.len() - 1, 0).stats.avg;
-            prop_assert_eq!(snap.means(&[&ChainMeasure::uniform(NVARS)])[0], root);
-        }
-    }
-
-    #[test]
-    fn chain_measure_means_match_enumeration(
-        w in proptest::collection::vec(0.0..10.0f64, 6),
-        sp in 0.2..0.8f64,
-        toggle in 0.05..0.4f64,
-    ) {
-        // Three interleaved pairs: the correlated contexts are exercised.
-        let mut m = Manager::new(6);
-        let f = build_add(&mut m, &w);
-        let both = {
-            let a = m.bdd_var(Var(2));
-            let b = m.bdd_var(Var(3));
-            let x = m.bdd_xor(a, b);
-            m.add_scale(x.as_add(), 7.0)
-        };
-        let f = m.add_plus(f, both);
-        let measure = ChainMeasure::interleaved_transitions(3, sp, toggle);
-        let mut want = 0.0;
-        for bits in 0..64u32 {
-            let asg: Vec<bool> = (0..6).map(|v| bits >> v & 1 == 1).collect();
-            let mut p = 1.0;
-            for v in 0..6usize {
-                let ctx = if measure.is_correlated(v as u32) { 1 + u8::from(asg[v - 1]) } else { 0 };
-                let p1 = measure.prob_one(v, ctx);
-                p *= if asg[v] { p1 } else { 1.0 - p1 };
+#[test]
+fn permute_pullback_semantics() {
+    let generate = |g: &mut Gen| (arb_expr(g), g.range(0u64..1000));
+    check(
+        "permute_pullback_semantics",
+        64,
+        generate,
+        |(expr, seed)| {
+            // Random permutation of the variables.
+            let mut perm: Vec<Var> = (0..NVARS).map(Var).collect();
+            let mut s = *seed;
+            for i in (1..perm.len()).rev() {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                perm.swap(i, (s >> 33) as usize % (i + 1));
             }
-            want += p * m.add_eval(f, &asg);
-        }
-        let snap = m.snapshot(f);
-        let got = snap.means(&[&measure])[0];
-        prop_assert!((got - want).abs() < 1e-9, "{} vs {}", got, want);
-        // Terminal reach sums to one.
-        let profile = snap.profile(&[&measure]);
-        let total: f64 = (0..snap.terminal_values().len()).map(|j| profile.terminal_reach(j, 0)).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-    }
+            let mut m = Manager::new(NVARS);
+            let f = expr.build(&mut m);
+            let g = Bdd::from_node(m.permute(f.node(), &perm));
+            for asg in assignments() {
+                let pulled: Vec<bool> = (0..NVARS as usize)
+                    .map(|v| asg[perm[v].index() as usize])
+                    .collect();
+                assert_eq!(m.bdd_eval(g, &asg), m.bdd_eval(f, &pulled));
+            }
+        },
+    );
+}
+
+#[test]
+fn collapsed_size_matches_materialized_collapse() {
+    let generate = |g: &mut Gen| {
+        (
+            g.vec(NVARS as usize..NVARS as usize + 1, |g| g.range(0u32..3)),
+            arb_expr(g),
+            g.range(0u32..3),
+            g.vec(0..8, |g| (g.range(0usize..64), g.range(0usize..5))),
+        )
+    };
+    check(
+        "collapsed_size_matches_materialized_collapse",
+        64,
+        generate,
+        |(w, plateau, height, picks)| {
+            let mut m = Manager::new(NVARS);
+            let weights: Vec<f64> = w.iter().map(|&x| f64::from(x)).collect();
+            let f = build_shared_add(&mut m, &weights, plateau, f64::from(*height));
+            check_collapsed_size(&mut m, f, picks);
+            // The root (last in post-order) replaced after, and before, one of
+            // its descendants.
+            let root = m.snapshot(f).len().saturating_sub(1);
+            let mut with_root = picks.clone();
+            with_root.push((root, 1));
+            check_collapsed_size(&mut m, f, &with_root);
+            with_root.rotate_right(1);
+            check_collapsed_size(&mut m, f, &with_root);
+        },
+    );
+}
+
+#[test]
+fn uniform_dense_profile_matches_enumeration() {
+    let generate = |g: &mut Gen| (weights(g, NVARS as usize, -10.0..10.0), arb_expr(g));
+    check(
+        "uniform_dense_profile_matches_enumeration",
+        64,
+        generate,
+        |(w, plateau)| {
+            let mut m = Manager::new(NVARS);
+            let f = build_shared_add(&mut m, w, plateau, 3.0);
+            let snap = m.snapshot(f);
+            let profile = snap.profile(&[&ChainMeasure::uniform(NVARS)]);
+            let paths: Vec<Vec<NodeId>> = assignments().map(|a| path(&m, f.node(), &a)).collect();
+            let reach = |id: NodeId| {
+                paths.iter().filter(|p| p.contains(&id)).count() as f64 / paths.len() as f64
+            };
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
+            for i in 0..snap.len() {
+                let id = snap.node_id(i);
+                let got = profile.node(i, 0);
+                let values = values(&m, Add::from_node(id));
+                let n = values.len() as f64;
+                let avg = values.iter().sum::<f64>() / n;
+                let var = values.iter().map(|v| (v - avg) * (v - avg)).sum::<f64>() / n;
+                assert!(
+                    close(got.stats.avg, avg),
+                    "avg {} vs {}",
+                    got.stats.avg,
+                    avg
+                );
+                assert!(
+                    close(got.stats.var, var),
+                    "var {} vs {}",
+                    got.stats.var,
+                    var
+                );
+                assert_eq!(
+                    got.stats.min,
+                    values.iter().copied().fold(f64::INFINITY, f64::min)
+                );
+                assert_eq!(got.stats.max, max_of(&values));
+                assert!(close(got.reach, reach(id)));
+            }
+            let values = snap.terminal_values().to_vec();
+            for (j, value) in values.into_iter().enumerate() {
+                let id = m.terminal(value);
+                assert!(close(profile.terminal_reach(j, 0), reach(id)));
+            }
+            if !snap.is_empty() {
+                let root = profile.node(snap.len() - 1, 0).stats.avg;
+                assert_eq!(snap.means(&[&ChainMeasure::uniform(NVARS)])[0], root);
+            }
+        },
+    );
+}
+
+#[test]
+fn chain_measure_means_match_enumeration() {
+    let generate = |g: &mut Gen| {
+        (
+            weights(g, 6, 0.0..10.0),
+            g.float(0.2..0.8),
+            g.float(0.05..0.4),
+        )
+    };
+    check(
+        "chain_measure_means_match_enumeration",
+        64,
+        generate,
+        |&(ref w, sp, toggle)| {
+            // Three interleaved pairs: the correlated contexts are exercised.
+            let mut m = Manager::new(6);
+            let f = build_add(&mut m, w);
+            let both = {
+                let a = m.bdd_var(Var(2));
+                let b = m.bdd_var(Var(3));
+                let x = m.bdd_xor(a, b);
+                m.add_scale(x.as_add(), 7.0)
+            };
+            let f = m.add_plus(f, both);
+            let measure = ChainMeasure::interleaved_transitions(3, sp, toggle);
+            let mut want = 0.0;
+            for bits in 0..64u32 {
+                let asg: Vec<bool> = (0..6).map(|v| bits >> v & 1 == 1).collect();
+                let mut p = 1.0;
+                for v in 0..6usize {
+                    let ctx = if measure.is_correlated(v as u32) {
+                        1 + u8::from(asg[v - 1])
+                    } else {
+                        0
+                    };
+                    let p1 = measure.prob_one(v, ctx);
+                    p *= if asg[v] { p1 } else { 1.0 - p1 };
+                }
+                want += p * m.add_eval(f, &asg);
+            }
+            let snap = m.snapshot(f);
+            let got = snap.means(&[&measure])[0];
+            assert!((got - want).abs() < 1e-9, "{} vs {}", got, want);
+            // Terminal reach sums to one.
+            let profile = snap.profile(&[&measure]);
+            let total: f64 = (0..snap.terminal_values().len())
+                .map(|j| profile.terminal_reach(j, 0))
+                .sum();
+            assert!((total - 1.0).abs() < 1e-9);
+        },
+    );
 }

@@ -15,9 +15,8 @@
 
 use crate::library::{CellKind, Library};
 use crate::netlist::{Netlist, SignalId};
+use crate::rng::Rng;
 use crate::units::Capacitance;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn finish(mut n: Netlist, library: &Library) -> Netlist {
     n.annotate_loads(library);
@@ -80,7 +79,7 @@ pub fn random_logic(
     // window increases cone overlap and therefore the exact ADD size, at
     // the risk of blow-up as it approaches the input count.
     const WINDOW: usize = 12;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut n = Netlist::new(name);
     // All primary inputs are declared up front, but they enter the
     // fan-in pool *progressively* (one every few gates): the narrow
@@ -118,24 +117,24 @@ pub fn random_logic(
     // 64-slot random simulation signatures: reject gates that are (almost
     // surely) constant or redundant copies of a fan-in, which would
     // otherwise freeze whole regions of a narrow-window circuit.
-    let mut signatures: Vec<u64> = (0..pool.len()).map(|_| rng.gen::<u64>()).collect();
+    let mut signatures: Vec<u64> = (0..pool.len()).map(|_| rng.next_u64()).collect();
 
     for gate_no in 0..num_gates {
         if pending < num_inputs && gate_no % inject_every == inject_every - 1 {
             pool.push(inputs[pending]);
             fanout.push(0);
-            signatures.push(rng.gen::<u64>());
+            signatures.push(rng.next_u64());
             pending += 1;
         }
         let lo = pool.len().saturating_sub(WINDOW);
         let mut accepted: Option<(CellKind, Vec<usize>, u64)> = None;
         for attempt in 0..24 {
-            let kind = CELLS[rng.gen_range(0..CELLS.len())];
+            let kind = CELLS[rng.below(CELLS.len() as u64) as usize];
             let mut idxs = Vec::with_capacity(kind.arity());
             let mut guard = 0;
             while idxs.len() < kind.arity() {
-                let a = rng.gen_range(lo..pool.len());
-                let b = rng.gen_range(lo..pool.len());
+                let a = lo + rng.below((pool.len() - lo) as u64) as usize;
+                let b = lo + rng.below((pool.len() - lo) as u64) as usize;
                 // Tournament pick: prefer the less-consumed candidate.
                 let idx = if fanout[a] <= fanout[b] { a } else { b };
                 if !idxs.contains(&idx) || guard > 8 {

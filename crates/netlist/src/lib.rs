@@ -39,6 +39,7 @@
 pub mod benchmarks;
 pub mod blif;
 pub mod libspec;
+pub mod rng;
 pub mod seq;
 pub mod sop;
 pub mod testutil;

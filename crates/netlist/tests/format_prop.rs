@@ -2,8 +2,8 @@
 //! circuits must survive BLIF and structural Verilog round trips with
 //! identical simulated behavior.
 
+use charfree_netlist::testutil::{check, Gen};
 use charfree_netlist::{benchmarks, blif, verilog, Library, Netlist};
-use proptest::prelude::*;
 
 fn eval(n: &Netlist, inputs: &[bool]) -> Vec<bool> {
     let mut values = vec![false; n.num_signals()];
@@ -22,14 +22,14 @@ fn random_circuit(inputs: usize, gates: usize, seed: u64) -> Netlist {
     benchmarks::random_logic("fmt", inputs, gates, seed, &library)
 }
 
-fn check_equivalent(a: &Netlist, b: &Netlist, inputs: usize) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.num_inputs(), b.num_inputs());
-    prop_assert_eq!(a.outputs().len(), b.outputs().len());
+fn assert_equivalent(a: &Netlist, b: &Netlist, inputs: usize) {
+    assert_eq!(a.num_inputs(), b.num_inputs());
+    assert_eq!(a.outputs().len(), b.outputs().len());
     // Exhaustive for small inputs, sampled otherwise.
     if inputs <= 8 {
         for bits in 0..1u32 << inputs {
             let asg: Vec<bool> = (0..inputs).map(|i| bits >> i & 1 == 1).collect();
-            prop_assert_eq!(eval(a, &asg), eval(b, &asg), "bits={:b}", bits);
+            assert_eq!(eval(a, &asg), eval(b, &asg), "bits={bits:b}");
         }
     } else {
         let mut state = 0x5a5a_5a5au64;
@@ -42,40 +42,66 @@ fn check_equivalent(a: &Netlist, b: &Netlist, inputs: usize) -> Result<(), TestC
                     state >> 62 & 1 == 1
                 })
                 .collect();
-            prop_assert_eq!(eval(a, &asg), eval(b, &asg));
+            assert_eq!(eval(a, &asg), eval(b, &asg));
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// `(inputs, gates, seed)` with inputs in `3..max_inputs` and gates in
+/// `4..max_gates`.
+fn shape(g: &mut Gen, max_inputs: usize, max_gates: usize) -> (usize, usize, u64) {
+    (
+        g.range(3..max_inputs),
+        g.range(4..max_gates),
+        g.range(0..10_000),
+    )
+}
 
-    #[test]
-    fn blif_round_trip(inputs in 3usize..9, gates in 4usize..40, seed in 0u64..10_000) {
-        let original = random_circuit(inputs, gates, seed);
-        let text = blif::write(&original);
-        let back = blif::parse(&text).expect("blif round-trips");
-        check_equivalent(&original, &back, inputs)?;
-        // Structure is preserved exactly for .gate-based BLIF.
-        prop_assert_eq!(back.num_gates(), original.num_gates());
-    }
+#[test]
+fn blif_round_trip() {
+    check(
+        "blif_round_trip",
+        32,
+        |g| shape(g, 9, 40),
+        |&(inputs, gates, seed)| {
+            let original = random_circuit(inputs, gates, seed);
+            let text = blif::write(&original);
+            let back = blif::parse(&text).expect("blif round-trips");
+            assert_equivalent(&original, &back, inputs);
+            // Structure is preserved exactly for .gate-based BLIF.
+            assert_eq!(back.num_gates(), original.num_gates());
+        },
+    );
+}
 
-    #[test]
-    fn verilog_round_trip(inputs in 3usize..9, gates in 4usize..40, seed in 0u64..10_000) {
-        let original = random_circuit(inputs, gates, seed);
-        let text = verilog::write(&original);
-        let back = verilog::parse(&text).expect("verilog round-trips");
-        check_equivalent(&original, &back, inputs)?;
-        prop_assert_eq!(back.num_gates(), original.num_gates());
-    }
+#[test]
+fn verilog_round_trip() {
+    check(
+        "verilog_round_trip",
+        32,
+        |g| shape(g, 9, 40),
+        |&(inputs, gates, seed)| {
+            let original = random_circuit(inputs, gates, seed);
+            let text = verilog::write(&original);
+            let back = verilog::parse(&text).expect("verilog round-trips");
+            assert_equivalent(&original, &back, inputs);
+            assert_eq!(back.num_gates(), original.num_gates());
+        },
+    );
+}
 
-    #[test]
-    fn cross_format_chain(inputs in 3usize..8, gates in 4usize..30, seed in 0u64..10_000) {
-        // blif -> verilog -> blif, behavior invariant throughout.
-        let original = random_circuit(inputs, gates, seed);
-        let v = verilog::parse(&verilog::write(&original)).expect("verilog");
-        let back = blif::parse(&blif::write(&v)).expect("blif");
-        check_equivalent(&original, &back, inputs)?;
-    }
+#[test]
+fn cross_format_chain() {
+    check(
+        "cross_format_chain",
+        32,
+        |g| shape(g, 8, 30),
+        |&(inputs, gates, seed)| {
+            // blif -> verilog -> blif, behavior invariant throughout.
+            let original = random_circuit(inputs, gates, seed);
+            let v = verilog::parse(&verilog::write(&original)).expect("verilog");
+            let back = blif::parse(&blif::write(&v)).expect("blif");
+            assert_equivalent(&original, &back, inputs);
+        },
+    );
 }

@@ -19,6 +19,7 @@
 //! `charfree conform --campaign chaos --seed 0xC0FFEE --chaos-faults 200`
 //! reported between 236 and 246 injected faults.
 
+use charfree_netlist::rng::{splitmix64, GOLDEN_GAMMA};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -151,16 +152,6 @@ pub struct FaultPlan {
     injected: AtomicU64,
 }
 
-const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mix.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(SPLITMIX_GAMMA);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl FaultPlan {
     /// A plan injecting per `config` on a schedule derived from `seed`.
     pub fn new(seed: u64, config: FaultConfig) -> FaultPlan {
@@ -186,7 +177,7 @@ impl FaultPlan {
     /// rename schedule is independent of the write schedule.
     fn draw(&self, class: u64) -> u64 {
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
-        splitmix64(self.seed ^ op.wrapping_mul(SPLITMIX_GAMMA) ^ class)
+        splitmix64(self.seed ^ op.wrapping_mul(GOLDEN_GAMMA) ^ class)
     }
 
     fn hit(&self, hash: u64, every: u64) -> bool {

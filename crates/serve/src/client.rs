@@ -95,7 +95,7 @@ impl RetryPolicy {
         // Equal jitter: half the wait is fixed, half is a deterministic
         // hash of (seed, attempt).
         let half_ms = wait.as_millis().max(2) as u64 / 2;
-        let jitter = charfree_pipeline::faultio::splitmix64(self.seed ^ (u64::from(attempt) << 32))
+        let jitter = charfree_netlist::rng::splitmix64(self.seed ^ (u64::from(attempt) << 32))
             % (half_ms + 1);
         Duration::from_millis(half_ms + jitter)
     }

@@ -9,8 +9,7 @@
 //! statistics-independent models shine.
 
 use crate::patterns::{draw, threshold, InvalidStatisticsError, MarkovSource};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use charfree_netlist::rng::Rng;
 
 /// A two-regime bursty pattern source.
 ///
@@ -35,7 +34,7 @@ pub struct BurstSource {
     /// regime, indexed by `in_burst`: `[enter_burst, exit_burst]`.
     switch: [u64; 2],
     in_burst: bool,
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl BurstSource {
@@ -68,7 +67,7 @@ impl BurstSource {
             burst: MarkovSource::new(num_bits, burst_stats.0, burst_stats.1, seed ^ 0xb4b4)?,
             switch: [threshold(enter_burst), threshold(exit_burst)],
             in_burst: false,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
         })
     }
 

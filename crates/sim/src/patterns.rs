@@ -17,17 +17,16 @@
 //! Each bit of each pattern draws one `u64` from the seeded generator and
 //! keeps its top 53 bits, `m = next_u64() >> 11`. The bit flips when
 //! `m · 2⁻⁵³ < p`, with `p` the transition probability out of its current
-//! state; this is `rand`'s `gen_bool(p)`. For an integer `m < 2⁵³` that
-//! float compare equals the integer compare `m < ⌈p · 2⁵³⌉`, and
+//! state: a Bernoulli draw with probability `p`. For an integer `m < 2⁵³`
+//! that float compare equals the integer compare `m < ⌈p · 2⁵³⌉`, and
 //! `p · 2⁵³` is exact in `f64` (a power-of-two scale of `p ∈ [0, 1]`). So
 //! [`MarkovSource::new`] turns `P(0→1)` and `P(1→0)` into two integer
 //! thresholds once, and the advance loop is
 //! `bit ^= m < threshold[bit]`: no float, no re-check of `p`, and no
-//! data-dependent branch. The stream for a seed is the one `gen_bool`
-//! produced, bit for bit; `crates/sim/tests/stream_pin.rs` pins it.
+//! data-dependent branch. The stream for a seed is the one the float
+//! compare produced, bit for bit; `crates/sim/tests/stream_pin.rs` pins it.
 
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use charfree_netlist::rng::Rng;
 use std::error::Error;
 use std::fmt;
 
@@ -81,10 +80,10 @@ pub(crate) fn threshold(p: f64) -> u64 {
     (p * (1u64 << 53) as f64).ceil() as u64
 }
 
-/// One Bernoulli draw against a [`threshold`]: `rng.gen_bool(p)` without
+/// One Bernoulli draw against a [`threshold`]: `m · 2⁻⁵³ < p` without
 /// the float.
 #[inline]
-pub(crate) fn draw(rng: &mut StdRng, threshold: u64) -> bool {
+pub(crate) fn draw(rng: &mut Rng, threshold: u64) -> bool {
     (rng.next_u64() >> 11) < threshold
 }
 
@@ -112,7 +111,7 @@ pub struct MarkovSource {
     flip: [u64; 2],
     sp: f64,
     state: Vec<bool>,
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl MarkovSource {
@@ -133,7 +132,7 @@ impl MarkovSource {
         check_statistics(sp, st)?;
         let p01 = st / (2.0 * (1.0 - sp));
         let p10 = st / (2.0 * sp);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         // Draw the initial state from the stationary distribution.
         let one = threshold(sp);
         let state = (0..num_bits).map(|_| draw(&mut rng, one)).collect();
@@ -315,14 +314,13 @@ mod tests {
 
     #[test]
     fn threshold_matches_the_float_compare() {
+        use charfree_netlist::rng::{splitmix64, GOLDEN_GAMMA};
         const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
         let mut state = 0x5eed_u64;
         let mut splitmix = || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
+            let z = splitmix64(state);
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            z
         };
         let mut ps = vec![0.0, SCALE, 1.0 / 3.0, 0.5, 1.0 - SCALE, 1.0];
         for _ in 0..100 {

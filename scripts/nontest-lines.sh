@@ -2,10 +2,10 @@
 # Counts non-test lines of Rust source: for each `.rs` file, the lines
 # before its first `#[cfg(test)]` (the whole file if it has none).
 #
-# Counted: src/, examples/, vendor/ and crates/*/{src,examples}, without
-# the perf benchmark package (crates/bench/src/bin/perf/). Prints one
-# total per crate (the root package, each vendored crate and each
-# workspace crate), then the whole total.
+# Counted: src/, examples/ and crates/*/{src,examples}, without the perf
+# benchmark package (crates/bench/src/bin/perf/). Prints one total per
+# crate (the root package and each workspace crate), then the whole
+# total.
 #
 # Usage: scripts/nontest-lines.sh   (from anywhere inside the repository)
 set -eu
@@ -32,9 +32,6 @@ report() {
 }
 
 report src examples   # the root package, `charfree`
-for dir in vendor/*/; do
-    report "${dir%/}"
-done
 for dir in crates/*/; do
     set -- "${dir}src"
     [ -d "${dir}examples" ] && set -- "$@" "${dir}examples"
