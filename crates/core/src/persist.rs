@@ -141,7 +141,8 @@ impl ModelHeader {
     ///
     /// Returns `InvalidData` for a version mismatch, a layout other than
     /// `ordering interleaved`, slots that are not a permutation of the
-    /// inputs, or a malformed report, mixture or means line.
+    /// inputs, a report line that is not four fields with an exact flag
+    /// of `0` or `1`, or a malformed mixture or means line.
     pub fn read<R: BufRead>(r: &mut R) -> io::Result<ModelHeader> {
         // One line buffer for the whole header.
         let mut buf = String::new();
@@ -194,12 +195,19 @@ impl ModelHeader {
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| bad("bad report"))?;
-        let exact = parts.next() == Some("1");
+        let exact = match parts.next() {
+            Some("0") => false,
+            Some("1") => true,
+            _ => return Err(bad("bad report")),
+        };
         let cpu = parts
             .next()
             .and_then(|t| t.parse().ok())
             .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
             .ok_or_else(|| bad("bad report"))?;
+        if parts.next().is_some() {
+            return Err(bad("trailing tokens on report line"));
+        }
 
         let mixture_count: usize = next_line(r, &mut buf)?
             .strip_prefix("mixture ")
@@ -362,13 +370,18 @@ mod tests {
             .lines()
             .find(|line| line.starts_with("report "))
             .expect("report line");
-        let kept: Vec<&str> = report.split_ascii_whitespace().take(4).collect();
-        let negative_cpu = format!("{} -1", kept.join(" "));
+        let fields: Vec<&str> = report.split_ascii_whitespace().collect();
+        let negative_cpu = format!("{} -1", fields[..4].join(" "));
+        // The exact flag is `0` or `1`, and the line has four fields.
+        let bad_flag = format!("report {} {} 7 {}", fields[1], fields[2], fields[4]);
+        let trailing = format!("{report} junk");
         for (prefix, replacement) in [
             ("mixture ", "mixture 4000000000000000"),
             ("t ", "t 4000000000000000"),
             ("n ", "n 4000000000000000"),
             ("report ", negative_cpu.as_str()),
+            ("report ", bad_flag.as_str()),
+            ("report ", trailing.as_str()),
         ] {
             let hostile: String = text
                 .lines()

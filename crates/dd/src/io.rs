@@ -18,15 +18,18 @@
 //!
 //! References are `T<i>` (terminal `i`) or `N<i>` (node `i`), local to the
 //! file. Terminal values are written as hexadecimal IEEE-754 bit patterns,
-//! so round-trips are bit-exact. [`parse_diagram`] decodes a dump without
-//! a manager (flat evaluators take its nodes as they are);
+//! so round-trips are bit-exact. [`Dump`] is the one flat form of a
+//! diagram: [`dump`] numbers a manager's diagram into one and
+//! [`Dump::write`] writes it; [`parse_diagram`] decodes and checks one
+//! without a manager (flat evaluators take its nodes as they are);
 //! [`read_diagram`] imports one into a [`Manager`].
 
 use crate::manager::Manager;
 use crate::node::NodeId;
 use std::io::{self, BufRead, Write};
 
-/// Writes the diagram rooted at `root` to `w`.
+/// Writes the diagram rooted at `root` to `w`: [`dump`], then
+/// [`Dump::write`].
 ///
 /// Any manager-owned diagram (BDD or ADD) can be written; read it back
 /// with [`read_diagram`]. `w` can be a `&mut` reference
@@ -35,63 +38,47 @@ use std::io::{self, BufRead, Write};
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
-pub fn write_diagram<W: Write>(m: &Manager, root: NodeId, mut w: W) -> io::Result<()> {
-    writeln!(w, "ddv1 {}", m.num_vars())?;
+pub fn write_diagram<W: Write>(m: &Manager, root: NodeId, w: W) -> io::Result<()> {
+    dump(m, root).write(w)
+}
 
-    // Collect reachable terminals and nodes; assign local indices.
+/// Flattens the diagram rooted at `root` into a [`Dump`]: the nodes
+/// reachable from it in arena order (children are interned before
+/// parents, so the order is children first), and its terminals in the
+/// order the nodes first reference them.
+pub fn dump(m: &Manager, root: NodeId) -> Dump {
     let nodes = m.topological_nodes(root);
     let mut node_index = crate::hash::FxHashMap::default();
     for (i, &id) in nodes.iter().enumerate() {
-        node_index.insert(id, i);
+        node_index.insert(id, i as u32);
     }
-    let mut terminals: Vec<NodeId> = Vec::new();
+    let mut terminals = Vec::new();
     let mut term_index = crate::hash::FxHashMap::default();
-    let note_terminal =
-        |id: NodeId,
-         terminals: &mut Vec<NodeId>,
-         term_index: &mut crate::hash::FxHashMap<NodeId, usize>| {
-            if id.is_terminal() && !term_index.contains_key(&id) {
-                term_index.insert(id, terminals.len());
-                terminals.push(id);
-            }
-        };
-    note_terminal(root, &mut terminals, &mut term_index);
-    for &id in &nodes {
-        let (lo, hi) = m.children(id);
-        note_terminal(lo, &mut terminals, &mut term_index);
-        note_terminal(hi, &mut terminals, &mut term_index);
-    }
-
-    writeln!(w, "t {}", terminals.len())?;
-    if !terminals.is_empty() {
-        let values: Vec<String> = terminals
-            .iter()
-            .map(|&id| format!("{:016x}", m.terminal_value(id).to_bits()))
-            .collect();
-        writeln!(w, "{}", values.join(" "))?;
-    }
-
-    let encode = |id: NodeId| -> String {
+    let mut encode = |id: NodeId| -> u32 {
         if id.is_terminal() {
-            format!("T{}", term_index[&id])
+            TERMINAL_REF
+                | *term_index.entry(id).or_insert_with(|| {
+                    terminals.push(m.terminal_value(id));
+                    terminals.len() as u32 - 1
+                })
         } else {
-            format!("N{}", node_index[&id])
+            node_index[&id]
         }
     };
-
-    writeln!(w, "n {}", nodes.len())?;
-    for &id in &nodes {
-        let (lo, hi) = m.children(id);
-        writeln!(
-            w,
-            "{} {} {}",
-            m.node_var(id).index(),
-            encode(lo),
-            encode(hi)
-        )?;
+    let flat = nodes
+        .iter()
+        .map(|&id| {
+            let (lo, hi) = m.children(id);
+            [m.node_var(id).index(), encode(lo), encode(hi)]
+        })
+        .collect();
+    let root = encode(root);
+    Dump {
+        num_vars: m.num_vars(),
+        terminals,
+        nodes: flat,
+        root,
     }
-    writeln!(w, "r {}", encode(root))?;
-    Ok(())
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -117,8 +104,9 @@ pub fn next_line<'a, R: BufRead>(r: &mut R, buf: &'a mut String) -> io::Result<&
 /// (`TERMINAL_REF | k`), clear for node `k`.
 pub const TERMINAL_REF: u32 = 1 << 31;
 
-/// A `ddv1` dump decoded without a [`Manager`]: what [`read_diagram`]
-/// imports, and what a flat evaluator can take as it is.
+/// A diagram in flat form, made by [`dump`] or [`parse_diagram`]: both
+/// establish the invariants below, so a flat evaluator can take it as
+/// it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dump {
     /// The variable count of the header; every node tests a variable
@@ -133,6 +121,39 @@ pub struct Dump {
     pub nodes: Vec<[u32; 3]>,
     /// The root reference.
     pub root: u32,
+}
+
+impl Dump {
+    /// Writes the dump as `ddv1` text; [`parse_diagram`] reads it back
+    /// as it was.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from `w`.
+    pub fn write<W: Write>(&self, mut w: W) -> io::Result<()> {
+        let encode = |r: u32| {
+            if r & TERMINAL_REF != 0 {
+                format!("T{}", r & !TERMINAL_REF)
+            } else {
+                format!("N{r}")
+            }
+        };
+        writeln!(w, "ddv1 {}", self.num_vars)?;
+        writeln!(w, "t {}", self.terminals.len())?;
+        for (i, v) in self.terminals.iter().enumerate() {
+            let end = if i + 1 == self.terminals.len() {
+                "\n"
+            } else {
+                " "
+            };
+            write!(w, "{:016x}{end}", v.to_bits())?;
+        }
+        writeln!(w, "n {}", self.nodes.len())?;
+        for &[var, lo, hi] in &self.nodes {
+            writeln!(w, "{var} {} {}", encode(lo), encode(hi))?;
+        }
+        writeln!(w, "r {}", encode(self.root))
+    }
 }
 
 /// Decodes a diagram written by [`write_diagram`] without building it
@@ -351,7 +372,9 @@ mod tests {
         let f = sample_add(&mut m);
         let mut buf = Vec::new();
         write_diagram(&m, f.node(), &mut buf).expect("writes");
-        let dump = parse_diagram(buf.as_slice()).expect("parses");
+        let parsed = parse_diagram(buf.as_slice()).expect("parses");
+        assert_eq!(parsed, dump(&m, f.node()), "text and manager agree");
+        let dump = parsed;
         assert_eq!(dump.num_vars, 4);
         assert_eq!(dump.nodes.len(), m.size(f.node()) - dump.terminals.len());
         assert_eq!(dump.root & TERMINAL_REF, 0, "an internal root");

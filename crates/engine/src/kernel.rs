@@ -18,14 +18,16 @@
 //! high bit selects the terminal table, the remaining 31 bits index either
 //! `instrs` or `terminals`. Instructions are stored children-before-
 //! parents, so every internal reference points *backwards* — evaluation
-//! can never loop, and the invariant is re-checked when kernels are
-//! loaded from disk.
+//! can never loop. Every kernel is built from a [`Dump`] in this order:
+//! [`charfree_dd::io::dump`] numbers a manager's diagram so, and
+//! [`charfree_dd::io::parse_diagram`] checks a `.cfm`'s diagram for it,
+//! and for the variable order along every edge.
 //!
 //! ## Two program forms
 //!
 //! `instrs` is the persisted form: scalar evaluation and expectations
 //! walk it. Batches run one derived, never-persisted program, chosen by
-//! [`Kernel::derive_batch`]: kernels with at most [`WALK_RATIO`]
+//! [`Kernel::from_dump`]: kernels with at most [`WALK_RATIO`]
 //! instructions per level of depth carry an SoA gather program
 //! ([`crate::soa`]), larger ones a stride-table program
 //! ([`crate::stride`]), and constant kernels none. [`Kernel::bytes`]
@@ -37,6 +39,7 @@ use crate::fused::{eval_fused, FusedJob};
 use crate::soa::SoaProgram;
 use crate::stride::StrideProgram;
 use charfree_core::{xf_var, xi_var, AddPowerModel, PowerModel};
+use charfree_dd::io::Dump;
 use charfree_dd::ChainMeasure;
 
 /// Successor-reference tag: high bit set = terminal-table index. The
@@ -94,7 +97,7 @@ pub struct Kernel {
     /// `tᶠ` (see [`Kernel::input_vars`]).
     pub(crate) slots: Vec<u32>,
     /// The derived batch program (never persisted), set by
-    /// [`Kernel::derive_batch`].
+    /// [`Kernel::from_dump`].
     pub(crate) batch: Batch,
     /// Longest root-to-terminal path in `instrs` (edges). `0` for
     /// constant kernels.
@@ -109,7 +112,7 @@ pub struct Kernel {
 /// 51 or less) keeps the gather.
 const WALK_RATIO: usize = 64;
 
-/// How a kernel evaluates a packed block (see [`Kernel::derive_batch`]).
+/// How a kernel evaluates a packed block (see [`Kernel::from_dump`]).
 #[derive(Debug, Clone)]
 pub(crate) enum Batch {
     /// The root is a terminal: every lane gets this value.
@@ -121,7 +124,9 @@ pub(crate) enum Batch {
 }
 
 impl Kernel {
-    /// Compiles `model`'s decision diagram into a flat kernel.
+    /// Compiles `model`'s decision diagram into a flat kernel: the
+    /// diagram's [`charfree_dd::io::dump`], numbered as its `.cfm`
+    /// section is, so [`Kernel::from_cfm`] reads the same kernel back.
     ///
     /// Only nodes reachable from the root are emitted (the manager arena
     /// may hold construction garbage); the result is typically smaller and
@@ -134,76 +139,50 @@ impl Kernel {
     /// of two ([`Kernel::from_cfm`] returns a typed error instead).
     pub fn compile(model: &AddPowerModel) -> Kernel {
         let (manager, root) = model.diagram();
-        let n = model.num_inputs();
-
-        let nodes = manager.topological_nodes(root);
-        let mut index_of = std::collections::HashMap::with_capacity(nodes.len());
-        for (i, &id) in nodes.iter().enumerate() {
-            index_of.insert(id, i as u32);
-        }
-
-        let mut terminals: Vec<f64> = Vec::new();
-        let mut term_index: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        let encode = |id: charfree_dd::NodeId,
-                      terminals: &mut Vec<f64>,
-                      term_index: &mut std::collections::HashMap<u64, u32>|
-         -> u32 {
-            if id.is_terminal() {
-                let v = manager.terminal_value(id);
-                let slot = *term_index.entry(v.to_bits()).or_insert_with(|| {
-                    terminals.push(v);
-                    (terminals.len() - 1) as u32
-                });
-                slot | TERMINAL_BIT
-            } else {
-                index_of[&id]
-            }
-        };
-
-        let mut instrs = Vec::with_capacity(nodes.len());
-        for &id in &nodes {
-            let (lo, hi) = manager.children(id);
-            instrs.push(Instr {
-                var: manager.node_var(id).index(),
-                lo: encode(lo, &mut terminals, &mut term_index),
-                hi: encode(hi, &mut terminals, &mut term_index),
-            });
-        }
-        let root = encode(root, &mut terminals, &mut term_index);
-
-        let slots = model.input_slots().iter().map(|&s| s as u32).collect();
-
-        let mut kernel = Kernel {
-            name: model.name().to_owned(),
-            num_vars: 2 * n as u32,
-            num_inputs: n,
-            instrs,
-            terminals,
-            root,
-            slots,
-            batch: Batch::Constant(0.0),
-            depth: 0,
-        };
-        kernel
-            .derive_batch()
-            .expect("a compiled kernel's entry nodes fit the stride walk's entry words");
-        kernel
+        Kernel::from_dump(
+            model.name().to_owned(),
+            model.input_slots(),
+            charfree_dd::io::dump(manager, root),
+        )
+        .expect("a model's kernel fits the stride walk's entry words")
     }
 
-    /// Measures `depth` and derives the batch program (called after
-    /// compilation and after reading a `.cfm`): kernels with more than
-    /// [`WALK_RATIO`] instructions per level of depth get a stride-table
-    /// walk, the other non-constant ones a level-packed SoA gather
-    /// program.
+    /// The one kernel constructor: `dump`'s nodes become the
+    /// instructions as they are, `depth` is measured, and the batch
+    /// program is derived. Kernels with more than [`WALK_RATIO`]
+    /// instructions per level of depth get a stride-table walk, the
+    /// other non-constant ones a level-packed SoA gather program.
+    /// `dump` comes from [`charfree_dd::io::dump`] or
+    /// [`charfree_dd::io::parse_diagram`], which establish its order;
+    /// `slots` is a permutation of the inputs.
     ///
     /// # Errors
     ///
-    /// Fails when a walking kernel has more entry nodes than the stride
-    /// walk's entry words can name (see [`crate::stride`]).
-    pub(crate) fn derive_batch(&mut self) -> Result<(), String> {
+    /// Fails when the diagram has more than `2n` variables, or when a
+    /// walking kernel has more entry nodes than the stride walk's entry
+    /// words can name (see [`crate::stride`]).
+    pub(crate) fn from_dump(name: String, slots: &[usize], dump: Dump) -> Result<Kernel, String> {
+        let num_vars = u32::try_from(2 * slots.len())
+            .map_err(|_| "too many inputs for a kernel".to_owned())?;
+        if dump.num_vars > num_vars {
+            return Err(format!(
+                "diagram needs {} variables, the model has {num_vars}",
+                dump.num_vars
+            ));
+        }
+        let Dump {
+            nodes,
+            terminals,
+            root,
+            ..
+        } = dump;
+        let instrs: Vec<Instr> = nodes
+            .into_iter()
+            .map(|[var, lo, hi]| Instr { var, lo, hi })
+            .collect();
         // Longest path per instruction; children precede parents, so
         // one forward pass suffices.
-        let mut longest = vec![0u32; self.instrs.len()];
+        let mut longest = vec![0u32; instrs.len()];
         let path = |r: u32, longest: &[u32]| -> u32 {
             if r & TERMINAL_BIT != 0 {
                 0
@@ -211,27 +190,28 @@ impl Kernel {
                 longest[r as usize]
             }
         };
-        for (i, ins) in self.instrs.iter().enumerate() {
+        for (i, ins) in instrs.iter().enumerate() {
             longest[i] = 1 + path(ins.lo, &longest).max(path(ins.hi, &longest));
         }
-        self.depth = path(self.root, &longest);
-        self.batch = if self.root & TERMINAL_BIT != 0 {
-            Batch::Constant(self.terminals[(self.root & !TERMINAL_BIT) as usize])
-        } else if self.instrs.len() <= WALK_RATIO * self.depth as usize {
-            Batch::Gather(SoaProgram::build(
-                &self.instrs,
-                self.terminals.len(),
-                self.root,
-                self.num_vars,
-            ))
+        let depth = path(root, &longest);
+        let batch = if root & TERMINAL_BIT != 0 {
+            Batch::Constant(terminals[(root & !TERMINAL_BIT) as usize])
+        } else if instrs.len() <= WALK_RATIO * depth as usize {
+            Batch::Gather(SoaProgram::build(&instrs, terminals.len(), root, num_vars))
         } else {
-            Batch::Walk(StrideProgram::build(
-                &self.instrs,
-                self.root,
-                self.num_vars,
-            )?)
+            Batch::Walk(StrideProgram::build(&instrs, root, num_vars)?)
         };
-        Ok(())
+        Ok(Kernel {
+            name,
+            num_vars,
+            num_inputs: slots.len(),
+            instrs,
+            terminals,
+            root,
+            slots: slots.iter().map(|&s| s as u32).collect(),
+            batch,
+            depth,
+        })
     }
 
     /// Display name inherited from the source model.
@@ -418,8 +398,8 @@ impl Kernel {
         let mut avg = vec![[0.0f64; 3]; self.instrs.len()];
         for idx in 0..self.instrs.len() {
             let ins = self.instrs[idx];
-            let lo0 = self.resolve_expected(ins.lo, ins.var, 1, &avg, measure);
-            let hi0 = self.resolve_expected(ins.hi, ins.var, 2, &avg, measure);
+            let lo0 = self.resolve_ref(ins.lo, Some(ins.var), 1, &avg, measure);
+            let hi0 = self.resolve_ref(ins.hi, Some(ins.var), 2, &avg, measure);
             for ctx in 0u8..3 {
                 let p1 = measure.prob_one(ins.var as usize, ctx);
                 avg[idx][ctx as usize] = (1.0 - p1) * lo0 + p1 * hi0;
@@ -428,21 +408,10 @@ impl Kernel {
         self.resolve_ref(self.root, None, 0, &avg, measure)
     }
 
-    /// Expected value of a successor reached by branching at `parent_var`
-    /// with the context `branch_ctx` (1 = took the 0 branch, 2 = took the
-    /// 1 branch) the child would see if it tests `parent_var + 1`.
-    #[inline]
-    fn resolve_expected(
-        &self,
-        r: u32,
-        parent_var: u32,
-        branch_ctx: u8,
-        avg: &[[f64; 3]],
-        measure: &ChainMeasure,
-    ) -> f64 {
-        self.resolve_ref(r, Some(parent_var), branch_ctx, avg, measure)
-    }
-
+    /// Expected value of `r`, reached by branching at `parent_var`
+    /// (`None` for the root): a child testing `parent_var + 1` sees the
+    /// context `branch_ctx` (1 = took the 0 branch, 2 = took the 1
+    /// branch), any other node context 0.
     #[inline]
     fn resolve_ref(
         &self,
@@ -474,73 +443,6 @@ impl Kernel {
     pub fn expected_capacitance(&self, sp: f64, st: f64) -> f64 {
         let measure = ChainMeasure::interleaved_transitions(self.num_inputs as u32, sp, st);
         self.expected_value(&measure)
-    }
-
-    /// Validates internal invariants (used by [`Kernel::from_cfm`]): every
-    /// reference in range, every internal reference strictly backwards,
-    /// variables below `num_vars`, input slots a permutation.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        let check_ref = |r: u32, idx: usize| -> Result<(), String> {
-            if r & TERMINAL_BIT != 0 {
-                let t = (r & !TERMINAL_BIT) as usize;
-                if t >= self.terminals.len() {
-                    return Err(format!("terminal reference {t} out of range"));
-                }
-            } else if r as usize >= idx {
-                return Err(format!(
-                    "forward instruction reference {r} at instruction {idx}"
-                ));
-            }
-            Ok(())
-        };
-        for (idx, ins) in self.instrs.iter().enumerate() {
-            if ins.var >= self.num_vars {
-                return Err(format!(
-                    "instruction {idx} tests variable {} out of range",
-                    ins.var
-                ));
-            }
-            check_ref(ins.lo, idx)?;
-            check_ref(ins.hi, idx)?;
-            // Variables must strictly increase along every edge (the
-            // ordered-diagram property the compiler guarantees). The
-            // SoA gather schedule depends on it: a child at the same
-            // or an earlier pair level would be gathered before its
-            // pred's row is final and read stale masks — so a kernel
-            // violating it is rejected at load, not mis-evaluated.
-            for child in [ins.lo, ins.hi] {
-                if child & TERMINAL_BIT == 0 && self.instrs[child as usize].var <= ins.var {
-                    return Err(format!(
-                        "instruction {idx} (variable {}) references child {child} \
-                         testing variable {} — not strictly increasing",
-                        ins.var, self.instrs[child as usize].var
-                    ));
-                }
-            }
-        }
-        check_ref(self.root, self.instrs.len())?;
-        if self.num_vars as usize != 2 * self.num_inputs {
-            return Err(format!(
-                "variable count {} is not twice the input count {}",
-                self.num_vars, self.num_inputs
-            ));
-        }
-        if self.slots.len() != self.num_inputs {
-            return Err("input variable maps do not cover every input".to_owned());
-        }
-        let mut seen = vec![false; self.num_inputs];
-        for &slot in &self.slots {
-            let slot = slot as usize;
-            if slot >= self.num_inputs || std::mem::replace(&mut seen[slot], true) {
-                return Err("input slots are not a permutation".to_owned());
-            }
-        }
-        for t in &self.terminals {
-            if t.is_nan() {
-                return Err("NaN terminal".to_owned());
-            }
-        }
-        Ok(())
     }
 }
 
@@ -605,24 +507,13 @@ mod tests {
             for (sp, st) in [(0.5, 0.5), (0.5, 0.05), (0.3, 0.2), (0.8, 0.3)] {
                 let want = model.expected_capacitance(sp, st).femtofarads();
                 let got = kernel.expected_capacitance(sp, st);
-                assert!(
-                    (want - got).abs() <= 1e-9 * want.abs().max(1.0),
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
                     "(sp={sp}, st={st}): model {want}, kernel {got}"
                 );
             }
         }
-    }
-
-    #[test]
-    fn validate_accepts_compiled_kernels() {
-        let library = Library::test_library();
-        let model =
-            ModelBuilder::new(&benchmarks::by_name("cm85", &library).expect("Table 1 name"))
-                .max_nodes(300)
-                .build();
-        Kernel::compile(&model)
-            .validate()
-            .expect("compiled kernels are valid");
     }
 
     /// The built-in kernels the batch rule is fitted and pinned on:

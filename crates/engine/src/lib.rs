@@ -10,8 +10,11 @@
 //! * [`Kernel`] — a topologically ordered vector of 12-byte branch
 //!   instructions plus a dense terminal table, fully decoupled from the
 //!   manager arena. `Send + Sync`, read straight from a `.cfm` model
-//!   file by [`Kernel::from_cfm`] (no manager is built) and validated on
-//!   the way; [`Kernel::save`] writes its canonical text.
+//!   file by [`Kernel::from_cfm`] (no manager is built). Compiled and
+//!   loaded kernels are built from one flat form,
+//!   [`charfree_dd::io::Dump`], made by [`charfree_dd::io::dump`] or by
+//!   [`charfree_dd::io::parse_diagram`] (the one check of a file's
+//!   diagram); [`Kernel::save`] writes the kernel's canonical text.
 //! * [`PatternBlock`] — column-packed `u64` bit-matrix staging for
 //!   transition streams, one word per diagram variable per 64
 //!   transitions; [`Kernel::eval_batch`] consumes it.

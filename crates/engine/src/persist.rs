@@ -3,10 +3,11 @@
 //! A model is shipped as one artifact, its `.cfm` file.
 //! [`Kernel::from_cfm`] reads it straight into kernel instructions: the
 //! file's `ddv1` diagram section lists the nodes children first, which is
-//! the kernel's instruction order, so no diagram manager is built. Every
-//! load re-validates the structural invariants (references in range,
-//! internal references strictly backwards, variables increasing along
-//! every edge) before the kernel is handed out.
+//! the kernel's instruction order, so no diagram manager is built. Each
+//! byte is checked once, as it is read: [`ModelHeader::read`] checks the
+//! header, [`parse_diagram`] the diagram (references in range and
+//! backwards, variables increasing along every edge, no NaN terminal);
+//! the kernel is built from the parsed diagram as it is.
 //!
 //! [`Kernel::save`] writes the kernel's canonical text, which tests
 //! digest to pin kernel bits; nothing reads it back.
@@ -27,7 +28,7 @@
 //!
 //! References are `I<k>` (instruction `k`) or `T<k>` (terminal `k`).
 
-use crate::kernel::{Batch, Instr, Kernel, TERMINAL_BIT};
+use crate::kernel::{Kernel, TERMINAL_BIT};
 use charfree_core::{xf_var, xi_var, ModelHeader};
 use charfree_dd::io::parse_diagram;
 use charfree_dd::Var;
@@ -85,8 +86,10 @@ impl Kernel {
 
     /// Reads a `.cfm` model file straight into a kernel, with no
     /// [`Manager`](charfree_dd::Manager): the [`ModelHeader`], then the
-    /// file's diagram section as instructions, then the kernel's
-    /// structural checks and its batch program. On any file
+    /// file's diagram section as instructions, then the kernel's batch
+    /// program. Each byte is checked once, where it is read:
+    /// [`ModelHeader::read`] checks the header, [`parse_diagram`] the
+    /// diagram's references and variable order. On any file
     /// [`AddPowerModel::save`](charfree_core::AddPowerModel::save)
     /// wrote, the result is the kernel [`Kernel::compile`] makes of the
     /// loaded model, down to its [`Kernel::save`] bytes.
@@ -100,32 +103,7 @@ impl Kernel {
     pub fn from_cfm<R: BufRead>(mut r: R) -> io::Result<Kernel> {
         let header = ModelHeader::read(&mut r)?;
         let dump = parse_diagram(r)?;
-        let num_vars = u32::try_from(2 * header.num_inputs)
-            .map_err(|_| bad("too many inputs for a kernel"))?;
-        if dump.num_vars > num_vars {
-            return Err(bad(format!(
-                "diagram needs {} variables, the model has {num_vars}",
-                dump.num_vars
-            )));
-        }
-        let mut kernel = Kernel {
-            name: header.name,
-            num_vars,
-            num_inputs: header.num_inputs,
-            instrs: dump
-                .nodes
-                .into_iter()
-                .map(|[var, lo, hi]| Instr { var, lo, hi })
-                .collect(),
-            terminals: dump.terminals,
-            root: dump.root,
-            slots: header.input_slots.iter().map(|&s| s as u32).collect(),
-            batch: Batch::Constant(0.0),
-            depth: 0,
-        };
-        kernel.validate().map_err(bad)?;
-        kernel.derive_batch().map_err(bad)?;
-        Ok(kernel)
+        Kernel::from_dump(header.name, &header.input_slots, dump).map_err(bad)
     }
 }
 

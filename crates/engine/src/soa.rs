@@ -47,7 +47,7 @@
 //! kernel is small next to its depth; large kernels touch every edge
 //! for every 256 lanes and run several times slower than the walk. So
 //! a kernel builds this program only when its batches gather (see
-//! `Kernel::derive_batch`). Because every pred's selectors partition
+//! `Kernel::from_dump`). Because every pred's selectors partition
 //! its mask, each lane ends in exactly one terminal row: results are
 //! f64 bit-identical to the scalar walk by construction, and the
 //! kernel-equivalence suites enforce it.
@@ -132,8 +132,11 @@ pub(crate) struct SoaProgram {
 }
 
 impl SoaProgram {
-    /// Builds the SoA program from a validated instruction vec
-    /// (children strictly before parents, vars in range).
+    /// Builds the SoA program from a kernel's instruction vec (children
+    /// strictly before parents, vars in range, variables strictly
+    /// increasing along every edge: [`charfree_dd::io::dump`] numbers a
+    /// manager's ordered diagram so, and
+    /// [`charfree_dd::io::parse_diagram`] refuses a file that is not).
     pub(crate) fn build(
         instrs: &[Instr],
         num_terminals: usize,
@@ -176,9 +179,8 @@ impl SoaProgram {
         };
         // One step per contiguous run of equal pair levels, and each
         // state's step index (the selector-table row its out-edges
-        // use). The odd word index is clamped so a malformed
-        // (odd-width) kernel indexes in range; validated kernels always
-        // have 2n vars.
+        // use). The odd word index is clamped so an odd-width
+        // variable count indexes in range; kernels always have 2n vars.
         let mut steps: Vec<SoaStep> = Vec::new();
         let mut step_of = vec![0u32; n];
         let mut i = 0usize;
@@ -457,7 +459,10 @@ impl SoaProgram {
         // schedule is an in-bounds, row-aligned offset (asserted in
         // `build`), round cursors stay inside the arrays by
         // construction, and every pred is at an earlier level than its
-        // target, so no read aliases this round's writes.
+        // target, so no read aliases this round's writes. The last holds
+        // because every child tests a later variable than its parent:
+        // `io::dump` lists only a manager's ordered diagrams, and
+        // `parse_diagram` rejects a `.cfm` diagram that breaks the order.
         unsafe {
             for _ in 0..rd.n1 {
                 let e = *self.edges.get_unchecked(ei);

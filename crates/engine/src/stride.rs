@@ -62,9 +62,11 @@ pub(crate) struct StrideProgram {
 }
 
 impl StrideProgram {
-    /// Builds the program from a validated instruction vec (children
+    /// Builds the program from a kernel's instruction vec (children
     /// strictly before parents, variables strictly increasing along
-    /// every edge) whose `root` is internal.
+    /// every edge, as [`charfree_dd::io::dump`] and
+    /// [`charfree_dd::io::parse_diagram`] make them) whose `root` is
+    /// internal.
     ///
     /// # Errors
     ///

@@ -1,7 +1,8 @@
 //! `.cfm` → kernel load-path hardening: [`Kernel::from_cfm`] decodes
 //! untrusted bytes straight into instructions, and a gathering kernel's
-//! hot loops index mask/selector rows *unchecked* on the strength of its
-//! validation. These tests feed it every truncation, a single-byte
+//! hot loops index mask/selector rows *unchecked* on the strength of the
+//! checks `ModelHeader::read` and `parse_diagram` make once, as the
+//! bytes are read. These tests feed it every truncation, a single-byte
 //! corruption at every offset, dropped, duplicated and swapped lines,
 //! hostile declared counts and slot lists of a real `.cfm` byte stream,
 //! and require:

@@ -23,12 +23,12 @@
 //!
 //! * **write backpressure** — response bytes queue per connection; a
 //!   `WouldBlock` arms `EPOLLOUT`, and a peer that stops reading for
-//!   longer than `write_stall_timeout` is closed (`WriteStall`);
+//!   longer than `WRITE_STALL_TIMEOUT` (10 s) is closed (`WriteStall`);
 //! * **idle timeout** — a connection with no inbound bytes for
 //!   `idle_timeout` gets [`Handler::on_idle`] (default: close), closing
 //!   the slow-loris hole a blocking read-per-thread design leaves open;
 //! * **buffer caps** — a peer that streams bytes faster than the
-//!   handler consumes them is closed (`Overflow`) at `max_buffer`.
+//!   handler consumes them is closed (`Overflow`) at `MAX_BUFFER`.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -291,14 +291,6 @@ pub struct ReactorConfig {
     /// Close connections with no inbound bytes for this long (the
     /// handler can veto per connection via [`Handler::on_idle`]).
     pub idle_timeout: Duration,
-    /// Hard cap on unconsumed inbound bytes per connection.
-    pub max_buffer: usize,
-    /// Close connections whose peer stops draining responses for this
-    /// long.
-    pub write_stall_timeout: Duration,
-    /// Ceiling on an injected `Stall` fault, so a mis-tuned plan slows
-    /// but never wedges a shard.
-    pub max_injected_stall: Duration,
 }
 
 impl Default for ReactorConfig {
@@ -306,12 +298,17 @@ impl Default for ReactorConfig {
         ReactorConfig {
             shards: 1,
             idle_timeout: Duration::from_secs(30),
-            max_buffer: 18 << 20,
-            write_stall_timeout: Duration::from_secs(10),
-            max_injected_stall: Duration::from_millis(200),
         }
     }
 }
+
+/// Hard cap on unconsumed inbound bytes per connection.
+const MAX_BUFFER: usize = 18 << 20;
+/// Close connections whose peer stops draining responses for this long.
+const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
+/// Ceiling on an injected `Stall` fault, so a mis-tuned plan slows but
+/// never wedges a shard.
+const MAX_INJECTED_STALL: Duration = Duration::from_millis(200);
 
 type Accepted<M> = (TcpStream, Box<dyn Handler<M>>);
 
@@ -613,9 +610,8 @@ impl<M: Send> ShardState<M> {
                 let (idle, stalled) = match self.slab[slot].as_ref() {
                     Some(conn) => (
                         now.duration_since(conn.last_activity) > self.config.idle_timeout,
-                        conn.write_since.is_some_and(|t| {
-                            now.duration_since(t) > self.config.write_stall_timeout
-                        }),
+                        conn.write_since
+                            .is_some_and(|t| now.duration_since(t) > WRITE_STALL_TIMEOUT),
                     ),
                     None => (false, false),
                 };
@@ -751,7 +747,7 @@ impl<M: Send> ShardState<M> {
         let mut got_bytes = false;
         let mut chunk = [0u8; READ_CHUNK];
         loop {
-            if conn.read_buf.len() - conn.consumed >= self.config.max_buffer {
+            if conn.read_buf.len() - conn.consumed >= MAX_BUFFER {
                 conn.closing = Some(CloseReason::Overflow);
                 break;
             }
@@ -766,7 +762,7 @@ impl<M: Send> ShardState<M> {
                 // the round must not be abandoned, or the edge is lost).
                 Some(TapFault::Transient) => continue,
                 Some(TapFault::Short(n)) => cap = n.clamp(1, READ_CHUNK),
-                Some(TapFault::Stall(d)) => thread::sleep(d.min(self.config.max_injected_stall)),
+                Some(TapFault::Stall(d)) => thread::sleep(d.min(MAX_INJECTED_STALL)),
                 None => {}
             }
             match conn.stream.read(&mut chunk[..cap]) {
@@ -850,7 +846,7 @@ impl<M: Send> ShardState<M> {
             match tap.and_then(StreamTap::write_fault) {
                 Some(TapFault::Transient) => continue,
                 Some(TapFault::Short(n)) => cap = n.clamp(1, cap),
-                Some(TapFault::Stall(d)) => thread::sleep(d.min(self.config.max_injected_stall)),
+                Some(TapFault::Stall(d)) => thread::sleep(d.min(MAX_INJECTED_STALL)),
                 None => {}
             }
             let window = &conn.write_buf[conn.write_pos..conn.write_pos + cap];

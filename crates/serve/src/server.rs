@@ -333,7 +333,6 @@ impl Server {
             ReactorConfig {
                 shards: config.reactor_threads.max(1),
                 idle_timeout: config.idle_timeout,
-                ..ReactorConfig::default()
             },
             listeners,
             Arc::clone(&shared.net),
