@@ -15,7 +15,6 @@
 //!   conservative pattern-dependent upper bound, and the global maximum is
 //!   preserved exactly; this is Example 5.
 
-use charfree_dd::hash::FxHashMap;
 use charfree_dd::{Add, ChainMeasure, Manager, NodeId, Snapshot};
 
 /// Which leaf value replaces a collapsed sub-ADD, and how candidates are
@@ -68,8 +67,9 @@ struct ApproxOutcome {
 /// node collapsing under `strategy`, ranked under a *mixture* of input
 /// measures.
 ///
-/// Per-node statistics are computed in one traversal (Eqs. 5–8) and
-/// internal nodes are ranked by their score ascending — "nodes with
+/// Per-node statistics (Eqs. 5–8) are computed in one bottom-up and one
+/// top-down pass per measure, and internal nodes are ranked by their
+/// score ascending, ties by post-order index — "nodes with
 /// minimum variance are chosen for collapsing and node collapsing proceeds
 /// (possibly involving nodes with larger variance) until the global ADD is
 /// reduced under a target size". Because the size reached by collapsing
@@ -121,13 +121,7 @@ fn approximate_to_mixture(
         return (f, outcome);
     }
     let (scores, leaves) = collapse_plans(&snap, strategy, mixture);
-    // Equal scores keep post-order, so the ranking is canonical too.
-    let mut order: Vec<u32> = (0..snap.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        scores[a as usize]
-            .partial_cmp(&scores[b as usize])
-            .expect("finite scores")
-    });
+    let order = rank(scores);
 
     // Binary search the smallest k whose collapse meets the bound, on dry
     // runs. Size is not monotone in k (shared sub-diagrams cascade), so
@@ -154,7 +148,7 @@ fn approximate_to_mixture(
     });
 
     // Materialize only the chosen collapse.
-    let replacements: FxHashMap<NodeId, f64> = order[..k]
+    let replacements: Vec<(NodeId, f64)> = order[..k]
         .iter()
         .map(|&i| (snap.node_id(i as usize), leaves[i as usize]))
         .collect();
@@ -165,6 +159,27 @@ fn approximate_to_mixture(
     m.clear_caches();
     outcome.nodes_collapsed = k;
     (g, outcome)
+}
+
+/// Node indices by ascending score, equal scores in index (post-order)
+/// order, so the ranking is canonical too.
+///
+/// # Panics
+///
+/// Panics if a score is NaN.
+fn rank(scores: Vec<f64>) -> Vec<u32> {
+    // With `-0.0` folded into `0.0`, `total_cmp` orders scores as
+    // `partial_cmp` does, and without a branch per comparison.
+    let mut ranked: Vec<(f64, u32)> = scores
+        .into_iter()
+        .zip(0..)
+        .map(|(score, i)| {
+            assert!(!score.is_nan(), "collapse scores are never NaN");
+            (score + 0.0, i)
+        })
+        .collect();
+    ranked.sort_unstable_by(|(a, i), (b, j)| a.total_cmp(b).then(i.cmp(j)));
+    ranked.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Ranking score and replacement leaf of every internal node of `snap`
@@ -263,6 +278,25 @@ mod tests {
         assert_eq!((scores[root], leaves[root]), (18.75, 7.5));
         let (scores, leaves) = collapse_plans(&snap, ApproxStrategy::UpperBound, &uniform);
         assert_eq!((scores[root], leaves[root]), (25.0, 10.0));
+    }
+
+    #[test]
+    fn rank_matches_a_stable_partial_cmp_sort() {
+        let scores = vec![
+            3.0,
+            0.0,
+            -0.0,
+            1.5,
+            0.0,
+            3.0,
+            f64::INFINITY,
+            -0.0,
+            1.5,
+            0.25,
+        ];
+        let mut want: Vec<u32> = (0..scores.len() as u32).collect();
+        want.sort_by(|&a, &b| scores[a as usize].partial_cmp(&scores[b as usize]).unwrap());
+        assert_eq!(rank(scores), want);
     }
 
     #[test]

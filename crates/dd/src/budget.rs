@@ -16,7 +16,9 @@
 //!
 //! Every checkpoint also counts one cache-missing recursion step
 //! ([`Budget::steps`], fed to [`ApplyStats`]), a deterministic measure of
-//! CPU work that no limit applies to.
+//! CPU work that no limit applies to. Inside one `Manager` operation the
+//! steps and peaks collect in the budget; the operation publishes them to
+//! the [`ApplyStats`] sink once, when it returns.
 //!
 //! A third pseudo-resource, [`Resource::FaultInjection`], backs
 //! [`Budget::trip_after`]: tests can schedule deterministic budget trips
@@ -132,8 +134,10 @@ impl Error for DdError {}
 /// dies with it), an `ApplyStats` is an `Arc`-shared, thread-safe
 /// accumulator: attach one to every budget of a job and it totals the
 /// cache-missing apply/ITE steps and tracks peak arena occupancy across
-/// the whole job. Reading the counters never blocks the hot path — the
-/// checkpoint uses relaxed atomics.
+/// the whole job. The counters are relaxed atomics, but each update is
+/// still an atomic read-modify-write, so a [`Manager`](crate::Manager) operation
+/// publishes its steps and peaks once, when it returns, not per step;
+/// a direct [`Budget::checkpoint`] publishes at once.
 ///
 /// # Examples
 ///
@@ -177,12 +181,12 @@ impl ApplyStats {
         self.peak_arena_bytes.load(Ordering::Relaxed)
     }
 
-    fn record(&self, live_nodes: usize, arena_bytes: usize) {
-        self.steps.fetch_add(1, Ordering::Relaxed);
+    fn record(&self, steps: u64, peak_live_nodes: u64, peak_arena_bytes: u64) {
+        self.steps.fetch_add(steps, Ordering::Relaxed);
         self.peak_live_nodes
-            .fetch_max(live_nodes as u64, Ordering::Relaxed);
+            .fetch_max(peak_live_nodes, Ordering::Relaxed);
         self.peak_arena_bytes
-            .fetch_max(arena_bytes as u64, Ordering::Relaxed);
+            .fetch_max(peak_arena_bytes, Ordering::Relaxed);
     }
 }
 
@@ -199,6 +203,8 @@ pub struct Budget {
     deadline: Option<(Instant, Duration)>,
     stats: Option<Arc<ApplyStats>>,
     steps: Cell<u64>,
+    /// Steps and peaks not yet published to `stats`.
+    unpublished: Cell<(u64, u64, u64)>,
     /// Relative checkpoint countdowns for scheduled fault-injection
     /// trips; the front countdown starts after the previous trip fires.
     trips: RefCell<VecDeque<u64>>,
@@ -223,8 +229,9 @@ impl Budget {
     }
 
     /// Attaches a shared [`ApplyStats`] telemetry sink: every checkpoint
-    /// feeds the counters (relaxed atomics, negligible cost). Several
-    /// budgets can share one sink, accumulating job-wide totals.
+    /// feeds the counters, published once per `Manager` operation (see
+    /// [`ApplyStats`]). Several budgets can share one sink, accumulating
+    /// job-wide totals.
     pub fn with_stats(mut self, stats: Arc<ApplyStats>) -> Self {
         self.stats = Some(stats);
         self
@@ -278,23 +285,48 @@ impl Budget {
         }
     }
 
-    /// Records one unit of symbolic work and verifies every limit.
+    /// Records one unit of symbolic work, verifies every limit and
+    /// publishes to the [`ApplyStats`] sink.
     ///
-    /// Called by [`Manager`](crate::Manager) at apply/ITE recursion
-    /// checkpoints with the current arena occupancy (the byte figure only
-    /// feeds the [`ApplyStats`] peak; no limit applies to it). The wall
-    /// clock is sampled every `CLOCK_STRIDE` checkpoints to keep the hot
-    /// path cheap.
+    /// [`Manager`](crate::Manager) makes the same check at its apply/ITE
+    /// recursion checkpoints with the current arena occupancy (the byte
+    /// figure only feeds the [`ApplyStats`] peak; no limit applies to it),
+    /// but publishes once per operation. The wall clock is sampled every
+    /// `CLOCK_STRIDE` checkpoints to keep the hot path cheap.
     ///
     /// # Errors
     ///
     /// Returns [`DdError::BudgetExceeded`] naming the first exhausted
     /// resource.
     pub fn checkpoint(&self, live_nodes: usize, arena_bytes: usize) -> Result<(), DdError> {
+        let result = self.step(live_nodes, arena_bytes);
+        self.publish();
+        result
+    }
+
+    /// Publishes the steps and peaks counted since the last publish to
+    /// the [`ApplyStats`] sink, if one is attached.
+    pub(crate) fn publish(&self) {
+        let (steps, live, bytes) = self.unpublished.take();
+        if let Some(stats) = &self.stats {
+            if steps > 0 {
+                stats.record(steps, live, bytes);
+            }
+        }
+    }
+
+    /// [`Budget::checkpoint`] without the publish: the step and the
+    /// peaks wait in the budget for [`Budget::publish`].
+    pub(crate) fn step(&self, live_nodes: usize, arena_bytes: usize) -> Result<(), DdError> {
         let steps = self.steps.get() + 1;
         self.steps.set(steps);
-        if let Some(stats) = &self.stats {
-            stats.record(live_nodes, arena_bytes);
+        if self.stats.is_some() {
+            let (n, live, bytes) = self.unpublished.get();
+            self.unpublished.set((
+                n + 1,
+                live.max(live_nodes as u64),
+                bytes.max(arena_bytes as u64),
+            ));
         }
 
         {
@@ -415,6 +447,28 @@ mod tests {
         assert_eq!(stats.apply_steps(), 5);
         assert_eq!(stats.peak_live_nodes(), 50);
         assert_eq!(stats.peak_arena_bytes(), 100);
+    }
+
+    #[test]
+    fn manager_operations_publish_their_steps_even_when_they_trip() {
+        use crate::{Manager, Var};
+        let stats = ApplyStats::shared();
+        let budget = Budget::unlimited().with_stats(stats.clone());
+        let mut m = Manager::new(8);
+        let mut acc = m.bdd_var(Var(0));
+        for v in 1..8 {
+            let x = m.bdd_var(Var(v));
+            acc = m.try_bdd_xor(acc, x, &budget).expect("unlimited");
+            assert_eq!(stats.apply_steps(), budget.steps());
+        }
+        let peak = stats.peak_live_nodes();
+        assert!(peak > 0 && peak <= m.arena_len() as u64, "peak {peak}");
+
+        let stats = ApplyStats::shared();
+        let budget = Budget::unlimited().with_stats(stats.clone()).trip_after(3);
+        let y = m.bdd_var(Var(7));
+        assert!(m.try_bdd_and(acc, y, &budget).is_err());
+        assert_eq!((budget.steps(), stats.apply_steps()), (3, 3));
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! mechanism: a linear-time rebuild of the diagram with a set of nodes
 //! replaced by constants.
 
-use crate::hash::FxHashMap;
 use crate::manager::{Add, Manager};
+use crate::marks::Marks;
 use crate::node::NodeId;
 
 impl Manager {
     /// Rebuilds `f` with every node in `replacements` collapsed to the given
-    /// constant leaf value.
+    /// constant leaf value (a node listed twice takes its last value).
     ///
     /// If a replaced node is an ancestor of another replaced node, the
     /// ancestor wins (its whole sub-ADD, including the inner replacement
@@ -22,7 +22,9 @@ impl Manager {
     /// behavior of the paper's "several sub-trees can be independently
     /// collapsed during a traversal".
     ///
-    /// Runs in time linear in the size of `f`.
+    /// Runs in time linear in the size of `f` plus the length of
+    /// `replacements`; a sub-diagram that contains no replacement is kept
+    /// as it is, not rebuilt.
     ///
     /// # Panics
     ///
@@ -32,7 +34,6 @@ impl Manager {
     ///
     /// ```
     /// use charfree_dd::{Manager, Var};
-    /// use charfree_dd::hash::FxHashMap;
     ///
     /// let mut m = Manager::new(2);
     /// let x0 = m.bdd_var(Var(0));
@@ -43,39 +44,47 @@ impl Manager {
     /// let f = m.add_ite(x0, c10, inner);
     ///
     /// // Collapse the inner node to its average, 5.0 (paper Ex. 3/4).
-    /// let mut repl = FxHashMap::default();
-    /// repl.insert(inner.node(), 5.0);
-    /// let g = m.collapse(f, &repl);
+    /// let g = m.collapse(f, &[(inner.node(), 5.0)]);
     /// assert_eq!(m.add_eval(g, &[false, false]), 5.0);
     /// assert_eq!(m.add_eval(g, &[false, true]), 5.0);
     /// assert_eq!(m.add_eval(g, &[true, false]), 10.0);
     /// ```
-    pub fn collapse(&mut self, f: Add, replacements: &FxHashMap<NodeId, f64>) -> Add {
-        let mut memo: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        Add(self.collapse_rec(f.node(), replacements, &mut memo))
+    pub fn collapse(&mut self, f: Add, replacements: &[(NodeId, f64)]) -> Add {
+        Marks::with(self.arena_counts(), |marks| {
+            // A replaced node is tagged with its entry's index.
+            for (i, &(id, _)) in replacements.iter().enumerate() {
+                marks.tag(id, i as u32);
+            }
+            Add(self.collapse_rec(f.node(), replacements, marks))
+        })
     }
 
     fn collapse_rec(
         &mut self,
         f: NodeId,
-        replacements: &FxHashMap<NodeId, f64>,
-        memo: &mut FxHashMap<NodeId, NodeId>,
+        replacements: &[(NodeId, f64)],
+        marks: &mut Marks,
     ) -> NodeId {
-        if let Some(&v) = replacements.get(&f) {
-            return self.terminal(v);
+        if let Some(i) = marks.tag_of(f) {
+            return self.terminal(replacements[i as usize].1);
         }
         if f.is_terminal() {
             return f;
         }
-        if let Some(&r) = memo.get(&f) {
-            return r;
+        if let Some(r) = marks.memo(f) {
+            return NodeId::from_bits(r);
         }
         let (lo, hi) = self.children(f);
         let var = self.node_var(f).index();
-        let lo2 = self.collapse_rec(lo, replacements, memo);
-        let hi2 = self.collapse_rec(hi, replacements, memo);
-        let r = self.mk(var, lo2, hi2);
-        memo.insert(f, r);
+        let lo2 = self.collapse_rec(lo, replacements, marks);
+        let hi2 = self.collapse_rec(hi, replacements, marks);
+        // `mk` would find `f` itself in the unique table.
+        let r = if (lo2, hi2) == (lo, hi) {
+            f
+        } else {
+            self.mk(var, lo2, hi2)
+        };
+        marks.remember(f, r.to_bits());
         r
     }
 }
@@ -107,9 +116,7 @@ mod tests {
         let mut m = Manager::new(2);
         let (f, inner) = example(&mut m);
         let before = m.size(f.node());
-        let mut repl = FxHashMap::default();
-        repl.insert(inner.node(), 5.0);
-        let g = m.collapse(f, &repl);
+        let g = m.collapse(f, &[(inner.node(), 5.0)]);
         assert!(m.size(g.node()) < before);
     }
 
@@ -117,7 +124,7 @@ mod tests {
     fn collapse_with_empty_map_is_identity() {
         let mut m = Manager::new(2);
         let (f, _) = example(&mut m);
-        let g = m.collapse(f, &FxHashMap::default());
+        let g = m.collapse(f, &[]);
         assert_eq!(f, g);
     }
 
@@ -125,9 +132,7 @@ mod tests {
     fn collapse_root_gives_constant() {
         let mut m = Manager::new(2);
         let (f, _) = example(&mut m);
-        let mut repl = FxHashMap::default();
-        repl.insert(f.node(), 7.5);
-        let g = m.collapse(f, &repl);
+        let g = m.collapse(f, &[(f.node(), 7.5)]);
         assert!(g.node().is_terminal());
         assert_eq!(m.terminal_value(g.node()), 7.5);
     }
@@ -136,10 +141,7 @@ mod tests {
     fn ancestor_replacement_wins() {
         let mut m = Manager::new(2);
         let (f, inner) = example(&mut m);
-        let mut repl = FxHashMap::default();
-        repl.insert(f.node(), 1.0);
-        repl.insert(inner.node(), 99.0);
-        let g = m.collapse(f, &repl);
+        let g = m.collapse(f, &[(f.node(), 1.0), (inner.node(), 99.0)]);
         assert!(g.node().is_terminal());
         assert_eq!(m.terminal_value(g.node()), 1.0);
     }
@@ -161,9 +163,7 @@ mod tests {
         let f = m.add_ite(x0, s1, s2);
 
         // s1 averages 5 over its two assignments.
-        let mut repl = FxHashMap::default();
-        repl.insert(s1.node(), 5.0);
-        let g = m.collapse(f, &repl);
+        let g = m.collapse(f, &[(s1.node(), 5.0)]);
         let mean = |m: &Manager, f: Add| values(m, f).iter().sum::<f64>() / 8.0;
         assert_eq!(mean(&m, f), mean(&m, g));
     }
@@ -182,9 +182,7 @@ mod tests {
         let f = m.add_ite(x0, s1, s2);
 
         // s2's maximum is 2.
-        let mut repl = FxHashMap::default();
-        repl.insert(s2.node(), 2.0);
-        let g = m.collapse(f, &repl);
+        let g = m.collapse(f, &[(s2.node(), 2.0)]);
 
         let (before, after) = (values(&m, f), values(&m, g));
         assert!(after.iter().zip(&before).all(|(a, b)| a >= b));

@@ -15,12 +15,17 @@
 //!   `add_times`/`add_sum` vocabulary of the paper's Fig. 6 pseudo-code;
 //! * per-node statistics (average, variance, min and max of Eqs. 5–7,
 //!   and reach probability) under input measures, in one bottom-up and
-//!   one top-down pass over a dense, canonically ordered [`Snapshot`] of
-//!   the diagram ([`Snapshot::profile`]);
+//!   one top-down pass per measure over a dense, canonically ordered
+//!   [`Snapshot`] of the diagram, in O(n) working memory
+//!   ([`Snapshot::profile`]);
 //! * linear-time node collapsing ([`Manager::collapse`]) — the mechanism
 //!   behind the paper's accuracy/complexity trade-off;
 //! * variable permutation and windowed reordering ([`reorder`]), and
 //!   garbage collection ([`Manager::compact`]).
+//!
+//! Whole-diagram passes (`size`, `snapshot`, `collapse`, `compact`, …)
+//! mark and memoize nodes in one per-thread array indexed by arena slot,
+//! not in a hash map per pass; a [`Manager`] stays `Send + Sync`.
 //!
 //! ## Example: the switching-capacitance ADD of the paper's Fig. 2
 //!
@@ -64,6 +69,7 @@ pub mod shared;
 pub mod budget;
 mod collapse;
 mod manager;
+mod marks;
 mod node;
 pub mod reorder;
 mod snapshot;

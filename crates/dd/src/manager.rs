@@ -3,6 +3,7 @@
 
 use crate::budget::{Budget, DdError};
 use crate::hash::{canonical_f64_bits, FxHashMap, FxHashSet};
+use crate::marks::Marks;
 use crate::node::{Node, NodeId, Var};
 use crate::shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable};
 use std::sync::Arc;
@@ -221,6 +222,13 @@ pub struct Manager {
     fp_nodes: FxHashMap<Fingerprint, NodeId>,
 }
 
+// Managers move to and are shared across worker threads; the pass
+// scratch is thread-local (see `marks`) so that stays true.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Manager>()
+};
+
 impl Manager {
     /// Creates a manager with `num_vars` decision variables.
     ///
@@ -395,6 +403,12 @@ impl Manager {
     pub fn arena_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<Node>()
             + self.terminals.len() * std::mem::size_of::<f64>()
+    }
+
+    /// Internal and terminal node counts, the shape [`Marks::with`]
+    /// lays its slots out by.
+    pub(crate) fn arena_counts(&self) -> (usize, usize) {
+        (self.nodes.len(), self.terminals.len())
     }
 
     // ----- terminals -------------------------------------------------------
@@ -653,18 +667,19 @@ impl Manager {
     ///
     /// Panics if `op` produces NaN.
     pub fn add_map_terminals(&mut self, f: Add, op: impl Fn(f64) -> f64) -> Add {
-        let mut memo: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        Add(self.map_terminals_rec(f.0, &op, &mut memo))
+        Marks::with(self.arena_counts(), |memo| {
+            Add(self.map_terminals_rec(f.0, &op, memo))
+        })
     }
 
     fn map_terminals_rec(
         &mut self,
         f: NodeId,
         op: &impl Fn(f64) -> f64,
-        memo: &mut FxHashMap<NodeId, NodeId>,
+        memo: &mut Marks,
     ) -> NodeId {
-        if let Some(&r) = memo.get(&f) {
-            return r;
+        if let Some(r) = memo.memo(f) {
+            return NodeId::from_bits(r);
         }
         let r = if f.is_terminal() {
             let v = op(self.terminal_value(f));
@@ -674,9 +689,14 @@ impl Manager {
             let var = self.level(f);
             let lo2 = self.map_terminals_rec(lo, op, memo);
             let hi2 = self.map_terminals_rec(hi, op, memo);
-            self.mk(var, lo2, hi2)
+            // `mk` would find `f` itself in the unique table.
+            if (lo2, hi2) == (lo, hi) {
+                f
+            } else {
+                self.mk(var, lo2, hi2)
+            }
         };
-        memo.insert(f, r);
+        memo.remember(f, r.to_bits());
         r
     }
 
@@ -712,7 +732,7 @@ impl Manager {
     ///
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_bdd_and(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        Ok(Bdd(self.apply_in(BinOp::And, f.0, g.0, budget)?))
+        Ok(Bdd(self.apply_op(BinOp::And, f.0, g.0, budget)?))
     }
 
     /// Budgeted [`Manager::bdd_or`].
@@ -721,7 +741,7 @@ impl Manager {
     ///
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_bdd_or(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        Ok(Bdd(self.apply_in(BinOp::Or, f.0, g.0, budget)?))
+        Ok(Bdd(self.apply_op(BinOp::Or, f.0, g.0, budget)?))
     }
 
     /// Budgeted [`Manager::bdd_xor`].
@@ -730,7 +750,7 @@ impl Manager {
     ///
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_bdd_xor(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        Ok(Bdd(self.apply_in(BinOp::Xor, f.0, g.0, budget)?))
+        Ok(Bdd(self.apply_op(BinOp::Xor, f.0, g.0, budget)?))
     }
 
     /// Budgeted Boolean equivalence (`f ↔ g`).
@@ -749,7 +769,7 @@ impl Manager {
     ///
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_bdd_ite(&mut self, f: Bdd, g: Bdd, h: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        Ok(Bdd(self.ite_in(f.0, g.0, h.0, budget)?))
+        Ok(Bdd(self.ite_op(f.0, g.0, h.0, budget)?))
     }
 
     /// Budgeted [`Manager::add_apply`].
@@ -764,7 +784,7 @@ impl Manager {
         g: Add,
         budget: &Budget,
     ) -> Result<Add, DdError> {
-        Ok(Add(self.apply_in(op, f.0, g.0, budget)?))
+        Ok(Add(self.apply_op(op, f.0, g.0, budget)?))
     }
 
     /// Budgeted [`Manager::add_plus`].
@@ -804,8 +824,22 @@ impl Manager {
     /// Infallible apply: delegates to the budgeted recursion with an
     /// unlimited budget, which cannot fail.
     fn apply(&mut self, op: BinOp, f: NodeId, g: NodeId) -> NodeId {
-        self.apply_in(op, f, g, &Budget::unlimited())
+        self.apply_op(op, f, g, &Budget::unlimited())
             .expect("unlimited budget cannot be exceeded")
+    }
+
+    /// One top-level apply: the recursion counts its steps in `budget`,
+    /// which publishes them to its stats sink once, here.
+    fn apply_op(
+        &mut self,
+        op: BinOp,
+        f: NodeId,
+        g: NodeId,
+        budget: &Budget,
+    ) -> Result<NodeId, DdError> {
+        let result = self.apply_in(op, f, g, budget);
+        budget.publish();
+        result
     }
 
     fn apply_in(
@@ -933,7 +967,7 @@ impl Manager {
 
         // Recursion checkpoint: this is a cache miss, so real work — and
         // up to one fresh node — happens past this point.
-        budget.checkpoint(self.arena_len(), self.arena_bytes())?;
+        budget.step(self.arena_len(), self.arena_bytes())?;
 
         let level = self.level(a).min(self.level(b));
         let (a0, a1) = self.expand(a, level);
@@ -951,8 +985,21 @@ impl Manager {
     /// Infallible ITE: delegates to the budgeted recursion with an
     /// unlimited budget, which cannot fail.
     fn ite_rec(&mut self, f: NodeId, g: NodeId, h: NodeId) -> NodeId {
-        self.ite_in(f, g, h, &Budget::unlimited())
+        self.ite_op(f, g, h, &Budget::unlimited())
             .expect("unlimited budget cannot be exceeded")
+    }
+
+    /// One top-level ITE (see [`Manager::apply_op`]).
+    fn ite_op(
+        &mut self,
+        f: NodeId,
+        g: NodeId,
+        h: NodeId,
+        budget: &Budget,
+    ) -> Result<NodeId, DdError> {
+        let result = self.ite_in(f, g, h, budget);
+        budget.publish();
+        result
     }
 
     fn ite_in(
@@ -996,7 +1043,7 @@ impl Manager {
         };
 
         // Recursion checkpoint (cache miss — see `apply_in`).
-        budget.checkpoint(self.arena_len(), self.arena_bytes())?;
+        budget.step(self.arena_len(), self.arena_bytes())?;
 
         let level = self.level(f).min(self.level(g)).min(self.level(h));
         let (f0, f1) = self.expand(f, level);
@@ -1053,59 +1100,55 @@ impl Manager {
     /// (CUDD's `Cudd_DagSize` convention, which is also how the paper counts
     /// "ADD nodes" against `MAX`).
     pub fn size(&self, root: NodeId) -> usize {
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) || id.is_terminal() {
-                continue;
-            }
-            let (lo, hi) = self.children(id);
-            stack.push(lo);
-            stack.push(hi);
-        }
-        seen.len()
+        let mut size = 0;
+        self.visit_reachable(root, |_| size += 1);
+        size
     }
 
     /// All internal nodes reachable from `root`, children before parents.
     pub fn topological_nodes(&self, root: NodeId) -> Vec<NodeId> {
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
         let mut order = Vec::new();
+        self.visit_reachable(root, |id| {
+            if !id.is_terminal() {
+                order.push(id);
+            }
+        });
         // The arena is naturally topological (children are interned before
         // parents), so a reachability pass plus an index sort suffices.
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if id.is_terminal() || !seen.insert(id) {
-                continue;
-            }
-            order.push(id);
-            let (lo, hi) = self.children(id);
-            stack.push(lo);
-            stack.push(hi);
-        }
-        order.sort_by_key(|id| id.arena_index());
+        order.sort_unstable_by_key(|id| id.arena_index());
         order
     }
 
     /// The set of distinct terminal values reachable from `root`
     /// (ascending).
     pub fn terminal_values(&self, root: NodeId) -> Vec<f64> {
-        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-        let mut stack = vec![root];
         let mut values = Vec::new();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
+        self.visit_reachable(root, |id| {
             if id.is_terminal() {
                 values.push(self.terminal_value(id));
-            } else {
-                let (lo, hi) = self.children(id);
-                stack.push(lo);
-                stack.push(hi);
             }
-        }
+        });
         values.sort_by(|a, b| a.partial_cmp(b).expect("terminals are not NaN"));
         values
+    }
+
+    /// Calls `visit` once on every node reachable from `root`, terminals
+    /// included, in depth-first order.
+    fn visit_reachable(&self, root: NodeId, mut visit: impl FnMut(NodeId)) {
+        Marks::with(self.arena_counts(), |marks| {
+            let mut stack = vec![root];
+            while let Some(id) = stack.pop() {
+                if !marks.visit(id) {
+                    continue;
+                }
+                visit(id);
+                if !id.is_terminal() {
+                    let (lo, hi) = self.children(id);
+                    stack.push(lo);
+                    stack.push(hi);
+                }
+            }
+        });
     }
 
     /// The variables actually tested anywhere in `root` (ascending).
@@ -1224,69 +1267,220 @@ impl Manager {
     ///
     /// **Every** handle not passed through `roots` is invalidated.
     pub fn compact(&mut self, roots: &[NodeId]) -> Vec<NodeId> {
-        // Reachability.
-        let mut keep: FxHashSet<NodeId> = FxHashSet::default();
-        let mut stack: Vec<NodeId> = roots.to_vec();
-        while let Some(id) = stack.pop() {
-            if !keep.insert(id) || id.is_terminal() {
-                continue;
+        let (new_nodes, new_terms, remapped) = Marks::with(self.arena_counts(), |marks| {
+            // Reachability: kept nodes are seen.
+            let mut stack: Vec<NodeId> = roots.to_vec();
+            while let Some(id) = stack.pop() {
+                if !marks.visit(id) || id.is_terminal() {
+                    continue;
+                }
+                let (lo, hi) = self.children(id);
+                stack.push(lo);
+                stack.push(hi);
             }
-            let (lo, hi) = self.children(id);
-            stack.push(lo);
-            stack.push(hi);
-        }
 
-        // Rebuild arenas in (topological) index order.
-        let mut remap: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-        let mut new_terms: Vec<f64> = Vec::new();
-        let mut new_term_unique: FxHashMap<u64, NodeId> = FxHashMap::default();
-        for (i, &v) in self.terminals.iter().enumerate() {
-            let old = NodeId::terminal(i as u32);
-            // Always keep 0/1 so `zero`/`one` handles stay valid.
-            if keep.contains(&old) || v == 0.0 || v == 1.0 {
-                let id = NodeId::terminal(new_terms.len() as u32);
-                new_terms.push(v);
-                new_term_unique.insert(v.to_bits(), id);
-                remap.insert(old, id);
-            }
-        }
-        let mut new_nodes: Vec<Node> = Vec::new();
-        let mut new_unique: FxHashMap<Node, NodeId> = FxHashMap::default();
-        for (i, n) in self.nodes.iter().enumerate() {
-            let old = NodeId::internal(i as u32);
-            if !keep.contains(&old) {
-                continue;
-            }
-            let key = Node {
-                var: n.var,
-                lo: remap[&n.lo],
-                hi: remap[&n.hi],
+            // Rebuild arenas in (topological) index order; each kept
+            // node's memo is its new handle.
+            let remap = |marks: &Marks, old: NodeId| {
+                NodeId::from_bits(marks.memo(old).expect("kept nodes are remapped in order"))
             };
-            let id = NodeId::internal(new_nodes.len() as u32);
-            new_nodes.push(key);
-            new_unique.insert(key, id);
-            remap.insert(old, id);
-        }
+            let mut new_terms: Vec<f64> = Vec::new();
+            for (i, &v) in self.terminals.iter().enumerate() {
+                let old = NodeId::terminal(i as u32);
+                // Always keep 0/1 so `zero`/`one` handles stay valid.
+                if marks.seen(old) || v == 0.0 || v == 1.0 {
+                    let id = NodeId::terminal(new_terms.len() as u32);
+                    new_terms.push(v);
+                    marks.remember(old, id.to_bits());
+                }
+            }
+            let mut new_nodes: Vec<Node> = Vec::new();
+            for (i, n) in self.nodes.iter().enumerate() {
+                let old = NodeId::internal(i as u32);
+                if !marks.seen(old) {
+                    continue;
+                }
+                let key = Node {
+                    var: n.var,
+                    lo: remap(marks, n.lo),
+                    hi: remap(marks, n.hi),
+                };
+                let id = NodeId::internal(new_nodes.len() as u32);
+                new_nodes.push(key);
+                marks.remember(old, id.to_bits());
+            }
+            let remapped: Vec<NodeId> = [self.zero, self.one]
+                .iter()
+                .chain(roots)
+                .map(|&r| remap(marks, r))
+                .collect();
+            (new_nodes, new_terms, remapped)
+        });
 
+        self.unique = new_nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| (key, NodeId::internal(i as u32)))
+            .collect();
+        self.term_unique = new_terms
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.to_bits(), NodeId::terminal(i as u32)))
+            .collect();
         self.nodes = new_nodes;
         self.terminals = new_terms;
-        self.unique = new_unique;
-        self.term_unique = new_term_unique;
         self.cache2.clear();
         self.cache3.clear();
-        self.zero = remap[&self.zero];
-        self.one = remap[&self.one];
+        self.zero = remapped[0];
+        self.one = remapped[1];
         // The arena was re-indexed: rebuild the fingerprint mirrors (the
         // shared table itself keeps the old entries — structure is
         // arena-independent and write-once).
         self.refingerprint();
-        roots.iter().map(|r| remap[r]).collect()
+        remapped[2..].to_vec()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io;
+    use charfree_netlist::testutil::{check, Gen};
+
+    /// `add_map_terminals` as it was before the pass scratch: a fresh
+    /// hash-map memo, and every internal node rebuilt through `mk`.
+    fn map_terminals_reference(m: &mut Manager, f: NodeId, op: &impl Fn(f64) -> f64) -> NodeId {
+        fn rec(
+            m: &mut Manager,
+            f: NodeId,
+            op: &impl Fn(f64) -> f64,
+            memo: &mut FxHashMap<NodeId, NodeId>,
+        ) -> NodeId {
+            if let Some(&r) = memo.get(&f) {
+                return r;
+            }
+            let r = if f.is_terminal() {
+                let v = op(m.terminal_value(f));
+                m.terminal(v)
+            } else {
+                let (lo, hi) = m.children(f);
+                let var = m.level(f);
+                let lo2 = rec(m, lo, op, memo);
+                let hi2 = rec(m, hi, op, memo);
+                m.mk(var, lo2, hi2)
+            };
+            memo.insert(f, r);
+            r
+        }
+        rec(m, f, op, &mut FxHashMap::default())
+    }
+
+    /// `collapse` as it was before the pass scratch: replacements and
+    /// memo in hash maps, every internal node rebuilt through `mk`.
+    fn collapse_reference(m: &mut Manager, f: NodeId, replacements: &[(NodeId, f64)]) -> NodeId {
+        fn rec(
+            m: &mut Manager,
+            f: NodeId,
+            replacements: &FxHashMap<NodeId, f64>,
+            memo: &mut FxHashMap<NodeId, NodeId>,
+        ) -> NodeId {
+            if let Some(&v) = replacements.get(&f) {
+                return m.terminal(v);
+            }
+            if f.is_terminal() {
+                return f;
+            }
+            if let Some(&r) = memo.get(&f) {
+                return r;
+            }
+            let (lo, hi) = m.children(f);
+            let var = m.level(f);
+            let lo2 = rec(m, lo, replacements, memo);
+            let hi2 = rec(m, hi, replacements, memo);
+            let r = m.mk(var, lo2, hi2);
+            memo.insert(f, r);
+            r
+        }
+        let replacements = replacements.iter().copied().collect();
+        rec(m, f, &replacements, &mut FxHashMap::default())
+    }
+
+    /// Weighted conjunctions of literals over five variables.
+    type Terms = Vec<(Vec<(u32, bool)>, u32)>;
+
+    fn random_terms(g: &mut Gen) -> Terms {
+        g.vec(1..7, |g| {
+            let literals = g.vec(1..4, |g| (g.range(0..5), g.below(2) == 1));
+            (literals, g.range(1..5))
+        })
+    }
+
+    /// The sum of `terms`, in an arena that also holds the partial sums
+    /// and products built on the way.
+    fn build_terms(terms: &Terms) -> (Manager, Add) {
+        let mut m = Manager::new(5);
+        let mut f = m.add_zero();
+        for (literals, weight) in terms {
+            let mut product = m.bdd_true();
+            for &(v, positive) in literals {
+                let x = m.bdd_var(Var(v));
+                let literal = if positive { x } else { m.bdd_not(x) };
+                product = m.bdd_and(product, literal);
+            }
+            let term = m.add_scale(product.as_add(), f64::from(*weight));
+            f = m.add_plus(f, term);
+        }
+        (m, f)
+    }
+
+    /// Both managers hold the same arena, and `a`/`b` dump alike.
+    fn assert_same(x: &Manager, a: NodeId, y: &Manager, b: NodeId) {
+        assert_eq!(a, b, "root");
+        assert_eq!(x.arena_len(), y.arena_len(), "arena_len");
+        assert_eq!(x.nodes, y.nodes, "nodes");
+        assert_eq!(io::dump(x, a), io::dump(y, b), "dump");
+    }
+
+    #[test]
+    fn map_terminals_and_collapse_match_the_hash_map_passes() {
+        let generate = |g: &mut Gen| {
+            (
+                random_terms(g),
+                g.range(0u32..4),
+                g.vec(0..6, |g| (g.range(0usize..64), g.range(0u32..4))),
+            )
+        };
+        check(
+            "map_terminals_and_collapse_match_the_hash_map_passes",
+            64,
+            generate,
+            |(terms, cut, picks)| {
+                let (m, f) = build_terms(terms);
+                // Terminals at or below `cut` go to zero: some sub-diagrams
+                // change and some do not.
+                let cut = f64::from(*cut);
+                let op = |v: f64| if v <= cut { 0.0 } else { v };
+                let (mut a, mut b) = (m.clone(), m.clone());
+                let ga = a.add_map_terminals(f, op).node();
+                let gb = map_terminals_reference(&mut b, f.node(), &op);
+                assert_same(&a, ga, &b, gb);
+
+                let nodes = m.topological_nodes(f.node());
+                let replacements: Vec<(NodeId, f64)> = if nodes.is_empty() {
+                    Vec::new()
+                } else {
+                    picks
+                        .iter()
+                        .map(|&(i, leaf)| (nodes[i % nodes.len()], f64::from(leaf) + 0.5))
+                        .collect()
+                };
+                let (mut a, mut b) = (m.clone(), m.clone());
+                let ga = a.collapse(f, &replacements).node();
+                let gb = collapse_reference(&mut b, f.node(), &replacements);
+                assert_same(&a, ga, &b, gb);
+            },
+        );
+    }
 
     fn setup3() -> (Manager, Bdd, Bdd, Bdd) {
         let mut m = Manager::new(3);

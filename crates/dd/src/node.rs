@@ -69,6 +69,12 @@ impl NodeId {
     pub fn to_bits(self) -> u32 {
         self.0
     }
+
+    /// The handle whose [`NodeId::to_bits`] is `bits`.
+    #[inline]
+    pub(crate) fn from_bits(bits: u32) -> Self {
+        NodeId(bits)
+    }
 }
 
 impl fmt::Debug for NodeId {

@@ -8,8 +8,10 @@
 //! arena, so [`Manager::snapshot`] copies the diagram once into flat
 //! `Vec`s and everything else runs on dense indices:
 //!
-//! * [`Snapshot::profile`] computes the statistics under `K` measures in
-//!   one bottom-up and one top-down pass;
+//! * [`Snapshot::profile`] computes the statistics under `K` measures,
+//!   measure by measure: a bottom-up pass fills one `n`-long buffer of
+//!   moments, and the top-down pass for the same measure reads it at
+//!   once, so the working memory is O(n) whatever `K` is;
 //! * [`Snapshot::means`] is the bottom-up half alone (the root average);
 //! * [`CollapseSizer::collapsed_size`] counts the size a collapse *would*
 //!   reach, in a reusable scratch hash-cons, without interning anything.
@@ -23,6 +25,7 @@
 
 use crate::hash::{canonical_f64_bits, FxHashMap};
 use crate::manager::{Add, Manager};
+use crate::marks::Marks;
 use crate::node::NodeId;
 use crate::stats::{ChainMeasure, MeasuredNode, NodeStats};
 
@@ -68,9 +71,6 @@ impl Manager {
     /// precede parents and the root is last), terminals by ascending value.
     pub fn snapshot(&self, f: Add) -> Snapshot {
         let root = f.node();
-        // Dense reference of every visited node; `u32::MAX` marks a node
-        // whose children are still being visited.
-        let mut index: FxHashMap<NodeId, u32> = FxHashMap::default();
         let mut snap = Snapshot {
             num_vars: self.num_vars(),
             ids: Vec::new(),
@@ -80,35 +80,41 @@ impl Manager {
             terminals: Vec::new(),
             root: 0,
         };
-        let mut stack = vec![(root, false)];
-        while let Some((id, children_done)) = stack.pop() {
-            if children_done {
+        // Each visited node memoizes its dense reference; `u32::MAX`
+        // marks a node whose children are still being visited.
+        Marks::with(self.arena_counts(), |index| {
+            let dense = |index: &Marks, id: NodeId| index.memo(id).expect("child visited first");
+            let mut stack = vec![(root, false)];
+            while let Some((id, children_done)) = stack.pop() {
+                if children_done {
+                    let (lo, hi) = self.children(id);
+                    let i = snap.ids.len() as u32;
+                    index.remember(id, i);
+                    snap.ids.push(id);
+                    snap.var.push(self.node_var(id).index());
+                    snap.lo.push(dense(index, lo));
+                    snap.hi.push(dense(index, hi));
+                    continue;
+                }
+                if index.memo(id).is_some() {
+                    continue;
+                }
+                if id.is_terminal() {
+                    index.remember(id, TERM | snap.terminals.len() as u32);
+                    snap.terminals.push(self.terminal_value(id));
+                    continue;
+                }
+                // A DAG never revisits a node whose children are in
+                // progress, so this marker is overwritten before anyone
+                // reads it.
+                index.remember(id, u32::MAX);
                 let (lo, hi) = self.children(id);
-                let i = snap.ids.len() as u32;
-                index.insert(id, i);
-                snap.ids.push(id);
-                snap.var.push(self.node_var(id).index());
-                snap.lo.push(index[&lo]);
-                snap.hi.push(index[&hi]);
-                continue;
+                stack.push((id, true));
+                stack.push((hi, false));
+                stack.push((lo, false));
             }
-            if index.contains_key(&id) {
-                continue;
-            }
-            if id.is_terminal() {
-                index.insert(id, TERM | snap.terminals.len() as u32);
-                snap.terminals.push(self.terminal_value(id));
-                continue;
-            }
-            // A DAG never revisits a node whose children are in progress,
-            // so this marker is overwritten before anyone reads it.
-            index.insert(id, u32::MAX);
-            let (lo, hi) = self.children(id);
-            stack.push((id, true));
-            stack.push((hi, false));
-            stack.push((lo, false));
-        }
-        snap.root = index[&root];
+            snap.root = dense(index, root);
+        });
 
         // Re-number terminals by ascending value (interned terminals have
         // distinct values, so the order is total).
@@ -172,13 +178,6 @@ struct Moments {
     var: [f64; 3],
 }
 
-/// [`Moments`] of every internal node under every measure: entry
-/// `i * k + t` holds node `i` under measure `t`.
-struct BottomUp {
-    k: usize,
-    moments: Vec<Moments>,
-}
-
 impl Snapshot {
     /// Number of internal (decision) nodes.
     pub fn len(&self) -> usize {
@@ -222,12 +221,11 @@ impl Snapshot {
     }
 
     /// `(avg, var)` of the child `r` of a node testing `v`, as seen after
-    /// taking `branch` under measure `t`.
+    /// taking `branch` under the measure `moments` were computed for.
     #[inline]
     fn child_moments(
         &self,
-        bu: &BottomUp,
-        t: usize,
+        moments: &[Moments],
         r: u32,
         v: u32,
         branch: u8,
@@ -237,39 +235,33 @@ impl Snapshot {
             return (self.terminals[(r & !TERM) as usize], 0.0);
         }
         let ctx = self.child_context(r, v, branch, table);
-        let mo = &bu.moments[r as usize * bu.k + t];
+        let mo = &moments[r as usize];
         (mo.avg[ctx], mo.var[ctx])
     }
 
-    /// The bottom-up pass: for every node, measure and context in which
-    /// the node can be reached, the average and variance of its
-    /// sub-function (Eq. 7 under the measure). Uncorrelated variables are
-    /// reached in context 0 only.
-    fn bottom_up(&self, tables: &[MeasureTable]) -> BottomUp {
-        let k = tables.len();
-        let n = self.len();
-        let mut bu = BottomUp {
-            k,
-            moments: vec![Moments::default(); n * k],
-        };
-        for i in 0..n {
+    /// The bottom-up pass under one measure: for every node and context
+    /// in which the node can be reached, the average and variance of its
+    /// sub-function (Eq. 7 under the measure), into `moments[i]`.
+    /// Uncorrelated variables are reached in context 0 only; the other
+    /// two contexts of their nodes keep whatever an earlier measure left,
+    /// and nothing reads them (a child is seen in context 1 or 2 only if
+    /// its variable is correlated).
+    fn bottom_up(&self, table: &MeasureTable, moments: &mut [Moments]) {
+        for i in 0..self.len() {
             let v = self.var[i];
-            for (t, table) in tables.iter().enumerate() {
-                let (al, vl) = self.child_moments(&bu, t, self.lo[i], v, 0, table);
-                let (ah, vh) = self.child_moments(&bu, t, self.hi[i], v, 1, table);
-                let contexts = if table.correlated[v as usize] { 3 } else { 1 };
-                for ctx in 0..contexts {
-                    let p1 = table.p[v as usize][ctx];
-                    let avg = (1.0 - p1) * al + p1 * ah;
-                    let var = (1.0 - p1) * (vl + (al - avg) * (al - avg))
-                        + p1 * (vh + (ah - avg) * (ah - avg));
-                    let mo = &mut bu.moments[i * k + t];
-                    mo.avg[ctx] = avg;
-                    mo.var[ctx] = var;
-                }
+            let (al, vl) = self.child_moments(moments, self.lo[i], v, 0, table);
+            let (ah, vh) = self.child_moments(moments, self.hi[i], v, 1, table);
+            let contexts = if table.correlated[v as usize] { 3 } else { 1 };
+            let mo = &mut moments[i];
+            for ctx in 0..contexts {
+                let p1 = table.p[v as usize][ctx];
+                let avg = (1.0 - p1) * al + p1 * ah;
+                let var = (1.0 - p1) * (vl + (al - avg) * (al - avg))
+                    + p1 * (vh + (ah - avg) * (ah - avg));
+                mo.avg[ctx] = avg;
+                mo.var[ctx] = var;
             }
         }
-        bu
     }
 
     /// The average of the whole function under each measure: the
@@ -301,10 +293,13 @@ impl Snapshot {
         if self.root & TERM != 0 {
             return vec![self.terminals[(self.root & !TERM) as usize]; tables.len()];
         }
-        let k = tables.len();
-        let bu = self.bottom_up(&tables);
-        (0..k)
-            .map(|t| bu.moments[self.root as usize * k + t].avg[0])
+        let mut moments = vec![Moments::default(); self.len()];
+        tables
+            .iter()
+            .map(|table| {
+                self.bottom_up(table, &mut moments);
+                moments[self.root as usize].avg[0]
+            })
             .collect()
     }
 
@@ -316,7 +311,8 @@ impl Snapshot {
     }
 
     /// Per-node statistics and reach probabilities under each of `measures`
-    /// (see [`ChainMeasure`]), in one bottom-up and one top-down pass.
+    /// (see [`ChainMeasure`]), in one bottom-up and one top-down pass per
+    /// measure.
     ///
     /// For every internal node and measure the profile holds the
     /// measure-weighted average and variance of the node's sub-function,
@@ -357,32 +353,33 @@ impl Snapshot {
         let tables = self.tables(measures);
         let k = tables.len();
         let n = self.len();
-        let bu = self.bottom_up(&tables);
 
-        // Top-down reach mass per (node, measure, context); terminals are
-        // always reached in context 0.
-        let mut mass = vec![[0.0f64; 3]; n * k];
         let mut term_reach = vec![0.0f64; self.terminals.len() * k];
         if self.root & TERM != 0 {
             term_reach.fill(1.0);
-        } else {
-            for t in 0..k {
-                mass[self.root as usize * k + t][0] = 1.0;
-            }
         }
         let mut reach = vec![0.0f64; n * k];
         let mut avg = vec![0.0f64; n * k];
         let mut var = vec![0.0f64; n * k];
-        // Reverse post-order visits every parent before its children, so a
-        // node's mass is final when the node comes up.
-        for i in (0..n).rev() {
-            let v = self.var[i];
-            for (t, table) in tables.iter().enumerate() {
+        // Per measure: its bottom-up moments, then its top-down reach mass
+        // per (node, context); terminals are always reached in context 0.
+        let mut moments = vec![Moments::default(); n];
+        let mut mass = vec![[0.0f64; 3]; n];
+        for (t, table) in tables.iter().enumerate() {
+            self.bottom_up(table, &mut moments);
+            if n > 0 {
+                mass.fill([0.0; 3]);
+                mass[self.root as usize][0] = 1.0;
+            }
+            // Reverse post-order visits every parent before its children,
+            // so a node's mass is final when the node comes up.
+            for i in (0..n).rev() {
+                let v = self.var[i];
                 let e = i * k + t;
-                let w3 = mass[e];
+                let w3 = mass[i];
 
                 // Mix the node's contexts, from raw moments.
-                let mo = &bu.moments[e];
+                let mo = &moments[i];
                 let (mut w_sum, mut m1, mut m2) = (0.0f64, 0.0f64, 0.0f64);
                 for (ctx, &w) in w3.iter().enumerate() {
                     if w <= 0.0 {
@@ -417,7 +414,7 @@ impl Snapshot {
                             term_reach[(child & !TERM) as usize * k + t] += w * share;
                         } else {
                             let cctx = self.child_context(child, v, branch, table);
-                            mass[child as usize * k + t][cctx] += w * share;
+                            mass[child as usize][cctx] += w * share;
                         }
                     }
                 }
@@ -606,6 +603,222 @@ fn intern_leaf(leaves: &mut FxHashMap<u64, u32>, bits: u64) -> u32 {
 mod tests {
     use super::*;
     use crate::node::Var;
+    use crate::stats::VarMeasure;
+    use charfree_netlist::testutil::{check, Gen};
+
+    /// The node-major bottom-up pass `profile` and `means` ran before they
+    /// went measure by measure: entry `i * k + t` holds node `i` under
+    /// measure `t`.
+    fn reference_bottom_up(snap: &Snapshot, tables: &[MeasureTable]) -> Vec<Moments> {
+        let k = tables.len();
+        let n = snap.len();
+        let mut moments = vec![Moments::default(); n * k];
+        let child = |moments: &[Moments], t: usize, r: u32, v: u32, branch: u8, table| {
+            if r & TERM != 0 {
+                return (snap.terminals[(r & !TERM) as usize], 0.0);
+            }
+            let ctx = snap.child_context(r, v, branch, table);
+            let mo: &Moments = &moments[r as usize * k + t];
+            (mo.avg[ctx], mo.var[ctx])
+        };
+        for i in 0..n {
+            let v = snap.var[i];
+            for (t, table) in tables.iter().enumerate() {
+                let (al, vl) = child(&moments, t, snap.lo[i], v, 0, table);
+                let (ah, vh) = child(&moments, t, snap.hi[i], v, 1, table);
+                let contexts = if table.correlated[v as usize] { 3 } else { 1 };
+                for ctx in 0..contexts {
+                    let p1 = table.p[v as usize][ctx];
+                    let avg = (1.0 - p1) * al + p1 * ah;
+                    let var = (1.0 - p1) * (vl + (al - avg) * (al - avg))
+                        + p1 * (vh + (ah - avg) * (ah - avg));
+                    let mo = &mut moments[i * k + t];
+                    mo.avg[ctx] = avg;
+                    mo.var[ctx] = var;
+                }
+            }
+        }
+        moments
+    }
+
+    /// The node-major `means`: the oracle for the streaming one.
+    fn reference_means(snap: &Snapshot, measures: &[&ChainMeasure]) -> Vec<f64> {
+        let tables = snap.tables(measures);
+        if snap.root & TERM != 0 {
+            return vec![snap.terminals[(snap.root & !TERM) as usize]; tables.len()];
+        }
+        let k = tables.len();
+        let moments = reference_bottom_up(snap, &tables);
+        (0..k)
+            .map(|t| moments[snap.root as usize * k + t].avg[0])
+            .collect()
+    }
+
+    /// The node-major `profile` (one `n·k` moments array, one top-down
+    /// pass over every node and measure): the oracle for the streaming one.
+    fn reference_profile(snap: &Snapshot, measures: &[&ChainMeasure]) -> DenseProfile {
+        let tables = snap.tables(measures);
+        let k = tables.len();
+        let n = snap.len();
+        let moments = reference_bottom_up(snap, &tables);
+        let mut mass = vec![[0.0f64; 3]; n * k];
+        let mut term_reach = vec![0.0f64; snap.terminals.len() * k];
+        if snap.root & TERM != 0 {
+            term_reach.fill(1.0);
+        } else {
+            for t in 0..k {
+                mass[snap.root as usize * k + t][0] = 1.0;
+            }
+        }
+        let mut reach = vec![0.0f64; n * k];
+        let mut avg = vec![0.0f64; n * k];
+        let mut var = vec![0.0f64; n * k];
+        for i in (0..n).rev() {
+            let v = snap.var[i];
+            for (t, table) in tables.iter().enumerate() {
+                let e = i * k + t;
+                let w3 = mass[e];
+                let mo = &moments[e];
+                let (mut w_sum, mut m1, mut m2) = (0.0f64, 0.0f64, 0.0f64);
+                for (ctx, &w) in w3.iter().enumerate() {
+                    if w <= 0.0 {
+                        continue;
+                    }
+                    let (a, vv) = (mo.avg[ctx], mo.var[ctx]);
+                    w_sum += w;
+                    m1 += w * a;
+                    m2 += w * (vv + a * a);
+                }
+                reach[e] = w_sum;
+                if w_sum > 0.0 {
+                    avg[e] = m1 / w_sum;
+                    var[e] = (m2 / w_sum - avg[e] * avg[e]).max(0.0);
+                } else {
+                    avg[e] = mo.avg[0];
+                    var[e] = mo.var[0];
+                }
+                for (ctx, &w) in w3.iter().enumerate() {
+                    if w <= 0.0 {
+                        continue;
+                    }
+                    let p1 = table.p[v as usize][ctx];
+                    for (child, branch, share) in [(snap.lo[i], 0u8, 1.0 - p1), (snap.hi[i], 1, p1)]
+                    {
+                        if share == 0.0 {
+                            continue;
+                        }
+                        if child & TERM != 0 {
+                            term_reach[(child & !TERM) as usize * k + t] += w * share;
+                        } else {
+                            let cctx = snap.child_context(child, v, branch, table);
+                            mass[child as usize * k + t][cctx] += w * share;
+                        }
+                    }
+                }
+            }
+        }
+        let mut min = vec![0.0f64; n];
+        let mut max = vec![0.0f64; n];
+        for i in 0..n {
+            let bounds = |r: u32| {
+                if r & TERM != 0 {
+                    let x = snap.terminals[(r & !TERM) as usize];
+                    (x, x)
+                } else {
+                    (min[r as usize], max[r as usize])
+                }
+            };
+            let (lmin, lmax) = bounds(snap.lo[i]);
+            let (hmin, hmax) = bounds(snap.hi[i]);
+            min[i] = lmin.min(hmin);
+            max[i] = lmax.max(hmax);
+        }
+        DenseProfile {
+            k,
+            reach,
+            avg,
+            var,
+            min,
+            max,
+            term_reach,
+        }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Six variables, three interleaved transition pairs.
+    const PAIRS: u32 = 3;
+
+    /// A sum of weighted conjunctions of literals: value-rich, with
+    /// shared sub-diagrams and skipped levels.
+    fn random_terms(g: &mut Gen) -> Vec<(Vec<(u32, bool)>, f64)> {
+        g.vec(1..7, |g| {
+            let literals = g.vec(1..4, |g| (g.range(0..2 * PAIRS), g.below(2) == 1));
+            (literals, g.float(-4.0..12.0))
+        })
+    }
+
+    fn build_terms(m: &mut Manager, terms: &[(Vec<(u32, bool)>, f64)]) -> Add {
+        let mut f = m.add_zero();
+        for (literals, weight) in terms {
+            let mut product = m.bdd_true();
+            for &(v, positive) in literals {
+                let x = m.bdd_var(Var(v));
+                let literal = if positive { x } else { m.bdd_not(x) };
+                product = m.bdd_and(product, literal);
+            }
+            let term = m.add_scale(product.as_add(), *weight);
+            f = m.add_plus(f, term);
+        }
+        f
+    }
+
+    #[test]
+    fn streaming_profile_and_means_match_the_node_major_passes_bit_for_bit() {
+        let uniform = ChainMeasure::uniform(2 * PAIRS);
+        let transitions: Vec<ChainMeasure> = [0.05, 0.15, 0.3, 0.5, 0.8]
+            .iter()
+            .map(|&t| ChainMeasure::interleaved_transitions(PAIRS, 0.5, t))
+            .collect();
+        let skewed = ChainMeasure::new(
+            [0.9, 0.2, 0.02, 0.7, 0.5, 0.98]
+                .map(VarMeasure::Independent)
+                .to_vec(),
+        );
+        let mut measures: Vec<&ChainMeasure> = vec![&uniform];
+        measures.extend(&transitions);
+        measures.push(&skewed);
+        let generate = |g: &mut Gen| (random_terms(g), g.below(3) as usize);
+        check(
+            "streaming_profile_and_means_match_the_node_major_passes_bit_for_bit",
+            64,
+            generate,
+            |(terms, which)| {
+                let mut m = Manager::new(2 * PAIRS);
+                let f = build_terms(&mut m, terms);
+                let snap = m.snapshot(f);
+                // The whole family at once, and one measure alone.
+                let sets = [measures.clone(), vec![measures[*which * 3]]];
+                for set in &sets {
+                    let (got, want) = (snap.profile(set), reference_profile(&snap, set));
+                    assert_eq!(got.k, want.k);
+                    assert_eq!(bits(&got.reach), bits(&want.reach), "reach");
+                    assert_eq!(bits(&got.avg), bits(&want.avg), "avg");
+                    assert_eq!(bits(&got.var), bits(&want.var), "var");
+                    assert_eq!(bits(&got.min), bits(&want.min), "min");
+                    assert_eq!(bits(&got.max), bits(&want.max), "max");
+                    assert_eq!(bits(&got.term_reach), bits(&want.term_reach), "term_reach");
+                    assert_eq!(
+                        bits(&snap.means(set)),
+                        bits(&reference_means(&snap, set)),
+                        "means"
+                    );
+                }
+            },
+        );
+    }
 
     /// Σ (v+1)·x_v over `n` variables: value-rich, every node distinct.
     fn weighted_sum(m: &mut Manager, n: u32) -> Add {
@@ -690,7 +903,7 @@ mod tests {
         let leaves: Vec<f64> = (0..snap.len()).map(|i| (i % 4) as f64).collect();
         let mut sizer = snap.collapse_sizer(&order, &leaves);
         for k in 0..=snap.len() {
-            let repl: FxHashMap<NodeId, f64> = order[..k]
+            let repl: Vec<(NodeId, f64)> = order[..k]
                 .iter()
                 .map(|&i| (snap.node_id(i as usize), leaves[i as usize]))
                 .collect();

@@ -1,7 +1,6 @@
 //! Property-based tests: decision-diagram operations against brute-force
 //! truth-table semantics on small variable counts.
 
-use charfree_dd::hash::FxHashMap;
 use charfree_dd::{Add, Bdd, BinOp, ChainMeasure, Manager, NodeId, Var};
 use charfree_netlist::testutil::{assume, check, Gen};
 use std::ops::Range;
@@ -167,7 +166,7 @@ fn check_collapsed_size(m: &mut Manager, f: Add, picks: &[(usize, usize)]) {
     }
     let mut sizer = snap.collapse_sizer(&order, &leaves);
     for k in 0..=order.len() {
-        let repl: FxHashMap<_, f64> = order[..k]
+        let repl: Vec<_> = order[..k]
             .iter()
             .map(|&i| (snap.node_id(i as usize), leaves[i as usize]))
             .collect();
@@ -286,9 +285,8 @@ fn max_collapse_upper_bounds_everywhere() {
             let nodes = m.topological_nodes(f.node());
             assume(!nodes.is_empty())?;
             let target = nodes[node_pick % nodes.len()];
-            let mut repl = charfree_dd::hash::FxHashMap::default();
-            repl.insert(target, max_of(&values(&m, Add::from_node(target))));
-            let g = m.collapse(f, &repl);
+            let leaf = max_of(&values(&m, Add::from_node(target)));
+            let g = m.collapse(f, &[(target, leaf)]);
             let (before, after) = (values(&m, f), values(&m, g));
             for (a, b) in after.iter().zip(&before) {
                 assert!(*a >= b - 1e-12);
@@ -313,9 +311,8 @@ fn avg_collapse_preserves_global_average() {
             assume(!nodes.is_empty())?;
             let target = nodes[node_pick % nodes.len()];
             let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-            let mut repl = charfree_dd::hash::FxHashMap::default();
-            repl.insert(target, mean(values(&m, Add::from_node(target))));
-            let g = m.collapse(f, &repl);
+            let leaf = mean(values(&m, Add::from_node(target)));
+            let g = m.collapse(f, &[(target, leaf)]);
             assert!((mean(values(&m, g)) - mean(values(&m, f))).abs() < 1e-9);
             Ok(())
         },
