@@ -279,56 +279,6 @@ impl CircuitSpec {
         }
     }
 
-    /// Re-types gate `j` to a different same-arity cell (seed-picked
-    /// among the library's alternatives). Arity is preserved, so every
-    /// fanin list stays valid and topological order is untouched — the
-    /// canonical "gate swap" mutation delta-rebuild conformance uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn with_gate_kind_swapped(&self, j: usize, seed: u64) -> CircuitSpec {
-        let old = self.gates[j].kind;
-        let pool: Vec<CellKind> = charfree_netlist::ALL_CELLS
-            .iter()
-            .copied()
-            .filter(|k| k.arity() == old.arity() && *k != old)
-            .collect();
-        let mut rng = SplitMix64::new(seed);
-        let kind = pool[rng.below(pool.len())];
-        let mut out = self.clone();
-        out.gates[j].kind = kind;
-        out
-    }
-
-    /// Rewires one seed-picked fanin pin of gate `j` to a different
-    /// earlier signal (primary input or prior gate output), preserving
-    /// topological order — the "fanin rewire" mutation.
-    ///
-    /// Falls back to returning an unmodified clone only when gate `j`
-    /// has a single candidate source (a 1-input circuit prefix), which
-    /// the generators never produce for `j > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn with_fanin_rewired(&self, j: usize, seed: u64) -> CircuitSpec {
-        let mut rng = SplitMix64::new(seed);
-        let mut out = self.clone();
-        let pin = rng.below(out.gates[j].fanin.len());
-        let avail = self.num_inputs + j;
-        let current = out.gates[j].fanin[pin];
-        if avail < 2 {
-            return out;
-        }
-        let mut pick = rng.below(avail);
-        if pick == current {
-            pick = (pick + 1) % avail;
-        }
-        out.gates[j].fanin[pin] = pick;
-        out
-    }
-
     /// Removes primary input `i` (needs at least 2 inputs), rewiring its
     /// consumers to another input. Callers must drop bit `i` from every
     /// trace pattern to match.
@@ -513,32 +463,6 @@ mod tests {
         let par = CircuitSpec::parity_tree(7).build(&library).expect("parity");
         assert_eq!(par.num_gates(), 6);
         assert_eq!(par.outputs().len(), 1);
-    }
-
-    #[test]
-    fn mutations_preserve_validity_and_change_the_circuit() {
-        let lib = Library::test_library();
-        for seed in 0..8u64 {
-            let spec = CircuitSpec::random(
-                "mut",
-                seed,
-                &GenConfig {
-                    num_inputs: 5,
-                    num_gates: 9,
-                    window: 6,
-                },
-            );
-            for j in [0, spec.gates.len() / 2, spec.gates.len() - 1] {
-                let swapped = spec.with_gate_kind_swapped(j, seed ^ 0xD00D);
-                assert_ne!(swapped.gates[j].kind, spec.gates[j].kind);
-                assert_eq!(swapped.num_inputs, spec.num_inputs);
-                swapped.build(&lib).expect("swapped mutant builds");
-
-                let rewired = spec.with_fanin_rewired(j, seed ^ 0xBEEF);
-                assert_eq!(rewired.gates[j].kind, spec.gates[j].kind);
-                rewired.build(&lib).expect("rewired mutant builds");
-            }
-        }
     }
 
     #[test]

@@ -61,10 +61,6 @@ pub struct ConformConfig {
     pub shrink: bool,
     /// Route every generated case through a live in-process server.
     pub serve: bool,
-    /// Check delta rebuilds: mutate each generated circuit, rebuild it
-    /// incrementally through a shared structural table, and bit-compare
-    /// against a from-scratch build.
-    pub delta: bool,
     /// Run the fault-injection campaigns after the differential sweep.
     pub campaigns: bool,
     /// Run the I/O chaos campaign (injected short writes, torn renames,
@@ -86,7 +82,6 @@ impl Default for ConformConfig {
             corpus: None,
             shrink: true,
             serve: true,
-            delta: true,
             campaigns: true,
             chaos: false,
             chaos_faults: 200,
@@ -199,16 +194,6 @@ pub fn run(config: &ConformConfig) -> Result<String, String> {
                 m,
             ));
         }
-        if config.delta {
-            if let Err(m) = oracle.check_delta(&case_name, &spec, &params) {
-                // Delta mismatches are not shrunk: the repro needs the
-                // (circuit, mutation) pair, which the corpus format does
-                // not carry — report the full diagnostic instead.
-                return Err(format!(
-                    "{case_name}: delta-rebuild conformance failed: {m}"
-                ));
-            }
-        }
     }
 
     // Phase 2b: the sequential sweep — register-bounded multi-macro
@@ -259,15 +244,10 @@ pub fn run(config: &ConformConfig) -> Result<String, String> {
     if config.cases > 0 {
         let _ = writeln!(
             report,
-            "conform: {} generated cases x {} layers agreed bit-for-bit ({} transitions checked{})",
+            "conform: {} generated cases x {} layers agreed bit-for-bit ({} transitions checked)",
             config.cases,
             if config.serve { 6 } else { 5 },
             comb_transitions,
-            if config.delta {
-                ", delta rebuilds included"
-            } else {
-                ""
-            }
         );
     }
     if config.seq_cases > 0 {

@@ -40,20 +40,6 @@ use crate::gen::CircuitSpec;
 /// mathematically exact; the slack only absorbs summation-order noise).
 const SLACK_FF: f64 = 1e-9;
 
-/// Whether any gate other than `j` has a transitive fanin cone that
-/// excludes gate `j` — such a gate's symbolic construction is identical
-/// before and after a mutation of `j`, so a delta rebuild is guaranteed
-/// shared-table hits. (Gates are in topological order, so one forward
-/// pass suffices.)
-fn has_clean_gate(spec: &CircuitSpec, j: usize) -> bool {
-    let n = spec.num_inputs;
-    let mut tainted = vec![false; spec.gates.len()];
-    for (k, g) in spec.gates.iter().enumerate() {
-        tainted[k] = k == j || g.fanin.iter().any(|&s| s >= n && tainted[s - n]);
-    }
-    (0..spec.gates.len()).any(|k| k != j && !tainted[k])
-}
-
 /// A layer disagreement, with enough detail to debug without rerunning.
 #[derive(Debug, Clone)]
 pub struct Mismatch {
@@ -435,124 +421,6 @@ impl Oracle {
                     format!("{case_name}: transition {t}: warm {got} vs golden {want}"),
                 ));
             }
-        }
-        Ok(())
-    }
-
-    /// Delta-rebuild layer: mutates the circuit (a seed-picked gate-kind
-    /// swap and a fanin rewire), rebuilds each mutant *incrementally*
-    /// through a shared structural table
-    /// ([`PipelineCtx::rebuild_delta`]), and bit-compares the result
-    /// against a from-scratch exact build — anchored to the golden
-    /// zero-delay simulation of the mutant, across the full trace, at
-    /// both the ADD-walk and compiled-kernel layers.
-    ///
-    /// # Errors
-    ///
-    /// The first layer mismatch found.
-    pub fn check_delta(
-        &mut self,
-        case_name: &str,
-        spec: &CircuitSpec,
-        params: &CaseParams,
-    ) -> Result<(), Mismatch> {
-        if spec.gates.is_empty() {
-            return Ok(());
-        }
-        let seed = params.seed ^ 0x000D_E17A;
-        let j = (seed as usize) % spec.gates.len();
-        let mutants = [
-            ("swap", spec.with_gate_kind_swapped(j, seed)),
-            ("rewire", spec.with_fanin_rewired(j, seed ^ 1)),
-        ];
-        let old = spec
-            .build(&self.library)
-            .map_err(|e| mismatch("delta-build", format!("{case_name}: {e}")))?;
-        for (tag, mutant) in mutants {
-            if mutant == *spec {
-                continue; // degenerate rewire pick on a tiny prefix
-            }
-            let name = format!("{case_name}-delta-{tag}");
-            let new = mutant
-                .build(&self.library)
-                .map_err(|e| mismatch("delta-build", format!("{name}: {e}")))?;
-            let patterns = self
-                .patterns_for(&mutant, params)
-                .map_err(|e| mismatch("params", format!("{name}: {e}")))?;
-            let transitions = patterns.len() - 1;
-
-            // Anchor: golden zero-delay simulation of the mutant.
-            let sim = ZeroDelaySim::new(&new);
-            let golden: Vec<f64> = (0..transitions)
-                .map(|t| {
-                    sim.switching_capacitance(&patterns[t], &patterns[t + 1])
-                        .femtofarads()
-                })
-                .collect();
-
-            // Incremental: seed the memo with the original circuit, then
-            // rebuild only the changed cone.
-            let mut ctx = PipelineCtx::new(self.library.clone());
-            let delta_model = ctx
-                .rebuild_delta(&old, &new)
-                .map_err(|e| mismatch("delta-rebuild", format!("{name}: {e}")))?;
-            let table = ctx
-                .shared_table()
-                .expect("rebuild_delta attaches a table")
-                .clone();
-            if table.counters().delta_rebuilds != 1 {
-                return Err(mismatch(
-                    "delta-rebuild",
-                    format!(
-                        "{name}: expected 1 recorded delta rebuild, saw {}",
-                        table.counters().delta_rebuilds
-                    ),
-                ));
-            }
-
-            // From scratch, same exact configuration.
-            let scratch_model = ModelBuilder::new(&new).build();
-
-            let kernel = Kernel::compile(&delta_model);
-            for t in 0..transitions {
-                let d = delta_model
-                    .capacitance(&patterns[t], &patterns[t + 1])
-                    .femtofarads();
-                let s = scratch_model
-                    .capacitance(&patterns[t], &patterns[t + 1])
-                    .femtofarads();
-                if d.to_bits() != s.to_bits() {
-                    return Err(mismatch(
-                        "delta-vs-scratch",
-                        format!("{name}: transition {t}: delta {d} vs scratch {s}"),
-                    ));
-                }
-                if d.to_bits() != golden[t].to_bits() {
-                    return Err(mismatch(
-                        "delta-vs-golden",
-                        format!("{name}: transition {t}: delta {d} vs golden {}", golden[t]),
-                    ));
-                }
-                let k = kernel.eval_transition(&patterns[t], &patterns[t + 1]);
-                if k.to_bits() != golden[t].to_bits() {
-                    return Err(mismatch(
-                        "delta-kernel",
-                        format!("{name}: transition {t}: kernel {k} vs golden {}", golden[t]),
-                    ));
-                }
-            }
-
-            // The memo must actually have been consulted whenever some
-            // gate's cone excludes the mutated gate (that gate's rise
-            // applies replay verbatim). A circuit where *everything* is
-            // downstream of the mutation legitimately shares nothing.
-            if has_clean_gate(spec, j) && table.counters().table_hits == 0 {
-                return Err(mismatch(
-                    "delta-sharing",
-                    format!("{name}: delta rebuild never hit the shared table"),
-                ));
-            }
-            self.transitions += transitions as u64;
         }
         Ok(())
     }

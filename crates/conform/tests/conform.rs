@@ -34,7 +34,6 @@ fn bounded_sweep_passes_all_layers() {
         corpus: Some(committed_corpus_dir()),
         shrink: true,
         serve: true,
-        delta: true,
         campaigns: true,
         chaos: false,
         chaos_faults: 200,

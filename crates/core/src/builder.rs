@@ -25,8 +25,7 @@ use crate::degrade::{BuildError, DegradationReport, DegradationRung};
 use crate::model::{xf_var, xi_var, AddPowerModel, BuildReport};
 use charfree_dd::reorder::reorder_paired_windows;
 use charfree_dd::{
-    Add, ApplyStats, Bdd, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, SharedTable,
-    Var,
+    Add, ApplyStats, Bdd, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, Var,
 };
 use charfree_netlist::{CellKind, Netlist};
 use std::sync::Arc;
@@ -64,7 +63,6 @@ pub struct ModelBuilder<'a> {
     trips: Vec<u64>,
     strict: bool,
     stats: Option<Arc<ApplyStats>>,
-    shared: Option<Arc<SharedTable>>,
 }
 
 /// Default toggle-probability family the collapse mixture spans; chosen to
@@ -88,7 +86,6 @@ impl<'a> ModelBuilder<'a> {
             trips: Vec::new(),
             strict: false,
             stats: None,
-            shared: None,
         }
     }
 
@@ -217,19 +214,6 @@ impl<'a> ModelBuilder<'a> {
         self
     }
 
-    /// Attaches a cross-build unique table (see
-    /// [`charfree_dd::SharedTable`]). Every sub-DAG interned during this
-    /// build is fingerprinted and published to the table, and every
-    /// `apply`/ITE consults it before recursing — so a sub-function
-    /// already built for a *different* macro (or a previous build of the
-    /// same one) is replayed structurally at zero apply steps. A table
-    /// hit is bit-identical to a fresh build; attaching a table never
-    /// changes results, only the work needed to reach them.
-    pub fn shared_table(mut self, table: Arc<SharedTable>) -> Self {
-        self.shared = Some(table);
-        self
-    }
-
     /// Runs the construction, panicking on failure.
     ///
     /// Without a resource budget configured the construction cannot fail,
@@ -326,9 +310,6 @@ impl<'a> ModelBuilder<'a> {
         let n = self.netlist.num_inputs();
         let mut input_slots = self.resolve_input_slots();
         let mut m = Manager::new(2 * n as u32);
-        if let Some(table) = &self.shared {
-            m.attach_shared(table.clone());
-        }
 
         // Node-function BDDs per signal, over the xi and xf variable blocks.
         let mut sig_i: Vec<Option<Bdd>> = vec![None; self.netlist.num_signals()];

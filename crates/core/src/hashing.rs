@@ -1,8 +1,8 @@
 //! Workspace-canonical hashing primitives.
 //!
 //! Every digest the workspace computes — decision-diagram unique-table
-//! probes, 128-bit artifact-store keys, serve-registry shard routing,
-//! structural sub-DAG fingerprints — flows through the one implementation
+//! probes, 128-bit artifact-store keys, serve-registry shard routing —
+//! flows through the one implementation
 //! in [`charfree_dd::hash`]. This module re-exports it under the crate
 //! the rest of the stack already depends on, so higher layers
 //! (`charfree-pipeline`, `charfree-serve`, benches) can write
@@ -14,7 +14,7 @@
 //! unique-table probes need the hasher without crossing a crate boundary
 //! upward. Hosting the bytes-level implementation in `dd` and the
 //! workspace-facing name here keeps the dependency graph acyclic while
-//! still giving the fleet one set of constants to pin.
+//! still giving the workspace one set of constants to pin.
 //!
 //! The digests are load-bearing: artifact-store keys (`.cfm` filenames)
 //! and registry shard assignment are derived from them, so any change to these functions silently orphans every

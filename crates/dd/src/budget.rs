@@ -260,21 +260,15 @@ impl Budget {
         self.steps.get()
     }
 
-    /// Verifies the live-node limit **without** consuming an apply step.
-    ///
-    /// Used when materializing shared-table hits
-    /// ([`Manager::attach_shared`](crate::Manager::attach_shared)):
-    /// re-interning memoized structure grows the arena — so the node
-    /// limit still applies — but it is not symbolic work, so it must not
-    /// count as a step, feed the [`ApplyStats`] sink, or advance scheduled
-    /// fault-injection trips (warm runs would otherwise report phantom
-    /// apply steps).
+    /// Verifies the live-node limit alone: no step is counted, nothing
+    /// is published and no scheduled fault-injection trip advances.
+    /// [`Budget::step`] calls it after counting its own step.
     ///
     /// # Errors
     ///
     /// Returns [`DdError::BudgetExceeded`] naming the exhausted
     /// resource.
-    pub fn probe(&self, live_nodes: usize) -> Result<(), DdError> {
+    fn probe(&self, live_nodes: usize) -> Result<(), DdError> {
         match self.max_live_nodes {
             Some(limit) if live_nodes as u64 > limit => Err(DdError::BudgetExceeded {
                 resource: Resource::LiveNodes,

@@ -11,8 +11,7 @@
 //! * [`fnv1a_64`] — plain 64-bit FNV-1a, used by the serve registry to
 //!   route keys to shards;
 //! * [`Fnv128`] — two decorrelated 64-bit FNV-1a streams over
-//!   length-prefixed sections, the artifact-store content key and the
-//!   sub-DAG fingerprint hash.
+//!   length-prefixed sections, the artifact-store content key.
 //!
 //! None of these are DoS-resistant; every key is internal data, never
 //! attacker-controlled. The digests of [`fnv1a_64`] and [`Fnv128`] are
@@ -54,7 +53,7 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// A 128-bit content hash: two independent 64-bit FNV-1a streams over the
 /// same length-prefixed sections (the second stream starts from a
 /// decorrelated offset basis). Far past accidental-collision range for
-/// any realistic corpus, and cheap enough to run per interned DD node.
+/// any realistic corpus.
 ///
 /// Feed data through [`Fnv128::section`] — every section is 8-byte-LE
 /// length-prefixed before hashing, so boundaries cannot alias
@@ -120,8 +119,8 @@ impl Fnv128 {
 }
 
 /// The IEEE-754 bit pattern of `v` with the sign of zero canonicalized:
-/// `-0.0` and `0.0` quantize to the same bits, so structurally identical
-/// sub-DAGs cannot diverge on signed-zero terminals. All other values
+/// `-0.0` and `0.0` quantize to the same bits, so equal values cannot
+/// diverge on the sign of zero. All other values
 /// (including non-zero negatives and infinities) keep their exact bits.
 ///
 /// # Examples

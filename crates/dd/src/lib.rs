@@ -64,7 +64,6 @@
 
 pub mod hash;
 pub mod io;
-pub mod shared;
 
 pub mod budget;
 mod collapse;
@@ -78,6 +77,5 @@ mod stats;
 pub use budget::{ApplyStats, Budget, DdError, Resource};
 pub use manager::{Add, Bdd, BinOp, Manager};
 pub use node::{NodeId, Var};
-pub use shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable, TableCounters};
 pub use snapshot::{CollapseSizer, DenseProfile, Snapshot};
 pub use stats::{ChainMeasure, MeasuredNode, NodeStats, VarMeasure};

@@ -2,11 +2,9 @@
 //! the core `mk` constructor that keeps diagrams reduced and canonical.
 
 use crate::budget::{Budget, DdError};
-use crate::hash::{canonical_f64_bits, FxHashMap, FxHashSet};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::marks::Marks;
 use crate::node::{Node, NodeId, Var};
-use crate::shared::{ApplyKey, Fingerprint, SharedEntry, SharedTable};
-use std::sync::Arc;
 
 /// A reduced ordered *binary* decision diagram rooted in a manager.
 ///
@@ -208,18 +206,6 @@ pub struct Manager {
     num_vars: u32,
     zero: NodeId,
     one: NodeId,
-    /// Cross-build unique table (see [`Manager::attach_shared`]); when
-    /// attached, the three fields below mirror the arena with canonical
-    /// sub-DAG fingerprints. `None` keeps the default build path free of
-    /// fingerprint maintenance.
-    shared: Option<Arc<SharedTable>>,
-    /// Fingerprint of `nodes[i]`, parallel to the arena.
-    fps: Vec<Fingerprint>,
-    /// Fingerprint of `terminals[i]`, parallel to the terminal arena.
-    term_fps: Vec<Fingerprint>,
-    /// Reverse index fingerprint → local node, doubling as the
-    /// materialization memo for shared-table hits.
-    fp_nodes: FxHashMap<Fingerprint, NodeId>,
 }
 
 // Managers move to and are shared across worker threads; the pass
@@ -250,138 +236,10 @@ impl Manager {
             num_vars,
             zero: NodeId::terminal(0),
             one: NodeId::terminal(0),
-            shared: None,
-            fps: Vec::new(),
-            term_fps: Vec::new(),
-            fp_nodes: FxHashMap::default(),
         };
         m.zero = m.terminal(0.0);
         m.one = m.terminal(1.0);
         m
-    }
-
-    // ----- cross-build structural sharing ----------------------------------
-
-    /// Attaches a cross-build unique table (see [`crate::shared`]).
-    ///
-    /// From this point every interned node is fingerprinted and recorded
-    /// in `table`, and apply/ITE consult the table's cross-build memo on
-    /// local computed-table misses — a sub-DAG built by *any* previous
-    /// manager attached to the same table materializes here without
-    /// re-deriving it (counted by the table, not as apply steps).
-    /// Structure already in this arena is fingerprinted and recorded
-    /// immediately.
-    pub fn attach_shared(&mut self, table: Arc<SharedTable>) {
-        self.shared = Some(table);
-        self.refingerprint();
-    }
-
-    /// The attached cross-build unique table, if any.
-    pub fn shared_table(&self) -> Option<&Arc<SharedTable>> {
-        self.shared.as_ref()
-    }
-
-    /// The canonical fingerprint of `id`, if a shared table is attached
-    /// (fingerprints are only maintained while one is).
-    pub fn fingerprint(&self, id: NodeId) -> Option<Fingerprint> {
-        self.shared.as_ref()?;
-        Some(self.fp_of(id))
-    }
-
-    /// Fingerprint of `id` from the mirror tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no shared table is attached (the mirrors are empty).
-    #[inline]
-    fn fp_of(&self, id: NodeId) -> Fingerprint {
-        if id.is_terminal() {
-            self.term_fps[id.arena_index()]
-        } else {
-            self.fps[id.arena_index()]
-        }
-    }
-
-    /// Rebuilds the fingerprint mirrors from the arena (arena index
-    /// order is topological: children precede parents) and records every
-    /// entry in the attached table. Called on attach and after
-    /// [`Manager::compact`] re-indexes the arena.
-    fn refingerprint(&mut self) {
-        let Some(table) = self.shared.clone() else {
-            return;
-        };
-        self.fps.clear();
-        self.term_fps.clear();
-        self.fp_nodes.clear();
-        for (i, &value) in self.terminals.iter().enumerate() {
-            let bits = canonical_f64_bits(value);
-            let fp = Fingerprint::terminal(bits);
-            table.record(fp, SharedEntry::Terminal(bits));
-            self.term_fps.push(fp);
-            self.fp_nodes
-                .entry(fp)
-                .or_insert(NodeId::terminal(i as u32));
-        }
-        for i in 0..self.nodes.len() {
-            let node = self.nodes[i];
-            let (lo_fp, hi_fp) = (self.fp_of(node.lo), self.fp_of(node.hi));
-            let fp = Fingerprint::node(node.var, lo_fp, hi_fp);
-            table.record(
-                fp,
-                SharedEntry::Node {
-                    var: node.var,
-                    lo: lo_fp,
-                    hi: hi_fp,
-                },
-            );
-            self.fps.push(fp);
-            self.fp_nodes
-                .entry(fp)
-                .or_insert(NodeId::internal(i as u32));
-        }
-    }
-
-    /// Materializes the sub-DAG recorded under `fp` into this arena,
-    /// re-interning it node for node — the resulting local node has
-    /// exactly the structure (and therefore the semantics, bit for bit)
-    /// the fingerprint names. Returns `Ok(None)` when the table lacks
-    /// structure for `fp` (treated as a memo miss by callers), which
-    /// also covers entries referencing variables beyond this manager.
-    ///
-    /// Arena growth is governed by `budget` via [`Budget::probe`]: the
-    /// live-node limit holds, but materialization is *not* symbolic work
-    /// and consumes no apply steps.
-    fn materialize(
-        &mut self,
-        fp: Fingerprint,
-        table: &Arc<SharedTable>,
-        budget: &Budget,
-    ) -> Result<Option<NodeId>, DdError> {
-        if let Some(&id) = self.fp_nodes.get(&fp) {
-            return Ok(Some(id));
-        }
-        let Some(entry) = table.lookup(fp) else {
-            return Ok(None);
-        };
-        match entry {
-            SharedEntry::Terminal(bits) => {
-                budget.probe(self.arena_len() + 1)?;
-                Ok(Some(self.terminal(f64::from_bits(bits))))
-            }
-            SharedEntry::Node { var, lo, hi } => {
-                if var >= self.num_vars {
-                    return Ok(None);
-                }
-                let Some(lo_id) = self.materialize(lo, table, budget)? else {
-                    return Ok(None);
-                };
-                let Some(hi_id) = self.materialize(hi, table, budget)? else {
-                    return Ok(None);
-                };
-                budget.probe(self.arena_len() + 1)?;
-                Ok(Some(self.mk(var, lo_id, hi_id)))
-            }
-        }
     }
 
     /// Number of decision variables.
@@ -420,10 +278,7 @@ impl Manager {
     /// Panics if `value` is NaN (terminals must be totally ordered).
     pub fn terminal(&mut self, value: f64) -> NodeId {
         assert!(!value.is_nan(), "decision-diagram terminals cannot be NaN");
-        // Fold -0.0 into +0.0 so that bit-level interning stays canonical
-        // (and, below, so the fingerprint hashes the canonical bits:
-        // structurally identical sub-DAGs must not diverge on signed
-        // zero).
+        // Fold -0.0 into +0.0 so that bit-level interning stays canonical.
         let value = if value == 0.0 { 0.0 } else { value };
         let bits = value.to_bits();
         if let Some(&id) = self.term_unique.get(&bits) {
@@ -432,13 +287,6 @@ impl Manager {
         let id = NodeId::terminal(self.terminals.len() as u32);
         self.terminals.push(value);
         self.term_unique.insert(bits, id);
-        if let Some(table) = &self.shared {
-            let canonical = canonical_f64_bits(value);
-            let fp = Fingerprint::terminal(canonical);
-            table.record(fp, SharedEntry::Terminal(canonical));
-            self.term_fps.push(fp);
-            self.fp_nodes.entry(fp).or_insert(id);
-        }
         id
     }
 
@@ -548,20 +396,6 @@ impl Manager {
         let id = NodeId::internal(self.nodes.len() as u32);
         self.nodes.push(key);
         self.unique.insert(key, id);
-        if let Some(table) = &self.shared {
-            let (lo_fp, hi_fp) = (self.fp_of(lo), self.fp_of(hi));
-            let fp = Fingerprint::node(var, lo_fp, hi_fp);
-            table.record(
-                fp,
-                SharedEntry::Node {
-                    var,
-                    lo: lo_fp,
-                    hi: hi_fp,
-                },
-            );
-            self.fps.push(fp);
-            self.fp_nodes.entry(fp).or_insert(id);
-        }
         id
     }
 
@@ -935,36 +769,6 @@ impl Manager {
             return Ok(r);
         }
 
-        // Cross-build memo: a previous build attached to the same shared
-        // table may have computed this exact apply (the fingerprints are
-        // arena-independent). A hit materializes the recorded result —
-        // bit-identical to recomputing it, since apply is exact f64
-        // arithmetic and the fingerprint names the exact result DAG —
-        // without consuming apply steps.
-        let shared_key = if let Some(table) = self.shared.clone() {
-            // Commutative operands are normalized by *fingerprint* order:
-            // the local NodeId order used for `cache2` is arena-dependent
-            // and would split equivalent entries across builds.
-            let (fp_a, fp_b) = (self.fp_of(a), self.fp_of(b));
-            let (fp_a, fp_b) = if op.is_commutative() && fp_b < fp_a {
-                (fp_b, fp_a)
-            } else {
-                (fp_a, fp_b)
-            };
-            let akey = ApplyKey::binary(op.opcode(), fp_a, fp_b);
-            if let Some((result_fp, cost)) = table.lookup_apply(&akey) {
-                if let Some(r) = self.materialize(result_fp, &table, budget)? {
-                    table.note_apply_hit(cost);
-                    self.cache2.insert(key, r);
-                    return Ok(r);
-                }
-            }
-            table.note_apply_miss();
-            Some((table, akey, budget.steps()))
-        } else {
-            None
-        };
-
         // Recursion checkpoint: this is a cache miss, so real work — and
         // up to one fresh node — happens past this point.
         budget.step(self.arena_len(), self.arena_bytes())?;
@@ -976,9 +780,6 @@ impl Manager {
         let hi = self.apply_in(op, a1, b1, budget)?;
         let r = self.mk(level, lo, hi);
         self.cache2.insert(key, r);
-        if let Some((table, akey, steps_before)) = shared_key {
-            table.record_apply(akey, self.fp_of(r), budget.steps() - steps_before);
-        }
         Ok(r)
     }
 
@@ -1026,22 +827,6 @@ impl Manager {
             return Ok(r);
         }
 
-        // Cross-build memo (see `apply_in`).
-        let shared_key = if let Some(table) = self.shared.clone() {
-            let akey = ApplyKey::ite(self.fp_of(f), self.fp_of(g), self.fp_of(h));
-            if let Some((result_fp, cost)) = table.lookup_apply(&akey) {
-                if let Some(r) = self.materialize(result_fp, &table, budget)? {
-                    table.note_apply_hit(cost);
-                    self.cache3.insert(key, r);
-                    return Ok(r);
-                }
-            }
-            table.note_apply_miss();
-            Some((table, akey, budget.steps()))
-        } else {
-            None
-        };
-
         // Recursion checkpoint (cache miss — see `apply_in`).
         budget.step(self.arena_len(), self.arena_bytes())?;
 
@@ -1053,9 +838,6 @@ impl Manager {
         let hi = self.ite_in(f1, g1, h1, budget)?;
         let r = self.mk(level, lo, hi);
         self.cache3.insert(key, r);
-        if let Some((table, akey, steps_before)) = shared_key {
-            table.record_apply(akey, self.fp_of(r), budget.steps() - steps_before);
-        }
         Ok(r)
     }
 
@@ -1333,10 +1115,6 @@ impl Manager {
         self.cache3.clear();
         self.zero = remapped[0];
         self.one = remapped[1];
-        // The arena was re-indexed: rebuild the fingerprint mirrors (the
-        // shared table itself keeps the old entries — structure is
-        // arena-independent and write-once).
-        self.refingerprint();
         remapped[2..].to_vec()
     }
 }

@@ -47,7 +47,7 @@ pub use store::{ArtifactKey, ArtifactStore, CacheLookup, QuarantinedEntry, Recov
 pub use telemetry::{Event, Stage, Telemetry};
 
 use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder};
-use charfree_dd::{ApplyStats, SharedTable};
+use charfree_dd::ApplyStats;
 use charfree_engine::{Kernel, TraceEngine, TraceSummary};
 use charfree_netlist::{benchmarks, blif, verilog, Library, Netlist};
 use std::fmt::Write as _;
@@ -250,7 +250,6 @@ pub struct PipelineCtx {
     /// inspect it after the run).
     pub telemetry: Telemetry,
     stats: Arc<ApplyStats>,
-    shared: Option<Arc<SharedTable>>,
 }
 
 impl PipelineCtx {
@@ -263,7 +262,6 @@ impl PipelineCtx {
             store: None,
             telemetry: Telemetry::new(),
             stats: ApplyStats::shared(),
-            shared: None,
         }
     }
 
@@ -282,34 +280,6 @@ impl PipelineCtx {
     pub fn with_store(mut self, store: ArtifactStore) -> Self {
         self.store = Some(store);
         self
-    }
-
-    /// Attaches a cross-build shared structural table: every model built
-    /// in this context publishes its sub-DAGs to (and replays them from)
-    /// `table`, so related netlists share construction work. The table
-    /// may be shared across contexts and threads — a fleet of builds
-    /// over one library typically shares one.
-    pub fn with_shared_table(mut self, table: Arc<SharedTable>) -> Self {
-        self.shared = Some(table);
-        self
-    }
-
-    /// The attached shared structural table, if any.
-    pub fn shared_table(&self) -> Option<&Arc<SharedTable>> {
-        self.shared.as_ref()
-    }
-
-    /// Emits a cumulative snapshot of the shared table's counters.
-    fn emit_table_counters(&mut self) {
-        if let Some(table) = &self.shared {
-            let c = table.counters();
-            self.telemetry.emit(Event::SharedTable {
-                table_hits: c.table_hits,
-                table_misses: c.table_misses,
-                delta_rebuilds: c.delta_rebuilds,
-                apply_steps_saved: c.apply_steps_saved,
-            });
-        }
     }
 
     /// The cell library of this run.
@@ -462,11 +432,11 @@ impl PipelineCtx {
     ) -> Result<AddPowerModel, PipelineError> {
         let steps_before = self.stats.apply_steps();
         let t0 = Instant::now();
-        let mut builder = self.options.configure(netlist).stats(self.stats.clone());
-        if let Some(table) = &self.shared {
-            builder = builder.shared_table(table.clone());
-        }
-        let partial = builder.try_accumulate()?;
+        let partial = self
+            .options
+            .configure(netlist)
+            .stats(self.stats.clone())
+            .try_accumulate()?;
         self.telemetry.emit(Event::Stage {
             stage: Stage::BuildAdd,
             wall: t0.elapsed(),
@@ -501,77 +471,6 @@ impl PipelineCtx {
         if model.degradation().is_none() {
             self.publish(key, |store, key| store.store_model(key, &model));
         }
-        self.emit_table_counters();
-        Ok(model)
-    }
-
-    /// Stage `DeltaRebuild`: rebuilds a *changed* netlist through the
-    /// shared structural table so only the cone of changed gates does new
-    /// symbolic work — every sub-DAG outside it replays from the memo at
-    /// zero apply steps. Attaches a fresh table if none is present, and
-    /// seeds a cold table by accumulating `old` first (uncached by
-    /// design: the memo, not the `.cfm`, is what the delta path reuses).
-    ///
-    /// The result is **bit-identical** to `build_model(new)` on a fresh
-    /// context — the table changes how much work is done, never what is
-    /// built.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::Build`] on netlist validation failure or a
-    /// strict-mode budget trip (for either the seed or the rebuild).
-    pub fn rebuild_delta(
-        &mut self,
-        old: &Netlist,
-        new: &Netlist,
-    ) -> Result<AddPowerModel, PipelineError> {
-        let table = match &self.shared {
-            Some(table) => table.clone(),
-            None => {
-                let table = Arc::new(SharedTable::new());
-                self.shared = Some(table.clone());
-                table
-            }
-        };
-        let t0 = Instant::now();
-        let delta = netlist_delta(old, new);
-        if table.is_empty() {
-            let seed = self
-                .options
-                .configure(old)
-                .stats(self.stats.clone())
-                .shared_table(table.clone())
-                .try_accumulate()?;
-            drop(seed);
-        }
-
-        let steps_before = self.stats.apply_steps();
-        let saved_before = table.counters().apply_steps_saved;
-        let partial = self
-            .options
-            .configure(new)
-            .stats(self.stats.clone())
-            .shared_table(table.clone())
-            .try_accumulate()?;
-        let mut model = partial.collapse();
-        model.set_name(new.name());
-        table.note_delta_rebuild();
-        let counters = table.counters();
-        self.telemetry.emit(Event::Stage {
-            stage: Stage::DeltaRebuild,
-            wall: t0.elapsed(),
-            nodes: Some(model.size() as u64),
-            rungs: model.degradation().map_or(0, |d| d.rungs.len() as u64),
-            detail: format!(
-                "{} gates added, {} removed, {} unchanged; {} apply steps, {} replayed from memo",
-                delta.added,
-                delta.removed,
-                delta.unchanged,
-                self.stats.apply_steps() - steps_before,
-                counters.apply_steps_saved - saved_before,
-            ),
-        });
-        self.emit_table_counters();
         Ok(model)
     }
 
@@ -727,54 +626,6 @@ impl PipelineCtx {
             detail: format!("{} transitions traced, jobs={jobs}", trace.len()),
         });
         trace
-    }
-}
-
-/// Canonical per-gate descriptions of a netlist, for diffing: one line
-/// per gate, `output = kind(inputs...) @ load`, with signals by name so
-/// the summary survives re-parsing and gate reordering.
-fn gate_descriptions(netlist: &Netlist) -> std::collections::BTreeSet<String> {
-    netlist
-        .gates()
-        .map(|(_, gate)| {
-            let inputs: Vec<&str> = gate
-                .inputs()
-                .iter()
-                .map(|&s| netlist.signal_name(s))
-                .collect();
-            format!(
-                "{} = {:?}({}) @ {:016x}",
-                netlist.signal_name(gate.output()),
-                gate.kind(),
-                inputs.join(","),
-                gate.load().femtofarads().to_bits(),
-            )
-        })
-        .collect()
-}
-
-/// Summary of a canonical netlist diff (see [`PipelineCtx::rebuild_delta`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetlistDelta {
-    /// Gates present in the new netlist only.
-    pub added: usize,
-    /// Gates present in the old netlist only.
-    pub removed: usize,
-    /// Gates present (identically) in both.
-    pub unchanged: usize,
-}
-
-/// Diffs two netlists by canonical per-gate description. A rewired or
-/// re-typed gate counts as one removal plus one addition; gate order and
-/// internal IDs are irrelevant.
-pub fn netlist_delta(old: &Netlist, new: &Netlist) -> NetlistDelta {
-    let old_gates = gate_descriptions(old);
-    let new_gates = gate_descriptions(new);
-    let unchanged = old_gates.intersection(&new_gates).count();
-    NetlistDelta {
-        added: new_gates.len() - unchanged,
-        removed: old_gates.len() - unchanged,
-        unchanged,
     }
 }
 

@@ -22,9 +22,6 @@ pub enum Stage {
     /// Partial-sum fold, size-ceiling enforcement, diagonal gating and
     /// leaf recalibration down to the finished model.
     Collapse,
-    /// Incremental rebuild of a changed netlist through the shared
-    /// structural table (only the cone of changed gates does new work).
-    DeltaRebuild,
     /// Flattening the model ADD into an arena-free evaluation kernel.
     CompileKernel,
     /// Batched trace evaluation on the compiled kernel.
@@ -39,7 +36,6 @@ impl Stage {
             Stage::Annotate => "annotate",
             Stage::BuildAdd => "build-add",
             Stage::Collapse => "collapse",
-            Stage::DeltaRebuild => "delta-rebuild",
             Stage::CompileKernel => "compile-kernel",
             Stage::Evaluate => "evaluate",
         }
@@ -94,18 +90,6 @@ pub enum Event {
         key: String,
         /// The write failure.
         reason: String,
-    },
-    /// Cumulative shared structural-table counters, snapshotted after a
-    /// build that ran with a table attached.
-    SharedTable {
-        /// Structure/apply memo hits served so far.
-        table_hits: u64,
-        /// Memo misses (sub-DAGs built cold) so far.
-        table_misses: u64,
-        /// Incremental rebuilds performed so far.
-        delta_rebuilds: u64,
-        /// Apply steps avoided by replaying memoized results.
-        apply_steps_saved: u64,
     },
 }
 
@@ -201,16 +185,6 @@ fn event_json(event: &Event) -> String {
         Event::CacheStoreFailed { key, reason } => {
             cache_json("cache-store-failed", key, Some(reason))
         }
-        Event::SharedTable {
-            table_hits,
-            table_misses,
-            delta_rebuilds,
-            apply_steps_saved,
-        } => format!(
-            "{{\"event\": \"shared-table\", \"table_hits\": {table_hits}, \
-             \"table_misses\": {table_misses}, \"delta_rebuilds\": {delta_rebuilds}, \
-             \"apply_steps_saved\": {apply_steps_saved}}}"
-        ),
     }
 }
 
@@ -284,22 +258,5 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Stage::ParseNetlist.name(), "parse-netlist");
         assert_eq!(Stage::CompileKernel.name(), "compile-kernel");
-        assert_eq!(Stage::DeltaRebuild.name(), "delta-rebuild");
-    }
-
-    #[test]
-    fn shared_table_event_renders_all_counters() {
-        let mut t = Telemetry::new();
-        t.emit(Event::SharedTable {
-            table_hits: 7,
-            table_misses: 3,
-            delta_rebuilds: 1,
-            apply_steps_saved: 42,
-        });
-        assert_eq!(
-            t.to_json(),
-            "[\n  {\"event\": \"shared-table\", \"table_hits\": 7, \"table_misses\": 3, \
-             \"delta_rebuilds\": 1, \"apply_steps_saved\": 42}\n]"
-        );
     }
 }

@@ -4,9 +4,8 @@
 //! grows past that box: a `.latch`-bearing BLIF design is partitioned
 //! into register-bounded combinational macros
 //! ([`SeqNetlist`]), one ADD/kernel is built **per macro** through the
-//! existing [`PipelineCtx`] (shared-table warm builds and
-//! content-addressed artifacts keyed per macro cone come along for
-//! free), and evaluation steps register state cycle by cycle, deriving
+//! existing [`PipelineCtx`] (content-addressed artifacts keyed per
+//! macro cone come along for free), and evaluation steps register state cycle by cycle, deriving
 //! each macro's `(xⁱ, xᶠ)` transition pairs from the evolving state.
 //!
 //! Both evaluation paths read the one state walk, [`SeqSim`]'s flat

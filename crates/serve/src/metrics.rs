@@ -89,12 +89,7 @@ mod tests {
             .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
         net.record_close(charfree_net::CloseReason::Idle);
 
-        let table = charfree_dd::SharedTable::new();
-        table.note_apply_hit(17);
-        table.note_apply_miss();
-        table.note_delta_rebuild();
-
-        let body = render(&stats.snapshot(&registry, &breaker, &net, &table, (1, 2)));
+        let body = render(&stats.snapshot(&registry, &breaker, &net, (1, 2)));
         for needle in [
             "charfree_accepted_total 3",
             "charfree_completed_total 1",
@@ -113,10 +108,6 @@ mod tests {
             "charfree_idle_timeouts_total 1",
             "charfree_net_connections_total 3",
             "charfree_net_closed_total{reason=\"idle\"} 1",
-            "charfree_table_hits_total 1",
-            "charfree_table_misses_total 1",
-            "charfree_delta_rebuilds_total 1",
-            "charfree_apply_steps_saved_total 17",
         ] {
             assert!(body.contains(needle), "missing `{needle}` in:\n{body}");
         }

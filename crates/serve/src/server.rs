@@ -138,10 +138,6 @@ impl ServeConfig {
 pub(crate) struct Shared {
     pub(crate) library: Library,
     pub(crate) store: Option<ArtifactStore>,
-    /// Process-wide cross-build structural table: every cold model build
-    /// on any worker routes through it, so related models share sub-DAG
-    /// construction work (and its counters feed stats/metrics).
-    pub(crate) shared_table: Arc<charfree_dd::SharedTable>,
     pub(crate) registry: ShardedRegistry,
     pub(crate) stats: Arc<ServerStats>,
     pub(crate) inflight: AtomicUsize,
@@ -170,7 +166,6 @@ impl Shared {
             &self.registry,
             &self.breaker,
             &self.net,
-            &self.shared_table,
             self.registry.seq_stats(),
         )
     }
@@ -281,7 +276,6 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             store,
-            shared_table: Arc::new(charfree_dd::SharedTable::new()),
             library: config.library,
             registry: ShardedRegistry::new(
                 ShardedRegistry::DEFAULT_SHARDS,
@@ -510,11 +504,11 @@ fn registry_key(source: &str, options: &WireBuildOptions) -> String {
     )
 }
 
-/// A build context over the server's library, cross-build structural
-/// table and (when attached) artifact store.
+/// A build context over the server's library and (when attached)
+/// artifact store. Every build is independent of what the server built
+/// before.
 fn pipeline_ctx(shared: &Shared) -> PipelineCtx {
-    let ctx = PipelineCtx::new(shared.library.clone())
-        .with_shared_table(Arc::clone(&shared.shared_table));
+    let ctx = PipelineCtx::new(shared.library.clone());
     match &shared.store {
         Some(store) => ctx.with_store(store.clone()),
         None => ctx,

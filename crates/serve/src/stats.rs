@@ -18,7 +18,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use charfree_dd::SharedTable;
 use charfree_net::{CloseReason, NetCounters};
 
 use crate::json::Json;
@@ -64,7 +63,6 @@ const BATCH_FILL: Section = Section::new(Some("batch_fill"));
 const REGISTRY: Section = Section::new(Some("registry"));
 const RESILIENCE: Section = Section::health("resilience");
 const SEQ: Section = Section::new(Some("seq"));
-const SHARED_TABLE: Section = Section::new(Some("shared_table"));
 const NET: Section = Section::health("net");
 
 impl Section {
@@ -246,15 +244,14 @@ impl ServerStats {
     }
 
     /// The table of every exported number: these counters, the
-    /// registry's, the breaker's, the reactor's (`net`), the shared
-    /// structural table's and the sequential registry gauge pair `seq`
-    /// = `(designs, macros_resident)`.
+    /// registry's, the breaker's, the reactor's (`net`) and the
+    /// sequential registry gauge pair `seq` = `(designs,
+    /// macros_resident)`.
     pub fn snapshot(
         &self,
         registry: &ShardedRegistry,
         breaker: &CircuitBreaker,
         net: &NetCounters,
-        table: &SharedTable,
         seq: (u64, u64),
     ) -> Counters {
         let mut c = Counters {
@@ -328,25 +325,6 @@ impl ServerStats {
             .field("macros_resident", "charfree_seq_macros_resident", seq.1)
             .field("loads", "charfree_seq_loads_total", loads)
             .field("evals", "charfree_seq_evals_total", evals);
-        let t = table.counters();
-        c.open(SHARED_TABLE)
-            .field("entries", "charfree_table_entries", table.len() as u64)
-            .field("table_hits", "charfree_table_hits_total", t.table_hits)
-            .field(
-                "table_misses",
-                "charfree_table_misses_total",
-                t.table_misses,
-            )
-            .field(
-                "delta_rebuilds",
-                "charfree_delta_rebuilds_total",
-                t.delta_rebuilds,
-            )
-            .field(
-                "apply_steps_saved",
-                "charfree_apply_steps_saved_total",
-                t.apply_steps_saved,
-            );
         c.open(NET)
             .field(
                 "connections",
@@ -428,8 +406,7 @@ mod tests {
 
     /// One fixed counter state, pinned byte for byte in both renderings:
     /// every `record_*` call, registry hits, a miss and an eviction, a
-    /// breaker trip, one close of each reason, shared-table counters and
-    /// the seq gauges.
+    /// breaker trip, one close of each reason and the seq gauges.
     #[test]
     fn stats_line_and_exposition_body_are_pinned() {
         use std::sync::Arc;
@@ -504,13 +481,7 @@ mod tests {
             net.record_close(reason);
         }
 
-        let table = charfree_dd::SharedTable::new();
-        table.note_apply_hit(17);
-        table.note_apply_hit(5);
-        table.note_apply_miss();
-        table.note_delta_rebuild();
-
-        let snapshot = stats.snapshot(&registry, &breaker, &net, &table, (1, 2));
+        let snapshot = stats.snapshot(&registry, &breaker, &net, (1, 2));
         assert_eq!(
             snapshot.to_json().to_line(),
             concat!(
@@ -525,8 +496,6 @@ mod tests {
                 r#""resilience":{"worker_panics":1,"breaker_trips":1,"breaker_denials":1,"#,
                 r#""open_circuits":1,"idle_timeouts":1},"#,
                 r#""seq":{"designs":1,"macros_resident":2,"loads":1,"evals":1},"#,
-                r#""shared_table":{"entries":0,"table_hits":2,"table_misses":1,"#,
-                r#""delta_rebuilds":1,"apply_steps_saved":22},"#,
                 r#""net":{"connections":9,"bytes_in":1234,"bytes_out":5678,"closed_eof":1,"#,
                 r#""closed_idle":1,"closed_drain":1,"closed_overflow":1,"closed_protocol":1,"#,
                 r#""closed_write_stall":1,"closed_app":1}}"#,
@@ -568,11 +537,6 @@ mod tests {
                 "charfree_seq_macros_resident 2\n",
                 "charfree_seq_loads_total 1\n",
                 "charfree_seq_evals_total 1\n",
-                "charfree_table_entries 0\n",
-                "charfree_table_hits_total 2\n",
-                "charfree_table_misses_total 1\n",
-                "charfree_delta_rebuilds_total 1\n",
-                "charfree_apply_steps_saved_total 22\n",
                 "charfree_worker_panics_total 1\n",
                 "charfree_breaker_trips_total 1\n",
                 "charfree_breaker_denials_total 1\n",

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use charfree_engine::TraceEngine;
 use charfree_netlist::Library;
-use charfree_pipeline::{PipelineCtx, Source};
+use charfree_pipeline::{BuildOptions, PipelineCtx, Source};
 use charfree_serve::{
     Client, ErrorKind, Request, Response, ServeConfig, Server, WireBuildOptions, WireEvalParams,
 };
@@ -185,6 +185,54 @@ fn warm_loads_do_zero_apply_steps() {
     client.request(&Request::Shutdown).expect("shutdown");
     server.wait();
     let _ = std::fs::remove_dir_all(cache);
+}
+
+/// A cold load's apply steps are those of a fresh offline build of the
+/// same netlist and options, whatever the server built before it.
+#[test]
+fn cold_load_steps_do_not_depend_on_earlier_builds() {
+    let server = Server::start(test_config()).expect("binds");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connects");
+    let load = |max_nodes| Request::Load {
+        source: "decod".to_owned(),
+        options: WireBuildOptions {
+            max_nodes,
+            ..WireBuildOptions::default()
+        },
+    };
+    let exact = client.request(&load(None)).expect("exact load");
+    assert!(
+        matches!(
+            exact,
+            Response::Load {
+                resident: false,
+                ..
+            }
+        ),
+        "{exact:?}"
+    );
+    let bounded = client.request(&load(Some(20))).expect("bounded load");
+    let Response::Load {
+        apply_steps,
+        resident: false,
+        ..
+    } = bounded
+    else {
+        panic!("unexpected load response {bounded:?}");
+    };
+
+    let mut ctx = PipelineCtx::new(Library::test_library()).with_options(BuildOptions {
+        max_nodes: Some(20),
+        ..BuildOptions::default()
+    });
+    let netlist = ctx
+        .load_netlist(&Source::Bench("decod".to_owned()))
+        .expect("built-in benchmark");
+    ctx.build_model(&netlist).expect("builds");
+    assert_eq!(apply_steps, ctx.apply_steps());
+
+    client.request(&Request::Shutdown).expect("shutdown");
+    server.wait();
 }
 
 #[test]

@@ -110,7 +110,7 @@ fn usage(prefix: &str) -> String {
          \x20                [--deadline-ms N] [--retries N]\n\
          \x20                [eval/trace/expected/seqeval flags, without --jobs]\n\
          \x20 charfree conform [--cases N] [--seq-cases N] [--seed S] [--vectors N] [--corpus DIR]\n\
-         \x20                [--shrink] [--no-serve] [--no-delta] [--no-campaigns]\n\
+         \x20                [--shrink] [--no-serve] [--no-campaigns]\n\
          \x20                [--campaign standard|chaos|all] [--chaos-faults N]\n\
          \n\
          every building/evaluating subcommand also takes\n\
@@ -1044,7 +1044,6 @@ fn cmd_conform(args: &[String]) -> Result<String, CliError> {
     let corpus = flags.value("--corpus")?.map(std::path::PathBuf::from);
     let shrink = flags.flag("--shrink");
     let serve = !flags.flag("--no-serve");
-    let delta = !flags.flag("--no-delta");
     let no_campaigns = flags.flag("--no-campaigns");
     let campaign_mode = flags.value("--campaign")?.unwrap_or("standard").to_owned();
     let chaos_faults: u64 = flags.parse("--chaos-faults", 200)?;
@@ -1081,7 +1080,6 @@ fn cmd_conform(args: &[String]) -> Result<String, CliError> {
         corpus,
         shrink,
         serve,
-        delta,
         campaigns,
         chaos,
         chaos_faults,
@@ -1105,6 +1103,7 @@ mod tests {
         assert!(run(&s(&["help"])).expect("help works").contains("usage"));
         assert!(run(&s(&["frobnicate"])).is_err());
         assert!(run(&[]).is_err());
+        assert!(run(&s(&["conform", "--no-delta"])).is_err());
     }
 
     #[test]
