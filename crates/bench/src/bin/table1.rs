@@ -1,6 +1,7 @@
 //! Regenerates the paper's Table 1: per-circuit ARE of the Con / Lin / ADD
 //! average-power estimators and of the constant vs pattern-dependent
-//! upper bounds, with the `MAX` budgets and construction CPU time.
+//! upper bounds, with the `MAX` budgets and construction CPU time (median
+//! and spread of `CPU_BUILDS` cold builds, and their apply steps).
 //!
 //! ```text
 //! cargo run --release -p charfree-bench --bin table1 [-- circuit ...]

@@ -31,6 +31,54 @@ pub fn build_model(netlist: &Netlist, options: BuildOptions) -> AddPowerModel {
     ctx.build_model(netlist).expect("harness netlists build")
 }
 
+/// Cold builds behind each Table 1 CPU cell. One build on a shared host
+/// can read a third slower with the host's load, so a cell reports the
+/// median and the spread of several.
+pub const CPU_BUILDS: usize = 3;
+
+/// One Table 1 CPU cell: the wall seconds of [`CPU_BUILDS`] cold builds
+/// and the apply steps of one (every build takes the same).
+#[derive(Debug, Clone, Copy)]
+pub struct CpuCell {
+    /// Median build, in seconds.
+    pub median_s: f64,
+    /// Slowest minus fastest build, in seconds.
+    pub spread_s: f64,
+    /// Apply steps of one build.
+    pub apply_steps: u64,
+}
+
+/// Builds `netlist` [`CPU_BUILDS`] times as [`build_model`] does, timing
+/// each, and returns the last model with the CPU cell.
+///
+/// # Panics
+///
+/// Panics if two builds take different apply steps (construction is
+/// deterministic).
+pub fn timed_build(netlist: &Netlist, options: &BuildOptions) -> (AddPowerModel, CpuCell) {
+    let mut seconds = Vec::with_capacity(CPU_BUILDS);
+    let mut last: Option<(AddPowerModel, u64)> = None;
+    for _ in 0..CPU_BUILDS {
+        let t0 = Instant::now();
+        let mut ctx = PipelineCtx::new(Library::test_library()).with_options(options.clone());
+        let model = ctx.build_model(netlist).expect("harness netlists build");
+        seconds.push(t0.elapsed().as_secs_f64());
+        let steps = ctx.apply_stats().apply_steps();
+        if let Some((_, previous)) = &last {
+            assert_eq!(steps, *previous, "construction is deterministic");
+        }
+        last = Some((model, steps));
+    }
+    seconds.sort_by(f64::total_cmp);
+    let (model, apply_steps) = last.expect("CPU_BUILDS is positive");
+    let cell = CpuCell {
+        median_s: seconds[CPU_BUILDS / 2],
+        spread_s: seconds[CPU_BUILDS - 1] - seconds[0],
+        apply_steps,
+    };
+    (model, cell)
+}
+
 /// [`BuildOptions`] with just the paper's `MAX` ceiling set.
 pub fn max_nodes_options(max_nodes: usize) -> BuildOptions {
     BuildOptions {
@@ -79,16 +127,16 @@ pub struct Table1Row {
     pub add_are: f64,
     /// `MAX` used for the average model.
     pub avg_max: usize,
-    /// Construction CPU seconds for the average model.
-    pub avg_cpu: f64,
+    /// Construction time and work of the average model.
+    pub avg_cpu: CpuCell,
     /// ARE (%) of the constant-max bound on maximum power.
     pub ub_con_are: f64,
     /// ARE (%) of the pattern-dependent ADD bound on maximum power.
     pub ub_add_are: f64,
     /// `MAX` used for the upper-bound model.
     pub ub_max: usize,
-    /// Construction CPU seconds for the upper-bound model.
-    pub ub_cpu: f64,
+    /// Construction time and work of the upper-bound model.
+    pub ub_cpu: CpuCell,
 }
 
 /// Experiment configuration shared by the binaries.
@@ -123,9 +171,7 @@ pub fn table1_row(netlist: &Netlist, avg_max: usize, ub_max: usize, config: &Con
     let lin = LinearModel::fit(&training);
 
     // Analytical average model.
-    let t0 = Instant::now();
-    let add = build_model(netlist, max_nodes_options(avg_max));
-    let avg_cpu = t0.elapsed().as_secs_f64();
+    let (add, avg_cpu) = timed_build(netlist, &max_nodes_options(avg_max));
     let avg_eval = evaluate(
         &[&con, &lin, &add],
         &sim,
@@ -136,16 +182,14 @@ pub fn table1_row(netlist: &Netlist, avg_max: usize, ub_max: usize, config: &Con
     );
 
     // Pattern-dependent upper bound + constant-max baseline.
-    let t1 = Instant::now();
-    let bound = build_model(
+    let (bound, ub_cpu) = timed_build(
         netlist,
-        BuildOptions {
+        &BuildOptions {
             max_nodes: Some(ub_max),
             upper_bound: true,
             ..BuildOptions::default()
         },
     );
-    let ub_cpu = t1.elapsed().as_secs_f64();
     let con_max = ConstantModel::from_capacitance(bound.max_capacitance(), "Con");
     let ub_eval = evaluate(
         &[&con_max, &bound],
@@ -172,13 +216,23 @@ pub fn table1_row(netlist: &Netlist, avg_max: usize, ub_max: usize, config: &Con
     }
 }
 
-/// Formats rows in the paper's Table 1 layout.
+/// Formats rows in the paper's Table 1 layout. Each CPU cell reads
+/// `median ±spread` seconds over [`CPU_BUILDS`] builds, then the apply
+/// steps of one build.
 pub fn format_table1(rows: &[Table1Row]) -> String {
     use std::fmt::Write as _;
+    let cpu = |c: &CpuCell| {
+        format!(
+            "{:>8.2} {:>7} {:>9}",
+            c.median_s,
+            format!("±{:.2}", c.spread_s),
+            c.apply_steps
+        )
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:8} {:>3} {:>5} | {:>8} {:>8} {:>8} {:>6} {:>8} | {:>8} {:>8} {:>6} {:>8}",
+        "{:8} {:>3} {:>5} | {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>9} | {:>8} {:>8} {:>6} {:>8} {:>7} {:>9}",
         "name",
         "n",
         "N",
@@ -187,16 +241,20 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
         "ADD(%)",
         "MAX",
         "CPU(s)",
+        "spread",
+        "steps",
         "Con(%)",
         "ADD(%)",
         "MAX",
-        "CPU(s)"
+        "CPU(s)",
+        "spread",
+        "steps"
     );
-    let _ = writeln!(out, "{}", "-".repeat(110));
+    let _ = writeln!(out, "{}", "-".repeat(146));
     for r in rows {
         let _ = writeln!(
             out,
-            "{:8} {:>3} {:>5} | {:>8.1} {:>8.1} {:>8.1} {:>6} {:>8.2} | {:>8.1} {:>8.1} {:>6} {:>8.2}",
+            "{:8} {:>3} {:>5} | {:>8.1} {:>8.1} {:>8.1} {:>6} {} | {:>8.1} {:>8.1} {:>6} {}",
             r.name,
             r.inputs,
             r.gates,
@@ -204,11 +262,11 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
             r.lin_are,
             r.add_are,
             r.avg_max,
-            r.avg_cpu,
+            cpu(&r.avg_cpu),
             r.ub_con_are,
             r.ub_add_are,
             r.ub_max,
-            r.ub_cpu
+            cpu(&r.ub_cpu)
         );
     }
     out

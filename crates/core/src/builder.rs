@@ -25,7 +25,7 @@ use crate::degrade::{BuildError, DegradationReport, DegradationRung};
 use crate::model::{xf_var, xi_var, AddPowerModel, BuildReport};
 use charfree_dd::reorder::reorder_paired_windows;
 use charfree_dd::{
-    Add, ApplyStats, Bdd, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, Var,
+    Add, ApplyStats, Bdd, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, Rounding, Var,
 };
 use charfree_netlist::{CellKind, Netlist};
 use std::sync::Arc;
@@ -343,7 +343,9 @@ impl<'a> ModelBuilder<'a> {
         // sets. Snapping terminals to a fine grid (2^-14 of the total
         // load) bounds that growth with a relative error ~6e-5 — far below
         // model accuracy. The upper-bound strategy rounds *up*, preserving
-        // conservativeness.
+        // conservativeness. A bounded merge snaps inside its add
+        // (`try_add_plus_quantized`), so the unquantized sum is never
+        // built; exact builds (no cap) do not quantize.
         let quantum = (self.netlist.total_load().femtofarads() / 16384.0).max(1e-9);
         let weight = 1.0 / self.collapse_toggles.len() as f64;
         let mixture: Vec<(ChainMeasure, f64)> = self
@@ -937,10 +939,14 @@ fn reorder_live(
 ///
 /// Summing diagrams over weakly overlapping supports can blow up
 /// multiplicatively (`|A|·|B|` apply cost), so operands are pre-shrunk
-/// until the product of their sizes is bounded; the sum is then quantized
-/// and, if still above the working slack, collapsed back to `max`. Only
-/// the `add_plus` apply itself can trip the resource budget; the
-/// approximation passes shrink the arena and run to completion.
+/// until the product of their sizes is bounded. The sum's terminals snap
+/// onto the `quantum` grid in the add itself (round-to-nearest for average
+/// models, round-up for upper bounds, which keeps them conservative; exact
+/// zero stays exact so diagonal gating is unaffected), and a sum still
+/// above the working slack is collapsed back to `max`. With no cap the sum
+/// is exact and unquantized. Only the add itself can trip the resource
+/// budget; the approximation passes shrink the arena and run to
+/// completion.
 fn try_merge_bounded(
     m: &mut Manager,
     a: Add,
@@ -950,49 +956,33 @@ fn try_merge_bounded(
     collapser: &mut Collapser,
     budget: &Budget,
 ) -> Result<Add, DdError> {
+    let Some(max) = max_nodes else {
+        return m.try_add_plus(a, b, budget);
+    };
     let (mut a, mut b) = (a, b);
-    if let Some(max) = max_nodes {
-        // Bound the apply's worst case to a few million node visits.
-        let limit = 4_000_000usize.max(16 * max);
-        loop {
-            let (sa, sb) = (m.size(a.node()), m.size(b.node()));
-            if sa.saturating_mul(sb) <= limit {
-                break;
-            }
-            let (big, small) = if sa >= sb { (&mut a, sb) } else { (&mut b, sa) };
-            let target = (limit / small.max(1)).max(max / 2).max(64);
-            *big = collapser.shrink(m, *big, target);
-            if m.size(big.node()) >= if sa >= sb { sa } else { sb } {
-                break; // cannot shrink further; accept the apply cost
-            }
+    // Bound the apply's worst case to a few million node visits.
+    let limit = 4_000_000usize.max(16 * max);
+    loop {
+        let (sa, sb) = (m.size(a.node()), m.size(b.node()));
+        if sa.saturating_mul(sb) <= limit {
+            break;
+        }
+        let (big, small) = if sa >= sb { (&mut a, sb) } else { (&mut b, sa) };
+        let target = (limit / small.max(1)).max(max / 2).max(64);
+        *big = collapser.shrink(m, *big, target);
+        if m.size(big.node()) >= if sa >= sb { sa } else { sb } {
+            break; // cannot shrink further; accept the apply cost
         }
     }
-    let mut sum = m.try_add_plus(a, b, budget)?;
-    if max_nodes.is_some() {
-        sum = quantize(m, sum, quantum, collapser.strategy);
-    }
-    if let Some(max) = max_nodes {
-        if m.size(sum.node()) > 2 * max {
-            sum = collapser.shrink(m, sum, max);
-        }
+    let rounding = match collapser.strategy {
+        ApproxStrategy::Average => Rounding::Nearest,
+        ApproxStrategy::UpperBound => Rounding::Up,
+    };
+    let mut sum = m.try_add_plus_quantized(a, b, quantum, rounding, budget)?;
+    if m.size(sum.node()) > 2 * max {
+        sum = collapser.shrink(m, sum, max);
     }
     Ok(sum)
-}
-
-/// Snaps every terminal to a multiple of `quantum` — round-to-nearest for
-/// average models, round-up for upper bounds (which keeps them
-/// conservative). Exact zero stays exact so diagonal gating is unaffected.
-fn quantize(m: &mut Manager, f: Add, quantum: f64, strategy: ApproxStrategy) -> Add {
-    m.add_map_terminals(f, |v| {
-        if v == 0.0 {
-            0.0
-        } else {
-            match strategy {
-                ApproxStrategy::Average => (v / quantum).round() * quantum,
-                ApproxStrategy::UpperBound => (v / quantum).ceil() * quantum,
-            }
-        }
-    })
 }
 
 /// The BDD of "at least one input toggles": `OR_k (xₖⁱ ⊕ xₖᶠ)`.

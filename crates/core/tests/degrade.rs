@@ -131,8 +131,11 @@ fn strict_deadline_fails_fast() {
     let lib = Library::test_library();
     let netlist = benchmarks::by_name("cm150", &lib).expect("Table 1 name");
     let started = std::time::Instant::now();
+    // An already-expired deadline: the clock is polled at the first step
+    // and every `CLOCK_STRIDE` steps after, so a deadline the build could
+    // outrun between two polls would let it succeed.
     let err = ModelBuilder::new(&netlist)
-        .time_budget(Duration::from_millis(1))
+        .time_budget(Duration::ZERO)
         .strict(true)
         .try_build()
         .expect_err("an exhausted deadline must fail a strict build");

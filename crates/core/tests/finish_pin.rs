@@ -10,7 +10,7 @@
 //! out of each digest.
 
 use charfree_core::hashing::Fnv128;
-use charfree_core::{AddPowerModel, ApproxStrategy, ModelBuilder};
+use charfree_core::{AddPowerModel, ApproxStrategy, DegradationRung, ModelBuilder, Resource};
 use charfree_netlist::{benchmarks, Library, Netlist};
 
 fn netlist(name: &str) -> Netlist {
@@ -98,6 +98,17 @@ fn degraded_builds_are_pinned() {
         .trip_after(50)
         .try_build()
         .expect("degrades, never fails");
+    // The row climbs every rung: sheds, one reorder, then the constant
+    // fallback last.
+    let report = tripped.degradation().expect("degraded");
+    assert_eq!(report.first_trip, Some(Resource::FaultInjection));
+    let (last, rest) = report.rungs.split_last().expect("rungs fired");
+    let (reorder, sheds) = rest.split_last().expect("a reorder before the fallback");
+    assert_eq!(*last, DegradationRung::ConstantFallback);
+    assert_eq!(*reorder, DegradationRung::ReorderVariables);
+    assert!(!sheds.is_empty());
+    assert!(sheds.iter().all(|&r| r == DegradationRung::ShedPartialSums));
+    assert_eq!(report.gates_folded, 13);
     let bound = ModelBuilder::new(&cm85)
         .max_nodes(300)
         .strategy(ApproxStrategy::UpperBound)
@@ -111,7 +122,7 @@ fn degraded_builds_are_pinned() {
     assert_eq!(
         got.each_ref().map(String::as_str),
         [
-            "6a298e7a276642e5a6f697139a4ed900",
+            "d972734daaa049cb6e49e0d7c50bff96",
             "879638a0d73ae05492ec30daf58bd1e3",
         ]
     );

@@ -13,6 +13,9 @@
 //! * arithmetic operators on [`Add`]s (pointwise [`BinOp`]s, `+`, `×`,
 //!   scaling by constants, Boolean selection) — the `bdd_and`/`bdd_not`/
 //!   `add_times`/`add_sum` vocabulary of the paper's Fig. 6 pseudo-code;
+//! * a quantized sum ([`Manager::try_add_plus_quantized`]): `+` whose
+//!   terminals snap onto a grid in the same apply pass, so a bounded
+//!   build's partial-sum merge never builds the unquantized sum;
 //! * per-node statistics (average, variance, min and max of Eqs. 5–7,
 //!   and reach probability) under input measures, in one bottom-up and
 //!   one top-down pass per measure over a dense, canonically ordered
@@ -75,7 +78,7 @@ mod snapshot;
 mod stats;
 
 pub use budget::{ApplyStats, Budget, DdError, Resource};
-pub use manager::{Add, Bdd, BinOp, Manager};
+pub use manager::{Add, Bdd, BinOp, Manager, Rounding};
 pub use node::{NodeId, Var};
 pub use snapshot::{CollapseSizer, DenseProfile, Snapshot};
 pub use stats::{ChainMeasure, MeasuredNode, NodeStats, VarMeasure};

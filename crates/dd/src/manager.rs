@@ -168,10 +168,98 @@ impl BinOp {
     }
 }
 
+/// The terminal table's key for a value's bits: a bijective 64-bit
+/// finalizer (MurmurHash3's `fmix64`). [`FxHasher`](crate::hash::FxHasher)
+/// is one multiply, so the low bits of its hash, which pick the bucket,
+/// depend only on the low bits of the key. Values on a grid, or sums of
+/// loads with short mantissas, end in dozens of zero bits and would all
+/// share one bucket; mixed first, they spread.
+#[inline]
+fn terminal_key(bits: u64) -> u64 {
+    let mut h = bits;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
+}
+
 #[inline]
 fn is_bool(v: f64) -> bool {
     v == 0.0 || v == 1.0
 }
+
+/// The direction in which [`Manager::try_add_plus_quantized`] snaps a sum
+/// onto its grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Rounding {
+    /// To the nearest multiple of the quantum (`f64::round`).
+    Nearest,
+    /// Up to the next multiple of the quantum (`f64::ceil`), so the snapped
+    /// value never falls below the exact one.
+    Up,
+}
+
+/// What an apply recursion does beyond its [`BinOp`]: the computed-table
+/// opcode it caches under and what its terminal case makes of the
+/// operation's value. Each implementation gets its own compiled copy of
+/// the one recursion, so the plain operations pay nothing for the
+/// quantized sum.
+trait Leaf: Copy {
+    /// Whether [`Leaf::leaf`] is the identity, so that the operation's
+    /// short-circuits may return an operand as it is.
+    const IDENTITY: bool;
+    fn code(self, op: BinOp) -> u8;
+    fn leaf(self, v: f64) -> f64;
+}
+
+/// The plain operation: cached under the [`BinOp`]'s opcode, terminals as
+/// computed.
+#[derive(Debug, Clone, Copy)]
+struct Exact;
+
+impl Leaf for Exact {
+    const IDENTITY: bool = true;
+    #[inline]
+    fn code(self, op: BinOp) -> u8 {
+        op.opcode()
+    }
+    #[inline]
+    fn leaf(self, v: f64) -> f64 {
+        v
+    }
+}
+
+/// A grid terminal values snap onto, with the opcode its quantized sums
+/// are cached under: `q(0) = 0`, otherwise `v / quantum` rounded by
+/// `rounding`, times `quantum`.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    quantum: f64,
+    rounding: Rounding,
+    code: u8,
+}
+
+impl Leaf for Grid {
+    const IDENTITY: bool = false;
+    #[inline]
+    fn code(self, _: BinOp) -> u8 {
+        self.code
+    }
+    #[inline]
+    fn leaf(self, v: f64) -> f64 {
+        if v == 0.0 {
+            0.0
+        } else {
+            match self.rounding {
+                Rounding::Nearest => (v / self.quantum).round() * self.quantum,
+                Rounding::Up => (v / self.quantum).ceil() * self.quantum,
+            }
+        }
+    }
+}
+
+/// The first computed-table opcode of the quantized sums ([`BinOp`]s use
+/// the ones below); the one of grid `i` is `FIRST_GRID_CODE + i`.
+const FIRST_GRID_CODE: u8 = 8;
 
 /// Owner of all decision-diagram nodes.
 ///
@@ -200,9 +288,13 @@ pub struct Manager {
     nodes: Vec<Node>,
     terminals: Vec<f64>,
     unique: FxHashMap<Node, NodeId>,
+    /// Terminals by the [`terminal_key`] of their bits.
     term_unique: FxHashMap<u64, NodeId>,
     cache2: FxHashMap<(u8, NodeId, NodeId), NodeId>,
     cache3: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
+    /// The `(quantum bits, rounding)` of each quantized sum's opcode, in
+    /// opcode order from [`FIRST_GRID_CODE`].
+    grids: Vec<(u64, Rounding)>,
     num_vars: u32,
     zero: NodeId,
     one: NodeId,
@@ -233,6 +325,7 @@ impl Manager {
             term_unique: FxHashMap::default(),
             cache2: FxHashMap::default(),
             cache3: FxHashMap::default(),
+            grids: Vec::new(),
             num_vars,
             zero: NodeId::terminal(0),
             one: NodeId::terminal(0),
@@ -280,13 +373,13 @@ impl Manager {
         assert!(!value.is_nan(), "decision-diagram terminals cannot be NaN");
         // Fold -0.0 into +0.0 so that bit-level interning stays canonical.
         let value = if value == 0.0 { 0.0 } else { value };
-        let bits = value.to_bits();
-        if let Some(&id) = self.term_unique.get(&bits) {
+        let key = terminal_key(value.to_bits());
+        if let Some(&id) = self.term_unique.get(&key) {
             return id;
         }
         let id = NodeId::terminal(self.terminals.len() as u32);
         self.terminals.push(value);
-        self.term_unique.insert(bits, id);
+        self.term_unique.insert(key, id);
         id
     }
 
@@ -566,7 +659,7 @@ impl Manager {
     ///
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_bdd_and(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        Ok(Bdd(self.apply_op(BinOp::And, f.0, g.0, budget)?))
+        Ok(Bdd(self.apply_op(BinOp::And, Exact, f.0, g.0, budget)?))
     }
 
     /// Budgeted [`Manager::bdd_or`].
@@ -575,7 +668,7 @@ impl Manager {
     ///
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_bdd_or(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        Ok(Bdd(self.apply_op(BinOp::Or, f.0, g.0, budget)?))
+        Ok(Bdd(self.apply_op(BinOp::Or, Exact, f.0, g.0, budget)?))
     }
 
     /// Budgeted [`Manager::bdd_xor`].
@@ -584,7 +677,7 @@ impl Manager {
     ///
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_bdd_xor(&mut self, f: Bdd, g: Bdd, budget: &Budget) -> Result<Bdd, DdError> {
-        Ok(Bdd(self.apply_op(BinOp::Xor, f.0, g.0, budget)?))
+        Ok(Bdd(self.apply_op(BinOp::Xor, Exact, f.0, g.0, budget)?))
     }
 
     /// Budgeted Boolean equivalence (`f ↔ g`).
@@ -618,7 +711,7 @@ impl Manager {
         g: Add,
         budget: &Budget,
     ) -> Result<Add, DdError> {
-        Ok(Add(self.apply_op(op, f.0, g.0, budget)?))
+        Ok(Add(self.apply_op(op, Exact, f.0, g.0, budget)?))
     }
 
     /// Budgeted [`Manager::add_plus`].
@@ -628,6 +721,79 @@ impl Manager {
     /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
     pub fn try_add_plus(&mut self, f: Add, g: Add, budget: &Budget) -> Result<Add, DdError> {
         self.try_add_apply(BinOp::Plus, f, g, budget)
+    }
+
+    /// Budgeted pointwise sum snapped onto a grid: `q(f + g)`, where
+    /// `q(0) = 0` and otherwise `q(v) = (v / quantum).round() * quantum`
+    /// ([`Rounding::Nearest`]) or `(v / quantum).ceil() * quantum`
+    /// ([`Rounding::Up`]).
+    ///
+    /// The result is the diagram `add_map_terminals(add_plus(f, g), q)`
+    /// builds, made in one apply pass whose terminal case is `q(a + b)`:
+    /// the unquantized sum is never built. Results are cached in the
+    /// computed table per `(quantum, rounding)`, so no result is reused
+    /// under another grid.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use charfree_dd::{Budget, Manager, Rounding, Var};
+    ///
+    /// let mut m = Manager::new(1);
+    /// let x = m.bdd_var(Var(0));
+    /// let (a, b) = (m.constant(1.2), m.constant(0.7));
+    /// let f = m.add_ite(x, a, b); // x ? 1.2 : 0.7
+    /// let g = m.constant(0.2);
+    /// let up = m.try_add_plus_quantized(f, g, 0.5, Rounding::Up, &Budget::unlimited())?;
+    /// assert_eq!(m.add_eval(up, &[true]), 1.5);
+    /// assert_eq!(m.add_eval(up, &[false]), 1.0);
+    /// # Ok::<(), charfree_dd::DdError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DdError::BudgetExceeded`] when `budget` runs out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantum` is not finite and positive.
+    pub fn try_add_plus_quantized(
+        &mut self,
+        f: Add,
+        g: Add,
+        quantum: f64,
+        rounding: Rounding,
+        budget: &Budget,
+    ) -> Result<Add, DdError> {
+        assert!(
+            quantum.is_finite() && quantum > 0.0,
+            "quantum must be finite and positive"
+        );
+        let grid = Grid {
+            quantum,
+            rounding,
+            code: self.grid_code(quantum, rounding),
+        };
+        Ok(Add(self.apply_op(BinOp::Plus, grid, f.0, g.0, budget)?))
+    }
+
+    /// The computed-table opcode of the quantized sum on the grid of
+    /// `quantum` and `rounding`. When every opcode is taken, the quantized
+    /// sums' entries are dropped and the numbering starts over.
+    fn grid_code(&mut self, quantum: f64, rounding: Rounding) -> u8 {
+        let key = (quantum.to_bits(), rounding);
+        let i = match self.grids.iter().position(|&k| k == key) {
+            Some(i) => i,
+            None => {
+                if self.grids.len() == usize::from(u8::MAX - FIRST_GRID_CODE) + 1 {
+                    self.cache2.retain(|k, _| k.0 < FIRST_GRID_CODE);
+                    self.grids.clear();
+                }
+                self.grids.push(key);
+                self.grids.len() - 1
+            }
+        };
+        FIRST_GRID_CODE + i as u8
     }
 
     /// Budgeted [`Manager::add_times`].
@@ -658,37 +824,42 @@ impl Manager {
     /// Infallible apply: delegates to the budgeted recursion with an
     /// unlimited budget, which cannot fail.
     fn apply(&mut self, op: BinOp, f: NodeId, g: NodeId) -> NodeId {
-        self.apply_op(op, f, g, &Budget::unlimited())
+        self.apply_op(op, Exact, f, g, &Budget::unlimited())
             .expect("unlimited budget cannot be exceeded")
     }
 
     /// One top-level apply: the recursion counts its steps in `budget`,
     /// which publishes them to its stats sink once, here.
-    fn apply_op(
+    fn apply_op<L: Leaf>(
         &mut self,
         op: BinOp,
+        leaf: L,
         f: NodeId,
         g: NodeId,
         budget: &Budget,
     ) -> Result<NodeId, DdError> {
-        let result = self.apply_in(op, f, g, budget);
+        let result = self.apply_in(op, leaf, f, g, budget);
         budget.publish();
         result
     }
 
-    fn apply_in(
+    fn apply_in<L: Leaf>(
         &mut self,
         op: BinOp,
+        leaf: L,
         f: NodeId,
         g: NodeId,
         budget: &Budget,
     ) -> Result<NodeId, DdError> {
         // Terminal short-circuits.
         if f.is_terminal() && g.is_terminal() {
-            let v = op.eval(self.terminal_value(f), self.terminal_value(g));
+            let v = leaf.leaf(op.eval(self.terminal_value(f), self.terminal_value(g)));
             return Ok(self.terminal(v));
         }
         match op {
+            // A leaf that snaps values must reach every terminal, so it
+            // returns no operand as it is.
+            _ if !L::IDENTITY => {}
             BinOp::And => {
                 if f == self.zero || g == self.zero {
                     return Ok(self.zero);
@@ -764,7 +935,7 @@ impl Manager {
         } else {
             (f, g)
         };
-        let key = (op.opcode(), a, b);
+        let key = (leaf.code(op), a, b);
         if let Some(&r) = self.cache2.get(&key) {
             return Ok(r);
         }
@@ -776,8 +947,8 @@ impl Manager {
         let level = self.level(a).min(self.level(b));
         let (a0, a1) = self.expand(a, level);
         let (b0, b1) = self.expand(b, level);
-        let lo = self.apply_in(op, a0, b0, budget)?;
-        let hi = self.apply_in(op, a1, b1, budget)?;
+        let lo = self.apply_in(op, leaf, a0, b0, budget)?;
+        let hi = self.apply_in(op, leaf, a1, b1, budget)?;
         let r = self.mk(level, lo, hi);
         self.cache2.insert(key, r);
         Ok(r)
@@ -1042,6 +1213,7 @@ impl Manager {
     pub fn clear_caches(&mut self) {
         self.cache2.clear();
         self.cache3.clear();
+        self.grids.clear();
     }
 
     /// Garbage-collects the arena, keeping only nodes reachable from
@@ -1107,12 +1279,11 @@ impl Manager {
         self.term_unique = new_terms
             .iter()
             .enumerate()
-            .map(|(i, v)| (v.to_bits(), NodeId::terminal(i as u32)))
+            .map(|(i, v)| (terminal_key(v.to_bits()), NodeId::terminal(i as u32)))
             .collect();
         self.nodes = new_nodes;
         self.terminals = new_terms;
-        self.cache2.clear();
-        self.cache3.clear();
+        self.clear_caches();
         self.zero = remapped[0];
         self.one = remapped[1];
         remapped[2..].to_vec()
@@ -1357,6 +1528,48 @@ mod tests {
         assert_eq!(m.add_eval(mx, &[true, true]), 50.0);
         let mn = m.add_apply(BinOp::Min, fx, fy);
         assert_eq!(m.add_eval(mn, &[true, true]), 40.0);
+    }
+
+    #[test]
+    fn grid_terminals_intern_once_and_survive_compaction() {
+        // Multiples of a power-of-two quantum end in long runs of zero
+        // bits, the keys `terminal_key` mixes.
+        let mut m = Manager::new(1);
+        let values: Vec<f64> = (-2000..2000).map(|k| f64::from(k) * 0.125).collect();
+        let ids: Vec<NodeId> = values.iter().map(|&v| m.terminal(v)).collect();
+        for (&v, &id) in values.iter().zip(&ids) {
+            assert_eq!(m.terminal(v), id);
+            assert_eq!(m.terminal_value(id).to_bits(), v.to_bits());
+        }
+        let kept = m.compact(&ids);
+        for (&v, &id) in values.iter().zip(&kept) {
+            assert_eq!(m.terminal(v), id);
+        }
+    }
+
+    #[test]
+    fn quantized_sums_outlive_their_opcodes() {
+        // Twice as many grids as opcodes, two rounds, no `clear_caches`:
+        // every call still snaps onto its own grid.
+        let mut m = Manager::new(2);
+        let x = m.bdd_var(Var(0));
+        let y = m.bdd_var(Var(1));
+        let (c3, c5) = (m.constant(3.0), m.constant(5.0));
+        let zero = m.add_zero();
+        let f = m.add_ite(x, c3, zero);
+        let g = m.add_ite(y, c5, zero);
+        let budget = Budget::unlimited();
+        for _ in 0..2 {
+            for k in 1..=500u32 {
+                let quantum = f64::from(k) / 64.0;
+                let q = m
+                    .try_add_plus_quantized(f, g, quantum, Rounding::Up, &budget)
+                    .expect("unlimited");
+                let want = (8.0 / quantum).ceil() * quantum;
+                assert_eq!(m.add_eval(q, &[true, true]), want);
+            }
+        }
+        assert!(m.grids.len() <= usize::from(u8::MAX - FIRST_GRID_CODE) + 1);
     }
 
     #[test]

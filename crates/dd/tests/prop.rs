@@ -1,7 +1,9 @@
 //! Property-based tests: decision-diagram operations against brute-force
 //! truth-table semantics on small variable counts.
 
-use charfree_dd::{Add, Bdd, BinOp, ChainMeasure, Manager, NodeId, Var};
+use charfree_dd::{
+    Add, Bdd, BinOp, Budget, ChainMeasure, DdError, Manager, NodeId, Resource, Rounding, Var,
+};
 use charfree_netlist::testutil::{assume, check, Gen};
 use std::ops::Range;
 
@@ -315,6 +317,120 @@ fn avg_collapse_preserves_global_average() {
             let g = m.collapse(f, &[(target, leaf)]);
             assert!((mean(values(&m, g)) - mean(values(&m, f))).abs() < 1e-9);
             Ok(())
+        },
+    );
+}
+
+/// The snap `try_add_plus_quantized` applies, written out: `q(0) = 0`,
+/// otherwise `v / quantum` rounded, times `quantum`.
+fn snap(v: f64, quantum: f64, rounding: Rounding) -> f64 {
+    if v == 0.0 {
+        0.0
+    } else {
+        match rounding {
+            Rounding::Nearest => (v / quantum).round() * quantum,
+            Rounding::Up => (v / quantum).ceil() * quantum,
+        }
+    }
+}
+
+/// The two-pass reference of `try_add_plus_quantized`: the sum, then its
+/// terminals mapped through [`snap`].
+fn add_then_quantize(m: &mut Manager, f: Add, g: Add, quantum: f64, rounding: Rounding) -> Add {
+    let sum = m.add_plus(f, g);
+    m.add_map_terminals(sum, |v| snap(v, quantum, rounding))
+}
+
+/// Operands of a quantized sum: two shared ADDs with negative terminals,
+/// which pair (both, a zero on either side, or one with itself), two
+/// quanta and a pick for the trip point.
+type QuantizedCase = ([(Vec<f64>, Expr, f64); 2], u64, [f64; 2], u64);
+
+fn arb_quantized_case(g: &mut Gen) -> QuantizedCase {
+    let operand = |g: &mut Gen| {
+        (
+            weights(g, NVARS as usize, -10.0..10.0),
+            arb_expr(g),
+            g.float(-10.0..10.0),
+        )
+    };
+    let operands = [operand(g), operand(g)];
+    (
+        operands,
+        g.below(4),
+        [g.float(0.05..3.0), g.float(0.05..3.0)],
+        g.below(1 << 20),
+    )
+}
+
+#[test]
+fn fused_quantized_sum_matches_add_then_quantize() {
+    check(
+        "fused_quantized_sum_matches_add_then_quantize",
+        64,
+        arb_quantized_case,
+        |(operands, pairing, quanta, trip_pick)| {
+            let mut m = Manager::new(NVARS);
+            let [a, b] = operands
+                .each_ref()
+                .map(|(w, plateau, height)| build_shared_add(&mut m, w, plateau, *height));
+            let zero = m.add_zero();
+            let (f, g) = match *pairing {
+                0 => (a, b),
+                1 => (zero, b),
+                2 => (a, zero),
+                _ => (a, a),
+            };
+            let unlimited = Budget::unlimited();
+            // Both quanta and both directions on the same operands with
+            // no `clear_caches` between: a cached result reused under
+            // another grid would differ from the reference.
+            for &quantum in quanta {
+                for rounding in [Rounding::Nearest, Rounding::Up] {
+                    let fused = m
+                        .try_add_plus_quantized(f, g, quantum, rounding, &unlimited)
+                        .expect("an unlimited budget cannot trip");
+                    assert_eq!(fused, add_then_quantize(&mut m, f, g, quantum, rounding));
+                }
+            }
+
+            // A trip mid-operation fails it and leaves both operands as
+            // they were; the same sum then completes to the reference.
+            let quantum = quanta[0] * 0.75;
+            let probe = Budget::unlimited();
+            m.clone()
+                .try_add_plus_quantized(f, g, quantum, Rounding::Up, &probe)
+                .expect("an unlimited budget cannot trip");
+            if probe.steps() > 0 {
+                let bits = |m: &Manager| {
+                    [f, g].map(|h| {
+                        values(m, h)
+                            .into_iter()
+                            .map(f64::to_bits)
+                            .collect::<Vec<_>>()
+                    })
+                };
+                let before = bits(&m);
+                let tripping = Budget::unlimited().trip_after(1 + trip_pick % probe.steps());
+                let err = m
+                    .try_add_plus_quantized(f, g, quantum, Rounding::Up, &tripping)
+                    .expect_err("the trip lands inside the operation");
+                assert!(matches!(
+                    err,
+                    DdError::BudgetExceeded {
+                        resource: Resource::FaultInjection,
+                        ..
+                    }
+                ));
+                assert_eq!(bits(&m), before);
+                let fused = m
+                    .try_add_plus_quantized(f, g, quantum, Rounding::Up, &unlimited)
+                    .expect("an unlimited budget cannot trip");
+                assert_eq!(
+                    fused,
+                    add_then_quantize(&mut m, f, g, quantum, Rounding::Up)
+                );
+            }
         },
     );
 }

@@ -58,9 +58,9 @@ fn build_workload_models_and_work_are_pinned() {
     assert_eq!(
         got,
         [
-            ("3dc40853c5495fab530ddabecc7fdfd0", 529_702, 209_756),
-            ("a6b6176c8b1482a99c85eb0e4514eaca", 42_106, 40_816),
-            ("81d50d1a5d776f2c4142e78cb94ce9c5", 215_375, 133_122),
+            ("3dc40853c5495fab530ddabecc7fdfd0", 542_264, 118_591),
+            ("a6b6176c8b1482a99c85eb0e4514eaca", 43_089, 36_905),
+            ("81d50d1a5d776f2c4142e78cb94ce9c5", 217_715, 132_414),
         ],
         "the build workload's models or their apply counts moved"
     );
