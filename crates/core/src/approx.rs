@@ -127,7 +127,10 @@ fn approximate_to_mixture(
     // runs. Size is not monotone in k (shared sub-diagrams cascade), so
     // this finds *a* small feasible k; if no k below "everything" is
     // feasible, every candidate collapses — the root included, which
-    // leaves the constant estimator.
+    // leaves the constant estimator. A probe only asks whether its
+    // collapse fits, so it stops counting once the count passes the
+    // bound; the answer, and with it every step of the search, is the
+    // full count's.
     let mut sizer = snap.collapse_sizer(&order, &leaves);
     let mut lo = 1usize;
     let mut hi = order.len();
@@ -135,7 +138,7 @@ fn approximate_to_mixture(
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         outcome.rounds += 1;
-        if sizer.collapsed_size(mid) <= max_nodes {
+        if sizer.fits(mid, max_nodes) {
             best = Some(mid);
             hi = mid;
         } else {
@@ -224,6 +227,7 @@ fn collapse_plans(
 mod tests {
     use super::*;
     use charfree_dd::Var;
+    use charfree_netlist::testutil::{check, Gen};
 
     /// [`approximate_to_mixture`] under the uniform measure alone.
     fn approximate_uniform(
@@ -297,6 +301,86 @@ mod tests {
         let mut want: Vec<u32> = (0..scores.len() as u32).collect();
         want.sort_by(|&a, &b| scores[a as usize].partial_cmp(&scores[b as usize]).unwrap());
         assert_eq!(rank(scores), want);
+    }
+
+    /// The search as a plain binary search over full counts: the `k` and
+    /// the trial count it reaches.
+    fn reference_search(
+        snap: &Snapshot,
+        max_nodes: usize,
+        strategy: ApproxStrategy,
+        mixture: &[(ChainMeasure, f64)],
+    ) -> (usize, usize) {
+        let (scores, leaves) = collapse_plans(snap, strategy, mixture);
+        let order = rank(scores);
+        let mut sizer = snap.collapse_sizer(&order, &leaves);
+        let (mut lo, mut hi, mut best, mut rounds) = (1, order.len(), None, 0);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            rounds += 1;
+            if sizer.collapsed_size(mid) <= max_nodes {
+                best = Some(mid);
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        (
+            best.unwrap_or(order.len()),
+            rounds + usize::from(best.is_none()),
+        )
+    }
+
+    #[test]
+    fn search_picks_the_k_and_rounds_of_a_full_count_search() {
+        const PAIRS: u32 = 4;
+        let mixture = [
+            (ChainMeasure::uniform(2 * PAIRS), 0.5),
+            (ChainMeasure::interleaved_transitions(PAIRS, 0.5, 0.1), 0.25),
+            (ChainMeasure::interleaved_transitions(PAIRS, 0.5, 0.6), 0.25),
+        ];
+        // A sum of weighted conjunctions of literals on a 1/4 grid.
+        let generate = |g: &mut Gen| {
+            let terms = g.vec(2..9, |g| {
+                let literals = g.vec(1..4, |g| (g.range(0..2 * PAIRS), g.below(2) == 1));
+                (literals, f64::from(g.range(1..40u32)) * 0.25)
+            });
+            (terms, g.below(2) == 1)
+        };
+        check(
+            "search_picks_the_k_and_rounds_of_a_full_count_search",
+            32,
+            generate,
+            |(terms, upper)| {
+                let strategy = if *upper {
+                    ApproxStrategy::UpperBound
+                } else {
+                    ApproxStrategy::Average
+                };
+                let mut m = Manager::new(2 * PAIRS);
+                let mut f = m.add_zero();
+                for (literals, weight) in terms {
+                    let mut product = m.bdd_true();
+                    for &(v, positive) in literals {
+                        let x = m.bdd_var(Var(v));
+                        let literal = if positive { x } else { m.bdd_not(x) };
+                        product = m.bdd_and(product, literal);
+                    }
+                    let term = m.add_scale(product.as_add(), *weight);
+                    f = m.add_plus(f, term);
+                }
+                let snap = m.snapshot(f);
+                for max_nodes in 1..snap.size() {
+                    let want = reference_search(&snap, max_nodes, strategy, &mixture);
+                    let (_, got) = approximate_to_mixture(&mut m, f, max_nodes, strategy, &mixture);
+                    assert_eq!(
+                        (got.nodes_collapsed, got.rounds),
+                        want,
+                        "max_nodes = {max_nodes}"
+                    );
+                }
+            },
+        );
     }
 
     #[test]

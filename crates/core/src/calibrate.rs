@@ -24,7 +24,6 @@
 //! paper (see DESIGN.md §5) and applies to average-accuracy models only —
 //! an upper bound must never be lowered.
 
-use charfree_dd::hash::FxHashMap;
 use charfree_dd::{Add, ChainMeasure, Manager};
 
 /// Per-measure analytic means of the golden model, accumulated during
@@ -110,17 +109,18 @@ pub(crate) fn recalibrate_leaves(
     let u = crate::linalg::least_squares(&system, &bias);
 
     // δ_ℓ = −(1/λ r_ℓ)·Σ_t w_t q_t(ℓ) u_t, then clamp values at zero.
-    let mut new_value: FxHashMap<u64, f64> = FxHashMap::default();
+    let mut new_values = values.to_vec();
     for (l, &j) in terminals.iter().enumerate() {
         let mut shift = 0.0;
         for t in 0..t_count {
             shift += weights[t] * q[t][l] * u[t];
         }
         let delta = -shift / (ridge * r[l]);
-        let old = values[j];
-        new_value.insert(old.to_bits(), (old + delta).max(0.0));
+        new_values[j] = (values[j] + delta).max(0.0);
     }
-    m.add_map_terminals(model, |v| new_value.get(&v.to_bits()).copied().unwrap_or(v))
+    // The model's terminals are exactly the snapshot's distinct values,
+    // ascending, so each one finds its index by binary search.
+    m.add_map_terminals(model, |v| new_values[values.partition_point(|&x| x < v)])
 }
 
 #[cfg(test)]

@@ -13,6 +13,10 @@
 //! * [`Fnv128`] — two decorrelated 64-bit FNV-1a streams over
 //!   length-prefixed sections, the artifact-store content key.
 //!
+//! Beside them, [`mix64`] is the one key mixer: the tables keyed by an
+//! f64's bits (the manager's terminal table, the collapse sizer's leaf
+//! table) mix the bits through it before [`FxHasher`] sees them.
+//!
 //! None of these are DoS-resistant; every key is internal data, never
 //! attacker-controlled. The digests of [`fnv1a_64`] and [`Fnv128`] are
 //! **stable API**: artifact-store file names and registry shard routing
@@ -138,6 +142,33 @@ pub fn canonical_f64_bits(v: f64) -> u64 {
     } else {
         v.to_bits()
     }
+}
+
+/// The key of an f64's bits in an [`FxHashMap`]: a bijective 64-bit
+/// finalizer, the first xorshift-multiply-xorshift round of MurmurHash3's
+/// `fmix64`.
+///
+/// [`FxHasher`] is one multiply, so the low bits of its hash, which pick
+/// the bucket, depend only on the low bits of the key. Values on a grid,
+/// or sums of loads with short mantissas, end in dozens of zero bits and
+/// would all share one probe run; mixed first, they spread. The mixer is
+/// a bijection, so two keys collide exactly when the bits do.
+///
+/// # Examples
+///
+/// ```
+/// use charfree_dd::hash::mix64;
+///
+/// assert_eq!(mix64(0), 0);
+/// assert_ne!(mix64(1.0f64.to_bits()) & 0xffff, mix64(2.0f64.to_bits()) & 0xffff);
+/// ```
+#[inline]
+#[must_use]
+pub fn mix64(bits: u64) -> u64 {
+    let mut h = bits;
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
 }
 
 /// Multiply-xor hasher in the style of rustc's FxHash.
@@ -285,6 +316,28 @@ mod tests {
         let empty = Fnv128::new().finish();
         let one_empty_section = *Fnv128::new().section(b"");
         assert_ne!(empty, one_empty_section.finish());
+    }
+
+    // Pinned so that a change to the mixer is a deliberate one; keys are
+    // never persisted, so nothing on disk depends on these.
+    #[test]
+    fn mix64_outputs_are_pinned() {
+        assert_eq!(mix64(0), 0);
+        assert_eq!(mix64(1), 0xff51_afd7_92fd_5b26);
+        assert_eq!(mix64(0.125f64.to_bits()), 0x0f6d_06e8_01d6_8374);
+        assert_eq!(mix64(1.0f64.to_bits()), 0xf21b_46ed_4095_a376);
+        assert_eq!(mix64(600.0f64.to_bits()), 0x2f22_ad52_6348_b6a9);
+        assert_eq!(mix64((-2.5f64).to_bits()), 0x4be3_ef77_dc6b_f7bb);
+    }
+
+    #[test]
+    fn mix64_spreads_grid_values_over_low_bits() {
+        // Multiples of 1/8 share their low 48 bits; mixed, their low 16
+        // bits (what a 64 Ki-bucket table probes) are nearly all distinct.
+        let low: FxHashSet<u64> = (1..=4096)
+            .map(|k| mix64((f64::from(k) * 0.125).to_bits()) & 0xffff)
+            .collect();
+        assert!(low.len() > 3900, "{} distinct", low.len());
     }
 
     #[test]

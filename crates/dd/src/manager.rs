@@ -2,7 +2,7 @@
 //! the core `mk` constructor that keeps diagrams reduced and canonical.
 
 use crate::budget::{Budget, DdError};
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::{mix64, FxHashMap, FxHashSet};
 use crate::marks::Marks;
 use crate::node::{Node, NodeId, Var};
 
@@ -168,20 +168,6 @@ impl BinOp {
     }
 }
 
-/// The terminal table's key for a value's bits: a bijective 64-bit
-/// finalizer (MurmurHash3's `fmix64`). [`FxHasher`](crate::hash::FxHasher)
-/// is one multiply, so the low bits of its hash, which pick the bucket,
-/// depend only on the low bits of the key. Values on a grid, or sums of
-/// loads with short mantissas, end in dozens of zero bits and would all
-/// share one bucket; mixed first, they spread.
-#[inline]
-fn terminal_key(bits: u64) -> u64 {
-    let mut h = bits;
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^ (h >> 33)
-}
-
 #[inline]
 fn is_bool(v: f64) -> bool {
     v == 0.0 || v == 1.0
@@ -288,7 +274,7 @@ pub struct Manager {
     nodes: Vec<Node>,
     terminals: Vec<f64>,
     unique: FxHashMap<Node, NodeId>,
-    /// Terminals by the [`terminal_key`] of their bits.
+    /// Terminals by the [`mix64`] of their bits.
     term_unique: FxHashMap<u64, NodeId>,
     cache2: FxHashMap<(u8, NodeId, NodeId), NodeId>,
     cache3: FxHashMap<(NodeId, NodeId, NodeId), NodeId>,
@@ -373,7 +359,7 @@ impl Manager {
         assert!(!value.is_nan(), "decision-diagram terminals cannot be NaN");
         // Fold -0.0 into +0.0 so that bit-level interning stays canonical.
         let value = if value == 0.0 { 0.0 } else { value };
-        let key = terminal_key(value.to_bits());
+        let key = mix64(value.to_bits());
         if let Some(&id) = self.term_unique.get(&key) {
             return id;
         }
@@ -1279,7 +1265,7 @@ impl Manager {
         self.term_unique = new_terms
             .iter()
             .enumerate()
-            .map(|(i, v)| (terminal_key(v.to_bits()), NodeId::terminal(i as u32)))
+            .map(|(i, v)| (mix64(v.to_bits()), NodeId::terminal(i as u32)))
             .collect();
         self.nodes = new_nodes;
         self.terminals = new_terms;
@@ -1533,7 +1519,7 @@ mod tests {
     #[test]
     fn grid_terminals_intern_once_and_survive_compaction() {
         // Multiples of a power-of-two quantum end in long runs of zero
-        // bits, the keys `terminal_key` mixes.
+        // bits, the keys `mix64` mixes.
         let mut m = Manager::new(1);
         let values: Vec<f64> = (-2000..2000).map(|k| f64::from(k) * 0.125).collect();
         let ids: Vec<NodeId> = values.iter().map(|&v| m.terminal(v)).collect();

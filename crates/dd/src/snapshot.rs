@@ -9,12 +9,16 @@
 //! `Vec`s and everything else runs on dense indices:
 //!
 //! * [`Snapshot::profile`] computes the statistics under `K` measures,
-//!   measure by measure: a bottom-up pass fills one `n`-long buffer of
-//!   moments, and the top-down pass for the same measure reads it at
-//!   once, so the working memory is O(n) whatever `K` is;
+//!   measure by measure: a bottom-up pass fills one buffer of moments,
+//!   and the top-down pass for the same measure reads it at once, so the
+//!   working memory is O(n) whatever `K` is. The top-down pass mixes an
+//!   uncorrelated node's one context directly, and a correlated node's
+//!   three with selects in place of skips;
 //! * [`Snapshot::means`] is the bottom-up half alone (the root average);
 //! * [`CollapseSizer::collapsed_size`] counts the size a collapse *would*
-//!   reach, in a reusable scratch hash-cons, without interning anything.
+//!   reach, in a reusable scratch hash-cons, without interning anything,
+//!   and [`CollapseSizer::fits`] asks whether that size is within a
+//!   bound, stopping the same count as soon as it passes the bound.
 //!
 //! **Canonical order.** Internal nodes are numbered in DFS post-order from
 //! the root, `lo` before `hi`; terminals sit in a side table in ascending
@@ -22,15 +26,30 @@
 //! represents, never on arena indices, so every sum taken in dense order
 //! — and with it every approximated model — is independent of the arena's
 //! allocation and compaction history.
+//!
+//! **Slots.** A child or the root is a slot: internal node `i` is slot
+//! `i` and terminal `j` is slot `n + j`. The passes' per-node buffers are
+//! indexed by slot and hold the terminals' constants at the end, so no
+//! pass branches on the kind of child it reads or feeds.
+//!
+//! **Bit for bit.** Every pass sums in the order of the node-major
+//! reference passes in this module's tests: contexts ascending, parents
+//! in reverse post-order. Masses are never negative and every sum starts
+//! at +0.0, so adding +0.0 leaves a sum's bits as they are. The top-down
+//! pass therefore adds the +0.0 that an unreached context selects, or the
+//! +0.0 product of an empty share, where the reference skips them. It
+//! selects 0.0 rather than multiply a moment by a zero weight, because
+//! `0 * inf` is NaN.
 
-use crate::hash::{canonical_f64_bits, FxHashMap};
+use crate::hash::{canonical_f64_bits, mix64, FxHashMap};
 use crate::manager::{Add, Manager};
 use crate::marks::Marks;
 use crate::node::NodeId;
 use crate::stats::{ChainMeasure, MeasuredNode, NodeStats};
 
-/// High bit of a dense reference: set for terminals (index into the
-/// terminal table), clear for internal nodes (index into the node table).
+/// High bit of a reference while [`Manager::snapshot`] walks the diagram,
+/// and of a [`CollapseSizer`] image: set for terminals (index into the
+/// terminal table), clear for internal nodes.
 const TERM: u32 = 1 << 31;
 
 /// A dense copy of the diagram rooted at one node (see the module docs).
@@ -59,8 +78,14 @@ pub struct Snapshot {
     num_vars: u32,
     ids: Vec<NodeId>,
     var: Vec<u32>,
+    /// Children and root as slots: internal node `i` is slot `i`,
+    /// terminal `j` slot `len() + j`.
     lo: Vec<u32>,
     hi: Vec<u32>,
+    /// Per internal node, bit 0 (`lo`) and bit 1 (`hi`): the child tests
+    /// the variable right after the node's, so only it can be seen in a
+    /// context other than 0 (see [`ChainMeasure::prob_one`]).
+    next: Vec<u8>,
     terminals: Vec<f64>,
     root: u32,
 }
@@ -77,6 +102,7 @@ impl Manager {
             var: Vec::new(),
             lo: Vec::new(),
             hi: Vec::new(),
+            next: Vec::new(),
             terminals: Vec::new(),
             root: 0,
         };
@@ -88,12 +114,17 @@ impl Manager {
             while let Some((id, children_done)) = stack.pop() {
                 if children_done {
                     let (lo, hi) = self.children(id);
+                    let (lo, hi) = (dense(index, lo), dense(index, hi));
+                    let v = self.node_var(id).index();
+                    let next = |r: u32| r & TERM == 0 && snap.var[r as usize] == v + 1;
+                    let flags = u8::from(next(lo)) | u8::from(next(hi)) << 1;
                     let i = snap.ids.len() as u32;
                     index.remember(id, i);
                     snap.ids.push(id);
-                    snap.var.push(self.node_var(id).index());
-                    snap.lo.push(dense(index, lo));
-                    snap.hi.push(dense(index, hi));
+                    snap.var.push(v);
+                    snap.lo.push(lo);
+                    snap.hi.push(hi);
+                    snap.next.push(flags);
                     continue;
                 }
                 if index.memo(id).is_some() {
@@ -117,7 +148,8 @@ impl Manager {
         });
 
         // Re-number terminals by ascending value (interned terminals have
-        // distinct values, so the order is total).
+        // distinct values, so the order is total), into slots after the
+        // internal nodes.
         let mut by_value: Vec<u32> = (0..snap.terminals.len() as u32).collect();
         by_value.sort_by(|&a, &b| {
             snap.terminals[a as usize]
@@ -132,6 +164,7 @@ impl Manager {
             .iter()
             .map(|&old| snap.terminals[old as usize])
             .collect();
+        let n = snap.ids.len() as u32;
         for r in snap
             .lo
             .iter_mut()
@@ -139,7 +172,7 @@ impl Manager {
             .chain(std::iter::once(&mut snap.root))
         {
             if *r & TERM != 0 {
-                *r = TERM | new_pos[(*r & !TERM) as usize];
+                *r = n + new_pos[(*r & !TERM) as usize];
             }
         }
         snap
@@ -148,7 +181,8 @@ impl Manager {
 
 /// Branching probabilities of one [`ChainMeasure`], tabulated per variable:
 /// `p[v][ctx] = P(v = 1 | ctx)` with the contexts of
-/// [`ChainMeasure::prob_one`].
+/// [`ChainMeasure::prob_one`], and whether `v` is correlated with its
+/// predecessor (one more entry, `false`, past the last variable).
 struct MeasureTable {
     p: Vec<[f64; 3]>,
     correlated: Vec<bool>,
@@ -165,7 +199,7 @@ impl MeasureTable {
             p: (0..measure.len())
                 .map(|v| [0u8, 1, 2].map(|ctx| measure.prob_one(v, ctx)))
                 .collect(),
-            correlated: (0..num_vars).map(|v| measure.is_correlated(v)).collect(),
+            correlated: (0..=num_vars).map(|v| measure.is_correlated(v)).collect(),
         }
     }
 }
@@ -205,38 +239,13 @@ impl Snapshot {
         &self.terminals
     }
 
-    /// The context a child sees after branching `branch` at variable `v`:
-    /// `branch + 1` if it tests `v + 1` and that variable is correlated
-    /// with its predecessor, else 0 (see [`ChainMeasure::prob_one`]).
+    /// The contexts node `i`'s two children are seen in under `table`: 1
+    /// after the low branch and 2 after the high one if the child tests
+    /// the next variable and that variable is correlated, else 0.
     #[inline]
-    fn child_context(&self, child: u32, v: u32, branch: u8, table: &MeasureTable) -> usize {
-        if child & TERM == 0
-            && self.var[child as usize] == v + 1
-            && table.correlated[v as usize + 1]
-        {
-            usize::from(branch) + 1
-        } else {
-            0
-        }
-    }
-
-    /// `(avg, var)` of the child `r` of a node testing `v`, as seen after
-    /// taking `branch` under the measure `moments` were computed for.
-    #[inline]
-    fn child_moments(
-        &self,
-        moments: &[Moments],
-        r: u32,
-        v: u32,
-        branch: u8,
-        table: &MeasureTable,
-    ) -> (f64, f64) {
-        if r & TERM != 0 {
-            return (self.terminals[(r & !TERM) as usize], 0.0);
-        }
-        let ctx = self.child_context(r, v, branch, table);
-        let mo = &moments[r as usize];
-        (mo.avg[ctx], mo.var[ctx])
+    fn child_contexts(&self, i: usize, table: &MeasureTable) -> (usize, usize) {
+        let next = self.next[i] * u8::from(table.correlated[self.var[i] as usize + 1]);
+        (usize::from(next & 1), usize::from(next & 2))
     }
 
     /// The bottom-up pass under one measure: for every node and context
@@ -245,12 +254,15 @@ impl Snapshot {
     /// Uncorrelated variables are reached in context 0 only; the other
     /// two contexts of their nodes keep whatever an earlier measure left,
     /// and nothing reads them (a child is seen in context 1 or 2 only if
-    /// its variable is correlated).
+    /// its variable is correlated). Terminal slots hold their value, with
+    /// variance 0, in every context.
     fn bottom_up(&self, table: &MeasureTable, moments: &mut [Moments]) {
         for i in 0..self.len() {
             let v = self.var[i];
-            let (al, vl) = self.child_moments(moments, self.lo[i], v, 0, table);
-            let (ah, vh) = self.child_moments(moments, self.hi[i], v, 1, table);
+            let (lo_ctx, hi_ctx) = self.child_contexts(i, table);
+            let (lo, hi) = (&moments[self.lo[i] as usize], &moments[self.hi[i] as usize]);
+            let (al, vl) = (lo.avg[lo_ctx], lo.var[lo_ctx]);
+            let (ah, vh) = (hi.avg[hi_ctx], hi.var[hi_ctx]);
             let contexts = if table.correlated[v as usize] { 3 } else { 1 };
             let mo = &mut moments[i];
             for ctx in 0..contexts {
@@ -290,10 +302,10 @@ impl Snapshot {
     /// ```
     pub fn means(&self, measures: &[&ChainMeasure]) -> Vec<f64> {
         let tables = self.tables(measures);
-        if self.root & TERM != 0 {
-            return vec![self.terminals[(self.root & !TERM) as usize]; tables.len()];
+        if self.is_empty() {
+            return vec![self.terminals[0]; tables.len()];
         }
-        let mut moments = vec![Moments::default(); self.len()];
+        let mut moments = self.moments();
         tables
             .iter()
             .map(|table| {
@@ -308,6 +320,18 @@ impl Snapshot {
             .iter()
             .map(|m| MeasureTable::new(m, self.num_vars))
             .collect()
+    }
+
+    /// A moments buffer for the bottom-up pass: internal slots to be
+    /// filled, terminal slots holding their constants.
+    fn moments(&self) -> Vec<Moments> {
+        let mut moments = Vec::with_capacity(self.size());
+        moments.resize(self.len(), Moments::default());
+        moments.extend(self.terminals.iter().map(|&x| Moments {
+            avg: [x; 3],
+            var: [0.0; 3],
+        }));
+        moments
     }
 
     /// Per-node statistics and reach probabilities under each of `measures`
@@ -354,70 +378,82 @@ impl Snapshot {
         let k = tables.len();
         let n = self.len();
 
-        let mut term_reach = vec![0.0f64; self.terminals.len() * k];
-        if self.root & TERM != 0 {
+        let nt = self.terminals.len();
+        let mut term_reach = vec![0.0f64; nt * k];
+        if self.is_empty() {
             term_reach.fill(1.0);
         }
         let mut reach = vec![0.0f64; n * k];
         let mut avg = vec![0.0f64; n * k];
         let mut var = vec![0.0f64; n * k];
         // Per measure: its bottom-up moments, then its top-down reach mass
-        // per (node, context); terminals are always reached in context 0.
-        let mut moments = vec![Moments::default(); n];
-        let mut mass = vec![[0.0f64; 3]; n];
-        for (t, table) in tables.iter().enumerate() {
+        // per (slot, context); terminals are always reached in context 0.
+        // Each measure writes its own contiguous rows. A terminal root
+        // has no pass to run.
+        let mut moments = self.moments();
+        let mut mass = vec![[0.0f64; 3]; n + nt];
+        for (t, table) in tables.iter().enumerate().filter(|_| n > 0) {
+            let rows = t * n..(t + 1) * n;
+            let (reach, avg, var) = (
+                &mut reach[rows.clone()],
+                &mut avg[rows.clone()],
+                &mut var[rows],
+            );
             self.bottom_up(table, &mut moments);
-            if n > 0 {
-                mass.fill([0.0; 3]);
-                mass[self.root as usize][0] = 1.0;
-            }
+            mass.fill([0.0; 3]);
+            mass[self.root as usize][0] = 1.0;
             // Reverse post-order visits every parent before its children,
             // so a node's mass is final when the node comes up.
             for i in (0..n).rev() {
-                let v = self.var[i];
-                let e = i * k + t;
-                let w3 = mass[i];
-
-                // Mix the node's contexts, from raw moments.
+                let v = self.var[i] as usize;
+                let p = &table.p[v];
                 let mo = &moments[i];
-                let (mut w_sum, mut m1, mut m2) = (0.0f64, 0.0f64, 0.0f64);
-                for (ctx, &w) in w3.iter().enumerate() {
-                    if w <= 0.0 {
-                        continue;
+                let (lo, hi) = (self.lo[i] as usize, self.hi[i] as usize);
+                let (lo_ctx, hi_ctx) = self.child_contexts(i, table);
+                // Mix the node's contexts from raw moments, and hand its
+                // mass on to the children. Where the reference skips an
+                // unreached context or an empty share, this adds +0.0 (see
+                // "Bit for bit" in the module docs).
+                let w3 = mass[i];
+                let (w_sum, m1, m2) = if table.correlated[v] {
+                    let (mut w_sum, mut m1, mut m2) = (0.0f64, 0.0f64, 0.0f64);
+                    for ((&w, &a), &vv) in w3.iter().zip(&mo.avg).zip(&mo.var) {
+                        // Select, never multiply by a zero weight: 0 * inf
+                        // is NaN.
+                        let reached = w > 0.0;
+                        w_sum += w;
+                        m1 += if reached { w * a } else { 0.0 };
+                        m2 += if reached { w * (vv + a * a) } else { 0.0 };
                     }
-                    let (a, vv) = (mo.avg[ctx], mo.var[ctx]);
-                    w_sum += w;
-                    m1 += w * a;
-                    m2 += w * (vv + a * a);
-                }
-                reach[e] = w_sum;
-                if w_sum > 0.0 {
-                    avg[e] = m1 / w_sum;
-                    var[e] = (m2 / w_sum - avg[e] * avg[e]).max(0.0);
+                    for (&w, &p1) in w3.iter().zip(p) {
+                        mass[lo][lo_ctx] += w * (1.0 - p1);
+                        mass[hi][hi_ctx] += w * p1;
+                    }
+                    (w_sum, m1, m2)
                 } else {
-                    avg[e] = mo.avg[0];
-                    var[e] = mo.var[0];
+                    // Reached in context 0 only (see `bottom_up`).
+                    let (w, a, vv) = (w3[0], mo.avg[0], mo.var[0]);
+                    let reached = w > 0.0;
+                    // `0.0 +` folds a -0.0 product into +0.0, as the
+                    // reference's +0.0 accumulator does.
+                    let m1 = 0.0 + if reached { w * a } else { 0.0 };
+                    let m2 = 0.0 + if reached { w * (vv + a * a) } else { 0.0 };
+                    let p1 = p[0];
+                    mass[lo][lo_ctx] += w * (1.0 - p1);
+                    mass[hi][hi_ctx] += w * p1;
+                    (w, m1, m2)
+                };
+                reach[i] = w_sum;
+                if w_sum > 0.0 {
+                    avg[i] = m1 / w_sum;
+                    var[i] = (m2 / w_sum - avg[i] * avg[i]).max(0.0);
+                } else {
+                    avg[i] = mo.avg[0];
+                    var[i] = mo.var[0];
                 }
-
-                // Hand the mass on to the children.
-                for (ctx, &w) in w3.iter().enumerate() {
-                    if w <= 0.0 {
-                        continue;
-                    }
-                    let p1 = table.p[v as usize][ctx];
-                    for (child, branch, share) in [(self.lo[i], 0u8, 1.0 - p1), (self.hi[i], 1, p1)]
-                    {
-                        if share == 0.0 {
-                            continue;
-                        }
-                        if child & TERM != 0 {
-                            term_reach[(child & !TERM) as usize * k + t] += w * share;
-                        } else {
-                            let cctx = self.child_context(child, v, branch, table);
-                            mass[child as usize][cctx] += w * share;
-                        }
-                    }
-                }
+            }
+            for (r, w3) in term_reach[t * nt..(t + 1) * nt].iter_mut().zip(&mass[n..]) {
+                *r = w3[0];
             }
         }
 
@@ -425,13 +461,9 @@ impl Snapshot {
         let mut min = vec![0.0f64; n];
         let mut max = vec![0.0f64; n];
         for i in 0..n {
-            let bounds = |r: u32| {
-                if r & TERM != 0 {
-                    let x = self.terminals[(r & !TERM) as usize];
-                    (x, x)
-                } else {
-                    (min[r as usize], max[r as usize])
-                }
+            let bounds = |r: u32| match (r as usize).checked_sub(n) {
+                Some(j) => (self.terminals[j], self.terminals[j]),
+                None => (min[r as usize], max[r as usize]),
             };
             let (lmin, lmax) = bounds(self.lo[i]);
             let (hmin, hmax) = bounds(self.hi[i]);
@@ -440,7 +472,8 @@ impl Snapshot {
         }
 
         DenseProfile {
-            k,
+            n,
+            nt,
             reach,
             avg,
             var,
@@ -464,10 +497,12 @@ impl Snapshot {
         for (pos, &i) in order.iter().enumerate() {
             rank[i as usize] = pos as u32;
         }
+        let key = |&x: &f64| mix64(canonical_f64_bits(x));
         CollapseSizer {
             snap: self,
             rank,
-            leaf_bits: leaves.iter().map(|&x| canonical_f64_bits(x)).collect(),
+            leaf_keys: leaves.iter().map(key).collect(),
+            terminal_keys: self.terminals.iter().map(key).collect(),
             live: vec![false; self.len()],
             image: vec![0; self.len()],
             unique: FxHashMap::default(),
@@ -480,7 +515,11 @@ impl Snapshot {
 /// [`Snapshot::profile`]).
 #[derive(Debug, Clone)]
 pub struct DenseProfile {
-    k: usize,
+    /// Internal nodes and terminals of the snapshot.
+    n: usize,
+    nt: usize,
+    /// Per measure `t`, one row: `reach[t * n + i]` is node `i`'s, and
+    /// `term_reach[t * nt + j]` terminal `j`'s.
     reach: Vec<f64>,
     avg: Vec<f64>,
     var: Vec<f64>,
@@ -493,7 +532,7 @@ impl DenseProfile {
     /// Statistics and reach of internal node `i` under measure `t`.
     #[inline]
     pub fn node(&self, i: usize, t: usize) -> MeasuredNode {
-        let e = i * self.k + t;
+        let e = t * self.n + i;
         MeasuredNode {
             stats: NodeStats {
                 avg: self.avg[e],
@@ -509,18 +548,21 @@ impl DenseProfile {
     /// order) under measure `t`.
     #[inline]
     pub fn terminal_reach(&self, j: usize, t: usize) -> f64 {
-        self.term_reach[j * self.k + t]
+        self.term_reach[t * self.nt + j]
     }
 }
 
-/// Reusable scratch for [`CollapseSizer::collapsed_size`], made by
-/// [`Snapshot::collapse_sizer`].
+/// Reusable scratch for [`CollapseSizer::collapsed_size`] and
+/// [`CollapseSizer::fits`], made by [`Snapshot::collapse_sizer`].
 #[derive(Debug)]
 pub struct CollapseSizer<'s> {
     snap: &'s Snapshot,
     /// Position of each node in the collapse order (`u32::MAX`: never).
     rank: Vec<u32>,
-    leaf_bits: Vec<u64>,
+    /// The [`mix64`] key of each node's replacement leaf and of each
+    /// original terminal, by canonical bits.
+    leaf_keys: Vec<u64>,
+    terminal_keys: Vec<u64>,
     live: Vec<bool>,
     /// Reference of each live node's image in the scratch hash-cons.
     image: Vec<u32>,
@@ -538,6 +580,20 @@ impl CollapseSizer<'_> {
     /// coincide disappears, equal `(var, lo, hi)` triples share one node,
     /// and a replaced ancestor hides its whole subtree.
     pub fn collapsed_size(&mut self, k: usize) -> usize {
+        self.count(k, usize::MAX)
+    }
+
+    /// Whether that collapse's size is at most `bound`:
+    /// `collapsed_size(k) <= bound`, found without finishing the count
+    /// once it passes the bound.
+    pub fn fits(&mut self, k: usize, bound: usize) -> bool {
+        self.count(k, bound) <= bound
+    }
+
+    /// The collapsed size of `k`, or some count above `bound` once the
+    /// count passes it: nodes are only ever added to the scratch
+    /// hash-cons, so a count past the bound stays past it.
+    fn count(&mut self, k: usize, bound: usize) -> usize {
         let s = self.snap;
         let n = s.len();
         if n == 0 {
@@ -555,7 +611,7 @@ impl CollapseSizer<'_> {
                 continue;
             }
             for c in [s.lo[i], s.hi[i]] {
-                if c & TERM == 0 {
+                if (c as usize) < n {
                     self.live[c as usize] = true;
                 }
             }
@@ -565,7 +621,7 @@ impl CollapseSizer<'_> {
                 continue;
             }
             self.image[i] = if self.rank[i] < k {
-                intern_leaf(&mut self.leaves, self.leaf_bits[i])
+                intern_leaf(&mut self.leaves, self.leaf_keys[i])
             } else {
                 let lo = self.image_of(s.lo[i]);
                 let hi = self.image_of(s.hi[i]);
@@ -576,27 +632,30 @@ impl CollapseSizer<'_> {
                     *self.unique.entry((s.var[i], lo, hi)).or_insert(next)
                 }
             };
+            if self.unique.len() + self.leaves.len() > bound {
+                break;
+            }
         }
         self.unique.len() + self.leaves.len()
     }
 
-    /// The image of a child reference: an original terminal interns its
+    /// The image of a child slot: an original terminal interns its
     /// value, an internal node was imaged earlier in post-order.
     #[inline]
     fn image_of(&mut self, r: u32) -> u32 {
-        if r & TERM != 0 {
-            let value = self.snap.terminals[(r & !TERM) as usize];
-            intern_leaf(&mut self.leaves, canonical_f64_bits(value))
-        } else {
-            self.image[r as usize]
+        match (r as usize).checked_sub(self.snap.len()) {
+            Some(j) => intern_leaf(&mut self.leaves, self.terminal_keys[j]),
+            None => self.image[r as usize],
         }
     }
 }
 
+/// Interns a leaf by its [`mix64`] key (a bijection of its canonical
+/// bits, so equal keys are equal values).
 #[inline]
-fn intern_leaf(leaves: &mut FxHashMap<u64, u32>, bits: u64) -> u32 {
+fn intern_leaf(leaves: &mut FxHashMap<u64, u32>, key: u64) -> u32 {
     let next = leaves.len() as u32;
-    TERM | *leaves.entry(bits).or_insert(next)
+    TERM | *leaves.entry(key).or_insert(next)
 }
 
 #[cfg(test)]
@@ -606,6 +665,26 @@ mod tests {
     use crate::stats::VarMeasure;
     use charfree_netlist::testutil::{check, Gen};
 
+    /// The context a child sees after branching `branch` at variable `v`:
+    /// `branch + 1` if it tests `v + 1` and that variable is correlated
+    /// with its predecessor, else 0 (see [`ChainMeasure::prob_one`]).
+    fn child_context(
+        snap: &Snapshot,
+        child: u32,
+        v: u32,
+        branch: u8,
+        table: &MeasureTable,
+    ) -> usize {
+        if (child as usize) < snap.len()
+            && snap.var[child as usize] == v + 1
+            && table.correlated[v as usize + 1]
+        {
+            usize::from(branch) + 1
+        } else {
+            0
+        }
+    }
+
     /// The node-major bottom-up pass `profile` and `means` ran before they
     /// went measure by measure: entry `i * k + t` holds node `i` under
     /// measure `t`.
@@ -614,10 +693,10 @@ mod tests {
         let n = snap.len();
         let mut moments = vec![Moments::default(); n * k];
         let child = |moments: &[Moments], t: usize, r: u32, v: u32, branch: u8, table| {
-            if r & TERM != 0 {
-                return (snap.terminals[(r & !TERM) as usize], 0.0);
+            if r as usize >= n {
+                return (snap.terminals[r as usize - n], 0.0);
             }
-            let ctx = snap.child_context(r, v, branch, table);
+            let ctx = child_context(snap, r, v, branch, table);
             let mo: &Moments = &moments[r as usize * k + t];
             (mo.avg[ctx], mo.var[ctx])
         };
@@ -644,8 +723,8 @@ mod tests {
     /// The node-major `means`: the oracle for the streaming one.
     fn reference_means(snap: &Snapshot, measures: &[&ChainMeasure]) -> Vec<f64> {
         let tables = snap.tables(measures);
-        if snap.root & TERM != 0 {
-            return vec![snap.terminals[(snap.root & !TERM) as usize]; tables.len()];
+        if snap.is_empty() {
+            return vec![snap.terminals[0]; tables.len()];
         }
         let k = tables.len();
         let moments = reference_bottom_up(snap, &tables);
@@ -663,7 +742,7 @@ mod tests {
         let moments = reference_bottom_up(snap, &tables);
         let mut mass = vec![[0.0f64; 3]; n * k];
         let mut term_reach = vec![0.0f64; snap.terminals.len() * k];
-        if snap.root & TERM != 0 {
+        if snap.is_empty() {
             term_reach.fill(1.0);
         } else {
             for t in 0..k {
@@ -707,10 +786,10 @@ mod tests {
                         if share == 0.0 {
                             continue;
                         }
-                        if child & TERM != 0 {
-                            term_reach[(child & !TERM) as usize * k + t] += w * share;
+                        if child as usize >= n {
+                            term_reach[(child as usize - n) * k + t] += w * share;
                         } else {
-                            let cctx = snap.child_context(child, v, branch, table);
+                            let cctx = child_context(snap, child, v, branch, table);
                             mass[child as usize * k + t][cctx] += w * share;
                         }
                     }
@@ -721,8 +800,8 @@ mod tests {
         let mut max = vec![0.0f64; n];
         for i in 0..n {
             let bounds = |r: u32| {
-                if r & TERM != 0 {
-                    let x = snap.terminals[(r & !TERM) as usize];
+                if r as usize >= n {
+                    let x = snap.terminals[r as usize - n];
                     (x, x)
                 } else {
                     (min[r as usize], max[r as usize])
@@ -733,19 +812,46 @@ mod tests {
             min[i] = lmin.min(hmin);
             max[i] = lmax.max(hmax);
         }
+        // Node-major entries `i * k + t`, transposed into the profile's
+        // per-measure rows.
+        let nt = snap.terminals.len();
+        let rows = |x: Vec<f64>, len: usize| -> Vec<f64> {
+            (0..k)
+                .flat_map(|t| (0..len).map(move |i| i * k + t))
+                .map(|e| x[e])
+                .collect()
+        };
         DenseProfile {
-            k,
-            reach,
-            avg,
-            var,
+            n,
+            nt,
+            reach: rows(reach, n),
+            avg: rows(avg, n),
+            var: rows(var, n),
             min,
             max,
-            term_reach,
+            term_reach: rows(term_reach, nt),
         }
     }
 
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `profile` and `means` equal the node-major passes bit for bit.
+    fn assert_matches_the_reference(snap: &Snapshot, measures: &[&ChainMeasure]) {
+        let (got, want) = (snap.profile(measures), reference_profile(snap, measures));
+        assert_eq!((got.n, got.nt), (want.n, want.nt));
+        assert_eq!(bits(&got.reach), bits(&want.reach), "reach");
+        assert_eq!(bits(&got.avg), bits(&want.avg), "avg");
+        assert_eq!(bits(&got.var), bits(&want.var), "var");
+        assert_eq!(bits(&got.min), bits(&want.min), "min");
+        assert_eq!(bits(&got.max), bits(&want.max), "max");
+        assert_eq!(bits(&got.term_reach), bits(&want.term_reach), "term_reach");
+        assert_eq!(
+            bits(&snap.means(measures)),
+            bits(&reference_means(snap, measures)),
+            "means"
+        );
     }
 
     /// Six variables, three interleaved transition pairs.
@@ -787,10 +893,19 @@ mod tests {
                 .map(VarMeasure::Independent)
                 .to_vec(),
         );
+        // Branch probabilities of exactly 0 and 1: contexts and children
+        // a measure never reaches, so zero weights and empty shares.
+        let frozen = ChainMeasure::interleaved_transitions(PAIRS, 0.5, 0.0);
+        let flipping = ChainMeasure::interleaved_transitions(PAIRS, 0.5, 1.0);
+        let pinned = ChainMeasure::new(
+            [0.0, 1.0, 0.5, 0.0, 1.0, 0.25]
+                .map(VarMeasure::Independent)
+                .to_vec(),
+        );
         let mut measures: Vec<&ChainMeasure> = vec![&uniform];
         measures.extend(&transitions);
-        measures.push(&skewed);
-        let generate = |g: &mut Gen| (random_terms(g), g.below(3) as usize);
+        measures.extend([&skewed, &frozen, &flipping, &pinned]);
+        let generate = |g: &mut Gen| (random_terms(g), g.below(measures.len() as u64) as usize);
         check(
             "streaming_profile_and_means_match_the_node_major_passes_bit_for_bit",
             64,
@@ -800,21 +915,9 @@ mod tests {
                 let f = build_terms(&mut m, terms);
                 let snap = m.snapshot(f);
                 // The whole family at once, and one measure alone.
-                let sets = [measures.clone(), vec![measures[*which * 3]]];
+                let sets = [measures.clone(), vec![measures[*which]]];
                 for set in &sets {
-                    let (got, want) = (snap.profile(set), reference_profile(&snap, set));
-                    assert_eq!(got.k, want.k);
-                    assert_eq!(bits(&got.reach), bits(&want.reach), "reach");
-                    assert_eq!(bits(&got.avg), bits(&want.avg), "avg");
-                    assert_eq!(bits(&got.var), bits(&want.var), "var");
-                    assert_eq!(bits(&got.min), bits(&want.min), "min");
-                    assert_eq!(bits(&got.max), bits(&want.max), "max");
-                    assert_eq!(bits(&got.term_reach), bits(&want.term_reach), "term_reach");
-                    assert_eq!(
-                        bits(&snap.means(set)),
-                        bits(&reference_means(&snap, set)),
-                        "means"
-                    );
+                    assert_matches_the_reference(&snap, set);
                 }
             },
         );
@@ -840,7 +943,10 @@ mod tests {
         assert_eq!(snap.node_id(snap.len() - 1), f.node());
         for i in 0..snap.len() {
             for c in [snap.lo[i], snap.hi[i]] {
-                assert!(c & TERM != 0 || (c as usize) < i, "child after parent");
+                assert!(
+                    (c as usize) >= snap.len() || (c as usize) < i,
+                    "child after parent"
+                );
             }
         }
         let values = snap.terminal_values();
@@ -891,6 +997,91 @@ mod tests {
         let root = snap.profile(&[&ChainMeasure::uniform(3)]).node(0, 0);
         assert_eq!((root.stats.avg, root.stats.var), (4.0, 4.0));
         assert_eq!((root.stats.min, root.stats.max), (2.0, 6.0));
+    }
+
+    #[test]
+    fn extreme_moments_keep_the_reference_bits() {
+        // Root x0, one child n = x1 ? hi : lo, the other the terminal 0.
+        let profile_of = |hi: f64, lo: f64, n_on_high: bool, measure: [VarMeasure; 2]| {
+            let mut m = Manager::new(2);
+            let (x0, x1) = (m.bdd_var(Var(0)), m.bdd_var(Var(1)));
+            let (hi, lo, zero) = (m.constant(hi), m.constant(lo), m.add_zero());
+            let n = m.add_ite(x1, hi, lo);
+            let f = if n_on_high {
+                m.add_ite(x0, n, zero)
+            } else {
+                m.add_ite(x0, zero, n)
+            };
+            let snap = m.snapshot(f);
+            let measure = ChainMeasure::new(measure.to_vec());
+            assert_matches_the_reference(&snap, &[&measure]);
+            snap.profile(&[&measure]).node(0, 0)
+        };
+        // x0 is never 1, so n is reached in context 1 only. Its context 2
+        // (average 1.5e154) has a square past f64::MAX, which a zero
+        // weight must select out, not multiply: 0 * inf is NaN, and the
+        // variance would clamp to 0.
+        let n = profile_of(
+            1.5e154,
+            1e154,
+            false,
+            [
+                VarMeasure::Independent(0.0),
+                VarMeasure::Correlated {
+                    when_prev_false: 0.5,
+                    when_prev_true: 1.0,
+                },
+            ],
+        );
+        assert!(n.stats.var > 0.0 && n.stats.var.is_finite(), "{n:?}");
+        // n's mass of 1e-300 times its average of -1e-30 underflows to
+        // -0.0, which the +0.0 sum folds away.
+        let n = profile_of(
+            -2e-30,
+            0.0,
+            true,
+            [
+                VarMeasure::Independent(1e-300),
+                VarMeasure::Independent(0.5),
+            ],
+        );
+        assert_eq!(n.stats.avg.to_bits(), 0.0f64.to_bits(), "{n:?}");
+    }
+
+    #[test]
+    fn bounded_probes_agree_with_the_full_count() {
+        let generate = |g: &mut Gen| {
+            let terms = random_terms(g);
+            // Leaves on a coarse grid, so collapses share terminals with
+            // each other and with the diagram.
+            let leaves = g.vec(64..65, |g| f64::from(g.range(0..8u32)) * 0.5);
+            let keys = g.vec(64..65, |g| g.below(1 << 20));
+            (terms, leaves, keys)
+        };
+        check(
+            "bounded_probes_agree_with_the_full_count",
+            64,
+            generate,
+            |(terms, leaves, keys)| {
+                let mut m = Manager::new(2 * PAIRS);
+                let f = build_terms(&mut m, terms);
+                let snap = m.snapshot(f);
+                let n = snap.len();
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.sort_by_key(|&i| keys[i as usize % keys.len()]);
+                let leaves: Vec<f64> = (0..n).map(|i| leaves[i % leaves.len()]).collect();
+                let mut sizer = snap.collapse_sizer(&order, &leaves);
+                for k in 0..=n {
+                    let size = sizer.collapsed_size(k);
+                    for bound in size.saturating_sub(2)..=size + 1 {
+                        assert_eq!(sizer.fits(k, bound), size <= bound, "k = {k}, b = {bound}");
+                    }
+                    // A count after probes that stopped early sees none
+                    // of their leftovers.
+                    assert_eq!(sizer.collapsed_size(k), size, "k = {k}");
+                }
+            },
+        );
     }
 
     #[test]
